@@ -16,14 +16,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
                          MetricSpec)
-from .geometry import SingularFactor, numerical_jacobian
-
-_COND_LIMIT = 1e12
+from .geometry import _COND_LIMIT, SingularFactor, numerical_jacobian
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,10 @@ class SamplingRegion:
         """Sample array of shape (m, dimension); identical on every call."""
         if self.kind == "points":
             return self.point_list.copy()
+        # importing SciPy costs more than the rest of the package together and
+        # only sampling needs it, so it loads on the first sampled region
+        from scipy.special import ndtri
+        from scipy.stats import qmc
         if self.kind == "box":
             unit = qmc.Halton(d=self.dimension, scramble=True, seed=self.seed) \
                 .random(self.sample_count)

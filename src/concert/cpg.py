@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, apply_noisefree_corollary, classify_regime, hybrid_bound
-from .simulate import _BLOCK, _check_step_count, _interior_offsets, derive_stream
+from .simulate import (_BLOCK, _check_step_count, _hybrid_grid, _interior_offsets,
+                       _welford_row, derive_stream)
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem)
 
@@ -345,15 +346,8 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     n_dwell = _check_step_count(horizon, tau, "horizon")
     steps_per_dwell = _check_step_count(tau, h, "dwell time")
     offsets = _interior_offsets(steps_per_dwell, interior_per_dwell)
-    times = [0.0, 0.0]
-    sides = ["pre", "post"]
-    for k in range(n_dwell):
-        for j in offsets:
-            times.append(k * tau + j * h)
-            sides.append("interior")
-        times.extend([(k + 1) * tau, (k + 1) * tau])
-        sides.extend(["pre", "post"])
-    times = np.asarray(times)
+    grid = _hybrid_grid(n_dwell, tau, h, offsets)
+    times = grid.times
     grid_size = times.size
 
     coupling = coupling_matrix(params.gamma)
@@ -397,14 +391,9 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
                 block[:, g_idx] = phase_locking_delta(x)
                 g_idx += 1
             for row in block:
-                alive = np.isfinite(row)
+                alive = _welford_row(row, count, mean, msq)
                 if not alive.all():
                     failures += 1
-                    alive[int(np.argmin(alive)):] = False
-                count[alive] += 1
-                delta = np.where(alive, row - mean, 0.0)
-                mean[alive] += delta[alive] / count[alive]
-                msq[alive] += delta[alive] * (row[alive] - mean[alive])
                 if alive[window_mask].all():
                     window_means.append(float(row[window_mask].mean()))
 
@@ -415,7 +404,7 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     steady_mean = float(window.mean()) if window.size else math.nan
     steady_stderr = float(window.std(ddof=1) / math.sqrt(window.size)) \
         if window.size > 1 else math.nan
-    return CPGExperimentResult(params=params, times=times, sides=tuple(sides),
+    return CPGExperimentResult(params=params, times=times, sides=grid.sides,
                                delta_mean=mean, delta_stderr=stderr,
                                run_count=run_count, failures=failures,
                                steady_mean=steady_mean, steady_stderr=steady_stderr,

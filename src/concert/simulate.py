@@ -314,6 +314,21 @@ class _Grid:
     sides: tuple[str, ...]
 
 
+def _hybrid_grid(n_dwell: int, tau: float, h: float, offsets: Sequence[int]) -> _Grid:
+    """Sample grid of a hybrid run: both sides of the reset at t = 0, then per
+    dwell k the interior samples after `offsets` flow steps of size h and both
+    sides of the reset at (k + 1) tau."""
+    times = [0.0, 0.0]
+    sides = ["pre", "post"]
+    for k in range(n_dwell):
+        for j in offsets:
+            times.append(k * tau + j * h)
+            sides.append("interior")
+        times.extend([(k + 1) * tau, (k + 1) * tau])
+        sides.extend(["pre", "post"])
+    return _Grid(times=np.asarray(times), sides=tuple(sides))
+
+
 def _grid_for(system, config: EnsembleConfig) -> _Grid:
     if isinstance(system, DiscreteMapSystem):
         steps = int(round(config.horizon))
@@ -336,15 +351,7 @@ def _grid_for(system, config: EnsembleConfig) -> _Grid:
         n_dwell = _check_step_count(config.horizon, tau, "horizon")
         steps_per_dwell = _check_step_count(tau, config.step_size, "dwell time")
         offsets = _interior_offsets(steps_per_dwell, config.interior_per_dwell)
-        times = [0.0, 0.0]
-        sides = ["pre", "post"]
-        for k in range(n_dwell):
-            for j in offsets:
-                times.append(k * tau + j * config.step_size)
-                sides.append("interior")
-            times.extend([(k + 1) * tau, (k + 1) * tau])
-            sides.extend(["pre", "post"])
-        return _Grid(times=np.asarray(times), sides=tuple(sides))
+        return _hybrid_grid(n_dwell, tau, config.step_size, offsets)
     raise TypeError(f"unsupported system type {type(system).__name__}")
 
 
@@ -464,6 +471,22 @@ def _hybrid_block(system: HybridSystem, config: EnsembleConfig,
     return out
 
 
+def _welford_row(row: np.ndarray, count: np.ndarray, mean: np.ndarray,
+                 msq: np.ndarray) -> np.ndarray:
+    """Fold one pair's samples into the per-time Welford sums `count`, `mean`
+    and `msq` in place, and return the pair's alive mask: True up to its first
+    non-finite sample, False from there on."""
+    alive = np.isfinite(row)
+    if not alive.all():
+        # a pair never comes back once non-finite
+        alive[int(np.argmin(alive)):] = False
+    count[alive] += 1
+    delta = np.where(alive, row - mean, 0.0)
+    mean[alive] += delta[alive] / count[alive]
+    msq[alive] += delta[alive] * (row[alive] - mean[alive])
+    return alive
+
+
 def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleStats:
     """Simulate pair_count independent trajectory pairs and reduce their
     distance statistic to per-time means and standard errors.
@@ -495,16 +518,8 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
             else:
                 raise TypeError(f"unsupported system type {type(system).__name__}")
             for row in block:
-                alive = np.isfinite(row)
-                if not alive.all():
+                if not _welford_row(row, count, mean, msq).all():
                     failures += 1
-                    # a pair never comes back once non-finite
-                    first_bad = int(np.argmin(alive))
-                    alive[first_bad:] = False
-                count[alive] += 1
-                delta = np.where(alive, row - mean, 0.0)
-                mean[alive] += delta[alive] / count[alive]
-                msq[alive] += delta[alive] * (row[alive] - mean[alive])
     stderr = np.zeros(size)
     settled = count > 1
     stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])

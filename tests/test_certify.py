@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,33 @@ class TestSamplingRegion:
             json.dumps(d)
             assert d["kind"] == region.kind
             assert d["dimension"] == region.dimension
+
+    def test_scipy_loads_only_when_a_region_is_sampled(self):
+        # a fresh interpreter running this checkout's source tree: importing
+        # the package and CLI runs that sample no region leave SciPy unloaded
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        script = """
+import contextlib, io, sys
+import numpy as np
+import concert
+import concert.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert concert.cli.main(["bounds", "hybrid-linear"]) == 0
+    assert concert.cli.main(["simulate", "linear-map", "--ensemble", "8",
+                             "--horizon", "5"]) == 0
+print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
+concert.SamplingRegion.ball(np.zeros(6), 1.5, 64, seed=0).samples()
+print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.splitlines()
+        assert before == "[]"
+        assert after == "['scipy.special', 'scipy.stats']"
 
 
 def linear_map_system(rho=0.5, dim=1):
