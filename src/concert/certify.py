@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
-                         MetricSpec)
+                         MetricSpec, _as_metric)
 from .geometry import _COND_LIMIT, SingularFactor, numerical_jacobian
 
 
@@ -117,31 +117,6 @@ class SupEstimate:
         return self.value
 
 
-def _metric_factor(metric, dimension: int, t: float = 0.0, side: str = "post") -> np.ndarray:
-    if metric is None:
-        metric = MetricSpec.identity(dimension)
-    if not isinstance(metric, MetricSpec):
-        metric = MetricSpec.constant(np.asarray(metric, dtype=float))
-    if metric.dimension != dimension:
-        raise DimensionMismatch(
-            f"metric dimension {metric.dimension} does not match system dimension {dimension}")
-    return metric.factor(t, side)
-
-
-def _metric_value(metric, dimension: int, t: float = 0.0, side: str = "post") -> np.ndarray:
-    if metric is None:
-        return np.eye(dimension)
-    if isinstance(metric, MetricSpec):
-        if metric.dimension != dimension:
-            raise DimensionMismatch(
-                f"metric dimension {metric.dimension} does not match system dimension {dimension}")
-        return metric.value(t, side)
-    m = np.asarray(metric, dtype=float)
-    if m.shape != (dimension, dimension):
-        raise DimensionMismatch(f"metric shape {m.shape} does not match dimension {dimension}")
-    return m
-
-
 def _checked_inverse(theta: np.ndarray) -> np.ndarray:
     if np.linalg.cond(theta) > _COND_LIMIT:
         raise SingularFactor("input-side factor is singular to working precision")
@@ -167,8 +142,8 @@ def estimate_discrete_rate(system: DiscreteMapSystem, metric_pair, region: Sampl
     lambda_max(F.T F) over the region's samples with the attaining sample.
     """
     metric_in, metric_out = metric_pair if metric_pair is not None else (None, None)
-    theta_in = _metric_factor(metric_in, system.dimension)
-    theta_out = _metric_factor(metric_out, system.dimension)
+    theta_in = _as_metric(metric_in, system.dimension).factor()
+    theta_out = _as_metric(metric_out, system.dimension).factor()
     theta_in_inv = _checked_inverse(theta_in)
     jac = _jacobian_fn(system, k)
     best = -np.inf
@@ -186,9 +161,7 @@ def estimate_continuous_rate(system: ContinuousSDESystem, metric, region: Sampli
     """Sampled contraction rate of a flow: minus the sup over the region of
     lambda_max(((dTheta/dt + Theta J) Theta^{-1})_sym); positive values mean
     the flow contracts the metric at rate at least the returned value."""
-    if metric is None or not isinstance(metric, MetricSpec):
-        metric = MetricSpec.identity(system.dimension) if metric is None \
-            else MetricSpec.constant(np.asarray(metric, dtype=float))
+    metric = _as_metric(metric, system.dimension)
     theta = metric.factor(t)
     theta_inv = _checked_inverse(theta)
     theta_dot = metric.factor_dot(t)
@@ -206,7 +179,7 @@ def estimate_continuous_rate(system: ContinuousSDESystem, metric, region: Sampli
 def noise_bound_discrete(system: DiscreteMapSystem, metric_next, region: SamplingRegion,
                          k: int = 0) -> SupEstimate:
     """Sampled sup of the injected reset-noise energy tr(sigma^T M' sigma Q)."""
-    m_next = _metric_value(metric_next, system.dimension)
+    m_next = _as_metric(metric_next, system.dimension).value()
     q = system.noise.covariance
     best = -np.inf
     best_at = None
@@ -221,7 +194,7 @@ def noise_bound_discrete(system: DiscreteMapSystem, metric_next, region: Samplin
 def noise_bound_continuous(system: ContinuousSDESystem, metric, region: SamplingRegion,
                            t: float = 0.0) -> SupEstimate:
     """Sampled sup of the per-unit-time injected energy tr(sigma^T M sigma)."""
-    m = _metric_value(metric, system.dimension, t)
+    m = _as_metric(metric, system.dimension).value(t)
     best = -np.inf
     best_at = None
     for x in region.samples():
@@ -267,10 +240,8 @@ def certify_discrete(system: DiscreteMapSystem, region: SamplingRegion,
                      metric=None, metric_next=None, k: int = 0,
                      analytic_rate: float | None = None) -> ContractionCertificate:
     """Assemble a discrete certificate: sampled (or analytic) rate plus noise energy."""
-    metric_spec = metric if isinstance(metric, MetricSpec) else (
-        MetricSpec.identity(system.dimension) if metric is None
-        else MetricSpec.constant(np.asarray(metric, dtype=float)))
-    est = estimate_discrete_rate(system, (metric, metric_next), region, k=k)
+    metric_spec = _as_metric(metric, system.dimension)
+    est = estimate_discrete_rate(system, (metric_spec, metric_next), region, k=k)
     noise = noise_bound_discrete(system, metric_next, region, k=k)
     rate = float(analytic_rate) if analytic_rate is not None else est.value
     return ContractionCertificate(kind="discrete", rate=rate, noise_bound=noise.value,
@@ -283,9 +254,7 @@ def certify_continuous(system: ContinuousSDESystem, region: SamplingRegion,
                        metric=None, t: float = 0.0,
                        analytic_rate: float | None = None) -> ContractionCertificate:
     """Assemble a continuous certificate: sampled (or analytic) rate plus noise energy."""
-    metric_spec = metric if isinstance(metric, MetricSpec) else (
-        MetricSpec.identity(system.dimension) if metric is None
-        else MetricSpec.constant(np.asarray(metric, dtype=float)))
+    metric_spec = _as_metric(metric, system.dimension)
     est = estimate_continuous_rate(system, metric_spec, region, t=t)
     noise = noise_bound_continuous(system, metric_spec, region, t=t)
     rate = float(analytic_rate) if analytic_rate is not None else est.value

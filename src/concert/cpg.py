@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, apply_noisefree_corollary, classify_regime, hybrid_bound
-from .simulate import (_BLOCK, _check_step_count, _hybrid_grid, _interior_offsets,
-                       _welford_row, derive_stream)
+from .simulate import _moments, _plan, _run_block, derive_stream
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem)
 
@@ -341,70 +340,28 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
-    tau, omega = params.tau, params.omega
-    h = tau / 100.0 if step_size is None else step_size
-    n_dwell = _check_step_count(horizon, tau, "horizon")
-    steps_per_dwell = _check_step_count(tau, h, "dwell time")
-    offsets = _interior_offsets(steps_per_dwell, interior_per_dwell)
-    grid = _hybrid_grid(n_dwell, tau, h, offsets)
-    times = grid.times
-    grid_size = times.size
-
-    coupling = coupling_matrix(params.gamma)
-    reset_scale = params.gamma * params.sigma_d
-    flow_scale = params.sigma_c
-    sqrt_h = math.sqrt(h)
-    offset_set = set(offsets)
-
-    count = np.zeros(grid_size, dtype=np.int64)
-    mean = np.zeros(grid_size)
-    msq = np.zeros(grid_size)
+    h = params.tau / 100.0 if step_size is None else step_size
+    system = build_cpg_system(params)
+    times, sides, segments = _plan(system, horizon, h, interior_per_dwell, 1)
     window_mask = times >= (1.0 - steady_frac) * horizon
     window_means: list[float] = []
-    failures = 0
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, run_count, _BLOCK):
-            runs = range(lo, min(lo + _BLOCK, run_count))
-            gens = [derive_stream(master_seed, i, 0) for i in runs]
-            x = np.stack([g.uniform(-init_half_width, init_half_width, 6) for g in gens])
-            block = np.empty((len(gens), grid_size))
-            g_idx = 0
-            block[:, g_idx] = phase_locking_delta(x)
-            g_idx += 1
-            draws = np.stack([g.standard_normal(6) for g in gens])
-            x = x @ coupling.T + reset_scale * draws
-            block[:, g_idx] = phase_locking_delta(x)
-            g_idx += 1
-            for k in range(n_dwell):
-                z = np.stack([g.standard_normal((steps_per_dwell, 6)) for g in gens])
-                for j in range(steps_per_dwell):
-                    t = k * tau + j * h
-                    x = x + ring_drift(x, t, omega) * h + (flow_scale * sqrt_h) * z[:, j]
-                    if (j + 1) in offset_set:
-                        block[:, g_idx] = phase_locking_delta(x)
-                        g_idx += 1
-                block[:, g_idx] = phase_locking_delta(x)
-                g_idx += 1
-                draws = np.stack([g.standard_normal(6) for g in gens])
-                x = x @ coupling.T + reset_scale * draws
-                block[:, g_idx] = phase_locking_delta(x)
-                g_idx += 1
-            for row in block:
-                alive = _welford_row(row, count, mean, msq)
-                if not alive.all():
-                    failures += 1
-                if alive[window_mask].all():
-                    window_means.append(float(row[window_mask].mean()))
+    def block_of(runs):
+        gens = [derive_stream(master_seed, i, 0) for i in runs]
+        x = np.stack([g.uniform(-init_half_width, init_half_width, 6) for g in gens])
+        return _run_block(segments, [gens], [x], (True,),
+                          lambda states, g: phase_locking_delta(states[0]))
 
-    stderr = np.zeros(grid_size)
-    settled = count > 1
-    stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
+    def keep_window(row, alive):
+        if alive[window_mask].all():
+            window_means.append(float(row[window_mask].mean()))
+
+    _, mean, stderr, failures = _moments(run_count, times.size, block_of, keep_window)
     window = np.asarray(window_means)
     steady_mean = float(window.mean()) if window.size else math.nan
     steady_stderr = float(window.std(ddof=1) / math.sqrt(window.size)) \
         if window.size > 1 else math.nan
-    return CPGExperimentResult(params=params, times=times, sides=grid.sides,
+    return CPGExperimentResult(params=params, times=times, sides=sides,
                                delta_mean=mean, delta_stderr=stderr,
                                run_count=run_count, failures=failures,
                                steady_mean=steady_mean, steady_stderr=steady_stderr,

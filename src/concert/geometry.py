@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .statespace import DimensionMismatch, MetricSpec, factor_metric
+from .statespace import DimensionMismatch, MetricSpec, _as_metric
 
 # Condition-number ceiling above which an input factor is treated as singular.
 _COND_LIMIT = 1e12
@@ -24,12 +24,10 @@ class SingularFactor(ValueError):
     """Raised when the input-side factor cannot be inverted reliably."""
 
 
-def _metric_matrix(metric) -> np.ndarray:
+def _required_metric(metric, dimension: int) -> MetricSpec:
     if metric is None:
         raise ValueError("metric is required")
-    if isinstance(metric, MetricSpec):
-        return metric.value()
-    return np.asarray(metric, dtype=float)
+    return _as_metric(metric, dimension)
 
 
 def metric_distance(x: np.ndarray, y: np.ndarray, metric) -> float:
@@ -38,9 +36,7 @@ def metric_distance(x: np.ndarray, y: np.ndarray, metric) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch(f"states must share shape (n,), got {x.shape} and {y.shape}")
-    m = _metric_matrix(metric)
-    if m.shape != (x.size, x.size):
-        raise DimensionMismatch(f"metric shape {m.shape} does not match state size {x.size}")
+    m = _required_metric(metric, x.size).value()
     diff = x - y
     return float(np.sqrt(diff @ m @ diff))
 
@@ -129,11 +125,7 @@ class SampledCurve:
 
 def curve_length(curve: SampledCurve, metric) -> float:
     """Piecewise-linear metric length: sum of ||Theta (p_{i+1} - p_i)||_2."""
-    m = _metric_matrix(metric)
-    if m.shape != (curve.points.shape[1],) * 2:
-        raise DimensionMismatch(
-            f"metric shape {m.shape} does not match curve dimension {curve.points.shape[1]}")
-    theta = metric.factor() if isinstance(metric, MetricSpec) else factor_metric(m)
+    theta = _required_metric(metric, curve.points.shape[1]).factor()
     chords = np.diff(curve.points, axis=0) @ theta.T
     return float(np.linalg.norm(chords, axis=1).sum())
 

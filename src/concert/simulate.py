@@ -9,9 +9,14 @@ order.  Hybrid runs apply the boundary reset at the initial instant first and
 record both one-sided samples at every reset time.
 
 Euler-Maruyama is the only integrator: x <- x + f(x, t) h + sigma(x, t) sqrt(h) z
-with standard-normal z.  Pairs are simulated lockstep in fixed-size blocks for
-speed; reductions run in pair-index order, so outputs are bit-identical
-regardless of how blocks would be scheduled.
+with standard-normal z.  One engine steps every run: a plan splits the run into
+segments of map applications and flow steps, and a block of runs moves through
+them in lockstep.  Blocks have a fixed size and are reduced in run-index order,
+so the reduction does not depend on the blocking.  The arithmetic can: when a
+map or a gain multiplies states by a matrix, NumPy may take another kernel for
+the one-row product of a block holding a single run (pair 1024 of 1025, say),
+and that run's samples can then differ from the same run inside a larger block
+in the last bits.
 """
 from __future__ import annotations
 
@@ -23,9 +28,9 @@ import numpy as np
 
 from .bounds import BoundReport
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
-                         HybridSystem, MetricSpec)
+                         HybridSystem, _as_metric)
 
-_BLOCK = 1024  # pairs simulated lockstep; fixed, so outputs never depend on it
+_BLOCK = 1024  # runs simulated lockstep and reduced per block; fixed
 
 
 class NonFiniteState(RuntimeError):
@@ -83,23 +88,9 @@ def integrate_sde(system: ContinuousSDESystem, x0: np.ndarray, t0: float, t1: fl
     Raises NonFiniteState with the failing step index if the state leaves the
     finite floats.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (system.dimension,):
-        raise DimensionMismatch(f"state shape {x.shape}, expected {(system.dimension,)}")
-    steps = _check_step_count(t1 - t0, h, "time span")
-    sqrt_h = math.sqrt(h)
-    times = t0 + h * np.arange(steps + 1)
-    states = np.empty((steps + 1, system.dimension))
-    states[0] = x
-    z = rng.standard_normal((steps, system.noise_dim))
-    for j in range(steps):
-        t = t0 + j * h
-        sig = np.asarray(system.diffusion(x, t), dtype=float)
-        x = x + np.asarray(system.drift(x, t), dtype=float) * h + sig @ (sqrt_h * z[j])
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(j + 1)
-        states[j + 1] = x
-    return SDEPath(times=times, states=states)
+    _check_step_count(t1 - t0, h, "time span")
+    times, _, segments = _plan(system, t1 - t0, h, 0, 1, t0)
+    return SDEPath(times=times, states=_sample_path(system.dimension, segments, x0, rng))
 
 
 @dataclass(frozen=True)
@@ -122,33 +113,13 @@ def run_hybrid(system: HybridSystem, x0: np.ndarray, horizon: float, h: float,
 
     The k = 0 reset acts first; the closing reset at the horizon is applied
     and recorded.  Within each dwell the reset draw precedes the flow draws.
+    Raises NonFiniteState at the first sample that leaves the finite floats;
+    its step_index is that sample's index in the path.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    reset, cont, tau = system.reset, system.continuous, system.dwell_time
-    n_dwell = _check_step_count(horizon, tau, "horizon")
-    _check_step_count(tau, h, "dwell time")
-    times: list[float] = []
-    sides: list[str] = []
-    states: list[np.ndarray] = []
-
-    def record(t: float, side: str, state: np.ndarray) -> None:
-        times.append(t)
-        sides.append(side)
-        states.append(state.copy())
-
-    record(0.0, "pre", x)
-    x = step_discrete(reset, x, 0, reset.noise.sample(rng))
-    record(0.0, "post", x)
-    for k in range(n_dwell):
-        path = integrate_sde(cont, x, k * tau, (k + 1) * tau, h, rng)
-        for t, state in zip(path.times[1:-1], path.states[1:-1]):
-            record(float(t), "interior", state)
-        x = path.states[-1]
-        record((k + 1) * tau, "pre", x)
-        x = step_discrete(reset, x, k + 1, reset.noise.sample(rng))
-        record((k + 1) * tau, "post", x)
-    return HybridPath(times=np.asarray(times), sides=tuple(sides),
-                      states=np.asarray(states))
+    steps_per_dwell = _check_step_count(system.dwell_time, h, "dwell time")
+    times, sides, segments = _plan(system, horizon, h, steps_per_dwell - 1, 1)
+    return HybridPath(times=times, sides=sides,
+                      states=_sample_path(system.continuous.dimension, segments, x0, rng))
 
 
 # --- pair ensembles ---------------------------------------------------------
@@ -269,16 +240,9 @@ class _MetricEval:
     """Distance statistic evaluator with a fast path for constant metrics."""
 
     def __init__(self, metric, dimension: int, statistic: str):
-        if metric is None:
-            metric = MetricSpec.identity(dimension)
-        elif not isinstance(metric, MetricSpec):
-            metric = MetricSpec.constant(np.asarray(metric, dtype=float))
-        if metric.dimension != dimension:
-            raise DimensionMismatch(
-                f"metric dimension {metric.dimension} != system dimension {dimension}")
-        self.metric = metric
+        self.metric = _as_metric(metric, dimension)
         self.statistic = statistic
-        self._theta = metric.factor() if metric.kind == "constant" else None
+        self._theta = self.metric.factor() if self.metric.kind == "constant" else None
 
     def values(self, diff: np.ndarray, t: float, side: str) -> np.ndarray:
         theta = self._theta if self._theta is not None \
@@ -308,183 +272,158 @@ def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int) -> list[int
     return sorted({j for j in raw if 1 <= j <= steps_per_dwell - 1})
 
 
+# --- the trajectory engine --------------------------------------------------
+
 @dataclass(frozen=True)
-class _Grid:
-    times: np.ndarray
-    sides: tuple[str, ...]
+class _Segment:
+    """`steps` updates of a run by one subsystem: map applications at indices
+    start, start + 1, ... (stride 1) or Euler-Maruyama steps from times start,
+    start + h, ... (stride h).  Each member draws one standard-normal block of
+    shape `draw` for the whole segment; a sample is taken after every update
+    whose 1-based count is in `marks`."""
+
+    part: DiscreteMapSystem | ContinuousSDESystem
+    start: float
+    stride: float
+    steps: int
+    draw: tuple[int, ...]
+    marks: frozenset[int]
 
 
-def _hybrid_grid(n_dwell: int, tau: float, h: float, offsets: Sequence[int]) -> _Grid:
-    """Sample grid of a hybrid run: both sides of the reset at t = 0, then per
-    dwell k the interior samples after `offsets` flow steps of size h and both
-    sides of the reset at (k + 1) tau."""
-    times = [0.0, 0.0]
-    sides = ["pre", "post"]
-    for k in range(n_dwell):
-        for j in offsets:
-            times.append(k * tau + j * h)
-            sides.append("interior")
-        times.extend([(k + 1) * tau, (k + 1) * tau])
-        sides.extend(["pre", "post"])
-    return _Grid(times=np.asarray(times), sides=tuple(sides))
+def _plan(system, horizon: float, h: float | None, interior_per_dwell: int,
+          record_every: int, t0: float = 0.0):
+    """Sample grid (times, sides) and update segments, in stream order, of one
+    run of `system` over `horizon` (a step count for discrete systems).
 
-
-def _grid_for(system, config: EnsembleConfig) -> _Grid:
+    A discrete run is one segment of map applications and a continuous run one
+    flow segment from t0, sampled every `record_every` steps.  A hybrid run is
+    the reset at t = 0, then per dwell a flow segment with `interior_per_dwell`
+    interior samples followed by a reset; both sides of every reset are sampled.
+    """
     if isinstance(system, DiscreteMapSystem):
-        steps = int(round(config.horizon))
-        if steps < 1 or abs(steps - config.horizon) > 0:
-            raise ValueError(f"discrete horizon must be a positive step count, got {config.horizon}")
-        return _Grid(times=np.arange(steps + 1, dtype=float),
-                     sides=("interior",) * (steps + 1))
+        steps = int(round(horizon))
+        if steps < 1 or abs(steps - horizon) > 0:
+            raise ValueError(f"discrete horizon must be a positive step count, got {horizon}")
+        segment = _Segment(system, 0, 1, steps, (steps, system.noise.dimension),
+                           frozenset(range(1, steps + 1)))
+        return np.arange(steps + 1, dtype=float), ("interior",) * (steps + 1), [segment]
     if isinstance(system, ContinuousSDESystem):
-        if config.step_size is None:
+        if h is None:
             raise ValueError("step_size is required for continuous systems")
-        steps = _check_step_count(config.horizon, config.step_size, "horizon")
-        if steps % config.record_every != 0:
-            raise ValueError(f"record_every {config.record_every} does not divide {steps} steps")
-        idx = np.arange(0, steps + 1, config.record_every)
-        return _Grid(times=idx * config.step_size, sides=("interior",) * idx.size)
-    if isinstance(system, HybridSystem):
-        if config.step_size is None:
-            raise ValueError("step_size is required for hybrid systems")
-        tau = system.dwell_time
-        n_dwell = _check_step_count(config.horizon, tau, "horizon")
-        steps_per_dwell = _check_step_count(tau, config.step_size, "dwell time")
-        offsets = _interior_offsets(steps_per_dwell, config.interior_per_dwell)
-        return _hybrid_grid(n_dwell, tau, config.step_size, offsets)
-    raise TypeError(f"unsupported system type {type(system).__name__}")
-
-
-def _discrete_block(system: DiscreteMapSystem, config: EnsembleConfig,
-                    pair_indices: range, evaluator: _MetricEval) -> np.ndarray:
-    steps = int(round(config.horizon))
-    batch = len(pair_indices)
-    gens = [(derive_stream(config.master_seed, i, 0), derive_stream(config.master_seed, i, 1))
-            for i in pair_indices]
-    starts = [_initial_states(config, system.dimension, ga, gb) for ga, gb in gens]
-    xa = np.stack([s[0] for s in starts])
-    xb = np.stack([s[1] for s in starts])
-    d = system.noise.dimension
-    transform = system.noise._transform
-    wa = np.stack([ga.standard_normal((steps, d)) for ga, _ in gens]) @ transform.T
-    if config.pairing_mode == "two-noisy":
-        wb = np.stack([gb.standard_normal((steps, d)) for _, gb in gens]) @ transform.T
-    else:
-        wb = np.zeros((batch, steps, d))
-    fmap = _batched_map(system.map, system.vectorized)
-    fgain = _batched_map(system.noise_gain, system.vectorized)
-    out = np.empty((batch, steps + 1))
-    out[:, 0] = evaluator.values(xa - xb, 0.0, "interior")
-    for k in range(steps):
-        xa = fmap(xa, k) + _apply_gain(fgain(xa, k), wa[:, k])
-        xb = fmap(xb, k) + _apply_gain(fgain(xb, k), wb[:, k])
-        out[:, k + 1] = evaluator.values(xa - xb, float(k + 1), "interior")
-    return out
-
-
-def _continuous_block(system: ContinuousSDESystem, config: EnsembleConfig,
-                      pair_indices: range, evaluator: _MetricEval) -> np.ndarray:
-    h = config.step_size
-    steps = _check_step_count(config.horizon, h, "horizon")
-    every = config.record_every
-    batch = len(pair_indices)
-    gens = [(derive_stream(config.master_seed, i, 0), derive_stream(config.master_seed, i, 1))
-            for i in pair_indices]
-    starts = [_initial_states(config, system.dimension, ga, gb) for ga, gb in gens]
-    xa = np.stack([s[0] for s in starts])
-    xb = np.stack([s[1] for s in starts])
-    d = system.noise_dim
-    za = np.stack([ga.standard_normal((steps, d)) for ga, _ in gens])
-    zb = np.stack([gb.standard_normal((steps, d)) for _, gb in gens]) \
-        if config.pairing_mode == "two-noisy" else np.zeros((batch, steps, d))
-    drift = _batched_map(system.drift, system.vectorized)
-    diffusion = _batched_map(system.diffusion, system.vectorized)
-    sqrt_h = math.sqrt(h)
-    out = np.empty((batch, steps // every + 1))
-    out[:, 0] = evaluator.values(xa - xb, 0.0, "interior")
-    g = 1
-    for j in range(steps):
-        t = j * h
-        xa = xa + drift(xa, t) * h + _apply_gain(diffusion(xa, t), sqrt_h * za[:, j])
-        xb = xb + drift(xb, t) * h + _apply_gain(diffusion(xb, t), sqrt_h * zb[:, j])
-        if (j + 1) % every == 0:
-            out[:, g] = evaluator.values(xa - xb, (j + 1) * h, "interior")
-            g += 1
-    return out
-
-
-def _hybrid_block(system: HybridSystem, config: EnsembleConfig,
-                  pair_indices: range, evaluator: _MetricEval,
-                  grid: _Grid) -> np.ndarray:
+        steps = _check_step_count(horizon, h, "horizon")
+        if steps % record_every != 0:
+            raise ValueError(f"record_every {record_every} does not divide {steps} steps")
+        idx = np.arange(0, steps + 1, record_every)
+        segment = _Segment(system, t0, h, steps, (steps, system.noise_dim),
+                           frozenset(range(record_every, steps + 1, record_every)))
+        return t0 + idx * h, ("interior",) * idx.size, [segment]
+    if not isinstance(system, HybridSystem):
+        raise TypeError(f"unsupported system type {type(system).__name__}")
+    if h is None:
+        raise ValueError("step_size is required for hybrid systems")
     cont, reset, tau = system.continuous, system.reset, system.dwell_time
-    h = config.step_size
-    n_dwell = _check_step_count(config.horizon, tau, "horizon")
-    steps_per_dwell = _check_step_count(tau, h, "dwell time")
-    offsets = set(_interior_offsets(steps_per_dwell, config.interior_per_dwell))
-    batch = len(pair_indices)
-    two_noisy = config.pairing_mode == "two-noisy"
-    gens = [(derive_stream(config.master_seed, i, 0), derive_stream(config.master_seed, i, 1))
-            for i in pair_indices]
-    starts = [_initial_states(config, cont.dimension, ga, gb) for ga, gb in gens]
-    xa = np.stack([s[0] for s in starts])
-    xb = np.stack([s[1] for s in starts])
-    d_reset = reset.noise.dimension
-    d_flow = cont.noise_dim
-    transform = reset.noise._transform
-    fmap = _batched_map(reset.map, reset.vectorized)
-    fgain = _batched_map(reset.noise_gain, reset.vectorized)
-    drift = _batched_map(cont.drift, cont.vectorized)
-    diffusion = _batched_map(cont.diffusion, cont.vectorized)
-    sqrt_h = math.sqrt(h)
-    out = np.empty((batch, grid.times.size))
-    g = 0
-
-    def do_reset(k: int, xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        wa = np.stack([ga.standard_normal(d_reset) for ga, _ in gens]) @ transform.T
-        wb = np.stack([gb.standard_normal(d_reset) for _, gb in gens]) @ transform.T \
-            if two_noisy else np.zeros((batch, d_reset))
-        xa = fmap(xa, k) + _apply_gain(fgain(xa, k), wa)
-        xb = fmap(xb, k) + _apply_gain(fgain(xb, k), wb)
-        return xa, xb
-
-    out[:, g] = evaluator.values(xa - xb, 0.0, "pre")
-    g += 1
-    xa, xb = do_reset(0, xa, xb)
-    out[:, g] = evaluator.values(xa - xb, 0.0, "post")
-    g += 1
+    n_dwell = _check_step_count(horizon, tau, "horizon")
+    steps = _check_step_count(tau, h, "dwell time")
+    offsets = _interior_offsets(steps, interior_per_dwell)
+    flow_marks = frozenset([*offsets, steps])
+    segments = [_Segment(reset, 0, 1, 1, (reset.noise.dimension,), frozenset({1}))]
+    times, sides = [0.0, 0.0], ["pre", "post"]
     for k in range(n_dwell):
-        za = np.stack([ga.standard_normal((steps_per_dwell, d_flow)) for ga, _ in gens])
-        zb = np.stack([gb.standard_normal((steps_per_dwell, d_flow)) for _, gb in gens]) \
-            if two_noisy else np.zeros((batch, steps_per_dwell, d_flow))
-        for j in range(steps_per_dwell):
-            t = k * tau + j * h
-            xa = xa + drift(xa, t) * h + _apply_gain(diffusion(xa, t), sqrt_h * za[:, j])
-            xb = xb + drift(xb, t) * h + _apply_gain(diffusion(xb, t), sqrt_h * zb[:, j])
-            if (j + 1) in offsets:
-                out[:, g] = evaluator.values(xa - xb, k * tau + (j + 1) * h, "interior")
-                g += 1
-        out[:, g] = evaluator.values(xa - xb, (k + 1) * tau, "pre")
-        g += 1
-        xa, xb = do_reset(k + 1, xa, xb)
-        out[:, g] = evaluator.values(xa - xb, (k + 1) * tau, "post")
-        g += 1
-    return out
+        segments += [_Segment(cont, k * tau, h, steps, (steps, cont.noise_dim), flow_marks),
+                     _Segment(reset, k + 1, 1, 1, (reset.noise.dimension,), frozenset({1}))]
+        times += [k * tau + j * h for j in offsets] + [(k + 1) * tau] * 2
+        sides += ["interior"] * len(offsets) + ["pre", "post"]
+    return np.asarray(times), tuple(sides), segments
 
 
-def _welford_row(row: np.ndarray, count: np.ndarray, mean: np.ndarray,
-                 msq: np.ndarray) -> np.ndarray:
-    """Fold one pair's samples into the per-time Welford sums `count`, `mean`
-    and `msq` in place, and return the pair's alive mask: True up to its first
-    non-finite sample, False from there on."""
-    alive = np.isfinite(row)
-    if not alive.all():
-        # a pair never comes back once non-finite
-        alive[int(np.argmin(alive)):] = False
-    count[alive] += 1
-    delta = np.where(alive, row - mean, 0.0)
-    mean[alive] += delta[alive] / count[alive]
-    msq[alive] += delta[alive] * (row[alive] - mean[alive])
-    return alive
+def _stepper(part, h: float) -> tuple[Callable, Callable]:
+    """(advance, shape) of one subsystem: shape(z) turns a segment's block of
+    standard normals into its noise, and advance(x, at, w) is one map
+    application at index `at` or one Euler-Maruyama step from time `at`."""
+    if isinstance(part, DiscreteMapSystem):
+        fmap = _batched_map(part.map, part.vectorized)
+        fgain = _batched_map(part.noise_gain, part.vectorized)
+        transform = part.noise._transform
+        return (lambda x, k, w: fmap(x, k) + _apply_gain(fgain(x, k), w),
+                lambda z: z @ transform.T)
+    drift = _batched_map(part.drift, part.vectorized)
+    diffusion = _batched_map(part.diffusion, part.vectorized)
+    sqrt_h = math.sqrt(h)
+    return (lambda x, t, w: x + drift(x, t) * h + _apply_gain(diffusion(x, t), w),
+            lambda z: np.multiply(sqrt_h, z, out=z))
+
+
+def _run_block(segments, gens, states, noisy, record) -> np.ndarray:
+    """Step a block of runs in lockstep through `segments`; return their samples
+    stacked as (runs, samples, ...).
+
+    Member m of run i starts at states[m][i] and draws from gens[m][i], one
+    standard-normal block per segment; it draws nothing and runs noise-free
+    unless noisy[m].  record(states, g) returns sample g of every run.
+    """
+    states = list(states)
+    samples = [record(states, 0)]
+    for seg in segments:
+        advance, shape = _stepper(seg.part, seg.stride)
+        noise = [shape(np.stack([g.standard_normal(seg.draw) for g in member])) if on
+                 else np.zeros((len(member), *seg.draw)) for member, on in zip(gens, noisy)]
+        noise = [w.reshape(len(w), seg.steps, -1) for w in noise]
+        for j in range(seg.steps):
+            at = seg.start + j * seg.stride
+            for m, w in enumerate(noise):
+                states[m] = advance(states[m], at, w[:, j])
+            if j + 1 in seg.marks:
+                samples.append(record(states, len(samples)))
+    return np.stack(samples, axis=1)
+
+
+def _sample_path(dimension: int, segments, x0: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """States of one run through `segments`, drawing from rng; raises NonFiniteState
+    with the sample's index at the first non-finite sample."""
+    x = np.array(x0, dtype=float)
+    if x.shape != (dimension,):
+        raise DimensionMismatch(f"state shape {x.shape}, expected {(dimension,)}")
+
+    def record(states, g):
+        if not np.all(np.isfinite(states[0])):
+            raise NonFiniteState(g)
+        return states[0]
+
+    return _run_block(segments, [[rng]], [x[None]], (True,), record)[0]
+
+
+def _moments(run_count: int, size: int, block_of, on_row=None):
+    """Per-sample Welford moments over runs 0 .. run_count - 1, folded in run
+    index order.
+
+    block_of(runs) returns the (len(runs), size) samples of a block of at most
+    _BLOCK runs.  A run counts as a failure and stops contributing from its
+    first non-finite sample on; on_row(row, alive) sees each run's samples with
+    that alive mask.  Returns (count, mean, stderr, failures).
+    """
+    count = np.zeros(size, dtype=np.int64)
+    mean = np.zeros(size)
+    msq = np.zeros(size)
+    failures = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, run_count, _BLOCK):
+            for row in block_of(range(lo, min(lo + _BLOCK, run_count))):
+                alive = np.isfinite(row)
+                if not alive.all():
+                    # a run never comes back once non-finite
+                    alive[int(np.argmin(alive)):] = False
+                    failures += 1
+                count[alive] += 1
+                delta = np.where(alive, row - mean, 0.0)
+                mean[alive] += delta[alive] / count[alive]
+                msq[alive] += delta[alive] * (row[alive] - mean[alive])
+                if on_row is not None:
+                    on_row(row, alive)
+    stderr = np.zeros(size)
+    settled = count > 1
+    stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
+    return count, mean, stderr, failures
 
 
 def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleStats:
@@ -497,33 +436,25 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
     the finite floats stop contributing from the first bad sample on and are
     counted in `failures`, never silently dropped.
     """
-    grid = _grid_for(system, config)
+    times, sides, segments = _plan(system, config.horizon, config.step_size,
+                                   config.interior_per_dwell, config.record_every)
     dimension = system.continuous.dimension if isinstance(system, HybridSystem) \
         else system.dimension
     evaluator = _MetricEval(metric, dimension, config.statistic)
-    size = grid.times.size
-    count = np.zeros(size, dtype=np.int64)
-    mean = np.zeros(size)
-    msq = np.zeros(size)
-    failures = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, config.pair_count, _BLOCK):
-            pairs = range(lo, min(lo + _BLOCK, config.pair_count))
-            if isinstance(system, DiscreteMapSystem):
-                block = _discrete_block(system, config, pairs, evaluator)
-            elif isinstance(system, ContinuousSDESystem):
-                block = _continuous_block(system, config, pairs, evaluator)
-            elif isinstance(system, HybridSystem):
-                block = _hybrid_block(system, config, pairs, evaluator, grid)
-            else:
-                raise TypeError(f"unsupported system type {type(system).__name__}")
-            for row in block:
-                if not _welford_row(row, count, mean, msq).all():
-                    failures += 1
-    stderr = np.zeros(size)
-    settled = count > 1
-    stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
-    return EnsembleStats(times=grid.times, sides=grid.sides, mean_sq=mean,
+    noisy = (True, config.pairing_mode == "two-noisy")
+
+    def record(states, g):
+        return evaluator.values(states[0] - states[1], float(times[g]), sides[g])
+
+    def block_of(pairs):
+        gens = [(derive_stream(config.master_seed, i, 0), derive_stream(config.master_seed, i, 1))
+                for i in pairs]
+        starts = [_initial_states(config, dimension, ga, gb) for ga, gb in gens]
+        return _run_block(segments, list(zip(*gens)), [np.stack(s) for s in zip(*starts)],
+                          noisy, record)
+
+    count, mean, stderr, failures = _moments(config.pair_count, times.size, block_of)
+    return EnsembleStats(times=times, sides=sides, mean_sq=mean,
                          stderr=stderr, n_pairs=config.pair_count, n_alive=count,
                          failures=failures, statistic=config.statistic)
 

@@ -126,6 +126,19 @@ class MetricSpec:
         return np.asarray(self._factor_dot_fn(t), dtype=float)
 
 
+def _as_metric(metric, dimension: int) -> MetricSpec:
+    """A metric argument as a MetricSpec of the given dimension: None means the
+    identity, and a matrix must be symmetric positive definite."""
+    if metric is None:
+        return MetricSpec.identity(dimension)
+    if not isinstance(metric, MetricSpec):
+        metric = MetricSpec.constant(np.asarray(metric, dtype=float))
+    if metric.dimension != dimension:
+        raise DimensionMismatch(
+            f"metric dimension {metric.dimension} does not match system dimension {dimension}")
+    return metric
+
+
 @dataclass(frozen=True)
 class GaussianNoiseSpec:
     """Zero-mean Gaussian noise source with covariance Q (PSD allowed).

@@ -12,9 +12,11 @@ import pytest
 
 from concert import (
     ContinuousSDESystem,
+    DimensionMismatch,
     DiscreteMapSystem,
     GaussianNoiseSpec,
     MetricSpec,
+    NotPositiveDefinite,
     STRONG_COUPLING,
     SamplingRegion,
     build_cpg_system,
@@ -165,6 +167,11 @@ class TestEstimateContinuousRate:
         assert contracting.value == pytest.approx(2.0)
         assert expanding.value == pytest.approx(-2.0)
 
+    def test_metric_of_wrong_dimension_rejected(self):
+        region = SamplingRegion.points([[0.0, 0.0]])
+        with pytest.raises(DimensionMismatch):
+            estimate_continuous_rate(ou_system(dim=2), np.eye(3), region)
+
 
 class TestNoiseBounds:
     def test_discrete_state_dependent_gain_sup_exact(self):
@@ -196,6 +203,12 @@ class TestNoiseBounds:
         nb = noise_bound_continuous(system, metric, region)
         # tr(sigma^T M sigma) = 4 * (3 + 1)
         assert nb.value == pytest.approx(16.0, rel=1e-12)
+
+    def test_indefinite_metric_matrix_rejected(self):
+        # diag(1, -1) would cancel the two noise channels to an energy of 0
+        region = SamplingRegion.points([[0.0, 0.0]])
+        with pytest.raises(NotPositiveDefinite):
+            noise_bound_continuous(ou_system(dim=2), np.diag([1.0, -1.0]), region)
 
 
 class TestCertificates:

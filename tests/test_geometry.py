@@ -7,6 +7,7 @@ import pytest
 from concert import (
     DimensionMismatch,
     MetricSpec,
+    NotPositiveDefinite,
     SampledCurve,
     SingularFactor,
     contraction_factor_at,
@@ -34,6 +35,11 @@ class TestMetricDistance:
             metric_distance(np.zeros(2), np.zeros(3), MetricSpec.identity(2))
         with pytest.raises(DimensionMismatch):
             metric_distance(np.zeros(3), np.zeros(3), MetricSpec.identity(2))
+
+    def test_indefinite_metric_matrix_rejected(self):
+        # diag(1, -1) would give the square root of -1, or 0 between distinct states
+        with pytest.raises(NotPositiveDefinite):
+            metric_distance(np.array([1.0, 1.0]), np.zeros(2), np.diag([1.0, -1.0]))
 
 
 class TestNumericalJacobian:

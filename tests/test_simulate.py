@@ -161,6 +161,22 @@ class TestRunHybrid:
             run_hybrid(hybrid_linear(tau=0.5), np.array([1.0]), 1.3, 0.1,
                        np.random.default_rng(0))
 
+    def test_nonfinite_closing_reset_raises(self):
+        # only the reset at the horizon (k = 2) leaves the finite floats
+        system = HybridSystem(
+            continuous=linear_flow(),
+            reset=DiscreteMapSystem(
+                dimension=1,
+                map=lambda x, k: np.asarray(x, dtype=float) * (np.inf if k == 2 else 0.5),
+                noise_gain=lambda x, k: np.eye(1),
+                noise=GaussianNoiseSpec(1)),
+            dwell_time=0.5)
+        with pytest.raises(NonFiniteState) as err:
+            run_hybrid(system, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
+        # 2 samples at t = 0, then per dwell 4 interior samples and 2 reset
+        # sides: the closing post-reset sample is the last, index 13
+        assert err.value.step_index == 13
+
 
 class TestEnsembleConfigValidation:
     def test_rejects_bad_fields(self):
@@ -289,6 +305,30 @@ class TestRunPairEnsembleContinuous:
         stats = run_pair_ensemble(system, good)
         assert np.allclose(stats.times, [0.0, 0.5, 1.0])
 
+    def test_manual_replay_of_box_ensemble(self):
+        # per member: the initial condition, then one whole-horizon standard
+        # normal block; every second step is recorded
+        system = linear_flow(a=1.0, sigma=0.5)
+        config = EnsembleConfig(pair_count=2, horizon=0.4, master_seed=4,
+                                initial=InitialBox(np.array([-1.0]), np.array([1.0])),
+                                step_size=0.1, record_every=2)
+        stats = run_pair_ensemble(system, config)
+
+        def member(pair, member_index):
+            gen = derive_stream(4, pair, member_index)
+            x = gen.uniform(np.array([-1.0]), np.array([1.0]))
+            z = gen.standard_normal((4, 1))
+            values = [x.copy()]
+            for j in range(4):
+                x = x - x * 0.1 + 0.5 * math.sqrt(0.1) * z[j]
+                if (j + 1) % 2 == 0:
+                    values.append(x.copy())
+            return np.array(values)[:, 0]
+
+        per_pair = np.array([(member(i, 0) - member(i, 1)) ** 2 for i in range(2)])
+        assert stats.times == pytest.approx([0.0, 0.2, 0.4])
+        assert stats.mean_sq == pytest.approx(per_pair.mean(axis=0), rel=1e-12)
+
     def test_step_size_required(self):
         system = linear_flow()
         config = EnsembleConfig(pair_count=1, horizon=1.0, master_seed=0,
@@ -356,6 +396,38 @@ class TestRunPairEnsembleHybrid:
             key = (round(float(t), 10), side)
             diff = va[key] - vb[key]
             assert stats.mean_sq[i] == pytest.approx(float((diff**2).item()), rel=1e-12)
+
+    def test_manual_replay_noisefree_member(self):
+        # member b draws its initial condition but no reset or flow noise
+        system = hybrid_linear(a=1.0, rho=0.5, tau=0.2, sigma_c=1.0, sigma_d=1.0)
+        config = EnsembleConfig(pair_count=2, horizon=0.4, master_seed=6,
+                                initial=InitialBox(np.array([-1.0]), np.array([1.0])),
+                                step_size=0.05, interior_per_dwell=1,
+                                pairing_mode="noisy-vs-noisefree")
+        stats = run_pair_ensemble(system, config)
+
+        def member(pair, member_index, noisy):
+            gen = derive_stream(6, pair, member_index)
+            x = gen.uniform(np.array([-1.0]), np.array([1.0]))
+            draw = gen.standard_normal if noisy else np.zeros
+            values = [x.copy()]
+            x = 0.5 * x + draw(1)
+            values.append(x.copy())
+            for _ in range(2):
+                z = draw((4, 1))
+                for j in range(4):
+                    x = x - x * 0.05 + math.sqrt(0.05) * z[j]
+                    if j + 1 == 2:
+                        values.append(x.copy())
+                values.append(x.copy())
+                x = 0.5 * x + draw(1)
+                values.append(x.copy())
+            return np.array(values)[:, 0]
+
+        per_pair = np.array([(member(i, 0, True) - member(i, 1, False)) ** 2
+                             for i in range(2)])
+        assert stats.sides[:5] == ("pre", "post", "interior", "pre", "post")
+        assert stats.mean_sq == pytest.approx(per_pair.mean(axis=0), rel=1e-12)
 
 
 class TestEnsembleStatsOutput:
