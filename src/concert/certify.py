@@ -12,6 +12,7 @@ rate was supplied analytically.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +21,32 @@ import numpy as np
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
                          MetricSpec, _as_metric)
 from .geometry import _COND_LIMIT, SingularFactor, numerical_jacobian
+
+
+def _scrambled_halton(d: int, n: int, seed) -> np.ndarray:
+    """First n points of the d-dimensional Halton sequence with random digit
+    permutations (Owen's scrambling), bit for bit those of SciPy's
+    `qmc.Halton(d, scramble=True, seed=seed).random(n)`."""
+    bases: list[int] = []  # the first d primes
+    candidate = 2
+    while len(bases) < d:
+        if all(candidate % p for p in bases):
+            bases.append(candidate)
+        candidate += 1
+    rng = np.random.default_rng(seed)
+    out = np.zeros((d, n))
+    for seq, base in zip(out, bases):
+        # one permutation per digit, enough digits to resolve a double
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        b2r = 1.0 / base
+        for perm in perms:
+            seq += perm[q % base] * b2r
+            b2r /= base
+            q //= base
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -78,18 +105,16 @@ class SamplingRegion:
         """Sample array of shape (m, dimension); identical on every call."""
         if self.kind == "points":
             return self.point_list.copy()
-        # importing SciPy costs more than the rest of the package together and
-        # only sampling needs it, so it loads on the first sampled region
-        from scipy.special import ndtri
-        from scipy.stats import qmc
         if self.kind == "box":
-            unit = qmc.Halton(d=self.dimension, scramble=True, seed=self.seed) \
-                .random(self.sample_count)
+            unit = _scrambled_halton(self.dimension, self.sample_count, self.seed)
             return self.lows + unit * (self.highs - self.lows)
+        # importing SciPy costs more than the rest of the package together and
+        # only balls need it, so it loads on the first sampled ball
+        from scipy.special import ndtri
         # Ball: inverse-normal directions plus a radial u^(1/n) transform keeps
         # the low-discrepancy stream deterministic; the exact center leads.
         n = self.dimension
-        unit = qmc.Halton(d=n + 1, scramble=True, seed=self.seed).random(self.sample_count)
+        unit = _scrambled_halton(n + 1, self.sample_count, self.seed)
         unit = np.clip(unit, 1e-12, 1.0 - 1e-12)
         z = ndtri(unit[:, :n])
         norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), np.finfo(float).tiny)

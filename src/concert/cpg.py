@@ -83,9 +83,12 @@ def ring_drift(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.ndar
     (1 - |u|^2) u + omega * spin(u).  Accepts any leading batch shape."""
     state = np.asarray(state, dtype=float)
     u = state.reshape(*state.shape[:-1], 3, 2)
-    sq = (u * u).sum(axis=-1, keepdims=True)
-    spun = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    return ((1.0 - sq) * u + omega * spun).reshape(state.shape)
+    x, y = u[..., 0], u[..., 1]
+    c = 1.0 - (x * x + y * y)
+    out = np.empty_like(u)
+    out[..., 0] = c * x - omega * y
+    out[..., 1] = c * y + omega * x
+    return out.reshape(state.shape)
 
 
 def ring_jacobian(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.ndarray:

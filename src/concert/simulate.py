@@ -12,11 +12,11 @@ Euler-Maruyama is the only integrator: x <- x + f(x, t) h + sigma(x, t) sqrt(h) 
 with standard-normal z.  One engine steps every run: a plan splits the run into
 segments of map applications and flow steps, and a block of runs moves through
 them in lockstep.  Blocks have a fixed size and are reduced in run-index order,
-so the reduction does not depend on the blocking.  The arithmetic can: when a
-map or a gain multiplies states by a matrix, NumPy may take another kernel for
-the one-row product of a block holding a single run (pair 1024 of 1025, say),
-and that run's samples can then differ from the same run inside a larger block
-in the last bits.
+so the reduction does not depend on the blocking.  A block holding a single
+run is stepped as two identical rows, so that its matrix products do not take
+NumPy's one-row kernel.  For hopf-cpg, blocks of 4, 3 and 2 runs give the same
+bits; a BLAS that picks its kernels by row count at larger sizes could still
+make a run's last bits depend on the size of its block.
 """
 from __future__ import annotations
 
@@ -48,7 +48,12 @@ def derive_stream(master_seed: int, pair_index: int, member_index: int) -> np.ra
     same key always gives the same stream, regardless of how many other
     streams were derived or in which order.
     """
-    return np.random.default_rng((int(master_seed), int(pair_index), int(member_index)))
+    key = (int(master_seed), int(pair_index), int(member_index))
+    if 0 <= min(key) and max(key) < 2**32:
+        # the words SeedSequence would make of the tuple itself, at more cost
+        words = np.array(key, dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    return np.random.default_rng(key)
 
 
 def step_discrete(system: DiscreteMapSystem, x: np.ndarray, k: int,
@@ -219,14 +224,19 @@ class EnsembleStats:
         return (float(self.mean_sq[-count:].mean()), float(self.stderr[-count:].mean()))
 
 
-def _batched_map(fn: Callable, vectorized: bool) -> Callable:
+def _batched_map(fn: Callable, vectorized: bool, lone: bool) -> Callable:
     if vectorized:
         return lambda states, arg: np.asarray(fn(states, arg), dtype=float)
+
+    def once(states: np.ndarray, arg) -> np.ndarray:
+        # both rows of a lone run's block hold the same state
+        y = np.asarray(fn(states[0], arg), dtype=float)
+        return np.stack([y, y])
 
     def rowwise(states: np.ndarray, arg) -> np.ndarray:
         return np.stack([np.asarray(fn(x, arg), dtype=float) for x in states])
 
-    return rowwise
+    return once if lone else rowwise
 
 
 def _apply_gain(gain: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -251,17 +261,18 @@ class _MetricEval:
         return sq if self.statistic == "ms" else np.sqrt(sq)
 
 
-def _initial_states(config: EnsembleConfig, dimension: int,
-                    gen_a: np.random.Generator, gen_b: np.random.Generator,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    init = config.initial
+def _initial_states(init: InitialPointPair | InitialBox, dimension: int,
+                    gens) -> list[np.ndarray]:
+    """Start states (runs, dimension) of both members of a block of pairs;
+    gens[m] holds member m's generators in run order."""
+    runs = len(gens[0])
     if isinstance(init, InitialPointPair):
-        a = np.broadcast_to(np.asarray(init.a, dtype=float), (dimension,)).copy()
-        b = np.broadcast_to(np.asarray(init.b, dtype=float), (dimension,)).copy()
-        return a, b
+        points = [np.broadcast_to(np.asarray(p, dtype=float), (dimension,))
+                  for p in (init.a, init.b)]
+        return [np.broadcast_to(p, (runs, dimension)).copy() for p in points]
     lows = np.broadcast_to(np.asarray(init.lows, dtype=float), (dimension,))
     highs = np.broadcast_to(np.asarray(init.highs, dtype=float), (dimension,))
-    return gen_a.uniform(lows, highs), gen_b.uniform(lows, highs)
+    return [np.stack([g.uniform(lows, highs) for g in member]) for member in gens]
 
 
 def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int) -> list[int]:
@@ -336,18 +347,20 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int,
     return np.asarray(times), tuple(sides), segments
 
 
-def _stepper(part, h: float) -> tuple[Callable, Callable]:
+def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
     """(advance, shape) of one subsystem: shape(z) turns a segment's block of
     standard normals into its noise, and advance(x, at, w) is one map
-    application at index `at` or one Euler-Maruyama step from time `at`."""
+    application at index `at` or one Euler-Maruyama step from time `at`.
+    With lone, x is a lone run's two identical rows, and a callable that is
+    not vectorized is called once per step, for the first."""
     if isinstance(part, DiscreteMapSystem):
-        fmap = _batched_map(part.map, part.vectorized)
-        fgain = _batched_map(part.noise_gain, part.vectorized)
+        fmap = _batched_map(part.map, part.vectorized, lone)
+        fgain = _batched_map(part.noise_gain, part.vectorized, lone)
         transform = part.noise._transform
         return (lambda x, k, w: fmap(x, k) + _apply_gain(fgain(x, k), w),
                 lambda z: z @ transform.T)
-    drift = _batched_map(part.drift, part.vectorized)
-    diffusion = _batched_map(part.diffusion, part.vectorized)
+    drift = _batched_map(part.drift, part.vectorized, lone)
+    diffusion = _batched_map(part.diffusion, part.vectorized, lone)
     sqrt_h = math.sqrt(h)
     return (lambda x, t, w: x + drift(x, t) * h + _apply_gain(diffusion(x, t), w),
             lambda z: np.multiply(sqrt_h, z, out=z))
@@ -359,22 +372,34 @@ def _run_block(segments, gens, states, noisy, record) -> np.ndarray:
 
     Member m of run i starts at states[m][i] and draws from gens[m][i], one
     standard-normal block per segment; it draws nothing and runs noise-free
-    unless noisy[m].  record(states, g) returns sample g of every run.
+    unless noisy[m].  record(states, g) returns sample g of every run.  A lone
+    run is stepped as two identical rows (its draws copied, not drawn twice),
+    so that no matrix product sees a single row.
     """
-    states = list(states)
+    runs = len(gens[0])
+    rows = max(runs, 2)
+    states = [np.concatenate([x, x]) if runs == 1 else x for x in states]
     samples = [record(states, 0)]
     for seg in segments:
-        advance, shape = _stepper(seg.part, seg.stride)
-        noise = [shape(np.stack([g.standard_normal(seg.draw) for g in member])) if on
-                 else np.zeros((len(member), *seg.draw)) for member, on in zip(gens, noisy)]
-        noise = [w.reshape(len(w), seg.steps, -1) for w in noise]
+        advance, shape = _stepper(seg.part, seg.stride, runs == 1)
+        noise = []
+        for member, on in zip(gens, noisy):
+            if on:
+                z = np.empty((rows, *seg.draw))
+                for i, g in enumerate(member):
+                    g.standard_normal(out=z[i])
+                z[runs:] = z[0]  # the copy row of a lone run
+                z = shape(z)
+            else:
+                z = np.zeros((rows, *seg.draw))
+            noise.append(z.reshape(rows, seg.steps, -1))
         for j in range(seg.steps):
             at = seg.start + j * seg.stride
             for m, w in enumerate(noise):
                 states[m] = advance(states[m], at, w[:, j])
             if j + 1 in seg.marks:
                 samples.append(record(states, len(samples)))
-    return np.stack(samples, axis=1)
+    return np.stack(samples, axis=1)[:runs]
 
 
 def _sample_path(dimension: int, segments, x0: np.ndarray,
@@ -405,19 +430,29 @@ def _moments(run_count: int, size: int, block_of, on_row=None):
     count = np.zeros(size, dtype=np.int64)
     mean = np.zeros(size)
     msq = np.zeros(size)
+    delta = np.empty(size)
+    term = np.empty(size)
     failures = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, run_count, _BLOCK):
-            for row in block_of(range(lo, min(lo + _BLOCK, run_count))):
-                alive = np.isfinite(row)
-                if not alive.all():
-                    # a run never comes back once non-finite
-                    alive[int(np.argmin(alive)):] = False
+            block = block_of(range(lo, min(lo + _BLOCK, run_count)))
+            finite = np.isfinite(block)
+            whole = finite.all(axis=1)
+            for row, alive, fold in zip(block, finite, whole.tolist()):
+                k = size
+                if not fold:
+                    # a run never comes back once non-finite: alive is a prefix
+                    k = int(np.argmin(alive))
+                    alive[k:] = False
                     failures += 1
-                count[alive] += 1
-                delta = np.where(alive, row - mean, 0.0)
-                mean[alive] += delta[alive] / count[alive]
-                msq[alive] += delta[alive] * (row[alive] - mean[alive])
+                c, m, s, d, t = count[:k], mean[:k], msq[:k], delta[:k], term[:k]
+                c += 1
+                np.subtract(row[:k], m, out=d)
+                np.divide(d, c, out=t)
+                m += t
+                np.subtract(row[:k], m, out=t)
+                np.multiply(d, t, out=t)
+                s += t
                 if on_row is not None:
                     on_row(row, alive)
     stderr = np.zeros(size)
@@ -447,10 +482,8 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
         return evaluator.values(states[0] - states[1], float(times[g]), sides[g])
 
     def block_of(pairs):
-        gens = [(derive_stream(config.master_seed, i, 0), derive_stream(config.master_seed, i, 1))
-                for i in pairs]
-        starts = [_initial_states(config, dimension, ga, gb) for ga, gb in gens]
-        return _run_block(segments, list(zip(*gens)), [np.stack(s) for s in zip(*starts)],
+        gens = [[derive_stream(config.master_seed, i, m) for i in pairs] for m in (0, 1)]
+        return _run_block(segments, gens, _initial_states(config.initial, dimension, gens),
                           noisy, record)
 
     count, mean, stderr, failures = _moments(config.pair_count, times.size, block_of)

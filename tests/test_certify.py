@@ -27,6 +27,7 @@ from concert import (
     noise_bound_continuous,
     noise_bound_discrete,
 )
+from concert.certify import _scrambled_halton
 
 
 class TestSamplingRegion:
@@ -82,20 +83,33 @@ import contextlib, io, sys
 import numpy as np
 import concert
 import concert.cli
+def loaded():
+    print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):
     assert concert.cli.main(["bounds", "hybrid-linear"]) == 0
     assert concert.cli.main(["simulate", "linear-map", "--ensemble", "8",
                              "--horizon", "5"]) == 0
-print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
+loaded()
+concert.SamplingRegion.box(-np.ones(6), np.ones(6), 64, seed=0).samples()
+loaded()
 concert.SamplingRegion.ball(np.zeros(6), 1.5, 64, seed=0).samples()
-print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
+loaded()
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        before, after = proc.stdout.splitlines()
+        before, after_box, after_ball = proc.stdout.splitlines()
         assert before == "[]"
-        assert after == "['scipy.special', 'scipy.stats']"
+        assert after_box == "[]"
+        assert after_ball == "['scipy.special']"
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_halton_matches_scipy_bit_for_bit(self, seed):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        for d in range(1, 10):
+            for n in (1, 64, 257):
+                expected = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+                assert np.array_equal(_scrambled_halton(d, n, seed), expected), (d, n)
 
 
 def linear_map_system(rho=0.5, dim=1):

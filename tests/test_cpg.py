@@ -127,6 +127,17 @@ class TestRingDrift:
         for i in range(5):
             assert np.allclose(batch[i], ring_drift(states[i]), atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(6,), (5, 6), (4, 5, 6)])
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    def test_bit_equal_to_blockwise_formula(self, shape, omega):
+        # (1 - |u|^2) u + omega * spin(u), evaluated per planar block
+        state = np.random.default_rng(8).standard_normal(shape) * 1.5
+        u = state.reshape(*shape[:-1], 3, 2)
+        sq = (u * u).sum(axis=-1, keepdims=True)
+        spun = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        expected = ((1.0 - sq) * u + omega * spun).reshape(shape)
+        assert np.array_equal(ring_drift(state, 0.0, omega), expected)
+
     def test_unit_circle_is_invariant_per_oscillator(self):
         # on |u_i| = 1 the radial component vanishes, only rotation remains
         state = np.array([1.0, 0.0, 0.0, 1.0, -1.0, 0.0])

@@ -27,6 +27,7 @@ from concert import (
     run_pair_ensemble,
     step_discrete,
 )
+from concert.systems import dwell_step_default, get_recipe, resolve_params
 
 
 def linear_map(rho=0.5, dim=1, sigma=1.0):
@@ -70,6 +71,17 @@ class TestDeriveStream:
             derive_stream(0, i, 0).standard_normal(100)
         second = derive_stream(0, 10, 0).standard_normal(4)
         assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("key", [(0, 0, 0), (2**32 - 1, 5, 1), (7, 2**32 - 1, 0),
+                                     (7, 3, 2**32), (2**40, 0, 1)])
+    def test_state_is_that_of_default_rng_on_the_key(self, key):
+        expected = np.random.default_rng(key).bit_generator.state
+        assert derive_stream(*key).bit_generator.state == expected
+
+    @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -3, 1), (0, 0, -1)])
+    def test_negative_key_part_raises(self, key):
+        with pytest.raises(ValueError):
+            derive_stream(*key)
 
 
 class TestStepDiscrete:
@@ -177,6 +189,33 @@ class TestRunHybrid:
         # sides: the closing post-reset sample is the last, index 13
         assert err.value.step_index == 13
 
+    def test_rowwise_callables_called_once_per_step(self):
+        calls = {"drift": 0, "diffusion": 0, "map": 0, "noise_gain": 0}
+
+        def counted(name, fn):
+            def wrapped(x, arg):
+                calls[name] += 1
+                return fn(x, arg)
+            return wrapped
+
+        base = hybrid_linear(tau=0.5)
+        flow, reset = base.continuous, base.reset
+        system = HybridSystem(
+            continuous=ContinuousSDESystem(
+                dimension=1, noise_dim=1,
+                drift=counted("drift", flow.drift),
+                diffusion=counted("diffusion", flow.diffusion)),
+            reset=DiscreteMapSystem(
+                dimension=1, noise=GaussianNoiseSpec(1),
+                map=counted("map", reset.map),
+                noise_gain=counted("noise_gain", reset.noise_gain)),
+            dwell_time=0.5)
+        path = run_hybrid(system, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
+        # 2 dwells of 5 flow steps, and resets at k = 0, 1, 2
+        assert calls == {"drift": 10, "diffusion": 10, "map": 3, "noise_gain": 3}
+        reference = run_hybrid(base, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
+        assert np.array_equal(path.states, reference.states)
+
 
 class TestEnsembleConfigValidation:
     def test_rejects_bad_fields(self):
@@ -271,6 +310,21 @@ class TestRunPairEnsembleDiscrete:
         assert np.array_equal(full.mean_sq, chopped.mean_sq)
         assert np.array_equal(full.stderr, chopped.stderr)
 
+    def test_point_pair_arrays_left_unmodified(self):
+        # a map that rescales its argument in place works on the engine's copy
+        system = DiscreteMapSystem(
+            dimension=2,
+            map=lambda x, k: np.multiply(x, 0.5, out=x),
+            noise_gain=lambda x, k: np.eye(2),
+            noise=GaussianNoiseSpec(2))
+        a, b = np.array([1.0, -2.0]), np.array([0.5, 0.25])
+        config = EnsembleConfig(pair_count=3, horizon=4, master_seed=0,
+                                initial=InitialPointPair(a, b))
+        stats = run_pair_ensemble(system, config)
+        assert stats.failures == 0
+        assert np.array_equal(a, [1.0, -2.0])
+        assert np.array_equal(b, [0.5, 0.25])
+
     def test_divergent_pairs_counted_not_dropped(self):
         system = DiscreteMapSystem(
             dimension=1,
@@ -290,6 +344,49 @@ class TestRunPairEnsembleDiscrete:
                                 initial=InitialPointPair(np.array([0.0]), np.array([1.0])))
         with pytest.raises(ValueError):
             run_pair_ensemble(system, config)
+
+
+class TestMoments:
+    @staticmethod
+    def masked_welford(rows):
+        count = np.zeros(rows.shape[1], dtype=np.int64)
+        mean = np.zeros(rows.shape[1])
+        msq = np.zeros(rows.shape[1])
+        failures, masks = 0, []
+        for row in rows:
+            alive = np.isfinite(row)
+            if not alive.all():
+                alive[int(np.argmin(alive)):] = False
+                failures += 1
+            count[alive] += 1
+            delta = np.where(alive, row - mean, 0.0)
+            mean[alive] += delta[alive] / count[alive]
+            msq[alive] += delta[alive] * (row[alive] - mean[alive])
+            masks.append(alive)
+        stderr = np.zeros(rows.shape[1])
+        settled = count > 1
+        stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
+        return count, mean, stderr, failures, masks
+
+    def test_bit_equal_to_masked_welford(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((11, 9)) * 3.0 + 1.0
+        rows[2, 4] = np.inf   # runs going non-finite mid-grid, some finite again later
+        rows[5, 1] = np.nan
+        rows[6, 6:] = -np.inf
+        rows[9, 8] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            count, mean, stderr, failures, masks = self.masked_welford(rows)
+        monkeypatch.setattr(simulate, "_BLOCK", 4)
+        seen = []
+        got = simulate._moments(rows.shape[0], rows.shape[1], lambda runs: rows[list(runs)],
+                                lambda row, alive: seen.append(alive.copy()))
+        assert np.array_equal(got[0], count)
+        assert np.array_equal(got[1], mean)
+        assert np.array_equal(got[2], stderr)
+        assert got[3] == failures == 4
+        assert len(seen) == rows.shape[0]
+        assert all(np.array_equal(s, m) for s, m in zip(seen, masks))
 
 
 class TestRunPairEnsembleContinuous:
@@ -346,6 +443,20 @@ class TestRunPairEnsembleContinuous:
 
 
 class TestRunPairEnsembleHybrid:
+    def test_lone_run_block_does_not_change_output(self, monkeypatch):
+        # the ring's coupling reset multiplies states by a matrix; with blocks
+        # of three, pair 3 of 4 runs alone in its block
+        recipe = get_recipe("hopf-cpg")
+        params = resolve_params(recipe)
+        config = EnsembleConfig(pair_count=4, horizon=0.5, master_seed=1,
+                                initial=recipe.initial(params),
+                                step_size=dwell_step_default(recipe, params))
+        full = run_pair_ensemble(recipe.build(params), config)
+        monkeypatch.setattr(simulate, "_BLOCK", 3)
+        chopped = run_pair_ensemble(recipe.build(params), config)
+        assert np.array_equal(full.mean_sq, chopped.mean_sq)
+        assert np.array_equal(full.stderr, chopped.stderr)
+
     def test_grid_layout(self):
         system = hybrid_linear(tau=0.5)
         config = EnsembleConfig(pair_count=2, horizon=1.0, master_seed=0,
