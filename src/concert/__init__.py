@@ -6,8 +6,7 @@ from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSyst
                          GaussianNoiseSpec, HybridSystem, MetricSpec,
                          NotPositiveDefinite, ValidationReport, factor_metric,
                          validate_system)
-from .geometry import (SampledCurve, SingularFactor, contraction_factor_at,
-                       curve_length, curve_length_refined, generalized_jacobian,
+from .geometry import (SingularFactor, contraction_factor_at, generalized_jacobian,
                        metric_distance, numerical_jacobian)
 from .certify import (ContractionCertificate, SamplingRegion, SupEstimate,
                       certify_continuous, certify_discrete, estimate_continuous_rate,
@@ -22,14 +21,13 @@ from .bounds import (BetaOutOfRange, BoundReport, CRITICAL_REL_TOL,
 from .simulate import (BoundCheck, EnsembleConfig, EnsembleStats, HybridPath,
                        InitialBox, InitialPointPair, NonFiniteState, SDEPath,
                        check_bound_respect, derive_stream, fit_geometric_decay,
-                       integrate_sde, run_hybrid, run_pair_ensemble, step_discrete)
+                       integrate_sde, run_hybrid, run_pair_ensemble)
 from .cpg import (CPGExperimentResult, CPGParams, DeltaBoundSummary,
-                  GLOBAL_FLOW_RATE, LockingComparison,
-                  REFERENCE_REPORTED_DELTA_BOUND, ROTATION_THIRD, ReducedRing,
+                  GLOBAL_FLOW_RATE, LockingComparison, ROTATION_THIRD, ReducedRing,
                   STRONG_COUPLING, WEAK_COUPLING, build_cpg_system, build_projections,
                   coupling_contraction_factor, coupling_matrix, flow_expansion_at,
                   locking_condition, phase_aligned_components, phase_locking_delta,
-                  reduced_constants, ring_drift, ring_jacobian, rotation_matrix,
+                  reduced_constants, ring_drift, ring_jacobian,
                   run_cpg_experiment, run_locking_comparison, theoretical_delta_bound)
 from .systems import (BUILTIN_SYSTEMS, SystemNotFound, SystemRecipe, UnknownParameter,
                       get_recipe, resolve_params)
@@ -38,32 +36,25 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_SYSTEMS", "BetaOutOfRange", "BoundCheck", "BoundReport",
-    "CRITICAL_REL_TOL", "NEAR_CRITICAL_REL_TOL",
-    "CPGExperimentResult", "CPGParams", "ContinuousSDESystem",
-    "ContractionCertificate", "DeltaBoundSummary", "DimensionMismatch",
-    "DiscreteMapSystem", "EnsembleConfig", "EnsembleStats", "GLOBAL_FLOW_RATE",
-    "GaussianNoiseSpec",
-    "HybridPath", "HybridSystem", "InitialBox", "InitialPointPair",
-    "LockingComparison", "MetricSpec", "NonFiniteState", "NotPositiveDefinite",
-    "ParameterRange", "REFERENCE_REPORTED_DELTA_BOUND", "ROTATION_THIRD",
-    "ReducedRing", "SDEPath", "SampledCurve", "SamplingRegion", "SingularFactor",
-    "STRONG_COUPLING", "SupEstimate", "SystemNotFound", "SystemRecipe",
-    "ValidationReport", "WEAK_COUPLING", "apply_noisefree_corollary",
-    "build_cpg_system", "build_projections", "certify_continuous", "certify_discrete",
-    "check_bound_respect", "classify_regime", "continuous_bound_at",
-    "contraction_factor_at", "coupling_contraction_factor", "coupling_matrix",
-    "curve_length", "curve_length_refined", "derive_stream",
-    "discrete_distance_bound", "discrete_ms_bound", "estimate_continuous_rate",
-    "estimate_discrete_rate", "factor_metric", "fit_geometric_decay",
-    "flow_expansion_at",
-    "generalized_jacobian", "get_recipe", "hybrid_bound", "hybrid_bound_contracting",
-    "hybrid_bound_expanding", "hybrid_bound_neutral", "integrate_sde",
-    "locking_condition", "metric_distance", "noise_bound_continuous",
-    "noise_bound_discrete", "numerical_jacobian", "phase_aligned_components",
-    "phase_locking_delta",
-    "reduced_constants", "resolve_params", "ring_drift", "ring_jacobian",
-    "rotation_matrix",
-    "run_cpg_experiment", "run_hybrid", "run_locking_comparison",
-    "run_pair_ensemble", "step_discrete", "theoretical_delta_bound",
+    "CRITICAL_REL_TOL", "NEAR_CRITICAL_REL_TOL", "CPGExperimentResult", "CPGParams",
+    "ContinuousSDESystem", "ContractionCertificate", "DeltaBoundSummary",
+    "DimensionMismatch", "DiscreteMapSystem", "EnsembleConfig", "EnsembleStats",
+    "GLOBAL_FLOW_RATE", "GaussianNoiseSpec", "HybridPath", "HybridSystem", "InitialBox",
+    "InitialPointPair", "LockingComparison", "MetricSpec", "NonFiniteState",
+    "NotPositiveDefinite", "ParameterRange", "ROTATION_THIRD", "ReducedRing", "SDEPath",
+    "SamplingRegion", "SingularFactor", "STRONG_COUPLING", "SupEstimate",
+    "SystemNotFound", "SystemRecipe", "ValidationReport", "WEAK_COUPLING",
+    "apply_noisefree_corollary", "build_cpg_system", "build_projections",
+    "certify_continuous", "certify_discrete", "check_bound_respect", "classify_regime",
+    "continuous_bound_at", "contraction_factor_at", "coupling_contraction_factor",
+    "coupling_matrix", "derive_stream", "discrete_distance_bound", "discrete_ms_bound",
+    "estimate_continuous_rate", "estimate_discrete_rate", "factor_metric",
+    "fit_geometric_decay", "flow_expansion_at", "generalized_jacobian", "get_recipe",
+    "hybrid_bound", "hybrid_bound_contracting", "hybrid_bound_expanding",
+    "hybrid_bound_neutral", "integrate_sde", "locking_condition", "metric_distance",
+    "noise_bound_continuous", "noise_bound_discrete", "numerical_jacobian",
+    "phase_aligned_components", "phase_locking_delta", "reduced_constants",
+    "resolve_params", "ring_drift", "ring_jacobian", "run_cpg_experiment", "run_hybrid",
+    "run_locking_comparison", "run_pair_ensemble", "theoretical_delta_bound",
     "validate_system",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
                          MetricSpec, _as_metric)
-from .geometry import _COND_LIMIT, SingularFactor, numerical_jacobian
+from .geometry import _checked_inverse, _factored, _squared_gain, numerical_jacobian
 
 
 def _scrambled_halton(d: int, n: int, seed) -> np.ndarray:
@@ -142,20 +142,22 @@ class SupEstimate:
         return self.value
 
 
-def _checked_inverse(theta: np.ndarray) -> np.ndarray:
-    if np.linalg.cond(theta) > _COND_LIMIT:
-        raise SingularFactor("input-side factor is singular to working precision")
-    return np.linalg.inv(theta)
+def _sup(region: SamplingRegion, value_at: Callable[[np.ndarray], float]) -> SupEstimate:
+    """Largest value_at(x) over the region's samples, at the first sample
+    attaining it."""
+    best, best_at = -np.inf, None
+    for x in region.samples():
+        value = value_at(x)
+        if value > best:
+            best, best_at = value, x
+    return SupEstimate(value=best, argmax=np.asarray(best_at, dtype=float))
 
 
 def _jacobian_fn(system, index) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(system, DiscreteMapSystem):
-        if system.jacobian is not None:
-            return lambda x: np.asarray(system.jacobian(x, index), dtype=float)
-        return lambda x: numerical_jacobian(lambda y: system.map(y, index), x)
     if system.jacobian is not None:
         return lambda x: np.asarray(system.jacobian(x, index), dtype=float)
-    return lambda x: numerical_jacobian(lambda y: system.drift(y, index), x)
+    f = system.map if isinstance(system, DiscreteMapSystem) else system.drift
+    return lambda x: numerical_jacobian(lambda y: f(y, index), x)
 
 
 def estimate_discrete_rate(system: DiscreteMapSystem, metric_pair, region: SamplingRegion,
@@ -167,18 +169,10 @@ def estimate_discrete_rate(system: DiscreteMapSystem, metric_pair, region: Sampl
     lambda_max(F.T F) over the region's samples with the attaining sample.
     """
     metric_in, metric_out = metric_pair if metric_pair is not None else (None, None)
-    theta_in = _as_metric(metric_in, system.dimension).factor()
+    theta_in_inv = _checked_inverse(_as_metric(metric_in, system.dimension).factor())
     theta_out = _as_metric(metric_out, system.dimension).factor()
-    theta_in_inv = _checked_inverse(theta_in)
     jac = _jacobian_fn(system, k)
-    best = -np.inf
-    best_at = None
-    for x in region.samples():
-        gen = theta_out @ jac(x) @ theta_in_inv
-        gain = float(np.linalg.eigvalsh(gen.T @ gen).max())
-        if gain > best:
-            best, best_at = gain, x
-    return SupEstimate(value=best, argmax=np.asarray(best_at, dtype=float))
+    return _sup(region, lambda x: _squared_gain(_factored(jac(x), theta_in_inv, theta_out)))
 
 
 def estimate_continuous_rate(system: ContinuousSDESystem, metric, region: SamplingRegion,
@@ -191,14 +185,13 @@ def estimate_continuous_rate(system: ContinuousSDESystem, metric, region: Sampli
     theta_inv = _checked_inverse(theta)
     theta_dot = metric.factor_dot(t)
     jac = _jacobian_fn(system, t)
-    worst = -np.inf
-    worst_at = None
-    for x in region.samples():
+
+    def top(x: np.ndarray) -> float:
         gen = (theta_dot + theta @ jac(x)) @ theta_inv
-        top = float(np.linalg.eigvalsh((gen + gen.T) / 2.0).max())
-        if top > worst:
-            worst, worst_at = top, x
-    return SupEstimate(value=-worst, argmax=np.asarray(worst_at, dtype=float))
+        return float(np.linalg.eigvalsh((gen + gen.T) / 2.0).max())
+
+    worst = _sup(region, top)
+    return SupEstimate(value=-worst.value, argmax=worst.argmax)
 
 
 def noise_bound_discrete(system: DiscreteMapSystem, metric_next, region: SamplingRegion,
@@ -206,28 +199,24 @@ def noise_bound_discrete(system: DiscreteMapSystem, metric_next, region: Samplin
     """Sampled sup of the injected reset-noise energy tr(sigma^T M' sigma Q)."""
     m_next = _as_metric(metric_next, system.dimension).value()
     q = system.noise.covariance
-    best = -np.inf
-    best_at = None
-    for x in region.samples():
+
+    def energy(x: np.ndarray) -> float:
         gain = np.asarray(system.noise_gain(x, k), dtype=float)
-        energy = float(np.trace(gain.T @ m_next @ gain @ q))
-        if energy > best:
-            best, best_at = energy, x
-    return SupEstimate(value=best, argmax=np.asarray(best_at, dtype=float))
+        return float(np.trace(gain.T @ m_next @ gain @ q))
+
+    return _sup(region, energy)
 
 
 def noise_bound_continuous(system: ContinuousSDESystem, metric, region: SamplingRegion,
                            t: float = 0.0) -> SupEstimate:
     """Sampled sup of the per-unit-time injected energy tr(sigma^T M sigma)."""
     m = _as_metric(metric, system.dimension).value(t)
-    best = -np.inf
-    best_at = None
-    for x in region.samples():
+
+    def energy(x: np.ndarray) -> float:
         sig = np.asarray(system.diffusion(x, t), dtype=float)
-        energy = float(np.trace(sig.T @ m @ sig))
-        if energy > best:
-            best, best_at = energy, x
-    return SupEstimate(value=best, argmax=np.asarray(best_at, dtype=float))
+        return float(np.trace(sig.T @ m @ sig))
+
+    return _sup(region, energy)
 
 
 @dataclass(frozen=True)
@@ -261,18 +250,29 @@ class ContractionCertificate:
         }
 
 
+def _certificate(kind: str, est: SupEstimate, noise: SupEstimate, metric: MetricSpec,
+                 region: SamplingRegion, analytic_rate: float | None) -> ContractionCertificate:
+    rate = float(analytic_rate) if analytic_rate is not None else est.value
+    return ContractionCertificate(kind=kind, rate=rate, noise_bound=noise.value,
+                                  metric=metric, region=region,
+                                  is_global_claim=analytic_rate is not None,
+                                  rate_argmax=est.argmax)
+
+
 def certify_discrete(system: DiscreteMapSystem, region: SamplingRegion,
                      metric=None, metric_next=None, k: int = 0,
                      analytic_rate: float | None = None) -> ContractionCertificate:
-    """Assemble a discrete certificate: sampled (or analytic) rate plus noise energy."""
+    """Assemble a discrete certificate: sampled (or analytic) rate plus noise energy.
+
+    The rate is the gain from `metric` at step k to `metric_next` at step k+1,
+    and the noise energy is measured in `metric_next`; it defaults to `metric`.
+    """
     metric_spec = _as_metric(metric, system.dimension)
+    if metric_next is None:
+        metric_next = metric_spec
     est = estimate_discrete_rate(system, (metric_spec, metric_next), region, k=k)
     noise = noise_bound_discrete(system, metric_next, region, k=k)
-    rate = float(analytic_rate) if analytic_rate is not None else est.value
-    return ContractionCertificate(kind="discrete", rate=rate, noise_bound=noise.value,
-                                  metric=metric_spec, region=region,
-                                  is_global_claim=analytic_rate is not None,
-                                  rate_argmax=est.argmax)
+    return _certificate("discrete", est, noise, metric_spec, region, analytic_rate)
 
 
 def certify_continuous(system: ContinuousSDESystem, region: SamplingRegion,
@@ -282,8 +282,4 @@ def certify_continuous(system: ContinuousSDESystem, region: SamplingRegion,
     metric_spec = _as_metric(metric, system.dimension)
     est = estimate_continuous_rate(system, metric_spec, region, t=t)
     noise = noise_bound_continuous(system, metric_spec, region, t=t)
-    rate = float(analytic_rate) if analytic_rate is not None else est.value
-    return ContractionCertificate(kind="continuous", rate=rate, noise_bound=noise.value,
-                                  metric=metric_spec, region=region,
-                                  is_global_claim=analytic_rate is not None,
-                                  rate_argmax=est.argmax)
+    return _certificate("continuous", est, noise, metric_spec, region, analytic_rate)

@@ -21,10 +21,10 @@ from .bounds import BetaOutOfRange, ParameterRange
 from .cpg import (CPGParams, build_cpg_system, phase_aligned_components,
                   run_locking_comparison)
 from .geometry import SingularFactor
-from .simulate import (EnsembleConfig, NonFiniteState, check_bound_respect,
+from .simulate import (EnsembleConfig, NonFiniteState, _write_csv, check_bound_respect,
                        derive_stream, run_hybrid, run_pair_ensemble)
 from .statespace import NotPositiveDefinite
-from .systems import (SystemNotFound, UnknownParameter, dwell_step_default,
+from .systems import (SystemNotFound, UnknownParameter, _merge_params, dwell_step_default,
                       get_recipe, resolve_params)
 
 _CPG_DEFAULTS = {"gamma_weak": 0.01, "gamma_strong": 0.2, "sigma_d": 0.05,
@@ -61,10 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="print a system's closed-form noise bound")
     bounds.add_argument("system")
     bounds.add_argument("--config", help="JSON file with parameter overrides")
-    bounds.add_argument("--noise-free", action="store_true",
-                        help="compare one noisy copy against a noise-free one")
-    bounds.add_argument("--both", action="store_true",
-                        help="print the standard and noise-free variants together")
+    variant = bounds.add_mutually_exclusive_group()
+    variant.add_argument("--noise-free", action="store_true",
+                         help="compare one noisy copy against a noise-free one")
+    variant.add_argument("--both", action="store_true",
+                         help="print the standard and noise-free variants together")
     bounds.add_argument("--print-config", action="store_true")
 
     simulate = sub.add_parser("simulate", help="run a pair ensemble against the bound")
@@ -177,23 +178,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
-
-
 def _cmd_cpg(args) -> int:
-    overrides = _load_config(args.config)
-    settings = dict(_CPG_DEFAULTS)
-    for key, value in overrides.items():
-        if key not in settings:
-            known = ", ".join(sorted(settings))
-            raise UnknownParameter(f"cpg has no parameter {key!r}; available: {known}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UnknownParameter(f"parameter {key!r} must be a number, got {value!r}")
-        settings[key] = float(value)
+    settings = _merge_params("cpg", _CPG_DEFAULTS, _load_config(args.config))
     step = args.dt if args.dt is not None else settings["tau"] / 100.0
     resolved = {"command": "cpg", "params": settings, "seed": args.seed,
                 "run_count": args.ensemble, "horizon": args.horizon,
@@ -218,15 +204,13 @@ def _cmd_cpg(args) -> int:
     rng = derive_stream(args.seed, 0, 0)
     x0 = rng.uniform(-1.0, 1.0, 6)
     path = run_hybrid(build_cpg_system(strong), x0, trace_horizon, step, rng)
-    state_header = ["time", "side", "x1x", "x1y", "x2x", "x2y", "x3x", "x3y"]
-    _write_rows(os.path.join(args.out, "trace_strong.csv"), state_header,
-                ([repr(float(t)), side, *(repr(float(v)) for v in state)]
-                 for t, side, state in zip(path.times, path.sides, path.states)))
-    aligned = phase_aligned_components(path.states)
-    aligned_header = ["time", "side", "a1x", "a1y", "a2x", "a2y", "a3x", "a3y"]
-    _write_rows(os.path.join(args.out, "aligned_strong.csv"), aligned_header,
-                ([repr(float(t)), side, *(repr(float(v)) for v in row)]
-                 for t, side, row in zip(path.times, path.sides, aligned)))
+    for name, prefix, states in (("trace_strong.csv", "x", path.states),
+                                 ("aligned_strong.csv", "a",
+                                  phase_aligned_components(path.states))):
+        _write_csv(os.path.join(args.out, name),
+                   ["time", "side", *(f"{prefix}{i}{c}" for i in (1, 2, 3) for c in "xy")],
+                   ([repr(float(t)), side, *(repr(float(v)) for v in row)]
+                    for t, side, row in zip(path.times, path.sides, states)))
 
     summary = dict(resolved)
     del summary["command"]

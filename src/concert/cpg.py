@@ -17,8 +17,12 @@ flow expands it at rate at most 1 (rotational equivariance makes the rotated
 neighbor follow the same law), and the per-member noise energies are
 2 gamma^2 sigma_d^2 (reset) and 2 sigma_c^2 (flow).  Feeding these constants
 into the expanding-regime hybrid bound with one-sided noise accounting and
-summing the three differences yields the steady-state delta bound; locking
-requires beta < exp(-2 tau).
+summing the three differences yields the steady-state delta bound, reported
+as the one number `pipeline`; locking requires beta < exp(-2 tau).
+
+Experiments sample delta on both sides of every reset and once inside each
+dwell, and average each run over the last fifth of the horizon for the
+steady values.
 """
 from __future__ import annotations
 
@@ -28,14 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, apply_noisefree_corollary, classify_regime, hybrid_bound
-from .simulate import _moments, _plan, _run_block, derive_stream
+from .simulate import _moments, _plan, _run_block, _write_csv, derive_stream
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem)
-
-
-def rotation_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 # One third of a turn; three applications are the identity.
@@ -48,10 +47,10 @@ _SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
 # the continuous certificates.
 GLOBAL_FLOW_RATE = -1.0
 
-# Steady-state delta value circulated elsewhere for the strong-coupling
-# configuration below.  Retained for comparison only: the formulas in this
-# package do not reproduce it.
-REFERENCE_REPORTED_DELTA_BOUND = 0.446
+# Fraction of the horizon, at its end, over which run_cpg_experiment averages
+# each run for the steady values, and the interior samples it takes per dwell.
+_STEADY_FRAC = 0.2
+_INTERIOR_PER_DWELL = 1
 
 
 @dataclass(frozen=True)
@@ -207,31 +206,22 @@ def locking_condition(params: CPGParams) -> tuple[bool, float, float]:
 
 @dataclass(frozen=True)
 class DeltaBoundSummary:
-    """Steady-state bounds for the phase-locking statistic of one configuration.
+    """Steady-state bound for the phase-locking statistic of one configuration.
 
     `pipeline` comes from the hybrid bound machinery (one-sided noise, summed
-    over the three ring differences); `closed_form` is the alternative
-    normalization of the same asymptote that circulates for this reduction,
-    exactly half the pipeline value.  `reference_reported` is retained for
-    comparison only and is not reproduced by either formula.  Unbounded
-    configurations carry infinities.
+    over the three ring differences); unbounded configurations carry an
+    infinity.
     """
 
     beta: float
     r2: float
     regime: str
-    closed_form: float
     pipeline: float
-    reference_reported: float
     per_difference_report: BoundReport
 
     def to_json_dict(self) -> dict:
-        def _num(v: float):
-            return v if math.isfinite(v) else None
         return {"beta": self.beta, "r2": self.r2, "regime": self.regime,
-                "closed_form": _num(self.closed_form),
-                "pipeline": _num(self.pipeline),
-                "reference_reported": self.reference_reported,
+                "pipeline": self.pipeline if math.isfinite(self.pipeline) else None,
                 "per_difference": self.per_difference_report.to_json_dict()}
 
 
@@ -247,15 +237,10 @@ def theoretical_delta_bound(params: CPGParams) -> DeltaBoundSummary:
     base = hybrid_bound(red.beta, red.rate, red.noise_energy_reset,
                         red.noise_energy_flow, red.tau, initial_ms=0.0)
     halved = apply_noisefree_corollary(base)
-    pipeline = 3.0 * halved.asymptotic_bound
-    # the alternative normalization differs by exactly a factor of two in the
-    # denominator; both are reported, empirical comparisons bind to `pipeline`
-    closed_form = pipeline / 2.0
     r2 = red.beta * math.exp(2.0 * abs(red.rate) * red.tau)
     return DeltaBoundSummary(beta=red.beta, r2=r2,
                              regime=classify_regime(red.beta, red.rate, red.tau),
-                             closed_form=closed_form, pipeline=pipeline,
-                             reference_reported=REFERENCE_REPORTED_DELTA_BOUND,
+                             pipeline=3.0 * halved.asymptotic_bound,
                              per_difference_report=halved)
 
 
@@ -307,17 +292,11 @@ class CPGExperimentResult:
     bounds: DeltaBoundSummary
 
     def to_csv(self, path) -> None:
-        lines = ["time,side,delta_mean,delta_stderr"]
-        for i in range(self.times.size):
-            lines.append(",".join([repr(float(self.times[i])), self.sides[i],
-                                   repr(float(self.delta_mean[i])),
-                                   repr(float(self.delta_stderr[i]))]))
-        text = "\n".join(lines) + "\n"
-        if hasattr(path, "write"):
-            path.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        """Write `time,side,delta_mean,delta_stderr` rows to a path or handle."""
+        _write_csv(path, ["time", "side", "delta_mean", "delta_stderr"],
+                   ([repr(float(self.times[i])), self.sides[i],
+                     repr(float(self.delta_mean[i])), repr(float(self.delta_stderr[i]))]
+                    for i in range(self.times.size)))
 
     def to_json_dict(self) -> dict:
         return {"gamma": self.params.gamma, "sigma_d": self.params.sigma_d,
@@ -331,8 +310,7 @@ class CPGExperimentResult:
 
 def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float = 50.0,
                        master_seed: int = 0, step_size: float | None = None,
-                       interior_per_dwell: int = 1, init_half_width: float = 1.0,
-                       steady_frac: float = 0.2) -> CPGExperimentResult:
+                       init_half_width: float = 1.0) -> CPGExperimentResult:
     """Simulate independent ring runs and reduce delta over time.
 
     Runs start uniformly in the centered box of the given half width; run i
@@ -345,8 +323,9 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
         raise ValueError(f"run_count must be >= 1, got {run_count}")
     h = params.tau / 100.0 if step_size is None else step_size
     system = build_cpg_system(params)
-    times, sides, segments = _plan(system, horizon, h, interior_per_dwell, 1)
-    window_mask = times >= (1.0 - steady_frac) * horizon
+    times, sides, segments = _plan(system, horizon, h, _INTERIOR_PER_DWELL, 1)
+    window_start = (1.0 - _STEADY_FRAC) * horizon
+    window_mask = times >= window_start
     window_means: list[float] = []
 
     def block_of(runs):
@@ -368,7 +347,7 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
                                delta_mean=mean, delta_stderr=stderr,
                                run_count=run_count, failures=failures,
                                steady_mean=steady_mean, steady_stderr=steady_stderr,
-                               window_start_time=float((1.0 - steady_frac) * horizon),
+                               window_start_time=float(window_start),
                                bounds=theoretical_delta_bound(params))
 
 
@@ -392,9 +371,8 @@ def run_locking_comparison(weak_params: CPGParams = WEAK_COUPLING,
                            master_seed: int = 0,
                            step_size: float | None = None) -> LockingComparison:
     """Run the same experiment at weak and strong coupling and compare."""
-    weak = run_cpg_experiment(weak_params, run_count=run_count, horizon=horizon,
-                              master_seed=master_seed, step_size=step_size)
-    strong = run_cpg_experiment(strong_params, run_count=run_count, horizon=horizon,
-                                master_seed=master_seed, step_size=step_size)
+    weak, strong = (run_cpg_experiment(params, run_count=run_count, horizon=horizon,
+                                       master_seed=master_seed, step_size=step_size)
+                    for params in (weak_params, strong_params))
     return LockingComparison(weak=weak, strong=strong,
                              ratio=weak.steady_mean / strong.steady_mean)

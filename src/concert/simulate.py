@@ -56,17 +56,15 @@ def derive_stream(master_seed: int, pair_index: int, member_index: int) -> np.ra
     return np.random.default_rng(key)
 
 
-def step_discrete(system: DiscreteMapSystem, x: np.ndarray, k: int,
-                  w: np.ndarray) -> np.ndarray:
-    """One noisy map application: map(x, k) + noise_gain(x, k) @ w."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != (system.dimension,):
-        raise DimensionMismatch(f"state shape {x.shape}, expected {(system.dimension,)}")
-    if w.shape != (system.noise.dimension,):
-        raise DimensionMismatch(f"draw shape {w.shape}, expected {(system.noise.dimension,)}")
-    gain = np.asarray(system.noise_gain(x, k), dtype=float)
-    return np.asarray(system.map(x, k), dtype=float) + gain @ w
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write the header and rows (sequences of strings) as comma-separated
+    lines to a file path or an open text handle."""
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    if hasattr(path, "write"):
+        path.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 @dataclass(frozen=True)
@@ -201,20 +199,11 @@ class EnsembleStats:
     def to_csv(self, path, extra_columns: dict[str, Sequence] | None = None) -> None:
         """Write `time,side,mean_sq_dist,stderr,n_alive` rows (plus any extras)."""
         extras = extra_columns or {}
-        header = ["time", "side", "mean_sq_dist", "stderr", "n_alive", *extras]
-        lines = [",".join(header)]
-        for i in range(self.times.size):
-            row = [repr(float(self.times[i])), self.sides[i],
-                   repr(float(self.mean_sq[i])), repr(float(self.stderr[i])),
-                   str(int(self.n_alive[i]))]
-            row.extend(str(extras[name][i]) for name in extras)
-            lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
-        if hasattr(path, "write"):
-            path.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        _write_csv(path, ["time", "side", "mean_sq_dist", "stderr", "n_alive", *extras],
+                   ([repr(float(self.times[i])), self.sides[i],
+                     repr(float(self.mean_sq[i])), repr(float(self.stderr[i])),
+                     str(int(self.n_alive[i])), *(str(extras[name][i]) for name in extras)]
+                    for i in range(self.times.size)))
 
     def steady_state(self, window_frac: float = 0.2) -> tuple[float, float]:
         """Mean of the statistic over the trailing window, with a conservative

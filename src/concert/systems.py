@@ -92,6 +92,14 @@ def _flow_bound_fn(rate: float, noise_energy: float, initial_ms: float,
     return lambda t, side: continuous_bound_at(rate, c, initial_ms, t)
 
 
+def _point_pair(p: dict) -> InitialPointPair:
+    return InitialPointPair(a=np.array([p["init_a"]]), b=np.array([p["init_b"]]))
+
+
+def _point_pair_ms(p: dict) -> float:
+    return (p["init_a"] - p["init_b"]) ** 2
+
+
 # --- scalar noisy linear map -------------------------------------------------
 
 def _linear_map_build(p: dict) -> DiscreteMapSystem:
@@ -107,21 +115,18 @@ def _linear_map_build(p: dict) -> DiscreteMapSystem:
         name="linear-map")
 
 
-def _linear_map_bounds(p: dict, noise_free: bool) -> dict:
-    beta = p["rho"] ** 2
-    c = p["sigma"] ** 2
-    d0 = abs(p["init_a"] - p["init_b"])
-    ms = discrete_ms_bound(beta, c, d0 * d0, point_mass=True)
-    dist = discrete_distance_bound(beta, c, d0, point_mass=True)
-    if noise_free:
-        ms, dist = apply_noisefree_corollary(ms), apply_noisefree_corollary(dist)
-    return {"mean_square": ms.to_json_dict(), "mean_distance": dist.to_json_dict()}
-
-
 def _linear_map_report(p: dict, noise_free: bool):
-    ms = discrete_ms_bound(p["rho"] ** 2, p["sigma"] ** 2,
-                           (p["init_a"] - p["init_b"]) ** 2, point_mass=True)
+    ms = discrete_ms_bound(p["rho"] ** 2, p["sigma"] ** 2, _point_pair_ms(p), point_mass=True)
     return apply_noisefree_corollary(ms) if noise_free else ms
+
+
+def _linear_map_bounds(p: dict, noise_free: bool) -> dict:
+    dist = discrete_distance_bound(p["rho"] ** 2, p["sigma"] ** 2,
+                                   abs(p["init_a"] - p["init_b"]), point_mass=True)
+    if noise_free:
+        dist = apply_noisefree_corollary(dist)
+    return {"mean_square": _linear_map_report(p, noise_free).to_json_dict(),
+            "mean_distance": dist.to_json_dict()}
 
 
 _LINEAR_MAP = SystemRecipe(
@@ -132,9 +137,8 @@ _LINEAR_MAP = SystemRecipe(
     sim_defaults={"horizon": 60.0, "step_size": None, "pair_count": 2000,
                   "record_every": 1},
     build=_linear_map_build,
-    initial=lambda p: InitialPointPair(a=np.array([p["init_a"]]),
-                                       b=np.array([p["init_b"]])),
-    initial_ms=lambda p: (p["init_a"] - p["init_b"]) ** 2,
+    initial=_point_pair,
+    initial_ms=_point_pair_ms,
     certificate_json=lambda p: _identity_cert("discrete", p["rho"] ** 2,
                                               p["sigma"] ** 2, 1),
     bound_json=_linear_map_bounds,
@@ -164,14 +168,11 @@ _OU1D = SystemRecipe(
     sim_defaults={"horizon": 10.0, "step_size": 0.01, "pair_count": 1000,
                   "record_every": 10},
     build=_ou_build,
-    initial=lambda p: InitialPointPair(a=np.array([p["init_a"]]),
-                                       b=np.array([p["init_b"]])),
-    initial_ms=lambda p: (p["init_a"] - p["init_b"]) ** 2,
+    initial=_point_pair,
+    initial_ms=_point_pair_ms,
     certificate_json=lambda p: _identity_cert("continuous", p["a"], p["sigma"] ** 2, 1),
-    bound_json=lambda p, nf: _flow_bound_json(p["a"], p["sigma"] ** 2,
-                                              (p["init_a"] - p["init_b"]) ** 2, nf),
-    bound_report=lambda p, nf: _flow_bound_fn(p["a"], p["sigma"] ** 2,
-                                              (p["init_a"] - p["init_b"]) ** 2, nf))
+    bound_json=lambda p, nf: _flow_bound_json(p["a"], p["sigma"] ** 2, _point_pair_ms(p), nf),
+    bound_report=lambda p, nf: _flow_bound_fn(p["a"], p["sigma"] ** 2, _point_pair_ms(p), nf))
 
 
 # --- scalar Brownian motion ---------------------------------------------------
@@ -196,14 +197,11 @@ _BROWNIAN = SystemRecipe(
     sim_defaults={"horizon": 2.0, "step_size": 0.01, "pair_count": 2000,
                   "record_every": 10},
     build=_brownian_build,
-    initial=lambda p: InitialPointPair(a=np.array([p["init_a"]]),
-                                       b=np.array([p["init_b"]])),
-    initial_ms=lambda p: (p["init_a"] - p["init_b"]) ** 2,
+    initial=_point_pair,
+    initial_ms=_point_pair_ms,
     certificate_json=lambda p: _identity_cert("continuous", 0.0, p["sigma"] ** 2, 1),
-    bound_json=lambda p, nf: _flow_bound_json(0.0, p["sigma"] ** 2,
-                                              (p["init_a"] - p["init_b"]) ** 2, nf),
-    bound_report=lambda p, nf: _flow_bound_fn(0.0, p["sigma"] ** 2,
-                                              (p["init_a"] - p["init_b"]) ** 2, nf))
+    bound_json=lambda p, nf: _flow_bound_json(0.0, p["sigma"] ** 2, _point_pair_ms(p), nf),
+    bound_report=lambda p, nf: _flow_bound_fn(0.0, p["sigma"] ** 2, _point_pair_ms(p), nf))
 
 
 # --- scalar linear hybrid -----------------------------------------------------
@@ -251,10 +249,6 @@ def _hybrid_linear_report(p: dict, noise_free: bool):
     return apply_noisefree_corollary(report) if noise_free else report
 
 
-def _hybrid_linear_bounds(p: dict, noise_free: bool) -> dict:
-    return _hybrid_linear_report(p, noise_free).to_json_dict()
-
-
 _HYBRID_LINEAR = SystemRecipe(
     name="hybrid-linear",
     kind="hybrid",
@@ -268,7 +262,7 @@ _HYBRID_LINEAR = SystemRecipe(
                                  highs=np.array([p["init_high"]])),
     initial_ms=_hybrid_linear_initial_ms,
     certificate_json=_hybrid_linear_cert,
-    bound_json=_hybrid_linear_bounds,
+    bound_json=lambda p, nf: _hybrid_linear_report(p, nf).to_json_dict(),
     bound_report=_hybrid_linear_report)
 
 
@@ -339,12 +333,15 @@ def get_recipe(name: str) -> SystemRecipe:
 def resolve_params(recipe: SystemRecipe, overrides: dict | None = None) -> dict:
     """Merge overrides into the recipe defaults, rejecting unknown keys and
     non-numeric values."""
-    params = dict(recipe.defaults)
+    return _merge_params(recipe.name, recipe.defaults, overrides)
+
+
+def _merge_params(name: str, defaults: dict, overrides: dict | None) -> dict:
+    params = dict(defaults)
     for key, value in (overrides or {}).items():
         if key not in params:
             known = ", ".join(sorted(params))
-            raise UnknownParameter(
-                f"{recipe.name} has no parameter {key!r}; available: {known}")
+            raise UnknownParameter(f"{name} has no parameter {key!r}; available: {known}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UnknownParameter(
                 f"parameter {key!r} must be a number, got {value!r}")

@@ -234,6 +234,18 @@ class TestCertificates:
         assert cert.noise_bound == pytest.approx(1.0, rel=1e-12)
         assert not cert.is_global_claim
 
+    def test_metric_next_defaults_to_metric(self):
+        # x -> 0.5 x with unit noise, measured in M = [[4]] at both steps:
+        # F = 2 * 0.5 / 2, so the gain is 0.25, and the energy is tr(1 * 4 * 1) = 4
+        region = SamplingRegion.box([-1.0], [1.0], sample_count=16, seed=0)
+        metric = np.array([[4.0]])
+        cert = certify_discrete(linear_map_system(0.5), region, metric=metric)
+        assert cert.rate == pytest.approx(0.25, abs=1e-8)
+        assert cert.noise_bound == pytest.approx(4.0, rel=1e-12)
+        explicit = certify_discrete(linear_map_system(0.5), region, metric=metric,
+                                    metric_next=metric)
+        assert (cert.rate, cert.noise_bound) == (explicit.rate, explicit.noise_bound)
+
     def test_analytic_rate_marks_global_claim(self):
         region = SamplingRegion.box([-1.0], [1.0], sample_count=8, seed=0)
         cert = certify_discrete(linear_map_system(0.5), region, analytic_rate=0.25)

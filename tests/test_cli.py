@@ -184,6 +184,14 @@ class TestCPGCommand:
         assert code == 2
         assert "gamma" in err
 
+    def test_non_numeric_config_value_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": "fast"}))
+        code, out, err = run_cli(capsys, "cpg", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "error: parameter 'tau' must be a number, got 'fast'\n"
+
 
 class TestExitCodes:
     def test_unknown_system_is_2(self, capsys):
@@ -227,6 +235,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "simulate", "linear-map", "--dt", "0.1")
         assert code == 2
         assert "--dt" in err
+
+    def test_noise_free_with_both_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "linear-map", "--noise-free", "--both"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
     def test_noise_free_on_hopf_cpg_bounds_is_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "hopf-cpg", "--noise-free")

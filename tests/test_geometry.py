@@ -1,4 +1,4 @@
-"""Metric distances, generalized Jacobians, curve lengths."""
+"""Metric distances and generalized Jacobians."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,11 +8,8 @@ from concert import (
     DimensionMismatch,
     MetricSpec,
     NotPositiveDefinite,
-    SampledCurve,
     SingularFactor,
     contraction_factor_at,
-    curve_length,
-    curve_length_refined,
     generalized_jacobian,
     metric_distance,
     numerical_jacobian,
@@ -117,66 +114,3 @@ class TestContractionFactorAt:
                                     2.0 * np.eye(2), np.eye(2),
                                     jacobian=lambda x: rho * np.eye(2))
         assert val == pytest.approx((rho / 2.0) ** 2, abs=1e-12)
-
-
-class TestSampledCurve:
-    def test_from_points_default_params(self):
-        curve = SampledCurve.from_points(np.array([[0.0], [1.0], [2.0]]))
-        assert np.allclose(curve.params, [0.0, 0.5, 1.0])
-        a, b = curve.endpoints()
-        assert np.allclose(a, [0.0])
-        assert np.allclose(b, [2.0])
-
-    def test_requires_two_points(self):
-        with pytest.raises(ValueError):
-            SampledCurve.from_points(np.array([[0.0]]))
-
-    def test_params_must_run_zero_to_one_strictly(self):
-        pts = np.array([[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            SampledCurve(points=pts, params=np.array([0.0, 0.5]))
-        with pytest.raises(ValueError):
-            SampledCurve(points=np.array([[0.0], [1.0], [2.0]]),
-                         params=np.array([0.0, 0.0, 1.0]))
-
-
-class TestCurveLength:
-    def test_straight_line_equals_distance(self):
-        metric = MetricSpec.constant(np.diag([4.0, 1.0]))
-        a = np.array([0.0, 0.0])
-        b = np.array([1.0, 2.0])
-        pts = np.linspace(a, b, 9)
-        curve = SampledCurve.from_points(pts)
-        assert curve_length(curve, metric) == pytest.approx(
-            metric_distance(a, b, metric), rel=1e-12)
-
-    def test_polyline_sums_chords(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        curve = SampledCurve.from_points(pts)
-        assert curve_length(curve, MetricSpec.identity(2)) == pytest.approx(2.0)
-
-
-class TestCurveLengthRefined:
-    def test_half_circle_arc_length(self):
-        def path(s):
-            angle = np.pi * s
-            return np.array([np.cos(angle), np.sin(angle)])
-
-        length = curve_length_refined(path, MetricSpec.identity(2), rel_tol=1e-9)
-        assert length == pytest.approx(np.pi, rel=1e-7)
-
-    def test_weighted_metric_scales_length(self):
-        def path(s):
-            return np.array([s, 0.0])
-
-        metric = MetricSpec.constant(np.diag([9.0, 1.0]))
-        length = curve_length_refined(path, metric)
-        assert length == pytest.approx(3.0, rel=1e-9)
-
-    def test_budget_exhaustion_raises(self):
-        def path(s):
-            return np.array([np.sin(500.0 * s) / 500.0, s])
-
-        with pytest.raises(RuntimeError):
-            curve_length_refined(path, MetricSpec.identity(2),
-                                 rel_tol=1e-15, max_doublings=3)

@@ -25,7 +25,6 @@ from concert import (
     integrate_sde,
     run_hybrid,
     run_pair_ensemble,
-    step_discrete,
 )
 from concert.systems import dwell_step_default, get_recipe, resolve_params
 
@@ -82,20 +81,6 @@ class TestDeriveStream:
     def test_negative_key_part_raises(self, key):
         with pytest.raises(ValueError):
             derive_stream(*key)
-
-
-class TestStepDiscrete:
-    def test_value(self):
-        system = linear_map(0.5)
-        out = step_discrete(system, np.array([2.0]), 0, np.array([0.25]))
-        assert out == pytest.approx(1.25)
-
-    def test_shape_errors(self):
-        system = linear_map(0.5)
-        with pytest.raises(DimensionMismatch):
-            step_discrete(system, np.zeros(2), 0, np.zeros(1))
-        with pytest.raises(DimensionMismatch):
-            step_discrete(system, np.zeros(1), 0, np.zeros(2))
 
 
 class TestIntegrateSDE:
