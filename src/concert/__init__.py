@@ -15,9 +15,7 @@ from .certify import (ContractionCertificate, SamplingRegion, SupEstimate,
 from .bounds import (BetaOutOfRange, BoundReport, CRITICAL_REL_TOL,
                      NEAR_CRITICAL_REL_TOL, ParameterRange,
                      apply_noisefree_corollary, classify_regime, continuous_bound_at,
-                     discrete_distance_bound, discrete_ms_bound, hybrid_bound,
-                     hybrid_bound_contracting, hybrid_bound_expanding,
-                     hybrid_bound_neutral)
+                     discrete_distance_bound, discrete_ms_bound, hybrid_bound)
 from .simulate import (BoundCheck, EnsembleConfig, EnsembleStats, HybridPath,
                        InitialBox, InitialPointPair, NonFiniteState, SDEPath,
                        check_bound_respect, derive_stream, fit_geometric_decay,
@@ -50,8 +48,7 @@ __all__ = [
     "coupling_matrix", "derive_stream", "discrete_distance_bound", "discrete_ms_bound",
     "estimate_continuous_rate", "estimate_discrete_rate", "factor_metric",
     "fit_geometric_decay", "flow_expansion_at", "generalized_jacobian", "get_recipe",
-    "hybrid_bound", "hybrid_bound_contracting", "hybrid_bound_expanding",
-    "hybrid_bound_neutral", "integrate_sde", "locking_condition", "metric_distance",
+    "hybrid_bound", "integrate_sde", "locking_condition", "metric_distance",
     "noise_bound_continuous", "noise_bound_discrete", "numerical_jacobian",
     "phase_aligned_components", "phase_locking_delta", "reduced_constants",
     "resolve_params", "ring_drift", "ring_jacobian", "run_cpg_experiment", "run_hybrid",

@@ -21,15 +21,20 @@ depend on the regime:
                        / (|lam| (1-beta)(1-r2));
                   r2 = 1 gives linear growth per dwell, r2 > 1 no finite bound.
 
-Comparing a noisy copy against a noise-free one halves every injected energy.
-The hybrid constants are derived for the post-reset sequence and absorb the
-within-dwell growth only partially, so empirical comparisons on interior
-samples need parameters inside the validity region (see the test suite).
+`classify_regime` picks the regime and `hybrid_bound` evaluates it; the two
+discrete constructors cover maps.  Comparing a noisy copy against a
+noise-free one halves every injected energy.
+
+The hybrid asymptotes bound the post-reset sequence.  Checked against exact
+second moments of scalar systems, pre-reset and interior samples stay below
+them in the contracting regime but can exceed them in the neutral and
+expanding ones, an open defect; empirical comparisons on those samples need
+parameters inside the validity region (see the test suite).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,13 +67,6 @@ def _check_nonneg(value: float, what: str) -> float:
     value = float(value)
     if not np.isfinite(value) or value < 0.0:
         raise ParameterRange(f"{what} must be finite and >= 0, got {value}")
-    return value
-
-
-def _check_positive(value: float, what: str) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ParameterRange(f"{what} must be finite and > 0, got {value}")
     return value
 
 
@@ -198,7 +196,9 @@ def classify_regime(beta: float, lam: float, tau: float) -> str:
     expanding systems the per-dwell product beta * exp(2|lam|tau) against 1
     (within relative tolerance 1e-12 for the equality branch)."""
     beta = _check_beta(beta)
-    tau = _check_positive(tau, "dwell time")
+    tau = float(tau)
+    if not np.isfinite(tau) or tau <= 0.0:
+        raise ParameterRange(f"dwell time must be finite and > 0, got {tau}")
     lam = float(lam)
     if not np.isfinite(lam):
         raise ParameterRange(f"continuous rate must be finite, got {lam}")
@@ -212,107 +212,59 @@ def classify_regime(beta: float, lam: float, tau: float) -> str:
     return "hybrid-expanding-bounded" if r2 < 1.0 else "hybrid-expanding-unbounded"
 
 
-def hybrid_bound_contracting(beta: float, lam: float, noise_energy_reset: float,
-                             noise_energy_flow: float, tau: float,
-                             initial_ms: float) -> BoundReport:
-    """Hybrid bound when the flow contracts (rate lam > 0).
-
-    Asymptote C1 = (2 lam C_d + (1-beta)(1+beta-r1) C_c) / (lam (1-beta)(1-r1))
-    with r1 = beta exp(-2 lam tau); the transient term decays by r1 per dwell
-    and continuously by exp(-2 lam t).
-    """
-    beta = _check_beta(beta)
-    lam = _check_positive(lam, "contraction rate")
-    c_d = _check_nonneg(noise_energy_reset, "reset noise energy")
-    c_c = _check_nonneg(noise_energy_flow, "flow noise energy")
-    tau = _check_positive(tau, "dwell time")
-    e0 = _check_nonneg(initial_ms, "initial mean square")
-    r1 = beta * math.exp(-2.0 * lam * tau)
-    asym = (2.0 * lam * c_d + (1.0 - beta) * (1.0 + beta - r1) * c_c) \
-        / (lam * (1.0 - beta) * (1.0 - r1))
-    inputs = {"beta": beta, "lam": lam, "C_d": c_d, "C_c": c_c, "tau": tau,
-              "initial_ms": e0, "r1": r1}
-    return BoundReport(regime="hybrid-contracting", asymptotic_bound=asym,
-                       transient_rate_per_step=r1, inputs=inputs)
-
-
-def hybrid_bound_neutral(beta: float, noise_energy_reset: float,
-                         noise_energy_flow: float, tau: float,
-                         initial_ms: float) -> BoundReport:
-    """Hybrid bound when the flow is neutral (rate 0).
-
-    Asymptote C2 = (2 C_d + 2 beta (1-beta) C_c tau) / (1-beta)^2, transient
-    factor beta per dwell.
-    """
-    beta = _check_beta(beta)
-    c_d = _check_nonneg(noise_energy_reset, "reset noise energy")
-    c_c = _check_nonneg(noise_energy_flow, "flow noise energy")
-    tau = _check_positive(tau, "dwell time")
-    e0 = _check_nonneg(initial_ms, "initial mean square")
-    asym = (2.0 * c_d + 2.0 * beta * (1.0 - beta) * c_c * tau) / (1.0 - beta) ** 2
-    inputs = {"beta": beta, "lam": 0.0, "C_d": c_d, "C_c": c_c, "tau": tau,
-              "initial_ms": e0}
-    return BoundReport(regime="hybrid-neutral", asymptotic_bound=asym,
-                       transient_rate_per_step=beta, inputs=inputs)
-
-
-def hybrid_bound_expanding(beta: float, lam: float, noise_energy_reset: float,
-                           noise_energy_flow: float, tau: float,
-                           initial_ms: float) -> BoundReport:
-    """Hybrid bound when the flow expands (rate lam < 0).
-
-    With r2 = beta exp(2|lam|tau): r2 < 1 gives the finite asymptote
-    C3 = (2|lam| C_d + (1-beta)(1+beta-r2) exp(2|lam|tau) C_c)
-    / (|lam| (1-beta)(1-r2)) and transient exp(2|lam|tau) r2^k; r2 = 1 (within
-    1e-12 relative) grows linearly per dwell; r2 > 1 admits no finite bound.
-    Inputs within 1e-9 of the equality branch carry a proximity warning.
-    """
-    beta = _check_beta(beta)
-    lam = float(lam)
-    if not (np.isfinite(lam) and lam < 0.0):
-        raise ParameterRange(f"expanding rate must be finite and < 0, got {lam}")
-    c_d = _check_nonneg(noise_energy_reset, "reset noise energy")
-    c_c = _check_nonneg(noise_energy_flow, "flow noise energy")
-    tau = _check_positive(tau, "dwell time")
-    e0 = _check_nonneg(initial_ms, "initial mean square")
-    alam = abs(lam)
-    blowup = math.exp(2.0 * alam * tau)
-    r2 = beta * blowup
-    regime = classify_regime(beta, lam, tau)
-    warnings: tuple[str, ...] = ()
-    if regime != "hybrid-expanding-critical" and abs(r2 - 1.0) <= NEAR_CRITICAL_REL_TOL:
-        warnings = (f"per-dwell product beta*exp(2|lam|tau) = {r2!r} is within 1e-9 "
-                    "of the equality branch; the classification is numerically fragile",)
-    inputs = {"beta": beta, "lam": lam, "C_d": c_d, "C_c": c_c, "tau": tau,
-              "initial_ms": e0, "r2": r2}
-    if regime == "hybrid-expanding-bounded":
-        asym = (2.0 * alam * c_d + (1.0 - beta) * (1.0 + beta - r2) * blowup * c_c) \
-            / (alam * (1.0 - beta) * (1.0 - r2))
-        return BoundReport(regime=regime, asymptotic_bound=asym,
-                           transient_rate_per_step=r2, inputs=inputs, warnings=warnings)
-    if regime == "hybrid-expanding-critical":
-        # Per-dwell increment of the post-reset sequence when the per-dwell
-        # product is exactly one.
-        slope = 2.0 * c_d / (1.0 - beta) + beta * (c_c / alam) * (blowup - 1.0)
-        inputs["growth_per_dwell"] = slope
-        return BoundReport(regime=regime, asymptotic_bound=math.inf,
-                           transient_rate_per_step=1.0, inputs=inputs, warnings=warnings)
-    return BoundReport(regime="hybrid-expanding-unbounded", asymptotic_bound=math.inf,
-                       transient_rate_per_step=1.0, inputs=inputs, warnings=warnings)
-
-
 def hybrid_bound(beta: float, lam: float, noise_energy_reset: float,
                  noise_energy_flow: float, tau: float, initial_ms: float) -> BoundReport:
-    """Dispatch to the hybrid bound matching the sign of the continuous rate."""
+    """Hybrid bound in the regime that `classify_regime` assigns.
+
+    - contracting (lam > 0): asymptote C1, transient factor r1 per dwell and
+      exp(-2 lam t) continuously;
+    - neutral (lam = 0): asymptote C2, transient factor beta per dwell;
+    - expanding, r2 < 1: asymptote C3, transient exp(2|lam|tau) r2^k;
+    - expanding, r2 = 1 (within 1e-12 relative): linear growth per dwell,
+      echoed as `growth_per_dwell`;
+    - expanding, r2 > 1: no finite bound.
+
+    Expanding inputs within 1e-9 of the equality branch, but off it, carry a
+    proximity warning.  `inputs` echoes r1 (contracting) or r2 (expanding).
+    """
     regime = classify_regime(beta, lam, tau)
+    beta, lam, tau = float(beta), float(lam), float(tau)
+    c_d = _check_nonneg(noise_energy_reset, "reset noise energy")
+    c_c = _check_nonneg(noise_energy_flow, "flow noise energy")
+    e0 = _check_nonneg(initial_ms, "initial mean square")
+    inputs = {"beta": beta, "lam": lam, "C_d": c_d, "C_c": c_c, "tau": tau,
+              "initial_ms": e0}
+    warnings: tuple[str, ...] = ()
     if regime == "hybrid-contracting":
-        return hybrid_bound_contracting(beta, lam, noise_energy_reset,
-                                        noise_energy_flow, tau, initial_ms)
-    if regime == "hybrid-neutral":
-        return hybrid_bound_neutral(beta, noise_energy_reset, noise_energy_flow,
-                                    tau, initial_ms)
-    return hybrid_bound_expanding(beta, lam, noise_energy_reset, noise_energy_flow,
-                                  tau, initial_ms)
+        r1 = beta * math.exp(-2.0 * lam * tau)
+        inputs["r1"] = r1
+        asym = (2.0 * lam * c_d + (1.0 - beta) * (1.0 + beta - r1) * c_c) \
+            / (lam * (1.0 - beta) * (1.0 - r1))
+        rate = r1
+    elif regime == "hybrid-neutral":
+        inputs["lam"] = 0.0
+        asym = (2.0 * c_d + 2.0 * beta * (1.0 - beta) * c_c * tau) / (1.0 - beta) ** 2
+        rate = beta
+    else:
+        alam = abs(lam)
+        blowup = math.exp(2.0 * alam * tau)
+        r2 = beta * blowup
+        inputs["r2"] = r2
+        if regime != "hybrid-expanding-critical" and abs(r2 - 1.0) <= NEAR_CRITICAL_REL_TOL:
+            warnings = (f"per-dwell product beta*exp(2|lam|tau) = {r2!r} is within 1e-9 "
+                        "of the equality branch; the classification is numerically fragile",)
+        asym, rate = math.inf, 1.0
+        if regime == "hybrid-expanding-bounded":
+            asym = (2.0 * alam * c_d + (1.0 - beta) * (1.0 + beta - r2) * blowup * c_c) \
+                / (alam * (1.0 - beta) * (1.0 - r2))
+            rate = r2
+        elif regime == "hybrid-expanding-critical":
+            # Per-dwell increment of the post-reset sequence when the per-dwell
+            # product is exactly one.
+            inputs["growth_per_dwell"] = 2.0 * c_d / (1.0 - beta) \
+                + beta * (c_c / alam) * (blowup - 1.0)
+    return BoundReport(regime=regime, asymptotic_bound=asym, transient_rate_per_step=rate,
+                       inputs=inputs, warnings=warnings)
 
 
 def apply_noisefree_corollary(report: BoundReport) -> BoundReport:
@@ -337,9 +289,7 @@ def apply_noisefree_corollary(report: BoundReport) -> BoundReport:
                             inp["C_c"] / 2.0, inp["tau"], inp["initial_ms"])
     else:
         raise ValueError(f"unknown regime {report.regime!r}")
-    return BoundReport(regime=base.regime, asymptotic_bound=base.asymptotic_bound,
-                       transient_rate_per_step=base.transient_rate_per_step,
-                       inputs=base.inputs, noise_free=True, warnings=base.warnings)
+    return replace(base, noise_free=True)
 
 
 def continuous_bound_at(lam: float, noise_energy_flow: float, initial_ms: float,

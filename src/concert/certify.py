@@ -54,8 +54,9 @@ class SamplingRegion:
     """Deterministic sample source over a box, a ball, or an explicit point list.
 
     The same region always yields the same samples (scrambled Halton sequence
-    keyed by `seed`); ball regions prepend their own center so suprema that
-    peak there are found exactly.
+    keyed by `seed`); a ball's first sample is its own center, so suprema that
+    peak there are found exactly, and the rest are the sequence's first
+    sample_count - 1 points.
     """
 
     kind: str  # "box" | "ball" | "points"
@@ -114,7 +115,7 @@ class SamplingRegion:
         # Ball: inverse-normal directions plus a radial u^(1/n) transform keeps
         # the low-discrepancy stream deterministic; the exact center leads.
         n = self.dimension
-        unit = _scrambled_halton(n + 1, self.sample_count, self.seed)
+        unit = _scrambled_halton(n + 1, self.sample_count - 1, self.seed)
         unit = np.clip(unit, 1e-12, 1.0 - 1e-12)
         z = ndtri(unit[:, :n])
         norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), np.finfo(float).tiny)

@@ -16,10 +16,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .bounds import BetaOutOfRange, ParameterRange
-from .cpg import (CPGParams, build_cpg_system, phase_aligned_components,
-                  run_locking_comparison)
+from .cpg import (STRONG_COUPLING, WEAK_COUPLING, build_cpg_system,
+                  phase_aligned_components, run_locking_comparison)
 from .geometry import SingularFactor
 from .simulate import (EnsembleConfig, NonFiniteState, _write_csv, check_bound_respect,
                        derive_stream, run_hybrid, run_pair_ensemble)
@@ -27,8 +28,9 @@ from .statespace import NotPositiveDefinite
 from .systems import (SystemNotFound, UnknownParameter, _merge_params, dwell_step_default,
                       get_recipe, resolve_params)
 
-_CPG_DEFAULTS = {"gamma_weak": 0.01, "gamma_strong": 0.2, "sigma_d": 0.05,
-                 "sigma_c": 0.1, "tau": 0.1, "omega": 1.0}
+_CPG_SHARED = ("sigma_d", "sigma_c", "tau", "omega")
+_CPG_DEFAULTS = {"gamma_weak": WEAK_COUPLING.gamma, "gamma_strong": STRONG_COUPLING.gamma,
+                 **{key: getattr(STRONG_COUPLING, key) for key in _CPG_SHARED}}
 
 
 def _emit(payload: dict) -> None:
@@ -140,13 +142,14 @@ def _cmd_simulate(args) -> int:
     if args.print_config:
         _emit(resolved)
         return 0
+    # the bound's preconditions fail before any pair is run
+    bound_obj = recipe.bound_report(params, args.noise_free)
     system = recipe.build(params)
     config = EnsembleConfig(pair_count=pair_count, horizon=horizon,
                             master_seed=args.seed, initial=recipe.initial(params),
                             step_size=step, pairing_mode=pairing,
                             record_every=recipe.sim_defaults["record_every"])
     stats = run_pair_ensemble(system, config)
-    bound_obj = recipe.bound_report(params, args.noise_free)
     check = None if bound_obj is None else check_bound_respect(stats, bound_obj)
     if args.out:
         extras = None
@@ -187,10 +190,9 @@ def _cmd_cpg(args) -> int:
     if args.print_config:
         _emit(resolved)
         return 0
-    shared = {"sigma_d": settings["sigma_d"], "sigma_c": settings["sigma_c"],
-              "tau": settings["tau"], "omega": settings["omega"]}
-    weak = CPGParams(gamma=settings["gamma_weak"], **shared)
-    strong = CPGParams(gamma=settings["gamma_strong"], **shared)
+    shared = {key: settings[key] for key in _CPG_SHARED}
+    weak = replace(WEAK_COUPLING, gamma=settings["gamma_weak"], **shared)
+    strong = replace(STRONG_COUPLING, gamma=settings["gamma_strong"], **shared)
     comparison = run_locking_comparison(weak, strong, run_count=args.ensemble,
                                         horizon=args.horizon, master_seed=args.seed,
                                         step_size=step)

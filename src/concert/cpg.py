@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, apply_noisefree_corollary, classify_regime, hybrid_bound
+from .bounds import BoundReport, ParameterRange, apply_noisefree_corollary, hybrid_bound
 from .simulate import _moments, _plan, _run_block, _write_csv, derive_stream
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem)
@@ -66,11 +66,11 @@ class CPGParams:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+            raise ParameterRange(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.sigma_d < 0 or self.sigma_c < 0:
-            raise ValueError("noise scales must be >= 0")
+            raise ParameterRange("noise scales must be >= 0")
         if not (self.tau > 0):
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise ParameterRange(f"tau must be positive, got {self.tau}")
 
 
 WEAK_COUPLING = CPGParams(gamma=0.01)
@@ -237,9 +237,7 @@ def theoretical_delta_bound(params: CPGParams) -> DeltaBoundSummary:
     base = hybrid_bound(red.beta, red.rate, red.noise_energy_reset,
                         red.noise_energy_flow, red.tau, initial_ms=0.0)
     halved = apply_noisefree_corollary(base)
-    r2 = red.beta * math.exp(2.0 * abs(red.rate) * red.tau)
-    return DeltaBoundSummary(beta=red.beta, r2=r2,
-                             regime=classify_regime(red.beta, red.rate, red.tau),
+    return DeltaBoundSummary(beta=red.beta, r2=halved.inputs["r2"], regime=halved.regime,
                              pipeline=3.0 * halved.asymptotic_bound,
                              per_difference_report=halved)
 

@@ -8,7 +8,7 @@ so a name on the command line and a name in a test mean the same system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,8 +16,8 @@ import numpy as np
 from .bounds import (apply_noisefree_corollary, classify_regime, continuous_bound_at,
                      discrete_distance_bound, discrete_ms_bound, hybrid_bound)
 from .certify import ContractionCertificate, SamplingRegion, estimate_continuous_rate
-from .cpg import (CPGParams, build_cpg_system, coupling_contraction_factor,
-                  locking_condition, theoretical_delta_bound)
+from .cpg import (STRONG_COUPLING, CPGParams, build_cpg_system,
+                  coupling_contraction_factor, locking_condition, theoretical_delta_bound)
 from .simulate import InitialBox, InitialPointPair
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem, MetricSpec)
@@ -47,7 +47,6 @@ class SystemRecipe:
 
     name: str
     kind: str  # "discrete" | "continuous" | "hybrid"
-    description: str
     defaults: dict
     sim_defaults: dict
     build: Callable[[dict], object]
@@ -132,7 +131,6 @@ def _linear_map_bounds(p: dict, noise_free: bool) -> dict:
 _LINEAR_MAP = SystemRecipe(
     name="linear-map",
     kind="discrete",
-    description="scalar noisy linear map x <- rho x + sigma w",
     defaults={"rho": 0.5, "sigma": 1.0, "init_a": 1.0, "init_b": -1.0},
     sim_defaults={"horizon": 60.0, "step_size": None, "pair_count": 2000,
                   "record_every": 1},
@@ -163,7 +161,6 @@ def _ou_build(p: dict) -> ContinuousSDESystem:
 _OU1D = SystemRecipe(
     name="ou1d",
     kind="continuous",
-    description="scalar linear SDE dx = -a x dt + sigma dW",
     defaults={"a": 1.0, "sigma": 1.0, "init_a": 1.0, "init_b": -1.0},
     sim_defaults={"horizon": 10.0, "step_size": 0.01, "pair_count": 1000,
                   "record_every": 10},
@@ -177,26 +174,13 @@ _OU1D = SystemRecipe(
 
 # --- scalar Brownian motion ---------------------------------------------------
 
-def _brownian_build(p: dict) -> ContinuousSDESystem:
-    diff = np.array([[p["sigma"]]])
-    return ContinuousSDESystem(
-        dimension=1,
-        drift=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        diffusion=lambda x, t: diff,
-        noise_dim=1,
-        jacobian=lambda x, t: np.zeros((1, 1)),
-        vectorized=True,
-        name="brownian")
-
-
 _BROWNIAN = SystemRecipe(
     name="brownian",
     kind="continuous",
-    description="scalar Brownian motion dx = sigma dW (neutral flow)",
     defaults={"sigma": 1.0, "init_a": 0.0, "init_b": 0.0},
     sim_defaults={"horizon": 2.0, "step_size": 0.01, "pair_count": 2000,
                   "record_every": 10},
-    build=_brownian_build,
+    build=lambda p: _ou_build({"a": 0.0, "sigma": p["sigma"]}),
     initial=_point_pair,
     initial_ms=_point_pair_ms,
     certificate_json=lambda p: _identity_cert("continuous", 0.0, p["sigma"] ** 2, 1),
@@ -207,27 +191,9 @@ _BROWNIAN = SystemRecipe(
 # --- scalar linear hybrid -----------------------------------------------------
 
 def _hybrid_linear_build(p: dict) -> HybridSystem:
-    a, sigma_c, rho, sigma_d = p["a"], p["sigma_c"], p["rho"], p["sigma_d"]
-    diff = np.array([[sigma_c]])
-    gain = np.array([[sigma_d]])
-    continuous = ContinuousSDESystem(
-        dimension=1,
-        drift=lambda x, t: a * np.asarray(x, dtype=float),
-        diffusion=lambda x, t: diff,
-        noise_dim=1,
-        jacobian=lambda x, t: np.array([[a]]),
-        vectorized=True,
-        name="linear-flow")
-    reset = DiscreteMapSystem(
-        dimension=1,
-        map=lambda x, k: rho * np.asarray(x, dtype=float),
-        noise_gain=lambda x, k: gain,
-        noise=GaussianNoiseSpec(1),
-        jacobian=lambda x, k: np.array([[rho]]),
-        vectorized=True,
-        name="linear-reset")
-    return HybridSystem(continuous=continuous, reset=reset, dwell_time=p["tau"],
-                        name="hybrid-linear")
+    return HybridSystem(continuous=_ou_build({"a": -p["a"], "sigma": p["sigma_c"]}),
+                        reset=_linear_map_build({"rho": p["rho"], "sigma": p["sigma_d"]}),
+                        dwell_time=p["tau"], name="hybrid-linear")
 
 
 def _hybrid_linear_initial_ms(p: dict) -> float:
@@ -252,7 +218,6 @@ def _hybrid_linear_report(p: dict, noise_free: bool):
 _HYBRID_LINEAR = SystemRecipe(
     name="hybrid-linear",
     kind="hybrid",
-    description="scalar flow dx = a x dt + sigma_c dW with reset x <- rho x + sigma_d w",
     defaults={"a": -1.0, "rho": 0.5, "sigma_c": 1.0, "sigma_d": 1.0, "tau": 0.5,
               "init_low": -1.0, "init_high": 1.0},
     sim_defaults={"horizon": 10.0, "step_size": None, "pair_count": 1000,
@@ -268,13 +233,8 @@ _HYBRID_LINEAR = SystemRecipe(
 
 # --- oscillator ring ----------------------------------------------------------
 
-def _cpg_params(p: dict) -> CPGParams:
-    return CPGParams(gamma=p["gamma"], sigma_d=p["sigma_d"], sigma_c=p["sigma_c"],
-                     tau=p["tau"], omega=p["omega"])
-
-
 def _cpg_cert(p: dict) -> dict:
-    params = _cpg_params(p)
+    params = CPGParams(**p)
     system = build_cpg_system(params)
     region = SamplingRegion.ball(np.zeros(6), radius=1.5, sample_count=64, seed=0)
     sampled = estimate_continuous_rate(system.continuous, None, region)
@@ -296,17 +256,16 @@ def _cpg_bounds(p: dict, noise_free: bool) -> dict:
     if noise_free:
         raise ValueError("the ring bound already uses one-sided noise accounting; "
                          "--noise-free does not apply to hopf-cpg")
-    return theoretical_delta_bound(_cpg_params(p)).to_json_dict()
+    return theoretical_delta_bound(CPGParams(**p)).to_json_dict()
 
 
 _HOPF_CPG = SystemRecipe(
     name="hopf-cpg",
     kind="hybrid",
-    description="three planar limit-cycle oscillators with rotating-wave coupling resets",
-    defaults={"gamma": 0.2, "sigma_d": 0.05, "sigma_c": 0.1, "tau": 0.1, "omega": 1.0},
+    defaults=asdict(STRONG_COUPLING),
     sim_defaults={"horizon": 5.0, "step_size": None, "pair_count": 256,
                   "record_every": 1},
-    build=lambda p: build_cpg_system(_cpg_params(p)),
+    build=lambda p: build_cpg_system(CPGParams(**p)),
     initial=lambda p: InitialBox(lows=np.full(6, -1.0), highs=np.full(6, 1.0)),
     initial_ms=lambda p: 4.0,
     certificate_json=_cpg_cert,

@@ -33,8 +33,6 @@ from concert import (
     discrete_ms_bound,
     fit_geometric_decay,
     hybrid_bound,
-    hybrid_bound_contracting,
-    hybrid_bound_expanding,
     phase_locking_delta,
     run_locking_comparison,
     run_pair_ensemble,
@@ -179,12 +177,12 @@ def test_criterion_5_bound_structure():
     # dwell-time monotonicity of the asymptotes, and the regime classifier
     # against an independent reimplementation
     taus = np.linspace(0.05, 3.0, 60)
-    contracting = [hybrid_bound_contracting(0.25, 1.0, 1.0, 1.0, float(t), 0.0)
+    contracting = [hybrid_bound(0.25, 1.0, 1.0, 1.0, float(t), 0.0)
                    .asymptotic_bound for t in taus]
     mono_down = all(a >= b - 1e-12 for a, b in zip(contracting, contracting[1:]))
 
     bounded_taus = [float(t) for t in np.linspace(0.05, 0.69, 40)]  # r2 < 1 here
-    expanding = [hybrid_bound_expanding(0.25, -1.0, 1.0, 1.0, t, 0.0)
+    expanding = [hybrid_bound(0.25, -1.0, 1.0, 1.0, t, 0.0)
                  .asymptotic_bound for t in bounded_taus]
     mono_up = all(b >= a - 1e-12 for a, b in zip(expanding, expanding[1:]))
     all_finite = all(math.isfinite(v) for v in expanding)

@@ -24,9 +24,6 @@ from concert import (
     discrete_distance_bound,
     discrete_ms_bound,
     hybrid_bound,
-    hybrid_bound_contracting,
-    hybrid_bound_expanding,
-    hybrid_bound_neutral,
 )
 
 # frozen oracle values (beta, lam, C_d, C_c, tau as noted)
@@ -110,17 +107,13 @@ class TestClassifyRegime:
 
 class TestHybridContracting:
     def test_frozen_oracle(self):
-        report = hybrid_bound_contracting(0.25, 1.0, 1.0, 1.0, 1.0, 0.0)
+        report = hybrid_bound(0.25, 1.0, 1.0, 1.0, 1.0, 0.0)
+        assert report.regime == "hybrid-contracting"
         assert report.asymptotic_bound == pytest.approx(CONTRACTING_ASYM, rel=1e-12)
         assert report.transient_rate_per_step == pytest.approx(CONTRACTING_RATE, rel=1e-12)
 
-    def test_dispatcher_matches_direct_call(self):
-        via = hybrid_bound(0.25, 1.0, 1.0, 1.0, 1.0, 0.0)
-        assert via.regime == "hybrid-contracting"
-        assert via.asymptotic_bound == pytest.approx(CONTRACTING_ASYM, rel=1e-12)
-
     def test_bound_at_time_side_aware(self):
-        report = hybrid_bound_contracting(0.25, 1.0, 1.0, 1.0, 1.0, 8.0)
+        report = hybrid_bound(0.25, 1.0, 1.0, 1.0, 1.0, 8.0)
         tau, beta, lam = 1.0, 0.25, 1.0
         asym = report.asymptotic_bound
         decay = math.exp(-2.0 * lam * tau)
@@ -134,30 +127,22 @@ class TestHybridContracting:
             asym + 8.0 * beta * math.exp(-2.0 * lam * 1.5))
 
     def test_bound_at_time_domain_errors(self):
-        report = hybrid_bound_contracting(0.25, 1.0, 1.0, 1.0, 1.0, 0.0)
+        report = hybrid_bound(0.25, 1.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             report.bound_at_time(-0.5)
         with pytest.raises(ValueError):
             report.bound_at_time(1.0, side="before")
 
-    def test_requires_positive_rate(self):
-        with pytest.raises(ParameterRange):
-            hybrid_bound_contracting(0.25, 0.0, 1.0, 1.0, 1.0, 0.0)
-
 
 class TestHybridNeutral:
     def test_frozen_oracle(self):
-        report = hybrid_bound_neutral(0.5, 1.0, 1.0, 1.0, 0.0)
+        report = hybrid_bound(0.5, 0.0, 1.0, 1.0, 1.0, 0.0)
+        assert report.regime == "hybrid-neutral"
         assert report.asymptotic_bound == pytest.approx(NEUTRAL_ASYM, rel=1e-12)
         assert report.transient_rate_per_step == pytest.approx(0.5, rel=1e-12)
 
-    def test_dispatcher_routes_zero_rate(self):
-        via = hybrid_bound(0.5, 0.0, 1.0, 1.0, 1.0, 0.0)
-        assert via.regime == "hybrid-neutral"
-        assert via.asymptotic_bound == pytest.approx(NEUTRAL_ASYM, rel=1e-12)
-
     def test_transient_decays_by_beta_per_dwell(self):
-        report = hybrid_bound_neutral(0.5, 1.0, 1.0, 1.0, 4.0)
+        report = hybrid_bound(0.5, 0.0, 1.0, 1.0, 1.0, 4.0)
         asym = report.asymptotic_bound
         assert report.bound_at_time(0.0, side="post") == pytest.approx(asym + 4.0)
         assert report.bound_at_time(2.0, side="post") == pytest.approx(
@@ -166,13 +151,13 @@ class TestHybridNeutral:
 
 class TestHybridExpanding:
     def test_frozen_oracle_bounded(self):
-        report = hybrid_bound_expanding(0.25, -1.0, 1.0, 1.0, 0.5, 0.0)
+        report = hybrid_bound(0.25, -1.0, 1.0, 1.0, 0.5, 0.0)
         assert report.regime == "hybrid-expanding-bounded"
         assert report.asymptotic_bound == pytest.approx(EXPANDING_ASYM, rel=1e-12)
         assert report.transient_rate_per_step == pytest.approx(EXPANDING_RATE, rel=1e-12)
 
     def test_unbounded_regime_infinite(self):
-        report = hybrid_bound_expanding(0.25, -1.0, 1.0, 1.0, 5.0, 1.0)
+        report = hybrid_bound(0.25, -1.0, 1.0, 1.0, 5.0, 1.0)
         assert report.regime == "hybrid-expanding-unbounded"
         assert math.isinf(report.asymptotic_bound)
         assert math.isinf(report.bound_at_time(3.0))
@@ -180,7 +165,7 @@ class TestHybridExpanding:
     def test_critical_regime_linear_growth(self):
         tau, lam = 0.5, -1.0
         beta = math.exp(2.0 * lam * tau)
-        report = hybrid_bound_expanding(beta, lam, 1.0, 1.0, tau, 0.0)
+        report = hybrid_bound(beta, lam, 1.0, 1.0, tau, 0.0)
         assert report.regime == "hybrid-expanding-critical"
         assert math.isinf(report.asymptotic_bound)
         blowup = math.exp(2.0 * abs(lam) * tau)
@@ -196,13 +181,13 @@ class TestHybridExpanding:
     def test_near_critical_warning(self):
         tau, lam = 0.5, -1.0
         beta = math.exp(2.0 * lam * tau) * (1.0 + 1e-10)
-        report = hybrid_bound_expanding(beta, lam, 1.0, 1.0, tau, 0.0)
+        report = hybrid_bound(beta, lam, 1.0, 1.0, tau, 0.0)
         assert report.regime == "hybrid-expanding-unbounded"
         assert len(report.warnings) == 1
         assert "1e-9" in report.warnings[0]
 
     def test_clearly_separated_inputs_carry_no_warning(self):
-        report = hybrid_bound_expanding(0.25, -1.0, 1.0, 1.0, 0.5, 0.0)
+        report = hybrid_bound(0.25, -1.0, 1.0, 1.0, 0.5, 0.0)
         assert report.warnings == ()
 
     def test_tolerance_constants_exposed(self):
@@ -210,9 +195,45 @@ class TestHybridExpanding:
         assert NEAR_CRITICAL_REL_TOL == 1e-9
         assert CRITICAL_REL_TOL < NEAR_CRITICAL_REL_TOL
 
-    def test_requires_negative_rate(self):
-        with pytest.raises(ParameterRange):
-            hybrid_bound_expanding(0.25, 0.5, 1.0, 1.0, 1.0, 0.0)
+
+class TestHybridInputs:
+    """One constructor serves every regime; its input echo and warnings
+    differ only by the regime's own extras."""
+
+    COMMON = {"beta", "lam", "C_d", "C_c", "tau", "initial_ms"}
+    TAU, LAM = 0.5, -1.0
+    CRITICAL_BETA = math.exp(2.0 * LAM * TAU)
+
+    @pytest.mark.parametrize("beta, lam, tau, regime, extras, warned", [
+        (0.25, 1.0, 1.0, "hybrid-contracting", {"r1"}, False),
+        (0.5, 0.0, 1.0, "hybrid-neutral", set(), False),
+        (0.25, LAM, TAU, "hybrid-expanding-bounded", {"r2"}, False),
+        (CRITICAL_BETA, LAM, TAU, "hybrid-expanding-critical",
+         {"r2", "growth_per_dwell"}, False),
+        (0.25, LAM, 5.0, "hybrid-expanding-unbounded", {"r2"}, False),
+        (CRITICAL_BETA * (1.0 - 1e-10), LAM, TAU, "hybrid-expanding-bounded", {"r2"}, True),
+    ])
+    def test_keys_and_warnings_per_regime(self, beta, lam, tau, regime, extras, warned):
+        report = hybrid_bound(beta, lam, 1.0, 1.0, tau, 0.0)
+        assert report.regime == regime
+        assert set(report.inputs) == self.COMMON | extras
+        assert len(report.warnings) == (1 if warned else 0)
+        if warned:
+            assert "1e-9" in report.warnings[0]
+
+    def test_neutral_writes_rate_as_positive_zero(self):
+        report = hybrid_bound(0.5, -0.0, 1.0, 1.0, 1.0, 0.0)
+        assert report.regime == "hybrid-neutral"
+        assert math.copysign(1.0, report.inputs["lam"]) == 1.0
+
+    def test_noise_free_variant_keeps_regime_extras_and_warnings(self):
+        beta = self.CRITICAL_BETA * (1.0 + 1e-10)
+        base = hybrid_bound(beta, self.LAM, 1.0, 1.0, self.TAU, 0.0)
+        halved = apply_noisefree_corollary(base)
+        assert halved.noise_free
+        assert halved.regime == base.regime
+        assert halved.inputs["r2"] == base.inputs["r2"]
+        assert halved.warnings == base.warnings
 
 
 class TestErrorPaths:

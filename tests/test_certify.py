@@ -50,9 +50,14 @@ class TestSamplingRegion:
         center = np.array([1.0, -2.0, 0.5])
         region = SamplingRegion.ball(center, radius=0.7, sample_count=100, seed=5)
         s = region.samples()
-        assert s.shape == (101, 3)
+        assert s.shape == (100, 3)
         assert np.array_equal(s[0], center)
         assert np.all(np.linalg.norm(s - center, axis=1) <= 0.7 + 1e-12)
+        # the sequence is prefix-stable, and one sample is the center alone
+        fewer = SamplingRegion.ball(center, radius=0.7, sample_count=50, seed=5)
+        assert np.array_equal(fewer.samples(), s[:50])
+        lone = SamplingRegion.ball(center, radius=0.7, sample_count=1, seed=5)
+        assert np.array_equal(lone.samples(), center[None])
 
     def test_points_passthrough(self):
         pts = [[0.0, 1.0], [2.0, 3.0]]

@@ -231,6 +231,21 @@ class TestExitCodes:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("verb, system", [
+        (verb, system) for verb in ("certify", "bounds", "simulate")
+        for system in ("hybrid-linear", "hopf-cpg")] + [("cpg", None)])
+    def test_nonpositive_dwell_is_3_everywhere(self, capsys, tmp_path, verb, system):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": -1.0}))
+        argv = {"simulate": [verb, system, "--dt", "0.01"],
+                "cpg": [verb, "--ensemble", "2", "--horizon", "0.2",
+                        "--out", str(tmp_path / "ring")]}.get(verb, [verb, system])
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "-1.0" in err
+        assert "step size" not in err
+
     def test_dt_on_discrete_is_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "linear-map", "--dt", "0.1")
         assert code == 2
