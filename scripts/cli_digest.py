@@ -65,6 +65,12 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                     ["simulate", "hybrid-linear", "--ensemble", "200", "--horizon", horizon,
                      "--out", "run.csv"],
                     config, ("run.csv",)))
+    # the last uint32 seed over a partial third chunk of 1,024 pair seeds, and
+    # a seed past uint32, whose streams come from default_rng on the key
+    for seed, ensemble in (("4294967295", "2049"), ("4294967296", "8")):
+        out.append((f"simulate-linear-map-seed-{seed}",
+                    ["simulate", "linear-map", "--seed", seed, "--ensemble", ensemble,
+                     "--out", "run.csv"], None, ("run.csv",)))
     out.append(("simulate-hopf-cpg-print-config",
                 ["simulate", "hopf-cpg", "--print-config"], None, ()))
     out.append(("cpg-print-config", ["cpg", "--print-config"], None, ()))

@@ -5,8 +5,11 @@ system; the per-time mean squared metric distance between the members is the
 empirical quantity every bound in this package speaks about.  Streams are
 keyed by (master seed, pair index, member index), so any member's noise
 sequence is reproducible in isolation and results are independent of execution
-order.  Hybrid runs apply the boundary reset at the initial instant first and
-record both one-sided samples at every reset time.
+order.  A member's stream is PCG64 seeded by SeedSequence((seed, pair, member)),
+bit-identical to np.random.default_rng((seed, pair, member)); the seed hash is
+computed for 1,024 consecutive pairs at once, which changes no bits.  Hybrid
+runs apply the boundary reset at the initial instant first and record both
+one-sided samples at every reset time.
 
 Euler-Maruyama is the only integrator: x <- x + f(x, t) h + sigma(x, t) sqrt(h) z
 with standard-normal z.  One engine steps every run: a plan splits the run into
@@ -20,6 +23,7 @@ make a run's last bits depend on the size of its block.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,14 +50,101 @@ def derive_stream(master_seed: int, pair_index: int, member_index: int) -> np.ra
 
     Distinct (pair, member) keys give statistically independent streams; the
     same key always gives the same stream, regardless of how many other
-    streams were derived or in which order.
+    streams were derived or in which order.  The stream is that of
+    np.random.default_rng((master_seed, pair_index, member_index)), bit for bit.
     """
     key = (int(master_seed), int(pair_index), int(member_index))
     if 0 <= min(key) and max(key) < 2**32:
-        # the words SeedSequence would make of the tuple itself, at more cost
-        words = np.array(key, dtype=np.uint32)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        words = _chunk_words(key[0], key[1] // _CHUNK, key[2])[key[1] % _CHUNK]
+        return np.random.Generator(np.random.PCG64(_seed_words_type()(key, words)))
     return np.random.default_rng(key)
+
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx), for keys of three
+# uint32 words: a pool of 4 words, each call of its `hashmix` xors the value
+# with a running constant, multiplies it by the next one and xorshifts by 16
+_CHUNK = 1024  # keys (seed, pair, member) hashed at once: consecutive pairs
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of `calls` successive hashmix calls from constant init."""
+    out = []
+    for _ in range(calls):
+        nxt = init * mult & 0xFFFFFFFF
+        out.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return out
+
+
+_POOL_CONSTANTS = _hash_constants(0x43b0d7e5, 0x931e8875, 4 + 4 * 3)  # fill, then mix
+_STATE_CONSTANTS = _hash_constants(0x8b51f9dd, 0x58f38ded, 8)  # generate_state(4, uint64)
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+
+
+def _hashmix(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+@functools.lru_cache(maxsize=4)  # a block derives member 0's chunk, then member 1's
+def _chunk_words(master_seed: int, chunk: int, member_index: int) -> np.ndarray:
+    """Read-only (_CHUNK, 4) uint64 array whose row r holds
+    SeedSequence((master_seed, chunk * _CHUNK + r, member_index))
+    .generate_state(4, np.uint64), computed for the whole chunk at once in
+    wrapping uint32 arithmetic."""
+    pairs = np.arange(_CHUNK, dtype=np.uint32) + np.uint32(chunk * _CHUNK)
+    entropy = [np.full(_CHUNK, master_seed, dtype=np.uint32), pairs,
+               np.full(_CHUNK, member_index, dtype=np.uint32), np.zeros(_CHUNK, np.uint32)]
+    constants = iter(_POOL_CONSTANTS)
+    pool = [_hashmix(word, *next(constants)) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], *next(constants))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    state = np.empty((_CHUNK, 8), dtype="<u4")
+    for i, (xor, mult) in enumerate(_STATE_CONSTANTS):
+        state[:, i] = _hashmix(pool[i % 4], xor, mult)
+    words = state.view("<u8").astype(np.uint64, copy=False)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ISeedSequence that hands PCG64 precomputed seed words; built on first
+    use, so that importing the package does not load numpy.random."""
+    from numpy.random.bit_generator import ISpawnableSeedSequence, SeedSequence
+
+    class SeedWords(ISpawnableSeedSequence):
+        """SeedSequence(key) with its generate_state(4, np.uint64) already
+        known; anything else is asked of that SeedSequence, built on demand."""
+
+        def __init__(self, key: tuple[int, int, int], words: np.ndarray):
+            self.key, self.words, self._sequence = key, words, None
+
+        def sequence(self) -> SeedSequence:
+            if self._sequence is None:
+                self._sequence = SeedSequence(np.array(self.key, dtype=np.uint32))
+            return self._sequence
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and dtype is np.uint64:
+                return self.words
+            return self.sequence().generate_state(n_words, dtype)
+
+        def spawn(self, n_children):
+            return self.sequence().spawn(n_children)
+
+        def __getattr__(self, name):  # entropy, spawn_key, pool, state, ...
+            if name.startswith("_"):  # e.g. _sequence before __init__ ran
+                raise AttributeError(name)
+            return getattr(self.sequence(), name)
+
+        def __reduce__(self):  # pickles as the SeedSequence it stands for
+            return self.sequence().__reduce__()
+
+    return SeedWords
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -75,12 +166,12 @@ class SDEPath:
     states: np.ndarray
 
 
-def _check_step_count(span: float, h: float, what: str) -> int:
+def _check_step_count(span: float, h: float, what: str, unit: str = "step") -> int:
     if not (h > 0):
         raise ValueError(f"step size must be positive, got {h}")
     count = round(span / h)
     if count < 1 or abs(count * h - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(f"{what} {span} is not a positive integer multiple of step {h}")
+        raise ValueError(f"{what} {span} is not a positive integer multiple of {unit} {h}")
     return count
 
 
@@ -322,7 +413,7 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int,
     if h is None:
         raise ValueError("step_size is required for hybrid systems")
     cont, reset, tau = system.continuous, system.reset, system.dwell_time
-    n_dwell = _check_step_count(horizon, tau, "horizon")
+    n_dwell = _check_step_count(horizon, tau, "horizon", "the dwell time")
     steps = _check_step_count(tau, h, "dwell time")
     offsets = _interior_offsets(steps, interior_per_dwell)
     flow_marks = frozenset([*offsets, steps])

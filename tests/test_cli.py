@@ -140,6 +140,13 @@ class TestSimulate:
         assert payload["bound"]["regime"] == "hybrid-contracting"
         assert payload["bound_check"]["ok"] is True
 
+    def test_hybrid_horizon_off_the_dwell_grid_names_the_dwell(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tau": 0.65}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "simulate", "hybrid-linear", "--config", str(config))
+        assert code == 2
+        assert "horizon 10.0 is not a positive integer multiple of the dwell time 0.65" in err
+
     def test_print_config_runs_nothing(self, capsys, tmp_path):
         out_csv = tmp_path / "never.csv"
         code, out, _ = run_cli(capsys, "simulate", "linear-map",

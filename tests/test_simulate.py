@@ -3,6 +3,11 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +81,67 @@ class TestDeriveStream:
     def test_state_is_that_of_default_rng_on_the_key(self, key):
         expected = np.random.default_rng(key).bit_generator.state
         assert derive_stream(*key).bit_generator.state == expected
+
+    @staticmethod
+    def seed_sequence_stream(key):
+        words = np.array(key, dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+    def test_chunked_seeds_match_seed_sequence_bit_for_bit(self):
+        # chunk edges, the extreme uint32 words and both members, then a
+        # seeded sweep over small and full-range pair indices
+        edges = [(seed, pair, member) for seed in (0, 1, 2**32 - 1)
+                 for pair in (0, 1, 1023, 1024, 2047, 2048, 2**32 - 1025, 2**32 - 1)
+                 for member in (0, 1)]
+        edges += [(0, 0, 2**32 - 1), (2**32 - 1, 2**32 - 1, 2**32 - 1)]
+        rng = np.random.default_rng(20081008)
+        small = np.column_stack([rng.integers(0, 2**32, 1000), rng.integers(0, 5000, 1000),
+                                 rng.integers(0, 2, 1000)])
+        wide = rng.integers(0, 2**32, (1000, 3))
+        keys = edges + [tuple(int(v) for v in row) for row in np.concatenate([small, wide])]
+        assert len(keys) >= 2000
+        for key in keys:
+            got, expected = derive_stream(*key), self.seed_sequence_stream(key)
+            assert got.bit_generator.state == expected.bit_generator.state, key
+            assert np.array_equal(got.standard_normal(16), expected.standard_normal(16)), key
+
+    def test_stream_survives_chunk_cache_eviction(self):
+        key = (3, 1500, 1)
+        first = derive_stream(*key).bit_generator.state
+        evict = 2 * simulate._chunk_words.cache_info().maxsize
+        for seed in range(evict):
+            for chunk in range(evict):
+                derive_stream(seed, chunk * 1024 + 7, chunk % 2)
+        assert derive_stream(*key).bit_generator.state == first
+        assert first == self.seed_sequence_stream(key).bit_generator.state
+
+    def test_stream_keeps_its_seed_sequence(self):
+        got, expected = derive_stream(5, 7, 1), np.random.default_rng((5, 7, 1))
+        assert np.array_equal(got.bit_generator.seed_seq.entropy, [5, 7, 1])
+        assert [g.standard_normal() for g in got.spawn(2)] == \
+            [g.standard_normal() for g in expected.spawn(2)]
+        copied = pickle.loads(pickle.dumps(got))
+        assert copied.bit_generator.state == got.bit_generator.state
+
+    def test_numpy_random_loads_with_the_first_stream(self):
+        # a fresh interpreter running this checkout's source tree: importing
+        # the package and its CLI leaves numpy.random unloaded
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        script = """
+import sys
+import concert
+import concert.cli
+print("numpy.random" in sys.modules)
+concert.derive_stream(0, 0, 0)
+print("numpy.random" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -3, 1), (0, 0, -1)])
     def test_negative_key_part_raises(self, key):
