@@ -37,6 +37,16 @@ HYBRID_CONFIGS = {
 
 BAD_DWELL = {"tau": -1.0}
 
+# a horizon or a step count that is not finite is a configuration error
+NONFINITE = {
+    "simulate-ou1d-horizon-inf": ["simulate", "ou1d", "--horizon", "inf"],
+    "simulate-linear-map-horizon-inf": ["simulate", "linear-map", "--horizon", "inf"],
+    "simulate-hybrid-linear-horizon-inf": ["simulate", "hybrid-linear", "--horizon", "inf"],
+    "simulate-ou1d-dt-1e-320": ["simulate", "ou1d", "--dt", "1e-320"],
+    "simulate-ou1d-horizon-nan": ["simulate", "ou1d", "--horizon", "nan"],
+    "cpg-horizon-inf": ["cpg", "--horizon", "inf", "--out", "cpg-out"],
+}
+
 CPG_SMALL = ["--ensemble", "40", "--horizon", "3", "--seed", "1"]
 CPG_FILES = ("delta_weak.csv", "delta_strong.csv", "trace_strong.csv",
              "aligned_strong.csv", "summary.json")
@@ -84,6 +94,7 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                 argv += ["--dt", "0.01"]
             out.append((f"{verb}-{system}-bad-dwell", argv, BAD_DWELL, ()))
     out.append(("cpg-bad-dwell", ["cpg", *CPG_SMALL, "--out", "cpg-out"], BAD_DWELL, ()))
+    out += [(name, argv, None, ()) for name, argv in NONFINITE.items()]
     return out
 
 

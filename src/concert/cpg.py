@@ -41,6 +41,10 @@ from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSp
 ROTATION_THIRD = np.array([[-0.5, -math.sqrt(3.0) / 2.0],
                            [math.sqrt(3.0) / 2.0, -0.5]])
 _SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
+# Right factors of a (..., 6) ring state: per-oscillator sum of squares, and
+# the transpose of the per-oscillator spin.
+_PAIR_SUM = np.kron(np.eye(3), np.ones((2, 2)))
+_RING_SPIN_T = np.kron(np.eye(3), _SPIN.T)
 
 # Transverse expansion of the planar limit-cycle drift never exceeds rate 1
 # (attained at the origin), so -1 is a global flow rate in the sense used by
@@ -79,15 +83,23 @@ STRONG_COUPLING = CPGParams(gamma=0.2)
 
 def ring_drift(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.ndarray:
     """Drift of the uncoupled ring: each planar block u follows
-    (1 - |u|^2) u + omega * spin(u).  Accepts any leading batch shape."""
+    (1 - |u|^2) u + omega * spin(u).  Accepts any leading batch shape.
+
+    Computed as three array operations on the whole state: |u|^2 as
+    (x * x) @ kron(I_3, ones(2, 2)), then c * x, then the spin as
+    x @ (omega * kron(I_3, spin)).T.  Every other product in those sums is by
+    an exact 1 or 0, so each entry is rounded exactly as in the blockwise
+    formula, whatever the BLAS kernel or FMA use.  Two deviations, both on
+    states that are no longer usable: the sign of an exactly zero drift entry
+    may differ, and once |u|^2 overflows in one oscillator, 0 * inf turns the
+    other oscillators' drift NaN instead of finite.
+    """
     state = np.asarray(state, dtype=float)
-    u = state.reshape(*state.shape[:-1], 3, 2)
-    x, y = u[..., 0], u[..., 1]
-    c = 1.0 - (x * x + y * y)
-    out = np.empty_like(u)
-    out[..., 0] = c * x - omega * y
-    out[..., 1] = c * y + omega * x
-    return out.reshape(state.shape)
+    out = (state * state) @ _PAIR_SUM
+    np.subtract(1.0, out, out=out)
+    out *= state
+    out += state @ (omega * _RING_SPIN_T)
+    return out
 
 
 def ring_jacobian(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.ndarray:

@@ -169,7 +169,10 @@ class SDEPath:
 def _check_step_count(span: float, h: float, what: str, unit: str = "step") -> int:
     if not (h > 0):
         raise ValueError(f"step size must be positive, got {h}")
-    count = round(span / h)
+    ratio = span / h
+    if not math.isfinite(ratio):  # an infinite or NaN span, or h too small
+        raise ValueError(f"{what} {span} divided by {unit} {h} is not finite")
+    count = round(ratio)
     if count < 1 or abs(count * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"{what} {span} is not a positive integer multiple of {unit} {h}")
     return count
@@ -392,6 +395,8 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int,
     interior samples followed by a reset; both sides of every reset are sampled.
     """
     if isinstance(system, DiscreteMapSystem):
+        if not math.isfinite(horizon):
+            raise ValueError(f"discrete horizon must be finite, got {horizon}")
         steps = int(round(horizon))
         if steps < 1 or abs(steps - horizon) > 0:
             raise ValueError(f"discrete horizon must be a positive step count, got {horizon}")
@@ -442,8 +447,15 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
     drift = _batched_map(part.drift, part.vectorized, lone)
     diffusion = _batched_map(part.diffusion, part.vectorized, lone)
     sqrt_h = math.sqrt(h)
-    return (lambda x, t, w: x + drift(x, t) * h + _apply_gain(diffusion(x, t), w),
-            lambda z: np.multiply(sqrt_h, z, out=z))
+
+    def euler(x, t, w):
+        # x + f h + g in one new array; never writes into what a callable returned
+        out = np.multiply(drift(x, t), h, out=np.empty_like(x))
+        out += x
+        out += _apply_gain(diffusion(x, t), w)
+        return out
+
+    return euler, lambda z: np.multiply(sqrt_h, z, out=z)
 
 
 def _run_block(segments, gens, states, noisy, record) -> np.ndarray:

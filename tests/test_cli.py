@@ -253,6 +253,27 @@ class TestExitCodes:
         assert err.startswith("error: ") and "-1.0" in err
         assert "step size" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "ou1d", "--horizon", "inf"],
+        ["simulate", "linear-map", "--horizon", "inf"],
+        ["simulate", "hybrid-linear", "--horizon", "inf"],
+        ["simulate", "ou1d", "--dt", "1e-320"],
+        ["simulate", "ou1d", "--horizon", "nan"],
+        ["simulate", "linear-map", "--horizon", "nan"],
+        ["simulate", "hopf-cpg", "--dt", "1e-320"],
+        ["cpg", "--horizon", "inf"],
+        ["cpg", "--horizon", "nan"],
+        ["cpg", "--dt", "1e-320"],
+    ])
+    def test_nonfinite_horizon_or_step_is_2(self, capsys, tmp_path, argv):
+        value = argv[-1]
+        if argv[0] == "cpg":
+            argv = [*argv, "--ensemble", "2", "--out", str(tmp_path / "ring")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err and value in err
+
     def test_dt_on_discrete_is_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "linear-map", "--dt", "0.1")
         assert code == 2

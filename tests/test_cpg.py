@@ -11,6 +11,7 @@ import pytest
 from concert import (
     CPGParams,
     GLOBAL_FLOW_RATE,
+    NonFiniteState,
     ROTATION_THIRD,
     STRONG_COUPLING,
     WEAK_COUPLING,
@@ -18,6 +19,7 @@ from concert import (
     build_projections,
     coupling_contraction_factor,
     coupling_matrix,
+    derive_stream,
     flow_expansion_at,
     locking_condition,
     numerical_jacobian,
@@ -27,6 +29,7 @@ from concert import (
     ring_drift,
     ring_jacobian,
     run_cpg_experiment,
+    run_hybrid,
     theoretical_delta_bound,
     validate_system,
 )
@@ -121,16 +124,31 @@ class TestRingDrift:
         for i in range(5):
             assert np.allclose(batch[i], ring_drift(states[i]), atol=1e-15)
 
-    @pytest.mark.parametrize("shape", [(6,), (5, 6), (4, 5, 6)])
-    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    # a lone run's doubled rows, the engine's block sizes, stacked members
+    @pytest.mark.parametrize("shape", [(6,), (2, 6), (5, 6), (200, 6), (1024, 6),
+                                       (3, 4, 6), (4, 5, 6)])
+    @pytest.mark.parametrize("omega", [0.0, -0.0, 1.0, 1.3, -1.3, 2.5])
     def test_bit_equal_to_blockwise_formula(self, shape, omega):
-        # (1 - |u|^2) u + omega * spin(u), evaluated per planar block
+        # (1 - |u|^2) u + omega * spin(u), evaluated per planar block; exact
+        # zeros of either sign in the state (array_equal takes -0.0 == 0.0)
         state = np.random.default_rng(8).standard_normal(shape) * 1.5
+        state.reshape(-1)[::5] = 0.0
+        state.reshape(-1)[3::7] = -0.0
         u = state.reshape(*shape[:-1], 3, 2)
         sq = (u * u).sum(axis=-1, keepdims=True)
         spun = np.stack([-u[..., 1], u[..., 0]], axis=-1)
         expected = ((1.0 - sq) * u + omega * spun).reshape(shape)
         assert np.array_equal(ring_drift(state, 0.0, omega), expected)
+
+    def test_first_nonfinite_sample_of_an_exploding_ring(self):
+        # |u_1| = 100 blows up within a few flow steps; a NaN spreading to the
+        # other oscillators' drift must not move the first non-finite sample
+        system = build_cpg_system(CPGParams(gamma=0.2))
+        x0 = np.array([100.0, 0.0, 0.5, 0.5, 0.0, 0.2])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteState) as err:
+            run_hybrid(system, x0, 1.0, 0.001, derive_stream(0, 0, 0))
+        assert err.value.step_index == 8
 
     def test_unit_circle_is_invariant_per_oscillator(self):
         # on |u_i| = 1 the radial component vanishes, only rotation remains

@@ -492,6 +492,55 @@ class TestRunPairEnsembleContinuous:
         stats = run_pair_ensemble(system, config)
         assert stats.mean_sq[-1] == pytest.approx(math.exp(-2.0), rel=2e-3)
 
+    @pytest.mark.parametrize("system, horizon, step", [
+        (linear_map(0.5), math.inf, None),
+        (linear_map(0.5), math.nan, None),
+        (linear_flow(), math.inf, 0.1),
+        (linear_flow(), math.nan, 0.1),
+        (linear_flow(), 10.0, 1e-320),
+        (hybrid_linear(tau=0.5), math.inf, 0.05),
+        (hybrid_linear(tau=0.5), 1.0, 1e-320),
+    ])
+    def test_nonfinite_horizon_or_step_count_rejected(self, system, horizon, step):
+        config = EnsembleConfig(pair_count=1, horizon=horizon, master_seed=0,
+                                initial=InitialPointPair(np.array([0.0]), np.array([1.0])),
+                                step_size=step)
+        with pytest.raises(ValueError, match="finite"):
+            run_pair_ensemble(system, config)
+
+
+class TestEulerStepLeavesCallerArraysAlone:
+    """The update x + f h + g builds a new array; callables may return one
+    stored array on every call, and nothing the caller passed in is written."""
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_stored_drift_gain_and_start_points_unchanged(self, vectorized):
+        drift = np.array([0.75, -1.5])
+        gain = np.array([[0.5, 0.25], [-0.125, 2.0]])
+        a, b = np.array([1.0, -2.0]), np.array([0.5, 0.25])
+        arrays = [drift, gain, a, b]
+        before = [x.copy() for x in arrays]
+        system = ContinuousSDESystem(dimension=2, drift=lambda x, t: drift,
+                                     diffusion=lambda x, t: gain, noise_dim=2,
+                                     vectorized=vectorized)
+        h, steps = 0.1, 10
+        config = EnsembleConfig(pair_count=3, horizon=steps * h, master_seed=0,
+                                initial=InitialPointPair(a, b), step_size=h)
+        stats = run_pair_ensemble(system, config)
+        path = integrate_sde(system, a, 0.0, steps * h, h, derive_stream(5, 0, 0))
+        assert stats.failures == 0
+        for array, old in zip(arrays, before):
+            assert np.array_equal(array, old)
+        # a lone run is stepped as two identical rows of one scaled draw block
+        z = derive_stream(5, 0, 0).standard_normal((steps, 2))
+        w = np.multiply(math.sqrt(h), np.stack([z, z]))
+        x = np.stack([a, a])
+        expected = [x[0]]
+        for j in range(steps):
+            x = x + drift * h + w[:, j] @ gain.T
+            expected.append(x[0])
+        assert np.array_equal(path.states, np.array(expected))
+
 
 class TestRunPairEnsembleHybrid:
     def test_lone_run_block_does_not_change_output(self, monkeypatch):
