@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +49,17 @@ NONFINITE = {
 }
 
 CPG_SMALL = ["--ensemble", "40", "--horizon", "3", "--seed", "1"]
+
+# a config value that is not a finite number (json writes NaN and Infinity)
+# is a configuration error
+NONFINITE_CONFIGS = {
+    "certify-ou1d-config-inf": (["certify", "ou1d"], {"a": math.inf}),
+    "certify-hybrid-linear-config-nan": (["certify", "hybrid-linear"], {"sigma_c": math.nan}),
+    "bounds-ou1d-config-nan": (["bounds", "ou1d"], {"a": math.nan}),
+    "bounds-hopf-cpg-config-nan": (["bounds", "hopf-cpg"], {"omega": math.nan}),
+    "simulate-linear-map-config-inf": (["simulate", "linear-map"], {"rho": -math.inf}),
+    "cpg-config-nan": (["cpg", *CPG_SMALL, "--out", "cpg-out"], {"tau": math.nan}),
+}
 CPG_FILES = ("delta_weak.csv", "delta_strong.csv", "trace_strong.csv",
              "aligned_strong.csv", "summary.json")
 
@@ -95,6 +107,7 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
             out.append((f"{verb}-{system}-bad-dwell", argv, BAD_DWELL, ()))
     out.append(("cpg-bad-dwell", ["cpg", *CPG_SMALL, "--out", "cpg-out"], BAD_DWELL, ()))
     out += [(name, argv, None, ()) for name, argv in NONFINITE.items()]
+    out += [(name, argv, config, ()) for name, (argv, config) in NONFINITE_CONFIGS.items()]
     return out
 
 

@@ -16,10 +16,9 @@ from .bounds import (BetaOutOfRange, BoundReport, CRITICAL_REL_TOL,
                      NEAR_CRITICAL_REL_TOL, ParameterRange,
                      apply_noisefree_corollary, classify_regime, continuous_bound_at,
                      discrete_distance_bound, discrete_ms_bound, hybrid_bound)
-from .simulate import (BoundCheck, EnsembleConfig, EnsembleStats, HybridPath,
-                       InitialBox, InitialPointPair, NonFiniteState, SDEPath,
-                       check_bound_respect, derive_stream, fit_geometric_decay,
-                       integrate_sde, run_hybrid, run_pair_ensemble)
+from .simulate import (BoundCheck, EnsembleConfig, EnsembleStats, InitialBox,
+                       InitialPointPair, NonFiniteState, SamplePath, check_bound_respect,
+                       derive_stream, fit_geometric_decay, run_pair_ensemble, sample_path)
 from .cpg import (CPGExperimentResult, CPGParams, DeltaBoundSummary,
                   GLOBAL_FLOW_RATE, LockingComparison, ROTATION_THIRD, ReducedRing,
                   STRONG_COUPLING, WEAK_COUPLING, build_cpg_system, build_projections,
@@ -37,9 +36,9 @@ __all__ = [
     "CRITICAL_REL_TOL", "NEAR_CRITICAL_REL_TOL", "CPGExperimentResult", "CPGParams",
     "ContinuousSDESystem", "ContractionCertificate", "DeltaBoundSummary",
     "DimensionMismatch", "DiscreteMapSystem", "EnsembleConfig", "EnsembleStats",
-    "GLOBAL_FLOW_RATE", "GaussianNoiseSpec", "HybridPath", "HybridSystem", "InitialBox",
+    "GLOBAL_FLOW_RATE", "GaussianNoiseSpec", "HybridSystem", "InitialBox",
     "InitialPointPair", "LockingComparison", "MetricSpec", "NonFiniteState",
-    "NotPositiveDefinite", "ParameterRange", "ROTATION_THIRD", "ReducedRing", "SDEPath",
+    "NotPositiveDefinite", "ParameterRange", "ROTATION_THIRD", "ReducedRing", "SamplePath",
     "SamplingRegion", "SingularFactor", "STRONG_COUPLING", "SupEstimate",
     "SystemNotFound", "SystemRecipe", "ValidationReport", "WEAK_COUPLING",
     "apply_noisefree_corollary", "build_cpg_system", "build_projections",
@@ -48,10 +47,10 @@ __all__ = [
     "coupling_matrix", "derive_stream", "discrete_distance_bound", "discrete_ms_bound",
     "estimate_continuous_rate", "estimate_discrete_rate", "factor_metric",
     "fit_geometric_decay", "flow_expansion_at", "generalized_jacobian", "get_recipe",
-    "hybrid_bound", "integrate_sde", "locking_condition", "metric_distance",
+    "hybrid_bound", "locking_condition", "metric_distance",
     "noise_bound_continuous", "noise_bound_discrete", "numerical_jacobian",
     "phase_aligned_components", "phase_locking_delta", "reduced_constants",
-    "resolve_params", "ring_drift", "ring_jacobian", "run_cpg_experiment", "run_hybrid",
-    "run_locking_comparison", "run_pair_ensemble", "theoretical_delta_bound",
+    "resolve_params", "ring_drift", "ring_jacobian", "run_cpg_experiment",
+    "run_locking_comparison", "run_pair_ensemble", "sample_path", "theoretical_delta_bound",
     "validate_system",
 ]

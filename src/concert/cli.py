@@ -19,11 +19,12 @@ import sys
 from dataclasses import replace
 
 from .bounds import BetaOutOfRange, ParameterRange
-from .cpg import (STRONG_COUPLING, WEAK_COUPLING, build_cpg_system,
+from .cpg import (RING_START, STRONG_COUPLING, WEAK_COUPLING, build_cpg_system,
                   phase_aligned_components, run_locking_comparison)
 from .geometry import SingularFactor
-from .simulate import (EnsembleConfig, NonFiniteState, _write_csv, check_bound_respect,
-                       derive_stream, run_hybrid, run_pair_ensemble)
+from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _dimension,
+                       _initial_states, _write_csv, check_bound_respect, derive_stream,
+                       initial_ms, run_pair_ensemble, sample_path)
 from .statespace import NotPositiveDefinite
 from .systems import (SystemNotFound, UnknownParameter, _merge_params, dwell_step_default,
                       get_recipe, resolve_params)
@@ -152,17 +153,14 @@ def _cmd_simulate(args) -> int:
     stats = run_pair_ensemble(system, config)
     check = None if bound_obj is None else check_bound_respect(stats, bound_obj)
     if args.out:
-        extras = None
-        if check is not None:
-            extras = {"bound": [repr(float(b)) for b in check.bounds],
-                      "within_bound": [str(bool(p)) for p in check.passed]}
-        stats.to_csv(args.out, extra_columns=extras)
+        stats.to_csv(args.out, extra_columns=None if check is None else
+                     {"bound": check.bounds, "within_bound": check.passed})
     steady_mean, steady_stderr = stats.steady_state()
     summary = dict(resolved)
     del summary["command"]
     summary.update({
         "kind": recipe.kind,
-        "initial_ms": recipe.initial_ms(params),
+        "initial_ms": initial_ms(config.initial, _dimension(system)),
         "failures": stats.failures,
         "final_time": float(stats.times[-1]),
         "final_mean": float(stats.mean_sq[-1]),
@@ -183,7 +181,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_cpg(args) -> int:
     settings = _merge_params("cpg", _CPG_DEFAULTS, _load_config(args.config))
-    step = args.dt if args.dt is not None else settings["tau"] / 100.0
+    step = args.dt if args.dt is not None else settings["tau"] / STEPS_PER_DWELL
     resolved = {"command": "cpg", "params": settings, "seed": args.seed,
                 "run_count": args.ensemble, "horizon": args.horizon,
                 "step_size": step, "out": args.out}
@@ -204,15 +202,14 @@ def _cmd_cpg(args) -> int:
     # short sample path of the strong ring: run 0 of the ensemble, replayed
     trace_horizon = min(args.horizon, 20.0 * settings["tau"])
     rng = derive_stream(args.seed, 0, 0)
-    x0 = rng.uniform(-1.0, 1.0, 6)
-    path = run_hybrid(build_cpg_system(strong), x0, trace_horizon, step, rng)
+    x0 = _initial_states(RING_START, 6, [[rng]])[0][0]
+    path = sample_path(build_cpg_system(strong), x0, trace_horizon, step, rng)
     for name, prefix, states in (("trace_strong.csv", "x", path.states),
                                  ("aligned_strong.csv", "a",
                                   phase_aligned_components(path.states))):
+        names = [f"{prefix}{i}{c}" for i in (1, 2, 3) for c in "xy"]
         _write_csv(os.path.join(args.out, name),
-                   ["time", "side", *(f"{prefix}{i}{c}" for i in (1, 2, 3) for c in "xy")],
-                   ([repr(float(t)), side, *(repr(float(v)) for v in row)]
-                    for t, side, row in zip(path.times, path.sides, states)))
+                   {"time": path.times, "side": path.sides, **dict(zip(names, states.T))})
 
     summary = dict(resolved)
     del summary["command"]

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, ParameterRange, apply_noisefree_corollary, hybrid_bound
-from .simulate import _moments, _plan, _run_block, _write_csv, derive_stream
+from .simulate import (STEADY_FRAC, STEPS_PER_DWELL, InitialBox, _initial_states, _moments,
+                       _plan, _run_block, _write_csv, derive_stream)
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem)
 
@@ -51,10 +52,9 @@ _RING_SPIN_T = np.kron(np.eye(3), _SPIN.T)
 # the continuous certificates.
 GLOBAL_FLOW_RATE = -1.0
 
-# Fraction of the horizon, at its end, over which run_cpg_experiment averages
-# each run for the steady values, and the interior samples it takes per dwell.
-_STEADY_FRAC = 0.2
-_INTERIOR_PER_DWELL = 1
+# Every run of the ring starts uniformly in this box, in each coordinate.
+RING_START = InitialBox(-1.0, 1.0)
+_INTERIOR_PER_DWELL = 1  # samples run_cpg_experiment takes inside each dwell
 
 
 @dataclass(frozen=True)
@@ -303,10 +303,8 @@ class CPGExperimentResult:
 
     def to_csv(self, path) -> None:
         """Write `time,side,delta_mean,delta_stderr` rows to a path or handle."""
-        _write_csv(path, ["time", "side", "delta_mean", "delta_stderr"],
-                   ([repr(float(self.times[i])), self.sides[i],
-                     repr(float(self.delta_mean[i])), repr(float(self.delta_stderr[i]))]
-                    for i in range(self.times.size)))
+        _write_csv(path, {"time": self.times, "side": self.sides,
+                          "delta_mean": self.delta_mean, "delta_stderr": self.delta_stderr})
 
     def to_json_dict(self) -> dict:
         return {"gamma": self.params.gamma, "sigma_d": self.params.sigma_d,
@@ -319,36 +317,36 @@ class CPGExperimentResult:
 
 
 def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float = 50.0,
-                       master_seed: int = 0, step_size: float | None = None,
-                       init_half_width: float = 1.0) -> CPGExperimentResult:
+                       master_seed: int = 0,
+                       step_size: float | None = None) -> CPGExperimentResult:
     """Simulate independent ring runs and reduce delta over time.
 
-    Runs start uniformly in the centered box of the given half width; run i
-    consumes the stream keyed by (master_seed, i, 0) in the canonical order
-    (initial condition, then per dwell one reset draw followed by the dwell's
-    flow draws), so any run is reproducible in isolation.  The coupling reset
-    acts at t = 0 first and both one-sided samples are recorded at every reset.
+    Runs start uniformly in RING_START; run i consumes the stream keyed by
+    (master_seed, i, 0) in the canonical order (initial condition, then per
+    dwell one reset draw followed by the dwell's flow draws), so any run is
+    reproducible in isolation.  The coupling reset acts at t = 0 first and
+    both one-sided samples are recorded at every reset.  The steady values
+    come from the runs that stay finite on the whole grid.
     """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
-    h = params.tau / 100.0 if step_size is None else step_size
+    h = params.tau / STEPS_PER_DWELL if step_size is None else step_size
     system = build_cpg_system(params)
     times, sides, segments = _plan(system, horizon, h, _INTERIOR_PER_DWELL, 1)
-    window_start = (1.0 - _STEADY_FRAC) * horizon
-    window_mask = times >= window_start
+    window_start = (1.0 - STEADY_FRAC) * horizon
+    window_mask = times >= window_start  # the window ends the grid
     window_means: list[float] = []
 
     def block_of(runs):
         gens = [derive_stream(master_seed, i, 0) for i in runs]
-        x = np.stack([g.uniform(-init_half_width, init_half_width, 6) for g in gens])
-        return _run_block(segments, [gens], [x], (True,),
-                          lambda states, g: phase_locking_delta(states[0]))
+        block = _run_block(segments, [gens], _initial_states(RING_START, 6, [gens]), (True,),
+                           lambda states, g: phase_locking_delta(states[0]))
+        whole = np.isfinite(block).all(axis=1).tolist()
+        window_means.extend(float(row[window_mask].mean())
+                            for row, fold in zip(block, whole) if fold)
+        return block
 
-    def keep_window(row, alive):
-        if alive[window_mask].all():
-            window_means.append(float(row[window_mask].mean()))
-
-    _, mean, stderr, failures = _moments(run_count, times.size, block_of, keep_window)
+    _, mean, stderr, failures = _moments(run_count, times.size, block_of)
     window = np.asarray(window_means)
     steady_mean = float(window.mean()) if window.size else math.nan
     steady_stderr = float(window.std(ddof=1) / math.sqrt(window.size)) \

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +36,8 @@ from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSyst
                          HybridSystem, _as_metric)
 
 _BLOCK = 1024  # runs simulated lockstep and reduced per block; fixed
+STEPS_PER_DWELL = 100  # default flow steps per dwell of a hybrid system
+STEADY_FRAC = 0.2  # trailing fraction of a run that steady values average over
 
 
 class NonFiniteState(RuntimeError):
@@ -53,7 +56,8 @@ def derive_stream(master_seed: int, pair_index: int, member_index: int) -> np.ra
     streams were derived or in which order.  The stream is that of
     np.random.default_rng((master_seed, pair_index, member_index)), bit for bit.
     """
-    key = (int(master_seed), int(pair_index), int(member_index))
+    index = operator.index  # integers only, as default_rng; a float raises TypeError
+    key = (index(master_seed), index(pair_index), index(member_index))
     if 0 <= min(key) and max(key) < 2**32:
         words = _chunk_words(key[0], key[1] // _CHUNK, key[2])[key[1] % _CHUNK]
         return np.random.Generator(np.random.PCG64(_seed_words_type()(key, words)))
@@ -147,23 +151,17 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """Write the header and rows (sequences of strings) as comma-separated
-    lines to a file path or an open text handle."""
-    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+def _write_csv(path, columns: dict[str, Sequence]) -> None:
+    """Write the named columns of equal length as comma-separated lines to a
+    file path or an open text handle; floats by repr(float), the rest by str."""
+    rows = ([repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+            for row in zip(*columns.values(), strict=True))
+    text = "".join(",".join(row) + "\n" for row in [list(columns), *rows])
     if hasattr(path, "write"):
         path.write(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-@dataclass(frozen=True)
-class SDEPath:
-    """Euler-Maruyama sample path on a uniform time grid."""
-
-    times: np.ndarray
-    states: np.ndarray
 
 
 def _check_step_count(span: float, h: float, what: str, unit: str = "step") -> int:
@@ -178,45 +176,42 @@ def _check_step_count(span: float, h: float, what: str, unit: str = "step") -> i
     return count
 
 
-def integrate_sde(system: ContinuousSDESystem, x0: np.ndarray, t0: float, t1: float,
-                  h: float, rng: np.random.Generator) -> SDEPath:
-    """Euler-Maruyama path from t0 to t1; (t1 - t0)/h must be an integer.
-
-    Raises NonFiniteState with the failing step index if the state leaves the
-    finite floats.
-    """
-    _check_step_count(t1 - t0, h, "time span")
-    times, _, segments = _plan(system, t1 - t0, h, 0, 1, t0)
-    return SDEPath(times=times, states=_sample_path(system.dimension, segments, x0, rng))
-
-
 @dataclass(frozen=True)
-class HybridPath:
-    """Hybrid sample path: every flow step plus both one-sided reset samples.
-
-    sides[i] is "pre" or "post" at reset instants (which appear twice at the
-    same time) and "interior" at flow steps.
-    """
+class SamplePath:
+    """One sampled trajectory.  sides[i] is "pre" or "post" at reset instants
+    (which appear twice at the same time) and "interior" everywhere else."""
 
     times: np.ndarray
     sides: tuple[str, ...]
     states: np.ndarray
 
 
-def run_hybrid(system: HybridSystem, x0: np.ndarray, horizon: float, h: float,
-               rng: np.random.Generator) -> HybridPath:
-    """One hybrid trajectory over [0, horizon]; horizon and dwell must be
-    integer multiples of the dwell time and of h respectively.
+def sample_path(system, x0: np.ndarray, horizon: float, h: float | None,
+                rng: np.random.Generator) -> SamplePath:
+    """One trajectory of `system` from x0 over [0, horizon], drawing from rng
+    in the ensemble's stream order.
 
-    The k = 0 reset acts first; the closing reset at the horizon is applied
-    and recorded.  Within each dwell the reset draw precedes the flow draws.
-    Raises NonFiniteState at the first sample that leaves the finite floats;
-    its step_index is that sample's index in the path.
+    horizon is a step count for discrete systems, which take h=None; flows and
+    hybrid systems take the Euler-Maruyama step h, and hybrid horizons and
+    dwell times must be integer multiples of the dwell time and of h.  Every
+    map application and flow step is sampled, and both sides of every reset,
+    the k = 0 reset first and the closing one at the horizon last.  Raises
+    NonFiniteState at the first sample that leaves the finite floats; its
+    step_index is that sample's index in the path.
     """
-    steps_per_dwell = _check_step_count(system.dwell_time, h, "dwell time")
-    times, sides, segments = _plan(system, horizon, h, steps_per_dwell - 1, 1)
-    return HybridPath(times=times, sides=sides,
-                      states=_sample_path(system.continuous.dimension, segments, x0, rng))
+    times, sides, segments = _plan(system, horizon, h, None, 1)
+    x = np.array(x0, dtype=float)
+    dimension = _dimension(system)
+    if x.shape != (dimension,):
+        raise DimensionMismatch(f"state shape {x.shape}, expected {(dimension,)}")
+
+    def record(states, g):
+        if not np.all(np.isfinite(states[0])):
+            raise NonFiniteState(g)
+        return states[0]
+
+    return SamplePath(times=times, sides=sides,
+                      states=_run_block(segments, [[rng]], [x[None]], (True,), record)[0])
 
 
 # --- pair ensembles ---------------------------------------------------------
@@ -243,7 +238,9 @@ class EnsembleConfig:
 
     horizon is a step count for discrete systems and a time span otherwise
     (hybrid horizons must be integer multiples of the dwell time).  step_size
-    is the flow step h; hybrid dwell times must be integer multiples of it.
+    is the flow step h, None for discrete systems; hybrid dwell times must be
+    integer multiples of it.  record_every thins the samples of continuous
+    runs and must stay 1 for the other kinds.
     pairing_mode "noisy-vs-noisefree" silences member b's noise (it still
     draws its initial condition).  statistic "ms" records squared metric
     distances, "distance" records plain metric distances.
@@ -292,14 +289,11 @@ class EnsembleStats:
 
     def to_csv(self, path, extra_columns: dict[str, Sequence] | None = None) -> None:
         """Write `time,side,mean_sq_dist,stderr,n_alive` rows (plus any extras)."""
-        extras = extra_columns or {}
-        _write_csv(path, ["time", "side", "mean_sq_dist", "stderr", "n_alive", *extras],
-                   ([repr(float(self.times[i])), self.sides[i],
-                     repr(float(self.mean_sq[i])), repr(float(self.stderr[i])),
-                     str(int(self.n_alive[i])), *(str(extras[name][i]) for name in extras)]
-                    for i in range(self.times.size)))
+        _write_csv(path, {"time": self.times, "side": self.sides, "mean_sq_dist": self.mean_sq,
+                          "stderr": self.stderr, "n_alive": self.n_alive,
+                          **(extra_columns or {})})
 
-    def steady_state(self, window_frac: float = 0.2) -> tuple[float, float]:
+    def steady_state(self, window_frac: float = STEADY_FRAC) -> tuple[float, float]:
         """Mean of the statistic over the trailing window, with a conservative
         standard error (the window average of per-time standard errors; no
         independence across times is assumed)."""
@@ -329,36 +323,41 @@ def _apply_gain(gain: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.einsum("bnd,bd->bn", gain, draws)
 
 
-class _MetricEval:
-    """Distance statistic evaluator with a fast path for constant metrics."""
+def _dimension(system) -> int:
+    return system.continuous.dimension if isinstance(system, HybridSystem) \
+        else system.dimension
 
-    def __init__(self, metric, dimension: int, statistic: str):
-        self.metric = _as_metric(metric, dimension)
-        self.statistic = statistic
-        self._theta = self.metric.factor() if self.metric.kind == "constant" else None
 
-    def values(self, diff: np.ndarray, t: float, side: str) -> np.ndarray:
-        theta = self._theta if self._theta is not None \
-            else self.metric.factor(t, "post" if side == "interior" else side)
-        sq = ((diff @ theta.T) ** 2).sum(axis=1)
-        return sq if self.statistic == "ms" else np.sqrt(sq)
+def _corners(init: InitialPointPair | InitialBox, dimension: int) -> list[np.ndarray]:
+    """The two points of a point pair, or a box's lows and highs, as (dimension,)."""
+    pair = (init.a, init.b) if isinstance(init, InitialPointPair) else (init.lows, init.highs)
+    return [np.broadcast_to(np.asarray(p, dtype=float), (dimension,)) for p in pair]
 
 
 def _initial_states(init: InitialPointPair | InitialBox, dimension: int,
                     gens) -> list[np.ndarray]:
-    """Start states (runs, dimension) of both members of a block of pairs;
-    gens[m] holds member m's generators in run order."""
-    runs = len(gens[0])
+    """Start states (runs, dimension) of the members of a block of runs;
+    gens[m] holds member m's generators in run order.  A point pair needs two
+    members; a box draws each start from the run's own generator."""
+    first, second = _corners(init, dimension)
     if isinstance(init, InitialPointPair):
-        points = [np.broadcast_to(np.asarray(p, dtype=float), (dimension,))
-                  for p in (init.a, init.b)]
-        return [np.broadcast_to(p, (runs, dimension)).copy() for p in points]
-    lows = np.broadcast_to(np.asarray(init.lows, dtype=float), (dimension,))
-    highs = np.broadcast_to(np.asarray(init.highs, dtype=float), (dimension,))
-    return [np.stack([g.uniform(lows, highs) for g in member]) for member in gens]
+        return [np.broadcast_to(p, (len(gens[0]), dimension)).copy() for p in (first, second)]
+    return [np.stack([g.uniform(first, second) for g in member]) for member in gens]
 
 
-def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int) -> list[int]:
+def initial_ms(init: InitialPointPair | InitialBox, dimension: int) -> float:
+    """Exact mean squared separation E|a - b|^2 of a pair's two start states:
+    |a - b|^2 for a point pair, and sum (high - low)^2 / 6 for independent
+    uniform draws from a box.  Squares by Python's float ** 2, as the closed
+    forms of the bounds do."""
+    first, second = (p.tolist() for p in _corners(init, dimension))
+    ms = sum((x - y) ** 2 for x, y in zip(first, second))
+    return ms if isinstance(init, InitialPointPair) else ms / 6
+
+
+def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int | None) -> list[int]:
+    if interior_per_dwell is None:  # every flow step
+        return list(range(1, steps_per_dwell))
     if interior_per_dwell == 0 or steps_per_dwell < 2:
         return []
     raw = [round(j * steps_per_dwell / (interior_per_dwell + 1))
@@ -384,17 +383,23 @@ class _Segment:
     marks: frozenset[int]
 
 
-def _plan(system, horizon: float, h: float | None, interior_per_dwell: int,
-          record_every: int, t0: float = 0.0):
+def _plan(system, horizon: float, h: float | None, interior_per_dwell: int | None,
+          record_every: int):
     """Sample grid (times, sides) and update segments, in stream order, of one
     run of `system` over `horizon` (a step count for discrete systems).
 
-    A discrete run is one segment of map applications and a continuous run one
-    flow segment from t0, sampled every `record_every` steps.  A hybrid run is
-    the reset at t = 0, then per dwell a flow segment with `interior_per_dwell`
-    interior samples followed by a reset; both sides of every reset are sampled.
+    A discrete run is one segment of map applications, sampled after each, and
+    takes no step size.  A continuous run is one flow segment from t = 0,
+    sampled every `record_every` steps.  A hybrid run is the reset at t = 0,
+    then per dwell a flow segment with `interior_per_dwell` interior samples
+    (None: every flow step) followed by a reset; both sides of every reset are
+    sampled.  record_every applies to continuous runs only.
     """
+    if not isinstance(system, ContinuousSDESystem) and record_every != 1:
+        raise ValueError(f"record_every {record_every} applies to continuous systems only")
     if isinstance(system, DiscreteMapSystem):
+        if h is not None:
+            raise ValueError(f"step_size {h} does not apply to discrete systems")
         if not math.isfinite(horizon):
             raise ValueError(f"discrete horizon must be finite, got {horizon}")
         steps = int(round(horizon))
@@ -410,9 +415,9 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int,
         if steps % record_every != 0:
             raise ValueError(f"record_every {record_every} does not divide {steps} steps")
         idx = np.arange(0, steps + 1, record_every)
-        segment = _Segment(system, t0, h, steps, (steps, system.noise_dim),
+        segment = _Segment(system, 0, h, steps, (steps, system.noise_dim),
                            frozenset(range(record_every, steps + 1, record_every)))
-        return t0 + idx * h, ("interior",) * idx.size, [segment]
+        return idx * h, ("interior",) * idx.size, [segment]
     if not isinstance(system, HybridSystem):
         raise TypeError(f"unsupported system type {type(system).__name__}")
     if h is None:
@@ -494,30 +499,13 @@ def _run_block(segments, gens, states, noisy, record) -> np.ndarray:
     return np.stack(samples, axis=1)[:runs]
 
 
-def _sample_path(dimension: int, segments, x0: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """States of one run through `segments`, drawing from rng; raises NonFiniteState
-    with the sample's index at the first non-finite sample."""
-    x = np.array(x0, dtype=float)
-    if x.shape != (dimension,):
-        raise DimensionMismatch(f"state shape {x.shape}, expected {(dimension,)}")
-
-    def record(states, g):
-        if not np.all(np.isfinite(states[0])):
-            raise NonFiniteState(g)
-        return states[0]
-
-    return _run_block(segments, [[rng]], [x[None]], (True,), record)[0]
-
-
-def _moments(run_count: int, size: int, block_of, on_row=None):
+def _moments(run_count: int, size: int, block_of):
     """Per-sample Welford moments over runs 0 .. run_count - 1, folded in run
     index order.
 
     block_of(runs) returns the (len(runs), size) samples of a block of at most
     _BLOCK runs.  A run counts as a failure and stops contributing from its
-    first non-finite sample on; on_row(row, alive) sees each run's samples with
-    that alive mask.  Returns (count, mean, stderr, failures).
+    first non-finite sample on.  Returns (count, mean, stderr, failures).
     """
     count = np.zeros(size, dtype=np.int64)
     mean = np.zeros(size)
@@ -533,9 +521,9 @@ def _moments(run_count: int, size: int, block_of, on_row=None):
             for row, alive, fold in zip(block, finite, whole.tolist()):
                 k = size
                 if not fold:
-                    # a run never comes back once non-finite: alive is a prefix
+                    # a run never comes back once non-finite: it counts up to
+                    # its first non-finite sample
                     k = int(np.argmin(alive))
-                    alive[k:] = False
                     failures += 1
                 c, m, s, d, t = count[:k], mean[:k], msq[:k], delta[:k], term[:k]
                 c += 1
@@ -545,8 +533,6 @@ def _moments(run_count: int, size: int, block_of, on_row=None):
                 np.subtract(row[:k], m, out=t)
                 np.multiply(d, t, out=t)
                 s += t
-                if on_row is not None:
-                    on_row(row, alive)
     stderr = np.zeros(size)
     settled = count > 1
     stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
@@ -565,13 +551,14 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
     """
     times, sides, segments = _plan(system, config.horizon, config.step_size,
                                    config.interior_per_dwell, config.record_every)
-    dimension = system.continuous.dimension if isinstance(system, HybridSystem) \
-        else system.dimension
-    evaluator = _MetricEval(metric, dimension, config.statistic)
+    dimension = _dimension(system)
+    metric = _as_metric(metric, dimension)
     noisy = (True, config.pairing_mode == "two-noisy")
 
     def record(states, g):
-        return evaluator.values(states[0] - states[1], float(times[g]), sides[g])
+        side = "post" if sides[g] == "interior" else sides[g]
+        sq = (((states[0] - states[1]) @ metric.factor(float(times[g]), side).T) ** 2).sum(axis=1)
+        return sq if config.statistic == "ms" else np.sqrt(sq)
 
     def block_of(pairs):
         gens = [[derive_stream(config.master_seed, i, m) for i in pairs] for m in (0, 1)]

@@ -8,6 +8,7 @@ so a name on the command line and a name in a test mean the same system.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -16,9 +17,9 @@ import numpy as np
 from .bounds import (apply_noisefree_corollary, classify_regime, continuous_bound_at,
                      discrete_distance_bound, discrete_ms_bound, hybrid_bound)
 from .certify import ContractionCertificate, SamplingRegion, estimate_continuous_rate
-from .cpg import (STRONG_COUPLING, CPGParams, build_cpg_system,
+from .cpg import (GLOBAL_FLOW_RATE, RING_START, STRONG_COUPLING, CPGParams, build_cpg_system,
                   coupling_contraction_factor, locking_condition, theoretical_delta_bound)
-from .simulate import InitialBox, InitialPointPair
+from .simulate import STEPS_PER_DWELL, InitialBox, InitialPointPair, initial_ms
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem, MetricSpec)
 
@@ -36,13 +37,14 @@ class SystemRecipe:
     """Everything the CLI needs to drive one named system.
 
     `build` maps resolved parameters to the system object; `initial` gives the
-    default pair initializer (a point pair or an independent-uniform box) with
-    `initial_ms` its exact mean squared separation; `certificate_json` and
-    `bound_json` evaluate the analytic certificate and the closed-form bound
+    default pair initializer (a point pair or an independent-uniform box;
+    simulate.initial_ms is its exact mean squared separation); `certificate_json`
+    and `bound_json` evaluate the analytic certificate and the closed-form bound
     as JSON-ready dicts.  `bound_report` returns the checkable mean-square
     bound for a pair ensemble: a BoundReport, a (time, side) -> value callable
     for flows, or None when no pair bound applies.  `sim_defaults` seeds the
-    simulate subcommand (step_size None means dwell/100 for hybrid systems).
+    simulate subcommand (step_size None means STEPS_PER_DWELL steps per dwell
+    for hybrid systems).
     """
 
     name: str
@@ -51,7 +53,6 @@ class SystemRecipe:
     sim_defaults: dict
     build: Callable[[dict], object]
     initial: Callable[[dict], InitialPointPair | InitialBox]
-    initial_ms: Callable[[dict], float]
     certificate_json: Callable[[dict], dict]
     bound_json: Callable[[dict, bool], dict]
     bound_report: Callable[[dict, bool], object]
@@ -64,9 +65,8 @@ def _identity_cert(kind: str, rate: float, noise: float, dimension: int) -> dict
     return cert.to_json_dict()
 
 
-def _flow_bound_json(rate: float, noise_energy: float, initial_ms: float,
-                     noise_free: bool) -> dict:
-    """Closed-form pair bound for a flow without resets.
+def _flow_bound_json(rate: float, noise_energy: float, p: dict, noise_free: bool) -> dict:
+    """Closed-form pair bound for a flow without resets, from the point pair.
 
     Contracting flows settle at noise_energy / rate with decay exponent
     2 * rate; neutral flows grow linearly at 2 * noise_energy per unit time;
@@ -80,23 +80,20 @@ def _flow_bound_json(rate: float, noise_energy: float, initial_ms: float,
     else:
         regime, asym, growth = "flow-expanding", None, None
     return {"regime": regime, "rate": rate, "noise_energy": c,
-            "initial_ms": initial_ms, "asymptotic_bound": asym,
+            "initial_ms": initial_ms(_point_pair(p), 1), "asymptotic_bound": asym,
             "finite": asym is not None, "decay_exponent": 2.0 * rate if rate > 0 else None,
             "linear_growth_per_time": growth, "noise_free": noise_free}
 
 
-def _flow_bound_fn(rate: float, noise_energy: float, initial_ms: float,
+def _flow_bound_fn(rate: float, noise_energy: float, p: dict,
                    noise_free: bool) -> Callable[[float, str], float]:
     c = noise_energy / 2.0 if noise_free else noise_energy
-    return lambda t, side: continuous_bound_at(rate, c, initial_ms, t)
+    ms = initial_ms(_point_pair(p), 1)
+    return lambda t, side: continuous_bound_at(rate, c, ms, t)
 
 
 def _point_pair(p: dict) -> InitialPointPair:
     return InitialPointPair(a=np.array([p["init_a"]]), b=np.array([p["init_b"]]))
-
-
-def _point_pair_ms(p: dict) -> float:
-    return (p["init_a"] - p["init_b"]) ** 2
 
 
 # --- scalar noisy linear map -------------------------------------------------
@@ -115,7 +112,8 @@ def _linear_map_build(p: dict) -> DiscreteMapSystem:
 
 
 def _linear_map_report(p: dict, noise_free: bool):
-    ms = discrete_ms_bound(p["rho"] ** 2, p["sigma"] ** 2, _point_pair_ms(p), point_mass=True)
+    ms = discrete_ms_bound(p["rho"] ** 2, p["sigma"] ** 2, initial_ms(_point_pair(p), 1),
+                           point_mass=True)
     return apply_noisefree_corollary(ms) if noise_free else ms
 
 
@@ -136,7 +134,6 @@ _LINEAR_MAP = SystemRecipe(
                   "record_every": 1},
     build=_linear_map_build,
     initial=_point_pair,
-    initial_ms=_point_pair_ms,
     certificate_json=lambda p: _identity_cert("discrete", p["rho"] ** 2,
                                               p["sigma"] ** 2, 1),
     bound_json=_linear_map_bounds,
@@ -166,10 +163,9 @@ _OU1D = SystemRecipe(
                   "record_every": 10},
     build=_ou_build,
     initial=_point_pair,
-    initial_ms=_point_pair_ms,
     certificate_json=lambda p: _identity_cert("continuous", p["a"], p["sigma"] ** 2, 1),
-    bound_json=lambda p, nf: _flow_bound_json(p["a"], p["sigma"] ** 2, _point_pair_ms(p), nf),
-    bound_report=lambda p, nf: _flow_bound_fn(p["a"], p["sigma"] ** 2, _point_pair_ms(p), nf))
+    bound_json=lambda p, nf: _flow_bound_json(p["a"], p["sigma"] ** 2, p, nf),
+    bound_report=lambda p, nf: _flow_bound_fn(p["a"], p["sigma"] ** 2, p, nf))
 
 
 # --- scalar Brownian motion ---------------------------------------------------
@@ -182,10 +178,9 @@ _BROWNIAN = SystemRecipe(
                   "record_every": 10},
     build=lambda p: _ou_build({"a": 0.0, "sigma": p["sigma"]}),
     initial=_point_pair,
-    initial_ms=_point_pair_ms,
     certificate_json=lambda p: _identity_cert("continuous", 0.0, p["sigma"] ** 2, 1),
-    bound_json=lambda p, nf: _flow_bound_json(0.0, p["sigma"] ** 2, _point_pair_ms(p), nf),
-    bound_report=lambda p, nf: _flow_bound_fn(0.0, p["sigma"] ** 2, _point_pair_ms(p), nf))
+    bound_json=lambda p, nf: _flow_bound_json(0.0, p["sigma"] ** 2, p, nf),
+    bound_report=lambda p, nf: _flow_bound_fn(0.0, p["sigma"] ** 2, p, nf))
 
 
 # --- scalar linear hybrid -----------------------------------------------------
@@ -196,9 +191,8 @@ def _hybrid_linear_build(p: dict) -> HybridSystem:
                         dwell_time=p["tau"], name="hybrid-linear")
 
 
-def _hybrid_linear_initial_ms(p: dict) -> float:
-    # independent uniforms on the same interval
-    return (p["init_high"] - p["init_low"]) ** 2 / 6.0
+def _hybrid_linear_start(p: dict) -> InitialBox:
+    return InitialBox(lows=np.array([p["init_low"]]), highs=np.array([p["init_high"]]))
 
 
 def _hybrid_linear_cert(p: dict) -> dict:
@@ -211,7 +205,7 @@ def _hybrid_linear_cert(p: dict) -> dict:
 
 def _hybrid_linear_report(p: dict, noise_free: bool):
     report = hybrid_bound(p["rho"] ** 2, -p["a"], p["sigma_d"] ** 2,
-                          p["sigma_c"] ** 2, p["tau"], _hybrid_linear_initial_ms(p))
+                          p["sigma_c"] ** 2, p["tau"], initial_ms(_hybrid_linear_start(p), 1))
     return apply_noisefree_corollary(report) if noise_free else report
 
 
@@ -223,9 +217,7 @@ _HYBRID_LINEAR = SystemRecipe(
     sim_defaults={"horizon": 10.0, "step_size": None, "pair_count": 1000,
                   "record_every": 1},
     build=_hybrid_linear_build,
-    initial=lambda p: InitialBox(lows=np.array([p["init_low"]]),
-                                 highs=np.array([p["init_high"]])),
-    initial_ms=_hybrid_linear_initial_ms,
+    initial=_hybrid_linear_start,
     certificate_json=_hybrid_linear_cert,
     bound_json=lambda p, nf: _hybrid_linear_report(p, nf).to_json_dict(),
     bound_report=_hybrid_linear_report)
@@ -239,7 +231,7 @@ def _cpg_cert(p: dict) -> dict:
     region = SamplingRegion.ball(np.zeros(6), radius=1.5, sample_count=64, seed=0)
     sampled = estimate_continuous_rate(system.continuous, None, region)
     holds, beta, threshold = locking_condition(params)
-    flow = ContractionCertificate(kind="continuous", rate=-1.0,
+    flow = ContractionCertificate(kind="continuous", rate=GLOBAL_FLOW_RATE,
                                   noise_bound=6.0 * params.sigma_c ** 2,
                                   metric=MetricSpec.identity(6), region=region,
                                   is_global_claim=True,
@@ -266,8 +258,7 @@ _HOPF_CPG = SystemRecipe(
     sim_defaults={"horizon": 5.0, "step_size": None, "pair_count": 256,
                   "record_every": 1},
     build=lambda p: build_cpg_system(CPGParams(**p)),
-    initial=lambda p: InitialBox(lows=np.full(6, -1.0), highs=np.full(6, 1.0)),
-    initial_ms=lambda p: 4.0,
+    initial=lambda p: RING_START,
     certificate_json=_cpg_cert,
     bound_json=_cpg_bounds,
     # full-state pair distances have no contracting reset (the locked
@@ -291,7 +282,7 @@ def get_recipe(name: str) -> SystemRecipe:
 
 def resolve_params(recipe: SystemRecipe, overrides: dict | None = None) -> dict:
     """Merge overrides into the recipe defaults, rejecting unknown keys and
-    non-numeric values."""
+    values that are not finite numbers."""
     return _merge_params(recipe.name, recipe.defaults, overrides)
 
 
@@ -304,13 +295,17 @@ def _merge_params(name: str, defaults: dict, overrides: dict | None) -> dict:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UnknownParameter(
                 f"parameter {key!r} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge JSON integers
+            raise UnknownParameter(
+                f"parameter {key!r} must be a finite number, got {value!r}")
         params[key] = float(value)
     return params
 
 
 def dwell_step_default(recipe: SystemRecipe, params: dict) -> float | None:
-    """Default integrator step: declared value, or dwell/100 for hybrid systems."""
+    """Default integrator step: declared value, or STEPS_PER_DWELL steps per
+    dwell for hybrid systems."""
     step = recipe.sim_defaults.get("step_size")
     if step is None and recipe.kind == "hybrid":
-        return params["tau"] / 100.0
+        return params["tau"] / STEPS_PER_DWELL
     return step

@@ -200,6 +200,25 @@ class TestCPGCommand:
         assert err == "error: parameter 'tau' must be a number, got 'fast'\n"
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["certify", "ou1d"], '{"a": Infinity}', "a"),
+    (["certify", "hybrid-linear"], '{"sigma_c": NaN}', "sigma_c"),
+    (["bounds", "ou1d"], '{"a": NaN}', "a"),
+    (["bounds", "hopf-cpg"], '{"omega": NaN}', "omega"),
+    (["simulate", "linear-map", "--ensemble", "4"], '{"rho": -Infinity}', "rho"),
+    (["cpg", "--ensemble", "2", "--horizon", "0.2"], '{"tau": NaN}', "tau"),
+    (["bounds", "linear-map"], '{"sigma": 1' + "0" * 400 + '}', "sigma"),
+])
+def test_non_finite_config_value_exits_2(capsys, tmp_path, argv, config, key):
+    # Python's json reads NaN and Infinity; no output may carry them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: parameter {key!r} must be a finite number, got ")
+
+
 class TestExitCodes:
     def test_unknown_system_is_2(self, capsys):
         code, _, err = run_cli(capsys, "certify", "no-such-system")

@@ -29,10 +29,12 @@ from concert import (
     ring_drift,
     ring_jacobian,
     run_cpg_experiment,
-    run_hybrid,
+    sample_path,
     theoretical_delta_bound,
     validate_system,
 )
+from concert.cpg import RING_START
+from concert.simulate import _initial_states
 
 # frozen oracle values at gamma=0.2, sigma_d=0.05, sigma_c=0.1, tau=0.1
 STRONG_PIPELINE = 0.09228889269010736
@@ -147,7 +149,7 @@ class TestRingDrift:
         x0 = np.array([100.0, 0.0, 0.5, 0.5, 0.0, 0.2])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteState) as err:
-            run_hybrid(system, x0, 1.0, 0.001, derive_stream(0, 0, 0))
+            sample_path(system, x0, 1.0, 0.001, derive_stream(0, 0, 0))
         assert err.value.step_index == 8
 
     def test_unit_circle_is_invariant_per_oscillator(self):
@@ -281,13 +283,30 @@ class TestRunCPGExperiment:
         assert not np.array_equal(a.delta_mean, b.delta_mean)
 
     def test_zero_noise_locked_start_stays_locked(self):
-        # without noise the locked set is invariant: delta stays at zero
+        # without noise the locked set is invariant: from the origin, which
+        # lies in it, delta stays at zero
         params = CPGParams(gamma=0.2, sigma_d=0.0, sigma_c=0.0, tau=0.1)
-        result = run_cpg_experiment(params, run_count=2, horizon=1.0,
-                                    master_seed=0, init_half_width=0.0)
-        # zero half width starts every run on the diagonal (0, ..., 0),
-        # which lies in the locked set
-        assert np.allclose(result.delta_mean, 0.0, atol=1e-20)
+        path = sample_path(build_cpg_system(params), np.zeros(6), 1.0, 0.001,
+                           derive_stream(0, 0, 0))
+        assert np.allclose(phase_locking_delta(path.states), 0.0, atol=1e-20)
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.01])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_sample_path_replays_run_zero(self, gamma, seed):
+        # what `concert cpg` traces: run 0's stream, start and steps, sampled
+        # at every flow step; the experiment samples a subset of that grid
+        params = CPGParams(gamma=gamma)
+        h = params.tau / 100
+        rng = derive_stream(seed, 0, 0)
+        x0 = _initial_states(RING_START, 6, [[rng]])[0][0]
+        path = sample_path(build_cpg_system(params), x0, 20 * params.tau, h, rng)
+        traced = dict(zip(zip(path.times.tolist(), path.sides),
+                          phase_locking_delta(path.states)))
+        result = run_cpg_experiment(params, run_count=1, horizon=20 * params.tau,
+                                    master_seed=seed, step_size=h)
+        assert result.times.size == 62
+        replayed = [traced[key] for key in zip(result.times.tolist(), result.sides)]
+        assert np.array_equal(replayed, result.delta_mean)
 
     def test_to_csv_header(self):
         result = run_cpg_experiment(STRONG_COUPLING, run_count=2, horizon=0.5,

@@ -27,9 +27,8 @@ from concert import (
     derive_stream,
     discrete_ms_bound,
     fit_geometric_decay,
-    integrate_sde,
-    run_hybrid,
     run_pair_ensemble,
+    sample_path,
 )
 from concert.systems import dwell_step_default, get_recipe, resolve_params
 
@@ -148,25 +147,67 @@ print("numpy.random" in sys.modules)
         with pytest.raises(ValueError):
             derive_stream(*key)
 
+    @pytest.mark.parametrize("key", [(1.7, 0, 0), (1, 2.0, 0), (1, 0, 1.0)])
+    def test_non_integer_key_part_raises_as_default_rng_does(self, key):
+        # no truncation: 1.7 is not the key 1
+        with pytest.raises(TypeError):
+            np.random.default_rng(key)
+        with pytest.raises(TypeError):
+            derive_stream(*key)
 
-class TestIntegrateSDE:
+    def test_numpy_integer_keys_are_the_python_keys(self):
+        key = (np.uint32(7), np.int64(1500), np.uint8(1))
+        assert derive_stream(*key).bit_generator.state == \
+            derive_stream(7, 1500, 1).bit_generator.state
+
+    def test_non_integer_master_seed_raises_in_an_ensemble(self):
+        config = EnsembleConfig(pair_count=2, horizon=3, master_seed=2.9,
+                                initial=InitialPointPair(np.array([1.0]), np.array([0.0])))
+        with pytest.raises(TypeError):
+            run_pair_ensemble(linear_map(), config)
+
+
+class TestSamplePathMap:
+    def test_zero_noise_path_is_the_geometric_sequence(self):
+        path = sample_path(linear_map(0.5, sigma=0.0), np.array([3.0]), 6, None,
+                           np.random.default_rng(0))
+        assert np.array_equal(path.times, np.arange(7.0))
+        assert path.sides == ("interior",) * 7
+        assert np.array_equal(path.states[:, 0], [3.0 * 0.5**k for k in range(7)])
+
+    def test_matches_the_ensemble_stream(self):
+        # member 0 of pair 0 draws one (steps, d) block for the whole run
+        system = linear_map(0.5, sigma=0.7)
+        path = sample_path(system, np.array([1.0]), 5, None, derive_stream(3, 0, 0))
+        z = derive_stream(3, 0, 0).standard_normal((5, 1))
+        x, expected = np.array([1.0]), [1.0]
+        for k in range(5):
+            x = 0.5 * x + z[k] @ np.array([[0.7]]).T
+            expected.append(x[0])
+        assert np.array_equal(path.states[:, 0], expected)
+
+    def test_step_size_rejected(self):
+        with pytest.raises(ValueError, match="step_size"):
+            sample_path(linear_map(), np.array([1.0]), 5, 0.3, np.random.default_rng(0))
+
+
+class TestSamplePathFlow:
     def test_zero_noise_matches_exact_decay(self):
         system = linear_flow(a=1.0, sigma=0.0)
         rng = np.random.default_rng(0)
-        path = integrate_sde(system, np.array([1.0]), 0.0, 1.0, 1e-4, rng)
+        path = sample_path(system, np.array([1.0]), 1.0, 1e-4, rng)
         assert path.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-3)
         assert path.times[0] == 0.0
         assert path.times[-1] == pytest.approx(1.0)
         assert path.states.shape == (10001, 1)
+        assert path.sides == ("interior",) * 10001
 
     def test_non_integer_span_rejected(self):
         system = linear_flow()
         with pytest.raises(ValueError):
-            integrate_sde(system, np.array([1.0]), 0.0, 1.05, 0.1,
-                          np.random.default_rng(0))
+            sample_path(system, np.array([1.0]), 1.05, 0.1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            integrate_sde(system, np.array([1.0]), 0.0, 1.0, -0.1,
-                          np.random.default_rng(0))
+            sample_path(system, np.array([1.0]), 1.0, -0.1, np.random.default_rng(0))
 
     def test_nonfinite_state_carries_step_index(self):
         blowup = ContinuousSDESystem(
@@ -175,21 +216,18 @@ class TestIntegrateSDE:
             diffusion=lambda x, t: np.zeros((1, 1)),
             noise_dim=1)
         with pytest.raises(NonFiniteState) as err:
-            integrate_sde(blowup, np.array([1.0]), 0.0, 1.0, 0.1,
-                          np.random.default_rng(0))
+            sample_path(blowup, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
         assert err.value.step_index == 1
 
     def test_wrong_state_shape_rejected(self):
         with pytest.raises(DimensionMismatch):
-            integrate_sde(linear_flow(dim=2), np.zeros(3), 0.0, 1.0, 0.1,
-                          np.random.default_rng(0))
+            sample_path(linear_flow(dim=2), np.zeros(3), 1.0, 0.1, np.random.default_rng(0))
 
 
-class TestRunHybrid:
+class TestSamplePathHybrid:
     def test_layout_and_sides(self):
         system = hybrid_linear(tau=0.5)
-        path = run_hybrid(system, np.array([1.0]), 1.0, 0.1,
-                          np.random.default_rng(0))
+        path = sample_path(system, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
         assert path.sides[0] == "pre"
         assert path.sides[1] == "post"
         assert path.times[0] == 0.0 and path.times[1] == 0.0
@@ -214,15 +252,14 @@ class TestRunHybrid:
                 noise_gain=lambda x, k: np.zeros((1, 1)),
                 noise=GaussianNoiseSpec(1)),
             dwell_time=1.0)
-        path = run_hybrid(system, np.array([8.0]), 3.0, 0.25,
-                          np.random.default_rng(0))
+        path = sample_path(system, np.array([8.0]), 3.0, 0.25, np.random.default_rng(0))
         post = [s for s, side in zip(path.states, path.sides) if side == "post"]
         assert [p[0] for p in post] == pytest.approx([4.0, 2.0, 1.0, 0.5])
 
     def test_horizon_must_be_dwell_multiple(self):
         with pytest.raises(ValueError):
-            run_hybrid(hybrid_linear(tau=0.5), np.array([1.0]), 1.3, 0.1,
-                       np.random.default_rng(0))
+            sample_path(hybrid_linear(tau=0.5), np.array([1.0]), 1.3, 0.1,
+                        np.random.default_rng(0))
 
     def test_nonfinite_closing_reset_raises(self):
         # only the reset at the horizon (k = 2) leaves the finite floats
@@ -235,7 +272,7 @@ class TestRunHybrid:
                 noise=GaussianNoiseSpec(1)),
             dwell_time=0.5)
         with pytest.raises(NonFiniteState) as err:
-            run_hybrid(system, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
+            sample_path(system, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
         # 2 samples at t = 0, then per dwell 4 interior samples and 2 reset
         # sides: the closing post-reset sample is the last, index 13
         assert err.value.step_index == 13
@@ -261,10 +298,10 @@ class TestRunHybrid:
                 map=counted("map", reset.map),
                 noise_gain=counted("noise_gain", reset.noise_gain)),
             dwell_time=0.5)
-        path = run_hybrid(system, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
+        path = sample_path(system, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
         # 2 dwells of 5 flow steps, and resets at k = 0, 1, 2
         assert calls == {"drift": 10, "diffusion": 10, "map": 3, "noise_gain": 3}
-        reference = run_hybrid(base, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
+        reference = sample_path(base, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
         assert np.array_equal(path.states, reference.states)
 
 
@@ -285,6 +322,37 @@ class TestEnsembleConfigValidation:
         with pytest.raises(ValueError):
             EnsembleConfig(pair_count=1, horizon=5, master_seed=0, initial=init,
                            interior_per_dwell=-1)
+
+    @pytest.mark.parametrize("system, horizon, fields", [
+        (linear_map(), 14, {"record_every": 7}),
+        (linear_map(), 14, {"step_size": 0.3}),
+        (hybrid_linear(tau=0.5), 1.0, {"record_every": 5, "step_size": 0.1}),
+    ])
+    def test_field_that_does_not_apply_is_rejected(self, system, horizon, fields):
+        config = EnsembleConfig(pair_count=1, horizon=horizon, master_seed=0,
+                                initial=InitialPointPair(np.zeros(1), np.ones(1)), **fields)
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            run_pair_ensemble(system, config)
+
+
+class TestInitialMeanSquare:
+    # differences whose x ** 2 (libm pow) and x * x differ in the last bit on
+    # a glibc host, then a seeded sweep
+    EDGES = [(-0.8406999297115503, -0.3805132771308859),
+             (3.550129466143078, 1.9508999115946697),
+             (1.7225184859824019, 4.360180888190753)]
+
+    def test_equals_the_closed_forms_squared_in_python(self):
+        rng = np.random.default_rng(31)
+        for low, high in self.EDGES + rng.uniform(-5, 5, (2000, 2)).tolist():
+            pair = InitialPointPair(np.array([high]), np.array([low]))
+            box = InitialBox(np.array([low]), np.array([high]))
+            assert simulate.initial_ms(pair, 1) == (high - low) ** 2
+            assert simulate.initial_ms(box, 1) == (high - low) ** 2 / 6.0
+
+    def test_broadcasts_to_the_dimension(self):
+        assert simulate.initial_ms(InitialBox(-1.0, 1.0), 6) == 4.0
+        assert simulate.initial_ms(InitialPointPair(np.zeros(3), np.ones(3)), 3) == 3.0
 
 
 class TestRunPairEnsembleDiscrete:
@@ -403,7 +471,7 @@ class TestMoments:
         count = np.zeros(rows.shape[1], dtype=np.int64)
         mean = np.zeros(rows.shape[1])
         msq = np.zeros(rows.shape[1])
-        failures, masks = 0, []
+        failures = 0
         for row in rows:
             alive = np.isfinite(row)
             if not alive.all():
@@ -413,11 +481,10 @@ class TestMoments:
             delta = np.where(alive, row - mean, 0.0)
             mean[alive] += delta[alive] / count[alive]
             msq[alive] += delta[alive] * (row[alive] - mean[alive])
-            masks.append(alive)
         stderr = np.zeros(rows.shape[1])
         settled = count > 1
         stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
-        return count, mean, stderr, failures, masks
+        return count, mean, stderr, failures
 
     def test_bit_equal_to_masked_welford(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -427,17 +494,13 @@ class TestMoments:
         rows[6, 6:] = -np.inf
         rows[9, 8] = np.nan
         with np.errstate(over="ignore", invalid="ignore"):
-            count, mean, stderr, failures, masks = self.masked_welford(rows)
+            count, mean, stderr, failures = self.masked_welford(rows)
         monkeypatch.setattr(simulate, "_BLOCK", 4)
-        seen = []
-        got = simulate._moments(rows.shape[0], rows.shape[1], lambda runs: rows[list(runs)],
-                                lambda row, alive: seen.append(alive.copy()))
+        got = simulate._moments(rows.shape[0], rows.shape[1], lambda runs: rows[list(runs)])
         assert np.array_equal(got[0], count)
         assert np.array_equal(got[1], mean)
         assert np.array_equal(got[2], stderr)
         assert got[3] == failures == 4
-        assert len(seen) == rows.shape[0]
-        assert all(np.array_equal(s, m) for s, m in zip(seen, masks))
 
 
 class TestRunPairEnsembleContinuous:
@@ -527,7 +590,7 @@ class TestEulerStepLeavesCallerArraysAlone:
         config = EnsembleConfig(pair_count=3, horizon=steps * h, master_seed=0,
                                 initial=InitialPointPair(a, b), step_size=h)
         stats = run_pair_ensemble(system, config)
-        path = integrate_sde(system, a, 0.0, steps * h, h, derive_stream(5, 0, 0))
+        path = sample_path(system, a, steps * h, h, derive_stream(5, 0, 0))
         assert stats.failures == 0
         for array, old in zip(arrays, before):
             assert np.array_equal(array, old)
@@ -653,6 +716,13 @@ class TestEnsembleStatsOutput:
         assert lines[0] == "time,side,mean_sq_dist,stderr,n_alive,bound,ok"
         assert lines[1] == "0.0,interior,1.0,0.0,2,2.0,True"
         assert lines[2] == "1.0,interior,0.25,0.0,2,1.5,True"
+
+    def test_to_csv_rejects_a_short_extra_column(self):
+        stats = run_pair_ensemble(linear_map(0.5, sigma=0.0), EnsembleConfig(
+            pair_count=1, horizon=1, master_seed=0,
+            initial=InitialPointPair(np.array([1.0]), np.array([0.0]))))
+        with pytest.raises(ValueError):
+            stats.to_csv(io.StringIO(), extra_columns={"bound": [2.0]})
 
     def test_steady_state_window(self):
         stats = simulate.EnsembleStats(
