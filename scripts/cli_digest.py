@@ -60,6 +60,17 @@ NONFINITE_CONFIGS = {
     "simulate-linear-map-config-inf": (["simulate", "linear-map"], {"rho": -math.inf}),
     "cpg-config-nan": (["cpg", *CPG_SMALL, "--out", "cpg-out"], {"tau": math.nan}),
 }
+# segments whose noise takes more than one member's draw buffer
+# (simulate._DRAW_VALUES standard normals) and is drawn in slices: map steps,
+# flow steps and the flow steps of the ring's dwells
+SLICED_DRAWS = {
+    "simulate-linear-map-sliced": ["simulate", "linear-map", "--horizon", "600",
+                                   "--ensemble", "1100"],
+    "simulate-brownian-sliced": ["simulate", "brownian", "--horizon", "20",
+                                 "--ensemble", "1500"],
+    "simulate-hopf-cpg-sliced": ["simulate", "hopf-cpg", "--ensemble", "600",
+                                 "--horizon", "0.5"],
+}
 CPG_FILES = ("delta_weak.csv", "delta_strong.csv", "trace_strong.csv",
              "aligned_strong.csv", "summary.json")
 
@@ -93,6 +104,8 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
         out.append((f"simulate-linear-map-seed-{seed}",
                     ["simulate", "linear-map", "--seed", seed, "--ensemble", ensemble,
                      "--out", "run.csv"], None, ("run.csv",)))
+    out += [(name, [*argv, "--out", "run.csv"], None, ("run.csv",))
+            for name, argv in SLICED_DRAWS.items()]
     out.append(("simulate-hopf-cpg-print-config",
                 ["simulate", "hopf-cpg", "--print-config"], None, ()))
     out.append(("cpg-print-config", ["cpg", "--print-config"], None, ()))

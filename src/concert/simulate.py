@@ -15,9 +15,12 @@ Euler-Maruyama is the only integrator: x <- x + f(x, t) h + sigma(x, t) sqrt(h) 
 with standard-normal z.  One engine steps every run: a plan splits the run into
 segments of map applications and flow steps, and a block of runs moves through
 them in lockstep.  Blocks have a fixed size and are reduced in run-index order,
-so the reduction does not depend on the blocking.  A block holding a single
-run is stepped as two identical rows, so that its matrix products do not take
-NumPy's one-row kernel.  For hopf-cpg, blocks of 4, 3 and 2 runs give the same
+so the reduction does not depend on the blocking.  A member draws a long
+segment's noise in slices of about _DRAW_VALUES values for the whole block, in
+stream order, so its memory does not grow with the horizon and its bits are
+those of one draw per segment.  A block holding a single run is stepped as two
+identical rows, so that its matrix products do not take NumPy's one-row
+kernel.  For hopf-cpg, blocks of 4, 3 and 2 runs give the same
 bits; a BLAS that picks its kernels by row count at larger sizes could still
 make a run's last bits depend on the size of its block.
 """
@@ -36,7 +39,9 @@ from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSyst
                          HybridSystem, _as_metric)
 
 _BLOCK = 1024  # runs simulated lockstep and reduced per block; fixed
+_DRAW_VALUES = 2**18  # most standard normals in one member's noise buffer (2 MiB)
 STEPS_PER_DWELL = 100  # default flow steps per dwell of a hybrid system
+_INTERIOR_PER_DWELL = 4  # default interior samples per dwell of a hybrid pair ensemble
 STEADY_FRAC = 0.2  # trailing fraction of a run that steady values average over
 
 
@@ -240,7 +245,9 @@ class EnsembleConfig:
     (hybrid horizons must be integer multiples of the dwell time).  step_size
     is the flow step h, None for discrete systems; hybrid dwell times must be
     integer multiples of it.  record_every thins the samples of continuous
-    runs and must stay 1 for the other kinds.
+    runs and must stay 1 for the other kinds; interior_per_dwell is the number
+    of samples inside each dwell of a hybrid run (None: 4) and must stay None
+    for the other kinds.
     pairing_mode "noisy-vs-noisefree" silences member b's noise (it still
     draws its initial condition).  statistic "ms" records squared metric
     distances, "distance" records plain metric distances.
@@ -253,7 +260,7 @@ class EnsembleConfig:
     step_size: float | None = None
     pairing_mode: str = "two-noisy"
     statistic: str = "ms"
-    interior_per_dwell: int = 4
+    interior_per_dwell: int | None = None
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -263,7 +270,7 @@ class EnsembleConfig:
             raise ValueError(f"unknown pairing_mode {self.pairing_mode!r}")
         if self.statistic not in ("ms", "distance"):
             raise ValueError(f"unknown statistic {self.statistic!r}")
-        if self.interior_per_dwell < 0:
+        if self.interior_per_dwell is not None and self.interior_per_dwell < 0:
             raise ValueError("interior_per_dwell must be >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
@@ -371,9 +378,10 @@ def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int | None) -> l
 class _Segment:
     """`steps` updates of a run by one subsystem: map applications at indices
     start, start + 1, ... (stride 1) or Euler-Maruyama steps from times start,
-    start + h, ... (stride h).  Each member draws one standard-normal block of
-    shape `draw` for the whole segment; a sample is taken after every update
-    whose 1-based count is in `marks`."""
+    start + h, ... (stride h).  Each member draws standard normals of shape
+    `draw` for the whole segment, (steps, width) or a reset's (width,), in
+    stream order; a sample is taken after every update whose 1-based count is
+    in `marks`."""
 
     part: DiscreteMapSystem | ContinuousSDESystem
     start: float
@@ -393,10 +401,14 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int | Non
     sampled every `record_every` steps.  A hybrid run is the reset at t = 0,
     then per dwell a flow segment with `interior_per_dwell` interior samples
     (None: every flow step) followed by a reset; both sides of every reset are
-    sampled.  record_every applies to continuous runs only.
+    sampled.  record_every applies to continuous runs only, and
+    interior_per_dwell, which other kinds take as None, to hybrid runs only.
     """
     if not isinstance(system, ContinuousSDESystem) and record_every != 1:
         raise ValueError(f"record_every {record_every} applies to continuous systems only")
+    if not isinstance(system, HybridSystem) and interior_per_dwell is not None:
+        raise ValueError(f"interior_per_dwell {interior_per_dwell} applies to hybrid "
+                         "systems only")
     if isinstance(system, DiscreteMapSystem):
         if h is not None:
             raise ValueError(f"step_size {h} does not apply to discrete systems")
@@ -463,15 +475,28 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
     return euler, lambda z: np.multiply(sqrt_h, z, out=z)
 
 
+def _slices(steps: int, per_step: int) -> list[tuple[int, int]]:
+    """Consecutive step ranges [lo, hi) covering `steps` steps, each drawing
+    at most _DRAW_VALUES values at per_step values a step, but at least two
+    steps: a map's noise shaped one step at a time would take NumPy's one-row
+    matrix kernel, whose last bits may differ, so a last range of one step
+    joins the range before it."""
+    edges = [*range(0, steps, max(2, _DRAW_VALUES // per_step)), steps]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
+
+
 def _run_block(segments, gens, states, noisy, record) -> np.ndarray:
     """Step a block of runs in lockstep through `segments`; return their samples
     stacked as (runs, samples, ...).
 
     Member m of run i starts at states[m][i] and draws from gens[m][i], one
-    standard-normal block per segment; it draws nothing and runs noise-free
-    unless noisy[m].  record(states, g) returns sample g of every run.  A lone
-    run is stepped as two identical rows (its draws copied, not drawn twice),
-    so that no matrix product sees a single row.
+    standard-normal block per segment, or per _slices range of a longer one,
+    which draws the same values in the same order; it draws nothing and runs
+    noise-free unless noisy[m].  record(states, g) returns sample g of every
+    run.  A lone run is stepped as two identical rows (its draws copied, not
+    drawn twice), so that no matrix product sees a single row.
     """
     runs = len(gens[0])
     rows = max(runs, 2)
@@ -479,24 +504,54 @@ def _run_block(segments, gens, states, noisy, record) -> np.ndarray:
     samples = [record(states, 0)]
     for seg in segments:
         advance, shape = _stepper(seg.part, seg.stride, runs == 1)
-        noise = []
-        for member, on in zip(gens, noisy):
-            if on:
-                z = np.empty((rows, *seg.draw))
-                for i, g in enumerate(member):
-                    g.standard_normal(out=z[i])
-                z[runs:] = z[0]  # the copy row of a lone run
-                z = shape(z)
-            else:
-                z = np.zeros((rows, *seg.draw))
-            noise.append(z.reshape(rows, seg.steps, -1))
-        for j in range(seg.steps):
-            at = seg.start + j * seg.stride
-            for m, w in enumerate(noise):
-                states[m] = advance(states[m], at, w[:, j])
-            if j + 1 in seg.marks:
-                samples.append(record(states, len(samples)))
+        for lo, hi in _slices(seg.steps, rows * math.prod(seg.draw[1:])):
+            draw = seg.draw if hi - lo == seg.steps else (hi - lo, *seg.draw[1:])
+            noise = []
+            for member, on in zip(gens, noisy):
+                if on:
+                    z = np.empty((rows, *draw))
+                    for i, g in enumerate(member):
+                        g.standard_normal(out=z[i])
+                    z[runs:] = z[0]  # the copy row of a lone run
+                    z = shape(z)
+                else:
+                    z = np.zeros((rows, *draw))
+                noise.append(z.reshape(rows, hi - lo, -1))
+            for j in range(lo, hi):
+                at = seg.start + j * seg.stride
+                for m, w in enumerate(noise):
+                    states[m] = advance(states[m], at, w[:, j - lo])
+                if j + 1 in seg.marks:
+                    samples.append(record(states, len(samples)))
+            del noise, z, w  # not held while the next slice is drawn
     return np.stack(samples, axis=1)[:runs]
+
+
+def _fold_block(block: np.ndarray, count: np.ndarray, mean: np.ndarray,
+                msq: np.ndarray) -> int:
+    """Fold the rows of a block, in row order, into the per-sample Welford
+    moments (count, mean, msq) in place; return how many rows failed.  A run
+    never comes back once non-finite, so a row counts up to its first
+    non-finite sample.  The block's arrays are freed on return, before the
+    next block is simulated."""
+    size = count.size
+    alive = np.logical_and.accumulate(np.isfinite(block), axis=1)
+    counts = count + np.cumsum(alive, axis=0)  # row i: the count after row i
+    delta, term = np.empty(size), np.empty(size)
+    failures = 0
+    for row, c, k in zip(block, counts, alive.sum(axis=1).tolist()):
+        m, s, d, t = mean, msq, delta, term
+        if k < size:
+            failures += 1
+            row, c, m, s, d, t = row[:k], c[:k], mean[:k], msq[:k], delta[:k], term[:k]
+        np.subtract(row, m, out=d)
+        np.divide(d, c, out=t)
+        m += t
+        np.subtract(row, m, out=t)
+        np.multiply(d, t, out=t)
+        s += t
+    count[:] = counts[-1]
+    return failures
 
 
 def _moments(run_count: int, size: int, block_of):
@@ -510,29 +565,11 @@ def _moments(run_count: int, size: int, block_of):
     count = np.zeros(size, dtype=np.int64)
     mean = np.zeros(size)
     msq = np.zeros(size)
-    delta = np.empty(size)
-    term = np.empty(size)
     failures = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, run_count, _BLOCK):
-            block = block_of(range(lo, min(lo + _BLOCK, run_count)))
-            finite = np.isfinite(block)
-            whole = finite.all(axis=1)
-            for row, alive, fold in zip(block, finite, whole.tolist()):
-                k = size
-                if not fold:
-                    # a run never comes back once non-finite: it counts up to
-                    # its first non-finite sample
-                    k = int(np.argmin(alive))
-                    failures += 1
-                c, m, s, d, t = count[:k], mean[:k], msq[:k], delta[:k], term[:k]
-                c += 1
-                np.subtract(row[:k], m, out=d)
-                np.divide(d, c, out=t)
-                m += t
-                np.subtract(row[:k], m, out=t)
-                np.multiply(d, t, out=t)
-                s += t
+            failures += _fold_block(block_of(range(lo, min(lo + _BLOCK, run_count))),
+                                    count, mean, msq)
     stderr = np.zeros(size)
     settled = count > 1
     stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
@@ -549,8 +586,11 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
     the finite floats stop contributing from the first bad sample on and are
     counted in `failures`, never silently dropped.
     """
-    times, sides, segments = _plan(system, config.horizon, config.step_size,
-                                   config.interior_per_dwell, config.record_every)
+    interior = config.interior_per_dwell
+    if interior is None and isinstance(system, HybridSystem):
+        interior = _INTERIOR_PER_DWELL  # _plan's None samples every flow step
+    times, sides, segments = _plan(system, config.horizon, config.step_size, interior,
+                                   config.record_every)
     dimension = _dimension(system)
     metric = _as_metric(metric, dimension)
     noisy = (True, config.pairing_mode == "two-noisy")

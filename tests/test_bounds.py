@@ -82,6 +82,29 @@ class TestDiscreteBounds:
         with pytest.raises(ValueError):
             discrete_ms_bound(0.25, 1.0, 1.0).bound_at_time(1.0)
 
+    def test_mean_distance_bounds_the_exact_scalar_pair(self):
+        # `bounds linear-map --both`: x <- rho x + sigma w with the pair started
+        # at points a and b.  The difference after k steps is Gaussian with mean
+        # rho^k (a - b) and variance 2 sigma^2 (1 - rho^2k) / (1 - rho^2), so its
+        # mean absolute value is that of a folded normal.  The two agree at
+        # k = 0 and as the noise vanishes, hence the rounding allowance.
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(3000):
+            rho = rng.uniform(-0.99, 0.99)
+            sigma = 10.0 ** rng.uniform(-6.0, 0.5)
+            a, b = rng.uniform(-5.0, 5.0, 2)
+            report = discrete_distance_bound(rho**2, sigma**2, abs(a - b), point_mass=True)
+            for k in range(80):
+                mu = rho**k * (a - b)
+                sd = math.sqrt(2.0 * sigma**2 * (1.0 - rho ** (2 * k)) / (1.0 - rho**2))
+                exact = abs(mu) if sd == 0.0 else (
+                    sd * math.sqrt(2.0 / math.pi) * math.exp(-mu**2 / (2.0 * sd**2))
+                    + mu * math.erf(mu / (sd * math.sqrt(2.0))))
+                assert report.bound_at_step(k) >= exact * (1.0 - 1e-12), (rho, sigma, a, b, k)
+                checked += 1
+        assert checked == 240_000
+
 
 class TestClassifyRegime:
     def test_five_branches(self):

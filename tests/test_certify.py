@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,16 @@ from concert import (
     noise_bound_continuous,
     noise_bound_discrete,
 )
-from concert.certify import _scrambled_halton
+from concert.certify import _ndtri, _scrambled_halton
+
+
+def _src_env() -> dict:
+    # the environment of a fresh interpreter that imports this checkout's source tree
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 class TestSamplingRegion:
@@ -78,18 +88,15 @@ class TestSamplingRegion:
 
     def test_scipy_loads_only_when_a_region_is_sampled(self):
         # a fresh interpreter running this checkout's source tree: importing
-        # the package and CLI runs that sample no region leave SciPy unloaded
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        script = """
+        # the package, CLI runs and sampling a box and a ball leave SciPy
+        # unloaded
+        proc = subprocess.run([sys.executable, "-c", """
 import contextlib, io, sys
 import numpy as np
 import concert
 import concert.cli
 def loaded():
-    print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 with contextlib.redirect_stdout(io.StringIO()):
     assert concert.cli.main(["bounds", "hybrid-linear"]) == 0
     assert concert.cli.main(["simulate", "linear-map", "--ensemble", "8",
@@ -99,14 +106,49 @@ concert.SamplingRegion.box(-np.ones(6), np.ones(6), 64, seed=0).samples()
 loaded()
 concert.SamplingRegion.ball(np.zeros(6), 1.5, 64, seed=0).samples()
 loaded()
-"""
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env)
+"""], capture_output=True, text=True, env=_src_env())
         assert proc.returncode == 0, proc.stderr
-        before, after_box, after_ball = proc.stdout.splitlines()
-        assert before == "[]"
-        assert after_box == "[]"
-        assert after_ball == "['scipy.special']"
+        assert proc.stdout.splitlines() == ["[]"] * 3
+
+    def test_cli_runs_where_scipy_cannot_be_imported(self, tmp_path):
+        # a finder that refuses every scipy module, as on a NumPy-only install
+        proc = subprocess.run([sys.executable, "-c", """
+import contextlib, io, sys
+class NoSciPy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+sys.meta_path.insert(0, NoSciPy())
+import concert.cli
+for argv in (["certify", "hopf-cpg"], ["simulate", "ou1d", "--ensemble", "8"],
+             ["bounds", "hybrid-linear"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert concert.cli.main(argv) == 0, argv
+"""], capture_output=True, text=True, env=_src_env(), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_ndtri_matches_scipy_bit_for_bit(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(20)
+        exp_m2 = math.exp(-2.0)
+        y = np.concatenate([
+            rng.uniform(size=400_000),
+            10.0 ** rng.uniform(-300.0, 0.0, 300_000),  # the lower tail, both branches
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 200_000),  # the upper tail
+            exp_m2 + rng.uniform(-1e-9, 1e-9, 40_000),  # the branch points
+            1.0 - exp_m2 + rng.uniform(-1e-9, 1e-9, 40_000),
+            math.exp(-32.0) * (1.0 + rng.uniform(-1e-6, 1e-6, 20_000)),
+            np.clip(rng.uniform(size=20_000), 1e-12, 1.0 - 1e-12),  # as a ball clips
+            [0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12, 5e-324, -0.0, -1e-300, -0.5,
+             1.0 + 2**-52, 2.0, math.inf, -math.inf, math.nan],
+        ])
+        got, expected = _ndtri(y), special.ndtri(y)
+        assert y.size >= 1_000_000
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
+        assert _ndtri(np.array([[0.5]])).shape == (1, 1)
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_halton_matches_scipy_bit_for_bit(self, seed):

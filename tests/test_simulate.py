@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,23 @@ def linear_flow(a=1.0, dim=1, sigma=1.0):
         drift=lambda x, t: -a * np.asarray(x, dtype=float),
         diffusion=lambda x, t: sigma * np.eye(dim),
         noise_dim=dim)
+
+
+def scalar_welford(rows):
+    """(count, mean, stderr, failures) of _moments, one float at a time: each
+    row counts up to its first non-finite value."""
+    size = len(rows[0])
+    count, mean, msq, failures = [0] * size, [0.0] * size, [0.0] * size, 0
+    for row in np.asarray(rows, dtype=float).tolist():
+        k = next((j for j, v in enumerate(row) if not math.isfinite(v)), size)
+        failures += k < size
+        for j in range(k):
+            count[j] += 1
+            delta = row[j] - mean[j]
+            mean[j] += delta / count[j]
+            msq[j] += delta * (row[j] - mean[j])
+    stderr = [math.sqrt(m / (c - 1) / c) if c > 1 else 0.0 for m, c in zip(msq, count)]
+    return count, mean, stderr, failures
 
 
 def hybrid_linear(a=1.0, rho=0.5, tau=0.5, sigma_c=1.0, sigma_d=1.0, dim=1):
@@ -327,12 +345,27 @@ class TestEnsembleConfigValidation:
         (linear_map(), 14, {"record_every": 7}),
         (linear_map(), 14, {"step_size": 0.3}),
         (hybrid_linear(tau=0.5), 1.0, {"record_every": 5, "step_size": 0.1}),
+        (linear_map(), 14, {"interior_per_dwell": 4}),
+        (linear_flow(), 1.0, {"interior_per_dwell": 0, "step_size": 0.1}),
     ])
     def test_field_that_does_not_apply_is_rejected(self, system, horizon, fields):
         config = EnsembleConfig(pair_count=1, horizon=horizon, master_seed=0,
                                 initial=InitialPointPair(np.zeros(1), np.ones(1)), **fields)
         with pytest.raises(ValueError, match=next(iter(fields))):
             run_pair_ensemble(system, config)
+
+
+    def test_hybrid_interior_samples_default_to_four_per_dwell(self):
+        system = hybrid_linear(tau=0.5)
+        fields = dict(pair_count=3, horizon=1.0, master_seed=2, step_size=0.05,
+                      initial=InitialBox(np.array([-1.0]), np.array([1.0])))
+        default = run_pair_ensemble(system, EnsembleConfig(**fields))
+        four = run_pair_ensemble(system, EnsembleConfig(**fields, interior_per_dwell=4))
+        assert EnsembleConfig(**fields).interior_per_dwell is None
+        assert default.sides == four.sides
+        assert default.sides[2:8] == ("interior",) * 4 + ("pre", "post")
+        assert np.array_equal(default.times, four.times)
+        assert np.array_equal(default.mean_sq, four.mean_sq)
 
 
 class TestInitialMeanSquare:
@@ -503,6 +536,25 @@ class TestMoments:
         assert got[3] == failures == 4
 
 
+    def test_bit_equal_to_scalar_welford_across_block_edges(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((13, 7)) * 2.0 - 0.5
+        rows[0, 0] = np.nan   # fails at the first sample
+        rows[3, 6] = np.inf   # at the last sample, in the last run of block 0
+        rows[4, 3] = -np.inf  # mid-run, in the first run of block 1
+        rows[4, 5] = np.nan   # a second non-finite value after the first
+        rows[7, 1] = np.nan   # finite again afterwards
+        rows[8, 0] = np.inf   # the first run of block 2 fails at once
+        monkeypatch.setattr(simulate, "_BLOCK", 4)
+        count, mean, stderr, failures = simulate._moments(
+            rows.shape[0], rows.shape[1], lambda runs: rows[list(runs)])
+        expected = scalar_welford(rows)
+        assert count.tolist() == expected[0]
+        assert mean.tolist() == expected[1]
+        assert stderr.tolist() == expected[2]
+        assert failures == expected[3] == 5
+
+
 class TestRunPairEnsembleContinuous:
     def test_record_every_divisibility(self):
         system = linear_flow()
@@ -603,6 +655,116 @@ class TestEulerStepLeavesCallerArraysAlone:
             x = x + drift * h + w[:, j] @ gain.T
             expected.append(x[0])
         assert np.array_equal(path.states, np.array(expected))
+
+
+class TestSlicedDraws:
+    """A segment whose noise holds more than _DRAW_VALUES values per member is
+    drawn in slices; every run must equal the same run drawn whole, bit for
+    bit.  The references below draw each member's whole run in one call."""
+
+    A = np.array([[0.3, -0.2, 0.1], [0.25, 0.1, -0.3], [-0.1, 0.2, 0.4]])
+    GAIN = np.array([[1.0, 0.5, 0.0], [-0.3, 0.8, 0.2], [0.4, 0.0, 1.2]])
+    COV = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
+
+    def correlated_map(self):
+        return DiscreteMapSystem(dimension=3, map=lambda x, k: x @ self.A.T,
+                                 noise_gain=lambda x, k: self.GAIN,
+                                 noise=GaussianNoiseSpec(3, covariance=self.COV),
+                                 vectorized=True)
+
+    @staticmethod
+    def assert_reduces_to(stats, per_pair):
+        count, mean, stderr, failures = scalar_welford(per_pair)
+        assert stats.failures == failures == 0
+        assert stats.n_alive.tolist() == count
+        assert stats.mean_sq.tolist() == mean
+        assert stats.stderr.tolist() == stderr
+
+    @staticmethod
+    def box_starts(gens, dimension):
+        return np.stack([g.uniform(-np.ones(dimension), np.ones(dimension)) for g in gens])
+
+    def test_map_with_correlated_noise(self, monkeypatch):
+        system = self.correlated_map()
+        transform = system.noise._transform
+        pairs, steps = 5, 13
+        config = EnsembleConfig(pair_count=pairs, horizon=steps, master_seed=8,
+                                initial=InitialBox(-np.ones(3), np.ones(3)))
+
+        def member(m):
+            gens = [derive_stream(8, i, m) for i in range(pairs)]
+            x = self.box_starts(gens, 3)
+            w = np.stack([g.standard_normal((steps, 3)) for g in gens]) @ transform.T
+            states = [x]
+            for k in range(steps):
+                x = x @ self.A.T + w[:, k] @ self.GAIN.T
+                states.append(x)
+            return np.stack(states, axis=1)
+
+        per_pair = ((member(0) - member(1)) ** 2).sum(axis=2)
+        # slices of 3 steps, and 4 in the last, which takes the lone 13th
+        monkeypatch.setattr(simulate, "_DRAW_VALUES", pairs * 3 * 3)
+        assert simulate._slices(steps, pairs * 3) == [(0, 3), (3, 6), (6, 9), (9, 13)]
+        self.assert_reduces_to(run_pair_ensemble(system, config), per_pair)
+
+    def test_flow_with_correlated_diffusion(self, monkeypatch):
+        a = np.array([[-1.0, 0.4], [-0.3, -0.8]])
+        sigma = np.array([[0.7, 0.2], [-0.4, 0.5]])
+        system = ContinuousSDESystem(dimension=2, drift=lambda x, t: x @ a.T,
+                                     diffusion=lambda x, t: sigma, noise_dim=2,
+                                     vectorized=True)
+        pairs, steps, h = 6, 20, 0.05
+        config = EnsembleConfig(pair_count=pairs, horizon=steps * h, master_seed=3,
+                                initial=InitialBox(-np.ones(2), np.ones(2)), step_size=h)
+
+        def member(m):
+            gens = [derive_stream(3, i, m) for i in range(pairs)]
+            x = self.box_starts(gens, 2)
+            z = np.stack([g.standard_normal((steps, 2)) for g in gens])
+            w = np.multiply(math.sqrt(h), z)
+            states = [x]
+            for j in range(steps):
+                x = (x @ a.T) * h + x + w[:, j] @ sigma.T
+                states.append(x)
+            return np.stack(states, axis=1)
+
+        per_pair = ((member(0) - member(1)) ** 2).sum(axis=2)
+        monkeypatch.setattr(simulate, "_DRAW_VALUES", pairs * 2 * 7)  # slices of 7 steps
+        self.assert_reduces_to(run_pair_ensemble(system, config), per_pair)
+
+    def test_lone_sample_path(self, monkeypatch):
+        system = self.correlated_map()
+        transform = system.noise._transform
+        x0, steps = np.array([1.0, -0.5, 2.0]), 13
+        # a lone run: two identical rows of one draw block, shaped together
+        z = derive_stream(4, 0, 0).standard_normal((steps, 3))
+        w = np.stack([z, z]) @ transform.T
+        x = np.stack([x0, x0])
+        expected = [x[0]]
+        for k in range(steps):
+            x = x @ self.A.T + w[:, k] @ self.GAIN.T
+            expected.append(x[0])
+        monkeypatch.setattr(simulate, "_DRAW_VALUES", 2 * 3 * 2)  # slices of 2 steps
+        path = sample_path(system, x0, steps, None, derive_stream(4, 0, 0))
+        assert np.array_equal(path.states, np.array(expected))
+
+    def test_noise_memory_does_not_grow_with_the_horizon(self):
+        # 256 pairs x 10,000 flow steps: drawn whole, the two members' noise
+        # alone would take 41 MB
+        system = ContinuousSDESystem(dimension=1, drift=lambda x, t: -x,
+                                     diffusion=lambda x, t: np.ones((1, 1)), noise_dim=1,
+                                     vectorized=True)
+        config = EnsembleConfig(pair_count=256, horizon=100.0, master_seed=0,
+                                initial=InitialPointPair(np.ones(1), -np.ones(1)),
+                                step_size=0.01, record_every=100)
+        tracemalloc.start()
+        try:
+            stats = run_pair_ensemble(system, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.times.size == 101 and stats.failures == 0
+        assert peak < 12e6, peak
 
 
 class TestRunPairEnsembleHybrid:
