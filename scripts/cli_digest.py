@@ -71,6 +71,15 @@ SLICED_DRAWS = {
     "simulate-hopf-cpg-sliced": ["simulate", "hopf-cpg", "--ensemble", "600",
                                  "--horizon", "0.5"],
 }
+# lone runs: a block holding a single pair (the last of 1,025), a single pair,
+# a single noise-free pair and a single ring run
+LONE_RUNS = {
+    "simulate-hopf-cpg-last-block-lone": ["simulate", "hopf-cpg", "--ensemble", "1025",
+                                          "--horizon", "0.1"],
+    "simulate-linear-map-lone": ["simulate", "linear-map", "--ensemble", "1"],
+    "simulate-hybrid-linear-lone-noise-free": ["simulate", "hybrid-linear", "--ensemble", "1",
+                                               "--noise-free"],
+}
 CPG_FILES = ("delta_weak.csv", "delta_strong.csv", "trace_strong.csv",
              "aligned_strong.csv", "summary.json")
 
@@ -105,12 +114,14 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                     ["simulate", "linear-map", "--seed", seed, "--ensemble", ensemble,
                      "--out", "run.csv"], None, ("run.csv",)))
     out += [(name, [*argv, "--out", "run.csv"], None, ("run.csv",))
-            for name, argv in SLICED_DRAWS.items()]
+            for name, argv in {**SLICED_DRAWS, **LONE_RUNS}.items()]
     out.append(("simulate-hopf-cpg-print-config",
                 ["simulate", "hopf-cpg", "--print-config"], None, ()))
     out.append(("cpg-print-config", ["cpg", "--print-config"], None, ()))
     out.append(("cpg", ["cpg", *CPG_SMALL, "--out", "cpg-out"], None,
                 tuple(f"cpg-out/{name}" for name in CPG_FILES)))
+    out.append(("cpg-lone", ["cpg", "--ensemble", "1", "--horizon", "1", "--out", "cpg-out"],
+                None, tuple(f"cpg-out/{name}" for name in CPG_FILES)))
     # a non-positive dwell time is a bound precondition in every subcommand
     for system in ("hybrid-linear", "hopf-cpg"):
         for verb in ("certify", "bounds", "simulate"):

@@ -14,15 +14,21 @@ one-sided samples at every reset time.
 Euler-Maruyama is the only integrator: x <- x + f(x, t) h + sigma(x, t) sqrt(h) z
 with standard-normal z.  One engine steps every run: a plan splits the run into
 segments of map applications and flow steps, and a block of runs moves through
-them in lockstep.  Blocks have a fixed size and are reduced in run-index order,
-so the reduction does not depend on the blocking.  A member draws a long
+them in lockstep.  The two members of every pair in a block are stepped as one
+state, member after member, so each system callable is called once per update
+for the whole block.  Blocks have a fixed size and are reduced in run-index
+order, so the reduction does not depend on the blocking.  A member draws a long
 segment's noise in slices of about _DRAW_VALUES values for the whole block, in
 stream order, so its memory does not grow with the horizon and its bits are
-those of one draw per segment.  A block holding a single run is stepped as two
-identical rows, so that its matrix products do not take NumPy's one-row
-kernel.  For hopf-cpg, blocks of 4, 3 and 2 runs give the same
-bits; a BLAS that picks its kernels by row count at larger sizes could still
-make a run's last bits depend on the size of its block.
+those of one draw per segment; a hybrid run draws the reset opening a dwell in
+the same call as the dwell's flow noise.  Map and reset noise is shaped by one
+2-D product over a member's rows and steps, so its bits do not depend on the
+horizon.  A lone run of a single member is stepped as two identical rows, so
+that its matrix products do not take NumPy's one-row kernel; a lone pair shapes
+a member's noise and takes its metric distance on two copies of the row, for
+the same reason.  For hopf-cpg, blocks of 4, 3 and 2 runs give the same bits; a
+BLAS that picks its kernels by row count at larger sizes could still make a
+run's last bits depend on the size of its block.
 """
 from __future__ import annotations
 
@@ -378,17 +384,19 @@ def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int | None) -> l
 class _Segment:
     """`steps` updates of a run by one subsystem: map applications at indices
     start, start + 1, ... (stride 1) or Euler-Maruyama steps from times start,
-    start + h, ... (stride h).  Each member draws standard normals of shape
-    `draw` for the whole segment, (steps, width) or a reset's (width,), in
-    stream order; a sample is taken after every update whose 1-based count is
-    in `marks`."""
+    start + h, ... (stride h).  Each member draws `width` standard normals per
+    update, in stream order, in one call for the whole segment or per _slices
+    range of a long one; a segment that `joins_next` (the reset opening a
+    dwell) is drawn in the same call as the first range of the next segment.
+    A sample is taken after every update whose 1-based count is in `marks`."""
 
     part: DiscreteMapSystem | ContinuousSDESystem
     start: float
     stride: float
     steps: int
-    draw: tuple[int, ...]
+    width: int
     marks: frozenset[int]
+    joins_next: bool = False
 
 
 def _plan(system, horizon: float, h: float | None, interior_per_dwell: int | None,
@@ -417,7 +425,7 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int | Non
         steps = int(round(horizon))
         if steps < 1 or abs(steps - horizon) > 0:
             raise ValueError(f"discrete horizon must be a positive step count, got {horizon}")
-        segment = _Segment(system, 0, 1, steps, (steps, system.noise.dimension),
+        segment = _Segment(system, 0, 1, steps, system.noise.dimension,
                            frozenset(range(1, steps + 1)))
         return np.arange(steps + 1, dtype=float), ("interior",) * (steps + 1), [segment]
     if isinstance(system, ContinuousSDESystem):
@@ -427,7 +435,7 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int | Non
         if steps % record_every != 0:
             raise ValueError(f"record_every {record_every} does not divide {steps} steps")
         idx = np.arange(0, steps + 1, record_every)
-        segment = _Segment(system, 0, h, steps, (steps, system.noise_dim),
+        segment = _Segment(system, 0, h, steps, system.noise_dim,
                            frozenset(range(record_every, steps + 1, record_every)))
         return idx * h, ("interior",) * idx.size, [segment]
     if not isinstance(system, HybridSystem):
@@ -439,28 +447,34 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int | Non
     steps = _check_step_count(tau, h, "dwell time")
     offsets = _interior_offsets(steps, interior_per_dwell)
     flow_marks = frozenset([*offsets, steps])
-    segments = [_Segment(reset, 0, 1, 1, (reset.noise.dimension,), frozenset({1}))]
+    segments = [_Segment(reset, 0, 1, 1, reset.noise.dimension, frozenset({1}), True)]
     times, sides = [0.0, 0.0], ["pre", "post"]
     for k in range(n_dwell):
-        segments += [_Segment(cont, k * tau, h, steps, (steps, cont.noise_dim), flow_marks),
-                     _Segment(reset, k + 1, 1, 1, (reset.noise.dimension,), frozenset({1}))]
+        segments += [_Segment(cont, k * tau, h, steps, cont.noise_dim, flow_marks),
+                     _Segment(reset, k + 1, 1, 1, reset.noise.dimension, frozenset({1}),
+                              k + 1 < n_dwell)]
         times += [k * tau + j * h for j in offsets] + [(k + 1) * tau] * 2
         sides += ["interior"] * len(offsets) + ["pre", "post"]
     return np.asarray(times), tuple(sides), segments
 
 
 def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
-    """(advance, shape) of one subsystem: shape(z) turns a segment's block of
-    standard normals into its noise, and advance(x, at, w) is one map
-    application at index `at` or one Euler-Maruyama step from time `at`.
-    With lone, x is a lone run's two identical rows, and a callable that is
-    not vectorized is called once per step, for the first."""
+    """(advance, shape) of one subsystem: shape(z) turns a member's standard
+    normals z, (rows, steps, width), into its noise in place, and
+    advance(x, at, w) is one map application at index `at` or one
+    Euler-Maruyama step from time `at` of the stacked state x.  With lone, x is
+    a lone run's two identical rows, and a callable that is not vectorized is
+    called once per step, for the first."""
     if isinstance(part, DiscreteMapSystem):
         fmap = _batched_map(part.map, part.vectorized, lone)
         fgain = _batched_map(part.noise_gain, part.vectorized, lone)
-        transform = part.noise._transform
-        return (lambda x, k, w: fmap(x, k) + _apply_gain(fgain(x, k), w),
-                lambda z: z @ transform.T)
+        transform_t = part.noise._transform.T
+
+        def shape(z):
+            # one 2-D product (rows * steps, width), whatever the steps
+            z[...] = _product(z.reshape(-1, z.shape[-1]), transform_t).reshape(z.shape)
+
+        return lambda x, k, w: fmap(x, k) + _apply_gain(fgain(x, k), w), shape
     drift = _batched_map(part.drift, part.vectorized, lone)
     diffusion = _batched_map(part.diffusion, part.vectorized, lone)
     sqrt_h = math.sqrt(h)
@@ -475,55 +489,83 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
     return euler, lambda z: np.multiply(sqrt_h, z, out=z)
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D a, computing a single row as two: NumPy's one-row
+    kernel may round differently from the kernel that takes every other row
+    count."""
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def _slices(steps: int, per_step: int) -> list[tuple[int, int]]:
     """Consecutive step ranges [lo, hi) covering `steps` steps, each drawing
-    at most _DRAW_VALUES values at per_step values a step, but at least two
-    steps: a map's noise shaped one step at a time would take NumPy's one-row
-    matrix kernel, whose last bits may differ, so a last range of one step
-    joins the range before it."""
-    edges = [*range(0, steps, max(2, _DRAW_VALUES // per_step)), steps]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
+    at most _DRAW_VALUES values at per_step values a step (and at least one
+    step)."""
+    edges = [*range(0, steps, max(1, _DRAW_VALUES // per_step)), steps]
     return list(zip(edges, edges[1:]))
+
+
+def _draws(segments, rows: int):
+    """The pieces (segment, lo, hi) of `segments` grouped by the one
+    standard-normal call per member run that draws them, in stream order: each
+    segment is cut into _slices ranges for `rows` rows per member, and a
+    segment that joins_next is drawn with the first range of the next."""
+    held = []
+    for seg in segments:
+        for lo, hi in _slices(seg.steps, rows * seg.width):
+            held.append((seg, lo, hi))
+            if not seg.joins_next:
+                yield held
+                held = []
 
 
 def _run_block(segments, gens, states, noisy, record) -> np.ndarray:
     """Step a block of runs in lockstep through `segments`; return their samples
     stacked as (runs, samples, ...).
 
-    Member m of run i starts at states[m][i] and draws from gens[m][i], one
-    standard-normal block per segment, or per _slices range of a longer one,
-    which draws the same values in the same order; it draws nothing and runs
-    noise-free unless noisy[m].  record(states, g) returns sample g of every
-    run.  A lone run is stepped as two identical rows (its draws copied, not
-    drawn twice), so that no matrix product sees a single row.
+    Member m of run i starts at states[m][i] and draws from gens[m][i]; it
+    draws nothing and runs noise-free unless noisy[m].  The members are stepped
+    as one state, member after member, so every subsystem callable is called
+    once per update for the whole block, and share one noise buffer per
+    _draws group: each run draws the group in one call.  record(states, g)
+    returns sample g of every run, given the state as (members, runs, ...)
+    (a lone run's two rows for runs).  A lone run of a single member is
+    stepped as two identical rows (its draws copied, not drawn twice), so that
+    no matrix product sees a single row.
     """
-    runs = len(gens[0])
-    rows = max(runs, 2)
-    states = [np.concatenate([x, x]) if runs == 1 else x for x in states]
-    samples = [record(states, 0)]
-    for seg in segments:
-        advance, shape = _stepper(seg.part, seg.stride, runs == 1)
-        for lo, hi in _slices(seg.steps, rows * math.prod(seg.draw[1:])):
-            draw = seg.draw if hi - lo == seg.steps else (hi - lo, *seg.draw[1:])
-            noise = []
-            for member, on in zip(gens, noisy):
+    members, runs = len(gens), len(gens[0])
+    x = np.concatenate(states)
+    lone = len(x) == 1
+    if lone:
+        x = np.concatenate([x, x])
+    rows = len(x) // members  # per member
+    spans = [slice(m * rows, (m + 1) * rows) for m in range(members)]
+    samples = [record(x.reshape(members, rows, -1), 0)]
+    for pieces in _draws(segments, rows):
+        buf = np.empty((len(x), sum((hi - lo) * seg.width for seg, lo, hi in pieces)))
+        for span, member, on in zip(spans, gens, noisy):
+            z = buf[span]
+            if not on:
+                z[...] = 0.0
+                continue
+            for i, g in enumerate(member):  # no row view outlives the loop
+                g.standard_normal(out=z[i])
+            z[runs:] = z[0]  # the copy row of a lone run
+        at_col = 0
+        for seg, lo, hi in pieces:
+            advance, shape = _stepper(seg.part, seg.stride, lone)
+            n = (hi - lo) * seg.width
+            noise = buf[:, at_col:at_col + n].reshape(len(x), hi - lo, seg.width)
+            at_col += n
+            for span, on in zip(spans, noisy):
                 if on:
-                    z = np.empty((rows, *draw))
-                    for i, g in enumerate(member):
-                        g.standard_normal(out=z[i])
-                    z[runs:] = z[0]  # the copy row of a lone run
-                    z = shape(z)
-                else:
-                    z = np.zeros((rows, *draw))
-                noise.append(z.reshape(rows, hi - lo, -1))
-            for j in range(lo, hi):
-                at = seg.start + j * seg.stride
-                for m, w in enumerate(noise):
-                    states[m] = advance(states[m], at, w[:, j - lo])
+                    shape(noise[span])
+            for j, w in enumerate(noise.swapaxes(0, 1), lo):
+                x = advance(x, seg.start + j * seg.stride, w)
                 if j + 1 in seg.marks:
-                    samples.append(record(states, len(samples)))
-            del noise, z, w  # not held while the next slice is drawn
+                    samples.append(record(x.reshape(members, rows, -1), len(samples)))
+        del buf, z, noise, w  # not held while the next group is drawn
     return np.stack(samples, axis=1)[:runs]
 
 
@@ -597,7 +639,8 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
 
     def record(states, g):
         side = "post" if sides[g] == "interior" else sides[g]
-        sq = (((states[0] - states[1]) @ metric.factor(float(times[g]), side).T) ** 2).sum(axis=1)
+        factor = metric.factor(float(times[g]), side)
+        sq = (_product(states[0] - states[1], factor.T) ** 2).sum(axis=1)
         return sq if config.statistic == "ms" else np.sqrt(sq)
 
     def block_of(pairs):
@@ -620,7 +663,7 @@ class BoundCheck:
     ok: bool
     n_checked: int
     n_violations: int
-    worst_slack: float  # min over grid of (bound + slack*stderr - mean); >= 0 iff ok
+    worst_slack: float  # min over measured points of (bound + slack*stderr - mean)
     bounds: np.ndarray
     passed: np.ndarray
 
@@ -633,7 +676,9 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     and only an excess beyond Monte Carlo error is evidence of a violation.
     `bound` is a BoundReport (discrete reports are indexed by step, hybrid
     reports by time and side) or a callable (time, side) -> float.  Infinite
-    bound values pass trivially.
+    bound values pass trivially.  A point where no pair is alive measures
+    nothing and counts as a violation whatever the bound, as does a non-finite
+    mean; neither enters worst_slack.
     """
     if isinstance(bound, BoundReport):
         if bound.regime.startswith("discrete"):
@@ -645,11 +690,11 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     values = np.asarray([bound_fn(float(t), side)
                          for t, side in zip(stats.times, stats.sides)])
     margin = values + slack * stats.stderr - stats.mean_sq
+    measured = np.isfinite(stats.mean_sq) & (stats.n_alive > 0)
     with np.errstate(invalid="ignore"):
-        passed = ~(margin < 0)  # inf bound passes; NaN mean counts as violation
-    passed &= np.isfinite(stats.mean_sq)
+        passed = ~(margin < 0) & measured  # an infinite bound passes a measured point
     n_violations = int((~passed).sum())
-    finite = np.isfinite(margin)
+    finite = np.isfinite(margin) & measured
     worst = float(margin[finite].min()) if finite.any() else math.inf
     return BoundCheck(ok=n_violations == 0, n_checked=int(values.size),
                       n_violations=n_violations, worst_slack=worst,

@@ -702,10 +702,27 @@ class TestSlicedDraws:
             return np.stack(states, axis=1)
 
         per_pair = ((member(0) - member(1)) ** 2).sum(axis=2)
-        # slices of 3 steps, and 4 in the last, which takes the lone 13th
+        # slices of 3 steps, and the lone 13th step in a slice of its own
         monkeypatch.setattr(simulate, "_DRAW_VALUES", pairs * 3 * 3)
-        assert simulate._slices(steps, pairs * 3) == [(0, 3), (3, 6), (6, 9), (9, 13)]
+        assert simulate._slices(steps, pairs * 3) == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 13)]
         self.assert_reduces_to(run_pair_ensemble(system, config), per_pair)
+
+    def test_map_noise_does_not_depend_on_the_horizon(self):
+        # a map's noise is shaped by one 2-D product over every row and step,
+        # so a one-step run is not shaped by NumPy's one-row kernel: its first
+        # step equals the first step of a longer run, bit for bit
+        rng = np.random.default_rng(12)
+        for seed in range(40):
+            a, gain, root = (rng.normal(size=(4, 4)) for _ in range(3))
+            system = DiscreteMapSystem(dimension=4, map=lambda x, k, a=a: 0.3 * x @ a.T,
+                                       noise_gain=lambda x, k, gain=gain: gain,
+                                       noise=GaussianNoiseSpec(4, covariance=root @ root.T),
+                                       vectorized=True)
+            first = [run_pair_ensemble(system, EnsembleConfig(
+                pair_count=pairs, horizon=horizon, master_seed=seed,
+                initial=InitialBox(-np.ones(4), np.ones(4)))).mean_sq[1]
+                for pairs in (1, 7) for horizon in (1, 5)]
+            assert first[0] == first[1] and first[2] == first[3], seed
 
     def test_flow_with_correlated_diffusion(self, monkeypatch):
         a = np.array([[-1.0, 0.4], [-0.3, -0.8]])
@@ -866,6 +883,156 @@ class TestRunPairEnsembleHybrid:
         assert stats.mean_sq == pytest.approx(per_pair.mean(axis=0), rel=1e-12)
 
 
+class TestStackedMembers:
+    """The members of a block are stepped as one state, and a hybrid run draws
+    each dwell's reset and flow noise in one call.  The reference steps each
+    member on its own and draws every segment in a call of its own; a member
+    with a single run is stepped as two identical rows, shaped together."""
+
+    A = np.array([[-1.0, 0.5], [-0.2, -0.6]])
+    RHO = np.array([[0.5, 0.2], [-0.1, 0.4]])
+    SIGMA = np.array([[0.7, 0.2], [-0.4, 0.5]])
+    GAIN = np.array([[1.0, 0.4], [-0.3, 0.8]])
+    COV = np.array([[1.5, 0.6], [0.6, 0.7]])
+
+    def system(self, vectorized=True, state_gains=False):
+        def scale(x):  # a state-dependent gain is (rows, n, d) for (rows, d) states
+            return (1.0 + 0.5 * np.tanh(x))[..., None] if state_gains else 1.0
+
+        continuous = ContinuousSDESystem(
+            dimension=2, drift=lambda x, t: x @ self.A.T - 0.1 * x ** 3 + math.cos(t),
+            diffusion=lambda x, t: scale(x) * self.SIGMA, noise_dim=2,
+            vectorized=vectorized)
+        reset = DiscreteMapSystem(dimension=2, map=lambda x, k: x @ self.RHO.T + 0.1 * k,
+                                  noise_gain=lambda x, k: scale(x) * self.GAIN,
+                                  noise=GaussianNoiseSpec(2, covariance=self.COV),
+                                  vectorized=vectorized)
+        return HybridSystem(continuous=continuous, reset=reset, dwell_time=0.5)
+
+    @staticmethod
+    def config(pairs, pairing_mode="two-noisy"):
+        # every flow step is sampled: 9 interior samples in each dwell of 10 steps
+        return EnsembleConfig(pair_count=pairs, horizon=1.5, master_seed=4,
+                              initial=InitialBox(-np.ones(2), np.ones(2)), step_size=0.05,
+                              pairing_mode=pairing_mode, interior_per_dwell=9)
+
+    @staticmethod
+    def reference(system, config, member):
+        """Samples (pairs, samples, 2) of one member of every pair."""
+        cont, reset, tau, h = (system.continuous, system.reset, system.dwell_time,
+                               config.step_size)
+        gens = [derive_stream(config.master_seed, i, member) for i in range(config.pair_count)]
+        noisy = member == 0 or config.pairing_mode == "two-noisy"
+        rows = max(len(gens), 2)
+
+        def call(fn, vectorized, x, arg):
+            if vectorized:
+                return np.asarray(fn(x, arg), dtype=float)
+            return np.stack([np.asarray(fn(row, arg), dtype=float) for row in x])
+
+        def gain(g, w):
+            return w @ g.T if g.ndim == 2 else np.einsum("bnd,bd->bn", g, w)
+
+        def draw(shape):
+            if not noisy:
+                return np.zeros((rows, *shape))
+            z = np.stack([g.standard_normal(shape) for g in gens])
+            return np.concatenate([z, z])[:rows]
+
+        def apply_reset(x, k):
+            w = draw((2,))
+            if noisy:
+                w = w @ reset.noise._transform.T
+            return call(reset.map, reset.vectorized, x, k) + gain(
+                call(reset.noise_gain, reset.vectorized, x, k), w)
+
+        x = np.stack([g.uniform(-np.ones(2), np.ones(2)) for g in gens])
+        x = np.concatenate([x, x])[:rows]
+        samples = [x]
+        x = apply_reset(x, 0)
+        samples.append(x)
+        for k in range(3):
+            z = math.sqrt(h) * draw((10, 2))
+            for j in range(10):
+                t = k * tau + j * h
+                x = call(cont.drift, cont.vectorized, x, t) * h + x + gain(
+                    call(cont.diffusion, cont.vectorized, x, t), z[:, j])
+                samples.append(x)
+            x = apply_reset(x, k + 1)
+            samples.append(x)
+        return np.stack(samples, axis=1)[:len(gens)]
+
+    def assert_equals_reference(self, system, config):
+        stats = run_pair_ensemble(system, config)
+        per_pair = ((self.reference(system, config, 0)
+                     - self.reference(system, config, 1)) ** 2).sum(axis=2)
+        TestSlicedDraws.assert_reduces_to(stats, per_pair)
+
+    def test_noisy_vs_noisefree(self):
+        self.assert_equals_reference(self.system(), self.config(3, "noisy-vs-noisefree"))
+
+    def test_one_pair_with_rowwise_callables(self):
+        self.assert_equals_reference(self.system(vectorized=False), self.config(1))
+
+    def test_state_dependent_gains(self):
+        self.assert_equals_reference(self.system(state_gains=True), self.config(4))
+
+    def test_dwell_sliced_by_the_draw_budget(self, monkeypatch):
+        # each dwell's flow is drawn in ranges of 3, 3, 3 and 1 steps; the reset
+        # opening it is drawn with the first
+        monkeypatch.setattr(simulate, "_DRAW_VALUES", 4 * 2 * 3)
+        self.assert_equals_reference(self.system(), self.config(4))
+
+    def test_one_callable_call_per_update_and_one_draw_per_dwell(self, monkeypatch):
+        calls = {"drift": 0, "map": 0}
+        draws = {}
+
+        class CountingGenerator:
+            def __init__(self, key):
+                self.key, self.gen = key, derive_stream(*key)
+                draws[key] = 0
+
+            def __getattr__(self, name):  # standard_normal and uniform
+                draws[self.key] += 1
+                return getattr(self.gen, name)
+
+        def counted(name, fn):
+            def wrapper(x, arg):
+                calls[name] += 1
+                return fn(x, arg)
+            return wrapper
+
+        base = self.system()
+        system = HybridSystem(
+            continuous=ContinuousSDESystem(
+                dimension=2, drift=counted("drift", base.continuous.drift),
+                diffusion=base.continuous.diffusion, noise_dim=2, vectorized=True),
+            reset=DiscreteMapSystem(
+                dimension=2, map=counted("map", base.reset.map),
+                noise_gain=base.reset.noise_gain, noise=base.reset.noise, vectorized=True),
+            dwell_time=base.dwell_time)
+        monkeypatch.setattr(simulate, "derive_stream",
+                            lambda *key: CountingGenerator(key))
+        monkeypatch.setattr(simulate, "_BLOCK", 3)  # blocks of 3 and 2 pairs
+        stats = run_pair_ensemble(system, self.config(5))
+        assert stats.failures == 0
+        blocks, dwells, steps = 2, 3, 10
+        assert calls == {"drift": blocks * dwells * steps, "map": blocks * (dwells + 1)}
+        # the initial box, one call per dwell, and the closing reset
+        assert draws == {(4, i, m): 1 + dwells + 1 for i in range(5) for m in (0, 1)}
+
+    def test_lone_pair_metric_product_does_not_depend_on_blocking(self, monkeypatch):
+        # pair 2 of 3 runs alone in its block; its distance under a
+        # non-identity metric is not taken by NumPy's one-row kernel
+        system, config = self.system(), self.config(3)
+        metric = np.array([[2.0, 0.7], [0.7, 1.3]])
+        whole = run_pair_ensemble(system, config, metric)
+        monkeypatch.setattr(simulate, "_BLOCK", 2)
+        chopped = run_pair_ensemble(system, config, metric)
+        assert np.array_equal(whole.mean_sq, chopped.mean_sq)
+        assert np.array_equal(whole.stderr, chopped.stderr)
+
+
 class TestEnsembleStatsOutput:
     def test_to_csv_exact_format(self):
         system = linear_map(0.5, sigma=0.0)
@@ -930,6 +1097,21 @@ class TestCheckBoundRespect:
         stats = self.make_stats([math.nan], [0.0])
         result = check_bound_respect(stats, lambda t, side: math.inf)
         assert not result.ok
+
+    def test_points_where_no_pair_is_alive_are_violations(self):
+        # x * x * 1e100 overflows by step 3, so no pair is left to measure
+        system = DiscreteMapSystem(dimension=1, map=lambda x, k: x * x * 1e100,
+                                   noise_gain=lambda x, k: np.eye(1),
+                                   noise=GaussianNoiseSpec(1), vectorized=True)
+        stats = run_pair_ensemble(system, EnsembleConfig(
+            pair_count=5, horizon=6, master_seed=0,
+            initial=InitialPointPair(np.ones(1), -np.ones(1))))
+        assert stats.n_alive.tolist() == [5, 5, 5, 0, 0, 0, 0]
+        for value in (1e300, math.inf):
+            result = check_bound_respect(stats, lambda t, side: value)
+            assert not result.ok and result.n_violations == 4
+            assert result.passed.tolist() == [True] * 3 + [False] * 4
+            assert result.worst_slack == value  # taken over the measured points only
 
     def test_bound_report_indexed_by_step(self):
         system = linear_map(0.5, sigma=0.0)
