@@ -60,6 +60,12 @@ NONFINITE_CONFIGS = {
     "simulate-linear-map-config-inf": (["simulate", "linear-map"], {"rho": -math.inf}),
     "cpg-config-nan": (["cpg", *CPG_SMALL, "--out", "cpg-out"], {"tau": math.nan}),
 }
+# a finite config value so large that a closed form overflows the floats
+# (Python's float ** and math.exp) is a bound precondition
+HUGE_CONFIGS = {
+    "simulate-linear-map-config-huge": (["simulate", "linear-map"], {"rho": 1e200}),
+    "bounds-hybrid-linear-config-huge": (["bounds", "hybrid-linear"], {"a": 1e200}),
+}
 # segments whose noise takes more than one member's draw buffer
 # (simulate._DRAW_VALUES standard normals) and is drawn in slices: map steps,
 # flow steps and the flow steps of the ring's dwells
@@ -131,7 +137,8 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
             out.append((f"{verb}-{system}-bad-dwell", argv, BAD_DWELL, ()))
     out.append(("cpg-bad-dwell", ["cpg", *CPG_SMALL, "--out", "cpg-out"], BAD_DWELL, ()))
     out += [(name, argv, None, ()) for name, argv in NONFINITE.items()]
-    out += [(name, argv, config, ()) for name, (argv, config) in NONFINITE_CONFIGS.items()]
+    out += [(name, argv, config, ())
+            for name, (argv, config) in {**NONFINITE_CONFIGS, **HUGE_CONFIGS}.items()]
     return out
 
 

@@ -7,8 +7,9 @@ stdout carries data only (JSON, or CSV written to --out); diagnostics go to
 stderr.  All outputs are byte-deterministic given the same arguments and seed.
 
 Exit codes: 0 success; 2 usage or configuration error; 3 a certificate or
-bound precondition failed (rate or gain out of range, singular metric);
-4 a simulation left the finite floats entirely.
+bound precondition failed (rate or gain out of range, singular metric, a
+parameter so large that a closed form overflows the floats); 4 a simulation
+left the finite floats entirely.
 """
 from __future__ import annotations
 
@@ -239,6 +240,12 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except (BetaOutOfRange, ParameterRange, NotPositiveDefinite, SingularFactor) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except OverflowError as err:
+        # Python's float ** and math.exp raise, before any range check, where
+        # a certificate's or bound's closed form leaves the floats
+        print(f"error: a parameter is out of range: a closed form overflows the floats "
+              f"({err})", file=sys.stderr)
         return 3
     except NonFiniteState as err:
         print(f"error: {err}", file=sys.stderr)

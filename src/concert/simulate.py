@@ -16,8 +16,12 @@ with standard-normal z.  One engine steps every run: a plan splits the run into
 segments of map applications and flow steps, and a block of runs moves through
 them in lockstep.  The two members of every pair in a block are stepped as one
 state, member after member, so each system callable is called once per update
-for the whole block.  Blocks have a fixed size and are reduced in run-index
-order, so the reduction does not depend on the blocking.  A member draws a long
+for the whole block.  The per-sample moments are reduced in fixed chunks of
+_FOLD = 1,024 consecutive runs, whatever the block size: two passes over a
+chunk, each summing its runs in run order, give the chunk's mean and sum of
+squared deviations, and the chunks are merged in run-index order by Chan,
+Golub & LeVeque's update (1979).  Blocks only join or cut into chunks, so the
+reduction does not depend on the blocking.  A member draws a long
 segment's noise in slices of about _DRAW_VALUES values for the whole block, in
 stream order, so its memory does not grow with the horizon and its bits are
 those of one draw per segment; a hybrid run draws the reset opening a dwell in
@@ -44,7 +48,8 @@ from .bounds import BoundReport
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
                          HybridSystem, _as_metric)
 
-_BLOCK = 1024  # runs simulated lockstep and reduced per block; fixed
+_BLOCK = 1024  # runs simulated in lockstep per block; fixed
+_FOLD = 1024  # consecutive runs reduced together, whatever _BLOCK is; fixed
 _DRAW_VALUES = 2**18  # most standard normals in one member's noise buffer (2 MiB)
 STEPS_PER_DWELL = 100  # default flow steps per dwell of a hybrid system
 _INTERIOR_PER_DWELL = 4  # default interior samples per dwell of a hybrid pair ensemble
@@ -68,17 +73,20 @@ def derive_stream(master_seed: int, pair_index: int, member_index: int) -> np.ra
     np.random.default_rng((master_seed, pair_index, member_index)), bit for bit.
     """
     index = operator.index  # integers only, as default_rng; a float raises TypeError
-    key = (index(master_seed), index(pair_index), index(member_index))
-    if 0 <= min(key) and max(key) < 2**32:
-        words = _chunk_words(key[0], key[1] // _CHUNK, key[2])[key[1] % _CHUNK]
-        return np.random.Generator(np.random.PCG64(_seed_words_type()(key, words)))
-    return np.random.default_rng(key)
+    seed, pair, member = index(master_seed), index(pair_index), index(member_index)
+    if 0 <= seed < _WORD and 0 <= pair < _WORD and 0 <= member < _WORD:
+        chunk, row = divmod(pair, _CHUNK)
+        generator, pcg64, seed_words = _stream_types()
+        return generator(pcg64(seed_words((seed, pair, member),
+                                          _chunk_words(seed, chunk, member)[row])))
+    return np.random.default_rng((seed, pair, member))
 
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx), for keys of three
 # uint32 words: a pool of 4 words, each call of its `hashmix` xors the value
 # with a running constant, multiplies it by the next one and xorshifts by 16
 _CHUNK = 1024  # keys (seed, pair, member) hashed at once: consecutive pairs
+_WORD = 2**32  # each key part below it is one uint32 word
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -102,8 +110,8 @@ def _hashmix(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)  # a block derives member 0's chunk, then member 1's
-def _chunk_words(master_seed: int, chunk: int, member_index: int) -> np.ndarray:
-    """Read-only (_CHUNK, 4) uint64 array whose row r holds
+def _chunk_words(master_seed: int, chunk: int, member_index: int) -> list[np.ndarray]:
+    """The _CHUNK read-only uint64 rows of 4 words whose row r is
     SeedSequence((master_seed, chunk * _CHUNK + r, member_index))
     .generate_state(4, np.uint64), computed for the whole chunk at once in
     wrapping uint32 arithmetic."""
@@ -122,13 +130,15 @@ def _chunk_words(master_seed: int, chunk: int, member_index: int) -> np.ndarray:
         state[:, i] = _hashmix(pool[i % 4], xor, mult)
     words = state.view("<u8").astype(np.uint64, copy=False)
     words.flags.writeable = False
-    return words
+    return list(words)
 
 
 @functools.cache
-def _seed_words_type() -> type:
-    """An ISeedSequence that hands PCG64 precomputed seed words; built on first
-    use, so that importing the package does not load numpy.random."""
+def _stream_types() -> tuple[type, type, type]:
+    """(Generator, PCG64, SeedWords), SeedWords being an ISeedSequence that
+    hands PCG64 precomputed seed words; bound on first use, so that importing
+    the package does not load numpy.random."""
+    from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISpawnableSeedSequence, SeedSequence
 
     class SeedWords(ISpawnableSeedSequence):
@@ -159,7 +169,7 @@ def _seed_words_type() -> type:
         def __reduce__(self):  # pickles as the SeedSequence it stands for
             return self.sequence().__reduce__()
 
-    return SeedWords
+    return Generator, PCG64, SeedWords
 
 
 def _write_csv(path, columns: dict[str, Sequence]) -> None:
@@ -569,49 +579,77 @@ def _run_block(segments, gens, states, noisy, record) -> np.ndarray:
     return np.stack(samples, axis=1)[:runs]
 
 
-def _fold_block(block: np.ndarray, count: np.ndarray, mean: np.ndarray,
+def _fold_chunk(chunk: np.ndarray, count: np.ndarray, mean: np.ndarray,
                 msq: np.ndarray) -> int:
-    """Fold the rows of a block, in row order, into the per-sample Welford
-    moments (count, mean, msq) in place; return how many rows failed.  A run
-    never comes back once non-finite, so a row counts up to its first
-    non-finite sample.  The block's arrays are freed on return, before the
-    next block is simulated."""
-    size = count.size
-    alive = np.logical_and.accumulate(np.isfinite(block), axis=1)
-    counts = count + np.cumsum(alive, axis=0)  # row i: the count after row i
-    delta, term = np.empty(size), np.empty(size)
-    failures = 0
-    for row, c, k in zip(block, counts, alive.sum(axis=1).tolist()):
-        m, s, d, t = mean, msq, delta, term
-        if k < size:
-            failures += 1
-            row, c, m, s, d, t = row[:k], c[:k], mean[:k], msq[:k], delta[:k], term[:k]
-        np.subtract(row, m, out=d)
-        np.divide(d, c, out=t)
-        m += t
-        np.subtract(row, m, out=t)
-        np.multiply(d, t, out=t)
-        s += t
-    count[:] = counts[-1]
+    """Fold a chunk of runs into the per-sample moments (count, mean, msq) in
+    place and return how many of its runs failed; the chunk's array is
+    overwritten.  A run never comes back once non-finite, so it counts up to
+    its first non-finite sample.
+
+    Two passes give the chunk's own mean and sum of squared deviations, each a
+    sum over the runs in run order (NumPy reduces axis 0 of a C-ordered array
+    row after row when a row holds more than one sample), and Chan, Golub &
+    LeVeque's update merges them in:  n' = n + n_c,  d = mean_c - mean,
+    mean' = mean + d (n_c / n'),  msq' = msq + M2_c + d^2 n (n_c / n'), whose
+    last term is 0 where n = 0.  The samples are at least two, as on every
+    grid of the engine.
+    """
+    alive = np.logical_and.accumulate(np.isfinite(chunk), axis=1)
+    n = alive.sum(axis=0)  # never grows along the samples
+    failures = len(chunk) - int(n[-1])
+    reached = int(np.count_nonzero(n))  # samples that some run of the chunk reaches
+    # the passes take at least two samples, as a single column would be summed
+    # pairwise; a sample that no run reaches holds zeros and is merged nowhere
+    width = max(reached, 2)
+    x, alive = chunk[:, :width], alive[:, :width]
+    if failures:
+        np.copyto(x, 0.0, where=~alive)
+    chunk_mean = np.add.reduce(x, axis=0) / n[:width]
+    np.subtract(x, chunk_mean, out=x, where=alive if failures else True)
+    np.multiply(x, x, out=x)
+    old, n = count[:reached], n[:reached]
+    total = old + n
+    delta = chunk_mean[:reached] - mean[:reached]
+    weight = n / total
+    mean[:reached] += delta * weight
+    msq[:reached] += np.add.reduce(x, axis=0)[:reached]
+    # exactly 0 where no run came before, even where delta * delta overflows
+    msq[:reached] += np.where(old > 0, delta * delta * old * weight, 0.0)
+    count[:reached] = total
     return failures
 
 
 def _moments(run_count: int, size: int, block_of):
-    """Per-sample Welford moments over runs 0 .. run_count - 1, folded in run
-    index order.
+    """Per-sample moments over runs 0 .. run_count - 1, folded chunk after
+    chunk in run-index order.
 
     block_of(runs) returns the (len(runs), size) samples of a block of at most
-    _BLOCK runs.  A run counts as a failure and stops contributing from its
+    _BLOCK runs, as an array the fold may overwrite.  The runs are reduced in
+    chunks of _FOLD consecutive runs (the last may be shorter), whatever
+    _BLOCK is: a block that holds whole chunks is cut into views, and blocks
+    smaller than a chunk are joined by a copy, so the moments do not depend on
+    the blocking.  A run counts as a failure and stops contributing from its
     first non-finite sample on.  Returns (count, mean, stderr, failures).
     """
     count = np.zeros(size, dtype=np.int64)
     mean = np.zeros(size)
     msq = np.zeros(size)
     failures = 0
+    pieces = []  # the chunk gathered so far
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, run_count, _BLOCK):
-            failures += _fold_block(block_of(range(lo, min(lo + _BLOCK, run_count))),
-                                    count, mean, msq)
+            block = block_of(range(lo, min(lo + _BLOCK, run_count)))
+            at = 0
+            while at < len(block):
+                end = min(len(block), at + _FOLD - (lo + at) % _FOLD)
+                pieces.append(block[at:end])
+                at = end
+                if (lo + at) % _FOLD == 0 or lo + at == run_count:
+                    failures += _fold_chunk(
+                        pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
+                        count, mean, msq)
+                    pieces = []
+            del block  # not held while the next block is simulated
     stderr = np.zeros(size)
     settled = count > 1
     stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])

@@ -272,6 +272,27 @@ class TestExitCodes:
         assert err.startswith("error: ") and "-1.0" in err
         assert "step size" not in err
 
+    @pytest.mark.parametrize("argv, key", [
+        ([verb, system], key) for verb in ("certify", "bounds", "simulate")
+        for system, key in [("linear-map", "rho"), ("linear-map", "sigma"), ("ou1d", "sigma"),
+                            ("brownian", "sigma"), ("hybrid-linear", "rho"),
+                            ("hybrid-linear", "a"), ("hybrid-linear", "sigma_c"),
+                            ("hybrid-linear", "sigma_d")]
+    ] + [([verb, "hopf-cpg"], key) for verb in ("certify", "bounds")
+         for key in ("sigma_c", "sigma_d")] + [
+        (["bounds", "linear-map"], "init_a"), (["bounds", "hopf-cpg"], "tau"),
+        (["cpg", "--ensemble", "2", "--horizon", "0.2"], "sigma_c")])
+    def test_huge_finite_parameter_is_3(self, capsys, tmp_path, argv, key):
+        # Python's float ** and math.exp overflow before any range check
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1e200}))
+        if argv[0] == "cpg":
+            argv = [*argv, "--out", str(tmp_path / "ring")]
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "overflows the floats" in err
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "ou1d", "--horizon", "inf"],
         ["simulate", "linear-map", "--horizon", "inf"],

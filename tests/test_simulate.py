@@ -50,19 +50,38 @@ def linear_flow(a=1.0, dim=1, sigma=1.0):
         noise_dim=dim)
 
 
-def scalar_welford(rows):
+def scalar_moments(rows):
     """(count, mean, stderr, failures) of _moments, one float at a time: each
-    row counts up to its first non-finite value."""
+    row counts up to its first non-finite value.  The rows are taken in chunks
+    of 1,024; per sample, a chunk's mean and sum of squared deviations are
+    sums over its rows in row order, merged into the running moments in chunk
+    order by Chan, Golub & LeVeque's update."""
+    rows = np.asarray(rows, dtype=float).tolist()
     size = len(rows[0])
     count, mean, msq, failures = [0] * size, [0.0] * size, [0.0] * size, 0
-    for row in np.asarray(rows, dtype=float).tolist():
-        k = next((j for j, v in enumerate(row) if not math.isfinite(v)), size)
-        failures += k < size
-        for j in range(k):
-            count[j] += 1
-            delta = row[j] - mean[j]
-            mean[j] += delta / count[j]
-            msq[j] += delta * (row[j] - mean[j])
+    for lo in range(0, len(rows), 1024):
+        chunk = []
+        for row in rows[lo:lo + 1024]:
+            k = next((j for j, v in enumerate(row) if not math.isfinite(v)), size)
+            failures += k < size
+            chunk.append(row[:k])
+        for j in range(size):
+            live = [row[j] for row in chunk if j < len(row)]
+            if not live:
+                continue
+            total = 0.0
+            for v in live:
+                total += v
+            chunk_mean = total / len(live)
+            m2 = 0.0
+            for v in live:
+                m2 += (v - chunk_mean) * (v - chunk_mean)
+            n = count[j] + len(live)
+            delta = chunk_mean - mean[j]
+            weight = len(live) / n
+            mean[j] += delta * weight
+            msq[j] = msq[j] + m2 + (delta * delta * count[j] * weight if count[j] else 0.0)
+            count[j] = n
     stderr = [math.sqrt(m / (c - 1) / c) if c > 1 else 0.0 for m, c in zip(msq, count)]
     return count, mean, stderr, failures
 
@@ -98,6 +117,15 @@ class TestDeriveStream:
     def test_state_is_that_of_default_rng_on_the_key(self, key):
         expected = np.random.default_rng(key).bit_generator.state
         assert derive_stream(*key).bit_generator.state == expected
+
+    @pytest.mark.parametrize("pair", [1023, 1024, 2047, 2**32 - 1])
+    def test_streams_at_chunk_edges_are_those_of_default_rng(self, pair):
+        for key in [(seed, pair, member) for seed in (0, 9) for member in (0, 1)]:
+            got, expected = derive_stream(*key), np.random.default_rng(key)
+            assert got.bit_generator.state == expected.bit_generator.state, key
+            assert np.array_equal(got.standard_normal(8), expected.standard_normal(8)), key
+        row = simulate._chunk_words(9, pair // 1024, 1)[pair % 1024]
+        assert not row.flags.writeable
 
     @staticmethod
     def seed_sequence_stream(key):
@@ -462,6 +490,26 @@ class TestRunPairEnsembleDiscrete:
         assert np.array_equal(full.mean_sq, chopped.mean_sq)
         assert np.array_equal(full.stderr, chopped.stderr)
 
+    @pytest.mark.parametrize("block", [300, 7])
+    def test_blocking_across_chunk_edges_does_not_change_output(self, monkeypatch, block):
+        # 2,500 pairs are reduced in chunks of 1,024, 1,024 and 452 pairs,
+        # whatever the blocks; a pair fails once a member leaves (-2, 2)
+        def cubic(x, k):
+            return np.where(np.abs(x) < 2.0, 0.5 * x + x ** 3, np.inf)
+
+        system = DiscreteMapSystem(dimension=1, map=cubic,
+                                   noise_gain=lambda x, k: 0.3 * np.eye(1),
+                                   noise=GaussianNoiseSpec(1), vectorized=True)
+        config = EnsembleConfig(pair_count=2500, horizon=12, master_seed=2,
+                                initial=InitialBox(np.array([-1.0]), np.array([1.0])))
+        full = run_pair_ensemble(system, config)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        chopped = run_pair_ensemble(system, config)
+        assert 0 < full.failures == chopped.failures < 2500
+        assert np.array_equal(full.n_alive, chopped.n_alive)
+        assert np.array_equal(full.mean_sq, chopped.mean_sq)
+        assert np.array_equal(full.stderr, chopped.stderr)
+
     def test_point_pair_arrays_left_unmodified(self):
         # a map that rescales its argument in place works on the engine's copy
         system = DiscreteMapSystem(
@@ -500,7 +548,73 @@ class TestRunPairEnsembleDiscrete:
 
 class TestMoments:
     @staticmethod
-    def masked_welford(rows):
+    def moments(rows):
+        return simulate._moments(rows.shape[0], rows.shape[1], lambda runs: rows[list(runs)])
+
+    def assert_equals_scalar_reference(self, rows):
+        count, mean, stderr, failures = self.moments(rows)
+        expected = scalar_moments(rows)
+        assert count.tolist() == expected[0]
+        assert mean.tolist() == expected[1]
+        assert stderr.tolist() == expected[2]
+        assert failures == expected[3]
+        return failures
+
+    def test_bit_equal_to_scalar_reference_with_joined_blocks(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((11, 9)) * 3.0 + 1.0
+        rows[2, 4] = np.inf   # runs going non-finite mid-grid, some finite again later
+        rows[5, 1] = np.nan
+        rows[6, 6:] = -np.inf
+        rows[9, 8] = np.nan
+        monkeypatch.setattr(simulate, "_BLOCK", 4)  # blocks of 4, 4 and 3 join one chunk
+        assert self.assert_equals_scalar_reference(rows) == 4
+
+    def test_bit_equal_to_scalar_reference_across_block_edges(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((13, 7)) * 2.0 - 0.5
+        rows[0, 0] = np.nan   # fails at the first sample
+        rows[3, 6] = np.inf   # at the last sample, in the last run of block 0
+        rows[4, 3] = -np.inf  # mid-run, in the first run of block 1
+        rows[4, 5] = np.nan   # a second non-finite value after the first
+        rows[7, 1] = np.nan   # finite again afterwards
+        rows[8, 0] = np.inf   # the first run of block 2 fails at once
+        monkeypatch.setattr(simulate, "_BLOCK", 4)
+        assert self.assert_equals_scalar_reference(rows) == 5
+
+    @staticmethod
+    def failing_rows(runs, size, seed):
+        """Positive seeded samples whose level differs between chunks of
+        1,024 runs; a tenth of the runs fail, at the first sample, at the last
+        or mid-grid, and a few are finite again later."""
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((runs, size)) ** 2 * rng.uniform(0.5, 50.0, (runs, 1))
+        rows += 1000.0 * (np.arange(runs) // 1024 % 2)[:, None]
+        for i in rng.choice(runs, runs // 10, replace=False):
+            rows[i, rng.choice([0, size - 1, rng.integers(1, size - 1)])] = \
+                rng.choice([np.nan, np.inf, -np.inf])
+        for i in rng.choice(runs, runs // 50, replace=False):
+            rows[i, rng.integers(0, size - 1)] = np.nan
+            rows[i, -1] = 1.0
+        rows[1023, -1] = rows[1024, 0] = rows[2047, 3] = np.inf  # at the chunk edges
+        return rows
+
+    @pytest.mark.parametrize("block", [1024, 300, 7])
+    def test_bit_equal_to_scalar_reference_across_chunk_edges(self, monkeypatch, block):
+        # 2,500 runs are three chunks, 1,024 + 1,024 + 452, whatever the blocks
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        assert self.assert_equals_scalar_reference(self.failing_rows(2500, 9, 5)) > 250
+
+    def test_chunk_whose_runs_all_fail_at_the_second_sample(self):
+        # one sample reached: still summed in run order, not pairwise
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            rows = rng.standard_normal((300, 5)) * rng.uniform(0.1, 1e3, (300, 1))
+            rows[:, 1] = np.nan
+            assert self.assert_equals_scalar_reference(rows) == 300
+
+    @staticmethod
+    def welford(rows):
         count = np.zeros(rows.shape[1], dtype=np.int64)
         mean = np.zeros(rows.shape[1])
         msq = np.zeros(rows.shape[1])
@@ -519,40 +633,41 @@ class TestMoments:
         stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
         return count, mean, stderr, failures
 
-    def test_bit_equal_to_masked_welford(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        rows = rng.standard_normal((11, 9)) * 3.0 + 1.0
-        rows[2, 4] = np.inf   # runs going non-finite mid-grid, some finite again later
-        rows[5, 1] = np.nan
-        rows[6, 6:] = -np.inf
-        rows[9, 8] = np.nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            count, mean, stderr, failures = self.masked_welford(rows)
-        monkeypatch.setattr(simulate, "_BLOCK", 4)
-        got = simulate._moments(rows.shape[0], rows.shape[1], lambda runs: rows[list(runs)])
-        assert np.array_equal(got[0], count)
-        assert np.array_equal(got[1], mean)
-        assert np.array_equal(got[2], stderr)
-        assert got[3] == failures == 4
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_close_to_welford(self, seed):
+        rows = self.failing_rows(2600, 11, seed)
+        count, mean, stderr, failures = self.moments(rows)
+        with np.errstate(invalid="ignore"):
+            expected = self.welford(rows)
+        assert np.array_equal(count, expected[0])
+        assert failures == expected[3] > 260
+        assert np.allclose(mean, expected[1], rtol=1e-12, atol=0.0)
+        assert np.allclose(stderr, expected[2], rtol=1e-12, atol=0.0)
 
+    def test_huge_finite_samples_give_welfords_stderr(self):
+        # squared deviations of 1e200 overflow, and so does the square of the
+        # first chunk's mean: stderr is 0 for equal samples and inf otherwise
+        rows = np.full((5, 3), 1e200)
+        rows[:, 1] = [1e200, 3e200, 2e200, 1e200, 5e200]
+        count, mean, stderr, failures = self.moments(rows)
+        with np.errstate(over="ignore"):
+            expected = self.welford(rows)
+        assert stderr.tolist() == expected[2].tolist() == [0.0, math.inf, 0.0]
+        assert np.allclose(mean, expected[1], rtol=1e-15, atol=0.0)
+        self.assert_equals_scalar_reference(rows)
 
-    def test_bit_equal_to_scalar_welford_across_block_edges(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        rows = rng.standard_normal((13, 7)) * 2.0 - 0.5
-        rows[0, 0] = np.nan   # fails at the first sample
-        rows[3, 6] = np.inf   # at the last sample, in the last run of block 0
-        rows[4, 3] = -np.inf  # mid-run, in the first run of block 1
-        rows[4, 5] = np.nan   # a second non-finite value after the first
-        rows[7, 1] = np.nan   # finite again afterwards
-        rows[8, 0] = np.inf   # the first run of block 2 fails at once
-        monkeypatch.setattr(simulate, "_BLOCK", 4)
-        count, mean, stderr, failures = simulate._moments(
-            rows.shape[0], rows.shape[1], lambda runs: rows[list(runs)])
-        expected = scalar_welford(rows)
-        assert count.tolist() == expected[0]
-        assert mean.tolist() == expected[1]
-        assert stderr.tolist() == expected[2]
-        assert failures == expected[3] == 5
+    def test_fold_overwrites_the_block_it_is_handed(self):
+        # at the default blocking a chunk is a block, folded without a copy
+        rows = self.failing_rows(2500, 6, 3)
+        handed = []
+
+        def block_of(runs):
+            handed.append(rows[list(runs)])
+            return handed[-1]
+
+        simulate._moments(len(rows), rows.shape[1], block_of)
+        assert [len(block) for block in handed] == [1024, 1024, 452]
+        assert not np.array_equal(handed[0], rows[:1024], equal_nan=True)
 
 
 class TestRunPairEnsembleContinuous:
@@ -674,7 +789,7 @@ class TestSlicedDraws:
 
     @staticmethod
     def assert_reduces_to(stats, per_pair):
-        count, mean, stderr, failures = scalar_welford(per_pair)
+        count, mean, stderr, failures = scalar_moments(per_pair)
         assert stats.failures == failures == 0
         assert stats.n_alive.tolist() == count
         assert stats.mean_sq.tolist() == mean
