@@ -64,7 +64,13 @@ NONFINITE_CONFIGS = {
 # (Python's float ** and math.exp) is a bound precondition
 HUGE_CONFIGS = {
     "simulate-linear-map-config-huge": (["simulate", "linear-map"], {"rho": 1e200}),
+}
+# an expanding hybrid whose blow-up factor exp(2|lam|tau) overflows the floats
+# has no finite bound, which is reported, not an error
+OVERFLOWING_EXPANSION = {
     "bounds-hybrid-linear-config-huge": (["bounds", "hybrid-linear"], {"a": 1e200}),
+    "bounds-hybrid-linear-config-a-1000": (["bounds", "hybrid-linear"], {"a": 1000.0}),
+    "bounds-hopf-cpg-config-tau-1000": (["bounds", "hopf-cpg"], {"tau": 1000.0}),
 }
 # segments whose noise takes more than one member's draw buffer
 # (simulate._DRAW_VALUES standard normals) and is drawn in slices: map steps,
@@ -138,7 +144,8 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
     out.append(("cpg-bad-dwell", ["cpg", *CPG_SMALL, "--out", "cpg-out"], BAD_DWELL, ()))
     out += [(name, argv, None, ()) for name, argv in NONFINITE.items()]
     out += [(name, argv, config, ())
-            for name, (argv, config) in {**NONFINITE_CONFIGS, **HUGE_CONFIGS}.items()]
+            for name, (argv, config)
+            in {**NONFINITE_CONFIGS, **HUGE_CONFIGS, **OVERFLOWING_EXPANSION}.items()]
     return out
 
 

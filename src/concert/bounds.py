@@ -34,6 +34,7 @@ parameters inside the validity region (see the test suite).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,6 +47,8 @@ HYBRID_REGIMES = ("hybrid-contracting", "hybrid-neutral", "hybrid-expanding-boun
 # band inside which a report carries a proximity warning.
 CRITICAL_REL_TOL = 1e-12
 NEAR_CRITICAL_REL_TOL = 1e-9
+# largest exponent whose exponential is finite: math.exp overflows above it
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class BetaOutOfRange(ValueError):
@@ -139,8 +142,13 @@ class BoundReport:
             "transient_rate_per_step": self.transient_rate_per_step,
             "noise_free": self.noise_free,
             "warnings": list(self.warnings),
-            "inputs": {key: value for key, value in sorted(self.inputs.items())},
+            # a non-finite echo (an overflowed r2) prints as null, as the asymptote
+            "inputs": {key: _finite_or_none(value) for key, value in sorted(self.inputs.items())},
         }
+
+
+def _finite_or_none(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _dwell_exponent(t: float, tau: float, side: str) -> int:
@@ -206,10 +214,21 @@ def classify_regime(beta: float, lam: float, tau: float) -> str:
         return "hybrid-contracting"
     if lam == 0.0:
         return "hybrid-neutral"
-    r2 = beta * math.exp(2.0 * abs(lam) * tau)
+    r2 = _per_dwell_product(beta, lam, tau)
     if abs(r2 - 1.0) <= CRITICAL_REL_TOL:
         return "hybrid-expanding-critical"
     return "hybrid-expanding-bounded" if r2 < 1.0 else "hybrid-expanding-unbounded"
+
+
+def _per_dwell_product(beta: float, lam: float, tau: float) -> float:
+    """r2 = beta exp(2|lam|tau) of an expanding hybrid, or inf where the
+    exponential overflows the floats and beta is a normal float: there
+    r2 > beta * max_float >= 4.  Where beta is 0 or subnormal, the overflow
+    raises OverflowError, as r2 is then unknown."""
+    exponent = 2.0 * abs(lam) * tau
+    if exponent > _LOG_MAX and beta >= sys.float_info.min:
+        return math.inf
+    return beta * math.exp(exponent)
 
 
 def hybrid_bound(beta: float, lam: float, noise_energy_reset: float,
@@ -222,7 +241,8 @@ def hybrid_bound(beta: float, lam: float, noise_energy_reset: float,
     - expanding, r2 < 1: asymptote C3, transient exp(2|lam|tau) r2^k;
     - expanding, r2 = 1 (within 1e-12 relative): linear growth per dwell,
       echoed as `growth_per_dwell`;
-    - expanding, r2 > 1: no finite bound.
+    - expanding, r2 > 1: no finite bound, also where exp(2|lam|tau)
+      overflows the floats (r2 is then echoed as inf, printed as null).
 
     Expanding inputs within 1e-9 of the equality branch, but off it, carry a
     proximity warning.  `inputs` echoes r1 (contracting) or r2 (expanding).
@@ -247,13 +267,14 @@ def hybrid_bound(beta: float, lam: float, noise_energy_reset: float,
         rate = beta
     else:
         alam = abs(lam)
-        blowup = math.exp(2.0 * alam * tau)
-        r2 = beta * blowup
+        r2 = _per_dwell_product(beta, lam, tau)
         inputs["r2"] = r2
         if regime != "hybrid-expanding-critical" and abs(r2 - 1.0) <= NEAR_CRITICAL_REL_TOL:
             warnings = (f"per-dwell product beta*exp(2|lam|tau) = {r2!r} is within 1e-9 "
                         "of the equality branch; the classification is numerically fragile",)
         asym, rate = math.inf, 1.0
+        if regime != "hybrid-expanding-unbounded":  # r2 is at most about 1
+            blowup = math.exp(2.0 * alam * tau)
         if regime == "hybrid-expanding-bounded":
             asym = (2.0 * alam * c_d + (1.0 - beta) * (1.0 + beta - r2) * blowup * c_c) \
                 / (alam * (1.0 - beta) * (1.0 - r2))

@@ -9,6 +9,15 @@ tr(sigma^T M sigma) (per unit time, continuous).  Suprema over a region are
 estimated on a deterministic low-discrepancy sample, so a certificate built
 from a region is evidence, not proof: is_global_claim stays false unless the
 rate was supplied analytically.
+
+A region's samples are evaluated in one batch: a vectorized system's
+callables are called once on the (m, n) sample array, and a matrix-valued one
+that returns one shared matrix stands for every sample; other systems are
+called row by row.  The factored products, eigvalsh and traces run over the
+stack, and the sup is the first sample of largest value, NaN values skipped,
+as a loop over the samples would find it, bit for bit, except where a
+vectorized matrix map is differentiated numerically: NumPy multiplies the
+batch by gemm where a single state took gemv.
 """
 from __future__ import annotations
 
@@ -19,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
-                         MetricSpec, _as_metric)
+                         MetricSpec, _as_metric, _batched_map)
 from .geometry import _checked_inverse, _factored, _squared_gain, numerical_jacobian
 
 
@@ -206,22 +215,34 @@ class SupEstimate:
         return self.value
 
 
-def _sup(region: SamplingRegion, value_at: Callable[[np.ndarray], float]) -> SupEstimate:
-    """Largest value_at(x) over the region's samples, at the first sample
-    attaining it."""
-    best, best_at = -np.inf, None
-    for x in region.samples():
-        value = value_at(x)
-        if value > best:
-            best, best_at = value, x
-    return SupEstimate(value=best, argmax=np.asarray(best_at, dtype=float))
+def _sup(region: SamplingRegion,
+         values_at: Callable[[np.ndarray], np.ndarray]) -> SupEstimate:
+    """Largest value over the region's samples, at the first sample attaining
+    it; NaN values are skipped.  values_at takes the (m, n) samples and returns
+    one value per sample, or one value shared by every sample."""
+    samples = region.samples()
+    values = np.broadcast_to(values_at(samples), (len(samples),))
+    ranked = np.where(values > -np.inf, values, -np.inf)  # NaN ranks with -inf
+    best = int(np.argmax(ranked))  # the first of equal values
+    if not ranked[best] > -np.inf:  # no sample beats -inf
+        return SupEstimate(value=-math.inf, argmax=np.asarray(None, dtype=float))
+    return SupEstimate(value=float(values[best]), argmax=samples[best])
 
 
-def _jacobian_fn(system, index) -> Callable[[np.ndarray], np.ndarray]:
+def _stacked(system, fn: Callable, samples: np.ndarray, arg) -> np.ndarray:
+    """The matrix-valued callable fn(x, arg) of `system` at every sample, as a
+    stack (m, rows, cols); a vectorized callable that returns one shared
+    matrix gives a stack of one."""
+    out = _batched_map(fn, system.vectorized)(samples, arg)
+    return out[None] if out.ndim == 2 else out
+
+
+def _jacobians(system, samples: np.ndarray, arg) -> np.ndarray:
     if system.jacobian is not None:
-        return lambda x: np.asarray(system.jacobian(x, index), dtype=float)
+        return _stacked(system, system.jacobian, samples, arg)
     f = system.map if isinstance(system, DiscreteMapSystem) else system.drift
-    return lambda x: numerical_jacobian(lambda y: f(y, index), x)
+    batched = _batched_map(f, system.vectorized)
+    return numerical_jacobian(lambda y: batched(y, arg), samples)
 
 
 def estimate_discrete_rate(system: DiscreteMapSystem, metric_pair, region: SamplingRegion,
@@ -235,8 +256,8 @@ def estimate_discrete_rate(system: DiscreteMapSystem, metric_pair, region: Sampl
     metric_in, metric_out = metric_pair if metric_pair is not None else (None, None)
     theta_in_inv = _checked_inverse(_as_metric(metric_in, system.dimension).factor())
     theta_out = _as_metric(metric_out, system.dimension).factor()
-    jac = _jacobian_fn(system, k)
-    return _sup(region, lambda x: _squared_gain(_factored(jac(x), theta_in_inv, theta_out)))
+    return _sup(region, lambda xs: _squared_gain(
+        _factored(_jacobians(system, xs, k), theta_in_inv, theta_out)))
 
 
 def estimate_continuous_rate(system: ContinuousSDESystem, metric, region: SamplingRegion,
@@ -248,13 +269,12 @@ def estimate_continuous_rate(system: ContinuousSDESystem, metric, region: Sampli
     theta = metric.factor(t)
     theta_inv = _checked_inverse(theta)
     theta_dot = metric.factor_dot(t)
-    jac = _jacobian_fn(system, t)
 
-    def top(x: np.ndarray) -> float:
-        gen = (theta_dot + theta @ jac(x)) @ theta_inv
-        return float(np.linalg.eigvalsh((gen + gen.T) / 2.0).max())
+    def tops(xs: np.ndarray) -> np.ndarray:
+        gen = (theta_dot + theta @ _jacobians(system, xs, t)) @ theta_inv
+        return np.linalg.eigvalsh((gen + gen.swapaxes(-1, -2)) / 2.0).max(axis=-1)
 
-    worst = _sup(region, top)
+    worst = _sup(region, tops)
     return SupEstimate(value=-worst.value, argmax=worst.argmax)
 
 
@@ -264,11 +284,11 @@ def noise_bound_discrete(system: DiscreteMapSystem, metric_next, region: Samplin
     m_next = _as_metric(metric_next, system.dimension).value()
     q = system.noise.covariance
 
-    def energy(x: np.ndarray) -> float:
-        gain = np.asarray(system.noise_gain(x, k), dtype=float)
-        return float(np.trace(gain.T @ m_next @ gain @ q))
+    def energies(xs: np.ndarray) -> np.ndarray:
+        gain = _stacked(system, system.noise_gain, xs, k)
+        return np.trace(gain.swapaxes(-1, -2) @ m_next @ gain @ q, axis1=-2, axis2=-1)
 
-    return _sup(region, energy)
+    return _sup(region, energies)
 
 
 def noise_bound_continuous(system: ContinuousSDESystem, metric, region: SamplingRegion,
@@ -276,11 +296,11 @@ def noise_bound_continuous(system: ContinuousSDESystem, metric, region: Sampling
     """Sampled sup of the per-unit-time injected energy tr(sigma^T M sigma)."""
     m = _as_metric(metric, system.dimension).value(t)
 
-    def energy(x: np.ndarray) -> float:
-        sig = np.asarray(system.diffusion(x, t), dtype=float)
-        return float(np.trace(sig.T @ m @ sig))
+    def energies(xs: np.ndarray) -> np.ndarray:
+        sig = _stacked(system, system.diffusion, xs, t)
+        return np.trace(sig.swapaxes(-1, -2) @ m @ sig, axis1=-2, axis2=-1)
 
-    return _sup(region, energy)
+    return _sup(region, energies)
 
 
 @dataclass(frozen=True)

@@ -103,14 +103,19 @@ def ring_drift(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.ndar
 
 
 def ring_jacobian(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.ndarray:
-    """Exact 6 x 6 drift Jacobian at one state: block diagonal with blocks
-    (1 - |u|^2) I - 2 u u^T + omega * spin."""
+    """Exact 6 x 6 drift Jacobian, block diagonal with blocks
+    (1 - |u|^2) I - 2 u u^T + omega * spin.  Accepts any leading batch shape,
+    (..., 6) -> (..., 6, 6), and a batch row is the single-state value bit for
+    bit: |u|^2 is the elementwise sum of squares that ring_drift and
+    flow_expansion_at take."""
     state = np.asarray(state, dtype=float)
-    out = np.zeros((6, 6))
+    u = state.reshape(*state.shape[:-1], 3, 2)
+    sq = (u * u).sum(axis=-1)[..., None, None]
+    blocks = (1.0 - sq) * np.eye(2) - 2.0 * (u[..., :, None] * u[..., None, :]) \
+        + omega * _SPIN
+    out = np.zeros((*state.shape[:-1], 6, 6))
     for i in range(3):
-        u = state[2 * i:2 * i + 2]
-        block = (1.0 - u @ u) * np.eye(2) - 2.0 * np.outer(u, u) + omega * _SPIN
-        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = block
+        out[..., 2 * i:2 * i + 2, 2 * i:2 * i + 2] = blocks[..., i, :, :]
     return out
 
 
@@ -232,7 +237,8 @@ class DeltaBoundSummary:
     per_difference_report: BoundReport
 
     def to_json_dict(self) -> dict:
-        return {"beta": self.beta, "r2": self.r2, "regime": self.regime,
+        return {"beta": self.beta, "r2": self.r2 if math.isfinite(self.r2) else None,
+                "regime": self.regime,
                 "pipeline": self.pipeline if math.isfinite(self.pipeline) else None,
                 "per_difference": self.per_difference_report.to_json_dict()}
 

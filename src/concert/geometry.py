@@ -37,16 +37,29 @@ def metric_distance(x: np.ndarray, y: np.ndarray, metric) -> float:
 
 
 def numerical_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian with step max(1e-6, 1e-6 ||x||)."""
+    """Central-difference Jacobian with step max(1e-6, 1e-6 ||x||).
+
+    x is one state (n,), for an f of one state, or a batch of states (m, n)
+    with a Jacobian per row, stacked as (m, ..., n), for an f that takes
+    stacked states (rows, n) and returns one output per row.  A batch's f is
+    called once, on all 2 n m shifted states; each row's step and differences
+    are those of that state alone.
+    """
     x = np.asarray(x, dtype=float)
-    h = max(1e-6, 1e-6 * float(np.linalg.norm(x)))
-    cols = []
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        cols.append((np.asarray(f(x + step), dtype=float)
-                     - np.asarray(f(x - step), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    if x.ndim == 1:
+        return numerical_jacobian(
+            lambda ys: np.stack([np.asarray(f(y), dtype=float) for y in ys]), x[None])[0]
+    m, n = x.shape
+    # each row's norm by the dot product that np.linalg.norm takes, and
+    # Python's max, which keeps 1e-6 against a NaN
+    scaled = 1e-6 * np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    h = np.where(scaled > 1e-6, scaled, 1e-6)
+    step = np.zeros((n, m, n))
+    step[np.arange(n), :, np.arange(n)] = h  # step[i, :, i] shifts coordinate i
+    out = np.asarray(f(np.stack([x + step, x - step]).reshape(2 * n * m, n)), dtype=float)
+    out = out.reshape(2, n, m, *out.shape[1:])
+    cols = (out[0] - out[1]) / (2.0 * h).reshape(m, *(1,) * (out.ndim - 3))
+    return np.moveaxis(cols, 0, -1)
 
 
 def _checked_inverse(theta: np.ndarray) -> np.ndarray:
@@ -68,9 +81,9 @@ def _factored(jac: np.ndarray, theta_in_inv: np.ndarray, theta_out: np.ndarray) 
     return theta_out @ jac @ theta_in_inv
 
 
-def _squared_gain(gen: np.ndarray) -> float:
-    """lambda_max(F.T F) of a generalized Jacobian F."""
-    return float(np.linalg.eigvalsh(gen.T @ gen).max())
+def _squared_gain(gen: np.ndarray) -> np.ndarray:
+    """lambda_max(F.T F) of a generalized Jacobian F, or of each in a stack."""
+    return np.linalg.eigvalsh(gen.swapaxes(-1, -2) @ gen).max(axis=-1)
 
 
 def generalized_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -97,4 +110,5 @@ def contraction_factor_at(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     Values below one mean the map contracts the factored metric pair at x;
     the square of any induced-norm bound on F dominates this quantity.
     """
-    return _squared_gain(generalized_jacobian(f, x, theta_in, theta_out, jacobian=jacobian))
+    return float(_squared_gain(generalized_jacobian(f, x, theta_in, theta_out,
+                                                    jacobian=jacobian)))

@@ -27,7 +27,12 @@ stream order, so its memory does not grow with the horizon and its bits are
 those of one draw per segment; a hybrid run draws the reset opening a dwell in
 the same call as the dwell's flow noise.  Map and reset noise is shaped by one
 2-D product over a member's rows and steps, so its bits do not depend on the
-horizon.  A lone run of a single member is stepped as two identical rows, so
+horizon.  Products that change no bits are skipped: a distance in the
+constant identity metric squares the member difference directly, and a (1, 1)
+gain multiplies the draws elementwise, which the matmul also rounds once (only
+the sign of an exactly zero term may differ).  A box start whose coordinates
+share one low and one high takes NumPy's scalar uniform, bit for bit the
+array call.  A lone run of a single member is stepped as two identical rows, so
 that its matrix products do not take NumPy's one-row kernel; a lone pair shapes
 a member's noise and takes its metric distance on two copies of the row, for
 the same reason.  For hopf-cpg, blocks of 4, 3 and 2 runs give the same bits; a
@@ -46,7 +51,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
-                         HybridSystem, _as_metric)
+                         HybridSystem, _as_metric, _batched_map)
 
 _BLOCK = 1024  # runs simulated in lockstep per block; fixed
 _FOLD = 1024  # consecutive runs reduced together, whatever _BLOCK is; fixed
@@ -324,23 +329,11 @@ class EnsembleStats:
         return (float(self.mean_sq[-count:].mean()), float(self.stderr[-count:].mean()))
 
 
-def _batched_map(fn: Callable, vectorized: bool, lone: bool) -> Callable:
-    if vectorized:
-        return lambda states, arg: np.asarray(fn(states, arg), dtype=float)
-
-    def once(states: np.ndarray, arg) -> np.ndarray:
-        # both rows of a lone run's block hold the same state
-        y = np.asarray(fn(states[0], arg), dtype=float)
-        return np.stack([y, y])
-
-    def rowwise(states: np.ndarray, arg) -> np.ndarray:
-        return np.stack([np.asarray(fn(x, arg), dtype=float) for x in states])
-
-    return once if lone else rowwise
-
-
 def _apply_gain(gain: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    # gain: (n, d) shared, or (B, n, d) state-dependent; draws: (B, d).
+    # gain: (n, d) shared, or (B, n, d) state-dependent; draws: (B, d).  A
+    # (1, 1) gain is one product per row, which the matmul rounds once too
+    if gain.shape == (1, 1):
+        return draws * gain[0]
     if gain.ndim == 2:
         return draws @ gain.T
     return np.einsum("bnd,bd->bn", gain, draws)
@@ -365,6 +358,12 @@ def _initial_states(init: InitialPointPair | InitialBox, dimension: int,
     first, second = _corners(init, dimension)
     if isinstance(init, InitialPointPair):
         return [np.broadcast_to(p, (len(gens[0]), dimension)).copy() for p in (first, second)]
+    if first.tobytes() == first[:1].tobytes() * dimension \
+            and second.tobytes() == second[:1].tobytes() * dimension:
+        # one low and one high for every coordinate: NumPy's scalar path runs
+        # the same low + (high - low) * u as the array path, with less checking
+        low, high = float(first[0]), float(second[0])
+        return [np.stack([g.uniform(low, high, dimension) for g in member]) for member in gens]
     return [np.stack([g.uniform(first, second) for g in member]) for member in gens]
 
 
@@ -674,11 +673,15 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
     dimension = _dimension(system)
     metric = _as_metric(metric, dimension)
     noisy = (True, config.pairing_mode == "two-noisy")
+    # a product by the identity factor changes no distance
+    plain = metric.kind == "constant" and np.array_equal(metric.factor(), np.eye(dimension))
 
     def record(states, g):
-        side = "post" if sides[g] == "interior" else sides[g]
-        factor = metric.factor(float(times[g]), side)
-        sq = (_product(states[0] - states[1], factor.T) ** 2).sum(axis=1)
+        diff = states[0] - states[1]
+        if not plain:
+            side = "post" if sides[g] == "interior" else sides[g]
+            diff = _product(diff, metric.factor(float(times[g]), side).T)
+        sq = (diff ** 2).sum(axis=1)
         return sq if config.statistic == "ms" else np.sqrt(sq)
 
     def block_of(pairs):

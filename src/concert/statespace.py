@@ -174,13 +174,33 @@ class GaussianNoiseSpec:
         return rng.standard_normal((size, self.dimension)) @ self._transform.T
 
 
+def _batched_map(fn: Callable, vectorized: bool, lone: bool = False) -> Callable:
+    """fn(x, arg) over stacked states (rows, dimension): one call when the
+    system declares itself vectorized, and otherwise one call per row, stacked.
+    With lone, the rows are two copies of one state and fn is called once."""
+    if vectorized:
+        return lambda states, arg: np.asarray(fn(states, arg), dtype=float)
+
+    def once(states: np.ndarray, arg) -> np.ndarray:
+        # both rows of a lone run's block hold the same state
+        y = np.asarray(fn(states[0], arg), dtype=float)
+        return np.stack([y, y])
+
+    def rowwise(states: np.ndarray, arg) -> np.ndarray:
+        return np.stack([np.asarray(fn(x, arg), dtype=float) for x in states])
+
+    return once if lone else rowwise
+
+
 @dataclass(frozen=True)
 class DiscreteMapSystem:
     """State update x_{k+1} = map(x_k, k) + noise_gain(x_k, k) @ w_k, w ~ N(0, Q).
 
     `vectorized` declares that map/noise_gain/jacobian also accept stacked
     states of shape (batch, dimension) and return correspondingly stacked
-    output; the simulators batch everything and wrap scalar-only callables.
+    output, or, for noise_gain and jacobian, one shared matrix; the
+    simulators and certificates batch everything and wrap scalar-only
+    callables.
     """
 
     dimension: int

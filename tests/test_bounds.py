@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +213,44 @@ class TestHybridExpanding:
     def test_clearly_separated_inputs_carry_no_warning(self):
         report = hybrid_bound(0.25, -1.0, 1.0, 1.0, 0.5, 0.0)
         assert report.warnings == ()
+
+    def test_overflowing_blowup_is_unbounded(self):
+        # exp(2 |lam| tau) overflows past exponent log(max float) = 709.78...;
+        # r2 = beta exp(...) then exceeds beta * max_float >= 4 for any normal beta
+        for beta, lam, tau in ((0.25, -1000.0, 0.5), (0.52, -1.0, 1000.0),
+                               (0.25, -1e200, 0.5), (sys.float_info.min, -355.0, 1.0)):
+            assert classify_regime(beta, lam, tau) == "hybrid-expanding-unbounded"
+            report = hybrid_bound(beta, lam, 1.0, 1.0, tau, 0.0)
+            assert report.regime == "hybrid-expanding-unbounded"
+            assert report.inputs["r2"] == math.inf and report.warnings == ()
+            assert math.isinf(report.bound_at_time(3.0 * tau))
+            text = json.dumps(report.to_json_dict(), allow_nan=False)
+            assert json.loads(text)["inputs"]["r2"] is None
+            halved = apply_noisefree_corollary(report)
+            assert halved.regime == "hybrid-expanding-unbounded"
+
+    def test_overflow_with_unknown_product_still_raises(self):
+        # beta = 0 or subnormal: beta * exp(...) may be at most 1, so r2 is unknown
+        for beta in (0.0, 5e-324, sys.float_info.min / 2.0):
+            with pytest.raises(OverflowError):
+                classify_regime(beta, -1000.0, 0.5)
+            with pytest.raises(OverflowError):
+                hybrid_bound(beta, -1000.0, 1.0, 1.0, 0.5, 0.0)
+
+    def test_products_that_do_not_overflow_keep_their_bits(self):
+        # every input that classified before the overflow rule keeps its regime
+        # and its r2, up to the largest exponent whose exponential is finite
+        rng = np.random.default_rng(14)
+        log_max = math.log(sys.float_info.max)
+        exponents = [*rng.uniform(0.0, log_max, 400), log_max]
+        for exponent, beta in zip(exponents, rng.uniform(0.0, 1.0, len(exponents))):
+            lam, tau = -exponent / 2.0, 1.0
+            r2 = beta * math.exp(2.0 * abs(lam) * tau)
+            expected = ("hybrid-expanding-critical" if abs(r2 - 1.0) <= CRITICAL_REL_TOL
+                        else "hybrid-expanding-bounded" if r2 < 1.0
+                        else "hybrid-expanding-unbounded")
+            assert classify_regime(beta, lam, tau) == expected
+            assert hybrid_bound(beta, lam, 1.0, 1.0, tau, 0.0).inputs["r2"] == r2
 
     def test_tolerance_constants_exposed(self):
         assert CRITICAL_REL_TOL == 1e-12

@@ -29,6 +29,7 @@ from concert import (
     noise_bound_discrete,
 )
 from concert.certify import _ndtri, _scrambled_halton
+from concert.geometry import numerical_jacobian
 
 
 def _src_env() -> dict:
@@ -314,3 +315,235 @@ class TestCertificates:
         assert parsed["kind"] == "continuous"
         assert parsed["is_global_claim"] is False
         assert parsed["region"]["kind"] == "ball"
+
+
+# --- batched suprema against the per-sample loop ------------------------------
+
+def loop_sup(samples, value_at):
+    """The per-sample loop the batched suprema replace: the first sample with
+    the largest value, NaN values never winning."""
+    best, best_at = -np.inf, None
+    for x in samples:
+        value = value_at(x)
+        if value > best:
+            best, best_at = value, x
+    return best, np.asarray(best_at, dtype=float)
+
+
+def loop_jacobian(f, x):
+    """Central differences at one state, step max(1e-6, 1e-6 |x|)."""
+    h = max(1e-6, 1e-6 * float(np.linalg.norm(x)))
+    cols = []
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        cols.append((np.asarray(f(x + step), dtype=float)
+                     - np.asarray(f(x - step), dtype=float)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def loop_sups(system, metric, region):
+    """(rate, noise energy) of `system` by the per-sample loop, each as
+    (value, argmax); rates as the batched estimates report them."""
+    n = system.dimension
+    discrete = isinstance(system, DiscreteMapSystem)
+    arg = 0 if discrete else 0.0
+    f = system.map if discrete else system.drift
+    spec = MetricSpec.identity(n) if metric is None else MetricSpec.constant(metric)
+    theta, m = spec.factor(), spec.value()
+    theta_inv = np.linalg.inv(theta)
+
+    def jac(x):
+        if system.jacobian is not None:
+            return np.asarray(system.jacobian(x, arg), dtype=float)
+        return loop_jacobian(lambda y: f(y, arg), x)
+
+    def gain(x):
+        fn = system.noise_gain if discrete else system.diffusion
+        return np.asarray(fn(x, arg), dtype=float)
+
+    samples = region.samples()
+    if discrete:
+        q = system.noise.covariance
+
+        def rate(x):
+            gen = theta @ jac(x) @ theta_inv
+            return float(np.linalg.eigvalsh(gen.T @ gen).max())
+
+        def energy(x):
+            g = gain(x)
+            return float(np.trace(g.T @ m @ g @ q))
+
+        return loop_sup(samples, rate), loop_sup(samples, energy)
+
+    def top(x):
+        gen = (np.zeros((n, n)) + theta @ jac(x)) @ theta_inv
+        return float(np.linalg.eigvalsh((gen + gen.T) / 2.0).max())
+
+    def energy(x):
+        sig = gain(x)
+        return float(np.trace(sig.T @ m @ sig))
+
+    worst = loop_sup(samples, top)
+    return (-worst[0], worst[1]), loop_sup(samples, energy)
+
+
+def batched_sups(system, metric, region):
+    if isinstance(system, DiscreteMapSystem):
+        rate = estimate_discrete_rate(system, (metric, metric), region)
+        noise = noise_bound_discrete(system, metric, region)
+    else:
+        rate = estimate_continuous_rate(system, metric, region)
+        noise = noise_bound_continuous(system, metric, region)
+    return (rate.value, rate.argmax), (noise.value, noise.argmax)
+
+
+def sweep_system(kind, n, rng, vectorized, analytic, shared, matrix_map):
+    """A map or flow of dimension n: elementwise, or the matrix map x @ A.T;
+    with an analytic Jacobian or none; with a state-dependent (n, n + 1) gain
+    or one shared matrix."""
+    a = rng.uniform(-1.2, 1.2, (n, n))
+    scale = rng.uniform(0.3, 1.5, n)
+    g0 = rng.standard_normal((n, n + 1))
+
+    if matrix_map:
+        def f(x, arg):
+            return np.asarray(x, dtype=float) @ a.T
+
+        def df(x, arg):
+            return a
+    else:
+        def f(x, arg):
+            x = np.asarray(x, dtype=float)
+            return np.tanh(scale * x) + 0.3 * np.sin(x)
+
+        def df(x, arg):
+            x = np.asarray(x, dtype=float)
+            d = scale * (1.0 - np.tanh(scale * x) ** 2) + 0.3 * np.cos(x)
+            return d[..., :, None] * np.eye(n)
+
+    if shared:
+        def gain(x, arg):
+            return g0
+    else:
+        def gain(x, arg):
+            x = np.asarray(x, dtype=float)
+            return g0 * (1.0 + np.sin(x).sum(axis=-1))[..., None, None]
+
+    jacobian = df if analytic else None
+    if kind == "discrete":
+        cov = np.eye(n + 1) + 0.2
+        return DiscreteMapSystem(dimension=n, map=f, noise_gain=gain,
+                                 noise=GaussianNoiseSpec(n + 1, covariance=cov),
+                                 jacobian=jacobian, vectorized=vectorized)
+    return ContinuousSDESystem(dimension=n, drift=f, diffusion=gain, noise_dim=n + 1,
+                               jacobian=jacobian, vectorized=vectorized)
+
+
+SWEEP = [(kind, n, vectorized, analytic, shared, matrix_map)
+         for kind in ("discrete", "continuous") for n in (1, 2, 6)
+         for vectorized in (True, False) for analytic in (False, True)
+         for shared in (False, True) for matrix_map in (False, True)
+         if not (shared and not vectorized)]
+
+
+class TestBatchedSups:
+    @pytest.mark.parametrize("kind, n, vectorized, analytic, shared, matrix_map", SWEEP)
+    def test_equal_to_the_per_sample_loop(self, kind, n, vectorized, analytic, shared,
+                                          matrix_map):
+        rng = np.random.default_rng([n, vectorized, analytic, shared, matrix_map,
+                                     kind == "discrete"])
+        system = sweep_system(kind, n, rng, vectorized, analytic, shared, matrix_map)
+        root = rng.uniform(-1.0, 1.0, (n, n))
+        metric = root @ root.T + n * np.eye(n)
+        for region in (SamplingRegion.box(-np.ones(n), 2.0 * np.ones(n), 48, seed=n),
+                       SamplingRegion.ball(np.full(n, 0.3), 1.5, 40, seed=n + 1)):
+            for m in (None, metric):
+                got, want = batched_sups(system, m, region), loop_sups(system, m, region)
+                (rate, rate_at), (energy, energy_at) = got
+                (ref_rate, ref_rate_at), (ref_energy, ref_energy_at) = want
+                assert energy == ref_energy and np.array_equal(energy_at, ref_energy_at)
+                if matrix_map and vectorized and not analytic:
+                    # the shifted states of a vectorized matrix map are one gemm
+                    # where a single state took gemv; central differences divide
+                    # that last-bit difference by 2h = 2e-6 max(1, |x|).  The
+                    # exact rate is the same at every sample, so rounding alone
+                    # picks the argmax
+                    assert rate == pytest.approx(ref_rate, rel=1e-8, abs=1e-9)
+                else:
+                    assert rate == ref_rate and np.array_equal(rate_at, ref_rate_at)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_nan_samples_are_skipped_and_ties_go_first(self, vectorized):
+        # |x| peaks at the tied samples -2 and 2, and the NaN sample never wins
+        def gain(x, k):
+            x = np.asarray(x, dtype=float)
+            return np.abs(x)[..., None]
+
+        def f(x, k):
+            x = np.asarray(x, dtype=float)
+            return np.sqrt(np.abs(x)) * np.sign(x)
+
+        system = DiscreteMapSystem(dimension=1, map=f, noise_gain=gain,
+                                   noise=GaussianNoiseSpec(1), vectorized=vectorized)
+        region = SamplingRegion.points([[0.5], [np.nan], [-2.0], [2.0], [1.0]])
+        energy = noise_bound_discrete(system, None, region)
+        assert (energy.value, energy.argmax.tolist()) == (4.0, [-2.0])
+        # the derivative 1 / (2 sqrt|x|) squared peaks at the smallest |x|
+        rate = estimate_discrete_rate(system, None, region)
+        (ref, ref_at), _ = loop_sups(system, None, region)
+        assert rate.value == ref and np.array_equal(rate.argmax, ref_at)
+        assert rate.argmax.tolist() == [0.5]
+
+    def test_no_finite_value_gives_minus_infinity_without_argmax(self):
+        system = DiscreteMapSystem(dimension=1, map=lambda x, k: x,
+                                   noise_gain=lambda x, k: np.full((1, 1), np.nan),
+                                   noise=GaussianNoiseSpec(1))
+        region = SamplingRegion.points([[0.0], [1.0]])
+        energy = noise_bound_discrete(system, None, region)
+        assert energy.value == -math.inf and np.isnan(energy.argmax)
+
+    def test_one_batched_call_per_callable(self):
+        calls = []
+
+        def counted(fn):
+            def wrapper(x, arg):
+                calls.append(np.shape(x))
+                return fn(x, arg)
+            return wrapper
+
+        system = DiscreteMapSystem(dimension=2, map=counted(lambda x, k: 0.5 * x),
+                                   noise_gain=counted(lambda x, k: np.eye(2)),
+                                   noise=GaussianNoiseSpec(2), vectorized=True)
+        region = SamplingRegion.box([-1.0, -1.0], [1.0, 1.0], sample_count=64, seed=0)
+        cert = certify_discrete(system, region)
+        assert calls == [(2 * 2 * 64, 2), (64, 2)]  # the shifted states, then the gain
+        assert cert.rate == pytest.approx(0.25, rel=1e-9)
+
+    def test_numerical_jacobian_rows_equal_the_loop(self):
+        # each row's step is its own max(1e-6, 1e-6 |x|), kept at 1e-6 where
+        # the norm is NaN, so a coordinate-wise map stays finite elsewhere
+        def f(x):
+            return np.tanh(x) * np.array([1.0, 2.0, -0.5])
+
+        rng = np.random.default_rng(8)
+        states = np.vstack([rng.standard_normal((30, 3)) * 10.0 ** rng.uniform(-8, 8, (30, 1)),
+                            [[np.nan, 1.0, 0.5], [np.inf, -2.0, 0.0], [0.0, 0.0, 0.0]]])
+        with np.errstate(invalid="ignore"):
+            batch = numerical_jacobian(f, states)
+            loops = [loop_jacobian(f, x) for x in states]
+            singles = [numerical_jacobian(f, x) for x in states]
+        assert batch.shape == (33, 3, 3)
+        for jac, loop, single in zip(batch, loops, singles):
+            assert np.array_equal(jac, loop, equal_nan=True)
+            assert np.array_equal(single, loop, equal_nan=True)
+        assert np.isfinite(batch[30][1:, 1:]).all()
+
+    def test_ring_jacobian_on_a_batch(self):
+        from concert import ring_jacobian
+        states = np.random.default_rng(3).standard_normal((64, 6))
+        batch = ring_jacobian(states)
+        assert batch.shape == (64, 6, 6)
+        for state, jac in zip(states, batch):
+            assert np.array_equal(ring_jacobian(state), jac)
+        assert ring_jacobian(states.reshape(8, 8, 6)).shape == (8, 8, 6, 6)

@@ -219,6 +219,15 @@ def test_non_finite_config_value_exits_2(capsys, tmp_path, argv, config, key):
     assert err.startswith(f"error: parameter {key!r} must be a finite number, got ")
 
 
+# commands whose 1e200 parameter makes a hybrid expand past the floats, with
+# their exit code: no finite bound is reported, and the simulated pairs all
+# leave the finite floats
+EXPANDING_PAST_THE_FLOATS = {("certify", "hybrid-linear", "a"): 0,
+                             ("bounds", "hybrid-linear", "a"): 0,
+                             ("simulate", "hybrid-linear", "a"): 4,
+                             ("bounds", "hopf-cpg", "tau"): 0}
+
+
 class TestExitCodes:
     def test_unknown_system_is_2(self, capsys):
         code, _, err = run_cli(capsys, "certify", "no-such-system")
@@ -289,9 +298,40 @@ class TestExitCodes:
         if argv[0] == "cpg":
             argv = [*argv, "--out", str(tmp_path / "ring")]
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        expanding = EXPANDING_PAST_THE_FLOATS.get((*argv[:2], key))
+        if expanding is not None:
+            # the hybrid expands so fast that exp(2|lam|tau) overflows: it has
+            # no finite bound, which is an answer, not a precondition
+            assert code == expanding
+            assert "hybrid-expanding-unbounded" in out and "overflows" not in err
+            return
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "overflows the floats" in err
+
+    @pytest.mark.parametrize("system, key", [("hybrid-linear", "a"), ("hopf-cpg", "tau")])
+    def test_overflowing_expansion_is_unbounded_and_0(self, capsys, tmp_path, system, key):
+        # exp(2 |lam| tau) = exp(1000) overflows; with beta > 0 the per-dwell
+        # product r2 is past 1 all the same
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1000.0}))
+        code, out, err = run_cli(capsys, "bounds", system, "--config", str(cfg))
+        assert code == 0 and err == ""
+        assert "Infinity" not in out and "NaN" not in out
+        bound = json.loads(out)["bound"]
+        report = bound if system == "hybrid-linear" else bound["per_difference"]
+        assert report["regime"] == "hybrid-expanding-unbounded"
+        assert report["asymptotic_bound"] is None and report["inputs"]["r2"] is None
+        if system == "hopf-cpg":
+            assert bound["r2"] is None and bound["pipeline"] is None
+
+    def test_overflowing_expansion_without_reset_gain_is_3(self, capsys, tmp_path):
+        # with beta = 0, r2 = 0 * exp(1000) is unknown: the overflow stays an error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": 1000.0, "rho": 0.0}))
+        code, out, err = run_cli(capsys, "bounds", "hybrid-linear", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert "overflows the floats" in err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "ou1d", "--horizon", "inf"],

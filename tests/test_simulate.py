@@ -23,6 +23,7 @@ from concert import (
     HybridSystem,
     InitialBox,
     InitialPointPair,
+    MetricSpec,
     NonFiniteState,
     check_bound_respect,
     derive_stream,
@@ -1258,3 +1259,125 @@ class TestFitGeometricDecay:
         values = np.array([3.0 + 1.0, 3.0 + 1e-12, 3.0 - 1.0])
         with pytest.raises(ValueError):
             fit_geometric_decay(values, 3.0, stderr=np.full(3, 1.0))
+
+
+class TestNoOpProducts:
+    """An identity metric distance and a (1, 1) gain skip their matrix
+    products, and every other metric and gain keeps them; references below
+    keep every product, as the engine did before."""
+
+    @staticmethod
+    def matmul_gain(gain, draws):
+        if gain.ndim == 2:
+            return draws @ gain.T
+        return np.einsum("bnd,bd->bn", gain, draws)
+
+    @staticmethod
+    def scheduled(matrix):
+        # a metric of fixed value that is not a constant one, so its distance
+        # is always taken through the product with its factor
+        return MetricSpec.scheduled(lambda t, side: matrix, len(matrix), 1e-3)
+
+    def assert_same(self, got, want):
+        for field in ("mean_sq", "stderr", "n_alive"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.tobytes() == b.tobytes(), field
+        assert got.failures == want.failures
+
+    @pytest.mark.parametrize("name", ["linear-map", "ou1d", "brownian", "hybrid-linear",
+                                      "hopf-cpg"])
+    @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
+    def test_builtin_defaults_equal_the_products(self, monkeypatch, name, pairing):
+        recipe = get_recipe(name)
+        params = resolve_params(recipe)
+        system = recipe.build(params)
+        config = EnsembleConfig(
+            pair_count=min(recipe.sim_defaults["pair_count"], 64),
+            horizon=recipe.sim_defaults["horizon"], master_seed=5,
+            initial=recipe.initial(params), step_size=dwell_step_default(recipe, params),
+            pairing_mode=pairing, record_every=recipe.sim_defaults["record_every"])
+        got = run_pair_ensemble(system, config)
+        dim = simulate._dimension(system)
+        monkeypatch.setattr(simulate, "_apply_gain", self.matmul_gain)
+        self.assert_same(got, run_pair_ensemble(system, config, self.scheduled(np.eye(dim))))
+
+    def test_lone_pair_and_distance_statistic(self, monkeypatch):
+        system = linear_map(0.9)
+        configs = [EnsembleConfig(pair_count=count, horizon=30, master_seed=2, statistic=stat,
+                                  initial=InitialPointPair(np.array([1.0]), np.array([0.0])))
+                   for count in (1, 5) for stat in ("ms", "distance")]
+        got = [run_pair_ensemble(system, config) for config in configs]
+        monkeypatch.setattr(simulate, "_apply_gain", self.matmul_gain)
+        for stats, config in zip(got, configs):
+            self.assert_same(stats, run_pair_ensemble(system, config, self.scheduled(np.eye(1))))
+
+    def test_other_metrics_and_gains_keep_their_products(self, monkeypatch):
+        gain = np.array([[0.7, 0.2], [-0.1, 0.4]])
+        metric = np.array([[2.0, 0.3], [0.3, 0.5]])
+        system = DiscreteMapSystem(
+            dimension=2, map=lambda x, k: 0.6 * np.asarray(x, dtype=float),
+            noise_gain=lambda x, k: gain, noise=GaussianNoiseSpec(2), vectorized=True)
+        scalar = linear_map(0.8, sigma=1.3)
+        for count in (1, 3, 40):
+            config = EnsembleConfig(pair_count=count, horizon=25, master_seed=9,
+                                    initial=InitialBox(-np.ones(2), np.ones(2)))
+            got = run_pair_ensemble(system, config, metric)
+            one = EnsembleConfig(pair_count=count, horizon=25, master_seed=9,
+                                 initial=InitialBox(-1.0, 1.0))
+            scaled = run_pair_ensemble(scalar, one, np.array([[3.0]]))
+            with monkeypatch.context() as patched:
+                patched.setattr(simulate, "_apply_gain", self.matmul_gain)
+                self.assert_same(got, run_pair_ensemble(system, config, self.scheduled(metric)))
+                self.assert_same(scaled, run_pair_ensemble(
+                    scalar, one, self.scheduled(np.array([[3.0]]))))
+
+    def test_scalar_gain_is_elementwise(self):
+        draws = np.random.default_rng(4).standard_normal((7, 1))
+        gain = np.array([[1.7]])
+        assert np.array_equal(simulate._apply_gain(gain, draws), draws @ gain.T)
+
+
+class TestBoxStarts:
+    # every coordinate of these boxes shares one low and one high, so a start
+    # is drawn through NumPy's scalar uniform
+    BOXES = [(-1.0, 1.0, 6), (0.0, 1e-300, 3), (-1e300, 1e300, 2), (-0.0, 0.0, 4),
+             (-0.0, -0.0, 1), (2.5, 2.5, 2), (-3.0, 7.25, 1)]
+
+    def test_shared_bounds_equal_the_array_draw(self):
+        for low, high, dim in self.BOXES:
+            for seed in range(200):
+                box = InitialBox(np.full(dim, low), np.full(dim, high))
+                gens = [[np.random.default_rng((seed, i, m)) for i in range(2)]
+                        for m in (0, 1)]
+                refs = [[np.random.default_rng((seed, i, m)) for i in range(2)]
+                        for m in (0, 1)]
+                starts = simulate._initial_states(box, dim, gens)
+                for member, ref in zip(starts, refs):
+                    want = np.stack([g.uniform(np.full(dim, low), np.full(dim, high))
+                                     for g in ref])
+                    assert member.tobytes() == want.tobytes()
+                for gen, ref in zip(sum(gens, []), sum(refs, [])):  # the streams go on alike
+                    assert gen.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("low, high", [(0.0, -0.0), (1.0, 0.5)])
+    def test_a_high_below_the_low_fails_alike(self, low, high):
+        box = InitialBox(np.full(3, low), np.full(3, high))
+        with pytest.raises(ValueError) as shared:
+            simulate._initial_states(box, 3, [[np.random.default_rng(0)]])
+        with pytest.raises(ValueError) as array:
+            np.random.default_rng(0).uniform(np.full(3, low), np.full(3, high))
+        assert str(shared.value) == str(array.value)
+
+    def test_per_coordinate_bounds_keep_the_array_draw(self):
+        for lows, highs in (([0.0, -0.0], [1.0, 1.0]), ([-1.0, 0.0], [1.0, 2.0]),
+                            ([0.0, 0.0], [1.0, 1.5])):
+            box = InitialBox(np.array(lows), np.array(highs))
+            gens = [[np.random.default_rng((1, i, 0)) for i in range(3)]]
+            refs = [np.random.default_rng((1, i, 0)) for i in range(3)]
+            want = np.stack([g.uniform(np.array(lows), np.array(highs)) for g in refs])
+            assert simulate._initial_states(box, 2, gens)[0].tobytes() == want.tobytes()
+
+    def test_ring_start_is_a_shared_box(self):
+        from concert.cpg import RING_START
+        low, high = np.broadcast_to(RING_START.lows, 6), np.broadcast_to(RING_START.highs, 6)
+        assert len(set(low.tolist())) == 1 and len(set(high.tolist())) == 1
