@@ -72,6 +72,11 @@ OVERFLOWING_EXPANSION = {
     "bounds-hybrid-linear-config-a-1000": (["bounds", "hybrid-linear"], {"a": 1000.0}),
     "bounds-hopf-cpg-config-tau-1000": (["bounds", "hopf-cpg"], {"tau": 1000.0}),
 }
+# every simulated pair leaves the finite floats (exit 4): the means over no
+# alive pair are printed as null
+ALL_PAIRS_LOST = {
+    "simulate-hybrid-linear-config-huge": (["simulate", "hybrid-linear"], {"a": 1e200}),
+}
 # segments whose noise takes more than one member's draw buffer
 # (simulate._DRAW_VALUES standard normals) and is drawn in slices: map steps,
 # flow steps and the flow steps of the ring's dwells
@@ -91,6 +96,13 @@ LONE_RUNS = {
     "simulate-linear-map-lone": ["simulate", "linear-map", "--ensemble", "1"],
     "simulate-hybrid-linear-lone-noise-free": ["simulate", "hybrid-linear", "--ensemble", "1",
                                                "--noise-free"],
+}
+# plans drawn in one call per member run, whose last block is partial: a
+# third block of one pair, and a second block of one noise-free pair
+PARTIAL_LAST_BLOCK = {
+    "simulate-linear-map-partial-last-block": ["simulate", "linear-map", "--ensemble", "2049"],
+    "simulate-brownian-partial-last-block-noise-free": ["simulate", "brownian", "--ensemble",
+                                                        "1025", "--noise-free"],
 }
 CPG_FILES = ("delta_weak.csv", "delta_strong.csv", "trace_strong.csv",
              "aligned_strong.csv", "summary.json")
@@ -126,7 +138,7 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                     ["simulate", "linear-map", "--seed", seed, "--ensemble", ensemble,
                      "--out", "run.csv"], None, ("run.csv",)))
     out += [(name, [*argv, "--out", "run.csv"], None, ("run.csv",))
-            for name, argv in {**SLICED_DRAWS, **LONE_RUNS}.items()]
+            for name, argv in {**SLICED_DRAWS, **LONE_RUNS, **PARTIAL_LAST_BLOCK}.items()]
     out.append(("simulate-hopf-cpg-print-config",
                 ["simulate", "hopf-cpg", "--print-config"], None, ()))
     out.append(("cpg-print-config", ["cpg", "--print-config"], None, ()))
@@ -145,7 +157,8 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
     out += [(name, argv, None, ()) for name, argv in NONFINITE.items()]
     out += [(name, argv, config, ())
             for name, (argv, config)
-            in {**NONFINITE_CONFIGS, **HUGE_CONFIGS, **OVERFLOWING_EXPANSION}.items()]
+            in {**NONFINITE_CONFIGS, **HUGE_CONFIGS, **OVERFLOWING_EXPANSION,
+                **ALL_PAIRS_LOST}.items()]
     return out
 
 

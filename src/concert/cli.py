@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -23,9 +24,9 @@ from .bounds import BetaOutOfRange, ParameterRange
 from .cpg import (RING_START, STRONG_COUPLING, WEAK_COUPLING, build_cpg_system,
                   phase_aligned_components, run_locking_comparison)
 from .geometry import SingularFactor
-from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _dimension,
-                       _initial_states, _write_csv, check_bound_respect, derive_stream,
-                       initial_ms, run_pair_ensemble, sample_path)
+from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _box_start,
+                       _dimension, _write_csv, check_bound_respect, derive_stream, initial_ms,
+                       run_pair_ensemble, sample_path)
 from .statespace import NotPositiveDefinite
 from .systems import (SystemNotFound, UnknownParameter, _merge_params, dwell_step_default,
                       get_recipe, resolve_params)
@@ -156,7 +157,10 @@ def _cmd_simulate(args) -> int:
     if args.out:
         stats.to_csv(args.out, extra_columns=None if check is None else
                      {"bound": check.bounds, "within_bound": check.passed})
+    # a mean over no alive pair measures nothing and is printed as null
+    final_alive = bool(stats.n_alive[-1] > 0)
     steady_mean, steady_stderr = stats.steady_state()
+    steady_alive = not math.isnan(steady_mean)
     summary = dict(resolved)
     del summary["command"]
     summary.update({
@@ -164,10 +168,10 @@ def _cmd_simulate(args) -> int:
         "initial_ms": initial_ms(config.initial, _dimension(system)),
         "failures": stats.failures,
         "final_time": float(stats.times[-1]),
-        "final_mean": float(stats.mean_sq[-1]),
-        "final_stderr": float(stats.stderr[-1]),
-        "steady_mean": steady_mean,
-        "steady_stderr": steady_stderr,
+        "final_mean": float(stats.mean_sq[-1]) if final_alive else None,
+        "final_stderr": float(stats.stderr[-1]) if final_alive else None,
+        "steady_mean": steady_mean if steady_alive else None,
+        "steady_stderr": steady_stderr if steady_alive else None,
         "bound": None if bound_obj is None else recipe.bound_json(params, args.noise_free),
         "bound_check": None if check is None else {
             "ok": bool(check.ok), "n_checked": check.n_checked,
@@ -203,7 +207,7 @@ def _cmd_cpg(args) -> int:
     # short sample path of the strong ring: run 0 of the ensemble, replayed
     trace_horizon = min(args.horizon, 20.0 * settings["tau"])
     rng = derive_stream(args.seed, 0, 0)
-    x0 = _initial_states(RING_START, 6, [[rng]])[0][0]
+    x0 = _box_start(RING_START, 6)(rng)
     path = sample_path(build_cpg_system(strong), x0, trace_horizon, step, rng)
     for name, prefix, states in (("trace_strong.csv", "x", path.states),
                                  ("aligned_strong.csv", "a",

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, ParameterRange, apply_noisefree_corollary, hybrid_bound
-from .simulate import (STEADY_FRAC, STEPS_PER_DWELL, InitialBox, _initial_states, _moments,
-                       _plan, _run_block, _write_csv, derive_stream)
+from .simulate import (STEADY_FRAC, STEPS_PER_DWELL, InitialBox, _moments, _plan, _run_block,
+                       _write_csv, derive_stream)
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem)
 
@@ -343,9 +343,11 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     window_mask = times >= window_start  # the window ends the grid
     window_means: list[float] = []
 
+    def stream(member, run):
+        return derive_stream(master_seed, run, 0)
+
     def block_of(runs):
-        gens = [derive_stream(master_seed, i, 0) for i in runs]
-        block = _run_block(segments, [gens], _initial_states(RING_START, 6, [gens]), (True,),
+        block = _run_block(segments, runs, stream, RING_START, (True,),
                            lambda states, g: phase_locking_delta(states[0]))
         whole = np.isfinite(block).all(axis=1).tolist()
         window_means.extend(float(row[window_mask].mean())

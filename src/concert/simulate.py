@@ -7,7 +7,12 @@ keyed by (master seed, pair index, member index), so any member's noise
 sequence is reproducible in isolation and results are independent of execution
 order.  A member's stream is PCG64 seeded by SeedSequence((seed, pair, member)),
 bit-identical to np.random.default_rng((seed, pair, member)); the seed hash is
-computed for 1,024 consecutive pairs at once, which changes no bits.  Hybrid
+computed for 1,024 consecutive pairs at once, which changes no bits.  The
+engine derives a member's generator at its first draw (a box start, then its
+first noise) and keeps it only while a later draw call needs it: a run drawn
+in one call drops it at once, so a block does not hold its generators
+together; a run drawn in several calls (hybrids, long flows) keeps its noisy
+members' generators until the block's last call.  Hybrid
 runs apply the boundary reset at the initial instant first and record both
 one-sided samples at every reset time.
 
@@ -29,8 +34,9 @@ the same call as the dwell's flow noise.  Map and reset noise is shaped by one
 2-D product over a member's rows and steps, so its bits do not depend on the
 horizon.  Products that change no bits are skipped: a distance in the
 constant identity metric squares the member difference directly, and a (1, 1)
-gain multiplies the draws elementwise, which the matmul also rounds once (only
-the sign of an exactly zero term may differ).  A box start whose coordinates
+gain or noise transform multiplies the draws elementwise, which the matmul
+also rounds once (only the sign of an exactly zero term may differ), or not at
+all when it is exactly 1.  A box start whose coordinates
 share one low and one high takes NumPy's scalar uniform, bit for bit the
 array call.  A lone run of a single member is stepped as two identical rows, so
 that its matrix products do not take NumPy's one-row kernel; a lone pair shapes
@@ -231,13 +237,17 @@ def sample_path(system, x0: np.ndarray, horizon: float, h: float | None,
     if x.shape != (dimension,):
         raise DimensionMismatch(f"state shape {x.shape}, expected {(dimension,)}")
 
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteState(0)  # before anything is drawn from rng
+
     def record(states, g):
         if not np.all(np.isfinite(states[0])):
             raise NonFiniteState(g)
         return states[0]
 
     return SamplePath(times=times, sides=sides,
-                      states=_run_block(segments, [[rng]], [x[None]], (True,), record)[0])
+                      states=_run_block(segments, range(1), lambda m, i: rng, [x], (True,),
+                                        record)[0])
 
 
 # --- pair ensembles ---------------------------------------------------------
@@ -324,9 +334,14 @@ class EnsembleStats:
     def steady_state(self, window_frac: float = STEADY_FRAC) -> tuple[float, float]:
         """Mean of the statistic over the trailing window, with a conservative
         standard error (the window average of per-time standard errors; no
-        independence across times is assumed)."""
+        independence across times is assumed).  Only window points where some
+        pair is alive are averaged; with none, both are NaN."""
         count = max(1, int(round(window_frac * self.times.size)))
-        return (float(self.mean_sq[-count:].mean()), float(self.stderr[-count:].mean()))
+        alive = self.n_alive[-count:] > 0
+        if not alive.any():
+            return math.nan, math.nan
+        return (float(self.mean_sq[-count:][alive].mean()),
+                float(self.stderr[-count:][alive].mean()))
 
 
 def _apply_gain(gain: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -350,21 +365,17 @@ def _corners(init: InitialPointPair | InitialBox, dimension: int) -> list[np.nda
     return [np.broadcast_to(np.asarray(p, dtype=float), (dimension,)) for p in pair]
 
 
-def _initial_states(init: InitialPointPair | InitialBox, dimension: int,
-                    gens) -> list[np.ndarray]:
-    """Start states (runs, dimension) of the members of a block of runs;
-    gens[m] holds member m's generators in run order.  A point pair needs two
-    members; a box draws each start from the run's own generator."""
-    first, second = _corners(init, dimension)
-    if isinstance(init, InitialPointPair):
-        return [np.broadcast_to(p, (len(gens[0]), dimension)).copy() for p in (first, second)]
-    if first.tobytes() == first[:1].tobytes() * dimension \
-            and second.tobytes() == second[:1].tobytes() * dimension:
-        # one low and one high for every coordinate: NumPy's scalar path runs
-        # the same low + (high - low) * u as the array path, with less checking
-        low, high = float(first[0]), float(second[0])
-        return [np.stack([g.uniform(low, high, dimension) for g in member]) for member in gens]
-    return [np.stack([g.uniform(first, second) for g in member]) for member in gens]
+def _box_start(box: InitialBox, dimension: int) -> Callable[[np.random.Generator], np.ndarray]:
+    """g -> one start (dimension,) drawn uniformly from the box by generator g.
+    When every coordinate shares one low and one high (compared as bytes, so
+    -0.0 and 0.0 differ), NumPy's scalar uniform runs the same
+    low + (high - low) * u as the array call, with less checking."""
+    lows, highs = _corners(box, dimension)
+    if lows.tobytes() == lows[:1].tobytes() * dimension \
+            and highs.tobytes() == highs[:1].tobytes() * dimension:
+        low, high = float(lows[0]), float(highs[0])
+        return lambda g: g.uniform(low, high, dimension)
+    return lambda g: g.uniform(lows, highs)
 
 
 def initial_ms(init: InitialPointPair | InitialBox, dimension: int) -> float:
@@ -478,10 +489,16 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
         fmap = _batched_map(part.map, part.vectorized, lone)
         fgain = _batched_map(part.noise_gain, part.vectorized, lone)
         transform_t = part.noise._transform.T
+        scale = float(transform_t[0, 0]) if transform_t.shape == (1, 1) else None
 
         def shape(z):
-            # one 2-D product (rows * steps, width), whatever the steps
-            z[...] = _product(z.reshape(-1, z.shape[-1]), transform_t).reshape(z.shape)
+            if scale is None:
+                # one 2-D product (rows * steps, width), whatever the steps
+                z[...] = _product(z.reshape(-1, z.shape[-1]), transform_t).reshape(z.shape)
+            elif scale != 1.0:
+                # one product per value, which the matmul rounds once too; a
+                # product by exactly 1 changes nothing
+                np.multiply(z, scale, out=z)
 
         return lambda x, k, w: fmap(x, k) + _apply_gain(fgain(x, k), w), shape
     drift = _batched_map(part.drift, part.vectorized, lone)
@@ -529,38 +546,66 @@ def _draws(segments, rows: int):
                 held = []
 
 
-def _run_block(segments, gens, states, noisy, record) -> np.ndarray:
+def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarray:
     """Step a block of runs in lockstep through `segments`; return their samples
     stacked as (runs, samples, ...).
 
-    Member m of run i starts at states[m][i] and draws from gens[m][i]; it
-    draws nothing and runs noise-free unless noisy[m].  The members are stepped
-    as one state, member after member, so every subsystem callable is called
-    once per update for the whole block, and share one noise buffer per
-    _draws group: each run draws the group in one call.  record(states, g)
-    returns sample g of every run, given the state as (members, runs, ...)
-    (a lone run's two rows for runs).  A lone run of a single member is
-    stepped as two identical rows (its draws copied, not drawn twice), so that
-    no matrix product sees a single row.
+    Member m of run i draws from the generator stream(m, i), derived at the
+    member run's first draw: in the first _draws group each member run, in
+    stream order, derives its generator, draws its start from the box when
+    `start` is an InitialBox, then draws the group's normals.  With a single
+    draw group a generator is dropped right after its draws, so no two of a
+    block are alive at once; with more groups, the noisy members' generators
+    are kept until the last.  `start` is otherwise an InitialPointPair or, per
+    member, start rows that broadcast to (runs, dimension).  A member draws no
+    normals and runs noise-free unless noisy[m].
+
+    The members are stepped as one state, member after member, so every
+    subsystem callable is called once per update for the whole block, and
+    share one noise buffer per _draws group: each run draws the group in one
+    call.  record(states, g) returns sample g of every run, given the state as
+    (members, runs, ...) (a lone run's two rows for runs).  A lone run of a
+    single member is stepped as two identical rows (its start and draws
+    copied, not drawn twice), so that no matrix product sees a single row.
     """
-    members, runs = len(gens), len(gens[0])
-    x = np.concatenate(states)
-    lone = len(x) == 1
-    if lone:
-        x = np.concatenate([x, x])
-    rows = len(x) // members  # per member
+    members, count = len(noisy), len(runs)
+    lone = members * count == 1
+    rows = 2 if lone else count  # per member
+    dimension = segments[0].part.dimension
+    x = np.empty((members * rows, dimension))
     spans = [slice(m * rows, (m + 1) * rows) for m in range(members)]
-    samples = [record(x.reshape(members, rows, -1), 0)]
-    for pieces in _draws(segments, rows):
+    box = _box_start(start, dimension) if isinstance(start, InitialBox) else None
+    if box is None:
+        points = _corners(start, dimension) if isinstance(start, InitialPointPair) else start
+        for span, point in zip(spans, points):
+            x[span] = point
+    groups = list(_draws(segments, rows))
+    kept = [[] for _ in noisy] if len(groups) > 1 else None  # generators for later groups
+    samples = []
+    for group, pieces in enumerate(groups):
         buf = np.empty((len(x), sum((hi - lo) * seg.width for seg, lo, hi in pieces)))
-        for span, member, on in zip(spans, gens, noisy):
+        for m, (span, on) in enumerate(zip(spans, noisy)):
             z = buf[span]
-            if not on:
+            if group:
+                for i, g in enumerate(kept[m]):  # no row view outlives the loop
+                    g.standard_normal(out=z[i])
+            else:
+                for i, run in enumerate(runs):
+                    g = stream(m, run)
+                    if box is not None:
+                        x[span.start + i] = box(g)
+                    if on:
+                        g.standard_normal(out=z[i])
+                        if kept is not None:
+                            kept[m].append(g)
+                    del g  # dropped before the next generator is derived
+                x[span.start + count:span.stop] = x[span.start]  # the copy row of a lone run
+            if on:
+                z[count:] = z[0]
+            else:
                 z[...] = 0.0
-                continue
-            for i, g in enumerate(member):  # no row view outlives the loop
-                g.standard_normal(out=z[i])
-            z[runs:] = z[0]  # the copy row of a lone run
+        if not group:
+            samples.append(record(x.reshape(members, rows, -1), 0))
         at_col = 0
         for seg, lo, hi in pieces:
             advance, shape = _stepper(seg.part, seg.stride, lone)
@@ -575,7 +620,7 @@ def _run_block(segments, gens, states, noisy, record) -> np.ndarray:
                 if j + 1 in seg.marks:
                     samples.append(record(x.reshape(members, rows, -1), len(samples)))
         del buf, z, noise, w  # not held while the next group is drawn
-    return np.stack(samples, axis=1)[:runs]
+    return np.stack(samples, axis=1)[:count]
 
 
 def _fold_chunk(chunk: np.ndarray, count: np.ndarray, mean: np.ndarray,
@@ -684,10 +729,11 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
         sq = (diff ** 2).sum(axis=1)
         return sq if config.statistic == "ms" else np.sqrt(sq)
 
+    def stream(member, pair):
+        return derive_stream(config.master_seed, pair, member)
+
     def block_of(pairs):
-        gens = [[derive_stream(config.master_seed, i, m) for i in pairs] for m in (0, 1)]
-        return _run_block(segments, gens, _initial_states(config.initial, dimension, gens),
-                          noisy, record)
+        return _run_block(segments, pairs, stream, config.initial, noisy, record)
 
     count, mean, stderr, failures = _moments(config.pair_count, times.size, block_of)
     return EnsembleStats(times=times, sides=sides, mean_sq=mean,

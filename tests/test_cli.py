@@ -309,6 +309,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "overflows the floats" in err
 
+    def test_means_over_no_alive_pair_are_null(self, capsys, tmp_path):
+        # every pair leaves the floats in the first dwell: no final or steady
+        # value measures anything
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": 1e200}))
+        code, out, err = run_cli(capsys, "simulate", "hybrid-linear", "--ensemble", "20",
+                                 "--config", str(cfg))
+        assert code == 4
+        assert err == "every trajectory pair left the finite floats\n"
+        summary = json.loads(out)
+        assert summary["failures"] == 20
+        for key in ("final_mean", "final_stderr", "steady_mean", "steady_stderr"):
+            assert summary[key] is None, key
+
+    def test_means_over_alive_pairs_are_numbers(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "linear-map", "--ensemble", "20")
+        assert code == 0
+        summary = json.loads(out)
+        for key in ("final_mean", "final_stderr", "steady_mean", "steady_stderr"):
+            assert isinstance(summary[key], float) and summary[key] > 0, key
+
     @pytest.mark.parametrize("system, key", [("hybrid-linear", "a"), ("hopf-cpg", "tau")])
     def test_overflowing_expansion_is_unbounded_and_0(self, capsys, tmp_path, system, key):
         # exp(2 |lam| tau) = exp(1000) overflows; with beta > 0 the per-dwell

@@ -34,7 +34,7 @@ from concert import (
     validate_system,
 )
 from concert.cpg import RING_START
-from concert.simulate import _initial_states
+from concert.simulate import _box_start
 
 # frozen oracle values at gamma=0.2, sigma_d=0.05, sigma_c=0.1, tau=0.1
 STRONG_PIPELINE = 0.09228889269010736
@@ -298,7 +298,7 @@ class TestRunCPGExperiment:
         params = CPGParams(gamma=gamma)
         h = params.tau / 100
         rng = derive_stream(seed, 0, 0)
-        x0 = _initial_states(RING_START, 6, [[rng]])[0][0]
+        x0 = _box_start(RING_START, 6)(rng)
         path = sample_path(build_cpg_system(params), x0, 20 * params.tau, h, rng)
         traced = dict(zip(zip(path.times.tolist(), path.sides),
                           phase_locking_delta(path.states)))

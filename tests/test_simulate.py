@@ -8,11 +8,14 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import concert.cpg as cpg
 import concert.simulate as simulate
 from concert import (
     ContinuousSDESystem,
@@ -1178,6 +1181,17 @@ class TestEnsembleStatsOutput:
         assert mean == pytest.approx(8.5)
         assert err == pytest.approx(0.5)
 
+    def test_steady_state_averages_only_points_with_a_pair_alive(self):
+        def stats(n_alive):
+            return simulate.EnsembleStats(
+                times=np.arange(10, dtype=float), sides=("interior",) * 10,
+                mean_sq=np.array([*range(7), 7.0, 0.0, 0.0]), stderr=np.full(10, 0.5),
+                n_pairs=4, n_alive=np.array(n_alive), failures=4)
+        # the last two points measure nothing: every pair had left the floats
+        assert stats([4] * 7 + [1, 0, 0]).steady_state(0.3) == (7.0, 0.5)
+        mean, err = stats([4] * 7 + [0, 0, 0]).steady_state(0.3)
+        assert math.isnan(mean) and math.isnan(err)
+
 
 class TestCheckBoundRespect:
     def make_stats(self, mean, stderr):
@@ -1331,6 +1345,57 @@ class TestNoOpProducts:
                 self.assert_same(scaled, run_pair_ensemble(
                     scalar, one, self.scheduled(np.array([[3.0]]))))
 
+    @staticmethod
+    def matmul_stepper(stepper):
+        """_stepper whose map and reset noise is always shaped by the product."""
+        def patched(part, h, lone):
+            advance, shape = stepper(part, h, lone)
+            if isinstance(part, DiscreteMapSystem):
+                transform_t = part.noise._transform.T
+
+                def shape(z):
+                    z[...] = simulate._product(z.reshape(-1, z.shape[-1]),
+                                               transform_t).reshape(z.shape)
+            return advance, shape
+        return patched
+
+    @pytest.mark.parametrize("name", ["linear-map", "hybrid-linear"])
+    @pytest.mark.parametrize("pairs", [1, 40])
+    @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
+    def test_scalar_noise_shaping_equals_the_product(self, monkeypatch, name, pairs, pairing):
+        # a one-dimensional noise has the (1, 1) transform [[1.0]]: its map and
+        # reset noise is not multiplied
+        recipe = get_recipe(name)
+        params = resolve_params(recipe)
+        system = recipe.build(params)
+        assert simulate._dimension(system) == 1
+        config = EnsembleConfig(
+            pair_count=pairs, horizon=recipe.sim_defaults["horizon"], master_seed=6,
+            initial=recipe.initial(params), step_size=dwell_step_default(recipe, params),
+            pairing_mode=pairing, record_every=recipe.sim_defaults["record_every"])
+        got = run_pair_ensemble(system, config)
+        monkeypatch.setattr(simulate, "_stepper", self.matmul_stepper(simulate._stepper))
+        self.assert_same(got, run_pair_ensemble(system, config))
+
+    @pytest.mark.parametrize("variance", [2.25, 0.3, 1.0 + 2**-50])
+    def test_scaled_scalar_noise_is_elementwise(self, monkeypatch, variance):
+        noise = GaussianNoiseSpec(1, covariance=np.array([[variance]]))
+        assert noise._transform[0, 0] != 1.0
+        system = DiscreteMapSystem(dimension=1, map=lambda x, k: 0.7 * np.asarray(x),
+                                   noise_gain=lambda x, k: np.array([[1.3]]), noise=noise,
+                                   vectorized=True)
+        hybrid = HybridSystem(continuous=linear_flow(0.5), reset=system, dwell_time=0.2)
+        for count in (1, 3, 30):
+            configs = [(system, EnsembleConfig(pair_count=count, horizon=20, master_seed=3,
+                                               initial=InitialBox(-1.0, 1.0))),
+                       (hybrid, EnsembleConfig(pair_count=count, horizon=1.0, master_seed=3,
+                                               initial=InitialBox(-1.0, 1.0), step_size=0.05))]
+            got = [run_pair_ensemble(*case) for case in configs]
+            with monkeypatch.context() as patched:
+                patched.setattr(simulate, "_stepper", self.matmul_stepper(simulate._stepper))
+                for stats, case in zip(got, configs):
+                    self.assert_same(stats, run_pair_ensemble(*case))
+
     def test_scalar_gain_is_elementwise(self):
         draws = np.random.default_rng(4).standard_normal((7, 1))
         gain = np.array([[1.7]])
@@ -1347,23 +1412,19 @@ class TestBoxStarts:
         for low, high, dim in self.BOXES:
             for seed in range(200):
                 box = InitialBox(np.full(dim, low), np.full(dim, high))
-                gens = [[np.random.default_rng((seed, i, m)) for i in range(2)]
-                        for m in (0, 1)]
-                refs = [[np.random.default_rng((seed, i, m)) for i in range(2)]
-                        for m in (0, 1)]
-                starts = simulate._initial_states(box, dim, gens)
-                for member, ref in zip(starts, refs):
-                    want = np.stack([g.uniform(np.full(dim, low), np.full(dim, high))
-                                     for g in ref])
-                    assert member.tobytes() == want.tobytes()
-                for gen, ref in zip(sum(gens, []), sum(refs, [])):  # the streams go on alike
+                draw = simulate._box_start(box, dim)
+                for key in [(seed, i, m) for i in range(2) for m in (0, 1)]:
+                    gen, ref = np.random.default_rng(key), np.random.default_rng(key)
+                    want = ref.uniform(np.full(dim, low), np.full(dim, high))
+                    assert draw(gen).tobytes() == want.tobytes()
+                    # the streams go on alike
                     assert gen.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
 
     @pytest.mark.parametrize("low, high", [(0.0, -0.0), (1.0, 0.5)])
     def test_a_high_below_the_low_fails_alike(self, low, high):
         box = InitialBox(np.full(3, low), np.full(3, high))
         with pytest.raises(ValueError) as shared:
-            simulate._initial_states(box, 3, [[np.random.default_rng(0)]])
+            simulate._box_start(box, 3)(np.random.default_rng(0))
         with pytest.raises(ValueError) as array:
             np.random.default_rng(0).uniform(np.full(3, low), np.full(3, high))
         assert str(shared.value) == str(array.value)
@@ -1372,12 +1433,175 @@ class TestBoxStarts:
         for lows, highs in (([0.0, -0.0], [1.0, 1.0]), ([-1.0, 0.0], [1.0, 2.0]),
                             ([0.0, 0.0], [1.0, 1.5])):
             box = InitialBox(np.array(lows), np.array(highs))
-            gens = [[np.random.default_rng((1, i, 0)) for i in range(3)]]
-            refs = [np.random.default_rng((1, i, 0)) for i in range(3)]
-            want = np.stack([g.uniform(np.array(lows), np.array(highs)) for g in refs])
-            assert simulate._initial_states(box, 2, gens)[0].tobytes() == want.tobytes()
+            draw = simulate._box_start(box, 2)
+            for i in range(3):
+                want = np.random.default_rng((1, i, 0)).uniform(np.array(lows), np.array(highs))
+                assert draw(np.random.default_rng((1, i, 0))).tobytes() == want.tobytes()
 
     def test_ring_start_is_a_shared_box(self):
         from concert.cpg import RING_START
         low, high = np.broadcast_to(RING_START.lows, 6), np.broadcast_to(RING_START.highs, 6)
         assert len(set(low.tolist())) == 1 and len(set(high.tolist())) == 1
+
+
+class TestLazyStreams:
+    """A member run's generator is derived at its first draw, and a single
+    draw group drops it right after; the reference feeds the same engine as
+    it was fed before: every generator and start of a block built before any
+    normal is drawn, box starts by the array uniform."""
+
+    @staticmethod
+    def upfront(engine):
+        def run_block(segments, runs, stream, start, noisy, record):
+            gens = [{i: stream(m, i) for i in runs} for m in range(len(noisy))]
+            if isinstance(start, InitialBox):
+                dim = segments[0].part.dimension
+                lows, highs = (np.broadcast_to(np.asarray(p, dtype=float), (dim,))
+                               for p in (start.lows, start.highs))
+                start = [np.stack([g.uniform(lows, highs) for g in member.values()])
+                         for member in gens]
+            return engine(segments, runs, lambda m, i: gens[m][i], start, noisy, record)
+        return run_block
+
+    @staticmethod
+    def case(name, pairs, pairing="two-noisy"):
+        """(system, config) of a named plan; its draw groups per block are
+        noted beside it."""
+        box = InitialBox(-np.ones(2), np.ones(2))
+        fields = dict(pair_count=pairs, master_seed=11, pairing_mode=pairing)
+        mapping = DiscreteMapSystem(
+            dimension=2, map=lambda x, k: np.asarray(x) @ np.array([[0.5, 0.2], [-0.1, 0.4]]),
+            noise_gain=lambda x, k: np.eye(2),
+            noise=GaussianNoiseSpec(2, covariance=np.array([[1.5, 0.6], [0.6, 0.7]])),
+            vectorized=True)
+        if name == "discrete-points":  # one group
+            return mapping, EnsembleConfig(
+                horizon=12, initial=InitialPointPair(np.array([1.0, 2.0]), np.zeros(2)),
+                **fields)
+        if name == "discrete-box":  # one group
+            return mapping, EnsembleConfig(horizon=12, initial=box, **fields)
+        if name == "discrete-per-coordinate-box":  # one group
+            return mapping, EnsembleConfig(
+                horizon=12, initial=InitialBox(np.array([-1.0, 0.0]), np.array([1.0, 3.0])),
+                **fields)
+        if name in ("continuous", "continuous-sliced"):  # one group, or sliced
+            return linear_flow(0.8, dim=2), EnsembleConfig(horizon=2.0, step_size=0.1,
+                                                           initial=box, **fields)
+        if name == "hybrid":  # one group per dwell, and the closing reset
+            return hybrid_linear(dim=2), EnsembleConfig(horizon=1.0, step_size=0.1,
+                                                        initial=box, **fields)
+        recipe = get_recipe("hopf-cpg")  # one group per dwell, and the closing reset
+        params = resolve_params(recipe)
+        return recipe.build(params), EnsembleConfig(
+            horizon=0.5, initial=recipe.initial(params),
+            step_size=dwell_step_default(recipe, params), **fields)
+
+    CASES = ["discrete-points", "discrete-box", "discrete-per-coordinate-box", "continuous",
+             "continuous-sliced", "hybrid", "hopf-cpg"]
+
+    @staticmethod
+    def prepare(monkeypatch, name, block):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        if name == "continuous-sliced":  # 3 steps a slice at 7 rows of 2 normals
+            monkeypatch.setattr(simulate, "_DRAW_VALUES", 7 * 2 * 3)
+
+    def assert_same(self, got, want):
+        for field in ("mean_sq", "stderr", "n_alive"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert got.failures == want.failures
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
+    @pytest.mark.parametrize("pairs", [1, 7])
+    @pytest.mark.parametrize("block", [3, 1000])
+    def test_bit_equal_to_upfront_streams(self, monkeypatch, name, pairing, pairs, block):
+        self.prepare(monkeypatch, name, block)
+        system, config = self.case(name, pairs, pairing)
+        got = run_pair_ensemble(system, config)
+        monkeypatch.setattr(simulate, "_run_block", self.upfront(simulate._run_block))
+        self.assert_same(got, run_pair_ensemble(system, config))
+
+    @pytest.mark.parametrize("runs", [1, 5])
+    @pytest.mark.parametrize("block", [3, 1000])
+    def test_ring_experiment_and_sample_path_bit_equal_to_upfront(self, monkeypatch, runs,
+                                                                   block):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        params = cpg.CPGParams(gamma=0.2)
+        system = cpg.build_cpg_system(params)
+        x0 = simulate._box_start(cpg.RING_START, 6)(derive_stream(3, 0, 0))
+        got = cpg.run_cpg_experiment(params, run_count=runs, horizon=0.5, master_seed=3)
+        path = sample_path(system, x0, 0.3, 0.001, derive_stream(3, 1, 0))
+        monkeypatch.setattr(simulate, "_run_block", self.upfront(simulate._run_block))
+        monkeypatch.setattr(cpg, "_run_block", simulate._run_block)
+        want = cpg.run_cpg_experiment(params, run_count=runs, horizon=0.5, master_seed=3)
+        for field in ("delta_mean", "delta_stderr"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert np.array_equal([got.steady_mean, got.steady_stderr],
+                              [want.steady_mean, want.steady_stderr], equal_nan=True)
+        again = sample_path(system, x0, 0.3, 0.001, derive_stream(3, 1, 0))
+        assert path.states.tobytes() == again.states.tobytes()
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
+    def test_one_derivation_per_member_run(self, monkeypatch, name, pairing):
+        keys = Counter()
+
+        def counted(*key):
+            keys[key] += 1
+            return derive(*key)
+
+        derive = simulate.derive_stream
+        self.prepare(monkeypatch, name, 3)
+        monkeypatch.setattr(simulate, "derive_stream", counted)
+        monkeypatch.setattr(cpg, "derive_stream", counted)
+        system, config = self.case(name, 7, pairing)
+        run_pair_ensemble(system, config)
+        assert keys == Counter({(11, i, m): 1 for i in range(7) for m in (0, 1)})
+        keys.clear()
+        cpg.run_cpg_experiment(cpg.CPGParams(gamma=0.2), run_count=4, horizon=0.2,
+                               master_seed=2)
+        assert keys == Counter({(2, i, 0): 1 for i in range(4)})
+
+    @pytest.mark.parametrize("name, groups", [("discrete-points", 1), ("discrete-box", 1),
+                                              ("continuous", 1), ("continuous-sliced", 5),
+                                              ("hybrid", 3)])
+    @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
+    def test_generators_alive(self, monkeypatch, name, groups, pairing):
+        # a generator's SeedWords lives exactly as long as the generator
+        refs, most = [], []
+
+        def tracked(*key):
+            most.append(sum(ref() is not None for ref in refs))
+            gen = derive(*key)
+            refs.append(weakref.ref(gen.bit_generator.seed_seq))
+            return gen
+
+        def checked(*args):
+            out = engine(*args)
+            assert all(ref() is None for ref in refs)  # none outlives its block
+            refs.clear()
+            return out
+
+        derive, engine = simulate.derive_stream, simulate._run_block
+        self.prepare(monkeypatch, name, 5)
+        monkeypatch.setattr(simulate, "derive_stream", tracked)
+        monkeypatch.setattr(simulate, "_run_block", checked)
+        system, config = self.case(name, 7, pairing)
+        assert len(list(simulate._draws(simulate._plan(
+            system, config.horizon, config.step_size, None, 1)[2], 5))) == groups
+        run_pair_ensemble(system, config)
+        assert len(most) == 14 and not refs
+        if groups == 1:  # no two generators of a block alive at once
+            assert max(most) == 0
+        else:
+            # the noisy members' generators are kept until the block's last
+            # group: at the first block's last derivation, the other 9 of two
+            # noisy members, or the 5 of the noisy member alone
+            assert max(most) == (9 if pairing == "two-noisy" else 5)
+
+    def test_non_finite_start_draws_nothing(self):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        with pytest.raises(NonFiniteState) as err:
+            sample_path(linear_map(), np.array([math.nan]), 5, None, rng)
+        assert err.value.step_index == 0
+        assert rng.standard_normal() == ref.standard_normal()
