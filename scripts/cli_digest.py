@@ -10,7 +10,9 @@ CLI byte-identical; every path a command sees is relative to the temporary
 directory, so the digests do not depend on where it ran.
 
 Exits 1 when a command ends in an uncaught exception (exit code 1, which the
-CLI never returns on purpose), 0 otherwise.
+CLI never returns on purpose), or when its non-empty stdout or a `.json` file
+it writes is not strict JSON (RFC 8259 has no NaN or Infinity), naming the
+command and the output; 0 otherwise.
 """
 from __future__ import annotations
 
@@ -166,6 +168,17 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _strict_json(data: bytes) -> bool:
+    """Whether data parses as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    try:
+        json.loads(data, parse_constant=reject)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -174,7 +187,7 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + (os.pathsep + env["PYTHONPATH"]
                                     if env.get("PYTHONPATH") else "")
-    crashed = []
+    crashed, not_json = [], []
     for name, args, config, files in commands():
         with tempfile.TemporaryDirectory() as work:
             if config is not None:
@@ -185,16 +198,22 @@ def main(argv: list[str]) -> int:
             print(f"{_sha(proc.stdout)}  {name}/stdout")
             print(f"{_sha(proc.stderr)}  {name}/stderr")
             print(f"{_sha(str(proc.returncode).encode())}  {name}/exit={proc.returncode}")
+            json_outputs = {"stdout": proc.stdout} if proc.stdout.strip() else {}
             for rel in files:
                 path = Path(work, rel)
-                digest = _sha(path.read_bytes()) if path.exists() else "missing"
-                print(f"{digest}  {name}/{rel}")
+                data = path.read_bytes() if path.exists() else None
+                print(f"{'missing' if data is None else _sha(data)}  {name}/{rel}")
+                if data is not None and rel.endswith(".json"):
+                    json_outputs[rel] = data
             if proc.returncode == 1:
                 crashed.append(name)
+            not_json += [f"{name}/{part}" for part, data in json_outputs.items()
+                         if not _strict_json(data)]
     if crashed:
         print(f"uncaught exception in: {', '.join(crashed)}", file=sys.stderr)
-        return 1
-    return 0
+    if not_json:
+        print(f"not strict JSON: {', '.join(not_json)}", file=sys.stderr)
+    return 1 if crashed or not_json else 0
 
 
 if __name__ == "__main__":

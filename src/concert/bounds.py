@@ -148,6 +148,12 @@ class BoundReport:
 
 
 def _finite_or_none(value):
+    """value with every float that is not finite, also inside the dicts and
+    lists it holds, replaced by None: JSON has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(item) for item in value]
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 

@@ -7,8 +7,7 @@ positive values mean contraction).  Noise energies are suprema of the injected
 trace tr(sigma^T M sigma Q) (discrete; Q is the draw covariance) and
 tr(sigma^T M sigma) (per unit time, continuous).  Suprema over a region are
 estimated on a deterministic low-discrepancy sample, so a certificate built
-from a region is evidence, not proof: is_global_claim stays false unless the
-rate was supplied analytically.
+from a region is evidence, not proof: its is_global_claim is false.
 
 A region's samples are evaluated in one batch: a vectorized system's
 callables are called once on the (m, n) sample array, and a matrix-valued one
@@ -309,9 +308,9 @@ class ContractionCertificate:
 
     kind "discrete" pairs the one-step squared gain with the reset-noise
     energy; kind "continuous" pairs the flow contraction rate with the
-    per-unit-time energy.  is_global_claim is true only when the rate holds
-    everywhere by construction (supplied analytically), never for sampled
-    estimates.
+    per-unit-time energy.  is_global_claim is true only when both fields hold
+    everywhere by construction (the builtins' analytic certificates), never for
+    sampled estimates.
     """
 
     kind: str  # "discrete" | "continuous"
@@ -335,18 +334,15 @@ class ContractionCertificate:
 
 
 def _certificate(kind: str, est: SupEstimate, noise: SupEstimate, metric: MetricSpec,
-                 region: SamplingRegion, analytic_rate: float | None) -> ContractionCertificate:
-    rate = float(analytic_rate) if analytic_rate is not None else est.value
-    return ContractionCertificate(kind=kind, rate=rate, noise_bound=noise.value,
-                                  metric=metric, region=region,
-                                  is_global_claim=analytic_rate is not None,
+                 region: SamplingRegion) -> ContractionCertificate:
+    return ContractionCertificate(kind=kind, rate=est.value, noise_bound=noise.value,
+                                  metric=metric, region=region, is_global_claim=False,
                                   rate_argmax=est.argmax)
 
 
 def certify_discrete(system: DiscreteMapSystem, region: SamplingRegion,
-                     metric=None, metric_next=None, k: int = 0,
-                     analytic_rate: float | None = None) -> ContractionCertificate:
-    """Assemble a discrete certificate: sampled (or analytic) rate plus noise energy.
+                     metric=None, metric_next=None, k: int = 0) -> ContractionCertificate:
+    """Assemble a discrete certificate: sampled rate plus noise energy.
 
     The rate is the gain from `metric` at step k to `metric_next` at step k+1,
     and the noise energy is measured in `metric_next`; it defaults to `metric`.
@@ -356,14 +352,13 @@ def certify_discrete(system: DiscreteMapSystem, region: SamplingRegion,
         metric_next = metric_spec
     est = estimate_discrete_rate(system, (metric_spec, metric_next), region, k=k)
     noise = noise_bound_discrete(system, metric_next, region, k=k)
-    return _certificate("discrete", est, noise, metric_spec, region, analytic_rate)
+    return _certificate("discrete", est, noise, metric_spec, region)
 
 
 def certify_continuous(system: ContinuousSDESystem, region: SamplingRegion,
-                       metric=None, t: float = 0.0,
-                       analytic_rate: float | None = None) -> ContractionCertificate:
-    """Assemble a continuous certificate: sampled (or analytic) rate plus noise energy."""
+                       metric=None, t: float = 0.0) -> ContractionCertificate:
+    """Assemble a continuous certificate: sampled rate plus noise energy."""
     metric_spec = _as_metric(metric, system.dimension)
     est = estimate_continuous_rate(system, metric_spec, region, t=t)
     noise = noise_bound_continuous(system, metric_spec, region, t=t)
-    return _certificate("continuous", est, noise, metric_spec, region, analytic_rate)
+    return _certificate("continuous", est, noise, metric_spec, region)

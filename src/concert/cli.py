@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
-from .bounds import BetaOutOfRange, ParameterRange
+from .bounds import BetaOutOfRange, ParameterRange, _finite_or_none
 from .cpg import (RING_START, STRONG_COUPLING, WEAK_COUPLING, build_cpg_system,
                   phase_aligned_components, run_locking_comparison)
 from .geometry import SingularFactor
@@ -36,8 +35,14 @@ _CPG_DEFAULTS = {"gamma_weak": WEAK_COUPLING.gamma, "gamma_strong": STRONG_COUPL
                  **{key: getattr(STRONG_COUPLING, key) for key in _CPG_SHARED}}
 
 
+def _json(payload: dict) -> str:
+    """payload as strict JSON text: a float that is not finite, such as a mean
+    over no alive pair or a slack with no finite bound, is written as null."""
+    return json.dumps(_finite_or_none(payload), sort_keys=True, indent=2, allow_nan=False)
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_json(payload))
 
 
 def _load_config(path: str | None) -> dict:
@@ -157,10 +162,9 @@ def _cmd_simulate(args) -> int:
     if args.out:
         stats.to_csv(args.out, extra_columns=None if check is None else
                      {"bound": check.bounds, "within_bound": check.passed})
-    # a mean over no alive pair measures nothing and is printed as null
+    # a mean over no alive pair measures nothing and prints as null (steady: NaN)
     final_alive = bool(stats.n_alive[-1] > 0)
     steady_mean, steady_stderr = stats.steady_state()
-    steady_alive = not math.isnan(steady_mean)
     summary = dict(resolved)
     del summary["command"]
     summary.update({
@@ -170,8 +174,8 @@ def _cmd_simulate(args) -> int:
         "final_time": float(stats.times[-1]),
         "final_mean": float(stats.mean_sq[-1]) if final_alive else None,
         "final_stderr": float(stats.stderr[-1]) if final_alive else None,
-        "steady_mean": steady_mean if steady_alive else None,
-        "steady_stderr": steady_stderr if steady_alive else None,
+        "steady_mean": steady_mean,
+        "steady_stderr": steady_stderr,
         "bound": None if bound_obj is None else recipe.bound_json(params, args.noise_free),
         "bound_check": None if check is None else {
             "ok": bool(check.ok), "n_checked": check.n_checked,
@@ -223,7 +227,7 @@ def _cmd_cpg(args) -> int:
                         "trace_strong": "trace_strong.csv",
                         "aligned_strong": "aligned_strong.csv",
                         "summary": "summary.json"}
-    text = json.dumps(summary, sort_keys=True, indent=2)
+    text = _json(summary)
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     print(text)

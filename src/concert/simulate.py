@@ -38,12 +38,12 @@ gain or noise transform multiplies the draws elementwise, which the matmul
 also rounds once (only the sign of an exactly zero term may differ), or not at
 all when it is exactly 1.  A box start whose coordinates
 share one low and one high takes NumPy's scalar uniform, bit for bit the
-array call.  A lone run of a single member is stepped as two identical rows, so
-that its matrix products do not take NumPy's one-row kernel; a lone pair shapes
-a member's noise and takes its metric distance on two copies of the row, for
-the same reason.  For hopf-cpg, blocks of 4, 3 and 2 runs give the same bits; a
-BLAS that picks its kernels by row count at larger sizes could still make a
-run's last bits depend on the size of its block.
+array call.  One rule keeps NumPy's one-row kernel out of every product: a
+block of a single run, whatever its member count, steps each member as two
+identical rows (its start and draws copied, not drawn twice), so no product
+ever sees a single row.  For hopf-cpg, blocks of 4, 3 and 2 runs give the
+same bits; a BLAS that picks its kernels by row count at larger sizes could
+still make a run's last bits depend on the size of its block.
 """
 from __future__ import annotations
 
@@ -482,9 +482,9 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
     """(advance, shape) of one subsystem: shape(z) turns a member's standard
     normals z, (rows, steps, width), into its noise in place, and
     advance(x, at, w) is one map application at index `at` or one
-    Euler-Maruyama step from time `at` of the stacked state x.  With lone, x is
-    a lone run's two identical rows, and a callable that is not vectorized is
-    called once per step, for the first."""
+    Euler-Maruyama step from time `at` of the stacked state x, at least two
+    rows per member; with lone, each member is a lone run's two identical rows,
+    and a callable that is not vectorized is called once per member and step."""
     if isinstance(part, DiscreteMapSystem):
         fmap = _batched_map(part.map, part.vectorized, lone)
         fgain = _batched_map(part.noise_gain, part.vectorized, lone)
@@ -494,7 +494,7 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
         def shape(z):
             if scale is None:
                 # one 2-D product (rows * steps, width), whatever the steps
-                z[...] = _product(z.reshape(-1, z.shape[-1]), transform_t).reshape(z.shape)
+                z[...] = (z.reshape(-1, z.shape[-1]) @ transform_t).reshape(z.shape)
             elif scale != 1.0:
                 # one product per value, which the matmul rounds once too; a
                 # product by exactly 1 changes nothing
@@ -513,15 +513,6 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
         return out
 
     return euler, lambda z: np.multiply(sqrt_h, z, out=z)
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a 2-D a, computing a single row as two: NumPy's one-row
-    kernel may round differently from the kernel that takes every other row
-    count."""
-    if len(a) == 1:
-        return (np.concatenate([a, a]) @ b)[:1]
-    return a @ b
 
 
 def _slices(steps: int, per_step: int) -> list[tuple[int, int]]:
@@ -558,18 +549,18 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
     block are alive at once; with more groups, the noisy members' generators
     are kept until the last.  `start` is otherwise an InitialPointPair or, per
     member, start rows that broadcast to (runs, dimension).  A member draws no
-    normals and runs noise-free unless noisy[m].
+    normals and runs noise-free unless noisy[m]; given starts, it derives none.
 
     The members are stepped as one state, member after member, so every
     subsystem callable is called once per update for the whole block, and
     share one noise buffer per _draws group: each run draws the group in one
     call.  record(states, g) returns sample g of every run, given the state as
-    (members, runs, ...) (a lone run's two rows for runs).  A lone run of a
-    single member is stepped as two identical rows (its start and draws
-    copied, not drawn twice), so that no matrix product sees a single row.
+    (members, rows, ...).  A block of a single run, whatever its member count,
+    steps each member as two identical rows (start and draws copied, not drawn
+    twice), so that no matrix product sees a single row.
     """
     members, count = len(noisy), len(runs)
-    lone = members * count == 1
+    lone = count == 1
     rows = 2 if lone else count  # per member
     dimension = segments[0].part.dimension
     x = np.empty((members * rows, dimension))
@@ -589,7 +580,7 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
             if group:
                 for i, g in enumerate(kept[m]):  # no row view outlives the loop
                     g.standard_normal(out=z[i])
-            else:
+            elif on or box is not None:  # a member run that draws nothing derives no stream
                 for i, run in enumerate(runs):
                     g = stream(m, run)
                     if box is not None:
@@ -725,7 +716,7 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
         diff = states[0] - states[1]
         if not plain:
             side = "post" if sides[g] == "interior" else sides[g]
-            diff = _product(diff, metric.factor(float(times[g]), side).T)
+            diff = diff @ metric.factor(float(times[g]), side).T
         sq = (diff ** 2).sum(axis=1)
         return sq if config.statistic == "ms" else np.sqrt(sq)
 

@@ -177,19 +177,16 @@ class GaussianNoiseSpec:
 def _batched_map(fn: Callable, vectorized: bool, lone: bool = False) -> Callable:
     """fn(x, arg) over stacked states (rows, dimension): one call when the
     system declares itself vectorized, and otherwise one call per row, stacked.
-    With lone, the rows are two copies of one state and fn is called once."""
+    With lone, rows 2i and 2i + 1 hold one state, and fn is called once for both."""
     if vectorized:
         return lambda states, arg: np.asarray(fn(states, arg), dtype=float)
-
-    def once(states: np.ndarray, arg) -> np.ndarray:
-        # both rows of a lone run's block hold the same state
-        y = np.asarray(fn(states[0], arg), dtype=float)
-        return np.stack([y, y])
 
     def rowwise(states: np.ndarray, arg) -> np.ndarray:
         return np.stack([np.asarray(fn(x, arg), dtype=float) for x in states])
 
-    return once if lone else rowwise
+    if lone:
+        return lambda states, arg: np.repeat(rowwise(states[::2], arg), 2, axis=0)
+    return rowwise
 
 
 @dataclass(frozen=True)

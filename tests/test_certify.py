@@ -280,7 +280,7 @@ class TestCertificates:
         assert cert.kind == "discrete"
         assert cert.rate == pytest.approx(0.25, abs=1e-8)
         assert cert.noise_bound == pytest.approx(1.0, rel=1e-12)
-        assert not cert.is_global_claim
+        assert cert.is_global_claim is False
 
     def test_metric_next_defaults_to_metric(self):
         # x -> 0.5 x with unit noise, measured in M = [[4]] at both steps:
@@ -294,18 +294,13 @@ class TestCertificates:
                                     metric_next=metric)
         assert (cert.rate, cert.noise_bound) == (explicit.rate, explicit.noise_bound)
 
-    def test_analytic_rate_marks_global_claim(self):
-        region = SamplingRegion.box([-1.0], [1.0], sample_count=8, seed=0)
-        cert = certify_discrete(linear_map_system(0.5), region, analytic_rate=0.25)
-        assert cert.is_global_claim
-        assert cert.rate == 0.25
-
     def test_continuous_certificate(self):
         region = SamplingRegion.box([-1.0], [1.0], sample_count=16, seed=0)
         cert = certify_continuous(ou_system(a=1.5, sigma=0.5), region)
         assert cert.kind == "continuous"
         assert cert.rate == pytest.approx(1.5, abs=1e-10)
         assert cert.noise_bound == pytest.approx(0.25, rel=1e-12)
+        assert cert.is_global_claim is False
 
     def test_certificate_json_serializable(self):
         region = SamplingRegion.ball([0.0], radius=1.0, sample_count=8, seed=0)

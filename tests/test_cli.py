@@ -222,6 +222,37 @@ def test_non_finite_config_value_exits_2(capsys, tmp_path, argv, config, key):
 # commands whose 1e200 parameter makes a hybrid expand past the floats, with
 # their exit code: no finite bound is reported, and the simulated pairs all
 # leave the finite floats
+def strict_json(text):
+    """json.loads for RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """A float that is not finite prints as null, on stdout and in files."""
+
+    @pytest.mark.parametrize("a, exit_code", [(2.0, 0), (1e200, 4)])
+    def test_slack_with_no_finite_bound_is_null(self, capsys, tmp_path, a, exit_code):
+        # hybrid-expanding-unbounded: every bound value is inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": a}))
+        code, out, _ = run_cli(capsys, "simulate", "hybrid-linear", "--config", str(cfg))
+        assert code == exit_code
+        assert strict_json(out)["bound_check"]["worst_slack"] is None
+
+    def test_stderr_of_a_lone_ring_run_is_null(self, capsys, tmp_path):
+        out_dir = tmp_path / "ring"
+        code, out, _ = run_cli(capsys, "cpg", "--ensemble", "1", "--horizon", "1",
+                               "--out", str(out_dir))
+        assert code == 0
+        for text in (out, (out_dir / "summary.json").read_text()):
+            summary = strict_json(text)
+            assert summary["weak"]["steady_stderr"] is None
+            assert summary["strong"]["steady_stderr"] is None
+            assert isinstance(summary["strong"]["steady_mean"], float)
+
+
 EXPANDING_PAST_THE_FLOATS = {("certify", "hybrid-linear", "a"): 0,
                              ("bounds", "hybrid-linear", "a"): 0,
                              ("simulate", "hybrid-linear", "a"): 4,

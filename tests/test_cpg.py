@@ -126,8 +126,9 @@ class TestRingDrift:
         for i in range(5):
             assert np.allclose(batch[i], ring_drift(states[i]), atol=1e-15)
 
-    # a lone run's doubled rows, the engine's block sizes, stacked members
-    @pytest.mark.parametrize("shape", [(6,), (2, 6), (5, 6), (200, 6), (1024, 6),
+    # a lone run's doubled rows (a lone pair's four), the engine's block sizes,
+    # stacked members
+    @pytest.mark.parametrize("shape", [(6,), (2, 6), (4, 6), (5, 6), (200, 6), (1024, 6),
                                        (3, 4, 6), (4, 5, 6)])
     @pytest.mark.parametrize("omega", [0.0, -0.0, 1.0, 1.3, -1.3, 2.5])
     def test_bit_equal_to_blockwise_formula(self, shape, omega):

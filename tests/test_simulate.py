@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,118 @@ def hybrid_linear(a=1.0, rho=0.5, tau=0.5, sigma_c=1.0, sigma_d=1.0, dim=1):
         continuous=linear_flow(a, dim, sigma_c),
         reset=linear_map(rho, dim, sigma_d),
         dwell_time=tau)
+
+
+def counting(calls, part, *names):
+    """part with its callables `names` counting their calls in calls[name]."""
+    def counted(name, fn):
+        def wrapped(x, arg):
+            calls[name] += 1
+            return fn(x, arg)
+        return wrapped
+    return replace(part, **{name: counted(name, getattr(part, name)) for name in names})
+
+
+# --- the plain reference engine ---------------------------------------------
+# Every bit-identity test of the engine compares against these: they follow the
+# documented stream order and keep every product, with no blocking, slicing,
+# lazy streams or skipped products.
+
+def _call(fn, vectorized, x, arg):
+    return np.asarray(fn(x, arg) if vectorized else [fn(row, arg) for row in x], dtype=float)
+
+
+def reference_member(system, gens, x, noisy, horizon, h=None, interior=None, record_every=1):
+    """(times, sides, samples) of one member of len(gens) runs from the start
+    rows x.  Each run draws each segment's standard normals whole from its
+    generator, unless not noisy; the runs step as one array of at least two
+    rows, a lone run's copied, and samples is (rows, samples, dimension).
+    interior is a hybrid's interior samples per dwell, None for every step."""
+    x = np.concatenate([x, x])[:max(len(gens), 2)]
+
+    def run(part, start, stride, steps):  # the states after each update
+        nonlocal x
+        flow = isinstance(part, ContinuousSDESystem)
+        shape = (len(x), steps, part.noise_dim if flow else part.noise.dimension)
+        z = np.stack([g.standard_normal(shape[1:]) for g in gens]) if noisy else np.zeros(shape)
+        z = np.concatenate([z, z])[:len(x)]
+        if flow:
+            z = math.sqrt(h) * z
+        elif noisy:
+            z = (z.reshape(-1, shape[2]) @ part.noise._transform.T).reshape(shape)
+        fn, gain = (part.drift, part.diffusion) if flow else (part.map, part.noise_gain)
+        out = []
+        for j in range(steps):
+            at = start + j * stride
+            f, g = _call(fn, part.vectorized, x, at), _call(gain, part.vectorized, x, at)
+            w = z[:, j] @ g.T if g.ndim == 2 else np.einsum("bnd,bd->bn", g, z[:, j])
+            x = (f * h + x if flow else f) + w
+            out.append(x)
+        return out
+
+    if not isinstance(system, HybridSystem):  # maps and flows
+        stride, every = (1, 1) if isinstance(system, DiscreteMapSystem) else (h, record_every)
+        states = ([x] + run(system, 0, stride, round(horizon / stride)))[::every]
+        times = [float(j * every * stride) for j in range(len(states))]
+        sides = ["interior"] * len(states)
+    else:
+        cont, reset, tau = system.continuous, system.reset, system.dwell_time
+        steps = round(tau / h)
+        marks = range(1, steps) if interior is None else sorted(
+            {round(j * steps / (interior + 1)) for j in range(1, interior + 1)}
+            & {*range(1, steps)})
+        states, times, sides = [x] + run(reset, 0, 1, 1), [0.0, 0.0], ["pre", "post"]
+        for k in range(round(horizon / tau)):
+            flow = run(cont, k * tau, h, steps)
+            states += [flow[j - 1] for j in marks] + [flow[-1]] + run(reset, k + 1, 1, 1)
+            times += [k * tau + j * h for j in marks] + [(k + 1) * tau] * 2
+            sides += ["interior"] * len(marks) + ["pre", "post"]
+    return np.asarray(times), tuple(sides), np.stack(states, axis=1)
+
+
+def reference_ensemble(system, config, metric=None):
+    """run_pair_ensemble(system, config, metric) by reference_member: every
+    member run's stream derived up front, box starts drawn by the array
+    uniform, every distance taken through the metric's factor, and the
+    per-pair rows reduced by scalar_moments."""
+    dim = system.continuous.dimension if isinstance(system, HybridSystem) else system.dimension
+    if not isinstance(metric, MetricSpec):
+        metric = MetricSpec.constant(np.eye(dim) if metric is None else metric)
+    interior = 4 if config.interior_per_dwell is None else config.interior_per_dwell
+    init, pairs = config.initial, config.pair_count
+    members = []
+    for m, noisy in enumerate((True, config.pairing_mode == "two-noisy")):
+        gens = [derive_stream(config.master_seed, i, m) for i in range(pairs)]
+        if isinstance(init, InitialBox):
+            lows, highs = (np.broadcast_to(np.asarray(p, dtype=float), dim)
+                           for p in (init.lows, init.highs))
+            x = np.stack([g.uniform(lows, highs) for g in gens])
+        else:
+            x = np.broadcast_to(np.asarray(init.b if m else init.a, dtype=float), (pairs, dim))
+        times, sides, states = reference_member(system, gens, x, noisy, config.horizon,
+                                                config.step_size, interior, config.record_every)
+        members.append(states)
+    rows = []
+    for g, (t, side) in enumerate(zip(times, sides)):
+        factor = metric.factor(float(t), "post" if side == "interior" else side)
+        sq = (((members[0][:, g] - members[1][:, g]) @ factor.T) ** 2).sum(axis=1)
+        rows.append(sq if config.statistic == "ms" else np.sqrt(sq))
+    count, mean, stderr, failures = scalar_moments(np.stack(rows, axis=1)[:pairs])
+    return simulate.EnsembleStats(times=times, sides=sides, mean_sq=np.array(mean),
+                                  stderr=np.array(stderr), n_pairs=pairs,
+                                  n_alive=np.array(count), failures=failures,
+                                  statistic=config.statistic)
+
+
+def assert_bit_equal(got, want):
+    for field in ("times", "mean_sq", "stderr", "n_alive"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert (got.sides, got.failures) == (want.sides, want.failures)
+
+
+def assert_equals_reference(system, config, metric=None):
+    assert_bit_equal(run_pair_ensemble(system, config, metric),
+                     reference_ensemble(system, config, metric))
 
 
 class TestDeriveStream:
@@ -229,12 +342,8 @@ class TestSamplePathMap:
         # member 0 of pair 0 draws one (steps, d) block for the whole run
         system = linear_map(0.5, sigma=0.7)
         path = sample_path(system, np.array([1.0]), 5, None, derive_stream(3, 0, 0))
-        z = derive_stream(3, 0, 0).standard_normal((5, 1))
-        x, expected = np.array([1.0]), [1.0]
-        for k in range(5):
-            x = 0.5 * x + z[k] @ np.array([[0.7]]).T
-            expected.append(x[0])
-        assert np.array_equal(path.states[:, 0], expected)
+        want = reference_member(system, [derive_stream(3, 0, 0)], np.ones((1, 1)), True, 5)
+        assert path.states.tobytes() == want[2][0].tobytes()
 
     def test_step_size_rejected(self):
         with pytest.raises(ValueError, match="step_size"):
@@ -328,26 +437,10 @@ class TestSamplePathHybrid:
         assert err.value.step_index == 13
 
     def test_rowwise_callables_called_once_per_step(self):
-        calls = {"drift": 0, "diffusion": 0, "map": 0, "noise_gain": 0}
-
-        def counted(name, fn):
-            def wrapped(x, arg):
-                calls[name] += 1
-                return fn(x, arg)
-            return wrapped
-
+        calls = Counter()
         base = hybrid_linear(tau=0.5)
-        flow, reset = base.continuous, base.reset
-        system = HybridSystem(
-            continuous=ContinuousSDESystem(
-                dimension=1, noise_dim=1,
-                drift=counted("drift", flow.drift),
-                diffusion=counted("diffusion", flow.diffusion)),
-            reset=DiscreteMapSystem(
-                dimension=1, noise=GaussianNoiseSpec(1),
-                map=counted("map", reset.map),
-                noise_gain=counted("noise_gain", reset.noise_gain)),
-            dwell_time=0.5)
+        system = replace(base, continuous=counting(calls, base.continuous, "drift", "diffusion"),
+                         reset=counting(calls, base.reset, "map", "noise_gain"))
         path = sample_path(system, np.array([1.0]), 1.0, 0.1, np.random.default_rng(0))
         # 2 dwells of 5 flow steps, and resets at k = 0, 1, 2
         assert calls == {"drift": 10, "diffusion": 10, "map": 3, "noise_gain": 3}
@@ -358,20 +451,11 @@ class TestSamplePathHybrid:
 class TestEnsembleConfigValidation:
     def test_rejects_bad_fields(self):
         init = InitialPointPair(np.array([0.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            EnsembleConfig(pair_count=0, horizon=5, master_seed=0, initial=init)
-        with pytest.raises(ValueError):
-            EnsembleConfig(pair_count=1, horizon=5, master_seed=0, initial=init,
-                           pairing_mode="both-noisy")
-        with pytest.raises(ValueError):
-            EnsembleConfig(pair_count=1, horizon=5, master_seed=0, initial=init,
-                           statistic="rms")
-        with pytest.raises(ValueError):
-            EnsembleConfig(pair_count=1, horizon=5, master_seed=0, initial=init,
-                           record_every=0)
-        with pytest.raises(ValueError):
-            EnsembleConfig(pair_count=1, horizon=5, master_seed=0, initial=init,
-                           interior_per_dwell=-1)
+        for fields in ({"pair_count": 0}, {"pairing_mode": "both-noisy"},
+                       {"statistic": "rms"}, {"record_every": 0}, {"interior_per_dwell": -1}):
+            with pytest.raises(ValueError):
+                EnsembleConfig(**{"pair_count": 1, "horizon": 5, "master_seed": 0,
+                                  "initial": init, **fields})
 
     @pytest.mark.parametrize("system, horizon, fields", [
         (linear_map(), 14, {"record_every": 7}),
@@ -396,8 +480,7 @@ class TestEnsembleConfigValidation:
         assert EnsembleConfig(**fields).interior_per_dwell is None
         assert default.sides == four.sides
         assert default.sides[2:8] == ("interior",) * 4 + ("pre", "post")
-        assert np.array_equal(default.times, four.times)
-        assert np.array_equal(default.mean_sq, four.mean_sq)
+        assert_bit_equal(default, four)
 
 
 class TestInitialMeanSquare:
@@ -456,24 +539,17 @@ class TestRunPairEnsembleDiscrete:
                                 initial=InitialPointPair(np.array([4.0]), np.array([2.0])),
                                 pairing_mode="noisy-vs-noisefree")
         stats = run_pair_ensemble(system, config)
-
-        ga = derive_stream(5, 0, 0)
-        wa = ga.standard_normal((3, 1))
-        xa, xb = np.array([4.0]), np.array([2.0])
-        expected = [float(((xa - xb) ** 2).item())]
-        for k in range(3):
-            xa = 0.5 * xa + wa[k]
-            xb = 0.5 * xb  # member b evolves without noise
-            expected.append(float(((xa - xb) ** 2).item()))
-        gb = derive_stream(5, 1, 0)
-        wbk = gb.standard_normal((3, 1))
-        ya, yb = np.array([4.0]), np.array([2.0])
-        other = [float(((ya - yb) ** 2).item())]
-        for k in range(3):
-            ya = 0.5 * ya + wbk[k]
-            yb = 0.5 * yb
-            other.append(float(((ya - yb) ** 2).item()))
-        manual = (np.array(expected) + np.array(other)) / 2.0
+        per_pair = []
+        for pair in range(2):
+            wa = derive_stream(5, pair, 0).standard_normal((3, 1))
+            xa, xb = np.array([4.0]), np.array([2.0])
+            values = [float(((xa - xb) ** 2).item())]
+            for k in range(3):
+                xa = 0.5 * xa + wa[k]
+                xb = 0.5 * xb  # member b evolves without noise
+                values.append(float(((xa - xb) ** 2).item()))
+            per_pair.append(values)
+        manual = (np.array(per_pair[0]) + np.array(per_pair[1])) / 2.0
         assert np.allclose(stats.mean_sq, manual, rtol=1e-12, atol=0.0)
 
     def test_distance_statistic(self):
@@ -491,8 +567,7 @@ class TestRunPairEnsembleDiscrete:
         full = run_pair_ensemble(system, config)
         monkeypatch.setattr(simulate, "_BLOCK", 2)
         chopped = run_pair_ensemble(system, config)
-        assert np.array_equal(full.mean_sq, chopped.mean_sq)
-        assert np.array_equal(full.stderr, chopped.stderr)
+        assert_bit_equal(full, chopped)
 
     @pytest.mark.parametrize("block", [300, 7])
     def test_blocking_across_chunk_edges_does_not_change_output(self, monkeypatch, block):
@@ -510,9 +585,7 @@ class TestRunPairEnsembleDiscrete:
         monkeypatch.setattr(simulate, "_BLOCK", block)
         chopped = run_pair_ensemble(system, config)
         assert 0 < full.failures == chopped.failures < 2500
-        assert np.array_equal(full.n_alive, chopped.n_alive)
-        assert np.array_equal(full.mean_sq, chopped.mean_sq)
-        assert np.array_equal(full.stderr, chopped.stderr)
+        assert_bit_equal(full, chopped)
 
     def test_point_pair_arrays_left_unmodified(self):
         # a map that rescales its argument in place works on the engine's copy
@@ -765,21 +838,15 @@ class TestEulerStepLeavesCallerArraysAlone:
         assert stats.failures == 0
         for array, old in zip(arrays, before):
             assert np.array_equal(array, old)
-        # a lone run is stepped as two identical rows of one scaled draw block
-        z = derive_stream(5, 0, 0).standard_normal((steps, 2))
-        w = np.multiply(math.sqrt(h), np.stack([z, z]))
-        x = np.stack([a, a])
-        expected = [x[0]]
-        for j in range(steps):
-            x = x + drift * h + w[:, j] @ gain.T
-            expected.append(x[0])
-        assert np.array_equal(path.states, np.array(expected))
+        assert_bit_equal(stats, reference_ensemble(system, config))
+        want = reference_member(system, [derive_stream(5, 0, 0)], a[None], True, steps * h, h)
+        assert path.states.tobytes() == want[2][0].tobytes()
 
 
 class TestSlicedDraws:
     """A segment whose noise holds more than _DRAW_VALUES values per member is
-    drawn in slices; every run must equal the same run drawn whole, bit for
-    bit.  The references below draw each member's whole run in one call."""
+    drawn in slices; every run must equal the reference, which draws each
+    segment whole, bit for bit."""
 
     A = np.array([[0.3, -0.2, 0.1], [0.25, 0.1, -0.3], [-0.1, 0.2, 0.4]])
     GAIN = np.array([[1.0, 0.5, 0.0], [-0.3, 0.8, 0.2], [0.4, 0.0, 1.2]])
@@ -791,40 +858,14 @@ class TestSlicedDraws:
                                  noise=GaussianNoiseSpec(3, covariance=self.COV),
                                  vectorized=True)
 
-    @staticmethod
-    def assert_reduces_to(stats, per_pair):
-        count, mean, stderr, failures = scalar_moments(per_pair)
-        assert stats.failures == failures == 0
-        assert stats.n_alive.tolist() == count
-        assert stats.mean_sq.tolist() == mean
-        assert stats.stderr.tolist() == stderr
-
-    @staticmethod
-    def box_starts(gens, dimension):
-        return np.stack([g.uniform(-np.ones(dimension), np.ones(dimension)) for g in gens])
-
     def test_map_with_correlated_noise(self, monkeypatch):
-        system = self.correlated_map()
-        transform = system.noise._transform
         pairs, steps = 5, 13
         config = EnsembleConfig(pair_count=pairs, horizon=steps, master_seed=8,
                                 initial=InitialBox(-np.ones(3), np.ones(3)))
-
-        def member(m):
-            gens = [derive_stream(8, i, m) for i in range(pairs)]
-            x = self.box_starts(gens, 3)
-            w = np.stack([g.standard_normal((steps, 3)) for g in gens]) @ transform.T
-            states = [x]
-            for k in range(steps):
-                x = x @ self.A.T + w[:, k] @ self.GAIN.T
-                states.append(x)
-            return np.stack(states, axis=1)
-
-        per_pair = ((member(0) - member(1)) ** 2).sum(axis=2)
         # slices of 3 steps, and the lone 13th step in a slice of its own
         monkeypatch.setattr(simulate, "_DRAW_VALUES", pairs * 3 * 3)
         assert simulate._slices(steps, pairs * 3) == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 13)]
-        self.assert_reduces_to(run_pair_ensemble(system, config), per_pair)
+        assert_equals_reference(self.correlated_map(), config)
 
     def test_map_noise_does_not_depend_on_the_horizon(self):
         # a map's noise is shaped by one 2-D product over every row and step,
@@ -852,37 +893,16 @@ class TestSlicedDraws:
         pairs, steps, h = 6, 20, 0.05
         config = EnsembleConfig(pair_count=pairs, horizon=steps * h, master_seed=3,
                                 initial=InitialBox(-np.ones(2), np.ones(2)), step_size=h)
-
-        def member(m):
-            gens = [derive_stream(3, i, m) for i in range(pairs)]
-            x = self.box_starts(gens, 2)
-            z = np.stack([g.standard_normal((steps, 2)) for g in gens])
-            w = np.multiply(math.sqrt(h), z)
-            states = [x]
-            for j in range(steps):
-                x = (x @ a.T) * h + x + w[:, j] @ sigma.T
-                states.append(x)
-            return np.stack(states, axis=1)
-
-        per_pair = ((member(0) - member(1)) ** 2).sum(axis=2)
         monkeypatch.setattr(simulate, "_DRAW_VALUES", pairs * 2 * 7)  # slices of 7 steps
-        self.assert_reduces_to(run_pair_ensemble(system, config), per_pair)
+        assert_equals_reference(system, config)
 
     def test_lone_sample_path(self, monkeypatch):
         system = self.correlated_map()
-        transform = system.noise._transform
         x0, steps = np.array([1.0, -0.5, 2.0]), 13
-        # a lone run: two identical rows of one draw block, shaped together
-        z = derive_stream(4, 0, 0).standard_normal((steps, 3))
-        w = np.stack([z, z]) @ transform.T
-        x = np.stack([x0, x0])
-        expected = [x[0]]
-        for k in range(steps):
-            x = x @ self.A.T + w[:, k] @ self.GAIN.T
-            expected.append(x[0])
+        want = reference_member(system, [derive_stream(4, 0, 0)], x0[None], True, steps)[2][0]
         monkeypatch.setattr(simulate, "_DRAW_VALUES", 2 * 3 * 2)  # slices of 2 steps
         path = sample_path(system, x0, steps, None, derive_stream(4, 0, 0))
-        assert np.array_equal(path.states, np.array(expected))
+        assert path.states.tobytes() == want.tobytes()
 
     def test_noise_memory_does_not_grow_with_the_horizon(self):
         # 256 pairs x 10,000 flow steps: drawn whole, the two members' noise
@@ -915,8 +935,7 @@ class TestRunPairEnsembleHybrid:
         full = run_pair_ensemble(recipe.build(params), config)
         monkeypatch.setattr(simulate, "_BLOCK", 3)
         chopped = run_pair_ensemble(recipe.build(params), config)
-        assert np.array_equal(full.mean_sq, chopped.mean_sq)
-        assert np.array_equal(full.stderr, chopped.stderr)
+        assert_bit_equal(full, chopped)
 
     def test_grid_layout(self):
         system = hybrid_linear(tau=0.5)
@@ -941,33 +960,20 @@ class TestRunPairEnsembleHybrid:
 
         def member(member_index):
             gen = derive_stream(9, 0, member_index)
-            x = gen.uniform(np.array([-1.0]), np.array([1.0]))
-            values = {}
-            values[(0.0, "pre")] = x.copy()
-            sqrt_h = math.sqrt(0.05)
-            for k in range(2):
-                # reset draw precedes the dwell's flow draws
-                w = gen.standard_normal(1)
-                x = 0.5 * x + w
-                if k == 0:
-                    values[(0.0, "post")] = x.copy()
-                else:
-                    values[(0.2, "post")] = x.copy()
-                z = gen.standard_normal((4, 1))
-                for j in range(4):
-                    x = x - x * 0.05 + sqrt_h * z[j]
-                values[((k + 1) * 0.2, "pre")] = x.copy()
-            # closing reset at the horizon
-            w = gen.standard_normal(1)
-            x = 0.5 * x + w
-            values[(0.4, "post")] = x.copy()
-            return values
+            values = [gen.uniform(np.array([-1.0]), np.array([1.0]))]
+            for k in range(3):
+                # the reset draw precedes the dwell's flow draws
+                values.append(0.5 * values[-1] + gen.standard_normal(1))
+                if k < 2:  # the closing reset at the horizon ends the run
+                    x, z = values[-1], gen.standard_normal((4, 1))
+                    for j in range(4):
+                        x = x - x * 0.05 + math.sqrt(0.05) * z[j]
+                    values.append(x)
+            return np.array(values)[:, 0]
 
-        va, vb = member(0), member(1)
-        for i, (t, side) in enumerate(zip(stats.times, stats.sides)):
-            key = (round(float(t), 10), side)
-            diff = va[key] - vb[key]
-            assert stats.mean_sq[i] == pytest.approx(float((diff**2).item()), rel=1e-12)
+        assert stats.sides == ("pre", "post") * 3
+        assert stats.times == pytest.approx([0.0, 0.0, 0.2, 0.2, 0.4, 0.4])
+        assert stats.mean_sq == pytest.approx((member(0) - member(1)) ** 2, rel=1e-12)
 
     def test_manual_replay_noisefree_member(self):
         # member b draws its initial condition but no reset or flow noise
@@ -1004,9 +1010,8 @@ class TestRunPairEnsembleHybrid:
 
 class TestStackedMembers:
     """The members of a block are stepped as one state, and a hybrid run draws
-    each dwell's reset and flow noise in one call.  The reference steps each
-    member on its own and draws every segment in a call of its own; a member
-    with a single run is stepped as two identical rows, shaped together."""
+    each dwell's reset and flow noise in one call; the reference steps each
+    member on its own and draws every segment in a call of its own."""
 
     A = np.array([[-1.0, 0.5], [-0.2, -0.6]])
     RHO = np.array([[0.5, 0.2], [-0.1, 0.4]])
@@ -1035,76 +1040,23 @@ class TestStackedMembers:
                               initial=InitialBox(-np.ones(2), np.ones(2)), step_size=0.05,
                               pairing_mode=pairing_mode, interior_per_dwell=9)
 
-    @staticmethod
-    def reference(system, config, member):
-        """Samples (pairs, samples, 2) of one member of every pair."""
-        cont, reset, tau, h = (system.continuous, system.reset, system.dwell_time,
-                               config.step_size)
-        gens = [derive_stream(config.master_seed, i, member) for i in range(config.pair_count)]
-        noisy = member == 0 or config.pairing_mode == "two-noisy"
-        rows = max(len(gens), 2)
-
-        def call(fn, vectorized, x, arg):
-            if vectorized:
-                return np.asarray(fn(x, arg), dtype=float)
-            return np.stack([np.asarray(fn(row, arg), dtype=float) for row in x])
-
-        def gain(g, w):
-            return w @ g.T if g.ndim == 2 else np.einsum("bnd,bd->bn", g, w)
-
-        def draw(shape):
-            if not noisy:
-                return np.zeros((rows, *shape))
-            z = np.stack([g.standard_normal(shape) for g in gens])
-            return np.concatenate([z, z])[:rows]
-
-        def apply_reset(x, k):
-            w = draw((2,))
-            if noisy:
-                w = w @ reset.noise._transform.T
-            return call(reset.map, reset.vectorized, x, k) + gain(
-                call(reset.noise_gain, reset.vectorized, x, k), w)
-
-        x = np.stack([g.uniform(-np.ones(2), np.ones(2)) for g in gens])
-        x = np.concatenate([x, x])[:rows]
-        samples = [x]
-        x = apply_reset(x, 0)
-        samples.append(x)
-        for k in range(3):
-            z = math.sqrt(h) * draw((10, 2))
-            for j in range(10):
-                t = k * tau + j * h
-                x = call(cont.drift, cont.vectorized, x, t) * h + x + gain(
-                    call(cont.diffusion, cont.vectorized, x, t), z[:, j])
-                samples.append(x)
-            x = apply_reset(x, k + 1)
-            samples.append(x)
-        return np.stack(samples, axis=1)[:len(gens)]
-
-    def assert_equals_reference(self, system, config):
-        stats = run_pair_ensemble(system, config)
-        per_pair = ((self.reference(system, config, 0)
-                     - self.reference(system, config, 1)) ** 2).sum(axis=2)
-        TestSlicedDraws.assert_reduces_to(stats, per_pair)
-
     def test_noisy_vs_noisefree(self):
-        self.assert_equals_reference(self.system(), self.config(3, "noisy-vs-noisefree"))
+        assert_equals_reference(self.system(), self.config(3, "noisy-vs-noisefree"))
 
     def test_one_pair_with_rowwise_callables(self):
-        self.assert_equals_reference(self.system(vectorized=False), self.config(1))
+        assert_equals_reference(self.system(vectorized=False), self.config(1))
 
     def test_state_dependent_gains(self):
-        self.assert_equals_reference(self.system(state_gains=True), self.config(4))
+        assert_equals_reference(self.system(state_gains=True), self.config(4))
 
     def test_dwell_sliced_by_the_draw_budget(self, monkeypatch):
         # each dwell's flow is drawn in ranges of 3, 3, 3 and 1 steps; the reset
         # opening it is drawn with the first
         monkeypatch.setattr(simulate, "_DRAW_VALUES", 4 * 2 * 3)
-        self.assert_equals_reference(self.system(), self.config(4))
+        assert_equals_reference(self.system(), self.config(4))
 
     def test_one_callable_call_per_update_and_one_draw_per_dwell(self, monkeypatch):
-        calls = {"drift": 0, "map": 0}
-        draws = {}
+        calls, draws = Counter(), Counter()
 
         class CountingGenerator:
             def __init__(self, key):
@@ -1115,21 +1067,9 @@ class TestStackedMembers:
                 draws[self.key] += 1
                 return getattr(self.gen, name)
 
-        def counted(name, fn):
-            def wrapper(x, arg):
-                calls[name] += 1
-                return fn(x, arg)
-            return wrapper
-
         base = self.system()
-        system = HybridSystem(
-            continuous=ContinuousSDESystem(
-                dimension=2, drift=counted("drift", base.continuous.drift),
-                diffusion=base.continuous.diffusion, noise_dim=2, vectorized=True),
-            reset=DiscreteMapSystem(
-                dimension=2, map=counted("map", base.reset.map),
-                noise_gain=base.reset.noise_gain, noise=base.reset.noise, vectorized=True),
-            dwell_time=base.dwell_time)
+        system = replace(base, continuous=counting(calls, base.continuous, "drift"),
+                         reset=counting(calls, base.reset, "map"))
         monkeypatch.setattr(simulate, "derive_stream",
                             lambda *key: CountingGenerator(key))
         monkeypatch.setattr(simulate, "_BLOCK", 3)  # blocks of 3 and 2 pairs
@@ -1148,8 +1088,7 @@ class TestStackedMembers:
         whole = run_pair_ensemble(system, config, metric)
         monkeypatch.setattr(simulate, "_BLOCK", 2)
         chopped = run_pair_ensemble(system, config, metric)
-        assert np.array_equal(whole.mean_sq, chopped.mean_sq)
-        assert np.array_equal(whole.stderr, chopped.stderr)
+        assert_bit_equal(whole, chopped)
 
 
 class TestEnsembleStatsOutput:
@@ -1276,109 +1215,64 @@ class TestFitGeometricDecay:
 
 
 class TestNoOpProducts:
-    """An identity metric distance and a (1, 1) gain skip their matrix
-    products, and every other metric and gain keeps them; references below
-    keep every product, as the engine did before."""
-
-    @staticmethod
-    def matmul_gain(gain, draws):
-        if gain.ndim == 2:
-            return draws @ gain.T
-        return np.einsum("bnd,bd->bn", gain, draws)
-
-    @staticmethod
-    def scheduled(matrix):
-        # a metric of fixed value that is not a constant one, so its distance
-        # is always taken through the product with its factor
-        return MetricSpec.scheduled(lambda t, side: matrix, len(matrix), 1e-3)
-
-    def assert_same(self, got, want):
-        for field in ("mean_sq", "stderr", "n_alive"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert a.tobytes() == b.tobytes(), field
-        assert got.failures == want.failures
+    """An identity metric distance and a (1, 1) gain or noise transform skip
+    their matrix products, and every other metric and gain keeps them; the
+    reference keeps every product."""
 
     @pytest.mark.parametrize("name", ["linear-map", "ou1d", "brownian", "hybrid-linear",
                                       "hopf-cpg"])
     @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
-    def test_builtin_defaults_equal_the_products(self, monkeypatch, name, pairing):
+    def test_builtin_defaults_equal_the_products(self, name, pairing):
         recipe = get_recipe(name)
         params = resolve_params(recipe)
-        system = recipe.build(params)
-        config = EnsembleConfig(
+        assert_equals_reference(recipe.build(params), EnsembleConfig(
             pair_count=min(recipe.sim_defaults["pair_count"], 64),
             horizon=recipe.sim_defaults["horizon"], master_seed=5,
             initial=recipe.initial(params), step_size=dwell_step_default(recipe, params),
-            pairing_mode=pairing, record_every=recipe.sim_defaults["record_every"])
-        got = run_pair_ensemble(system, config)
-        dim = simulate._dimension(system)
-        monkeypatch.setattr(simulate, "_apply_gain", self.matmul_gain)
-        self.assert_same(got, run_pair_ensemble(system, config, self.scheduled(np.eye(dim))))
+            pairing_mode=pairing, record_every=recipe.sim_defaults["record_every"]))
 
-    def test_lone_pair_and_distance_statistic(self, monkeypatch):
-        system = linear_map(0.9)
-        configs = [EnsembleConfig(pair_count=count, horizon=30, master_seed=2, statistic=stat,
-                                  initial=InitialPointPair(np.array([1.0]), np.array([0.0])))
-                   for count in (1, 5) for stat in ("ms", "distance")]
-        got = [run_pair_ensemble(system, config) for config in configs]
-        monkeypatch.setattr(simulate, "_apply_gain", self.matmul_gain)
-        for stats, config in zip(got, configs):
-            self.assert_same(stats, run_pair_ensemble(system, config, self.scheduled(np.eye(1))))
+    def test_lone_pair_and_distance_statistic(self):
+        for count in (1, 5):
+            for stat in ("ms", "distance"):
+                assert_equals_reference(linear_map(0.9), EnsembleConfig(
+                    pair_count=count, horizon=30, master_seed=2, statistic=stat,
+                    initial=InitialPointPair(np.array([1.0]), np.array([0.0]))))
 
-    def test_other_metrics_and_gains_keep_their_products(self, monkeypatch):
+    def test_other_metrics_and_gains_keep_their_products(self):
         gain = np.array([[0.7, 0.2], [-0.1, 0.4]])
         metric = np.array([[2.0, 0.3], [0.3, 0.5]])
         system = DiscreteMapSystem(
             dimension=2, map=lambda x, k: 0.6 * np.asarray(x, dtype=float),
             noise_gain=lambda x, k: gain, noise=GaussianNoiseSpec(2), vectorized=True)
-        scalar = linear_map(0.8, sigma=1.3)
+        # a metric scheduled on the step index, and a constant one taken through
+        # the schedule, whose distances are always taken by the product
+        scheduled = MetricSpec.scheduled(lambda t, side: metric * (1.0 + 0.1 * t), 2, 1e-3)
         for count in (1, 3, 40):
             config = EnsembleConfig(pair_count=count, horizon=25, master_seed=9,
                                     initial=InitialBox(-np.ones(2), np.ones(2)))
-            got = run_pair_ensemble(system, config, metric)
-            one = EnsembleConfig(pair_count=count, horizon=25, master_seed=9,
-                                 initial=InitialBox(-1.0, 1.0))
-            scaled = run_pair_ensemble(scalar, one, np.array([[3.0]]))
-            with monkeypatch.context() as patched:
-                patched.setattr(simulate, "_apply_gain", self.matmul_gain)
-                self.assert_same(got, run_pair_ensemble(system, config, self.scheduled(metric)))
-                self.assert_same(scaled, run_pair_ensemble(
-                    scalar, one, self.scheduled(np.array([[3.0]]))))
-
-    @staticmethod
-    def matmul_stepper(stepper):
-        """_stepper whose map and reset noise is always shaped by the product."""
-        def patched(part, h, lone):
-            advance, shape = stepper(part, h, lone)
-            if isinstance(part, DiscreteMapSystem):
-                transform_t = part.noise._transform.T
-
-                def shape(z):
-                    z[...] = simulate._product(z.reshape(-1, z.shape[-1]),
-                                               transform_t).reshape(z.shape)
-            return advance, shape
-        return patched
+            for spec in (metric, scheduled, MetricSpec.scheduled(lambda t, side: metric, 2, 1e-3)):
+                assert_equals_reference(system, config, spec)
+            assert_equals_reference(linear_map(0.8, sigma=1.3), EnsembleConfig(
+                pair_count=count, horizon=25, master_seed=9, initial=InitialBox(-1.0, 1.0)),
+                np.array([[3.0]]))
 
     @pytest.mark.parametrize("name", ["linear-map", "hybrid-linear"])
     @pytest.mark.parametrize("pairs", [1, 40])
     @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
-    def test_scalar_noise_shaping_equals_the_product(self, monkeypatch, name, pairs, pairing):
+    def test_scalar_noise_shaping_equals_the_product(self, name, pairs, pairing):
         # a one-dimensional noise has the (1, 1) transform [[1.0]]: its map and
         # reset noise is not multiplied
         recipe = get_recipe(name)
         params = resolve_params(recipe)
         system = recipe.build(params)
         assert simulate._dimension(system) == 1
-        config = EnsembleConfig(
+        assert_equals_reference(system, EnsembleConfig(
             pair_count=pairs, horizon=recipe.sim_defaults["horizon"], master_seed=6,
             initial=recipe.initial(params), step_size=dwell_step_default(recipe, params),
-            pairing_mode=pairing, record_every=recipe.sim_defaults["record_every"])
-        got = run_pair_ensemble(system, config)
-        monkeypatch.setattr(simulate, "_stepper", self.matmul_stepper(simulate._stepper))
-        self.assert_same(got, run_pair_ensemble(system, config))
+            pairing_mode=pairing, record_every=recipe.sim_defaults["record_every"]))
 
     @pytest.mark.parametrize("variance", [2.25, 0.3, 1.0 + 2**-50])
-    def test_scaled_scalar_noise_is_elementwise(self, monkeypatch, variance):
+    def test_scaled_scalar_noise_is_elementwise(self, variance):
         noise = GaussianNoiseSpec(1, covariance=np.array([[variance]]))
         assert noise._transform[0, 0] != 1.0
         system = DiscreteMapSystem(dimension=1, map=lambda x, k: 0.7 * np.asarray(x),
@@ -1386,15 +1280,11 @@ class TestNoOpProducts:
                                    vectorized=True)
         hybrid = HybridSystem(continuous=linear_flow(0.5), reset=system, dwell_time=0.2)
         for count in (1, 3, 30):
-            configs = [(system, EnsembleConfig(pair_count=count, horizon=20, master_seed=3,
-                                               initial=InitialBox(-1.0, 1.0))),
-                       (hybrid, EnsembleConfig(pair_count=count, horizon=1.0, master_seed=3,
-                                               initial=InitialBox(-1.0, 1.0), step_size=0.05))]
-            got = [run_pair_ensemble(*case) for case in configs]
-            with monkeypatch.context() as patched:
-                patched.setattr(simulate, "_stepper", self.matmul_stepper(simulate._stepper))
-                for stats, case in zip(got, configs):
-                    self.assert_same(stats, run_pair_ensemble(*case))
+            assert_equals_reference(system, EnsembleConfig(
+                pair_count=count, horizon=20, master_seed=3, initial=InitialBox(-1.0, 1.0)))
+            assert_equals_reference(hybrid, EnsembleConfig(
+                pair_count=count, horizon=1.0, master_seed=3, initial=InitialBox(-1.0, 1.0),
+                step_size=0.05))
 
     def test_scalar_gain_is_elementwise(self):
         draws = np.random.default_rng(4).standard_normal((7, 1))
@@ -1446,22 +1336,8 @@ class TestBoxStarts:
 
 class TestLazyStreams:
     """A member run's generator is derived at its first draw, and a single
-    draw group drops it right after; the reference feeds the same engine as
-    it was fed before: every generator and start of a block built before any
-    normal is drawn, box starts by the array uniform."""
-
-    @staticmethod
-    def upfront(engine):
-        def run_block(segments, runs, stream, start, noisy, record):
-            gens = [{i: stream(m, i) for i in runs} for m in range(len(noisy))]
-            if isinstance(start, InitialBox):
-                dim = segments[0].part.dimension
-                lows, highs = (np.broadcast_to(np.asarray(p, dtype=float), (dim,))
-                               for p in (start.lows, start.highs))
-                start = [np.stack([g.uniform(lows, highs) for g in member.values()])
-                         for member in gens]
-            return engine(segments, runs, lambda m, i: gens[m][i], start, noisy, record)
-        return run_block
+    draw group drops it right after; the reference derives every stream up
+    front."""
 
     @staticmethod
     def case(name, pairs, pairing="two-noisy"):
@@ -1474,16 +1350,12 @@ class TestLazyStreams:
             noise_gain=lambda x, k: np.eye(2),
             noise=GaussianNoiseSpec(2, covariance=np.array([[1.5, 0.6], [0.6, 0.7]])),
             vectorized=True)
-        if name == "discrete-points":  # one group
-            return mapping, EnsembleConfig(
-                horizon=12, initial=InitialPointPair(np.array([1.0, 2.0]), np.zeros(2)),
-                **fields)
-        if name == "discrete-box":  # one group
-            return mapping, EnsembleConfig(horizon=12, initial=box, **fields)
-        if name == "discrete-per-coordinate-box":  # one group
-            return mapping, EnsembleConfig(
-                horizon=12, initial=InitialBox(np.array([-1.0, 0.0]), np.array([1.0, 3.0])),
-                **fields)
+        starts = {"discrete-points": InitialPointPair(np.array([1.0, 2.0]), np.zeros(2)),
+                  "discrete-box": box,
+                  "discrete-per-coordinate-box": InitialBox(np.array([-1.0, 0.0]),
+                                                            np.array([1.0, 3.0]))}
+        if name in starts:  # one group
+            return mapping, EnsembleConfig(horizon=12, initial=starts[name], **fields)
         if name in ("continuous", "continuous-sliced"):  # one group, or sliced
             return linear_flow(0.8, dim=2), EnsembleConfig(horizon=2.0, step_size=0.1,
                                                            initial=box, **fields)
@@ -1505,21 +1377,13 @@ class TestLazyStreams:
         if name == "continuous-sliced":  # 3 steps a slice at 7 rows of 2 normals
             monkeypatch.setattr(simulate, "_DRAW_VALUES", 7 * 2 * 3)
 
-    def assert_same(self, got, want):
-        for field in ("mean_sq", "stderr", "n_alive"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert got.failures == want.failures
-
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
     @pytest.mark.parametrize("pairs", [1, 7])
     @pytest.mark.parametrize("block", [3, 1000])
     def test_bit_equal_to_upfront_streams(self, monkeypatch, name, pairing, pairs, block):
         self.prepare(monkeypatch, name, block)
-        system, config = self.case(name, pairs, pairing)
-        got = run_pair_ensemble(system, config)
-        monkeypatch.setattr(simulate, "_run_block", self.upfront(simulate._run_block))
-        self.assert_same(got, run_pair_ensemble(system, config))
+        assert_equals_reference(*self.case(name, pairs, pairing))
 
     @pytest.mark.parametrize("runs", [1, 5])
     @pytest.mark.parametrize("block", [3, 1000])
@@ -1528,22 +1392,36 @@ class TestLazyStreams:
         monkeypatch.setattr(simulate, "_BLOCK", block)
         params = cpg.CPGParams(gamma=0.2)
         system = cpg.build_cpg_system(params)
-        x0 = simulate._box_start(cpg.RING_START, 6)(derive_stream(3, 0, 0))
         got = cpg.run_cpg_experiment(params, run_count=runs, horizon=0.5, master_seed=3)
-        path = sample_path(system, x0, 0.3, 0.001, derive_stream(3, 1, 0))
-        monkeypatch.setattr(simulate, "_run_block", self.upfront(simulate._run_block))
-        monkeypatch.setattr(cpg, "_run_block", simulate._run_block)
-        want = cpg.run_cpg_experiment(params, run_count=runs, horizon=0.5, master_seed=3)
-        for field in ("delta_mean", "delta_stderr"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-        assert np.array_equal([got.steady_mean, got.steady_stderr],
-                              [want.steady_mean, want.steady_stderr], equal_nan=True)
-        again = sample_path(system, x0, 0.3, 0.001, derive_stream(3, 1, 0))
-        assert path.states.tobytes() == again.states.tobytes()
+        # the ring's runs are member 0 of its keys, with one interior sample a dwell
+        gens = [derive_stream(3, i, 0) for i in range(runs)]
+        x = np.stack([g.uniform(-np.ones(6), np.ones(6)) for g in gens])
+        times, _, states = reference_member(system, gens, x, True, 0.5, params.tau / 100, 1)
+        delta = np.stack([cpg.phase_locking_delta(states[:, g]) for g in range(len(times))],
+                         axis=1)[:runs]
+        _, mean, stderr, _ = scalar_moments(delta)
+        assert got.times.tobytes() == times.tobytes()
+        assert (got.delta_mean.tolist(), got.delta_stderr.tolist()) == (mean, stderr)
+        window = delta[:, times >= 0.8 * 0.5].mean(axis=1)
+        assert got.steady_mean == window.mean()
+        assert np.array_equal(got.steady_stderr, window.std(ddof=1) / math.sqrt(runs)
+                              if runs > 1 else math.nan, equal_nan=True)
+        path = sample_path(system, x[0], 0.3, 0.001, derive_stream(3, 1, 0))
+        want = reference_member(system, [derive_stream(3, 1, 0)], x[:1], True, 0.3, 0.001)
+        assert path.states.tobytes() == want[2][0].tobytes()
+
+    @staticmethod
+    def drawing(config):
+        """The members that draw: a noise-free member with a given start draws
+        nothing."""
+        noisy = config.pairing_mode == "two-noisy" or isinstance(config.initial, InitialBox)
+        return (0, 1) if noisy else (0,)
 
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
     def test_one_derivation_per_member_run(self, monkeypatch, name, pairing):
+        # exactly one derivation per member run that draws, and none for the
+        # noise-free member of a point-pair plan
         keys = Counter()
 
         def counted(*key):
@@ -1556,7 +1434,7 @@ class TestLazyStreams:
         monkeypatch.setattr(cpg, "derive_stream", counted)
         system, config = self.case(name, 7, pairing)
         run_pair_ensemble(system, config)
-        assert keys == Counter({(11, i, m): 1 for i in range(7) for m in (0, 1)})
+        assert keys == Counter({(11, i, m): 1 for i in range(7) for m in self.drawing(config)})
         keys.clear()
         cpg.run_cpg_experiment(cpg.CPGParams(gamma=0.2), run_count=4, horizon=0.2,
                                master_seed=2)
@@ -1590,7 +1468,7 @@ class TestLazyStreams:
         assert len(list(simulate._draws(simulate._plan(
             system, config.horizon, config.step_size, None, 1)[2], 5))) == groups
         run_pair_ensemble(system, config)
-        assert len(most) == 14 and not refs
+        assert len(most) == 7 * len(self.drawing(config)) and not refs
         if groups == 1:  # no two generators of a block alive at once
             assert max(most) == 0
         else:
