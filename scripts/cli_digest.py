@@ -141,6 +141,13 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                      "--out", "run.csv"], None, ("run.csv",)))
     out += [(name, [*argv, "--out", "run.csv"], None, ("run.csv",))
             for name, argv in {**SLICED_DRAWS, **LONE_RUNS, **PARTIAL_LAST_BLOCK}.items()]
+    # the ring at an angular frequency other than its default
+    out.append(("simulate-hopf-cpg-omega-2.5",
+                ["simulate", "hopf-cpg", "--ensemble", "40", "--horizon", "1",
+                 "--out", "run.csv"], {"omega": 2.5}, ("run.csv",)))
+    # a negative seed is a usage error that names the flag
+    out.append(("simulate-linear-map-seed-negative",
+                ["simulate", "linear-map", "--seed", "-1"], None, ()))
     out.append(("simulate-hopf-cpg-print-config",
                 ["simulate", "hopf-cpg", "--print-config"], None, ()))
     out.append(("cpg-print-config", ["cpg", "--print-config"], None, ()))

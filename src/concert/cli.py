@@ -55,6 +55,17 @@ def _load_config(path: str | None) -> dict:
     return loaded
 
 
+def _seed(text: str) -> int:
+    """The value of --seed: a non-negative integer, as every stream key is."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concert",
@@ -81,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a pair ensemble against the bound")
     simulate.add_argument("system")
     simulate.add_argument("--config", help="JSON file with parameter overrides")
-    simulate.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    simulate.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     simulate.add_argument("--ensemble", type=int, default=None,
                           help="number of trajectory pairs")
     simulate.add_argument("--dt", type=float, default=None,
@@ -96,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cpg = sub.add_parser("cpg", help="oscillator-ring locking comparison")
     cpg.add_argument("--config", help="JSON overrides: gamma_weak, gamma_strong, "
                                       "sigma_d, sigma_c, tau, omega")
-    cpg.add_argument("--seed", type=int, default=0)
+    cpg.add_argument("--seed", type=_seed, default=0)
     cpg.add_argument("--ensemble", type=int, default=200, help="runs per configuration")
     cpg.add_argument("--horizon", type=float, default=50.0)
     cpg.add_argument("--dt", type=float, default=None, help="integrator step (default tau/100)")
@@ -178,7 +189,7 @@ def _cmd_simulate(args) -> int:
         "steady_stderr": steady_stderr,
         "bound": None if bound_obj is None else recipe.bound_json(params, args.noise_free),
         "bound_check": None if check is None else {
-            "ok": bool(check.ok), "n_checked": check.n_checked,
+            "ok": bool(check.ok), "n_checked": check.n_checked, "n_finite": check.n_finite,
             "n_violations": check.n_violations, "worst_slack": check.worst_slack},
     })
     _emit(summary)

@@ -95,10 +95,11 @@ def ring_drift(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.ndar
     other oscillators' drift NaN instead of finite.
     """
     state = np.asarray(state, dtype=float)
-    out = (state * state) @ _PAIR_SUM
+    # np.dot, which costs less per call than matmul on small operands
+    out = np.dot(state * state, _PAIR_SUM)
     np.subtract(1.0, out, out=out)
     out *= state
-    out += state @ (omega * _RING_SPIN_T)
+    out += np.dot(state, omega * _RING_SPIN_T)
     return out
 
 
@@ -171,10 +172,11 @@ def build_projections() -> tuple[np.ndarray, np.ndarray]:
 
 def phase_locking_delta(states: np.ndarray) -> np.ndarray:
     """delta = sum_i ||R x_{i+1} - x_i||^2 over the ring; vectorized over any
-    leading shape."""
+    leading shape.  The neighbours of all states are rotated by one 2-D
+    product, (3 * states, 2) @ R.T, which never has a single row."""
     states = np.asarray(states, dtype=float)
     u = states.reshape(*states.shape[:-1], 3, 2)
-    rotated_next = u[..., [1, 2, 0], :] @ ROTATION_THIRD.T
+    rotated_next = (u[..., [1, 2, 0], :].reshape(-1, 2) @ ROTATION_THIRD.T).reshape(u.shape)
     diff = rotated_next - u
     return (diff * diff).sum(axis=(-1, -2))
 

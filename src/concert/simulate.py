@@ -21,7 +21,9 @@ with standard-normal z.  One engine steps every run: a plan splits the run into
 segments of map applications and flow steps, and a block of runs moves through
 them in lockstep.  The two members of every pair in a block are stepped as one
 state, member after member, so each system callable is called once per update
-for the whole block.  The per-sample moments are reduced in fixed chunks of
+for the whole block.  A block builds each subsystem's stepper once, and a flow
+step calls a vectorized drift and diffusion directly, with no wrapper in
+between.  The per-sample moments are reduced in fixed chunks of
 _FOLD = 1,024 consecutive runs, whatever the block size: two passes over a
 chunk, each summing its runs in run order, give the chunk's mean and sum of
 squared deviations, and the chunks are merged in run-index order by Chan,
@@ -346,11 +348,15 @@ class EnsembleStats:
 
 def _apply_gain(gain: np.ndarray, draws: np.ndarray) -> np.ndarray:
     # gain: (n, d) shared, or (B, n, d) state-dependent; draws: (B, d).  A
-    # (1, 1) gain is one product per row, which the matmul rounds once too
+    # (1, 1) gain is one product per row, which the matmul rounds once too.
+    # A shared gain's transpose is copied to C order.  On NumPy 2.4 with
+    # OpenBLAS 0.3.31 (Haswell kernels) that product took less time than the
+    # one of the transposed view and gave its bits over a sweep of shapes; no
+    # other BLAS build was checked (see the README)
     if gain.shape == (1, 1):
         return draws * gain[0]
     if gain.ndim == 2:
-        return draws @ gain.T
+        return draws @ np.ascontiguousarray(gain.T)
     return np.einsum("bnd,bd->bn", gain, draws)
 
 
@@ -484,7 +490,8 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
     advance(x, at, w) is one map application at index `at` or one
     Euler-Maruyama step from time `at` of the stacked state x, at least two
     rows per member; with lone, each member is a lone run's two identical rows,
-    and a callable that is not vectorized is called once per member and step."""
+    and a callable that is not vectorized is called once per member and step.
+    A vectorized drift and diffusion are called directly, with no wrapper."""
     if isinstance(part, DiscreteMapSystem):
         fmap = _batched_map(part.map, part.vectorized, lone)
         fgain = _batched_map(part.noise_gain, part.vectorized, lone)
@@ -501,15 +508,16 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
                 np.multiply(z, scale, out=z)
 
         return lambda x, k, w: fmap(x, k) + _apply_gain(fgain(x, k), w), shape
-    drift = _batched_map(part.drift, part.vectorized, lone)
-    diffusion = _batched_map(part.diffusion, part.vectorized, lone)
+    drift, diffusion = part.drift, part.diffusion
+    if not part.vectorized:
+        drift, diffusion = (_batched_map(fn, False, lone) for fn in (drift, diffusion))
     sqrt_h = math.sqrt(h)
 
     def euler(x, t, w):
-        # x + f h + g in one new array; never writes into what a callable returned
-        out = np.multiply(drift(x, t), h, out=np.empty_like(x))
+        # x + f h + g w in one new array; never writes into what a callable returned
+        out = np.multiply(np.asarray(drift(x, t), dtype=float), h, out=np.empty_like(x))
         out += x
-        out += _apply_gain(diffusion(x, t), w)
+        out += _apply_gain(np.asarray(diffusion(x, t), dtype=float), w)
         return out
 
     return euler, lambda z: np.multiply(sqrt_h, z, out=z)
@@ -571,6 +579,11 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
         for span, point in zip(spans, points):
             x[span] = point
     groups = list(_draws(segments, rows))
+    steppers = {}  # (advance, shape) of each part and stride, built once per block
+    for seg in segments:
+        key = (id(seg.part), seg.stride)
+        if key not in steppers:
+            steppers[key] = _stepper(seg.part, seg.stride, lone)
     kept = [[] for _ in noisy] if len(groups) > 1 else None  # generators for later groups
     samples = []
     for group, pieces in enumerate(groups):
@@ -599,7 +612,8 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
             samples.append(record(x.reshape(members, rows, -1), 0))
         at_col = 0
         for seg, lo, hi in pieces:
-            advance, shape = _stepper(seg.part, seg.stride, lone)
+            advance, shape = steppers[id(seg.part), seg.stride]
+            t0, stride, marks = seg.start, seg.stride, seg.marks
             n = (hi - lo) * seg.width
             noise = buf[:, at_col:at_col + n].reshape(len(x), hi - lo, seg.width)
             at_col += n
@@ -607,8 +621,8 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
                 if on:
                     shape(noise[span])
             for j, w in enumerate(noise.swapaxes(0, 1), lo):
-                x = advance(x, seg.start + j * seg.stride, w)
-                if j + 1 in seg.marks:
+                x = advance(x, t0 + j * stride, w)
+                if j + 1 in marks:
                     samples.append(record(x.reshape(members, rows, -1), len(samples)))
         del buf, z, noise, w  # not held while the next group is drawn
     return np.stack(samples, axis=1)[:count]
@@ -736,10 +750,13 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Pointwise comparison of an ensemble against a bound trajectory."""
+    """Pointwise comparison of an ensemble against a bound trajectory.
+    n_checked counts the grid points, n_finite the measured ones among them
+    whose bound is finite."""
 
     ok: bool
     n_checked: int
+    n_finite: int
     n_violations: int
     worst_slack: float  # min over measured points of (bound + slack*stderr - mean)
     bounds: np.ndarray
@@ -754,9 +771,10 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     and only an excess beyond Monte Carlo error is evidence of a violation.
     `bound` is a BoundReport (discrete reports are indexed by step, hybrid
     reports by time and side) or a callable (time, side) -> float.  Infinite
-    bound values pass trivially.  A point where no pair is alive measures
-    nothing and counts as a violation whatever the bound, as does a non-finite
-    mean; neither enters worst_slack.
+    bound values pass trivially, and only measured points with a finite bound
+    count in n_finite.  A point where no pair is alive measures nothing and
+    counts as a violation whatever the bound, as does a non-finite mean;
+    neither enters worst_slack.
     """
     if isinstance(bound, BoundReport):
         if bound.regime.startswith("discrete"):
@@ -775,6 +793,7 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     finite = np.isfinite(margin) & measured
     worst = float(margin[finite].min()) if finite.any() else math.inf
     return BoundCheck(ok=n_violations == 0, n_checked=int(values.size),
+                      n_finite=int(np.count_nonzero(np.isfinite(values) & measured)),
                       n_violations=n_violations, worst_slack=worst,
                       bounds=values, passed=passed)
 

@@ -101,7 +101,7 @@ class TestSimulate:
         assert payload["system"] == "linear-map"
         assert payload["failures"] == 0
         assert payload["bound_check"]["ok"] is True
-        assert payload["bound_check"]["n_checked"] == 13
+        assert payload["bound_check"]["n_checked"] == payload["bound_check"]["n_finite"] == 13
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "time,side,mean_sq_dist,stderr,n_alive,bound,within_bound"
         assert len(lines) == 14
@@ -139,6 +139,7 @@ class TestSimulate:
         assert payload["kind"] == "hybrid"
         assert payload["bound"]["regime"] == "hybrid-contracting"
         assert payload["bound_check"]["ok"] is True
+        assert payload["bound_check"]["n_finite"] == payload["bound_check"]["n_checked"] == 26
 
     def test_hybrid_horizon_off_the_dwell_grid_names_the_dwell(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -234,12 +235,15 @@ class TestStrictJson:
 
     @pytest.mark.parametrize("a, exit_code", [(2.0, 0), (1e200, 4)])
     def test_slack_with_no_finite_bound_is_null(self, capsys, tmp_path, a, exit_code):
-        # hybrid-expanding-unbounded: every bound value is inf
+        # hybrid-expanding-unbounded: every bound value is inf, so none of the
+        # 122 points is checked against a finite bound
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"a": a}))
         code, out, _ = run_cli(capsys, "simulate", "hybrid-linear", "--config", str(cfg))
         assert code == exit_code
-        assert strict_json(out)["bound_check"]["worst_slack"] is None
+        check = strict_json(out)["bound_check"]
+        assert check["worst_slack"] is None
+        assert (check["n_checked"], check["n_finite"]) == (122, 0)
 
     def test_stderr_of_a_lone_ring_run_is_null(self, capsys, tmp_path):
         out_dir = tmp_path / "ring"
@@ -405,6 +409,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "finite" in err and value in err
+
+    @pytest.mark.parametrize("argv", [["simulate", "linear-map"], ["cpg"]])
+    def test_negative_seed_names_the_flag_and_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: expected a non-negative integer, got '-1'" in captured.err
 
     def test_dt_on_discrete_is_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "linear-map", "--dt", "0.1")

@@ -33,6 +33,7 @@ from concert import (
     theoretical_delta_bound,
     validate_system,
 )
+import concert.cpg as cpg
 from concert.cpg import RING_START
 from concert.simulate import _box_start
 
@@ -109,6 +110,28 @@ class TestProjections:
         assert np.allclose(direct, 3.0 * energy, rtol=1e-12, atol=1e-13)
 
 
+class TestPhaseLockingDelta:
+    @staticmethod
+    def stacked(states):
+        # each state's neighbours rotated by its own (3, 2) @ (2, 2) product
+        u = states.reshape(*states.shape[:-1], 3, 2)
+        diff = u[..., [1, 2, 0], :] @ ROTATION_THIRD.T - u
+        return (diff * diff).sum(axis=(-1, -2))
+
+    # a single state, a lone run, the doubled rows of a lone run, the ring's
+    # run count, a full block and a stacked leading shape
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (2, 6), (200, 6), (1024, 6), (3, 4, 6)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_stacked_products(self, shape, seed):
+        # exact zeros of either sign in the state, as in the drift's test
+        states = np.random.default_rng(seed).standard_normal(shape) * 1.5
+        states.reshape(-1)[::5] = 0.0
+        states.reshape(-1)[3::7] = -0.0
+        delta, want = phase_locking_delta(states), self.stacked(states)
+        assert type(delta) is type(want) and np.shape(delta) == shape[:-1]
+        assert delta.tobytes() == want.tobytes()
+
+
 class TestPhaseAlignment:
     def test_locked_state_components_coincide(self):
         locked, _ = build_projections()
@@ -142,6 +165,20 @@ class TestRingDrift:
         spun = np.stack([-u[..., 1], u[..., 0]], axis=-1)
         expected = ((1.0 - sq) * u + omega * spun).reshape(shape)
         assert np.array_equal(ring_drift(state, 0.0, omega), expected)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 6), (200, 6), (3, 4, 6)])
+    @pytest.mark.parametrize("omega", [0.0, -0.0, 1.3, -1.3])
+    def test_bit_equal_to_matmul_form(self, shape, omega):
+        # the products by np.dot give the matmul form's bytes, zero signs
+        # included; 0.0 and -0.0 give the spin's zero entries opposite signs
+        state = np.random.default_rng(8).standard_normal(shape)
+        state.reshape(-1)[::5] = 0.0
+        state.reshape(-1)[3::7] = -0.0
+        out = (state * state) @ cpg._PAIR_SUM
+        np.subtract(1.0, out, out=out)
+        out *= state
+        out += state @ (omega * cpg._RING_SPIN_T)
+        assert ring_drift(state, 0.0, omega).tobytes() == out.tobytes()
 
     def test_first_nonfinite_sample_of_an_exploding_ring(self):
         # |u_1| = 100 blows up within a few flow steps; a NaN spreading to the

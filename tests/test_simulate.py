@@ -843,6 +843,37 @@ class TestEulerStepLeavesCallerArraysAlone:
         assert path.states.tobytes() == want[2][0].tobytes()
 
 
+class TestSteppers:
+    """A block builds each part's stepper once, and a flow step calls a
+    vectorized drift and diffusion itself, with no wrapper between."""
+
+    def test_built_once_per_part_and_block(self, monkeypatch):
+        built = []
+        stepper = simulate._stepper
+        monkeypatch.setattr(simulate, "_stepper",
+                            lambda part, h, lone: built.append(id(part)) or stepper(part, h, lone))
+        system = hybrid_linear()
+        # two blocks of ten dwells each
+        run_pair_ensemble(system, EnsembleConfig(
+            pair_count=1025, horizon=5.0, master_seed=0, step_size=0.1,
+            initial=InitialPointPair(np.ones(1), -np.ones(1))))
+        assert built == [id(system.reset), id(system.continuous)] * 2
+
+    def test_vectorized_callables_are_called_by_the_step(self):
+        callers = []
+
+        def caller():
+            callers.append(sys._getframe(2).f_code.co_name)
+
+        system = ContinuousSDESystem(
+            dimension=2, drift=lambda x, t: caller() or -x,
+            diffusion=lambda x, t: caller() or np.eye(2), noise_dim=2, vectorized=True)
+        run_pair_ensemble(system, EnsembleConfig(
+            pair_count=3, horizon=0.5, master_seed=0, step_size=0.1,
+            initial=InitialPointPair(np.ones(2), -np.ones(2))))
+        assert callers == ["euler"] * 10
+
+
 class TestSlicedDraws:
     """A segment whose noise holds more than _DRAW_VALUES values per member is
     drawn in slices; every run must equal the reference, which draws each
@@ -1161,6 +1192,13 @@ class TestCheckBoundRespect:
         result = check_bound_respect(stats, lambda t, side: math.inf)
         assert result.ok
         assert result.worst_slack == math.inf
+        assert (result.n_checked, result.n_finite) == (1, 0)
+
+    def test_finite_bounds_at_measured_points_are_counted(self):
+        stats = self.make_stats([1.0, 1.0, math.nan, 1.0], [0.1] * 4)
+        bounds = [2.0, math.inf, 2.0, 2.0]
+        result = check_bound_respect(stats, lambda t, side: bounds[int(t)])
+        assert (result.n_checked, result.n_finite, result.n_violations) == (4, 2, 1)
 
     def test_nan_mean_is_violation(self):
         stats = self.make_stats([math.nan], [0.0])
@@ -1176,9 +1214,10 @@ class TestCheckBoundRespect:
             pair_count=5, horizon=6, master_seed=0,
             initial=InitialPointPair(np.ones(1), -np.ones(1))))
         assert stats.n_alive.tolist() == [5, 5, 5, 0, 0, 0, 0]
-        for value in (1e300, math.inf):
+        for value, finite in ((1e300, 3), (math.inf, 0)):
             result = check_bound_respect(stats, lambda t, side: value)
             assert not result.ok and result.n_violations == 4
+            assert result.n_finite == finite
             assert result.passed.tolist() == [True] * 3 + [False] * 4
             assert result.worst_slack == value  # taken over the measured points only
 
