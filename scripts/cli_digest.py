@@ -40,6 +40,11 @@ HYBRID_CONFIGS = {
 
 BAD_DWELL = {"tau": -1.0}
 
+# a ring coupling whose per-dwell product r2 = 0.999999999999997 lies in the
+# critical band of 1: `certify` must not report a lock that `bounds` does not
+# bound
+CRITICAL_RING = {"gamma": 0.06459568480243587}
+
 # a horizon or a step count that is not finite is a configuration error
 NONFINITE = {
     "simulate-ou1d-horizon-inf": ["simulate", "ou1d", "--horizon", "inf"],
@@ -145,6 +150,8 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
     out.append(("simulate-hopf-cpg-omega-2.5",
                 ["simulate", "hopf-cpg", "--ensemble", "40", "--horizon", "1",
                  "--out", "run.csv"], {"omega": 2.5}, ("run.csv",)))
+    for verb in ("certify", "bounds"):
+        out.append((f"{verb}-hopf-cpg-critical", [verb, "hopf-cpg"], CRITICAL_RING, ()))
     # a negative seed is a usage error that names the flag
     out.append(("simulate-linear-map-seed-negative",
                 ["simulate", "linear-map", "--seed", "-1"], None, ()))

@@ -23,7 +23,8 @@ depend on the regime:
 
 `classify_regime` picks the regime and `hybrid_bound` evaluates it; the two
 discrete constructors cover maps.  Comparing a noisy copy against a
-noise-free one halves every injected energy.
+noise-free one halves every injected energy.  report(t, side) reads a
+BoundReport at a sample of the simulation grid.
 
 The hybrid asymptotes bound the post-reset sequence.  Checked against exact
 second moments of scalar systems, pre-reset and interior samples stay below
@@ -89,6 +90,12 @@ class BoundReport:
     inputs: dict = field(repr=False)
     noise_free: bool = False
     warnings: tuple[str, ...] = ()
+
+    def __call__(self, t: float, side: str = "post") -> float:
+        """Bound at the grid sample (t, side); discrete grids count steps."""
+        if self.regime in DISCRETE_REGIMES:
+            return self.bound_at_step(int(round(t)))
+        return self.bound_at_time(t, side)
 
     def bound_at_step(self, k: int) -> float:
         """Bound value after k steps (discrete regimes only)."""

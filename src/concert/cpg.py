@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, ParameterRange, apply_noisefree_corollary, hybrid_bound
+from .bounds import (BoundReport, ParameterRange, apply_noisefree_corollary, classify_regime,
+                     hybrid_bound)
 from .simulate import (STEADY_FRAC, STEPS_PER_DWELL, InitialBox, _moments, _plan, _run_block,
                        _write_csv, derive_stream)
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
@@ -217,10 +218,12 @@ def reduced_constants(params: CPGParams) -> ReducedRing:
 
 def locking_condition(params: CPGParams) -> tuple[bool, float, float]:
     """(holds, beta, threshold): the ring phase-locks in mean square when
-    beta < exp(-2 |rate| tau), i.e. when the per-dwell product stays below 1."""
+    beta < threshold = exp(-2 |rate| tau).  holds is classify_regime's verdict,
+    which the bound takes too: a per-dwell product in its critical band does not lock."""
     red = reduced_constants(params)
     threshold = math.exp(-2.0 * abs(red.rate) * red.tau)
-    return red.beta < threshold, red.beta, threshold
+    holds = classify_regime(red.beta, red.rate, red.tau) == "hybrid-expanding-bounded"
+    return holds, red.beta, threshold
 
 
 @dataclass(frozen=True)
@@ -333,8 +336,9 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     (master_seed, i, 0) in the canonical order (initial condition, then per
     dwell one reset draw followed by the dwell's flow draws), so any run is
     reproducible in isolation.  The coupling reset acts at t = 0 first and
-    both one-sided samples are recorded at every reset.  The steady values
-    come from the runs that stay finite on the whole grid.
+    both one-sided samples are recorded at every reset.  Each run's window
+    mean is one more sample, folded with the grid's: the steady values come
+    from the runs finite on the whole grid, and a lone one has NaN stderr.
     """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
@@ -343,7 +347,6 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     times, sides, segments = _plan(system, horizon, h, _INTERIOR_PER_DWELL, 1)
     window_start = (1.0 - STEADY_FRAC) * horizon
     window_mask = times >= window_start  # the window ends the grid
-    window_means: list[float] = []
 
     def stream(member, run):
         return derive_stream(master_seed, run, 0)
@@ -351,20 +354,15 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     def block_of(runs):
         block = _run_block(segments, runs, stream, RING_START, (True,),
                            lambda states, g: phase_locking_delta(states[0]))
-        whole = np.isfinite(block).all(axis=1).tolist()
-        window_means.extend(float(row[window_mask].mean())
-                            for row, fold in zip(block, whole) if fold)
-        return block
+        return np.column_stack([block, block[:, window_mask].mean(axis=1)])
 
-    _, mean, stderr, failures = _moments(run_count, times.size, block_of)
-    window = np.asarray(window_means)
-    steady_mean = float(window.mean()) if window.size else math.nan
-    steady_stderr = float(window.std(ddof=1) / math.sqrt(window.size)) \
-        if window.size > 1 else math.nan
+    count, mean, stderr, failures = _moments(run_count, times.size + 1, block_of)
+    steady = int(count[-1])  # the runs finite on the whole grid
     return CPGExperimentResult(params=params, times=times, sides=sides,
-                               delta_mean=mean, delta_stderr=stderr,
+                               delta_mean=mean[:-1], delta_stderr=stderr[:-1],
                                run_count=run_count, failures=failures,
-                               steady_mean=steady_mean, steady_stderr=steady_stderr,
+                               steady_mean=float(mean[-1]) if steady else math.nan,
+                               steady_stderr=float(stderr[-1]) if steady > 1 else math.nan,
                                window_start_time=float(window_start),
                                bounds=theoretical_delta_bound(params))
 

@@ -32,20 +32,21 @@ reduction does not depend on the blocking.  A member draws a long
 segment's noise in slices of about _DRAW_VALUES values for the whole block, in
 stream order, so its memory does not grow with the horizon and its bits are
 those of one draw per segment; a hybrid run draws the reset opening a dwell in
-the same call as the dwell's flow noise.  Map and reset noise is shaped by one
-2-D product over a member's rows and steps, so its bits do not depend on the
-horizon.  Products that change no bits are skipped: a distance in the
-constant identity metric squares the member difference directly, and a (1, 1)
-gain or noise transform multiplies the draws elementwise, which the matmul
-also rounds once (only the sign of an exactly zero term may differ), or not at
-all when it is exactly 1.  A box start whose coordinates
-share one low and one high takes NumPy's scalar uniform, bit for bit the
-array call.  One rule keeps NumPy's one-row kernel out of every product: a
-block of a single run, whatever its member count, steps each member as two
-identical rows (its start and draws copied, not drawn twice), so no product
-ever sees a single row.  For hopf-cpg, blocks of 4, 3 and 2 runs give the
-same bits; a BLAS that picks its kernels by row count at larger sizes could
-still make a run's last bits depend on the size of its block.
+the same call as the dwell's flow noise.  Noise is shaped by one rule: one
+2-D product by the noise transform over a member's rows and steps, so its bits
+do not depend on the horizon; a flow's transform is the (1, 1) sqrt(h).
+Products that change no bits are skipped: a distance in the constant identity
+metric squares the member difference directly, and a (1, 1) gain or noise
+transform multiplies the draws elementwise, which the matmul also rounds once
+(only the sign of an exactly zero term may differ), or not at all when it is
+exactly 1.  A box start whose coordinates share one low and one high takes
+NumPy's scalar uniform, bit for bit the array call.  One rule keeps NumPy's
+one-row kernel out of every product: a block of a single run, whatever its
+member count, steps each member as two identical rows (its start and draws
+copied, not drawn twice), so no product ever sees a single row.  For hopf-cpg,
+blocks of 4, 3 and 2 runs give the same bits; a BLAS that picks its kernels by
+row count at larger sizes could still make a run's last bits depend on the
+size of its block.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
                          HybridSystem, _as_metric, _batched_map)
 
@@ -248,8 +248,8 @@ def sample_path(system, x0: np.ndarray, horizon: float, h: float | None,
         return states[0]
 
     return SamplePath(times=times, sides=sides,
-                      states=_run_block(segments, range(1), lambda m, i: rng, [x], (True,),
-                                        record)[0])
+                      states=_run_block(segments, range(1), lambda m, i: rng,
+                                        InitialPointPair(x, x), (True,), record)[0])
 
 
 # --- pair ensembles ---------------------------------------------------------
@@ -333,12 +333,12 @@ class EnsembleStats:
                           "stderr": self.stderr, "n_alive": self.n_alive,
                           **(extra_columns or {})})
 
-    def steady_state(self, window_frac: float = STEADY_FRAC) -> tuple[float, float]:
-        """Mean of the statistic over the trailing window, with a conservative
-        standard error (the window average of per-time standard errors; no
-        independence across times is assumed).  Only window points where some
-        pair is alive are averaged; with none, both are NaN."""
-        count = max(1, int(round(window_frac * self.times.size)))
+    def steady_state(self) -> tuple[float, float]:
+        """Mean of the statistic over the trailing STEADY_FRAC of the grid, with
+        a conservative standard error (the window average of per-time standard
+        errors; no independence across times is assumed).  Only window points
+        where some pair is alive are averaged; with none, both are NaN."""
+        count = max(1, int(round(STEADY_FRAC * self.times.size)))
         alive = self.n_alive[-count:] > 0
         if not alive.any():
             return math.nan, math.nan
@@ -496,31 +496,34 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
         fmap = _batched_map(part.map, part.vectorized, lone)
         fgain = _batched_map(part.noise_gain, part.vectorized, lone)
         transform_t = part.noise._transform.T
-        scale = float(transform_t[0, 0]) if transform_t.shape == (1, 1) else None
 
-        def shape(z):
-            if scale is None:
-                # one 2-D product (rows * steps, width), whatever the steps
-                z[...] = (z.reshape(-1, z.shape[-1]) @ transform_t).reshape(z.shape)
-            elif scale != 1.0:
-                # one product per value, which the matmul rounds once too; a
-                # product by exactly 1 changes nothing
-                np.multiply(z, scale, out=z)
+        def advance(x, k, w):
+            return fmap(x, k) + _apply_gain(fgain(x, k), w)
+    else:
+        drift, diffusion = part.drift, part.diffusion
+        if not part.vectorized:
+            drift, diffusion = (_batched_map(fn, False, lone) for fn in (drift, diffusion))
 
-        return lambda x, k, w: fmap(x, k) + _apply_gain(fgain(x, k), w), shape
-    drift, diffusion = part.drift, part.diffusion
-    if not part.vectorized:
-        drift, diffusion = (_batched_map(fn, False, lone) for fn in (drift, diffusion))
-    sqrt_h = math.sqrt(h)
+        def euler(x, t, w):
+            # x + f h + g w in one new array; never writes into what a callable returned
+            out = np.multiply(np.asarray(drift(x, t), dtype=float), h, out=np.empty_like(x))
+            out += x
+            out += _apply_gain(np.asarray(diffusion(x, t), dtype=float), w)
+            return out
 
-    def euler(x, t, w):
-        # x + f h + g w in one new array; never writes into what a callable returned
-        out = np.multiply(np.asarray(drift(x, t), dtype=float), h, out=np.empty_like(x))
-        out += x
-        out += _apply_gain(np.asarray(diffusion(x, t), dtype=float), w)
-        return out
+        advance, transform_t = euler, np.array([[math.sqrt(h)]])  # the scalar case
+    scale = float(transform_t[0, 0]) if transform_t.shape == (1, 1) else None
 
-    return euler, lambda z: np.multiply(sqrt_h, z, out=z)
+    def shape(z):
+        if scale is None:
+            # one 2-D product (rows * steps, width), whatever the steps
+            z[...] = (z.reshape(-1, z.shape[-1]) @ transform_t).reshape(z.shape)
+        elif scale != 1.0:
+            # one product per value, which the matmul rounds once too; a
+            # product by exactly 1 changes nothing
+            np.multiply(z, scale, out=z)
+
+    return advance, shape
 
 
 def _slices(steps: int, per_step: int) -> list[tuple[int, int]]:
@@ -555,8 +558,8 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
     `start` is an InitialBox, then draws the group's normals.  With a single
     draw group a generator is dropped right after its draws, so no two of a
     block are alive at once; with more groups, the noisy members' generators
-    are kept until the last.  `start` is otherwise an InitialPointPair or, per
-    member, start rows that broadcast to (runs, dimension).  A member draws no
+    are kept until the last.  `start` is otherwise an InitialPointPair, whose
+    point a (b) every run of member 0 (1) starts at.  A member draws no
     normals and runs noise-free unless noisy[m]; given starts, it derives none.
 
     The members are stepped as one state, member after member, so every
@@ -575,8 +578,7 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
     spans = [slice(m * rows, (m + 1) * rows) for m in range(members)]
     box = _box_start(start, dimension) if isinstance(start, InitialBox) else None
     if box is None:
-        points = _corners(start, dimension) if isinstance(start, InitialPointPair) else start
-        for span, point in zip(spans, points):
+        for span, point in zip(spans, _corners(start, dimension)):
             x[span] = point
     groups = list(_draws(segments, rows))
     steppers = {}  # (advance, shape) of each part and stride, built once per block
@@ -769,22 +771,14 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     The statistical allowance sits on the bound side because the bounds are
     tight for linear systems: the true moment can sit exactly at the bound,
     and only an excess beyond Monte Carlo error is evidence of a violation.
-    `bound` is a BoundReport (discrete reports are indexed by step, hybrid
-    reports by time and side) or a callable (time, side) -> float.  Infinite
+    `bound` is any callable (time, side) -> float evaluated at every grid
+    sample, such as a BoundReport, which reads itself on the grid.  Infinite
     bound values pass trivially, and only measured points with a finite bound
     count in n_finite.  A point where no pair is alive measures nothing and
     counts as a violation whatever the bound, as does a non-finite mean;
     neither enters worst_slack.
     """
-    if isinstance(bound, BoundReport):
-        if bound.regime.startswith("discrete"):
-            bound_fn = lambda t, side: bound.bound_at_step(int(round(t)))  # noqa: E731
-        else:
-            bound_fn = bound.bound_at_time
-    else:
-        bound_fn = bound
-    values = np.asarray([bound_fn(float(t), side)
-                         for t, side in zip(stats.times, stats.sides)])
+    values = np.asarray([bound(float(t), side) for t, side in zip(stats.times, stats.sides)])
     margin = values + slack * stats.stderr - stats.mean_sq
     measured = np.isfinite(stats.mean_sq) & (stats.n_alive > 0)
     with np.errstate(invalid="ignore"):

@@ -41,10 +41,10 @@ class SystemRecipe:
     simulate.initial_ms is its exact mean squared separation); `certificate_json`
     and `bound_json` evaluate the analytic certificate and the closed-form bound
     as JSON-ready dicts.  `bound_report` returns the checkable mean-square
-    bound for a pair ensemble: a BoundReport, a (time, side) -> value callable
-    for flows, or None when no pair bound applies.  `sim_defaults` seeds the
-    simulate subcommand (step_size None means STEPS_PER_DWELL steps per dwell
-    for hybrid systems).
+    bound for a pair ensemble, a (time, side) -> value callable (a BoundReport,
+    or for flows one over `bound_json`'s numbers), or None when no pair bound
+    applies.  `sim_defaults` seeds the simulate subcommand (step_size None
+    means STEPS_PER_DWELL steps per dwell for hybrid systems).
     """
 
     name: str
@@ -87,8 +87,8 @@ def _flow_bound_json(rate: float, noise_energy: float, p: dict, noise_free: bool
 
 def _flow_bound_fn(rate: float, noise_energy: float, p: dict,
                    noise_free: bool) -> Callable[[float, str], float]:
-    c = noise_energy / 2.0 if noise_free else noise_energy
-    ms = initial_ms(_point_pair(p), 1)
+    bound = _flow_bound_json(rate, noise_energy, p, noise_free)
+    c, ms = bound["noise_energy"], bound["initial_ms"]
     return lambda t, side: continuous_bound_at(rate, c, ms, t)
 
 

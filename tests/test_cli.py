@@ -37,6 +37,17 @@ class TestCertify:
         assert cert["full_reset_factor"] == pytest.approx(1.0)
         assert cert["locking_condition"]["holds"] is True
 
+    def test_hopf_cpg_lock_agrees_with_bounds_in_the_critical_band(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0.06459568480243587}))
+        code, out, _ = run_cli(capsys, "certify", "hopf-cpg", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["certificate"]["locking_condition"]["holds"] is False
+        code, out, _ = run_cli(capsys, "bounds", "hopf-cpg", "--config", str(cfg))
+        assert code == 0
+        bound = json.loads(out)["bound"]
+        assert (bound["regime"], bound["pipeline"]) == ("hybrid-expanding-critical", None)
+
     def test_print_config(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "linear-map", "--print-config")
         assert code == 0

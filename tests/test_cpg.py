@@ -245,6 +245,22 @@ class TestReducedConstants:
         assert not holds_weak
         assert beta_weak == pytest.approx(0.9703, rel=1e-12)
 
+    # r2 = beta exp(2 tau) = 0.999999999999997 at this coupling, inside the
+    # critical band of 1, where beta < exp(-2 tau) alone would report a lock
+    CRITICAL_GAMMA = 0.06459568480243587
+
+    @pytest.mark.parametrize("offset, regime", [
+        (-1e-12, "hybrid-expanding-unbounded"), (-3e-14, "hybrid-expanding-critical"),
+        (0.0, "hybrid-expanding-critical"), (3e-14, "hybrid-expanding-critical"),
+        (1e-12, "hybrid-expanding-bounded")])
+    def test_lock_is_the_bound_regime(self, offset, regime):
+        params = CPGParams(gamma=self.CRITICAL_GAMMA + offset)
+        holds, beta, threshold = locking_condition(params)
+        assert theoretical_delta_bound(params).regime == regime
+        assert holds == (regime == "hybrid-expanding-bounded")
+        assert (beta, threshold) == (coupling_contraction_factor(params.gamma),
+                                     math.exp(-2.0 * params.tau))
+
 
 class TestTheoreticalDeltaBound:
     def test_strong_coupling_frozen_oracles(self):
@@ -345,6 +361,66 @@ class TestRunCPGExperiment:
         assert result.times.size == 62
         replayed = [traced[key] for key in zip(result.times.tolist(), result.sides)]
         assert np.array_equal(replayed, result.delta_mean)
+
+    @staticmethod
+    def capture_blocks(monkeypatch, poison=None):
+        """The delta samples of every block run_cpg_experiment steps, after
+        poison(block) edits them in place."""
+        blocks, engine = [], cpg._run_block
+
+        def captured(*args):
+            block = engine(*args)
+            if poison is not None:
+                poison(block)
+            blocks.append(block.copy())
+            return block
+
+        monkeypatch.setattr(cpg, "_run_block", captured)
+        return blocks
+
+    @staticmethod
+    def window_means(result, rows):
+        return rows[:, result.times >= result.window_start_time].mean(axis=1)
+
+    def test_steady_values_are_the_per_run_formula(self, monkeypatch):
+        # `concert cpg --ensemble 40 --horizon 3 --seed 1`
+        blocks = self.capture_blocks(monkeypatch)
+        comparison = cpg.run_locking_comparison(run_count=40, horizon=3.0, master_seed=1)
+        for result, rows in zip((comparison.weak, comparison.strong), blocks):
+            window = self.window_means(result, rows)
+            assert result.steady_mean == pytest.approx(window.mean(), rel=1e-14, abs=0.0)
+            assert result.steady_stderr == pytest.approx(
+                window.std(ddof=1) / math.sqrt(40), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("runs", [1, 2, 4])
+    @pytest.mark.parametrize("first_bad", [3, 27, 31])
+    def test_an_exploding_run_is_left_out_of_the_steady_values(self, monkeypatch, runs,
+                                                               first_bad):
+        # run 0 leaves the floats at sample first_bad of 32: before the window
+        # (t >= 0.8), inside it, or at its last sample; a single steady run has
+        # a NaN stderr, and none a NaN mean
+        def explode(block):
+            block[0, first_bad] = np.inf
+            block[0, first_bad + 1:] = np.nan
+
+        clean = self.capture_blocks(monkeypatch)
+        run_cpg_experiment(STRONG_COUPLING, run_count=runs, horizon=1.0, master_seed=4)
+        monkeypatch.undo()
+        self.capture_blocks(monkeypatch, explode)
+        result = run_cpg_experiment(STRONG_COUPLING, run_count=runs, horizon=1.0,
+                                    master_seed=4)
+        assert result.times.size == 32 and result.times[27] >= result.window_start_time
+        assert result.failures == 1
+        window = self.window_means(result, clean[0][1:])
+        if runs == 1:
+            assert math.isnan(result.steady_mean)
+        else:
+            assert result.steady_mean == pytest.approx(window.mean(), rel=1e-14, abs=0.0)
+        if runs > 2:
+            assert result.steady_stderr == pytest.approx(
+                window.std(ddof=1) / math.sqrt(runs - 1), rel=1e-14, abs=0.0)
+        else:
+            assert math.isnan(result.steady_stderr)
 
     def test_to_csv_header(self):
         result = run_cpg_experiment(STRONG_COUPLING, run_count=2, horizon=0.5,

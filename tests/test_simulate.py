@@ -1147,7 +1147,7 @@ class TestEnsembleStatsOutput:
             times=np.arange(10, dtype=float), sides=("interior",) * 10,
             mean_sq=np.arange(10, dtype=float), stderr=np.full(10, 0.5),
             n_pairs=4, n_alive=np.full(10, 4), failures=0)
-        mean, err = stats.steady_state(window_frac=0.2)
+        mean, err = stats.steady_state()  # the last STEADY_FRAC = 0.2 of 10 points
         assert mean == pytest.approx(8.5)
         assert err == pytest.approx(0.5)
 
@@ -1155,11 +1155,11 @@ class TestEnsembleStatsOutput:
         def stats(n_alive):
             return simulate.EnsembleStats(
                 times=np.arange(10, dtype=float), sides=("interior",) * 10,
-                mean_sq=np.array([*range(7), 7.0, 0.0, 0.0]), stderr=np.full(10, 0.5),
+                mean_sq=np.array([*range(8), 8.0, 0.0]), stderr=np.full(10, 0.5),
                 n_pairs=4, n_alive=np.array(n_alive), failures=4)
-        # the last two points measure nothing: every pair had left the floats
-        assert stats([4] * 7 + [1, 0, 0]).steady_state(0.3) == (7.0, 0.5)
-        mean, err = stats([4] * 7 + [0, 0, 0]).steady_state(0.3)
+        # the last point measures nothing: every pair had left the floats
+        assert stats([4] * 8 + [1, 0]).steady_state() == (8.0, 0.5)
+        mean, err = stats([4] * 8 + [0, 0]).steady_state()
         assert math.isnan(mean) and math.isnan(err)
 
 
@@ -1231,6 +1231,48 @@ class TestCheckBoundRespect:
         assert result.ok
         assert result.n_checked == 5
         assert np.allclose(result.bounds, [report.bound_at_step(k) for k in range(5)])
+
+    # (system, overrides, horizon): the CLI's linear-map and hybrid-linear
+    # runs, at defaults and at the hybrid configurations of test_golden.py
+    CLI_GRIDS = [
+        ("linear-map", {}, None),
+        ("hybrid-linear", {}, None),
+        ("hybrid-linear", {"a": 0.0, "rho": 0.1, "sigma_c": 1.0, "sigma_d": 0.1, "tau": 1.0},
+         10.0),
+        ("hybrid-linear", {"a": 1.654, "rho": 0.27, "sigma_c": 1.726, "sigma_d": 1.763,
+                           "tau": 0.65}, 6.5),
+        ("hybrid-linear", {"a": 1.0, "rho": 0.999, "tau": 5.0}, 10.0),
+    ]
+
+    @pytest.mark.parametrize("noise_free", [False, True])
+    @pytest.mark.parametrize("name, overrides, horizon", CLI_GRIDS,
+                             ids=["linear-map", "hybrid-linear", "neutral", "expanding",
+                                  "unbounded"])
+    def test_a_report_reads_itself_on_the_cli_grid(self, name, overrides, horizon,
+                                                   noise_free):
+        recipe = get_recipe(name)
+        params = resolve_params(recipe, overrides)
+        report = recipe.bound_report(params, noise_free)
+        config = EnsembleConfig(
+            pair_count=20, horizon=horizon or recipe.sim_defaults["horizon"], master_seed=2,
+            initial=recipe.initial(params), step_size=dwell_step_default(recipe, params),
+            pairing_mode="noisy-vs-noisefree" if noise_free else "two-noisy")
+        stats = run_pair_ensemble(recipe.build(params), config)
+        if recipe.kind == "discrete":
+            want = [report.bound_at_step(k) for k in range(stats.times.size)]
+            by_hand = lambda t, side: report.bound_at_step(int(round(t)))  # noqa: E731
+        else:
+            want = [report.bound_at_time(t, side)
+                    for t, side in zip(stats.times.tolist(), stats.sides)]
+            by_hand = report.bound_at_time
+        got = [report(t, side) for t, side in zip(stats.times.tolist(), stats.sides)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        check, again = (check_bound_respect(stats, bound) for bound in (report, by_hand))
+        assert check.bounds.tobytes() == again.bounds.tobytes()
+        assert check.passed.tolist() == again.passed.tolist()
+        assert (check.ok, check.n_checked, check.n_finite, check.n_violations) \
+            == (again.ok, again.n_checked, again.n_finite, again.n_violations)
+        assert check.worst_slack.hex() == again.worst_slack.hex()
 
 
 class TestFitGeometricDecay:
@@ -1441,10 +1483,12 @@ class TestLazyStreams:
         _, mean, stderr, _ = scalar_moments(delta)
         assert got.times.tobytes() == times.tobytes()
         assert (got.delta_mean.tolist(), got.delta_stderr.tolist()) == (mean, stderr)
+        # the window means are one more sample, reduced by the same fold
         window = delta[:, times >= 0.8 * 0.5].mean(axis=1)
-        assert got.steady_mean == window.mean()
-        assert np.array_equal(got.steady_stderr, window.std(ddof=1) / math.sqrt(runs)
-                              if runs > 1 else math.nan, equal_nan=True)
+        _, (steady_mean,), (steady_stderr,), _ = scalar_moments(window[:, None])
+        assert got.steady_mean == steady_mean
+        assert np.array_equal(got.steady_stderr, steady_stderr if runs > 1 else math.nan,
+                              equal_nan=True)
         path = sample_path(system, x[0], 0.3, 0.001, derive_stream(3, 1, 0))
         want = reference_member(system, [derive_stream(3, 1, 0)], x[:1], True, 0.3, 0.001)
         assert path.states.tobytes() == want[2][0].tobytes()
