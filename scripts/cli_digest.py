@@ -28,15 +28,21 @@ from pathlib import Path
 BUILTINS = ("linear-map", "ou1d", "brownian", "hybrid-linear", "hopf-cpg")
 
 # hybrid-linear outside its contracting default, with a horizon that is a
-# whole number of dwells: the neutral and expanding-bounded reproducers of the
-# open side-awareness defect, and an expanding configuration with no finite
-# bound
+# whole number of dwells: neutral, expanding-bounded and critical
+# configurations whose pre-reset and interior samples rise above the
+# post-reset sequence (each bounded there by the flow map from its last
+# reset), and an expanding configuration with no finite bound
 HYBRID_CONFIGS = {
     "neutral": ({"a": 0.0, "rho": 0.1, "sigma_c": 1.0, "sigma_d": 0.1, "tau": 1.0}, "10"),
     "expanding": ({"a": 1.654, "rho": 0.27, "sigma_c": 1.726, "sigma_d": 1.763,
                    "tau": 0.65}, "6.5"),
+    "critical": ({"a": 0.5, "rho": 0.951229424500714, "sigma_c": 0.4, "sigma_d": 1.2,
+                  "tau": 0.1, "init_low": -0.3, "init_high": 0.3}, "1"),
     "unbounded": ({"a": 1.0, "rho": 0.999, "tau": 5.0}, "10"),
 }
+
+# an expanding flow without resets: its bound is finite at every sample
+EXPANDING_FLOW = {"a": -0.5}
 
 BAD_DWELL = {"tau": -1.0}
 
@@ -138,6 +144,8 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                     ["simulate", "hybrid-linear", "--ensemble", "200", "--horizon", horizon,
                      "--out", "run.csv"],
                     config, ("run.csv",)))
+    out.append(("simulate-ou1d-expanding", ["simulate", "ou1d", "--out", "run.csv"],
+                EXPANDING_FLOW, ("run.csv",)))
     # the last uint32 seed over a partial third chunk of 1,024 pair seeds, and
     # a seed past uint32, whose streams come from default_rng on the key
     for seed, ensemble in (("4294967295", "2049"), ("4294967296", "8")):

@@ -26,11 +26,10 @@ discrete constructors cover maps.  Comparing a noisy copy against a
 noise-free one halves every injected energy.  report(t, side) reads a
 BoundReport at a sample of the simulation grid.
 
-The hybrid asymptotes bound the post-reset sequence.  Checked against exact
-second moments of scalar systems, pre-reset and interior samples stay below
-them in the contracting regime but can exceed them in the neutral and
-expanding ones, an open defect; empirical comparisons on those samples need
-parameters inside the validity region (see the test suite).
+The hybrid asymptotes bound the post-reset sequence.  Every other sample
+takes the flow map of `continuous_bound_at` from the last reset, so pre-reset
+and interior bounds exceed the asymptote in the neutral and expanding regimes
+and fall below it in the contracting one.
 """
 from __future__ import annotations
 
@@ -110,9 +109,10 @@ class BoundReport:
     def bound_at_time(self, t: float, side: str = "post") -> float:
         """Bound value at time t (hybrid regimes only).
 
-        `side` disambiguates samples taken exactly at a reset instant: the
-        pre-reset sample has one fewer reset applied than floor(t/tau) counts,
-        so "pre" steps the dwell exponent back by one there.
+        Phi_s(B_post(k)): the flow map over the time s since the last reset
+        k, from B_post(k) = asymptote + E0 r^k, or E0 + (k + 1) times the
+        growth per dwell when r2 = 1.  At a reset instant k tau > 0 the
+        "pre" sample ends dwell k - 1 (s = tau), the others start dwell k.
         """
         if self.regime not in HYBRID_REGIMES:
             raise ValueError(f"bound_at_time applies to hybrid regimes, not {self.regime}")
@@ -120,25 +120,14 @@ class BoundReport:
             raise ValueError(f"side must be 'pre', 'post' or 'interior', got {side!r}")
         if t < 0:
             raise ValueError(f"time must be >= 0, got {t}")
-        tau = self.inputs["tau"]
-        k = _dwell_exponent(t, tau, side)
+        if self.regime == "hybrid-expanding-unbounded":
+            return math.inf
+        k, s = _since_reset(t, self.inputs["tau"], side)
         e0 = self.inputs["initial_ms"]
-        if self.regime == "hybrid-contracting":
-            lam = self.inputs["lam"]
-            beta = self.inputs["beta"]
-            return self.asymptotic_bound + e0 * beta**k * math.exp(-2.0 * lam * t)
-        if self.regime == "hybrid-neutral":
-            return self.asymptotic_bound + e0 * self.inputs["beta"] ** k
-        if self.regime == "hybrid-expanding-bounded":
-            blowup = math.exp(2.0 * abs(self.inputs["lam"]) * tau)
-            return self.asymptotic_bound + e0 * blowup * self.inputs["r2"] ** k
-        if self.regime == "hybrid-expanding-critical":
-            # Per-dwell linear envelope, inflated by one dwell of growth.
-            blowup = math.exp(2.0 * abs(self.inputs["lam"]) * tau)
-            slope = self.inputs["growth_per_dwell"]
-            interior = (self.inputs["C_c"] / abs(self.inputs["lam"])) * (blowup - 1.0)
-            return interior + (k * slope + e0) * blowup
-        return math.inf
+        post = (e0 + (k + 1) * self.inputs["growth_per_dwell"]
+                if self.regime == "hybrid-expanding-critical"
+                else self.asymptotic_bound + e0 * self.transient_rate_per_step**k)
+        return _flow_map(self.inputs["lam"], self.inputs["C_c"], post, s)
 
     def to_json_dict(self) -> dict:
         asym = self.asymptotic_bound
@@ -164,13 +153,29 @@ def _finite_or_none(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _dwell_exponent(t: float, tau: float, side: str) -> int:
+def _since_reset(t: float, tau: float, side: str) -> tuple[int, float]:
+    """(k, s): the last reset k applied at the sample (t, side), within 1e-9
+    relative of k tau, and the flow time s since it (the start at t = 0: 0)."""
     ratio = t / tau
     nearest = round(ratio)
     if abs(ratio - nearest) <= 1e-9 * max(1.0, abs(ratio)):
         k = int(nearest)
-        return max(0, k - 1) if side == "pre" else k
-    return int(math.floor(ratio))
+        return (k - 1, tau) if side == "pre" and k > 0 else (k, 0.0)
+    k = int(math.floor(ratio))
+    return k, t - k * tau
+
+
+def _flow_map(lam: float, c_c: float, ms: float, s: float) -> float:
+    """Phi_s(ms) = exp(-2 lam s) ms + (C_c / lam)(1 - exp(-2 lam s)), or
+    ms + 2 C_c s at lam = 0: the exact mean square after flow time s of the
+    comparison system (dE/ds = -2 lam E + 2 C_c) started at ms.  Increasing
+    in ms, it bounds wherever ms does; inf where exp(-2 lam s) overflows."""
+    if lam == 0.0:
+        return ms + 2.0 * c_c * s
+    exponent = -2.0 * lam * s
+    if exponent > _LOG_MAX:
+        return math.inf
+    return math.exp(exponent) * ms - (c_c / lam) * math.expm1(exponent)
 
 
 def discrete_distance_bound(beta: float, noise_energy: float, initial_distance: float,
@@ -248,10 +253,9 @@ def hybrid_bound(beta: float, lam: float, noise_energy_reset: float,
                  noise_energy_flow: float, tau: float, initial_ms: float) -> BoundReport:
     """Hybrid bound in the regime that `classify_regime` assigns.
 
-    - contracting (lam > 0): asymptote C1, transient factor r1 per dwell and
-      exp(-2 lam t) continuously;
+    - contracting (lam > 0): asymptote C1, transient factor r1 per dwell;
     - neutral (lam = 0): asymptote C2, transient factor beta per dwell;
-    - expanding, r2 < 1: asymptote C3, transient exp(2|lam|tau) r2^k;
+    - expanding, r2 < 1: asymptote C3, transient factor r2 per dwell;
     - expanding, r2 = 1 (within 1e-12 relative): linear growth per dwell,
       echoed as `growth_per_dwell`;
     - expanding, r2 > 1: no finite bound, also where exp(2|lam|tau)
@@ -328,20 +332,12 @@ def apply_noisefree_corollary(report: BoundReport) -> BoundReport:
 
 def continuous_bound_at(lam: float, noise_energy_flow: float, initial_ms: float,
                         t: float) -> float:
-    """Mean-square bound for a diffusion pair without resets.
-
-    For rate lam > 0: C_c/lam + E0 exp(-2 lam t); for lam = 0 the linear
-    envelope 2 C_c t + E0.  Expanding flows admit no finite bound (returns
-    +inf); these are the within-dwell comparison bounds the hybrid constants
-    are built from.
-    """
+    """Mean-square bound for a diffusion pair without resets: the flow map
+    Phi_t(E0) (`_flow_map`), which hybrid bounds apply from each reset.  It is
+    finite in every regime, and +inf only where exp(-2 lam t) overflows."""
     lam = float(lam)
     c_c = _check_nonneg(noise_energy_flow, "flow noise energy")
     e0 = _check_nonneg(initial_ms, "initial mean square")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if lam > 0.0:
-        return c_c / lam + e0 * math.exp(-2.0 * lam * t)
-    if lam == 0.0:
-        return 2.0 * c_c * t + e0
-    return math.inf
+    return _flow_map(lam, c_c, e0, t)

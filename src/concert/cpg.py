@@ -33,7 +33,7 @@ import numpy as np
 
 from .bounds import (BoundReport, ParameterRange, apply_noisefree_corollary, classify_regime,
                      hybrid_bound)
-from .simulate import (STEADY_FRAC, STEPS_PER_DWELL, InitialBox, _moments, _plan, _run_block,
+from .simulate import (STEPS_PER_DWELL, InitialBox, _moments, _plan, _run_block, _steady_window,
                        _write_csv, derive_stream)
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem)
@@ -254,7 +254,8 @@ def theoretical_delta_bound(params: CPGParams) -> DeltaBoundSummary:
     Per ring difference: expanding-regime hybrid bound at the reduced
     constants, with noise energies halved because the statistic compares one
     noisy combination against the noise-free locked set; the three differences
-    sum to the delta bound.
+    sum to the delta bound.  `pipeline` sums post-reset asymptotes: it bounds
+    post-reset samples, while the steady window averages every side.
     """
     red = reduced_constants(params)
     base = hybrid_bound(red.beta, red.rate, red.noise_energy_reset,
@@ -345,8 +346,7 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     h = params.tau / STEPS_PER_DWELL if step_size is None else step_size
     system = build_cpg_system(params)
     times, sides, segments = _plan(system, horizon, h, _INTERIOR_PER_DWELL, 1)
-    window_start = (1.0 - STEADY_FRAC) * horizon
-    window_mask = times >= window_start  # the window ends the grid
+    window_start, window_mask = _steady_window(times, horizon)  # the window ends the grid
 
     def stream(member, run):
         return derive_stream(master_seed, run, 0)

@@ -66,7 +66,7 @@ _FOLD = 1024  # consecutive runs reduced together, whatever _BLOCK is; fixed
 _DRAW_VALUES = 2**18  # most standard normals in one member's noise buffer (2 MiB)
 STEPS_PER_DWELL = 100  # default flow steps per dwell of a hybrid system
 _INTERIOR_PER_DWELL = 4  # default interior samples per dwell of a hybrid pair ensemble
-STEADY_FRAC = 0.2  # trailing fraction of a run that steady values average over
+STEADY_FRAC = 0.2  # trailing fraction of a run's time that steady values average over
 
 
 class NonFiniteState(RuntimeError):
@@ -334,16 +334,19 @@ class EnsembleStats:
                           **(extra_columns or {})})
 
     def steady_state(self) -> tuple[float, float]:
-        """Mean of the statistic over the trailing STEADY_FRAC of the grid, with
-        a conservative standard error (the window average of per-time standard
+        """Mean of the statistic over the steady window of the grid, with a
+        conservative standard error (the window average of per-time standard
         errors; no independence across times is assumed).  Only window points
         where some pair is alive are averaged; with none, both are NaN."""
-        count = max(1, int(round(STEADY_FRAC * self.times.size)))
-        alive = self.n_alive[-count:] > 0
-        if not alive.any():
+        window = _steady_window(self.times, float(self.times[-1]))[1] & (self.n_alive > 0)
+        if not window.any():
             return math.nan, math.nan
-        return (float(self.mean_sq[-count:][alive].mean()),
-                float(self.stderr[-count:][alive].mean()))
+        return float(self.mean_sq[window].mean()), float(self.stderr[window].mean())
+
+
+def _steady_window(times: np.ndarray, end: float) -> tuple[float, np.ndarray]:
+    start = (1.0 - STEADY_FRAC) * end  # the window: every sample at t >= start
+    return start, times >= start
 
 
 def _apply_gain(gain: np.ndarray, draws: np.ndarray) -> np.ndarray:

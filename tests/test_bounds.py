@@ -138,17 +138,24 @@ class TestHybridContracting:
 
     def test_bound_at_time_side_aware(self):
         report = hybrid_bound(0.25, 1.0, 1.0, 1.0, 1.0, 8.0)
-        tau, beta, lam = 1.0, 0.25, 1.0
+        beta, lam, c_c = 0.25, 1.0, 1.0
         asym = report.asymptotic_bound
-        decay = math.exp(-2.0 * lam * tau)
-        # at t = tau the pre-reset sample has no reset applied yet
-        assert report.bound_at_time(tau, side="pre") == pytest.approx(
-            asym + 8.0 * decay)
-        assert report.bound_at_time(tau, side="post") == pytest.approx(
-            asym + 8.0 * beta * decay)
-        # interior samples strictly inside a dwell use floor(t/tau)
+
+        def flow(ms, s):  # Phi_s(ms)
+            return math.exp(-2.0 * lam * s) * ms + (c_c / lam) * (1.0 - math.exp(-2.0 * lam * s))
+
+        # the start, before any flow, and just after the reset at t = 0
+        assert report.bound_at_time(0.0, side="pre") == pytest.approx(asym + 8.0)
+        assert report.bound_at_time(0.0, side="post") == pytest.approx(asym + 8.0)
+        # at t = tau the pre-reset sample ends the first dwell
+        assert report.bound_at_time(1.0, side="pre") == pytest.approx(flow(asym + 8.0, 1.0))
+        r1 = beta * math.exp(-2.0 * lam)
+        assert report.bound_at_time(1.0, side="post") == pytest.approx(asym + 8.0 * r1)
+        # interior samples flow from the last post-reset bound for t - floor(t/tau) tau
         assert report.bound_at_time(1.5, side="interior") == pytest.approx(
-            asym + 8.0 * beta * math.exp(-2.0 * lam * 1.5))
+            flow(asym + 8.0 * r1, 0.5))
+        # contracting: the flow carries the post-reset bound down within a dwell
+        assert report.bound_at_time(1.5, side="interior") < asym + 8.0 * r1
 
     def test_bound_at_time_domain_errors(self):
         report = hybrid_bound(0.25, 1.0, 1.0, 1.0, 1.0, 0.0)
@@ -356,14 +363,23 @@ class TestNoiseFreeCorollary:
 
 class TestContinuousBoundAt:
     def test_contracting_branch(self):
-        assert continuous_bound_at(2.0, 4.0, 1.0, 0.0) == pytest.approx(3.0)
+        # the flow map from E0 = 1 towards C_c / lam = 2
+        assert continuous_bound_at(2.0, 4.0, 1.0, 0.0) == 1.0
+        assert continuous_bound_at(2.0, 4.0, 1.0, 0.5) == pytest.approx(
+            math.exp(-2.0) + 2.0 * (1.0 - math.exp(-2.0)))
         assert continuous_bound_at(2.0, 4.0, 1.0, 100.0) == pytest.approx(2.0)
 
     def test_neutral_branch_linear(self):
         assert continuous_bound_at(0.0, 1.0, 0.5, 3.0) == pytest.approx(6.5)
 
-    def test_expanding_branch_infinite(self):
-        assert math.isinf(continuous_bound_at(-1.0, 1.0, 0.0, 1.0))
+    def test_expanding_branch_finite(self):
+        # (C_c / lam)(1 - exp(-2 lam t)) = exp(2) - 1 at lam = -1, t = 1
+        assert continuous_bound_at(-1.0, 1.0, 0.0, 1.0) == pytest.approx(math.exp(2.0) - 1.0)
+        assert continuous_bound_at(-1.0, 1.0, 2.0, 1.0) == pytest.approx(
+            3.0 * math.exp(2.0) - 1.0)
+        # infinite only where exp(-2 lam t) overflows the floats
+        assert continuous_bound_at(-1.0, 1.0, 0.0, 354.0) < math.inf
+        assert continuous_bound_at(-1.0, 1.0, 0.0, 355.0) == math.inf
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -397,9 +413,9 @@ class TestProperties:
             e0 = float(rng.uniform(0.0, 5.0))
             report = hybrid_bound(beta, lam, c_d, c_c, tau, e0)
             assert report.asymptotic_bound >= 0.0
-            for t in (0.0, tau, 2.3 * tau):
-                assert report.bound_at_time(t) >= min(report.asymptotic_bound,
-                                                      np.inf)
+            # post-reset samples; a contracting flow carries interior ones below
+            for t in (0.0, tau, 2.0 * tau):
+                assert report.bound_at_time(t, side="post") >= report.asymptotic_bound
             if math.isfinite(report.asymptotic_bound):
                 refined = apply_noisefree_corollary(report)
                 assert refined.asymptotic_bound <= report.asymptotic_bound + 1e-12
@@ -413,3 +429,112 @@ class TestProperties:
             report = discrete_ms_bound(beta, c, e0, point_mass=bool(rng.integers(2)))
             for k in (0, 1, 5, 40):
                 assert report.bound_at_step(k) >= report.asymptotic_bound - 1e-12
+
+
+def exact_flow(lam, c_c, ms, s):
+    """Exact mean square of a scalar linear pair difference after flow time s
+    from mean square ms (dE/ds = -2 lam E + 2 C_c), arranged apart from the
+    package's flow map: exp(x) ms + 2 C_c s (exp(x) - 1)/x, x = -2 lam s."""
+    x = -2.0 * lam * s
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, where the limit is 1
+        growth = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+    return np.exp(x) * ms + 2.0 * c_c * s * growth
+
+
+class TestBoundsTheExactMoments:
+    """Every bound value against the exact second moment of a scalar linear
+    pair (two independently driven copies) at each sample a run records: the
+    start, both sides of every reset and interior samples of every dwell."""
+
+    CONFIGS = 2000
+    DWELLS = 5
+    REL = 1e-12  # rounding only: bound >= exact (1 - REL)
+
+    def hybrid_samples(self, rng, regime):
+        """(reports, columns): one report per seeded configuration of the
+        regime, and the samples (t, side, exact) of every run, as arrays over
+        the configurations.  Critical runs sit exactly on beta = exp(-2|lam|tau)."""
+        n = self.CONFIGS
+        tau = rng.uniform(0.05, 2.0, n)
+        c_d, c_c = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n)
+        e0 = rng.uniform(0.0, 5.0, n)
+        if regime == "hybrid-contracting":
+            lam = rng.uniform(0.0, 2.0, n)
+        elif regime == "hybrid-neutral":
+            lam = np.zeros(n)
+        else:
+            lam = -rng.uniform(0.0, 2.0, n)
+        ceiling = np.exp(-2.0 * np.abs(lam) * tau)  # r2 = 1 there
+        if regime == "hybrid-expanding-critical":
+            beta = ceiling
+        elif regime == "hybrid-expanding-bounded":
+            beta = ceiling * rng.uniform(0.0, 0.999, n)
+        else:
+            beta = rng.uniform(0.0, 0.999, n)
+        fractions = rng.uniform(0.01, 0.99, (2, n))
+        reports = [hybrid_bound(*args) for args in zip(beta.tolist(), lam.tolist(),
+                                                       c_d.tolist(), c_c.tolist(),
+                                                       tau.tolist(), e0.tolist())]
+        columns, pre = [], e0
+        for k in range(self.DWELLS + 1):
+            post = beta * pre + 2.0 * c_d  # the reset opening dwell k
+            columns += [(k * tau, "pre", pre), (k * tau, "post", post)]
+            columns += [(k * tau + f * tau, "interior", exact_flow(lam, c_c, post, f * tau))
+                        for f in fractions]
+            pre = exact_flow(lam, c_c, post, tau)
+        return reports, columns
+
+    @pytest.mark.parametrize("regime", ["hybrid-contracting", "hybrid-neutral",
+                                        "hybrid-expanding-bounded",
+                                        "hybrid-expanding-critical"])
+    def test_hybrid_bound_holds_at_every_side(self, regime):
+        rng = np.random.default_rng(19)
+        reports, columns = self.hybrid_samples(rng, regime)
+        assert {report.regime for report in reports} == {regime}
+        for t, side, exact in columns:
+            bound = np.array([report.bound_at_time(ti, side)
+                              for report, ti in zip(reports, t.tolist())])
+            assert np.isfinite(bound).all()
+            assert (bound >= exact * (1.0 - self.REL)).all(), \
+                (side, float(np.max(exact / bound)))
+
+    def test_flow_bound_is_the_exact_moment(self):
+        rng = np.random.default_rng(20)
+        n = self.CONFIGS
+        lam = rng.uniform(-2.0, 2.0, n)
+        lam[::10] = 0.0
+        c_c, e0 = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 5.0, n)
+        horizon = rng.uniform(0.1, 5.0, n)
+        for j in range(9):
+            t = horizon * j / 8.0
+            bound = np.array([continuous_bound_at(*args) for args in zip(
+                lam.tolist(), c_c.tolist(), e0.tolist(), t.tolist())])
+            exact = exact_flow(lam, c_c, e0, t)
+            assert (np.abs(bound - exact) <= self.REL * exact).all()
+
+
+@pytest.mark.parametrize("a, rho, sigma_c, sigma_d, tau, peak", [
+    (-1.0, 0.5, 1.0, 1.0, 0.5, 0.691),  # the CLI default, contracting
+    (0.0, 0.5, 1.0, 1.0, 0.2, 0.783),  # neutral
+    (1.0, math.sqrt(0.5), 0.3, 1.0, 0.25, 0.494),  # expanding, r2 < 1
+])
+def test_euler_maruyama_law_stays_below_the_sde_bound(a, rho, sigma_c, sigma_d, tau, peak):
+    # A measurement, not a theorem: the CLI checks an Euler-Maruyama ensemble
+    # (h = tau/100) against the SDE bound.  The exact EM second moment of the
+    # pair difference, E <- (1 + a h)^2 E + 2 h sigma_c^2 per step and
+    # E <- rho^2 E + 2 sigma_d^2 per reset, from both members uniform on
+    # [-1, 1], peaks at `peak` of the bound on the CLI grid over horizon 10.
+    h, e0 = tau / 100.0, 2.0 / 3.0
+    report = hybrid_bound(rho**2, -a, sigma_d**2, sigma_c**2, tau, e0)
+    samples, ms = [(0.0, "pre", e0)], e0
+    for k in range(int(round(10.0 / tau))):
+        ms = rho**2 * ms + 2.0 * sigma_d**2
+        samples.append((k * tau, "post", ms))
+        for step in range(1, 101):
+            ms = (1.0 + a * h) ** 2 * ms + 2.0 * h * sigma_c**2
+            if step in (20, 40, 60, 80):
+                samples.append((k * tau + step * h, "interior", ms))
+        samples.append(((k + 1) * tau, "pre", ms))
+    ratios = [ms / report(t, side) for t, side, ms in samples]
+    assert max(ratios) <= 1.0
+    assert max(ratios) == pytest.approx(peak, abs=5e-4)

@@ -152,6 +152,30 @@ class TestSimulate:
         assert payload["bound_check"]["ok"] is True
         assert payload["bound_check"]["n_finite"] == payload["bound_check"]["n_checked"] == 26
 
+    # hybrids whose pre-reset and interior samples rise above the post-reset
+    # sequence: the flow map from the last reset bounds them.  The neutral
+    # bound is tight (exact/bound 0.9998), so the seed stays pinned: the
+    # family of 3-sigma tests can false-alarm on other seeds
+    @pytest.mark.parametrize("config, horizon, regime", [
+        ({"a": 0.0, "rho": 0.1, "sigma_c": 1.0, "sigma_d": 0.1, "tau": 1.0}, "10",
+         "hybrid-neutral"),
+        ({"a": 1.654, "rho": 0.27, "sigma_c": 1.726, "sigma_d": 1.763, "tau": 0.65}, "6.5",
+         "hybrid-expanding-bounded"),
+        ({"a": 0.5, "rho": 0.951229424500714, "sigma_c": 0.4, "sigma_d": 1.2, "tau": 0.1,
+          "init_low": -0.3, "init_high": 0.3}, "1", "hybrid-expanding-critical"),
+    ], ids=["neutral", "expanding", "critical"])
+    def test_hybrid_bound_holds_on_every_side(self, capsys, tmp_path, config, horizon, regime):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "simulate", "hybrid-linear", "--config", str(cfg),
+                               "--horizon", horizon, "--ensemble", "2000", "--seed", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound"]["regime"] == regime
+        check = payload["bound_check"]
+        assert check["ok"] is True and check["n_violations"] == 0
+        assert check["n_finite"] == check["n_checked"] == 62
+
     def test_hybrid_horizon_off_the_dwell_grid_names_the_dwell(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"tau": 0.65}), encoding="utf-8")

@@ -1151,6 +1151,24 @@ class TestEnsembleStatsOutput:
         assert mean == pytest.approx(8.5)
         assert err == pytest.approx(0.5)
 
+    def test_steady_window_is_the_rings_time_rule(self):
+        # every sample at t >= 0.8 times the final time, both sides of a reset
+        # included: 13 of linear-map's 61 points, 26 of hybrid-linear's 122
+        for name, size in (("linear-map", 13), ("hybrid-linear", 26)):
+            recipe = get_recipe(name)
+            params = resolve_params(recipe, {})
+            system = recipe.build(params)
+            times, sides, _ = simulate._plan(
+                system, recipe.sim_defaults["horizon"], dwell_step_default(recipe, params),
+                4 if recipe.kind == "hybrid" else None, 1)
+            n = times.size
+            stats = simulate.EnsembleStats(
+                times=times, sides=sides, mean_sq=np.arange(n, dtype=float),
+                stderr=np.zeros(n), n_pairs=1, n_alive=np.ones(n, dtype=int), failures=0)
+            assert stats.steady_state() == (np.arange(n)[-size:].mean(), 0.0)
+            start, window = simulate._steady_window(times, float(times[-1]))
+            assert int(window.sum()) == size and start == 0.8 * times[-1]
+
     def test_steady_state_averages_only_points_with_a_pair_alive(self):
         def stats(n_alive):
             return simulate.EnsembleStats(
