@@ -170,6 +170,12 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                 tuple(f"cpg-out/{name}" for name in CPG_FILES)))
     out.append(("cpg-lone", ["cpg", "--ensemble", "1", "--horizon", "1", "--out", "cpg-out"],
                 None, tuple(f"cpg-out/{name}" for name in CPG_FILES)))
+    # the smallest ensembles with a steady standard error, which both commands
+    # take by one rule; their lone cases above print it as null
+    out.append(("simulate-linear-map-pairs-2", ["simulate", "linear-map", "--ensemble", "2"],
+                None, ()))
+    out.append(("cpg-runs-2", ["cpg", "--ensemble", "2", "--horizon", "1", "--out", "cpg-out"],
+                None, tuple(f"cpg-out/{name}" for name in CPG_FILES)))
     # a non-positive dwell time is a bound precondition in every subcommand
     for system in ("hybrid-linear", "hopf-cpg"):
         for verb in ("certify", "bounds", "simulate"):

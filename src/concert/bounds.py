@@ -118,7 +118,7 @@ class BoundReport:
             raise ValueError(f"bound_at_time applies to hybrid regimes, not {self.regime}")
         if side not in ("pre", "post", "interior"):
             raise ValueError(f"side must be 'pre', 'post' or 'interior', got {side!r}")
-        if t < 0:
+        if not t >= 0:  # NaN too
             raise ValueError(f"time must be >= 0, got {t}")
         if self.regime == "hybrid-expanding-unbounded":
             return math.inf
@@ -338,6 +338,6 @@ def continuous_bound_at(lam: float, noise_energy_flow: float, initial_ms: float,
     lam = float(lam)
     c_c = _check_nonneg(noise_energy_flow, "flow noise energy")
     e0 = _check_nonneg(initial_ms, "initial mean square")
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError(f"time must be >= 0, got {t}")
     return _flow_map(lam, c_c, e0, t)

@@ -23,8 +23,8 @@ from .bounds import BetaOutOfRange, ParameterRange, _finite_or_none
 from .cpg import (RING_START, STRONG_COUPLING, WEAK_COUPLING, build_cpg_system,
                   phase_aligned_components, run_locking_comparison)
 from .geometry import SingularFactor
-from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _box_start,
-                       _dimension, _write_csv, check_bound_respect, derive_stream, initial_ms,
+from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _dimension,
+                       _write_csv, check_bound_respect, derive_stream, initial_ms,
                        run_pair_ensemble, sample_path)
 from .statespace import NotPositiveDefinite
 from .systems import (SystemNotFound, UnknownParameter, _merge_params, dwell_step_default,
@@ -175,7 +175,6 @@ def _cmd_simulate(args) -> int:
                      {"bound": check.bounds, "within_bound": check.passed})
     # a mean over no alive pair measures nothing and prints as null (steady: NaN)
     final_alive = bool(stats.n_alive[-1] > 0)
-    steady_mean, steady_stderr = stats.steady_state()
     summary = dict(resolved)
     del summary["command"]
     summary.update({
@@ -185,8 +184,8 @@ def _cmd_simulate(args) -> int:
         "final_time": float(stats.times[-1]),
         "final_mean": float(stats.mean_sq[-1]) if final_alive else None,
         "final_stderr": float(stats.stderr[-1]) if final_alive else None,
-        "steady_mean": steady_mean,
-        "steady_stderr": steady_stderr,
+        "steady_mean": stats.steady_mean,
+        "steady_stderr": stats.steady_stderr,
         "bound": None if bound_obj is None else recipe.bound_json(params, args.noise_free),
         "bound_check": None if check is None else {
             "ok": bool(check.ok), "n_checked": check.n_checked, "n_finite": check.n_finite,
@@ -221,9 +220,8 @@ def _cmd_cpg(args) -> int:
 
     # short sample path of the strong ring: run 0 of the ensemble, replayed
     trace_horizon = min(args.horizon, 20.0 * settings["tau"])
-    rng = derive_stream(args.seed, 0, 0)
-    x0 = _box_start(RING_START, 6)(rng)
-    path = sample_path(build_cpg_system(strong), x0, trace_horizon, step, rng)
+    path = sample_path(build_cpg_system(strong), RING_START, trace_horizon, step,
+                       derive_stream(args.seed, 0, 0))
     for name, prefix, states in (("trace_strong.csv", "x", path.states),
                                  ("aligned_strong.csv", "a",
                                   phase_aligned_components(path.states))):

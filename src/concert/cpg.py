@@ -33,8 +33,7 @@ import numpy as np
 
 from .bounds import (BoundReport, ParameterRange, apply_noisefree_corollary, classify_regime,
                      hybrid_bound)
-from .simulate import (STEPS_PER_DWELL, InitialBox, _moments, _plan, _run_block, _steady_window,
-                       _write_csv, derive_stream)
+from .simulate import STEPS_PER_DWELL, EnsembleConfig, InitialBox, _ensemble, _write_csv
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem)
 
@@ -55,7 +54,6 @@ GLOBAL_FLOW_RATE = -1.0
 
 # Every run of the ring starts uniformly in this box, in each coordinate.
 RING_START = InitialBox(-1.0, 1.0)
-_INTERIOR_PER_DWELL = 1  # samples run_cpg_experiment takes inside each dwell
 
 
 @dataclass(frozen=True)
@@ -337,32 +335,20 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     (master_seed, i, 0) in the canonical order (initial condition, then per
     dwell one reset draw followed by the dwell's flow draws), so any run is
     reproducible in isolation.  The coupling reset acts at t = 0 first and
-    both one-sided samples are recorded at every reset.  Each run's window
-    mean is one more sample, folded with the grid's: the steady values come
-    from the runs finite on the whole grid, and a lone one has NaN stderr.
+    both one-sided samples are recorded at every reset.  The steady values
+    follow the rule of EnsembleStats, as `concert simulate` does.
     """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
     h = params.tau / STEPS_PER_DWELL if step_size is None else step_size
-    system = build_cpg_system(params)
-    times, sides, segments = _plan(system, horizon, h, _INTERIOR_PER_DWELL, 1)
-    window_start, window_mask = _steady_window(times, horizon)  # the window ends the grid
-
-    def stream(member, run):
-        return derive_stream(master_seed, run, 0)
-
-    def block_of(runs):
-        block = _run_block(segments, runs, stream, RING_START, (True,),
-                           lambda states, g: phase_locking_delta(states[0]))
-        return np.column_stack([block, block[:, window_mask].mean(axis=1)])
-
-    count, mean, stderr, failures = _moments(run_count, times.size + 1, block_of)
-    steady = int(count[-1])  # the runs finite on the whole grid
-    return CPGExperimentResult(params=params, times=times, sides=sides,
-                               delta_mean=mean[:-1], delta_stderr=stderr[:-1],
-                               run_count=run_count, failures=failures,
-                               steady_mean=float(mean[-1]) if steady else math.nan,
-                               steady_stderr=float(stderr[-1]) if steady > 1 else math.nan,
+    config = EnsembleConfig(pair_count=run_count, horizon=horizon, master_seed=master_seed,
+                            initial=RING_START, step_size=h, interior_per_dwell=1)
+    stats, window_start = _ensemble(build_cpg_system(params), config, (True,),
+                                    lambda states, t, side: phase_locking_delta(states[0]))
+    return CPGExperimentResult(params=params, times=stats.times, sides=stats.sides,
+                               delta_mean=stats.mean_sq, delta_stderr=stats.stderr,
+                               run_count=run_count, failures=stats.failures,
+                               steady_mean=stats.steady_mean, steady_stderr=stats.steady_stderr,
                                window_start_time=float(window_start),
                                bounds=theoretical_delta_bound(params))
 

@@ -220,10 +220,11 @@ class SamplePath:
     states: np.ndarray
 
 
-def sample_path(system, x0: np.ndarray, horizon: float, h: float | None,
+def sample_path(system, x0: np.ndarray | InitialBox, horizon: float, h: float | None,
                 rng: np.random.Generator) -> SamplePath:
-    """One trajectory of `system` from x0 over [0, horizon], drawing from rng
-    in the ensemble's stream order.
+    """One trajectory of `system` over [0, horizon] from the point x0 (a
+    scalar broadcasts) or from a start drawn from the InitialBox x0, drawing
+    from rng in the ensemble's stream order: the box start, then the noise.
 
     horizon is a step count for discrete systems, which take h=None; flows and
     hybrid systems take the Euler-Maruyama step h, and hybrid horizons and
@@ -234,13 +235,10 @@ def sample_path(system, x0: np.ndarray, horizon: float, h: float | None,
     step_index is that sample's index in the path.
     """
     times, sides, segments = _plan(system, horizon, h, None, 1)
-    x = np.array(x0, dtype=float)
-    dimension = _dimension(system)
-    if x.shape != (dimension,):
-        raise DimensionMismatch(f"state shape {x.shape}, expected {(dimension,)}")
-
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteState(0)  # before anything is drawn from rng
+    if not isinstance(x0, InitialBox):
+        x0 = InitialPointPair(x0, x0)  # shape-checked by _corners, as ensemble starts are
+        if not np.all(np.isfinite(_corners(x0, _dimension(system))[0])):
+            raise NonFiniteState(0)  # before anything is drawn from rng
 
     def record(states, g):
         if not np.all(np.isfinite(states[0])):
@@ -248,8 +246,8 @@ def sample_path(system, x0: np.ndarray, horizon: float, h: float | None,
         return states[0]
 
     return SamplePath(times=times, sides=sides,
-                      states=_run_block(segments, range(1), lambda m, i: rng,
-                                        InitialPointPair(x, x), (True,), record)[0])
+                      states=_run_block(segments, range(1), lambda m, i: rng, x0, (True,),
+                                        record)[0])
 
 
 # --- pair ensembles ---------------------------------------------------------
@@ -316,6 +314,9 @@ class EnsembleStats:
     mean_sq holds the mean of the configured statistic (squared distance by
     default) over pairs still finite at that time; n_alive counts them, and
     failures counts pairs that left the finite floats anywhere on the grid.
+    steady_mean and steady_stderr fold each pair's mean over the steady
+    window, every sample at t >= (1 - STEADY_FRAC) * horizon, over the pairs
+    finite on the whole grid: NaN mean with none, NaN stderr with fewer than two.
     """
 
     times: np.ndarray
@@ -326,6 +327,8 @@ class EnsembleStats:
     n_alive: np.ndarray
     failures: int
     statistic: str = "ms"
+    steady_mean: float = math.nan
+    steady_stderr: float = math.nan
 
     def to_csv(self, path, extra_columns: dict[str, Sequence] | None = None) -> None:
         """Write `time,side,mean_sq_dist,stderr,n_alive` rows (plus any extras)."""
@@ -334,19 +337,8 @@ class EnsembleStats:
                           **(extra_columns or {})})
 
     def steady_state(self) -> tuple[float, float]:
-        """Mean of the statistic over the steady window of the grid, with a
-        conservative standard error (the window average of per-time standard
-        errors; no independence across times is assumed).  Only window points
-        where some pair is alive are averaged; with none, both are NaN."""
-        window = _steady_window(self.times, float(self.times[-1]))[1] & (self.n_alive > 0)
-        if not window.any():
-            return math.nan, math.nan
-        return float(self.mean_sq[window].mean()), float(self.stderr[window].mean())
-
-
-def _steady_window(times: np.ndarray, end: float) -> tuple[float, np.ndarray]:
-    start = (1.0 - STEADY_FRAC) * end  # the window: every sample at t >= start
-    return start, times >= start
+        """(steady_mean, steady_stderr)."""
+        return self.steady_mean, self.steady_stderr
 
 
 def _apply_gain(gain: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -369,9 +361,14 @@ def _dimension(system) -> int:
 
 
 def _corners(init: InitialPointPair | InitialBox, dimension: int) -> list[np.ndarray]:
-    """The two points of a point pair, or a box's lows and highs, as (dimension,)."""
-    pair = (init.a, init.b) if isinstance(init, InitialPointPair) else (init.lows, init.highs)
-    return [np.broadcast_to(np.asarray(p, dtype=float), (dimension,)) for p in pair]
+    """The two points of a point pair, or a box's lows and highs, as (dimension,);
+    a scalar point broadcasts."""
+    pair = [np.asarray(p, dtype=float) for p in
+            ((init.a, init.b) if isinstance(init, InitialPointPair) else (init.lows, init.highs))]
+    if any(p.shape not in ((), (dimension,)) for p in pair):
+        raise DimensionMismatch(f"initial points of shapes {pair[0].shape} and {pair[1].shape}, "
+                                f"expected scalars or {(dimension,)}")
+    return [np.broadcast_to(p, (dimension,)) for p in pair]
 
 
 def _box_start(box: InitialBox, dimension: int) -> Callable[[np.random.Generator], np.ndarray]:
@@ -634,11 +631,10 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
 
 
 def _fold_chunk(chunk: np.ndarray, count: np.ndarray, mean: np.ndarray,
-                msq: np.ndarray) -> int:
+                msq: np.ndarray) -> None:
     """Fold a chunk of runs into the per-sample moments (count, mean, msq) in
-    place and return how many of its runs failed; the chunk's array is
-    overwritten.  A run never comes back once non-finite, so it counts up to
-    its first non-finite sample.
+    place; the chunk's array is overwritten.  A run never comes back once
+    non-finite, so it counts up to its first non-finite sample.
 
     Two passes give the chunk's own mean and sum of squared deviations, each a
     sum over the runs in run order (NumPy reduces axis 0 of a C-ordered array
@@ -650,7 +646,7 @@ def _fold_chunk(chunk: np.ndarray, count: np.ndarray, mean: np.ndarray,
     """
     alive = np.logical_and.accumulate(np.isfinite(chunk), axis=1)
     n = alive.sum(axis=0)  # never grows along the samples
-    failures = len(chunk) - int(n[-1])
+    failures = len(chunk) - int(n[-1])  # runs that left the floats in the chunk
     reached = int(np.count_nonzero(n))  # samples that some run of the chunk reaches
     # the passes take at least two samples, as a single column would be summed
     # pairwise; a sample that no run reaches holds zeros and is merged nowhere
@@ -670,7 +666,6 @@ def _fold_chunk(chunk: np.ndarray, count: np.ndarray, mean: np.ndarray,
     # exactly 0 where no run came before, even where delta * delta overflows
     msq[:reached] += np.where(old > 0, delta * delta * old * weight, 0.0)
     count[:reached] = total
-    return failures
 
 
 def _moments(run_count: int, size: int, block_of):
@@ -682,13 +677,13 @@ def _moments(run_count: int, size: int, block_of):
     chunks of _FOLD consecutive runs (the last may be shorter), whatever
     _BLOCK is: a block that holds whole chunks is cut into views, and blocks
     smaller than a chunk are joined by a copy, so the moments do not depend on
-    the blocking.  A run counts as a failure and stops contributing from its
-    first non-finite sample on.  Returns (count, mean, stderr, failures).
+    the blocking.  A run stops contributing from its first non-finite sample
+    on, so count[-1] counts the runs finite on every sample.  Returns
+    (count, mean, stderr).
     """
     count = np.zeros(size, dtype=np.int64)
     mean = np.zeros(size)
     msq = np.zeros(size)
-    failures = 0
     pieces = []  # the chunk gathered so far
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, run_count, _BLOCK):
@@ -699,20 +694,54 @@ def _moments(run_count: int, size: int, block_of):
                 pieces.append(block[at:end])
                 at = end
                 if (lo + at) % _FOLD == 0 or lo + at == run_count:
-                    failures += _fold_chunk(
-                        pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
-                        count, mean, msq)
+                    _fold_chunk(pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
+                                count, mean, msq)
                     pieces = []
             del block  # not held while the next block is simulated
     stderr = np.zeros(size)
     settled = count > 1
     stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
-    return count, mean, stderr, failures
+    return count, mean, stderr
+
+
+def _ensemble(system, config: EnsembleConfig, noisy: tuple[bool, ...],
+              record) -> tuple[EnsembleStats, float]:
+    """(EnsembleStats, window start) of the runs of `config`: planned, stepped
+    block after block and folded, each run's mean over the steady window
+    (EnsembleStats) as its last sample.  Member m of run i draws from the
+    stream (master_seed, i, m), noisy when noisy[m]; record(states, t, side)
+    is the sample at (t, side) of a block's runs, states (members, rows, ...).
+    """
+    interior = config.interior_per_dwell
+    if interior is None and isinstance(system, HybridSystem):
+        interior = _INTERIOR_PER_DWELL  # _plan's None samples every flow step
+    times, sides, segments = _plan(system, config.horizon, config.step_size, interior,
+                                   config.record_every)
+    window_start = (1.0 - STEADY_FRAC) * config.horizon
+    window = times >= window_start
+
+    def block_of(runs):
+        block = _run_block(segments, runs, lambda m, i: derive_stream(config.master_seed, i, m),
+                           config.initial, noisy,
+                           lambda states, g: record(states, float(times[g]), sides[g]))
+        # each run's window summed in time order, in a block of one run too
+        total = np.add.accumulate(block[:, window], axis=1)[:, -1]
+        return np.column_stack([block, total / np.count_nonzero(window)])
+
+    count, mean, stderr = _moments(config.pair_count, times.size + 1, block_of)
+    steady = int(count[-1])  # the runs finite on the whole grid, with a finite window mean
+    return EnsembleStats(times=times, sides=sides, mean_sq=mean[:-1], stderr=stderr[:-1],
+                         n_pairs=config.pair_count, n_alive=count[:-1],
+                         failures=config.pair_count - int(count[-2]),
+                         statistic=config.statistic,
+                         steady_mean=float(mean[-1]) if steady else math.nan,
+                         steady_stderr=float(stderr[-1]) if steady > 1 else math.nan
+                         ), window_start
 
 
 def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleStats:
     """Simulate pair_count independent trajectory pairs and reduce their
-    distance statistic to per-time means and standard errors.
+    distance statistic to per-time means and standard errors, and steady values.
 
     Pairs are independent work units; the reduction visits them in pair-index
     order regardless of internal blocking, so the output is reproducible
@@ -720,35 +749,19 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
     the finite floats stop contributing from the first bad sample on and are
     counted in `failures`, never silently dropped.
     """
-    interior = config.interior_per_dwell
-    if interior is None and isinstance(system, HybridSystem):
-        interior = _INTERIOR_PER_DWELL  # _plan's None samples every flow step
-    times, sides, segments = _plan(system, config.horizon, config.step_size, interior,
-                                   config.record_every)
     dimension = _dimension(system)
     metric = _as_metric(metric, dimension)
-    noisy = (True, config.pairing_mode == "two-noisy")
     # a product by the identity factor changes no distance
     plain = metric.kind == "constant" and np.array_equal(metric.factor(), np.eye(dimension))
 
-    def record(states, g):
+    def record(states, t, side):
         diff = states[0] - states[1]
         if not plain:
-            side = "post" if sides[g] == "interior" else sides[g]
-            diff = diff @ metric.factor(float(times[g]), side).T
+            diff = diff @ metric.factor(t, "post" if side == "interior" else side).T
         sq = (diff ** 2).sum(axis=1)
         return sq if config.statistic == "ms" else np.sqrt(sq)
 
-    def stream(member, pair):
-        return derive_stream(config.master_seed, pair, member)
-
-    def block_of(pairs):
-        return _run_block(segments, pairs, stream, config.initial, noisy, record)
-
-    count, mean, stderr, failures = _moments(config.pair_count, times.size, block_of)
-    return EnsembleStats(times=times, sides=sides, mean_sq=mean,
-                         stderr=stderr, n_pairs=config.pair_count, n_alive=count,
-                         failures=failures, statistic=config.statistic)
+    return _ensemble(system, config, (True, config.pairing_mode == "two-noisy"), record)[0]
 
 
 # --- comparison against bound trajectories ----------------------------------

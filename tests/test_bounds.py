@@ -159,8 +159,9 @@ class TestHybridContracting:
 
     def test_bound_at_time_domain_errors(self):
         report = hybrid_bound(0.25, 1.0, 1.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            report.bound_at_time(-0.5)
+        for t in (-0.5, math.nan):
+            with pytest.raises(ValueError, match=r"^time must be >= 0, got "):
+                report.bound_at_time(t)
         with pytest.raises(ValueError):
             report.bound_at_time(1.0, side="before")
 
@@ -382,8 +383,9 @@ class TestContinuousBoundAt:
         assert continuous_bound_at(-1.0, 1.0, 0.0, 355.0) == math.inf
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            continuous_bound_at(1.0, 1.0, 0.0, -1.0)
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=r"^time must be >= 0, got "):
+                continuous_bound_at(1.0, 1.0, 0.0, t)
 
 
 class TestJsonSerialization:

@@ -34,8 +34,8 @@ from concert import (
     validate_system,
 )
 import concert.cpg as cpg
+import concert.simulate as simulate
 from concert.cpg import RING_START
-from concert.simulate import _box_start
 
 # frozen oracle values at gamma=0.2, sigma_d=0.05, sigma_c=0.1, tau=0.1
 STRONG_PIPELINE = 0.09228889269010736
@@ -351,9 +351,8 @@ class TestRunCPGExperiment:
         # at every flow step; the experiment samples a subset of that grid
         params = CPGParams(gamma=gamma)
         h = params.tau / 100
-        rng = derive_stream(seed, 0, 0)
-        x0 = _box_start(RING_START, 6)(rng)
-        path = sample_path(build_cpg_system(params), x0, 20 * params.tau, h, rng)
+        path = sample_path(build_cpg_system(params), RING_START, 20 * params.tau, h,
+                           derive_stream(seed, 0, 0))
         traced = dict(zip(zip(path.times.tolist(), path.sides),
                           phase_locking_delta(path.states)))
         result = run_cpg_experiment(params, run_count=1, horizon=20 * params.tau,
@@ -362,11 +361,22 @@ class TestRunCPGExperiment:
         replayed = [traced[key] for key in zip(result.times.tolist(), result.sides)]
         assert np.array_equal(replayed, result.delta_mean)
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_sample_path_draws_a_box_start_first(self, seed):
+        # a box start is the first draw of the path's generator, then its noise
+        system = build_cpg_system(STRONG_COUPLING)
+        boxed = sample_path(system, RING_START, 0.5, 0.001, derive_stream(seed, 0, 0))
+        rng = derive_stream(seed, 0, 0)
+        x0 = rng.uniform(-np.ones(6), np.ones(6))
+        by_hand = sample_path(system, x0, 0.5, 0.001, rng)
+        assert boxed.states.tobytes() == by_hand.states.tobytes()
+        assert boxed.states[0].tobytes() == x0.tobytes()
+
     @staticmethod
     def capture_blocks(monkeypatch, poison=None):
         """The delta samples of every block run_cpg_experiment steps, after
         poison(block) edits them in place."""
-        blocks, engine = [], cpg._run_block
+        blocks, engine = [], simulate._run_block
 
         def captured(*args):
             block = engine(*args)
@@ -375,7 +385,7 @@ class TestRunCPGExperiment:
             blocks.append(block.copy())
             return block
 
-        monkeypatch.setattr(cpg, "_run_block", captured)
+        monkeypatch.setattr(simulate, "_run_block", captured)
         return blocks
 
     @staticmethod

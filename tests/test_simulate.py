@@ -1,8 +1,10 @@
 """Trajectory simulation, pair ensembles, bound checks, decay fits."""
 from __future__ import annotations
 
+import functools
 import io
 import math
+import operator
 import os
 import pickle
 import subprocess
@@ -56,11 +58,11 @@ def linear_flow(a=1.0, dim=1, sigma=1.0):
 
 
 def scalar_moments(rows):
-    """(count, mean, stderr, failures) of _moments, one float at a time: each
-    row counts up to its first non-finite value.  The rows are taken in chunks
-    of 1,024; per sample, a chunk's mean and sum of squared deviations are
-    sums over its rows in row order, merged into the running moments in chunk
-    order by Chan, Golub & LeVeque's update."""
+    """(count, mean, stderr) of _moments, one float at a time, and the rows
+    that fail: each row counts up to its first non-finite value.  The rows are
+    taken in chunks of 1,024; per sample, a chunk's mean and sum of squared
+    deviations are sums over its rows in row order, merged into the running
+    moments in chunk order by Chan, Golub & LeVeque's update."""
     rows = np.asarray(rows, dtype=float).tolist()
     size = len(rows[0])
     count, mean, msq, failures = [0] * size, [0.0] * size, [0.0] * size, 0
@@ -165,11 +167,18 @@ def reference_member(system, gens, x, noisy, horizon, h=None, interior=None, rec
     return np.asarray(times), tuple(sides), np.stack(states, axis=1)
 
 
+def window_means(rows, window):
+    """Each row's mean over the window: its samples summed in time order, one
+    float at a time, over their count."""
+    return [functools.reduce(operator.add, row) / len(row) for row in rows[:, window].tolist()]
+
+
 def reference_ensemble(system, config, metric=None):
     """run_pair_ensemble(system, config, metric) by reference_member: every
     member run's stream derived up front, box starts drawn by the array
     uniform, every distance taken through the metric's factor, and the
-    per-pair rows reduced by scalar_moments."""
+    per-pair rows reduced by scalar_moments, each pair's mean over the samples
+    at t >= 0.8 times the horizon folded as one more sample."""
     dim = system.continuous.dimension if isinstance(system, HybridSystem) else system.dimension
     if not isinstance(metric, MetricSpec):
         metric = MetricSpec.constant(np.eye(dim) if metric is None else metric)
@@ -192,17 +201,22 @@ def reference_ensemble(system, config, metric=None):
         factor = metric.factor(float(t), "post" if side == "interior" else side)
         sq = (((members[0][:, g] - members[1][:, g]) @ factor.T) ** 2).sum(axis=1)
         rows.append(sq if config.statistic == "ms" else np.sqrt(sq))
-    count, mean, stderr, failures = scalar_moments(np.stack(rows, axis=1)[:pairs])
-    return simulate.EnsembleStats(times=times, sides=sides, mean_sq=np.array(mean),
-                                  stderr=np.array(stderr), n_pairs=pairs,
-                                  n_alive=np.array(count), failures=failures,
-                                  statistic=config.statistic)
+    rows = np.stack(rows, axis=1)[:pairs]
+    count, mean, stderr, failures = scalar_moments(
+        np.column_stack([rows, window_means(rows, times >= 0.8 * config.horizon)]))
+    return simulate.EnsembleStats(times=times, sides=sides, mean_sq=np.array(mean[:-1]),
+                                  stderr=np.array(stderr[:-1]), n_pairs=pairs,
+                                  n_alive=np.array(count[:-1]), failures=failures,
+                                  statistic=config.statistic,
+                                  steady_mean=mean[-1] if count[-1] else math.nan,
+                                  steady_stderr=stderr[-1] if count[-1] > 1 else math.nan)
 
 
 def assert_bit_equal(got, want):
     for field in ("times", "mean_sq", "stderr", "n_alive"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
     assert (got.sides, got.failures) == (want.sides, want.failures)
+    assert np.array(got.steady_state()).tobytes() == np.array(want.steady_state()).tobytes()
 
 
 def assert_equals_reference(system, config, metric=None):
@@ -502,6 +516,21 @@ class TestInitialMeanSquare:
         assert simulate.initial_ms(InitialBox(-1.0, 1.0), 6) == 4.0
         assert simulate.initial_ms(InitialPointPair(np.zeros(3), np.ones(3)), 3) == 3.0
 
+    @pytest.mark.parametrize("initial, shapes", [
+        (InitialPointPair(np.zeros(3), np.zeros(2)), r"\(3,\) and \(2,\)"),
+        (InitialPointPair(np.zeros(1), np.zeros(3)), r"\(1,\) and \(3,\)"),
+        (InitialBox(np.zeros((3, 1)), 1.0), r"\(3, 1\) and \(\)"),
+        (InitialBox(-1.0, np.ones((1, 3))), r"\(\) and \(1, 3\)")])
+    def test_a_point_neither_scalar_nor_of_the_dimension_is_a_mismatch(self, initial,
+                                                                        shapes):
+        # named with both shapes, not left to NumPy's broadcast
+        config = EnsembleConfig(pair_count=2, horizon=2, master_seed=0, initial=initial)
+        message = rf"initial points of shapes {shapes}, expected scalars or \(3,\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            simulate.initial_ms(initial, 3)
+        with pytest.raises(DimensionMismatch, match=message):
+            run_pair_ensemble(linear_map(0.5, dim=3), config)
+
 
 class TestRunPairEnsembleDiscrete:
     def test_manual_replay_of_one_pair(self):
@@ -626,7 +655,10 @@ class TestRunPairEnsembleDiscrete:
 class TestMoments:
     @staticmethod
     def moments(rows):
-        return simulate._moments(rows.shape[0], rows.shape[1], lambda runs: rows[list(runs)])
+        """_moments, and its failures: the runs not finite at the last sample."""
+        count, mean, stderr = simulate._moments(rows.shape[0], rows.shape[1],
+                                                lambda runs: rows[list(runs)])
+        return count, mean, stderr, len(rows) - int(count[-1])
 
     def assert_equals_scalar_reference(self, rows):
         count, mean, stderr, failures = self.moments(rows)
@@ -1142,43 +1174,116 @@ class TestEnsembleStatsOutput:
         with pytest.raises(ValueError):
             stats.to_csv(io.StringIO(), extra_columns={"bound": [2.0]})
 
-    def test_steady_state_window(self):
-        stats = simulate.EnsembleStats(
-            times=np.arange(10, dtype=float), sides=("interior",) * 10,
-            mean_sq=np.arange(10, dtype=float), stderr=np.full(10, 0.5),
-            n_pairs=4, n_alive=np.full(10, 4), failures=0)
-        mean, err = stats.steady_state()  # the last STEADY_FRAC = 0.2 of 10 points
-        assert mean == pytest.approx(8.5)
-        assert err == pytest.approx(0.5)
+    @staticmethod
+    def cubic(kind):
+        """(system, config) of 40 pairs of a cubic map, flow or hybrid from a
+        box in which 13 to 18 pairs leave the finite floats."""
+        fields = dict(pair_count=40, master_seed=6, initial=InitialBox(-1.2, 1.2))
+        cube = DiscreteMapSystem(dimension=1, map=lambda x, k: 1.2 * np.asarray(x) ** 3,
+                                 noise_gain=lambda x, k: 0.1 * np.eye(1),
+                                 noise=GaussianNoiseSpec(1), vectorized=True)
+        flow = ContinuousSDESystem(dimension=1,
+                                   drift=lambda x, t: np.asarray(x) ** 3 - np.asarray(x),
+                                   diffusion=lambda x, t: 0.1 * np.eye(1), noise_dim=1,
+                                   vectorized=True)
+        if kind == "map":
+            return cube, EnsembleConfig(horizon=12, **fields)
+        if kind == "flow":  # a window of 9 samples
+            return flow, EnsembleConfig(horizon=2.0, step_size=0.05, **fields)
+        return HybridSystem(continuous=flow, reset=linear_map(1.0, sigma=0.1),
+                            dwell_time=1.0), EnsembleConfig(horizon=2.0, step_size=0.05,
+                                                            **fields)
 
-    def test_steady_window_is_the_rings_time_rule(self):
-        # every sample at t >= 0.8 times the final time, both sides of a reset
-        # included: 13 of linear-map's 61 points, 26 of hybrid-linear's 122
-        for name, size in (("linear-map", 13), ("hybrid-linear", 26)):
-            recipe = get_recipe(name)
-            params = resolve_params(recipe, {})
-            system = recipe.build(params)
-            times, sides, _ = simulate._plan(
-                system, recipe.sim_defaults["horizon"], dwell_step_default(recipe, params),
-                4 if recipe.kind == "hybrid" else None, 1)
-            n = times.size
-            stats = simulate.EnsembleStats(
-                times=times, sides=sides, mean_sq=np.arange(n, dtype=float),
-                stderr=np.zeros(n), n_pairs=1, n_alive=np.ones(n, dtype=int), failures=0)
-            assert stats.steady_state() == (np.arange(n)[-size:].mean(), 0.0)
-            start, window = simulate._steady_window(times, float(times[-1]))
-            assert int(window.sum()) == size and start == 0.8 * times[-1]
+    @pytest.mark.parametrize("kind", ["map", "flow", "hybrid"])
+    @pytest.mark.parametrize("block", [3, 1000])
+    def test_steady_pair_bit_equal_to_reference_with_failing_pairs(self, monkeypatch, kind,
+                                                                   block):
+        # the reference folds each pair's window mean as one more sample; with
+        # blocks of 3, pair 39 runs alone in its block
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        system, config = self.cubic(kind)
+        got = run_pair_ensemble(system, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_ensemble(system, config)
+        assert 12 < got.failures < 20
+        assert math.isfinite(got.steady_mean) and got.steady_stderr > 0.0
+        assert_bit_equal(got, want)
 
-    def test_steady_state_averages_only_points_with_a_pair_alive(self):
-        def stats(n_alive):
-            return simulate.EnsembleStats(
-                times=np.arange(10, dtype=float), sides=("interior",) * 10,
-                mean_sq=np.array([*range(8), 8.0, 0.0]), stderr=np.full(10, 0.5),
-                n_pairs=4, n_alive=np.array(n_alive), failures=4)
-        # the last point measures nothing: every pair had left the floats
-        assert stats([4] * 8 + [1, 0]).steady_state() == (8.0, 0.5)
-        mean, err = stats([4] * 8 + [0, 0]).steady_state()
-        assert math.isnan(mean) and math.isnan(err)
+    def test_a_window_mean_that_overflows_is_no_failure(self):
+        # squared distances of 4.1e307 are finite, but a window of 13 of them
+        # sums past the floats: no pair failed, and none has a steady value
+        config = EnsembleConfig(pair_count=3, horizon=60, master_seed=0,
+                                initial=InitialPointPair(np.array([3.2e153]),
+                                                         np.array([-3.2e153])))
+        stats = run_pair_ensemble(linear_map(1.0, sigma=0.0), config)
+        assert np.all(np.isfinite(stats.mean_sq)) and np.all(stats.n_alive == 3)
+        assert stats.failures == 0
+        assert math.isnan(stats.steady_mean) and math.isnan(stats.steady_stderr)
+
+    @staticmethod
+    def capture_blocks(monkeypatch, poison=None):
+        """The samples of every block the engine steps, after poison(block)
+        edits them in place."""
+        blocks, engine = [], simulate._run_block
+
+        def captured(*args):
+            block = engine(*args)
+            if poison is not None:
+                poison(block)
+            blocks.append(block.copy())
+            return block
+
+        monkeypatch.setattr(simulate, "_run_block", captured)
+        return blocks
+
+    @pytest.mark.parametrize("name, size", [("linear-map", 13), ("hybrid-linear", 26)])
+    def test_steady_window_is_the_last_fifth_of_the_horizon(self, monkeypatch, name, size):
+        # every sample at t >= 0.8 times the horizon, both sides of a reset
+        # included: 13 of linear-map's 61 points, 26 of hybrid-linear's 122;
+        # the steady pair is the mean and stderr of the pairs' window means
+        recipe = get_recipe(name)
+        params = resolve_params(recipe, {})
+        horizon = recipe.sim_defaults["horizon"]
+        blocks = self.capture_blocks(monkeypatch)
+        stats = run_pair_ensemble(recipe.build(params), EnsembleConfig(
+            pair_count=30, horizon=horizon, master_seed=2, initial=recipe.initial(params),
+            step_size=dwell_step_default(recipe, params)))
+        window = stats.times >= 0.8 * horizon
+        assert int(window.sum()) == size and window[-size:].all()
+        means = blocks[0][:, window].mean(axis=1)
+        assert stats.steady_mean == pytest.approx(means.mean(), rel=1e-14, abs=0.0)
+        assert stats.steady_stderr == pytest.approx(means.std(ddof=1) / math.sqrt(30),
+                                                    rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("pairs", [1, 2, 4])
+    @pytest.mark.parametrize("first_bad", [3, 50, 60])
+    def test_steady_pair_counts_only_pairs_finite_on_the_whole_grid(self, monkeypatch, pairs,
+                                                                    first_bad):
+        # pair 0 leaves the floats at sample first_bad of 61: before the
+        # window (t >= 48), inside it, or at its last sample; a single steady
+        # pair has a NaN stderr, and none a NaN mean
+        def explode(block):
+            block[0, first_bad] = np.inf
+            block[0, first_bad + 1:] = np.nan
+
+        config = EnsembleConfig(pair_count=pairs, horizon=60, master_seed=4,
+                                initial=InitialPointPair(np.array([1.0]), np.array([0.0])))
+        clean = self.capture_blocks(monkeypatch)
+        run_pair_ensemble(linear_map(0.9), config)
+        monkeypatch.undo()
+        self.capture_blocks(monkeypatch, explode)
+        stats = run_pair_ensemble(linear_map(0.9), config)
+        assert stats.failures == 1
+        means = clean[0][1:, 48:].mean(axis=1)
+        if pairs == 1:
+            assert math.isnan(stats.steady_mean)
+        else:
+            assert stats.steady_mean == pytest.approx(means.mean(), rel=1e-14, abs=0.0)
+        if pairs > 2:
+            assert stats.steady_stderr == pytest.approx(
+                means.std(ddof=1) / math.sqrt(pairs - 1), rel=1e-14, abs=0.0)
+        else:
+            assert math.isnan(stats.steady_stderr)
 
 
 class TestCheckBoundRespect:
@@ -1484,26 +1589,28 @@ class TestLazyStreams:
         self.prepare(monkeypatch, name, block)
         assert_equals_reference(*self.case(name, pairs, pairing))
 
-    @pytest.mark.parametrize("runs", [1, 5])
+    @pytest.mark.parametrize("runs", [1, 4, 5])
     @pytest.mark.parametrize("block", [3, 1000])
     def test_ring_experiment_and_sample_path_bit_equal_to_upfront(self, monkeypatch, runs,
                                                                    block):
+        # with blocks of 3, run 3 of 4 runs alone in its block; the window
+        # holds 11 samples, so summing them pairwise would change its bits
         monkeypatch.setattr(simulate, "_BLOCK", block)
         params = cpg.CPGParams(gamma=0.2)
         system = cpg.build_cpg_system(params)
-        got = cpg.run_cpg_experiment(params, run_count=runs, horizon=0.5, master_seed=3)
+        got = cpg.run_cpg_experiment(params, run_count=runs, horizon=1.5, master_seed=3)
         # the ring's runs are member 0 of its keys, with one interior sample a dwell
         gens = [derive_stream(3, i, 0) for i in range(runs)]
         x = np.stack([g.uniform(-np.ones(6), np.ones(6)) for g in gens])
-        times, _, states = reference_member(system, gens, x, True, 0.5, params.tau / 100, 1)
+        times, _, states = reference_member(system, gens, x, True, 1.5, params.tau / 100, 1)
         delta = np.stack([cpg.phase_locking_delta(states[:, g]) for g in range(len(times))],
                          axis=1)[:runs]
         _, mean, stderr, _ = scalar_moments(delta)
         assert got.times.tobytes() == times.tobytes()
         assert (got.delta_mean.tolist(), got.delta_stderr.tolist()) == (mean, stderr)
         # the window means are one more sample, reduced by the same fold
-        window = delta[:, times >= 0.8 * 0.5].mean(axis=1)
-        _, (steady_mean,), (steady_stderr,), _ = scalar_moments(window[:, None])
+        window = window_means(delta, times >= 0.8 * 1.5)
+        _, (steady_mean,), (steady_stderr,), _ = scalar_moments(np.array(window)[:, None])
         assert got.steady_mean == steady_mean
         assert np.array_equal(got.steady_stderr, steady_stderr if runs > 1 else math.nan,
                               equal_nan=True)
@@ -1532,7 +1639,6 @@ class TestLazyStreams:
         derive = simulate.derive_stream
         self.prepare(monkeypatch, name, 3)
         monkeypatch.setattr(simulate, "derive_stream", counted)
-        monkeypatch.setattr(cpg, "derive_stream", counted)
         system, config = self.case(name, 7, pairing)
         run_pair_ensemble(system, config)
         assert keys == Counter({(11, i, m): 1 for i in range(7) for m in self.drawing(config)})
