@@ -4,10 +4,8 @@ to verify the bounds empirically."""
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
                          GaussianNoiseSpec, HybridSystem, MetricSpec,
-                         NotPositiveDefinite, ValidationReport, factor_metric,
-                         validate_system)
-from .geometry import (SingularFactor, contraction_factor_at, generalized_jacobian,
-                       metric_distance, numerical_jacobian)
+                         NotPositiveDefinite, factor_metric)
+from .geometry import SingularFactor, numerical_jacobian
 from .certify import (ContractionCertificate, SamplingRegion, SupEstimate,
                       certify_continuous, certify_discrete, estimate_continuous_rate,
                       estimate_discrete_rate, noise_bound_continuous,
@@ -22,10 +20,10 @@ from .simulate import (BoundCheck, EnsembleConfig, EnsembleStats, InitialBox,
 from .cpg import (CPGExperimentResult, CPGParams, DeltaBoundSummary,
                   GLOBAL_FLOW_RATE, LockingComparison, ROTATION_THIRD, ReducedRing,
                   STRONG_COUPLING, WEAK_COUPLING, build_cpg_system, build_projections,
-                  coupling_contraction_factor, coupling_matrix, flow_expansion_at,
-                  locking_condition, phase_aligned_components, phase_locking_delta,
-                  reduced_constants, ring_drift, ring_jacobian,
-                  run_cpg_experiment, run_locking_comparison, theoretical_delta_bound)
+                  coupling_contraction_factor, coupling_matrix, locking_condition,
+                  phase_aligned_components, phase_locking_delta, reduced_constants,
+                  ring_drift, ring_jacobian, run_cpg_experiment, run_locking_comparison,
+                  theoretical_delta_bound)
 from .systems import (BUILTIN_SYSTEMS, SystemNotFound, SystemRecipe, UnknownParameter,
                       get_recipe, resolve_params)
 
@@ -38,19 +36,17 @@ __all__ = [
     "DimensionMismatch", "DiscreteMapSystem", "EnsembleConfig", "EnsembleStats",
     "GLOBAL_FLOW_RATE", "GaussianNoiseSpec", "HybridSystem", "InitialBox",
     "InitialPointPair", "LockingComparison", "MetricSpec", "NonFiniteState",
-    "NotPositiveDefinite", "ParameterRange", "ROTATION_THIRD", "ReducedRing", "SamplePath",
-    "SamplingRegion", "SingularFactor", "STRONG_COUPLING", "SupEstimate",
-    "SystemNotFound", "SystemRecipe", "ValidationReport", "WEAK_COUPLING",
-    "apply_noisefree_corollary", "build_cpg_system", "build_projections",
-    "certify_continuous", "certify_discrete", "check_bound_respect", "classify_regime",
-    "continuous_bound_at", "contraction_factor_at", "coupling_contraction_factor",
-    "coupling_matrix", "derive_stream", "discrete_distance_bound", "discrete_ms_bound",
-    "estimate_continuous_rate", "estimate_discrete_rate", "factor_metric",
-    "fit_geometric_decay", "flow_expansion_at", "generalized_jacobian", "get_recipe",
-    "hybrid_bound", "locking_condition", "metric_distance",
-    "noise_bound_continuous", "noise_bound_discrete", "numerical_jacobian",
-    "phase_aligned_components", "phase_locking_delta", "reduced_constants",
-    "resolve_params", "ring_drift", "ring_jacobian", "run_cpg_experiment",
-    "run_locking_comparison", "run_pair_ensemble", "sample_path", "theoretical_delta_bound",
-    "validate_system",
+    "NotPositiveDefinite", "ParameterRange", "ROTATION_THIRD", "ReducedRing",
+    "SamplePath", "SamplingRegion", "SingularFactor", "STRONG_COUPLING", "SupEstimate",
+    "SystemNotFound", "SystemRecipe", "WEAK_COUPLING", "apply_noisefree_corollary",
+    "build_cpg_system", "build_projections", "certify_continuous", "certify_discrete",
+    "check_bound_respect", "classify_regime", "continuous_bound_at",
+    "coupling_contraction_factor", "coupling_matrix", "derive_stream",
+    "discrete_distance_bound", "discrete_ms_bound", "estimate_continuous_rate",
+    "estimate_discrete_rate", "factor_metric", "fit_geometric_decay", "get_recipe",
+    "hybrid_bound", "locking_condition", "noise_bound_continuous",
+    "noise_bound_discrete", "numerical_jacobian", "phase_aligned_components",
+    "phase_locking_delta", "reduced_constants", "resolve_params", "ring_drift",
+    "ring_jacobian", "run_cpg_experiment", "run_locking_comparison",
+    "run_pair_ensemble", "sample_path", "theoretical_delta_bound",
 ]

@@ -106,8 +106,10 @@ def ring_jacobian(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.n
     """Exact 6 x 6 drift Jacobian, block diagonal with blocks
     (1 - |u|^2) I - 2 u u^T + omega * spin.  Accepts any leading batch shape,
     (..., 6) -> (..., 6, 6), and a batch row is the single-state value bit for
-    bit: |u|^2 is the elementwise sum of squares that ring_drift and
-    flow_expansion_at take."""
+    bit: |u|^2 is the elementwise sum of squares that ring_drift takes.  The
+    symmetric part's largest eigenvalue, max_i (1 - |u_i|^2), is 1 at the
+    origin and its global supremum, so the flow certificate rate is -1
+    everywhere."""
     state = np.asarray(state, dtype=float)
     u = state.reshape(*state.shape[:-1], 3, 2)
     sq = (u * u).sum(axis=-1)[..., None, None]
@@ -117,14 +119,6 @@ def ring_jacobian(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.n
     for i in range(3):
         out[..., 2 * i:2 * i + 2, 2 * i:2 * i + 2] = blocks[..., i, :, :]
     return out
-
-
-def flow_expansion_at(state: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetrized drift Jacobian at one state:
-    max_i (1 - |u_i|^2); its global supremum is 1, so the flow certificate
-    rate is -1 everywhere."""
-    u = np.asarray(state, dtype=float).reshape(3, 2)
-    return float((1.0 - (u * u).sum(axis=1)).max())
 
 
 def coupling_matrix(gamma: float) -> np.ndarray:

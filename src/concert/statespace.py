@@ -167,12 +167,6 @@ class GaussianNoiseSpec:
         object.__setattr__(self, "covariance", q)
         object.__setattr__(self, "_transform", transform)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """One draw of shape (dimension,) or `size` stacked draws, ~ N(0, Q)."""
-        if size is None:
-            return self._transform @ rng.standard_normal(self.dimension)
-        return rng.standard_normal((size, self.dimension)) @ self._transform.T
-
 
 def _batched_map(fn: Callable, vectorized: bool, lone: bool = False) -> Callable:
     """fn(x, arg) over stacked states (rows, dimension): one call when the
@@ -240,66 +234,8 @@ class HybridSystem:
     dwell_time: float
     name: str = "hybrid"
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_system: a list of violations, empty when well formed."""
-
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _probe(callable_, args, expect_shape, what, violations) -> None:
-    try:
-        out = np.asarray(callable_(*args), dtype=float)
-    except Exception as err:  # noqa: BLE001 - report, never abort
-        violations.append(f"{what} evaluation failed at probe point: {err!r}")
-        return
-    if out.shape != expect_shape:
-        violations.append(f"{what} returned shape {out.shape}, expected {expect_shape}")
-
-
-def validate_system(system) -> ValidationReport:
-    """Check dimensional consistency and parameter ranges; report, never raise.
-
-    The probe point is the origin; systems undefined there report a violation
-    rather than aborting, keeping the check pure.
-    """
-    violations: list[str] = []
-    if isinstance(system, DiscreteMapSystem):
-        n, d = system.dimension, system.noise.dimension
-        if n < 1:
-            violations.append(f"dimension must be >= 1, got {n}")
-        else:
-            x = np.zeros(n)
-            _probe(system.map, (x, 0), (n,), "map", violations)
-            _probe(system.noise_gain, (x, 0), (n, d), "noise_gain", violations)
-            if system.jacobian is not None:
-                _probe(system.jacobian, (x, 0), (n, n), "jacobian", violations)
-    elif isinstance(system, ContinuousSDESystem):
-        n, d = system.dimension, system.noise_dim
-        if n < 1:
-            violations.append(f"dimension must be >= 1, got {n}")
-        elif d < 1:
-            violations.append(f"noise_dim must be >= 1, got {d}")
-        else:
-            x = np.zeros(n)
-            _probe(system.drift, (x, 0.0), (n,), "drift", violations)
-            _probe(system.diffusion, (x, 0.0), (n, d), "diffusion", violations)
-            if system.jacobian is not None:
-                _probe(system.jacobian, (x, 0.0), (n, n), "jacobian", violations)
-    elif isinstance(system, HybridSystem):
-        violations.extend(validate_system(system.continuous).violations)
-        violations.extend(validate_system(system.reset).violations)
-        if system.continuous.dimension != system.reset.dimension:
-            violations.append(
-                f"continuous dimension {system.continuous.dimension} != "
-                f"reset dimension {system.reset.dimension}")
-        if not (system.dwell_time > 0):
-            violations.append(f"dwell_time must be positive, got {system.dwell_time}")
-    else:
-        violations.append(f"unknown system type {type(system).__name__}")
-    return ValidationReport(violations=tuple(violations))
+    def __post_init__(self) -> None:
+        if self.continuous.dimension != self.reset.dimension:
+            raise DimensionMismatch(
+                f"continuous dimension {self.continuous.dimension} does not match "
+                f"reset dimension {self.reset.dimension}")

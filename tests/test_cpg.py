@@ -20,7 +20,6 @@ from concert import (
     coupling_contraction_factor,
     coupling_matrix,
     derive_stream,
-    flow_expansion_at,
     locking_condition,
     numerical_jacobian,
     phase_aligned_components,
@@ -31,7 +30,6 @@ from concert import (
     run_cpg_experiment,
     sample_path,
     theoretical_delta_bound,
-    validate_system,
 )
 import concert.cpg as cpg
 import concert.simulate as simulate
@@ -217,14 +215,15 @@ class TestRingDrift:
         assert np.allclose(jac, num, atol=1e-6)
 
     def test_flow_expansion(self):
-        # expansion is largest where an oscillator sits at the origin
-        state = np.zeros(6)
-        assert flow_expansion_at(state) == pytest.approx(1.0)
-        jac = ring_jacobian(state)
-        top = np.linalg.eigvalsh((jac + jac.T) / 2.0).max()
-        assert top == pytest.approx(1.0, abs=1e-12)
+        # expansion, the top eigenvalue of the Jacobian's symmetric part, is
+        # largest where an oscillator sits at the origin
+        def expansion(state):
+            jac = ring_jacobian(state)
+            return np.linalg.eigvalsh((jac + jac.T) / 2.0).max()
+
+        assert expansion(np.zeros(6)) == pytest.approx(1.0, abs=1e-12)
         contracted = np.array([2.0, 0.0, 2.0, 0.0, 2.0, 0.0])
-        assert flow_expansion_at(contracted) == pytest.approx(-3.0)
+        assert expansion(contracted) == pytest.approx(-3.0, abs=1e-12)
 
 
 class TestReducedConstants:
@@ -300,8 +299,14 @@ class TestCPGParamsValidation:
 class TestBuildCPGSystem:
     def test_validates(self):
         system = build_cpg_system(STRONG_COUPLING)
-        report = validate_system(system)
-        assert report.ok, report.violations
+        flow, reset = system.continuous, system.reset
+        x = np.zeros(6)
+        assert np.shape(flow.drift(x, 0.0)) == (6,)
+        assert np.shape(flow.diffusion(x, 0.0)) == (6, flow.noise_dim)
+        assert np.shape(flow.jacobian(x, 0.0)) == (6, 6)
+        assert np.shape(reset.map(x, 0)) == (6,)
+        assert np.shape(reset.noise_gain(x, 0)) == (6, reset.noise.dimension)
+        assert np.shape(reset.jacobian(x, 0)) == (6, 6)
         assert system.dwell_time == STRONG_COUPLING.tau
         assert system.continuous.dimension == 6
 

@@ -1,6 +1,8 @@
-"""README's Python quick-start runs as written, and the package exports resolve."""
+"""README's Python quick-start runs as written, the package exports resolve, and
+the library tour names only what its modules hold."""
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -30,3 +32,14 @@ def test_quick_start_runs_and_exports_resolve():
     assert len(concert.__all__) == len(set(concert.__all__))
     missing = [name for name in concert.__all__ if not hasattr(concert, name)]
     assert missing == []
+
+
+def test_library_tour_names_resolve_on_their_modules():
+    text = (ROOT / "README.md").read_text()
+    tour = text[text.index("## Library tour"):]
+    rows = re.findall(r"^\| `(concert\.\w+)` \| (.*) \|$", tour, re.M)
+    assert len(rows) == 7
+    unresolved = [(module, name) for module, contents in rows
+                  for name in re.findall(r"`([^`]+)`", contents)
+                  if not hasattr(importlib.import_module(module), name)]
+    assert unresolved == []

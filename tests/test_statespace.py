@@ -1,4 +1,4 @@
-"""System containers, metric factorization, noise specs, validation."""
+"""System containers, metric factorization, noise specs."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,7 +13,7 @@ from concert import (
     MetricSpec,
     NotPositiveDefinite,
     factor_metric,
-    validate_system,
+    sample_path,
 )
 
 
@@ -115,30 +115,24 @@ class TestGaussianNoiseSpec:
     def test_default_is_standard_normal(self):
         spec = GaussianNoiseSpec(3)
         assert np.allclose(spec.covariance, np.eye(3))
-        rng = np.random.default_rng(0)
-        z = spec.sample(rng)
-        assert z.shape == (3,)
-
-    def test_batch_sample_shape(self):
-        spec = GaussianNoiseSpec(2)
-        rng = np.random.default_rng(0)
-        z = spec.sample(rng, size=5)
-        assert z.shape == (5, 2)
 
     def test_covariance_is_respected(self):
+        # the engine's draws, through x <- 0 + I w: every state after the
+        # start is one draw of the noise
         cov = np.array([[4.0, 0.0], [0.0, 1.0]])
-        spec = GaussianNoiseSpec(2, covariance=cov)
-        rng = np.random.default_rng(1)
-        z = spec.sample(rng, size=200_000)
+        path = sample_path(noise_only(cov), np.zeros(2), 200_000, None,
+                           np.random.default_rng(1))
+        z = path.states[1:]
         emp = z.T @ z / len(z)
         assert np.allclose(emp, cov, atol=0.05)
 
     def test_rank_deficient_covariance_accepted(self):
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-        spec = GaussianNoiseSpec(2, covariance=cov)
-        rng = np.random.default_rng(2)
-        z = spec.sample(rng, size=100)
+        path = sample_path(noise_only(cov), np.zeros(2), 100, None,
+                           np.random.default_rng(2))
+        z = path.states[1:]
         # all mass on the diagonal direction
+        assert np.ptp(z[:, 0]) > 1.0
         assert np.allclose(z[:, 0], z[:, 1], atol=1e-12)
 
     def test_rejects_mismatched_covariance(self):
@@ -148,6 +142,17 @@ class TestGaussianNoiseSpec:
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianNoiseSpec(2, covariance=np.diag([1.0, -1.0]))
+
+
+def noise_only(cov: np.ndarray) -> DiscreteMapSystem:
+    """The zero map with gain I and noise covariance cov."""
+    n = cov.shape[0]
+    return DiscreteMapSystem(
+        dimension=n,
+        map=lambda x, k: np.zeros_like(x),
+        noise_gain=lambda x, k: np.eye(n),
+        noise=GaussianNoiseSpec(n, covariance=cov),
+        vectorized=True)
 
 
 def make_discrete(dim=2, rho=0.5):
@@ -166,68 +171,23 @@ def make_continuous(dim=2, a=1.0):
         noise_dim=dim)
 
 
-class TestValidateSystem:
-    def test_ok_discrete(self):
-        report = validate_system(make_discrete())
-        assert report.ok
-        assert report.violations == ()
+class TestHybridSystem:
+    def test_mismatched_dimensions_rejected(self):
+        # a 1-D flow with a 2-D reset would broadcast the flow noise over both
+        # coordinates of every state, and report numbers in silence
+        with pytest.raises(DimensionMismatch,
+                           match="continuous dimension 1 .* reset dimension 2"):
+            HybridSystem(continuous=make_continuous(dim=1), reset=make_discrete(dim=2),
+                         dwell_time=0.5)
 
-    def test_ok_continuous(self):
-        assert validate_system(make_continuous()).ok
+    def test_nonpositive_dwell_rejected_by_the_engine(self):
+        for tau in (0.0, -0.5):
+            hybrid = HybridSystem(continuous=make_continuous(), reset=make_discrete(),
+                                  dwell_time=tau)
+            with pytest.raises(ValueError):
+                sample_path(hybrid, np.zeros(2), 1.0, 0.1, np.random.default_rng(0))
 
-    def test_ok_hybrid(self):
-        hybrid = HybridSystem(
-            continuous=make_continuous(),
-            reset=make_discrete(),
-            dwell_time=0.5)
-        assert validate_system(hybrid).ok
 
-    def test_bad_map_shape_reported_not_raised(self):
-        bad = DiscreteMapSystem(
-            dimension=2,
-            map=lambda x, k: np.zeros(3),
-            noise_gain=lambda x, k: np.eye(2),
-            noise=GaussianNoiseSpec(2))
-        report = validate_system(bad)
-        assert not report.ok
-        assert any("map" in v for v in report.violations)
-
-    def test_map_exception_reported_not_raised(self):
-        bad = DiscreteMapSystem(
-            dimension=2,
-            map=lambda x, k: (_ for _ in ()).throw(RuntimeError("boom")),
-            noise_gain=lambda x, k: np.eye(2),
-            noise=GaussianNoiseSpec(2))
-        report = validate_system(bad)
-        assert not report.ok
-
-    def test_bad_diffusion_shape_reported(self):
-        bad = ContinuousSDESystem(
-            dimension=2,
-            drift=lambda x, t: -np.asarray(x, dtype=float),
-            diffusion=lambda x, t: np.eye(3),
-            noise_dim=2)
-        report = validate_system(bad)
-        assert not report.ok
-        assert any("diffusion" in v for v in report.violations)
-
-    def test_hybrid_dimension_mismatch_reported(self):
-        hybrid = HybridSystem(
-            continuous=make_continuous(dim=2),
-            reset=make_discrete(dim=3),
-            dwell_time=0.5)
-        report = validate_system(hybrid)
-        assert not report.ok
-
-    def test_hybrid_nonpositive_dwell_reported(self):
-        hybrid = HybridSystem(
-            continuous=make_continuous(),
-            reset=make_discrete(),
-            dwell_time=0.0)
-        report = validate_system(hybrid)
-        assert not report.ok
-        assert any("dwell" in v for v in report.violations)
-
-    def test_unknown_type_reported(self):
-        report = validate_system(object())
-        assert not report.ok
+def test_unknown_system_type_rejected_by_the_engine():
+    with pytest.raises(TypeError, match="unsupported system type"):
+        sample_path(object(), np.zeros(2), 1.0, 0.1, np.random.default_rng(0))
