@@ -1,19 +1,66 @@
-"""Numerical Jacobians, and the generalized Jacobian F = Theta_out J inv(Theta_in)
-as the discrete certificate forms it: its rate is lambda_max(F.T F)."""
+"""Metric distances as the pair ensemble measures them, numerical Jacobians,
+and the generalized Jacobian F = Theta_out J inv(Theta_in) as the discrete
+certificate forms it: its rate is lambda_max(F.T F)."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from concert import (
+    DimensionMismatch,
     DiscreteMapSystem,
+    EnsembleConfig,
     GaussianNoiseSpec,
+    InitialPointPair,
+    MetricSpec,
+    NotPositiveDefinite,
     SamplingRegion,
     SingularFactor,
     certify_discrete,
     numerical_jacobian,
+    run_pair_ensemble,
 )
-from concert.geometry import _checked_inverse
+from concert.geometry import _checked_inverse, _factored
+
+
+def still(n: int) -> DiscreteMapSystem:
+    """x -> x with no noise: every sample of a pair keeps its start."""
+    return DiscreteMapSystem(
+        dimension=n,
+        map=lambda x, k: np.asarray(x, dtype=float),
+        noise_gain=lambda x, k: np.zeros((n, n)),
+        noise=GaussianNoiseSpec(n),
+        vectorized=True)
+
+
+def distance_at_start(a, b, metric, n: int = 2) -> float:
+    """The pair ensemble's metric distance between starts a and b at t = 0."""
+    config = EnsembleConfig(pair_count=1, horizon=1, master_seed=0,
+                            initial=InitialPointPair(np.asarray(a, dtype=float),
+                                                     np.asarray(b, dtype=float)),
+                            statistic="distance")
+    return float(run_pair_ensemble(still(n), config, metric).mean_sq[0])
+
+
+class TestMetricDistance:
+    def test_euclidean_default(self):
+        for metric in (None, MetricSpec.identity(2)):
+            assert distance_at_start([3.0, 0.0], [0.0, 4.0], metric) == pytest.approx(5.0)
+
+    def test_weighted(self):
+        metric = MetricSpec.constant(np.diag([4.0, 1.0]))
+        assert distance_at_start([1.0, 0.0], [0.0, 0.0], metric) == pytest.approx(2.0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            distance_at_start(np.zeros(2), np.zeros(3), MetricSpec.identity(2))
+        with pytest.raises(DimensionMismatch):
+            distance_at_start(np.zeros(3), np.zeros(3), MetricSpec.identity(2), n=3)
+
+    def test_indefinite_metric_matrix_rejected(self):
+        # diag(1, -1) would give the square root of -1, or 0 between distinct states
+        with pytest.raises(NotPositiveDefinite):
+            distance_at_start([1.0, 1.0], np.zeros(2), np.diag([1.0, -1.0]))
 
 
 class TestNumericalJacobian:
@@ -52,6 +99,26 @@ def at_origin(n: int) -> SamplingRegion:
 
 
 class TestGeneralizedJacobian:
+    def test_identity_factors_pass_through(self):
+        a = np.array([[0.5, 0.1], [0.0, 0.5]])
+        assert np.array_equal(_factored(a, np.eye(2), np.eye(2)), a)
+        # so the identity-metric rate of a non-normal map is its squared norm
+        cert = certify_discrete(linear_map(a, analytic=False), at_origin(2))
+        assert cert.rate == pytest.approx(np.linalg.norm(a, 2) ** 2, abs=1e-8)
+
+    def test_analytic_jacobian_used_exactly(self):
+        # a declared Jacobian that is not the map's: the certificate takes it
+        # as given, with no differencing of the map
+        system = linear_map(0.5 * np.eye(2), analytic=False)
+        declared = DiscreteMapSystem(
+            dimension=2, map=system.map, noise_gain=system.noise_gain, noise=system.noise,
+            jacobian=lambda x, k: 0.3 * np.eye(2), vectorized=True)
+        assert certify_discrete(declared, at_origin(2)).rate == pytest.approx(0.09, abs=1e-15)
+
+    def test_jacobian_and_factor_dimensions_must_agree(self):
+        with pytest.raises(DimensionMismatch):
+            _factored(np.eye(3), np.eye(2), np.eye(2))
+
     def test_scalar_linear_map(self):
         rho = 0.5
         cert = certify_discrete(linear_map(np.array([[rho]]), analytic=False), at_origin(1))

@@ -171,6 +171,52 @@ def make_continuous(dim=2, a=1.0):
         noise_dim=dim)
 
 
+class TestSystemsOnTheEngine:
+    """Each system kind runs on the engine, and a malformed callable ends the
+    run with an error instead of a path."""
+
+    def test_ok_discrete(self):
+        path = sample_path(make_discrete(), np.ones(2), 10, None, np.random.default_rng(0))
+        assert path.states.shape == (11, 2)
+        assert np.all(np.isfinite(path.states))
+
+    def test_ok_continuous(self):
+        path = sample_path(make_continuous(), np.ones(2), 1.0, 0.1, np.random.default_rng(0))
+        assert path.states.shape == (11, 2)
+        assert np.all(np.isfinite(path.states))
+
+    def test_ok_hybrid(self):
+        hybrid = HybridSystem(continuous=make_continuous(), reset=make_discrete(),
+                              dwell_time=0.5)
+        path = sample_path(hybrid, np.ones(2), 1.0, 0.1, np.random.default_rng(0))
+        # five flow steps per dwell, and both sides of the resets at 0, 0.5 and 1
+        assert path.states.shape == (2 * 5 + 3 + 1, 2)
+        assert path.sides.count("pre") == path.sides.count("post") == 3
+        assert np.all(np.isfinite(path.states))
+
+    def test_bad_map_shape_raised(self):
+        bad = DiscreteMapSystem(
+            dimension=2, map=lambda x, k: np.zeros(3),
+            noise_gain=lambda x, k: np.eye(2), noise=GaussianNoiseSpec(2))
+        with pytest.raises(ValueError):
+            sample_path(bad, np.zeros(2), 5, None, np.random.default_rng(0))
+
+    def test_map_exception_propagates(self):
+        def boom(x, k):
+            raise RuntimeError("boom")
+
+        bad = DiscreteMapSystem(dimension=2, map=boom, noise_gain=lambda x, k: np.eye(2),
+                                noise=GaussianNoiseSpec(2))
+        with pytest.raises(RuntimeError, match="boom"):
+            sample_path(bad, np.zeros(2), 5, None, np.random.default_rng(0))
+
+    def test_bad_diffusion_shape_raised(self):
+        bad = ContinuousSDESystem(dimension=2, drift=lambda x, t: -x,
+                                  diffusion=lambda x, t: np.eye(3), noise_dim=2)
+        with pytest.raises(ValueError):
+            sample_path(bad, np.zeros(2), 1.0, 0.1, np.random.default_rng(0))
+
+
 class TestHybridSystem:
     def test_mismatched_dimensions_rejected(self):
         # a 1-D flow with a 2-D reset would broadcast the flow noise over both
