@@ -46,6 +46,19 @@ EXPANDING_FLOW = {"a": -0.5}
 
 BAD_DWELL = {"tau": -1.0}
 
+# bounds off the builtins' defaults, each chained from its certificate: a
+# neutral and an expanding flow, a point pair whose squared separation is not
+# exact (the distance bound takes |a - b|, and simulate's t = 0 check sees the
+# mean of equal squares drift by rounding), and an asymmetric hybrid start box
+CHAIN_CONFIGS = {
+    "bounds-ou1d-neutral-both": (["bounds", "ou1d", "--both"], {"a": 0.0}),
+    "bounds-ou1d-expanding-both": (["bounds", "ou1d", "--both"], EXPANDING_FLOW),
+    "bounds-linear-map-inexact-start-both": (["bounds", "linear-map", "--both"],
+                                             {"init_a": 2.3, "init_b": 0.1}),
+    "bounds-hybrid-linear-box-both": (["bounds", "hybrid-linear", "--both"],
+                                      {"init_low": -0.3, "init_high": 0.7}),
+}
+
 # a ring coupling whose per-dwell product r2 = 0.999999999999997 lies in the
 # critical band of 1: `certify` must not report a lock that `bounds` does not
 # bound
@@ -146,6 +159,10 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                     config, ("run.csv",)))
     out.append(("simulate-ou1d-expanding", ["simulate", "ou1d", "--out", "run.csv"],
                 EXPANDING_FLOW, ("run.csv",)))
+    out += [(name, argv, config, ()) for name, (argv, config) in CHAIN_CONFIGS.items()]
+    out.append(("simulate-linear-map-inexact-start",
+                ["simulate", "linear-map", "--out", "run.csv"],
+                CHAIN_CONFIGS["bounds-linear-map-inexact-start-both"][1], ("run.csv",)))
     # the last uint32 seed over a partial third chunk of 1,024 pair seeds, and
     # a seed past uint32, whose streams come from default_rng on the key
     for seed, ensemble in (("4294967295", "2049"), ("4294967296", "8")):

@@ -11,19 +11,18 @@ from .certify import (ContractionCertificate, SamplingRegion, SupEstimate,
                       estimate_discrete_rate, noise_bound_continuous,
                       noise_bound_discrete)
 from .bounds import (BetaOutOfRange, BoundReport, CRITICAL_REL_TOL,
-                     NEAR_CRITICAL_REL_TOL, ParameterRange,
-                     apply_noisefree_corollary, classify_regime, continuous_bound_at,
-                     discrete_distance_bound, discrete_ms_bound, hybrid_bound)
+                     NEAR_CRITICAL_REL_TOL, ParameterRange, certified_bound,
+                     classify_regime, continuous_bound_at, discrete_distance_bound,
+                     discrete_ms_bound, hybrid_bound)
 from .simulate import (BoundCheck, EnsembleConfig, EnsembleStats, InitialBox,
                        InitialPointPair, NonFiniteState, SamplePath, check_bound_respect,
                        derive_stream, fit_geometric_decay, run_pair_ensemble, sample_path)
-from .cpg import (CPGExperimentResult, CPGParams, DeltaBoundSummary,
-                  GLOBAL_FLOW_RATE, LockingComparison, ROTATION_THIRD, ReducedRing,
-                  STRONG_COUPLING, WEAK_COUPLING, build_cpg_system, build_projections,
-                  coupling_contraction_factor, coupling_matrix, locking_condition,
-                  phase_aligned_components, phase_locking_delta, reduced_constants,
-                  ring_drift, ring_jacobian, run_cpg_experiment, run_locking_comparison,
-                  theoretical_delta_bound)
+from .cpg import (CPGExperimentResult, CPGParams, DeltaBoundSummary, GLOBAL_FLOW_RATE,
+                  LockingComparison, ROTATION_THIRD, STRONG_COUPLING, WEAK_COUPLING,
+                  build_cpg_system, build_projections, coupling_contraction_factor,
+                  coupling_matrix, locking_condition, phase_aligned_components,
+                  phase_locking_delta, reduced_constants, ring_drift, ring_jacobian,
+                  run_cpg_experiment, run_locking_comparison, theoretical_delta_bound)
 from .systems import (BUILTIN_SYSTEMS, SystemNotFound, SystemRecipe, UnknownParameter,
                       get_recipe, resolve_params)
 
@@ -36,10 +35,10 @@ __all__ = [
     "DimensionMismatch", "DiscreteMapSystem", "EnsembleConfig", "EnsembleStats",
     "GLOBAL_FLOW_RATE", "GaussianNoiseSpec", "HybridSystem", "InitialBox",
     "InitialPointPair", "LockingComparison", "MetricSpec", "NonFiniteState",
-    "NotPositiveDefinite", "ParameterRange", "ROTATION_THIRD", "ReducedRing",
+    "NotPositiveDefinite", "ParameterRange", "ROTATION_THIRD",
     "SamplePath", "SamplingRegion", "SingularFactor", "STRONG_COUPLING", "SupEstimate",
-    "SystemNotFound", "SystemRecipe", "WEAK_COUPLING", "apply_noisefree_corollary",
-    "build_cpg_system", "build_projections", "certify_continuous", "certify_discrete",
+    "SystemNotFound", "SystemRecipe", "WEAK_COUPLING", "build_cpg_system",
+    "build_projections", "certified_bound", "certify_continuous", "certify_discrete",
     "check_bound_respect", "classify_regime", "continuous_bound_at",
     "coupling_contraction_factor", "coupling_matrix", "derive_stream",
     "discrete_distance_bound", "discrete_ms_bound", "estimate_continuous_rate",

@@ -22,9 +22,10 @@ depend on the regime:
                   r2 = 1 gives linear growth per dwell, r2 > 1 no finite bound.
 
 `classify_regime` picks the regime and `hybrid_bound` evaluates it; the two
-discrete constructors cover maps.  Comparing a noisy copy against a
-noise-free one halves every injected energy.  report(t, side) reads a
-BoundReport at a sample of the simulation grid.
+discrete constructors cover maps.  `certified_bound` chains contraction
+certificates into the checkable report of a pair ensemble; comparing a noisy
+copy against a noise-free one halves every injected energy there.
+report(t, side) reads a BoundReport at a sample of the simulation grid.
 
 The hybrid asymptotes bound the post-reset sequence.  Every other sample
 takes the flow map of `continuous_bound_at` from the last reset, so pre-reset
@@ -39,9 +40,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .simulate import InitialPointPair, initial_ms
+
 DISCRETE_REGIMES = ("discrete-distance", "discrete-ms")
 HYBRID_REGIMES = ("hybrid-contracting", "hybrid-neutral", "hybrid-expanding-bounded",
                   "hybrid-expanding-critical", "hybrid-expanding-unbounded")
+FLOW_REGIMES = ("flow-contracting", "flow-neutral", "flow-expanding")
 
 # Relative half-width of the expanding-regime equality branch, and the wider
 # band inside which a report carries a proximity warning.
@@ -77,10 +81,10 @@ def _check_nonneg(value: float, what: str) -> float:
 class BoundReport:
     """One evaluated bound: regime tag, asymptote, transient factor, input echo.
 
-    `transient_rate_per_step` is the guaranteed per-step (discrete) or
-    per-dwell (hybrid) decay factor of the transient term, capped at 1.0 for
-    regimes with no guaranteed decay.  `inputs` echoes every number the bound
-    was built from; treat it as read-only.
+    `transient_rate_per_step` is the guaranteed per-step (discrete),
+    per-dwell (hybrid) or per-unit-time (flow) decay factor of the transient
+    term, capped at 1.0 for regimes with no guaranteed decay.  `inputs`
+    echoes every number the bound was built from; treat it as read-only.
     """
 
     regime: str
@@ -107,19 +111,23 @@ class BoundReport:
         return self.asymptotic_bound + rate**k * initial
 
     def bound_at_time(self, t: float, side: str = "post") -> float:
-        """Bound value at time t (hybrid regimes only).
+        """Bound value at time t (hybrid and flow regimes only).
 
-        Phi_s(B_post(k)): the flow map over the time s since the last reset
-        k, from B_post(k) = asymptote + E0 r^k, or E0 + (k + 1) times the
-        growth per dwell when r2 = 1.  At a reset instant k tau > 0 the
-        "pre" sample ends dwell k - 1 (s = tau), the others start dwell k.
+        A flow's is continuous_bound_at t.  A hybrid's is Phi_s(B_post(k)):
+        the flow map over the time s since the last reset k, from
+        B_post(k) = asymptote + E0 r^k, or E0 + (k + 1) times the growth per
+        dwell when r2 = 1.  At a reset instant k tau > 0 the "pre" sample
+        ends dwell k - 1 (s = tau), the others start dwell k.
         """
-        if self.regime not in HYBRID_REGIMES:
-            raise ValueError(f"bound_at_time applies to hybrid regimes, not {self.regime}")
+        if self.regime not in HYBRID_REGIMES + FLOW_REGIMES:
+            raise ValueError(f"bound_at_time applies to hybrid and flow regimes, not {self.regime}")
         if side not in ("pre", "post", "interior"):
             raise ValueError(f"side must be 'pre', 'post' or 'interior', got {side!r}")
         if not t >= 0:  # NaN too
             raise ValueError(f"time must be >= 0, got {t}")
+        if self.regime in FLOW_REGIMES:
+            return continuous_bound_at(self.inputs["lam"], self.inputs["C_c"],
+                                       self.inputs["initial_ms"], t)
         if self.regime == "hybrid-expanding-unbounded":
             return math.inf
         k, s = _since_reset(t, self.inputs["tau"], side)
@@ -305,31 +313,6 @@ def hybrid_bound(beta: float, lam: float, noise_energy_reset: float,
                        inputs=inputs, warnings=warnings)
 
 
-def apply_noisefree_corollary(report: BoundReport) -> BoundReport:
-    """Bound for a noisy copy tracked against a noise-free one.
-
-    Only one copy injects noise, so every noise energy is halved and the bound
-    is re-evaluated in the same regime; the discrete mean-square asymptote
-    becomes C / (1 - beta).  Raises ValueError if the report is already the
-    noise-free variant.
-    """
-    if report.noise_free:
-        raise ValueError("report already carries the noise-free refinement")
-    inp = report.inputs
-    if report.regime == "discrete-distance":
-        base = discrete_distance_bound(inp["beta"], inp["C"] / 2.0, inp["initial"],
-                                       point_mass=inp["point_mass"])
-    elif report.regime == "discrete-ms":
-        base = discrete_ms_bound(inp["beta"], inp["C"] / 2.0, inp["initial"],
-                                 point_mass=inp["point_mass"])
-    elif report.regime in HYBRID_REGIMES:
-        base = hybrid_bound(inp["beta"], inp["lam"], inp["C_d"] / 2.0,
-                            inp["C_c"] / 2.0, inp["tau"], inp["initial_ms"])
-    else:
-        raise ValueError(f"unknown regime {report.regime!r}")
-    return replace(base, noise_free=True)
-
-
 def continuous_bound_at(lam: float, noise_energy_flow: float, initial_ms: float,
                         t: float) -> float:
     """Mean-square bound for a diffusion pair without resets: the flow map
@@ -341,3 +324,32 @@ def continuous_bound_at(lam: float, noise_energy_flow: float, initial_ms: float,
     if not t >= 0:  # NaN too
         raise ValueError(f"time must be >= 0, got {t}")
     return _flow_map(lam, c_c, e0, t)
+
+
+def certified_bound(cert, start, reset=None, tau=None,
+                    noise_free: bool = False) -> BoundReport:
+    """The mean-square bound that certificates give a pair started at `start`,
+    from E0 = initial_ms(start, cert.metric): a discrete certificate gives
+    `discrete_ms_bound` (point mass from an InitialPointPair), a continuous
+    one a flow-contracting, -neutral or -expanding report read as
+    `continuous_bound_at`, and a continuous one with the `reset` certificate
+    of a hybrid and its dwell time `tau`, `hybrid_bound`.  With noise_free
+    only one copy injects noise, so every noise energy is halved."""
+    if reset is not None and (cert.kind, reset.kind) != ("continuous", "discrete"):
+        raise ValueError("a hybrid takes flow and reset certificates, "
+                         f"got {cert.kind} and {reset.kind}")
+    e0 = initial_ms(start, cert.metric)
+    rate, c = cert.rate, cert.noise_bound / 2.0 if noise_free else cert.noise_bound
+    if cert.kind == "discrete":
+        report = discrete_ms_bound(rate, c, e0, point_mass=isinstance(start, InitialPointPair))
+    elif reset is not None:
+        c_d = reset.noise_bound / 2.0 if noise_free else reset.noise_bound
+        report = hybrid_bound(reset.rate, rate, c_d, c, tau, e0)
+    else:  # a flow without resets
+        contracting = rate > 0.0
+        regime = ("flow-contracting" if contracting else "flow-neutral" if rate == 0.0
+                  else "flow-expanding")
+        report = BoundReport(regime=regime, asymptotic_bound=c / rate if contracting else math.inf,
+                             transient_rate_per_step=math.exp(-2.0 * rate) if contracting else 1.0,
+                             inputs={"lam": rate, "C_c": c, "initial_ms": e0})
+    return replace(report, noise_free=True) if noise_free else report

@@ -26,7 +26,7 @@ from .geometry import SingularFactor
 from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _dimension,
                        _write_csv, check_bound_respect, derive_stream, initial_ms,
                        run_pair_ensemble, sample_path)
-from .statespace import NotPositiveDefinite
+from .statespace import MetricSpec, NotPositiveDefinite
 from .systems import (SystemNotFound, UnknownParameter, _merge_params, dwell_step_default,
                       get_recipe, resolve_params)
 
@@ -179,7 +179,7 @@ def _cmd_simulate(args) -> int:
     del summary["command"]
     summary.update({
         "kind": recipe.kind,
-        "initial_ms": initial_ms(config.initial, _dimension(system)),
+        "initial_ms": initial_ms(config.initial, MetricSpec.identity(_dimension(system))),
         "failures": stats.failures,
         "final_time": float(stats.times[-1]),
         "final_mean": float(stats.mean_sq[-1]) if final_alive else None,

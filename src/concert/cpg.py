@@ -15,8 +15,8 @@ Each ring difference R x_{i+1} - x_i behaves as a planar trajectory pair: the
 coupling contracts it with squared gain beta = 3 gamma^2 - 3 gamma + 1, the
 flow expands it at rate at most 1 (rotational equivariance makes the rotated
 neighbor follow the same law), and the per-member noise energies are
-2 gamma^2 sigma_d^2 (reset) and 2 sigma_c^2 (flow).  Feeding these constants
-into the expanding-regime hybrid bound with one-sided noise accounting and
+2 gamma^2 sigma_d^2 (reset) and 2 sigma_c^2 (flow).  Chaining these
+certificates into the expanding-regime hybrid bound with one-sided noise and
 summing the three differences yields the steady-state delta bound, reported
 as the one number `pipeline`; locking requires beta < exp(-2 tau).
 
@@ -31,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BoundReport, ParameterRange, apply_noisefree_corollary, classify_regime,
-                     hybrid_bound)
-from .simulate import STEPS_PER_DWELL, EnsembleConfig, InitialBox, _ensemble, _write_csv
+from .bounds import BoundReport, ParameterRange, certified_bound, classify_regime
+from .certify import ContractionCertificate
+from .simulate import (STEPS_PER_DWELL, EnsembleConfig, InitialBox, InitialPointPair, _ensemble,
+                       _write_csv)
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
-                         HybridSystem)
+                         HybridSystem, MetricSpec)
 
 
 # One third of a turn; three applications are the identity.
@@ -182,40 +183,30 @@ def phase_aligned_components(states: np.ndarray) -> np.ndarray:
     return np.hstack([states[:, 0:2], states[:, 2:4] @ r.T, states[:, 4:6] @ (r @ r).T])
 
 
-@dataclass(frozen=True)
-class ReducedRing:
-    """Scalar hybrid-pair surrogate for one ring difference R x_{i+1} - x_i."""
-
-    beta: float
-    rate: float
-    noise_energy_reset: float
-    noise_energy_flow: float
-    tau: float
-
-
-def reduced_constants(params: CPGParams) -> ReducedRing:
-    """Constants of the planar pair each ring difference follows.
+def reduced_constants(params: CPGParams) -> tuple[ContractionCertificate, ContractionCertificate]:
+    """(flow, reset) certificates of the planar pair each ring difference
+    follows, in the identity metric.
 
     The coupling contracts differences with squared gain beta; the flow
     expands at rate at most |GLOBAL_FLOW_RATE|; each member injects
     tr((gamma sigma_d I_2)^2) = 2 gamma^2 sigma_d^2 per reset and
     tr((sigma_c I_2)^2) = 2 sigma_c^2 per unit time.
     """
-    return ReducedRing(beta=coupling_contraction_factor(params.gamma),
-                       rate=GLOBAL_FLOW_RATE,
-                       noise_energy_reset=2.0 * params.gamma**2 * params.sigma_d**2,
-                       noise_energy_flow=2.0 * params.sigma_c**2,
-                       tau=params.tau)
+    plane = MetricSpec.identity(2)
+    return (ContractionCertificate("continuous", GLOBAL_FLOW_RATE, 2.0 * params.sigma_c**2,
+                                   plane, None, True),
+            ContractionCertificate("discrete", coupling_contraction_factor(params.gamma),
+                                   2.0 * params.gamma**2 * params.sigma_d**2, plane, None, True))
 
 
 def locking_condition(params: CPGParams) -> tuple[bool, float, float]:
     """(holds, beta, threshold): the ring phase-locks in mean square when
     beta < threshold = exp(-2 |rate| tau).  holds is classify_regime's verdict,
     which the bound takes too: a per-dwell product in its critical band does not lock."""
-    red = reduced_constants(params)
-    threshold = math.exp(-2.0 * abs(red.rate) * red.tau)
-    holds = classify_regime(red.beta, red.rate, red.tau) == "hybrid-expanding-bounded"
-    return holds, red.beta, threshold
+    flow, reset = reduced_constants(params)
+    threshold = math.exp(-2.0 * abs(flow.rate) * params.tau)
+    holds = classify_regime(reset.rate, flow.rate, params.tau) == "hybrid-expanding-bounded"
+    return holds, reset.rate, threshold
 
 
 @dataclass(frozen=True)
@@ -241,19 +232,15 @@ class DeltaBoundSummary:
 
 
 def theoretical_delta_bound(params: CPGParams) -> DeltaBoundSummary:
-    """Evaluate the steady-state delta bound through the hybrid pipeline.
-
-    Per ring difference: expanding-regime hybrid bound at the reduced
-    constants, with noise energies halved because the statistic compares one
-    noisy combination against the noise-free locked set; the three differences
-    sum to the delta bound.  `pipeline` sums post-reset asymptotes: it bounds
-    post-reset samples, while the steady window averages every side.
-    """
-    red = reduced_constants(params)
-    base = hybrid_bound(red.beta, red.rate, red.noise_energy_reset,
-                        red.noise_energy_flow, red.tau, initial_ms=0.0)
-    halved = apply_noisefree_corollary(base)
-    return DeltaBoundSummary(beta=red.beta, r2=halved.inputs["r2"], regime=halved.regime,
+    """The steady-state delta bound: per ring difference, the hybrid bound
+    chained from its reduced certificates, noise-free because the statistic
+    compares one noisy combination against the locked set; the three
+    differences sum to `pipeline`.  It bounds post-reset samples, while the
+    steady window averages every side."""
+    flow, reset = reduced_constants(params)
+    halved = certified_bound(flow, InitialPointPair(0.0, 0.0), reset, params.tau,
+                             noise_free=True)
+    return DeltaBoundSummary(beta=reset.rate, r2=halved.inputs["r2"], regime=halved.regime,
                              pipeline=3.0 * halved.asymptotic_bound,
                              per_difference_report=halved)
 

@@ -59,7 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
-                         HybridSystem, _as_metric, _batched_map)
+                         HybridSystem, MetricSpec, _as_metric, _batched_map)
 
 _BLOCK = 1024  # runs simulated in lockstep per block; fixed
 _FOLD = 1024  # consecutive runs reduced together, whatever _BLOCK is; fixed
@@ -384,14 +384,22 @@ def _box_start(box: InitialBox, dimension: int) -> Callable[[np.random.Generator
     return lambda g: g.uniform(lows, highs)
 
 
-def initial_ms(init: InitialPointPair | InitialBox, dimension: int) -> float:
-    """Exact mean squared separation E|a - b|^2 of a pair's two start states:
-    |a - b|^2 for a point pair, and sum (high - low)^2 / 6 for independent
-    uniform draws from a box.  Squares by Python's float ** 2, as the closed
-    forms of the bounds do."""
-    first, second = (p.tolist() for p in _corners(init, dimension))
-    ms = sum((x - y) ** 2 for x, y in zip(first, second))
-    return ms if isinstance(init, InitialPointPair) else ms / 6
+def initial_ms(init: InitialPointPair | InitialBox, metric: MetricSpec) -> float:
+    """Exact mean squared separation E|Theta (a - b)|^2 of a pair's two start
+    states in a constant metric M = Theta^T Theta: |Theta (a - b)|^2 for a
+    point pair, and sum M_kk (high_k - low_k)^2 / 6 for independent uniform
+    draws from a box.  In the identity metric it squares by Python's
+    float ** 2, as the closed forms of the bounds do."""
+    if metric.kind != "constant":
+        raise ValueError("initial_ms takes a constant metric, not a scheduled one")
+    a, b = _corners(init, metric.dimension)
+    point = isinstance(init, InitialPointPair)
+    if np.array_equal(metric.value(), np.eye(metric.dimension)):
+        ms = sum((x - y) ** 2 for x, y in zip(a.tolist(), b.tolist()))
+    else:  # a box's independent coordinates leave no cross terms
+        ms = float(np.sum(((a - b) @ metric.factor().T) ** 2) if point
+                   else np.diag(metric.value()) @ (a - b) ** 2)
+    return ms if point else ms / 6
 
 
 def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int | None) -> list[int]:
@@ -491,14 +499,25 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
     Euler-Maruyama step from time `at` of the stacked state x, at least two
     rows per member; with lone, each member is a lone run's two identical rows,
     and a callable that is not vectorized is called once per member and step.
-    A vectorized drift and diffusion are called directly, with no wrapper."""
+    A vectorized drift and diffusion are called directly, with no wrapper.  A
+    value of another shape than x (a gain: x by width) or one row of it raises
+    DimensionMismatch instead of broadcasting."""
+    width = part.noise.dimension if isinstance(part, DiscreteMapSystem) else part.noise_dim
+
+    def shaped(value, what, full):
+        if value.shape != full and value.shape != full[1:]:
+            raise DimensionMismatch(f"{what} of {part.name!r} returned shape {value.shape}, "
+                                    f"expected {full[1:]} or {full}")
+        return value
+
     if isinstance(part, DiscreteMapSystem):
         fmap = _batched_map(part.map, part.vectorized, lone)
         fgain = _batched_map(part.noise_gain, part.vectorized, lone)
         transform_t = part.noise._transform.T
 
         def advance(x, k, w):
-            return fmap(x, k) + _apply_gain(fgain(x, k), w)
+            return shaped(fmap(x, k), "map", x.shape) \
+                + _apply_gain(shaped(fgain(x, k), "noise_gain", (*x.shape, width)), w)
     else:
         drift, diffusion = part.drift, part.diffusion
         if not part.vectorized:
@@ -506,9 +525,11 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
 
         def euler(x, t, w):
             # x + f h + g w in one new array; never writes into what a callable returned
-            out = np.multiply(np.asarray(drift(x, t), dtype=float), h, out=np.empty_like(x))
+            f = shaped(np.asarray(drift(x, t), dtype=float), "drift", x.shape)
+            out = np.multiply(f, h, out=np.empty_like(x))
             out += x
-            out += _apply_gain(np.asarray(diffusion(x, t), dtype=float), w)
+            g = shaped(np.asarray(diffusion(x, t), dtype=float), "diffusion", (*x.shape, width))
+            out += _apply_gain(g, w)
             return out
 
         advance, transform_t = euler, np.array([[math.sqrt(h)]])  # the scalar case

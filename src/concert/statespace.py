@@ -235,6 +235,8 @@ class HybridSystem:
     name: str = "hybrid"
 
     def __post_init__(self) -> None:
+        if not self.dwell_time > 0:  # NaN too
+            raise ValueError(f"dwell_time must be > 0, got {self.dwell_time}")
         if self.continuous.dimension != self.reset.dimension:
             raise DimensionMismatch(
                 f"continuous dimension {self.continuous.dimension} does not match "

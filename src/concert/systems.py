@@ -2,24 +2,23 @@
 
 Every entry resolves a parameter dict against declared defaults, builds the
 system object, states its analytic certificate (these examples are simple
-enough that rates and noise energies are exact), and evaluates the matching
+enough that rates and noise energies are exact), and chains it into its
 closed-form bound.  The CLI and the test suite both go through this registry,
 so a name on the command line and a name in a test mean the same system.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .bounds import (apply_noisefree_corollary, classify_regime, continuous_bound_at,
-                     discrete_distance_bound, discrete_ms_bound, hybrid_bound)
+from .bounds import BoundReport, certified_bound, classify_regime, discrete_distance_bound
 from .certify import ContractionCertificate, SamplingRegion, estimate_continuous_rate
 from .cpg import (GLOBAL_FLOW_RATE, RING_START, STRONG_COUPLING, CPGParams, build_cpg_system,
                   coupling_contraction_factor, locking_condition, theoretical_delta_bound)
-from .simulate import STEPS_PER_DWELL, InitialBox, InitialPointPair, initial_ms
+from .simulate import STEPS_PER_DWELL, InitialBox, InitialPointPair
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem, MetricSpec)
 
@@ -41,10 +40,10 @@ class SystemRecipe:
     simulate.initial_ms is its exact mean squared separation); `certificate_json`
     and `bound_json` evaluate the analytic certificate and the closed-form bound
     as JSON-ready dicts.  `bound_report` returns the checkable mean-square
-    bound for a pair ensemble, a (time, side) -> value callable (a BoundReport,
-    or for flows one over `bound_json`'s numbers), or None when no pair bound
-    applies.  `sim_defaults` seeds the simulate subcommand (step_size None
-    means STEPS_PER_DWELL steps per dwell for hybrid systems).
+    BoundReport for a pair ensemble, chained from the certificate by
+    `certified_bound`, or None when no pair bound applies.  `sim_defaults`
+    seeds the simulate subcommand (step_size None means STEPS_PER_DWELL steps
+    per dwell for hybrid systems).
     """
 
     name: str
@@ -58,38 +57,10 @@ class SystemRecipe:
     bound_report: Callable[[dict, bool], object]
 
 
-def _identity_cert(kind: str, rate: float, noise: float, dimension: int) -> dict:
-    cert = ContractionCertificate(kind=kind, rate=rate, noise_bound=noise,
-                                  metric=MetricSpec.identity(dimension), region=None,
+def _identity_cert(kind: str, rate: float, noise: float) -> ContractionCertificate:
+    return ContractionCertificate(kind=kind, rate=rate, noise_bound=noise,
+                                  metric=MetricSpec.identity(1), region=None,
                                   is_global_claim=True)
-    return cert.to_json_dict()
-
-
-def _flow_bound_json(rate: float, noise_energy: float, p: dict, noise_free: bool) -> dict:
-    """Closed-form pair bound for a flow without resets, from the point pair.
-
-    Contracting flows settle at noise_energy / rate with decay exponent
-    2 * rate; neutral flows grow linearly at 2 * noise_energy per unit time;
-    expanding flows admit no finite bound.
-    """
-    c = noise_energy / 2.0 if noise_free else noise_energy
-    if rate > 0.0:
-        regime, asym, growth = "flow-contracting", c / rate, None
-    elif rate == 0.0:
-        regime, asym, growth = "flow-neutral", None, 2.0 * c
-    else:
-        regime, asym, growth = "flow-expanding", None, None
-    return {"regime": regime, "rate": rate, "noise_energy": c,
-            "initial_ms": initial_ms(_point_pair(p), 1), "asymptotic_bound": asym,
-            "finite": asym is not None, "decay_exponent": 2.0 * rate if rate > 0 else None,
-            "linear_growth_per_time": growth, "noise_free": noise_free}
-
-
-def _flow_bound_fn(rate: float, noise_energy: float, p: dict,
-                   noise_free: bool) -> Callable[[float, str], float]:
-    bound = _flow_bound_json(rate, noise_energy, p, noise_free)
-    c, ms = bound["noise_energy"], bound["initial_ms"]
-    return lambda t, side: continuous_bound_at(rate, c, ms, t)
 
 
 def _point_pair(p: dict) -> InitialPointPair:
@@ -111,19 +82,21 @@ def _linear_map_build(p: dict) -> DiscreteMapSystem:
         name="linear-map")
 
 
-def _linear_map_report(p: dict, noise_free: bool):
-    ms = discrete_ms_bound(p["rho"] ** 2, p["sigma"] ** 2, initial_ms(_point_pair(p), 1),
-                           point_mass=True)
-    return apply_noisefree_corollary(ms) if noise_free else ms
+def _linear_map_cert(p: dict) -> ContractionCertificate:
+    return _identity_cert("discrete", p["rho"] ** 2, p["sigma"] ** 2)
+
+
+def _linear_map_bound(p: dict, noise_free: bool) -> BoundReport:
+    return certified_bound(_linear_map_cert(p), _point_pair(p), noise_free=noise_free)
 
 
 def _linear_map_bounds(p: dict, noise_free: bool) -> dict:
-    dist = discrete_distance_bound(p["rho"] ** 2, p["sigma"] ** 2,
+    """The mean-square report and the mean-distance bound from its inputs."""
+    ms = _linear_map_bound(p, noise_free)
+    dist = discrete_distance_bound(ms.inputs["beta"], ms.inputs["C"],
                                    abs(p["init_a"] - p["init_b"]), point_mass=True)
-    if noise_free:
-        dist = apply_noisefree_corollary(dist)
-    return {"mean_square": _linear_map_report(p, noise_free).to_json_dict(),
-            "mean_distance": dist.to_json_dict()}
+    return {"mean_square": ms.to_json_dict(),
+            "mean_distance": replace(dist, noise_free=noise_free).to_json_dict()}
 
 
 _LINEAR_MAP = SystemRecipe(
@@ -134,13 +107,12 @@ _LINEAR_MAP = SystemRecipe(
                   "record_every": 1},
     build=_linear_map_build,
     initial=_point_pair,
-    certificate_json=lambda p: _identity_cert("discrete", p["rho"] ** 2,
-                                              p["sigma"] ** 2, 1),
+    certificate_json=lambda p: _linear_map_cert(p).to_json_dict(),
     bound_json=_linear_map_bounds,
-    bound_report=_linear_map_report)
+    bound_report=_linear_map_bound)
 
 
-# --- scalar linear SDE (mean-reverting for a > 0) ----------------------------
+# --- scalar linear SDE (mean-reverting for a > 0) and Brownian motion --------
 
 def _ou_build(p: dict) -> ContinuousSDESystem:
     a, sigma = p["a"], p["sigma"]
@@ -155,32 +127,47 @@ def _ou_build(p: dict) -> ContinuousSDESystem:
         name="ou1d")
 
 
-_OU1D = SystemRecipe(
-    name="ou1d",
-    kind="continuous",
+def _flow_bound_json(report: BoundReport) -> dict:
+    """A flow's BoundReport as flow JSON: a contracting flow settles with decay
+    exponent 2 * rate, a neutral one grows at 2 * noise_energy per unit time."""
+    rate, c = report.inputs["lam"], report.inputs["C_c"]
+    contracting = report.regime == "flow-contracting"
+    return {"regime": report.regime, "rate": rate, "noise_energy": c,
+            "initial_ms": report.inputs["initial_ms"],
+            "asymptotic_bound": report.asymptotic_bound if contracting else None,
+            "finite": contracting, "decay_exponent": 2.0 * rate if contracting else None,
+            "linear_growth_per_time": 2.0 * c if report.regime == "flow-neutral" else None,
+            "noise_free": report.noise_free}
+
+
+def _flow_recipe(name: str, ou_params: Callable[[dict], dict], defaults: dict,
+                 sim_defaults: dict) -> SystemRecipe:
+    """A scalar linear SDE of the parameters ou_params(p) = {"a", "sigma"}."""
+    def cert(p: dict) -> ContractionCertificate:
+        ou = ou_params(p)
+        return _identity_cert("continuous", ou["a"], ou["sigma"] ** 2)
+
+    def report(p: dict, noise_free: bool) -> BoundReport:
+        return certified_bound(cert(p), _point_pair(p), noise_free=noise_free)
+
+    return SystemRecipe(name=name, kind="continuous", defaults=defaults,
+                        sim_defaults=sim_defaults, build=lambda p: _ou_build(ou_params(p)),
+                        initial=_point_pair, certificate_json=lambda p: cert(p).to_json_dict(),
+                        bound_json=lambda p, nf: _flow_bound_json(report(p, nf)),
+                        bound_report=report)
+
+
+_OU1D = _flow_recipe(
+    "ou1d", lambda p: p,
     defaults={"a": 1.0, "sigma": 1.0, "init_a": 1.0, "init_b": -1.0},
     sim_defaults={"horizon": 10.0, "step_size": 0.01, "pair_count": 1000,
-                  "record_every": 10},
-    build=_ou_build,
-    initial=_point_pair,
-    certificate_json=lambda p: _identity_cert("continuous", p["a"], p["sigma"] ** 2, 1),
-    bound_json=lambda p, nf: _flow_bound_json(p["a"], p["sigma"] ** 2, p, nf),
-    bound_report=lambda p, nf: _flow_bound_fn(p["a"], p["sigma"] ** 2, p, nf))
+                  "record_every": 10})
 
-
-# --- scalar Brownian motion ---------------------------------------------------
-
-_BROWNIAN = SystemRecipe(
-    name="brownian",
-    kind="continuous",
+_BROWNIAN = _flow_recipe(
+    "brownian", lambda p: {"a": 0.0, "sigma": p["sigma"]},
     defaults={"sigma": 1.0, "init_a": 0.0, "init_b": 0.0},
     sim_defaults={"horizon": 2.0, "step_size": 0.01, "pair_count": 2000,
-                  "record_every": 10},
-    build=lambda p: _ou_build({"a": 0.0, "sigma": p["sigma"]}),
-    initial=_point_pair,
-    certificate_json=lambda p: _identity_cert("continuous", 0.0, p["sigma"] ** 2, 1),
-    bound_json=lambda p, nf: _flow_bound_json(0.0, p["sigma"] ** 2, p, nf),
-    bound_report=lambda p, nf: _flow_bound_fn(0.0, p["sigma"] ** 2, p, nf))
+                  "record_every": 10})
 
 
 # --- scalar linear hybrid -----------------------------------------------------
@@ -195,18 +182,22 @@ def _hybrid_linear_start(p: dict) -> InitialBox:
     return InitialBox(lows=np.array([p["init_low"]]), highs=np.array([p["init_high"]]))
 
 
-def _hybrid_linear_cert(p: dict) -> dict:
-    beta = p["rho"] ** 2
-    lam = -p["a"]
-    return {"flow": _identity_cert("continuous", lam, p["sigma_c"] ** 2, 1),
-            "reset": _identity_cert("discrete", beta, p["sigma_d"] ** 2, 1),
-            "regime": classify_regime(beta, lam, p["tau"])}
+def _hybrid_linear_certs(p: dict) -> tuple[ContractionCertificate, ContractionCertificate]:
+    """(flow, reset): the flow contracts at rate -a, the reset with gain rho^2."""
+    return (_identity_cert("continuous", -p["a"], p["sigma_c"] ** 2),
+            _linear_map_cert({"rho": p["rho"], "sigma": p["sigma_d"]}))
 
 
-def _hybrid_linear_report(p: dict, noise_free: bool):
-    report = hybrid_bound(p["rho"] ** 2, -p["a"], p["sigma_d"] ** 2,
-                          p["sigma_c"] ** 2, p["tau"], initial_ms(_hybrid_linear_start(p), 1))
-    return apply_noisefree_corollary(report) if noise_free else report
+def _hybrid_linear_cert_json(p: dict) -> dict:
+    flow, reset = _hybrid_linear_certs(p)
+    return {"flow": flow.to_json_dict(), "reset": reset.to_json_dict(),
+            "regime": classify_regime(reset.rate, flow.rate, p["tau"])}
+
+
+def _hybrid_linear_bound(p: dict, noise_free: bool) -> BoundReport:
+    flow, reset = _hybrid_linear_certs(p)
+    return certified_bound(flow, _hybrid_linear_start(p), reset, p["tau"],
+                           noise_free=noise_free)
 
 
 _HYBRID_LINEAR = SystemRecipe(
@@ -218,9 +209,9 @@ _HYBRID_LINEAR = SystemRecipe(
                   "record_every": 1},
     build=_hybrid_linear_build,
     initial=_hybrid_linear_start,
-    certificate_json=_hybrid_linear_cert,
-    bound_json=lambda p, nf: _hybrid_linear_report(p, nf).to_json_dict(),
-    bound_report=_hybrid_linear_report)
+    certificate_json=_hybrid_linear_cert_json,
+    bound_json=lambda p, nf: _hybrid_linear_bound(p, nf).to_json_dict(),
+    bound_report=_hybrid_linear_bound)
 
 
 # --- oscillator ring ----------------------------------------------------------

@@ -17,15 +17,32 @@ from concert import (
     BetaOutOfRange,
     BoundReport,
     CRITICAL_REL_TOL,
+    ContractionCertificate,
+    InitialBox,
+    InitialPointPair,
+    MetricSpec,
     NEAR_CRITICAL_REL_TOL,
     ParameterRange,
-    apply_noisefree_corollary,
+    certified_bound,
     classify_regime,
     continuous_bound_at,
     discrete_distance_bound,
     discrete_ms_bound,
     hybrid_bound,
 )
+
+def cert(kind, rate, noise, dimension=1):
+    """An exact certificate in the identity metric."""
+    return ContractionCertificate(kind=kind, rate=rate, noise_bound=noise,
+                                  metric=MetricSpec.identity(dimension), region=None,
+                                  is_global_claim=True)
+
+
+def chained_hybrid(beta, lam, c_d, c_c, tau, noise_free=True):
+    """The hybrid bound chained from its certificates, from one start point."""
+    return certified_bound(cert("continuous", lam, c_c), InitialPointPair(0.0, 0.0),
+                           cert("discrete", beta, c_d), tau, noise_free=noise_free)
+
 
 # frozen oracle values (beta, lam, C_d, C_c, tau as noted)
 CONTRACTING_ASYM = 4.018804352176084      # beta=0.25 lam=1 C_d=1 C_c=1 tau=1
@@ -234,7 +251,7 @@ class TestHybridExpanding:
             assert math.isinf(report.bound_at_time(3.0 * tau))
             text = json.dumps(report.to_json_dict(), allow_nan=False)
             assert json.loads(text)["inputs"]["r2"] is None
-            halved = apply_noisefree_corollary(report)
+            halved = chained_hybrid(beta, lam, 1.0, 1.0, tau)
             assert halved.regime == "hybrid-expanding-unbounded"
 
     def test_overflow_with_unknown_product_still_raises(self):
@@ -299,7 +316,7 @@ class TestHybridInputs:
     def test_noise_free_variant_keeps_regime_extras_and_warnings(self):
         beta = self.CRITICAL_BETA * (1.0 + 1e-10)
         base = hybrid_bound(beta, self.LAM, 1.0, 1.0, self.TAU, 0.0)
-        halved = apply_noisefree_corollary(base)
+        halved = chained_hybrid(beta, self.LAM, 1.0, 1.0, self.TAU)
         assert halved.noise_free
         assert halved.regime == base.regime
         assert halved.inputs["r2"] == base.inputs["r2"]
@@ -331,10 +348,11 @@ class TestErrorPaths:
             discrete_ms_bound(0.5, 1.0, -1.0)
 
 
-class TestNoiseFreeCorollary:
+class TestNoiseFreeChain:
     def test_discrete_ms_halves_energy(self):
-        base = discrete_ms_bound(0.25, 1.0, 1.0)
-        refined = apply_noisefree_corollary(base)
+        base = discrete_ms_bound(0.25, 1.0, 1.0, point_mass=True)
+        refined = certified_bound(cert("discrete", 0.25, 1.0), InitialPointPair(1.0, 0.0),
+                                  noise_free=True)
         assert refined.noise_free
         # asymptote becomes C / (1 - beta)
         assert refined.asymptotic_bound == pytest.approx(
@@ -343,23 +361,69 @@ class TestNoiseFreeCorollary:
 
     def test_hybrid_halves_both_energies(self):
         base = hybrid_bound(0.25, 1.0, 1.0, 1.0, 1.0, 0.0)
-        refined = apply_noisefree_corollary(base)
+        refined = chained_hybrid(0.25, 1.0, 1.0, 1.0, 1.0)
         assert refined.noise_free
         assert refined.asymptotic_bound == pytest.approx(
             base.asymptotic_bound / 2.0, rel=1e-12)
         assert refined.inputs["C_d"] == pytest.approx(0.5)
         assert refined.inputs["C_c"] == pytest.approx(0.5)
 
-    def test_double_application_rejected(self):
-        refined = apply_noisefree_corollary(discrete_ms_bound(0.25, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            apply_noisefree_corollary(refined)
+    def test_flow_halves_its_energy(self):
+        start = InitialPointPair(1.0, -1.0)
+        base, refined = (certified_bound(cert("continuous", 2.0, 4.0), start, noise_free=nf)
+                         for nf in (False, True))
+        assert (base.noise_free, refined.noise_free) == (False, True)
+        assert (base.asymptotic_bound, refined.asymptotic_bound) == (2.0, 1.0)
+        assert refined(0.5, "interior") == continuous_bound_at(2.0, 2.0, 4.0, 0.5)
 
-    def test_unknown_regime_rejected(self):
-        fake = BoundReport(regime="other", asymptotic_bound=1.0,
-                           transient_rate_per_step=1.0, inputs={})
-        with pytest.raises(ValueError):
-            apply_noisefree_corollary(fake)
+
+class TestCertifiedBound:
+    """One chain from certificates to the checkable report: each kind of
+    certificate reaches its constructor with E0 = initial_ms(start, metric)."""
+
+    def test_discrete_certificate_is_the_ms_bound(self):
+        for start, e0, point_mass in ((InitialPointPair(2.0, -1.0), 9.0, True),
+                                      (InitialBox(-1.0, 2.0), 9.0 / 6, False)):
+            report = certified_bound(cert("discrete", 0.25, 1.0), start)
+            assert report == discrete_ms_bound(0.25, 1.0, e0, point_mass=point_mass)
+
+    def test_hybrid_certificates_are_the_hybrid_bound(self):
+        report = chained_hybrid(0.25, -1.0, 1.0, 2.0, 0.5, noise_free=False)
+        assert report == hybrid_bound(0.25, -1.0, 1.0, 2.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("lam, regime, asymptote, rate", [
+        (2.0, "flow-contracting", 2.0, math.exp(-4.0)),
+        (0.0, "flow-neutral", math.inf, 1.0),
+        (-1.0, "flow-expanding", math.inf, 1.0)])
+    def test_continuous_certificate_is_the_flow_map(self, lam, regime, asymptote, rate):
+        report = certified_bound(cert("continuous", lam, 4.0), InitialPointPair(1.0, -1.0))
+        assert (report.regime, report.asymptotic_bound, report.transient_rate_per_step) \
+            == (regime, asymptote, rate)
+        assert report.inputs == {"lam": lam, "C_c": 4.0, "initial_ms": 4.0}
+        for t in (0.0, 0.3, 2.0):
+            for side in ("pre", "post", "interior"):
+                assert report(t, side) == continuous_bound_at(lam, 4.0, 4.0, t)
+
+    def test_a_flow_report_is_read_at_times_only(self):
+        report = certified_bound(cert("continuous", 1.0, 1.0), InitialPointPair(0.0, 0.0))
+        with pytest.raises(ValueError, match="discrete regimes"):
+            report.bound_at_step(1)
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            report(-1.0)
+
+    def test_a_reset_needs_a_flow_certificate_and_a_discrete_one(self):
+        for flow, reset in ((cert("discrete", 0.25, 1.0), cert("discrete", 0.25, 1.0)),
+                            (cert("continuous", 1.0, 1.0), cert("continuous", 1.0, 1.0))):
+            with pytest.raises(ValueError, match="flow and reset certificates"):
+                certified_bound(flow, InitialPointPair(0.0, 0.0), reset, 0.5)
+
+    def test_start_is_measured_in_the_certificate_metric(self):
+        metric = MetricSpec.constant(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        weighted = ContractionCertificate(kind="discrete", rate=0.25, noise_bound=1.0,
+                                          metric=metric, region=None, is_global_claim=True)
+        d = np.array([1.0, -2.0])
+        report = certified_bound(weighted, InitialPointPair(d, np.zeros(2)))
+        assert report.inputs["initial"] == pytest.approx(d @ metric.value() @ d, rel=1e-12)
 
 
 class TestContinuousBoundAt:
@@ -419,7 +483,7 @@ class TestProperties:
             for t in (0.0, tau, 2.0 * tau):
                 assert report.bound_at_time(t, side="post") >= report.asymptotic_bound
             if math.isfinite(report.asymptotic_bound):
-                refined = apply_noisefree_corollary(report)
+                refined = chained_hybrid(beta, lam, c_d, c_c, tau)
                 assert refined.asymptotic_bound <= report.asymptotic_bound + 1e-12
 
     def test_discrete_bound_never_below_asymptote(self):

@@ -1,0 +1,147 @@
+"""One chain from contraction certificate to checked bound.
+
+Every builtin's checkable report is `certified_bound` of its analytic
+certificates; these tests pin it, field for field, to the direct constructor
+call on the recipe's parameters, in both pairings.  A 2-D map that contracts
+only in a weighted metric then runs the whole chain in that metric.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from concert import (
+    BetaOutOfRange,
+    BoundReport,
+    DiscreteMapSystem,
+    EnsembleConfig,
+    GaussianNoiseSpec,
+    InitialPointPair,
+    SamplingRegion,
+    certified_bound,
+    certify_discrete,
+    check_bound_respect,
+    continuous_bound_at,
+    discrete_ms_bound,
+    get_recipe,
+    hybrid_bound,
+    resolve_params,
+    run_pair_ensemble,
+)
+
+# hybrid-linear off its contracting default, as scripts/cli_digest.py runs it
+HYBRID_CONFIGS = {
+    "default": {},
+    "neutral": {"a": 0.0, "rho": 0.1, "sigma_c": 1.0, "sigma_d": 0.1, "tau": 1.0},
+    "expanding": {"a": 1.654, "rho": 0.27, "sigma_c": 1.726, "sigma_d": 1.763, "tau": 0.65},
+    "critical": {"a": 0.5, "rho": 0.951229424500714, "sigma_c": 0.4, "sigma_d": 1.2,
+                 "tau": 0.1, "init_low": -0.3, "init_high": 0.3},
+    "unbounded": {"a": 1.0, "rho": 0.999, "tau": 5.0},
+}
+
+PAIRINGS = pytest.mark.parametrize("noise_free", [False, True], ids=["two-noisy", "noise-free"])
+
+
+def chained(name: str, overrides: dict, noise_free: bool):
+    recipe = get_recipe(name)
+    params = resolve_params(recipe, overrides)
+    return recipe.bound_report(params, noise_free), params
+
+
+def energy(c: float, noise_free: bool) -> float:
+    return c / 2.0 if noise_free else c
+
+
+@PAIRINGS
+@pytest.mark.parametrize("overrides", [{}, {"init_a": 2.3, "init_b": 0.1}],
+                         ids=["default", "inexact-start"])
+def test_linear_map(overrides, noise_free):
+    report, p = chained("linear-map", overrides, noise_free)
+    direct = discrete_ms_bound(p["rho"] ** 2, energy(p["sigma"] ** 2, noise_free),
+                               (p["init_a"] - p["init_b"]) ** 2, point_mass=True)
+    assert report == replace(direct, noise_free=noise_free)
+
+
+@PAIRINGS
+@pytest.mark.parametrize("name, overrides, rate", [
+    ("ou1d", {}, 1.0), ("ou1d", {"a": 0.0}, 0.0), ("ou1d", {"a": -0.5}, -0.5),
+    ("brownian", {}, 0.0), ("brownian", {"init_a": 0.5, "init_b": -0.25}, 0.0)])
+def test_flows(name, overrides, rate, noise_free):
+    report, p = chained(name, overrides, noise_free)
+    c = energy(p["sigma"] ** 2, noise_free)
+    e0 = (p["init_a"] - p["init_b"]) ** 2
+    regime = ("flow-contracting" if rate > 0 else "flow-neutral" if rate == 0
+              else "flow-expanding")
+    direct = BoundReport(regime=regime,
+                         asymptotic_bound=c / rate if rate > 0 else math.inf,
+                         transient_rate_per_step=math.exp(-2.0 * rate) if rate > 0 else 1.0,
+                         inputs={"lam": rate, "C_c": c, "initial_ms": e0},
+                         noise_free=noise_free)
+    assert report == direct
+    for t in (0.0, 0.01, 1.0, 10.0):
+        assert report(t, "interior") == continuous_bound_at(rate, c, e0, t)
+
+
+@PAIRINGS
+@pytest.mark.parametrize("tag", list(HYBRID_CONFIGS))
+def test_hybrid_linear(tag, noise_free):
+    report, p = chained("hybrid-linear", HYBRID_CONFIGS[tag], noise_free)
+    direct = hybrid_bound(p["rho"] ** 2, -p["a"], energy(p["sigma_d"] ** 2, noise_free),
+                          energy(p["sigma_c"] ** 2, noise_free), p["tau"],
+                          (p["init_high"] - p["init_low"]) ** 2 / 6)
+    assert report == replace(direct, noise_free=noise_free)
+
+
+class TestWeightedMetric:
+    """x <- A x + 0.5 w with A = [[0.5, 2], [0, 0.5]]: spectral radius 0.5 but
+    a norm above 1, so the map contracts in M, solving A^T M A / 0.6 - M = -I,
+    and not in the identity metric."""
+
+    A = np.array([[0.5, 2.0], [0.0, 0.5]])
+    START = InitialPointPair(np.array([1.0, 1.0]), np.array([-1.0, -1.0]))
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        a = self.A
+        m = np.linalg.solve(np.kron(a.T, a.T) / 0.6 - np.eye(4), -np.eye(2).ravel())
+        m = m.reshape(2, 2)
+        metric = (m + m.T) / 2.0
+        system = DiscreteMapSystem(dimension=2, map=lambda x, k: x @ a.T,
+                                   noise_gain=lambda x, k: 0.5 * np.eye(2),
+                                   noise=GaussianNoiseSpec(2), jacobian=lambda x, k: a,
+                                   vectorized=True)
+        region = SamplingRegion.box(lows=-np.ones(2), highs=np.ones(2), sample_count=16, seed=0)
+        return system, region, metric
+
+    def test_identity_metric_certifies_nothing(self, setup):
+        system, region, _ = setup
+        cert = certify_discrete(system, region)
+        assert cert.rate > 4.0
+        with pytest.raises(BetaOutOfRange):
+            certified_bound(cert, self.START)
+
+    def test_chain_in_the_metric(self, setup):
+        system, region, metric = setup
+        assert np.allclose(self.A.T @ metric @ self.A / 0.6 - metric, -np.eye(2))
+        report = certified_bound(certify_discrete(system, region, metric=metric), self.START)
+        assert report.inputs["beta"] == pytest.approx(0.58795, abs=1e-5)
+        assert report.inputs["C"] == pytest.approx(12.7522, abs=1e-4)
+        assert report.asymptotic_bound == pytest.approx(61.896, abs=1e-3)
+        d = self.START.a - self.START.b
+        assert report.inputs["initial"] == pytest.approx(d @ metric @ d, rel=1e-12)
+
+    def test_ensemble_in_the_metric_respects_the_chain(self, setup):
+        system, region, metric = setup
+        report = certified_bound(certify_discrete(system, region, metric=metric), self.START)
+        config = EnsembleConfig(pair_count=20_000, horizon=40, master_seed=0,
+                                initial=self.START)
+        stats = run_pair_ensemble(system, config, metric=metric)
+        check = check_bound_respect(stats, report)
+        # t = 0 is left to the rounding of the mean of equal squares
+        # (ROADMAP defect 4); every later point is a Monte Carlo test
+        assert check.passed[1:].all()
+        assert stats.failures == 0
+        assert stats.steady_mean < report.asymptotic_bound

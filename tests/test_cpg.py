@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from concert import (
     coupling_contraction_factor,
     coupling_matrix,
     derive_stream,
+    hybrid_bound,
     locking_condition,
     numerical_jacobian,
     phase_aligned_components,
@@ -227,13 +229,17 @@ class TestRingDrift:
 
 
 class TestReducedConstants:
-    def test_values(self):
-        red = reduced_constants(CPGParams(gamma=0.2, sigma_d=0.05, sigma_c=0.1, tau=0.1))
-        assert red.beta == pytest.approx(3 * 0.04 - 3 * 0.2 + 1, rel=1e-12)
-        assert red.rate == GLOBAL_FLOW_RATE == -1.0
-        assert red.noise_energy_reset == pytest.approx(2 * 0.2**2 * 0.05**2, rel=1e-12)
-        assert red.noise_energy_flow == pytest.approx(2 * 0.1**2, rel=1e-12)
-        assert red.tau == 0.1
+    def test_certificates_of_the_planar_difference(self):
+        flow, reset = reduced_constants(CPGParams(gamma=0.2, sigma_d=0.05, sigma_c=0.1,
+                                                  tau=0.1))
+        assert (flow.kind, reset.kind) == ("continuous", "discrete")
+        assert reset.rate == pytest.approx(3 * 0.04 - 3 * 0.2 + 1, rel=1e-12)
+        assert flow.rate == GLOBAL_FLOW_RATE == -1.0
+        assert reset.noise_bound == pytest.approx(2 * 0.2**2 * 0.05**2, rel=1e-12)
+        assert flow.noise_bound == pytest.approx(2 * 0.1**2, rel=1e-12)
+        for cert in (flow, reset):
+            assert np.array_equal(cert.metric.value(), np.eye(2))
+            assert cert.is_global_claim and cert.region is None
 
     def test_locking_condition(self):
         holds, beta, threshold = locking_condition(STRONG_COUPLING)
@@ -269,6 +275,20 @@ class TestTheoreticalDeltaBound:
         assert summary.per_difference_report.noise_free
         assert summary.pipeline == pytest.approx(
             3.0 * summary.per_difference_report.asymptotic_bound, rel=1e-15)
+
+    @pytest.mark.parametrize("params", [WEAK_COUPLING, STRONG_COUPLING,
+                                        CPGParams(gamma=0.06459568480243587)],
+                             ids=["weak", "strong", "critical"])
+    def test_chain_equals_the_direct_hybrid_bound(self, params):
+        # one-sided noise: each per-member energy halved, from the locked set
+        beta = coupling_contraction_factor(params.gamma)
+        direct = hybrid_bound(beta, -1.0, 2.0 * params.gamma**2 * params.sigma_d**2 / 2.0,
+                              2.0 * params.sigma_c**2 / 2.0, params.tau, 0.0)
+        summary = theoretical_delta_bound(params)
+        assert summary.per_difference_report == replace(direct, noise_free=True)
+        assert (summary.beta, summary.regime) == (beta, direct.regime)
+        assert summary.r2 == direct.inputs["r2"]
+        assert summary.pipeline == 3.0 * direct.asymptotic_bound
 
     def test_weak_coupling_unbounded(self):
         summary = theoretical_delta_bound(WEAK_COUPLING)

@@ -509,12 +509,33 @@ class TestInitialMeanSquare:
         for low, high in self.EDGES + rng.uniform(-5, 5, (2000, 2)).tolist():
             pair = InitialPointPair(np.array([high]), np.array([low]))
             box = InitialBox(np.array([low]), np.array([high]))
-            assert simulate.initial_ms(pair, 1) == (high - low) ** 2
-            assert simulate.initial_ms(box, 1) == (high - low) ** 2 / 6.0
+            assert simulate.initial_ms(pair, MetricSpec.identity(1)) == (high - low) ** 2
+            assert simulate.initial_ms(box, MetricSpec.identity(1)) == (high - low) ** 2 / 6.0
 
     def test_broadcasts_to_the_dimension(self):
-        assert simulate.initial_ms(InitialBox(-1.0, 1.0), 6) == 4.0
-        assert simulate.initial_ms(InitialPointPair(np.zeros(3), np.ones(3)), 3) == 3.0
+        assert simulate.initial_ms(InitialBox(-1.0, 1.0), MetricSpec.identity(6)) == 4.0
+        assert simulate.initial_ms(InitialPointPair(np.zeros(3), np.ones(3)),
+                                   MetricSpec.identity(3)) == 3.0
+
+    def test_in_a_metric(self):
+        # the mean of (a - b)^T M (a - b): for independent uniform coordinates
+        # the cross terms vanish and each variance is (high - low)^2 / 6
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            root = rng.normal(size=(3, 3))
+            metric = MetricSpec.constant(root.T @ root + 0.1 * np.eye(3))
+            m = metric.value()
+            a, b = rng.uniform(-3, 3, (2, 3))
+            d = a - b
+            assert simulate.initial_ms(InitialPointPair(a, b), metric) \
+                == pytest.approx(d @ m @ d, rel=1e-12, abs=1e-12)
+            assert simulate.initial_ms(InitialBox(b, a), metric) \
+                == pytest.approx(np.sum(np.diag(m) * d**2) / 6, rel=1e-12, abs=1e-12)
+
+    def test_a_scheduled_metric_is_rejected(self):
+        metric = MetricSpec.scheduled(lambda t, side: np.eye(2), 2, 1.0)
+        with pytest.raises(ValueError, match="constant metric"):
+            simulate.initial_ms(InitialPointPair(np.zeros(2), np.ones(2)), metric)
 
     @pytest.mark.parametrize("initial, shapes", [
         (InitialPointPair(np.zeros(3), np.zeros(2)), r"\(3,\) and \(2,\)"),
@@ -527,7 +548,7 @@ class TestInitialMeanSquare:
         config = EnsembleConfig(pair_count=2, horizon=2, master_seed=0, initial=initial)
         message = rf"initial points of shapes {shapes}, expected scalars or \(3,\)"
         with pytest.raises(DimensionMismatch, match=message):
-            simulate.initial_ms(initial, 3)
+            simulate.initial_ms(initial, MetricSpec.identity(3))
         with pytest.raises(DimensionMismatch, match=message):
             run_pair_ensemble(linear_map(0.5, dim=3), config)
 
@@ -878,6 +899,29 @@ class TestEulerStepLeavesCallerArraysAlone:
 class TestSteppers:
     """A block builds each part's stepper once, and a flow step calls a
     vectorized drift and diffusion itself, with no wrapper between."""
+
+    PAIRS = EnsembleConfig(pair_count=4, horizon=3, master_seed=0,
+                           initial=InitialPointPair(np.ones(2), -np.ones(2)))
+
+    def test_a_map_value_of_another_shape_raises(self):
+        # x[:, :1] broadcast over both coordinates would run without a failure
+        narrow = DiscreteMapSystem(dimension=2, map=lambda x, k: x[:, :1],
+                                   noise_gain=lambda x, k: np.eye(2),
+                                   noise=GaussianNoiseSpec(2), vectorized=True, name="narrow")
+        with pytest.raises(DimensionMismatch, match=r"^map of 'narrow' returned shape "
+                                                    r"\(8, 1\), expected \(2,\) or \(8, 2\)$"):
+            run_pair_ensemble(narrow, self.PAIRS)
+
+    def test_a_gain_of_another_shape_raises(self):
+        # one noise column per state, broadcast by einsum over both draws
+        thin = ContinuousSDESystem(dimension=2, drift=lambda x, t: -x,
+                                   diffusion=lambda x, t: np.eye(2)[:, :1], noise_dim=2,
+                                   name="thin")
+        config = replace(self.PAIRS, horizon=1.0, step_size=0.1)
+        message = (r"^diffusion of 'thin' returned shape \(8, 2, 1\), "
+                   r"expected \(2, 2\) or \(8, 2, 2\)$")
+        with pytest.raises(DimensionMismatch, match=message):
+            run_pair_ensemble(thin, config)
 
     def test_built_once_per_part_and_block(self, monkeypatch):
         built = []

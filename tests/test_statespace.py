@@ -1,6 +1,8 @@
 """System containers, metric factorization, noise specs."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -226,12 +228,11 @@ class TestHybridSystem:
             HybridSystem(continuous=make_continuous(dim=1), reset=make_discrete(dim=2),
                          dwell_time=0.5)
 
-    def test_nonpositive_dwell_rejected_by_the_engine(self):
-        for tau in (0.0, -0.5):
-            hybrid = HybridSystem(continuous=make_continuous(), reset=make_discrete(),
-                                  dwell_time=tau)
-            with pytest.raises(ValueError):
-                sample_path(hybrid, np.zeros(2), 1.0, 0.1, np.random.default_rng(0))
+    def test_nonpositive_dwell_rejected_at_construction(self):
+        for tau in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match=r"^dwell_time must be > 0, got "):
+                HybridSystem(continuous=make_continuous(), reset=make_discrete(),
+                             dwell_time=tau)
 
 
 def test_unknown_system_type_rejected_by_the_engine():
