@@ -16,10 +16,10 @@ from .bounds import (BetaOutOfRange, BoundReport, CRITICAL_REL_TOL,
                      discrete_ms_bound, hybrid_bound)
 from .simulate import (BoundCheck, EnsembleConfig, EnsembleStats, InitialBox,
                        InitialPointPair, NonFiniteState, SamplePath, check_bound_respect,
-                       derive_stream, fit_geometric_decay, run_pair_ensemble, sample_path)
+                       derive_stream, run_pair_ensemble, sample_path)
 from .cpg import (CPGExperimentResult, CPGParams, DeltaBoundSummary, GLOBAL_FLOW_RATE,
                   LockingComparison, ROTATION_THIRD, STRONG_COUPLING, WEAK_COUPLING,
-                  build_cpg_system, build_projections, coupling_contraction_factor,
+                  build_cpg_system, coupling_contraction_factor,
                   coupling_matrix, locking_condition, phase_aligned_components,
                   phase_locking_delta, reduced_constants, ring_drift, ring_jacobian,
                   run_cpg_experiment, run_locking_comparison, theoretical_delta_bound)
@@ -38,11 +38,11 @@ __all__ = [
     "NotPositiveDefinite", "ParameterRange", "ROTATION_THIRD",
     "SamplePath", "SamplingRegion", "SingularFactor", "STRONG_COUPLING", "SupEstimate",
     "SystemNotFound", "SystemRecipe", "WEAK_COUPLING", "build_cpg_system",
-    "build_projections", "certified_bound", "certify_continuous", "certify_discrete",
+    "certified_bound", "certify_continuous", "certify_discrete",
     "check_bound_respect", "classify_regime", "continuous_bound_at",
     "coupling_contraction_factor", "coupling_matrix", "derive_stream",
     "discrete_distance_bound", "discrete_ms_bound", "estimate_continuous_rate",
-    "estimate_discrete_rate", "factor_metric", "fit_geometric_decay", "get_recipe",
+    "estimate_discrete_rate", "factor_metric", "get_recipe",
     "hybrid_bound", "locking_condition", "noise_bound_continuous",
     "noise_bound_discrete", "numerical_jacobian", "phase_aligned_components",
     "phase_locking_delta", "reduced_constants", "resolve_params", "ring_drift",

@@ -1,11 +1,12 @@
 """Sampled contraction-rate and noise-energy certificates over state regions.
 
-Rates are suprema of local quantities: the discrete one-step squared gain
-lambda_max(F.T F) of the generalized Jacobian, and for flows the largest
-eigenvalue of the symmetrized factored drift Jacobian (reported negated, so
-positive values mean contraction).  Noise energies are suprema of the injected
-trace tr(sigma^T M sigma Q) (discrete; Q is the draw covariance) and
-tr(sigma^T M sigma) (per unit time, continuous).  Suprema over a region are
+Every quantity is measured in one constant metric M = Theta^T Theta.  Rates
+are suprema of local quantities of the generalized Jacobian
+F = Theta J Theta^{-1}: the discrete one-step squared gain lambda_max(F.T F),
+and for flows the largest eigenvalue of the symmetric part of F (reported
+negated, so positive values mean contraction).  Noise energies are suprema of
+the injected trace tr(sigma^T M sigma Q) (discrete; Q is the draw covariance)
+and tr(sigma^T M sigma) (per unit time, continuous).  Suprema over a region are
 estimated on a deterministic low-discrepancy sample, so a certificate built
 from a region is evidence, not proof: its is_global_claim is false.
 
@@ -244,48 +245,41 @@ def _jacobians(system, samples: np.ndarray, arg) -> np.ndarray:
     return numerical_jacobian(lambda y: batched(y, arg), samples)
 
 
-def estimate_discrete_rate(system: DiscreteMapSystem, metric_pair, region: SamplingRegion,
+def estimate_discrete_rate(system: DiscreteMapSystem, metric, region: SamplingRegion,
                            k: int = 0) -> SupEstimate:
-    """Sampled sup of the one-step squared gain of a discrete map at step k.
-
-    metric_pair is (metric at step k, metric at step k+1); either entry may be
-    a matrix, a MetricSpec, or None for identity.  Returns the largest
-    lambda_max(F.T F) over the region's samples with the attaining sample.
-    """
-    metric_in, metric_out = metric_pair if metric_pair is not None else (None, None)
-    theta_in_inv = _checked_inverse(_as_metric(metric_in, system.dimension).factor())
-    theta_out = _as_metric(metric_out, system.dimension).factor()
+    """Sampled sup of the one-step squared gain lambda_max(F.T F) of a discrete
+    map at step k in `metric`, with the attaining sample."""
+    theta = _as_metric(metric, system.dimension).factor()
+    theta_inv = _checked_inverse(theta)
     return _sup(region, lambda xs: _squared_gain(
-        _factored(_jacobians(system, xs, k), theta_in_inv, theta_out)))
+        _factored(_jacobians(system, xs, k), theta, theta_inv)))
 
 
 def estimate_continuous_rate(system: ContinuousSDESystem, metric, region: SamplingRegion,
                              t: float = 0.0) -> SupEstimate:
     """Sampled contraction rate of a flow: minus the sup over the region of
-    lambda_max(((dTheta/dt + Theta J) Theta^{-1})_sym); positive values mean
-    the flow contracts the metric at rate at least the returned value."""
-    metric = _as_metric(metric, system.dimension)
-    theta = metric.factor(t)
+    lambda_max((Theta J Theta^{-1})_sym); positive values mean the flow
+    contracts the metric at rate at least the returned value."""
+    theta = _as_metric(metric, system.dimension).factor()
     theta_inv = _checked_inverse(theta)
-    theta_dot = metric.factor_dot(t)
 
     def tops(xs: np.ndarray) -> np.ndarray:
-        gen = (theta_dot + theta @ _jacobians(system, xs, t)) @ theta_inv
+        gen = _factored(_jacobians(system, xs, t), theta, theta_inv)
         return np.linalg.eigvalsh((gen + gen.swapaxes(-1, -2)) / 2.0).max(axis=-1)
 
     worst = _sup(region, tops)
     return SupEstimate(value=-worst.value, argmax=worst.argmax)
 
 
-def noise_bound_discrete(system: DiscreteMapSystem, metric_next, region: SamplingRegion,
+def noise_bound_discrete(system: DiscreteMapSystem, metric, region: SamplingRegion,
                          k: int = 0) -> SupEstimate:
-    """Sampled sup of the injected reset-noise energy tr(sigma^T M' sigma Q)."""
-    m_next = _as_metric(metric_next, system.dimension).value()
+    """Sampled sup of the injected reset-noise energy tr(sigma^T M sigma Q)."""
+    m = _as_metric(metric, system.dimension).value()
     q = system.noise.covariance
 
     def energies(xs: np.ndarray) -> np.ndarray:
         gain = _stacked(system, system.noise_gain, xs, k)
-        return np.trace(gain.swapaxes(-1, -2) @ m_next @ gain @ q, axis1=-2, axis2=-1)
+        return np.trace(gain.swapaxes(-1, -2) @ m @ gain @ q, axis1=-2, axis2=-1)
 
     return _sup(region, energies)
 
@@ -293,7 +287,7 @@ def noise_bound_discrete(system: DiscreteMapSystem, metric_next, region: Samplin
 def noise_bound_continuous(system: ContinuousSDESystem, metric, region: SamplingRegion,
                            t: float = 0.0) -> SupEstimate:
     """Sampled sup of the per-unit-time injected energy tr(sigma^T M sigma)."""
-    m = _as_metric(metric, system.dimension).value(t)
+    m = _as_metric(metric, system.dimension).value()
 
     def energies(xs: np.ndarray) -> np.ndarray:
         sig = _stacked(system, system.diffusion, xs, t)
@@ -319,15 +313,13 @@ class ContractionCertificate:
     metric: MetricSpec
     region: SamplingRegion | None
     is_global_claim: bool
-    rate_argmax: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
             "rate": self.rate,
             "noise_bound": self.noise_bound,
-            "metric": {"kind": self.metric.kind,
-                       "value": self.metric.value().tolist()},
+            "metric": {"kind": "constant", "value": self.metric.value().tolist()},
             "region": None if self.region is None else self.region.to_json_dict(),
             "is_global_claim": self.is_global_claim,
         }
@@ -336,22 +328,16 @@ class ContractionCertificate:
 def _certificate(kind: str, est: SupEstimate, noise: SupEstimate, metric: MetricSpec,
                  region: SamplingRegion) -> ContractionCertificate:
     return ContractionCertificate(kind=kind, rate=est.value, noise_bound=noise.value,
-                                  metric=metric, region=region, is_global_claim=False,
-                                  rate_argmax=est.argmax)
+                                  metric=metric, region=region, is_global_claim=False)
 
 
 def certify_discrete(system: DiscreteMapSystem, region: SamplingRegion,
-                     metric=None, metric_next=None, k: int = 0) -> ContractionCertificate:
-    """Assemble a discrete certificate: sampled rate plus noise energy.
-
-    The rate is the gain from `metric` at step k to `metric_next` at step k+1,
-    and the noise energy is measured in `metric_next`; it defaults to `metric`.
-    """
+                     metric=None, k: int = 0) -> ContractionCertificate:
+    """Assemble a discrete certificate: sampled rate plus noise energy, both
+    in `metric`."""
     metric_spec = _as_metric(metric, system.dimension)
-    if metric_next is None:
-        metric_next = metric_spec
-    est = estimate_discrete_rate(system, (metric_spec, metric_next), region, k=k)
-    noise = noise_bound_discrete(system, metric_next, region, k=k)
+    est = estimate_discrete_rate(system, metric_spec, region, k=k)
+    noise = noise_bound_discrete(system, metric_spec, region, k=k)
     return _certificate("discrete", est, noise, metric_spec, region)
 
 

@@ -142,28 +142,6 @@ def coupling_contraction_factor(gamma: float) -> float:
     return 3.0 * gamma * gamma - 3.0 * gamma + 1.0
 
 
-def build_projections() -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (U, V) of the locked subspace and its complement.
-
-    U has shape (6, 2) with columns stacking (R^2 y, R y, y) for the two unit
-    vectors y, normalized; states in its span are exactly the phase-locked
-    ones.  V has shape (6, 4), spans the orthogonal complement, and satisfies
-    delta(x) = 3 ||V.T x||^2.
-    """
-    r = ROTATION_THIRD
-    columns = [np.concatenate([r @ r @ e, r @ e, e]) / math.sqrt(3.0)
-               for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
-    locked = np.stack(columns, axis=1)
-    q, _ = np.linalg.qr(np.hstack([locked, np.eye(6)]))
-    transverse = q[:, 2:6].copy()
-    # fix a sign convention so the basis is reproducible across BLAS builds
-    for j in range(4):
-        lead = transverse[np.argmax(np.abs(transverse[:, j])), j]
-        if lead < 0:
-            transverse[:, j] = -transverse[:, j]
-    return locked, transverse
-
-
 def phase_locking_delta(states: np.ndarray) -> np.ndarray:
     """delta = sum_i ||R x_{i+1} - x_i||^2 over the ring; vectorized over any
     leading shape.  The neighbours of all states are rotated by one 2-D
@@ -325,7 +303,7 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     config = EnsembleConfig(pair_count=run_count, horizon=horizon, master_seed=master_seed,
                             initial=RING_START, step_size=h, interior_per_dwell=1)
     stats, window_start = _ensemble(build_cpg_system(params), config, (True,),
-                                    lambda states, t, side: phase_locking_delta(states[0]))
+                                    lambda states: phase_locking_delta(states[0]))
     return CPGExperimentResult(params=params, times=stats.times, sides=stats.sides,
                                delta_mean=stats.mean_sq, delta_stderr=stats.stderr,
                                run_count=run_count, failures=stats.failures,

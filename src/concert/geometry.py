@@ -1,13 +1,13 @@
 """Jacobians and the generalized-Jacobian helpers the certificates use.
 
-For an SPD metric M with factor Theta (Theta.T @ Theta = M) the distance
-between states is ||Theta (x - y)||_2.  A differentiable map f is measured
-through its generalized Jacobian F = Theta_out @ Df(x) @ Theta_in^{-1}; the
-squared gain lambda_max(F.T F) is the one-step contraction factor at x.  The
-certificates in `concert.certify` form F and its squared gain with the
-private helpers here, over a whole sample at once, with Theta_in checked and
-inverted once per certificate; `numerical_jacobian` supplies Df when a system
-declares no Jacobian.
+For a constant SPD metric M with factor Theta (Theta.T @ Theta = M) the
+distance between states is ||Theta (x - y)||_2.  A differentiable map or flow
+f is measured through its generalized Jacobian F = Theta @ Df(x) @ Theta^{-1};
+for a map the squared gain lambda_max(F.T F) is the one-step contraction
+factor at x.  The certificates in `concert.certify` form F and its squared
+gain with the private helpers here, over a whole sample at once, with Theta
+checked and inverted once per certificate; `numerical_jacobian` supplies Df
+when a system declares no Jacobian.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ _COND_LIMIT = 1e12
 
 
 class SingularFactor(ValueError):
-    """Raised when the input-side factor cannot be inverted reliably."""
+    """Raised when a metric factor cannot be inverted reliably."""
 
 
 def numerical_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -56,18 +56,18 @@ def _checked_inverse(theta: np.ndarray) -> np.ndarray:
     to working precision."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise SingularFactor(f"input factor must be square, got shape {theta.shape}")
+        raise SingularFactor(f"metric factor must be square, got shape {theta.shape}")
     if np.linalg.cond(theta) > _COND_LIMIT:
-        raise SingularFactor("input factor is singular to working precision")
+        raise SingularFactor("metric factor is singular to working precision")
     return np.linalg.inv(theta)
 
 
-def _factored(jac: np.ndarray, theta_in_inv: np.ndarray, theta_out: np.ndarray) -> np.ndarray:
-    """F = Theta_out @ J @ Theta_in^{-1}, given the inverted input factor."""
-    if jac.shape[-1] != theta_in_inv.shape[0]:
+def _factored(jac: np.ndarray, theta: np.ndarray, theta_inv: np.ndarray) -> np.ndarray:
+    """F = Theta @ J @ Theta^{-1}, given the inverted factor."""
+    if jac.shape[-1] != theta_inv.shape[0]:
         raise DimensionMismatch(
-            f"Jacobian shape {jac.shape} does not match input factor {theta_in_inv.shape}")
-    return theta_out @ jac @ theta_in_inv
+            f"Jacobian shape {jac.shape} does not match metric factor {theta_inv.shape}")
+    return theta @ jac @ theta_inv
 
 
 def _squared_gain(gen: np.ndarray) -> np.ndarray:

@@ -280,8 +280,7 @@ class EnsembleConfig:
     of samples inside each dwell of a hybrid run (None: 4) and must stay None
     for the other kinds.
     pairing_mode "noisy-vs-noisefree" silences member b's noise (it still
-    draws its initial condition).  statistic "ms" records squared metric
-    distances, "distance" records plain metric distances.
+    draws its initial condition).
     """
 
     pair_count: int
@@ -290,7 +289,6 @@ class EnsembleConfig:
     initial: InitialPointPair | InitialBox
     step_size: float | None = None
     pairing_mode: str = "two-noisy"
-    statistic: str = "ms"
     interior_per_dwell: int | None = None
     record_every: int = 1
 
@@ -299,8 +297,6 @@ class EnsembleConfig:
             raise ValueError(f"pair_count must be >= 1, got {self.pair_count}")
         if self.pairing_mode not in ("two-noisy", "noisy-vs-noisefree"):
             raise ValueError(f"unknown pairing_mode {self.pairing_mode!r}")
-        if self.statistic not in ("ms", "distance"):
-            raise ValueError(f"unknown statistic {self.statistic!r}")
         if self.interior_per_dwell is not None and self.interior_per_dwell < 0:
             raise ValueError("interior_per_dwell must be >= 0")
         if self.record_every < 1:
@@ -309,11 +305,12 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Per-time empirical moments of the pair distance statistic.
+    """Per-time empirical moments of the squared pair distance.
 
-    mean_sq holds the mean of the configured statistic (squared distance by
-    default) over pairs still finite at that time; n_alive counts them, and
-    failures counts pairs that left the finite floats anywhere on the grid.
+    mean_sq holds the mean squared distance between a pair's members, in the
+    ensemble's one constant metric, over pairs still finite at that time;
+    n_alive counts them, and failures counts pairs that left the finite floats
+    anywhere on the grid.
     steady_mean and steady_stderr fold each pair's mean over the steady
     window, every sample at t >= (1 - STEADY_FRAC) * horizon, over the pairs
     finite on the whole grid: NaN mean with none, NaN stderr with fewer than two.
@@ -326,7 +323,6 @@ class EnsembleStats:
     n_pairs: int
     n_alive: np.ndarray
     failures: int
-    statistic: str = "ms"
     steady_mean: float = math.nan
     steady_stderr: float = math.nan
 
@@ -390,8 +386,6 @@ def initial_ms(init: InitialPointPair | InitialBox, metric: MetricSpec) -> float
     point pair, and sum M_kk (high_k - low_k)^2 / 6 for independent uniform
     draws from a box.  In the identity metric it squares by Python's
     float ** 2, as the closed forms of the bounds do."""
-    if metric.kind != "constant":
-        raise ValueError("initial_ms takes a constant metric, not a scheduled one")
     a, b = _corners(init, metric.dimension)
     point = isinstance(init, InitialPointPair)
     if np.array_equal(metric.value(), np.eye(metric.dimension)):
@@ -730,8 +724,8 @@ def _ensemble(system, config: EnsembleConfig, noisy: tuple[bool, ...],
     """(EnsembleStats, window start) of the runs of `config`: planned, stepped
     block after block and folded, each run's mean over the steady window
     (EnsembleStats) as its last sample.  Member m of run i draws from the
-    stream (master_seed, i, m), noisy when noisy[m]; record(states, t, side)
-    is the sample at (t, side) of a block's runs, states (members, rows, ...).
+    stream (master_seed, i, m), noisy when noisy[m]; record(states) is a
+    sample of a block's runs, states (members, rows, ...).
     """
     interior = config.interior_per_dwell
     if interior is None and isinstance(system, HybridSystem):
@@ -743,8 +737,7 @@ def _ensemble(system, config: EnsembleConfig, noisy: tuple[bool, ...],
 
     def block_of(runs):
         block = _run_block(segments, runs, lambda m, i: derive_stream(config.master_seed, i, m),
-                           config.initial, noisy,
-                           lambda states, g: record(states, float(times[g]), sides[g]))
+                           config.initial, noisy, lambda states, g: record(states))
         # each run's window summed in time order, in a block of one run too
         total = np.add.accumulate(block[:, window], axis=1)[:, -1]
         return np.column_stack([block, total / np.count_nonzero(window)])
@@ -754,7 +747,6 @@ def _ensemble(system, config: EnsembleConfig, noisy: tuple[bool, ...],
     return EnsembleStats(times=times, sides=sides, mean_sq=mean[:-1], stderr=stderr[:-1],
                          n_pairs=config.pair_count, n_alive=count[:-1],
                          failures=config.pair_count - int(count[-2]),
-                         statistic=config.statistic,
                          steady_mean=float(mean[-1]) if steady else math.nan,
                          steady_stderr=float(stderr[-1]) if steady > 1 else math.nan
                          ), window_start
@@ -762,7 +754,8 @@ def _ensemble(system, config: EnsembleConfig, noisy: tuple[bool, ...],
 
 def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleStats:
     """Simulate pair_count independent trajectory pairs and reduce their
-    distance statistic to per-time means and standard errors, and steady values.
+    squared distance in `metric` (a matrix, a MetricSpec, or None for the
+    identity) to per-time means and standard errors, and steady values.
 
     Pairs are independent work units; the reduction visits them in pair-index
     order regardless of internal blocking, so the output is reproducible
@@ -771,16 +764,15 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
     counted in `failures`, never silently dropped.
     """
     dimension = _dimension(system)
-    metric = _as_metric(metric, dimension)
+    factor_t = _as_metric(metric, dimension).factor().T
     # a product by the identity factor changes no distance
-    plain = metric.kind == "constant" and np.array_equal(metric.factor(), np.eye(dimension))
+    plain = np.array_equal(factor_t, np.eye(dimension))
 
-    def record(states, t, side):
+    def record(states):
         diff = states[0] - states[1]
         if not plain:
-            diff = diff @ metric.factor(t, "post" if side == "interior" else side).T
-        sq = (diff ** 2).sum(axis=1)
-        return sq if config.statistic == "ms" else np.sqrt(sq)
+            diff = diff @ factor_t
+        return (diff ** 2).sum(axis=1)
 
     return _ensemble(system, config, (True, config.pairing_mode == "two-noisy"), record)[0]
 
@@ -828,25 +820,3 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
                       n_violations=n_violations, worst_slack=worst,
                       bounds=values, passed=passed)
 
-
-def fit_geometric_decay(values: np.ndarray, asymptote: float,
-                        stderr: np.ndarray | None = None,
-                        noise_floor_sigma: float = 5.0) -> float:
-    """Per-step geometric decay factor of (values - asymptote).
-
-    Least-squares slope of log deviations over the leading steps where the
-    deviation clears both zero and noise_floor_sigma times its standard error
-    (Monte Carlo tails below the floor carry no decay information).  Requires
-    at least three usable points.
-    """
-    values = np.asarray(values, dtype=float)
-    deviations = values - asymptote
-    floor = np.zeros_like(deviations) if stderr is None \
-        else noise_floor_sigma * np.asarray(stderr, dtype=float)
-    usable = deviations > np.maximum(floor, 0.0)
-    cutoff = int(np.argmin(usable)) if not usable.all() else values.size
-    if cutoff < 3:
-        raise ValueError(f"only {cutoff} usable points above the noise floor; need >= 3")
-    k = np.arange(cutoff, dtype=float)
-    slope = np.polyfit(k, np.log(deviations[:cutoff]), 1)[0]
-    return float(math.exp(slope))

@@ -2,10 +2,10 @@
 
 A system is one of three records: a noisy discrete map, an Ito diffusion, or a
 hybrid combination that integrates the diffusion on dwell intervals of fixed
-length and applies the noisy map at the interval boundaries.  Metrics are
-uniformly positive definite and enter everywhere through an upper-triangular
-factor Theta with Theta.T @ Theta = M, so squared metric distances are plain
-Euclidean norms of Theta-transformed differences.
+length and applies the noisy map at the interval boundaries.  A metric is one
+constant symmetric positive definite matrix M, used everywhere through its
+upper-triangular factor Theta with Theta.T @ Theta = M, so squared metric
+distances are plain Euclidean norms of Theta-transformed differences.
 """
 from __future__ import annotations
 
@@ -59,71 +59,29 @@ def factor_metric(metric: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A constant or time-scheduled uniformly positive definite metric.
-
-    `side` selects the one-sided limit at reset instants ("pre" approaches from
-    the left, "post" from the right); constant metrics ignore it.  For
-    scheduled metrics a factor time-derivative may be supplied analytically;
-    it defaults to zero, which is exact for constant metrics.
-    """
+    """A constant symmetric positive definite metric M with its factor Theta."""
 
     dimension: int
-    kind: str  # "constant" | "scheduled"
-    uniform_lower_bound: float  # positive lower bound on eigenvalues over time
-    _matrix: np.ndarray | None = None
-    _factor: np.ndarray | None = None
-    _value_fn: Callable[[float, str], np.ndarray] | None = None
-    _factor_dot_fn: Callable[[float], np.ndarray] | None = None
+    _matrix: np.ndarray
+    _factor: np.ndarray
 
     @classmethod
-    def constant(cls, matrix: np.ndarray, uniform_lower_bound: float | None = None) -> "MetricSpec":
+    def constant(cls, matrix: np.ndarray) -> "MetricSpec":
         m = _as_square(matrix, "metric")
         theta = factor_metric(m)  # also validates SPD
-        if uniform_lower_bound is None:
-            uniform_lower_bound = float(np.linalg.eigvalsh(m).min())
-        if uniform_lower_bound <= 0:
-            raise NotPositiveDefinite("uniform_lower_bound must be positive")
-        return cls(dimension=m.shape[0], kind="constant",
-                   uniform_lower_bound=uniform_lower_bound, _matrix=m, _factor=theta)
+        if float(np.linalg.eigvalsh(m).min()) <= 0:
+            raise NotPositiveDefinite("metric has a non-positive eigenvalue")
+        return cls(dimension=m.shape[0], _matrix=m, _factor=theta)
 
     @classmethod
     def identity(cls, dimension: int) -> "MetricSpec":
-        return cls.constant(np.eye(dimension), uniform_lower_bound=1.0)
+        return cls.constant(np.eye(dimension))
 
-    @classmethod
-    def scheduled(cls, value_fn: Callable[[float, str], np.ndarray], dimension: int,
-                  uniform_lower_bound: float,
-                  factor_dot_fn: Callable[[float], np.ndarray] | None = None) -> "MetricSpec":
-        if uniform_lower_bound <= 0:
-            raise NotPositiveDefinite("uniform_lower_bound must be positive")
-        spec = cls(dimension=dimension, kind="scheduled",
-                   uniform_lower_bound=uniform_lower_bound,
-                   _value_fn=value_fn, _factor_dot_fn=factor_dot_fn)
-        spec.value(0.0, "post")  # fail fast on malformed schedules
-        return spec
+    def value(self) -> np.ndarray:
+        return self._matrix
 
-    def value(self, t: float = 0.0, side: str = "post") -> np.ndarray:
-        if side not in ("pre", "post"):
-            raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
-        if self.kind == "constant":
-            return self._matrix
-        m = _as_square(self._value_fn(t, side), "scheduled metric value")
-        if m.shape[0] != self.dimension:
-            raise DimensionMismatch(
-                f"scheduled metric has shape {m.shape}, expected {(self.dimension,) * 2}")
-        return m
-
-    def factor(self, t: float = 0.0, side: str = "post") -> np.ndarray:
-        if self.kind == "constant":
-            if side not in ("pre", "post"):
-                raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
-            return self._factor
-        return factor_metric(self.value(t, side))
-
-    def factor_dot(self, t: float = 0.0) -> np.ndarray:
-        if self._factor_dot_fn is None:
-            return np.zeros((self.dimension, self.dimension))
-        return np.asarray(self._factor_dot_fn(t), dtype=float)
+    def factor(self) -> np.ndarray:
+        return self._factor
 
 
 def _as_metric(metric, dimension: int) -> MetricSpec:

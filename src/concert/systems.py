@@ -225,8 +225,7 @@ def _cpg_cert(p: dict) -> dict:
     flow = ContractionCertificate(kind="continuous", rate=GLOBAL_FLOW_RATE,
                                   noise_bound=6.0 * params.sigma_c ** 2,
                                   metric=MetricSpec.identity(6), region=region,
-                                  is_global_claim=True,
-                                  rate_argmax=sampled.argmax).to_json_dict()
+                                  is_global_claim=True).to_json_dict()
     flow["sampled_rate"] = sampled.value
     return {"flow": flow,
             "transverse_reset_factor": coupling_contraction_factor(params.gamma),

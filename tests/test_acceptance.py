@@ -25,19 +25,18 @@ from concert import (
     InitialPointPair,
     ROTATION_THIRD,
     STRONG_COUPLING,
-    build_projections,
     check_bound_respect,
     classify_regime,
     coupling_contraction_factor,
     coupling_matrix,
     discrete_ms_bound,
-    fit_geometric_decay,
     hybrid_bound,
     phase_locking_delta,
     run_locking_comparison,
     run_pair_ensemble,
     theoretical_delta_bound,
 )
+from helpers import build_projections, fit_geometric_decay
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

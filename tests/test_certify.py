@@ -183,14 +183,6 @@ class TestEstimateDiscreteRate:
         assert est.value == pytest.approx(0.25, abs=1e-8)
         assert float(est) == est.value
 
-    def test_metric_pair_rescales_rate(self):
-        # input metric 4I, output metric I: F = rho/2 so the factor is rho^2/4
-        region = SamplingRegion.box([-1.0, -1.0], [1.0, 1.0], sample_count=32, seed=0)
-        system = linear_map_system(0.5, dim=2)
-        pair = (MetricSpec.constant(4.0 * np.eye(2)), MetricSpec.identity(2))
-        est = estimate_discrete_rate(system, pair, region)
-        assert est.value == pytest.approx(0.25 / 4.0, abs=1e-8)
-
     def test_sampled_sup_regression_value(self):
         # frozen determinism check: 1.1 sin(x) over [-1, 1], 512 samples, seed 0.
         # The exact sup of (1.1 cos x)^2 is 1.21 at x = 0; the sampled value
@@ -282,17 +274,15 @@ class TestCertificates:
         assert cert.noise_bound == pytest.approx(1.0, rel=1e-12)
         assert cert.is_global_claim is False
 
-    def test_metric_next_defaults_to_metric(self):
-        # x -> 0.5 x with unit noise, measured in M = [[4]] at both steps:
-        # F = 2 * 0.5 / 2, so the gain is 0.25, and the energy is tr(1 * 4 * 1) = 4
+    def test_discrete_certificate_in_a_metric(self):
+        # x -> 0.5 x with unit noise, measured in M = [[4]]: F = 2 * 0.5 / 2,
+        # so the gain is 0.25, and the energy is tr(1 * 4 * 1) = 4
         region = SamplingRegion.box([-1.0], [1.0], sample_count=16, seed=0)
         metric = np.array([[4.0]])
         cert = certify_discrete(linear_map_system(0.5), region, metric=metric)
         assert cert.rate == pytest.approx(0.25, abs=1e-8)
         assert cert.noise_bound == pytest.approx(4.0, rel=1e-12)
-        explicit = certify_discrete(linear_map_system(0.5), region, metric=metric,
-                                    metric_next=metric)
-        assert (cert.rate, cert.noise_bound) == (explicit.rate, explicit.noise_bound)
+        assert np.array_equal(cert.metric.value(), metric)
 
     def test_continuous_certificate(self):
         region = SamplingRegion.box([-1.0], [1.0], sample_count=16, seed=0)
@@ -372,7 +362,7 @@ def loop_sups(system, metric, region):
         return loop_sup(samples, rate), loop_sup(samples, energy)
 
     def top(x):
-        gen = (np.zeros((n, n)) + theta @ jac(x)) @ theta_inv
+        gen = theta @ jac(x) @ theta_inv
         return float(np.linalg.eigvalsh((gen + gen.T) / 2.0).max())
 
     def energy(x):
@@ -385,7 +375,7 @@ def loop_sups(system, metric, region):
 
 def batched_sups(system, metric, region):
     if isinstance(system, DiscreteMapSystem):
-        rate = estimate_discrete_rate(system, (metric, metric), region)
+        rate = estimate_discrete_rate(system, metric, region)
         noise = noise_bound_discrete(system, metric, region)
     else:
         rate = estimate_continuous_rate(system, metric, region)

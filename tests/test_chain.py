@@ -2,8 +2,9 @@
 
 Every builtin's checkable report is `certified_bound` of its analytic
 certificates; these tests pin it, field for field, to the direct constructor
-call on the recipe's parameters, in both pairings.  A 2-D map that contracts
-only in a weighted metric then runs the whole chain in that metric.
+call on the recipe's parameters, in both pairings.  A 2-D map and a 2-D flow
+that contract only in a weighted metric then run the whole chain in that
+metric.
 """
 from __future__ import annotations
 
@@ -16,12 +17,14 @@ import pytest
 from concert import (
     BetaOutOfRange,
     BoundReport,
+    ContinuousSDESystem,
     DiscreteMapSystem,
     EnsembleConfig,
     GaussianNoiseSpec,
     InitialPointPair,
     SamplingRegion,
     certified_bound,
+    certify_continuous,
     certify_discrete,
     check_bound_respect,
     continuous_bound_at,
@@ -145,3 +148,52 @@ class TestWeightedMetric:
         assert check.passed[1:].all()
         assert stats.failures == 0
         assert stats.steady_mean < report.asymptotic_bound
+
+
+class TestWeightedFlow:
+    """dx = A x dt + 0.5 dW with A = [[-1, 4], [0, -1]]: the symmetric part of
+    A has the eigenvalue 1, so the flow expands the identity metric, and it
+    contracts M = [[0.5, 1], [1, 4.5]], which solves A^T M + M A = -I, at the
+    rate 1 / (2 lambda_max(M))."""
+
+    A = np.array([[-1.0, 4.0], [0.0, -1.0]])
+    M = np.array([[0.5, 1.0], [1.0, 4.5]])
+    START = InitialPointPair(np.array([1.0, 1.0]), np.array([-1.0, -1.0]))
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        a = self.A
+        system = ContinuousSDESystem(dimension=2, drift=lambda x, t: x @ a.T,
+                                     diffusion=lambda x, t: 0.5 * np.eye(2), noise_dim=2,
+                                     jacobian=lambda x, t: a, vectorized=True)
+        region = SamplingRegion.box(lows=-np.ones(2), highs=np.ones(2), sample_count=16, seed=0)
+        return system, region
+
+    def test_identity_metric_gives_an_expanding_flow(self, setup):
+        system, region = setup
+        cert = certify_continuous(system, region)
+        assert cert.rate == pytest.approx(-1.0, abs=1e-12)
+        assert certified_bound(cert, self.START).regime == "flow-expanding"
+
+    def test_chain_in_the_metric(self, setup):
+        system, region = setup
+        assert np.array_equal(self.A.T @ self.M + self.M @ self.A, -np.eye(2))
+        report = certified_bound(certify_continuous(system, region, metric=self.M), self.START)
+        assert report.regime == "flow-contracting"
+        lam = 1.0 / (2.0 * np.linalg.eigvalsh(self.M).max())
+        assert report.inputs["lam"] == pytest.approx(lam, rel=1e-12)
+        assert report.inputs["lam"] == pytest.approx(0.105573, abs=1e-6)
+        assert report.inputs["C_c"] == pytest.approx(0.25 * np.trace(self.M), rel=1e-12)
+        assert report.inputs["initial_ms"] == pytest.approx(28.0, rel=1e-12)
+        assert report.asymptotic_bound == pytest.approx(11.840, abs=1e-3)
+
+    def test_ensemble_in_the_metric_respects_the_chain(self, setup):
+        system, region = setup
+        report = certified_bound(certify_continuous(system, region, metric=self.M), self.START)
+        config = EnsembleConfig(pair_count=4_000, horizon=10.0, master_seed=0,
+                                initial=self.START, step_size=0.01, record_every=10)
+        stats = run_pair_ensemble(system, config, metric=self.M)
+        check = check_bound_respect(stats, report)
+        assert check.ok, check.n_violations
+        assert check.n_finite == check.n_checked == stats.times.size
+        assert stats.failures == 0

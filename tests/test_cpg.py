@@ -17,7 +17,6 @@ from concert import (
     STRONG_COUPLING,
     WEAK_COUPLING,
     build_cpg_system,
-    build_projections,
     coupling_contraction_factor,
     coupling_matrix,
     derive_stream,
@@ -36,6 +35,7 @@ from concert import (
 import concert.cpg as cpg
 import concert.simulate as simulate
 from concert.cpg import RING_START
+from helpers import build_projections
 
 # frozen oracle values at gamma=0.2, sigma_d=0.05, sigma_c=0.1, tau=0.1
 STRONG_PIPELINE = 0.09228889269010736

@@ -34,12 +34,12 @@ def still(n: int) -> DiscreteMapSystem:
 
 
 def distance_at_start(a, b, metric, n: int = 2) -> float:
-    """The pair ensemble's metric distance between starts a and b at t = 0."""
+    """The metric distance between starts a and b at t = 0: the root of the
+    squared distance a one-pair ensemble records."""
     config = EnsembleConfig(pair_count=1, horizon=1, master_seed=0,
                             initial=InitialPointPair(np.asarray(a, dtype=float),
-                                                     np.asarray(b, dtype=float)),
-                            statistic="distance")
-    return float(run_pair_ensemble(still(n), config, metric).mean_sq[0])
+                                                     np.asarray(b, dtype=float)))
+    return float(np.sqrt(run_pair_ensemble(still(n), config, metric).mean_sq[0]))
 
 
 class TestMetricDistance:
@@ -129,23 +129,15 @@ class TestGeneralizedJacobian:
         cert = certify_discrete(linear_map(a, analytic=True), at_origin(2))
         assert cert.rate == pytest.approx(0.81, abs=1e-12)
 
-    def test_metric_change_rescales_factor(self):
-        # x -> rho x with input metric 4I and output metric I: F = rho/2 I
-        rho = 0.5
-        cert = certify_discrete(linear_map(rho * np.eye(2), analytic=True), at_origin(2),
-                                metric=4.0 * np.eye(2), metric_next=np.eye(2))
-        assert cert.rate == pytest.approx((rho / 2.0) ** 2, abs=1e-12)
-
     def test_metric_conjugation(self):
-        # lambda_max(F.T F) with F = Theta_out J inv(Theta_in) is the largest
-        # eigenvalue of inv(M_in) J.T M_out J, whichever factors are taken
+        # lambda_max(F.T F) with F = Theta J inv(Theta) is the largest
+        # eigenvalue of inv(M) J.T M J, whichever factor is taken
         rng = np.random.default_rng(3)
         j = rng.standard_normal((3, 3))
-        m_in, m_out = (b @ b.T + 3.0 * np.eye(3)
-                       for b in rng.standard_normal((2, 3, 3)))
-        cert = certify_discrete(linear_map(j, analytic=True), at_origin(3),
-                                metric=m_in, metric_next=m_out)
-        expected = np.linalg.eigvals(np.linalg.solve(m_in, j.T @ m_out @ j)).real.max()
+        b = rng.standard_normal((3, 3))
+        m = b @ b.T + 3.0 * np.eye(3)
+        cert = certify_discrete(linear_map(j, analytic=True), at_origin(3), metric=m)
+        expected = np.linalg.eigvals(np.linalg.solve(m, j.T @ m @ j)).real.max()
         assert cert.rate == pytest.approx(expected, rel=1e-10)
 
 

@@ -34,11 +34,11 @@ from concert import (
     check_bound_respect,
     derive_stream,
     discrete_ms_bound,
-    fit_geometric_decay,
     run_pair_ensemble,
     sample_path,
 )
 from concert.systems import dwell_step_default, get_recipe, resolve_params
+from helpers import fit_geometric_decay
 
 
 def linear_map(rho=0.5, dim=1, sigma=1.0):
@@ -176,7 +176,7 @@ def window_means(rows, window):
 def reference_ensemble(system, config, metric=None):
     """run_pair_ensemble(system, config, metric) by reference_member: every
     member run's stream derived up front, box starts drawn by the array
-    uniform, every distance taken through the metric's factor, and the
+    uniform, every squared distance taken through the metric's factor, and the
     per-pair rows reduced by scalar_moments, each pair's mean over the samples
     at t >= 0.8 times the horizon folded as one more sample."""
     dim = system.continuous.dimension if isinstance(system, HybridSystem) else system.dimension
@@ -196,18 +196,15 @@ def reference_ensemble(system, config, metric=None):
         times, sides, states = reference_member(system, gens, x, noisy, config.horizon,
                                                 config.step_size, interior, config.record_every)
         members.append(states)
-    rows = []
-    for g, (t, side) in enumerate(zip(times, sides)):
-        factor = metric.factor(float(t), "post" if side == "interior" else side)
-        sq = (((members[0][:, g] - members[1][:, g]) @ factor.T) ** 2).sum(axis=1)
-        rows.append(sq if config.statistic == "ms" else np.sqrt(sq))
+    factor = metric.factor()
+    rows = [(((members[0][:, g] - members[1][:, g]) @ factor.T) ** 2).sum(axis=1)
+            for g in range(len(times))]
     rows = np.stack(rows, axis=1)[:pairs]
     count, mean, stderr, failures = scalar_moments(
         np.column_stack([rows, window_means(rows, times >= 0.8 * config.horizon)]))
     return simulate.EnsembleStats(times=times, sides=sides, mean_sq=np.array(mean[:-1]),
                                   stderr=np.array(stderr[:-1]), n_pairs=pairs,
                                   n_alive=np.array(count[:-1]), failures=failures,
-                                  statistic=config.statistic,
                                   steady_mean=mean[-1] if count[-1] else math.nan,
                                   steady_stderr=stderr[-1] if count[-1] > 1 else math.nan)
 
@@ -466,7 +463,7 @@ class TestEnsembleConfigValidation:
     def test_rejects_bad_fields(self):
         init = InitialPointPair(np.array([0.0]), np.array([1.0]))
         for fields in ({"pair_count": 0}, {"pairing_mode": "both-noisy"},
-                       {"statistic": "rms"}, {"record_every": 0}, {"interior_per_dwell": -1}):
+                       {"record_every": 0}, {"interior_per_dwell": -1}):
             with pytest.raises(ValueError):
                 EnsembleConfig(**{"pair_count": 1, "horizon": 5, "master_seed": 0,
                                   "initial": init, **fields})
@@ -531,11 +528,6 @@ class TestInitialMeanSquare:
                 == pytest.approx(d @ m @ d, rel=1e-12, abs=1e-12)
             assert simulate.initial_ms(InitialBox(b, a), metric) \
                 == pytest.approx(np.sum(np.diag(m) * d**2) / 6, rel=1e-12, abs=1e-12)
-
-    def test_a_scheduled_metric_is_rejected(self):
-        metric = MetricSpec.scheduled(lambda t, side: np.eye(2), 2, 1.0)
-        with pytest.raises(ValueError, match="constant metric"):
-            simulate.initial_ms(InitialPointPair(np.zeros(2), np.ones(2)), metric)
 
     @pytest.mark.parametrize("initial, shapes", [
         (InitialPointPair(np.zeros(3), np.zeros(2)), r"\(3,\) and \(2,\)"),
@@ -602,13 +594,12 @@ class TestRunPairEnsembleDiscrete:
         manual = (np.array(per_pair[0]) + np.array(per_pair[1])) / 2.0
         assert np.allclose(stats.mean_sq, manual, rtol=1e-12, atol=0.0)
 
-    def test_distance_statistic(self):
+    def test_records_the_squared_distance(self):
         system = linear_map(0.5, sigma=0.0)
         config = EnsembleConfig(pair_count=1, horizon=2, master_seed=0,
-                                initial=InitialPointPair(np.array([4.0]), np.array([0.0])),
-                                statistic="distance")
+                                initial=InitialPointPair(np.array([4.0]), np.array([0.0])))
         stats = run_pair_ensemble(system, config)
-        assert stats.mean_sq == pytest.approx([4.0, 2.0, 1.0])
+        assert stats.mean_sq.tolist() == [16.0, 4.0, 1.0]
 
     def test_blocking_does_not_change_output(self, monkeypatch):
         system = linear_map(0.5)
@@ -1479,12 +1470,11 @@ class TestNoOpProducts:
             initial=recipe.initial(params), step_size=dwell_step_default(recipe, params),
             pairing_mode=pairing, record_every=recipe.sim_defaults["record_every"]))
 
-    def test_lone_pair_and_distance_statistic(self):
+    def test_lone_pair(self):
         for count in (1, 5):
-            for stat in ("ms", "distance"):
-                assert_equals_reference(linear_map(0.9), EnsembleConfig(
-                    pair_count=count, horizon=30, master_seed=2, statistic=stat,
-                    initial=InitialPointPair(np.array([1.0]), np.array([0.0]))))
+            assert_equals_reference(linear_map(0.9), EnsembleConfig(
+                pair_count=count, horizon=30, master_seed=2,
+                initial=InitialPointPair(np.array([1.0]), np.array([0.0]))))
 
     def test_other_metrics_and_gains_keep_their_products(self):
         gain = np.array([[0.7, 0.2], [-0.1, 0.4]])
@@ -1492,13 +1482,10 @@ class TestNoOpProducts:
         system = DiscreteMapSystem(
             dimension=2, map=lambda x, k: 0.6 * np.asarray(x, dtype=float),
             noise_gain=lambda x, k: gain, noise=GaussianNoiseSpec(2), vectorized=True)
-        # a metric scheduled on the step index, and a constant one taken through
-        # the schedule, whose distances are always taken by the product
-        scheduled = MetricSpec.scheduled(lambda t, side: metric * (1.0 + 0.1 * t), 2, 1e-3)
         for count in (1, 3, 40):
             config = EnsembleConfig(pair_count=count, horizon=25, master_seed=9,
                                     initial=InitialBox(-np.ones(2), np.ones(2)))
-            for spec in (metric, scheduled, MetricSpec.scheduled(lambda t, side: metric, 2, 1e-3)):
+            for spec in (metric, MetricSpec.constant(metric)):
                 assert_equals_reference(system, config, spec)
             assert_equals_reference(linear_map(0.8, sigma=1.3), EnsembleConfig(
                 pair_count=count, horizon=25, master_seed=9, initial=InitialBox(-1.0, 1.0)),

@@ -56,61 +56,30 @@ class TestMetricSpec:
     def test_constant_value_and_factor(self):
         m = random_spd(3, 1)
         spec = MetricSpec.constant(m)
-        assert spec.kind == "constant"
         assert spec.dimension == 3
         assert np.allclose(spec.value(), m)
         th = spec.factor()
         assert np.allclose(th.T @ th, m)
-        # constant metric has zero derivative
-        assert np.allclose(spec.factor_dot(), 0.0)
 
     def test_identity(self):
         spec = MetricSpec.identity(4)
         assert np.allclose(spec.value(), np.eye(4))
         assert np.allclose(spec.factor(), np.eye(4))
 
-    def test_scheduled_takes_time_and_side(self):
-        spec = MetricSpec.scheduled(
-            lambda t, side: np.eye(2) * ((1.0 + t) if side == "post" else 2.0 * (1.0 + t)),
-            dimension=2, uniform_lower_bound=1.0)
-        assert np.allclose(spec.value(0.0), np.eye(2))
-        assert np.allclose(spec.value(3.0), 4.0 * np.eye(2))
-        assert np.allclose(spec.value(3.0, side="pre"), 8.0 * np.eye(2))
-        th = spec.factor(3.0)
-        assert np.allclose(th.T @ th, 4.0 * np.eye(2))
-
-    def test_scheduled_factor_dot_defaults_to_zero(self):
-        spec = MetricSpec.scheduled(
-            lambda t, side: np.eye(2) * (1.0 + t) ** 2,
-            dimension=2, uniform_lower_bound=1.0)
-        assert np.allclose(spec.factor_dot(1.0), 0.0)
-
-    def test_scheduled_factor_dot_explicit_override(self):
-        spec = MetricSpec.scheduled(
-            lambda t, side: np.eye(2), dimension=2, uniform_lower_bound=1.0,
-            factor_dot_fn=lambda t: 7.0 * np.eye(2))
-        assert np.allclose(spec.factor_dot(0.0), 7.0 * np.eye(2))
-
-    def test_scheduled_fails_fast_on_malformed_schedule(self):
-        with pytest.raises(DimensionMismatch):
-            MetricSpec.scheduled(
-                lambda t, side: np.eye(3), dimension=2, uniform_lower_bound=1.0)
-
-    def test_scheduled_requires_positive_lower_bound(self):
-        with pytest.raises(NotPositiveDefinite):
-            MetricSpec.scheduled(
-                lambda t, side: np.eye(2), dimension=2, uniform_lower_bound=0.0)
-
-    def test_side_validation(self):
-        spec = MetricSpec.identity(2)
-        spec.value(0.0, side="pre")
-        spec.value(0.0, side="post")
-        with pytest.raises(ValueError):
-            spec.value(0.0, side="middle")
-
     def test_constant_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             MetricSpec.constant(np.diag([1.0, -2.0]))
+
+    @pytest.mark.parametrize("matrix, error", [
+        (np.diag([1.0, 0.0]), NotPositiveDefinite),
+        (np.diag([1.0, 1e-13]), NotPositiveDefinite),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), NotPositiveDefinite),  # past factor_metric
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), ValueError),
+        (np.ones((2, 3)), DimensionMismatch),
+        (np.ones(3), DimensionMismatch)])
+    def test_constant_rejects_every_matrix_that_is_not_spd(self, matrix, error):
+        with pytest.raises(error):
+            MetricSpec.constant(matrix)
 
 
 class TestGaussianNoiseSpec:
