@@ -338,6 +338,9 @@ def certified_bound(cert, start, reset=None, tau=None,
     if reset is not None and (cert.kind, reset.kind) != ("continuous", "discrete"):
         raise ValueError("a hybrid takes flow and reset certificates, "
                          f"got {cert.kind} and {reset.kind}")
+    if (reset is None) != (tau is None):
+        missing = "tau" if tau is None else "reset"
+        raise ValueError(f"a hybrid takes both a reset certificate and tau; {missing} is missing")
     e0 = initial_ms(start, cert.metric)
     rate, c = cert.rate, cert.noise_bound / 2.0 if noise_free else cert.noise_bound
     if cert.kind == "discrete":

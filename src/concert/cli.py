@@ -186,7 +186,7 @@ def _cmd_simulate(args) -> int:
         "final_stderr": float(stats.stderr[-1]) if final_alive else None,
         "steady_mean": stats.steady_mean,
         "steady_stderr": stats.steady_stderr,
-        "bound": None if bound_obj is None else recipe.bound_json(params, args.noise_free),
+        "bound": None if bound_obj is None else bound_obj.to_json_dict(),
         "bound_check": None if check is None else {
             "ok": bool(check.ok), "n_checked": check.n_checked, "n_finite": check.n_finite,
             "n_violations": check.n_violations, "worst_slack": check.worst_slack},

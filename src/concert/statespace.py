@@ -16,7 +16,8 @@ import numpy as np
 
 
 class NotPositiveDefinite(ValueError):
-    """Raised when a matrix required to be (semi)definite fails a pivot test."""
+    """Raised when a matrix required to be (semi)definite fails a pivot test
+    or has an entry that is not finite."""
 
 
 class DimensionMismatch(ValueError):
@@ -27,6 +28,8 @@ def _as_square(matrix: np.ndarray, what: str) -> np.ndarray:
     out = np.asarray(matrix, dtype=float)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise NotPositiveDefinite(f"{what} has an entry that is not finite")
     return out
 
 

@@ -38,10 +38,11 @@ class SystemRecipe:
     `build` maps resolved parameters to the system object; `initial` gives the
     default pair initializer (a point pair or an independent-uniform box;
     simulate.initial_ms is its exact mean squared separation); `certificate_json`
-    and `bound_json` evaluate the analytic certificate and the closed-form bound
-    as JSON-ready dicts.  `bound_report` returns the checkable mean-square
-    BoundReport for a pair ensemble, chained from the certificate by
-    `certified_bound`, or None when no pair bound applies.  `sim_defaults`
+    and `bound_json` give what `certify` and `bounds` print.  `bound_report`
+    returns the checkable mean-square BoundReport for a pair ensemble, chained
+    from the certificate by `certified_bound`, or None when no pair bound
+    applies; `bound_json` is its `to_json_dict()` (a map adds its
+    mean-distance bound, the ring gives its delta summary).  `sim_defaults`
     seeds the simulate subcommand (step_size None means STEPS_PER_DWELL steps
     per dwell for hybrid systems).
     """
@@ -127,19 +128,6 @@ def _ou_build(p: dict) -> ContinuousSDESystem:
         name="ou1d")
 
 
-def _flow_bound_json(report: BoundReport) -> dict:
-    """A flow's BoundReport as flow JSON: a contracting flow settles with decay
-    exponent 2 * rate, a neutral one grows at 2 * noise_energy per unit time."""
-    rate, c = report.inputs["lam"], report.inputs["C_c"]
-    contracting = report.regime == "flow-contracting"
-    return {"regime": report.regime, "rate": rate, "noise_energy": c,
-            "initial_ms": report.inputs["initial_ms"],
-            "asymptotic_bound": report.asymptotic_bound if contracting else None,
-            "finite": contracting, "decay_exponent": 2.0 * rate if contracting else None,
-            "linear_growth_per_time": 2.0 * c if report.regime == "flow-neutral" else None,
-            "noise_free": report.noise_free}
-
-
 def _flow_recipe(name: str, ou_params: Callable[[dict], dict], defaults: dict,
                  sim_defaults: dict) -> SystemRecipe:
     """A scalar linear SDE of the parameters ou_params(p) = {"a", "sigma"}."""
@@ -153,7 +141,7 @@ def _flow_recipe(name: str, ou_params: Callable[[dict], dict], defaults: dict,
     return SystemRecipe(name=name, kind="continuous", defaults=defaults,
                         sim_defaults=sim_defaults, build=lambda p: _ou_build(ou_params(p)),
                         initial=_point_pair, certificate_json=lambda p: cert(p).to_json_dict(),
-                        bound_json=lambda p, nf: _flow_bound_json(report(p, nf)),
+                        bound_json=lambda p, nf: report(p, nf).to_json_dict(),
                         bound_report=report)
 
 

@@ -412,10 +412,15 @@ class TestCertifiedBound:
             report(-1.0)
 
     def test_a_reset_needs_a_flow_certificate_and_a_discrete_one(self):
-        for flow, reset in ((cert("discrete", 0.25, 1.0), cert("discrete", 0.25, 1.0)),
-                            (cert("continuous", 1.0, 1.0), cert("continuous", 1.0, 1.0))):
-            with pytest.raises(ValueError, match="flow and reset certificates"):
-                certified_bound(flow, InitialPointPair(0.0, 0.0), reset, 0.5)
+        flow, discrete = cert("continuous", 1.0, 1.0), cert("discrete", 0.25, 1.0)
+        for first, reset, tau, match in (
+                (discrete, discrete, 0.5, "flow and reset certificates"),
+                (flow, flow, 0.5, "flow and reset certificates"),
+                (flow, discrete, None, "tau is missing"),
+                (flow, None, 0.5, "reset is missing"),
+                (discrete, None, 0.5, "reset is missing")):
+            with pytest.raises(ValueError, match=match):
+                certified_bound(first, InitialPointPair(0.0, 0.0), reset, tau)
 
     def test_start_is_measured_in_the_certificate_metric(self):
         metric = MetricSpec.constant(np.array([[2.0, 0.5], [0.5, 1.0]]))

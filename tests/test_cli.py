@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from concert import bounds
 from concert.cli import main
+from concert.systems import BUILTIN_SYSTEMS
 
 
 def run_cli(capsys, *argv):
@@ -140,7 +143,8 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert payload["pairing"] == "noisy-vs-noisefree"
-        assert payload["bound"]["mean_square"]["noise_free"] is True
+        assert payload["bound"]["regime"] == "discrete-ms"
+        assert payload["bound"]["noise_free"] is True
 
     def test_hybrid_simulate(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "hybrid-linear",
@@ -190,6 +194,57 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["command"] == "simulate"
         assert not out_csv.exists()
+
+
+REPORT_KEYS = sorted(bounds.BoundReport(regime="discrete-ms", asymptotic_bound=1.0,
+                                         transient_rate_per_step=0.5, inputs={}).to_json_dict())
+SMALL_RUN = ("--ensemble", "4", "--horizon", "1")
+
+
+class TestOneBoundSchema:
+    """Every printed bound is one BoundReport's JSON, and `simulate` builds
+    the report it checks and prints once."""
+
+    @pytest.mark.parametrize("system", sorted(BUILTIN_SYSTEMS))
+    def test_simulate_chains_each_bound_once(self, capsys, monkeypatch, system):
+        original, calls = bounds.certified_bound, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        patched = [name for name, module in sorted(sys.modules.items())
+                   if name.startswith("concert") and vars(module).get("certified_bound")
+                   is original]
+        assert {"concert.bounds", "concert.systems", "concert.cpg"} <= set(patched)
+        for name in patched:
+            monkeypatch.setattr(sys.modules[name], "certified_bound", counted)
+        code, _, _ = run_cli(capsys, "simulate", system, *SMALL_RUN)
+        assert code == 0
+        assert len(calls) == (0 if system == "hopf-cpg" else 1)
+
+    @pytest.mark.parametrize("noise_free", [False, True], ids=["two-noisy", "noise-free"])
+    @pytest.mark.parametrize("system", sorted(BUILTIN_SYSTEMS))
+    def test_every_printed_bound_has_the_report_keys(self, capsys, system, noise_free):
+        flag = ("--noise-free",) if noise_free else ()
+        code, out, _ = run_cli(capsys, "simulate", system, *SMALL_RUN, *flag)
+        assert code == 0
+        checked = json.loads(out)["bound"]
+        code, out, _ = run_cli(capsys, "bounds", system, *flag)
+        if system == "hopf-cpg":  # no pair bound; the ring has no noise-free variant
+            assert checked is None
+            assert code == (2 if noise_free else 0)
+            if not noise_free:
+                assert sorted(json.loads(out)["bound"]["per_difference"]) == REPORT_KEYS
+            return
+        assert code == 0
+        printed = json.loads(out)["bound"]
+        if system == "linear-map":
+            assert sorted(printed) == ["mean_distance", "mean_square"]
+            assert sorted(printed["mean_distance"]) == REPORT_KEYS
+            printed = printed["mean_square"]
+        assert sorted(checked) == sorted(printed) == REPORT_KEYS
+        assert checked == printed and checked["noise_free"] is noise_free
 
 
 class TestCPGCommand:

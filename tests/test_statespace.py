@@ -25,6 +25,18 @@ def random_spd(n, seed):
     return a @ a.T + n * np.eye(n)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build, what", [
+    (factor_metric, "metric"), (MetricSpec.constant, "metric"),
+    (lambda m: GaussianNoiseSpec(2, covariance=m), "covariance")],
+    ids=["factor_metric", "MetricSpec.constant", "GaussianNoiseSpec"])
+def test_non_finite_entries_raise_the_named_error(build, what, value):
+    # the suite turns warnings into errors: no arithmetic may run on the entry
+    for matrix in (np.array([[value, 0.0], [0.0, 1.0]]), np.array([[1.0, value], [value, 1.0]])):
+        with pytest.raises(NotPositiveDefinite, match=f"{what} has an entry that is not finite"):
+            build(matrix)
+
+
 class TestFactorMetric:
     def test_reconstructs_matrix(self):
         for seed in range(5):
@@ -73,7 +85,7 @@ class TestMetricSpec:
     @pytest.mark.parametrize("matrix, error", [
         (np.diag([1.0, 0.0]), NotPositiveDefinite),
         (np.diag([1.0, 1e-13]), NotPositiveDefinite),
-        (np.array([[np.nan, 0.0], [0.0, 1.0]]), NotPositiveDefinite),  # past factor_metric
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), NotPositiveDefinite),
         (np.array([[1.0, 2.0], [0.0, 1.0]]), ValueError),
         (np.ones((2, 3)), DimensionMismatch),
         (np.ones(3), DimensionMismatch)])
