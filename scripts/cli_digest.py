@@ -103,6 +103,10 @@ OVERFLOWING_EXPANSION = {
 ALL_PAIRS_LOST = {
     "simulate-hybrid-linear-config-huge": (["simulate", "hybrid-linear"], {"a": 1e200}),
 }
+# every run of both rings leaves the finite floats, and so does the replay of
+# run 0 (exit 4): the summary is printed all the same, with null trace files,
+# and the delta CSVs count the live runs in n_alive
+RING_RUNS_LOST = {"sigma_c": 1e150}
 # segments whose noise takes more than one member's draw buffer
 # (simulate._DRAW_VALUES standard normals) and is drawn in slices: map steps,
 # flow steps and the flow steps of the ring's dwells
@@ -193,6 +197,9 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                 None, ()))
     out.append(("cpg-runs-2", ["cpg", "--ensemble", "2", "--horizon", "1", "--out", "cpg-out"],
                 None, tuple(f"cpg-out/{name}" for name in CPG_FILES)))
+    out.append(("cpg-runs-lost", ["cpg", "--ensemble", "4", "--horizon", "0.3",
+                                  "--out", "cpg-out"],
+                RING_RUNS_LOST, tuple(f"cpg-out/{name}" for name in CPG_FILES)))
     # a non-positive dwell time is a bound precondition in every subcommand
     for system in ("hybrid-linear", "hopf-cpg"):
         for verb in ("certify", "bounds", "simulate"):

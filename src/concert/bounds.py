@@ -77,6 +77,13 @@ def _check_nonneg(value: float, what: str) -> float:
     return value
 
 
+def _check_rate(lam: float) -> float:
+    lam = float(lam)
+    if not np.isfinite(lam):
+        raise ParameterRange(f"continuous rate must be finite, got {lam}")
+    return lam
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluated bound: regime tag, asymptote, transient factor, input echo.
@@ -233,9 +240,7 @@ def classify_regime(beta: float, lam: float, tau: float) -> str:
     tau = float(tau)
     if not np.isfinite(tau) or tau <= 0.0:
         raise ParameterRange(f"dwell time must be finite and > 0, got {tau}")
-    lam = float(lam)
-    if not np.isfinite(lam):
-        raise ParameterRange(f"continuous rate must be finite, got {lam}")
+    lam = _check_rate(lam)
     if lam > 0.0:
         return "hybrid-contracting"
     if lam == 0.0:
@@ -318,7 +323,7 @@ def continuous_bound_at(lam: float, noise_energy_flow: float, initial_ms: float,
     """Mean-square bound for a diffusion pair without resets: the flow map
     Phi_t(E0) (`_flow_map`), which hybrid bounds apply from each reset.  It is
     finite in every regime, and +inf only where exp(-2 lam t) overflows."""
-    lam = float(lam)
+    lam = _check_rate(lam)
     c_c = _check_nonneg(noise_energy_flow, "flow noise energy")
     e0 = _check_nonneg(initial_ms, "initial mean square")
     if not t >= 0:  # NaN too
@@ -349,6 +354,8 @@ def certified_bound(cert, start, reset=None, tau=None,
         c_d = reset.noise_bound / 2.0 if noise_free else reset.noise_bound
         report = hybrid_bound(reset.rate, rate, c_d, c, tau, e0)
     else:  # a flow without resets
+        rate, c = _check_rate(rate), _check_nonneg(c, "flow noise energy")
+        e0 = _check_nonneg(e0, "initial mean square")
         contracting = rate > 0.0
         regime = ("flow-contracting" if contracting else "flow-neutral" if rate == 0.0
                   else "flow-expanding")

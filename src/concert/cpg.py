@@ -33,8 +33,8 @@ import numpy as np
 
 from .bounds import BoundReport, ParameterRange, certified_bound, classify_regime
 from .certify import ContractionCertificate
-from .simulate import (STEPS_PER_DWELL, EnsembleConfig, InitialBox, InitialPointPair, _ensemble,
-                       _write_csv)
+from .simulate import (STEPS_PER_DWELL, EnsembleConfig, EnsembleStats, InitialBox,
+                       InitialPointPair, _ensemble)
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem, MetricSpec)
 
@@ -193,19 +193,15 @@ class DeltaBoundSummary:
 
     `pipeline` comes from the hybrid bound machinery (one-sided noise, summed
     over the three ring differences); unbounded configurations carry an
-    infinity.
+    infinity.  beta, r2 and the regime are read from the per-difference
+    report.
     """
 
-    beta: float
-    r2: float
-    regime: str
     pipeline: float
     per_difference_report: BoundReport
 
     def to_json_dict(self) -> dict:
-        return {"beta": self.beta, "r2": self.r2 if math.isfinite(self.r2) else None,
-                "regime": self.regime,
-                "pipeline": self.pipeline if math.isfinite(self.pipeline) else None,
+        return {"pipeline": self.pipeline if math.isfinite(self.pipeline) else None,
                 "per_difference": self.per_difference_report.to_json_dict()}
 
 
@@ -218,9 +214,7 @@ def theoretical_delta_bound(params: CPGParams) -> DeltaBoundSummary:
     flow, reset = reduced_constants(params)
     halved = certified_bound(flow, InitialPointPair(0.0, 0.0), reset, params.tau,
                              noise_free=True)
-    return DeltaBoundSummary(beta=reset.rate, r2=halved.inputs["r2"], regime=halved.regime,
-                             pipeline=3.0 * halved.asymptotic_bound,
-                             per_difference_report=halved)
+    return DeltaBoundSummary(pipeline=3.0 * halved.asymptotic_bound, per_difference_report=halved)
 
 
 def build_cpg_system(params: CPGParams) -> HybridSystem:
@@ -249,36 +243,22 @@ def build_cpg_system(params: CPGParams) -> HybridSystem:
                         name=f"ring-3(gamma={params.gamma})")
 
 
-@dataclass(frozen=True)
-class CPGExperimentResult:
-    """Ensemble statistics of the phase-locking delta for one configuration.
-
-    delta_mean / delta_stderr are per-grid-time moments over runs; the steady
-    values average each run over the trailing window first (runs are
-    independent, times within a run are not) and then across runs.
+@dataclass(frozen=True, kw_only=True)
+class CPGExperimentResult(EnsembleStats):
+    """The EnsembleStats of the phase-locking delta over the runs of one
+    configuration: mean_sq is delta's mean over the runs alive at each time,
+    n_pairs the run count.  Adds the configuration, the start of the steady
+    window and the configuration's bounds.
     """
 
     params: CPGParams
-    times: np.ndarray
-    sides: tuple[str, ...]
-    delta_mean: np.ndarray
-    delta_stderr: np.ndarray
-    run_count: int
-    failures: int
-    steady_mean: float
-    steady_stderr: float
     window_start_time: float
     bounds: DeltaBoundSummary
-
-    def to_csv(self, path) -> None:
-        """Write `time,side,delta_mean,delta_stderr` rows to a path or handle."""
-        _write_csv(path, {"time": self.times, "side": self.sides,
-                          "delta_mean": self.delta_mean, "delta_stderr": self.delta_stderr})
 
     def to_json_dict(self) -> dict:
         return {"gamma": self.params.gamma, "sigma_d": self.params.sigma_d,
                 "sigma_c": self.params.sigma_c, "tau": self.params.tau,
-                "omega": self.params.omega, "run_count": self.run_count,
+                "omega": self.params.omega, "run_count": self.n_pairs,
                 "failures": self.failures, "steady_mean": self.steady_mean,
                 "steady_stderr": self.steady_stderr,
                 "window_start_time": self.window_start_time,
@@ -294,8 +274,9 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     (master_seed, i, 0) in the canonical order (initial condition, then per
     dwell one reset draw followed by the dwell's flow draws), so any run is
     reproducible in isolation.  The coupling reset acts at t = 0 first and
-    both one-sided samples are recorded at every reset.  The steady values
-    follow the rule of EnsembleStats, as `concert simulate` does.
+    both one-sided samples are recorded at every reset.  The result is the
+    EnsembleStats of delta, so check_bound_respect takes it as it takes a
+    pair ensemble's, and its steady values follow the same rule.
     """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
@@ -304,10 +285,7 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
                             initial=RING_START, step_size=h, interior_per_dwell=1)
     stats, window_start = _ensemble(build_cpg_system(params), config, (True,),
                                     lambda states: phase_locking_delta(states[0]))
-    return CPGExperimentResult(params=params, times=stats.times, sides=stats.sides,
-                               delta_mean=stats.mean_sq, delta_stderr=stats.stderr,
-                               run_count=run_count, failures=stats.failures,
-                               steady_mean=stats.steady_mean, steady_stderr=stats.steady_stderr,
+    return CPGExperimentResult(**vars(stats), params=params,
                                window_start_time=float(window_start),
                                bounds=theoretical_delta_bound(params))
 

@@ -245,9 +245,9 @@ def sample_path(system, x0: np.ndarray | InitialBox, horizon: float, h: float | 
             raise NonFiniteState(g)
         return states[0]
 
-    return SamplePath(times=times, sides=sides,
-                      states=_run_block(segments, range(1), lambda m, i: rng, x0, (True,),
-                                        record)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteState
+        states = _run_block(segments, range(1), lambda m, i: rng, x0, (True,), record)[0]
+    return SamplePath(times=times, sides=sides, states=states)
 
 
 # --- pair ensembles ---------------------------------------------------------
@@ -305,7 +305,8 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Per-time empirical moments of the squared pair distance.
+    """Per-time empirical moments of the squared pair distance (or of the
+    recorded statistic, such as the ring's phase-locking delta).
 
     mean_sq holds the mean squared distance between a pair's members, in the
     ensemble's one constant metric, over pairs still finite at that time;

@@ -17,13 +17,16 @@ from concert import (
     BetaOutOfRange,
     BoundReport,
     CRITICAL_REL_TOL,
+    ContinuousSDESystem,
     ContractionCertificate,
     InitialBox,
     InitialPointPair,
     MetricSpec,
     NEAR_CRITICAL_REL_TOL,
     ParameterRange,
+    SamplingRegion,
     certified_bound,
+    certify_continuous,
     classify_regime,
     continuous_bound_at,
     discrete_distance_bound,
@@ -421,6 +424,32 @@ class TestCertifiedBound:
                 (discrete, None, 0.5, "reset is missing")):
             with pytest.raises(ValueError, match=match):
                 certified_bound(first, InitialPointPair(0.0, 0.0), reset, tau)
+
+    def test_a_flow_whose_jacobian_is_nan_everywhere_is_rejected(self):
+        # no sample has a value, so the sampled rate is +inf
+        system = ContinuousSDESystem(dimension=1, drift=lambda x, t: -x,
+                                     diffusion=lambda x, t: np.eye(1), noise_dim=1,
+                                     jacobian=lambda x, t: np.full((1, 1), np.nan))
+        region = SamplingRegion.box(lows=-np.ones(1), highs=np.ones(1), sample_count=8, seed=0)
+        flow = certify_continuous(system, region)
+        assert flow.rate == math.inf
+        with pytest.raises(ParameterRange, match=r"^continuous rate must be finite, got inf$"):
+            certified_bound(flow, InitialPointPair(1.0, 0.0))
+
+    def test_a_nan_flow_rate_is_rejected(self):
+        with pytest.raises(ParameterRange, match=r"^continuous rate must be finite, got nan$"):
+            certified_bound(cert("continuous", math.nan, 1.0), InitialPointPair(1.0, 0.0))
+
+    def test_a_negative_flow_noise_energy_is_rejected(self):
+        for noise_free in (False, True):
+            with pytest.raises(ParameterRange, match=r"^flow noise energy must be finite"):
+                certified_bound(cert("continuous", 1.0, -2.0), InitialPointPair(1.0, 0.0),
+                                noise_free=noise_free)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_continuous_bound_at_rejects_a_rate_that_is_not_finite(self, lam):
+        with pytest.raises(ParameterRange, match=r"^continuous rate must be finite, got "):
+            continuous_bound_at(lam, 1.0, 0.0, 1.0)
 
     def test_start_is_measured_in_the_certificate_metric(self):
         metric = MetricSpec.constant(np.array([[2.0, 0.5], [0.5, 1.0]]))

@@ -49,7 +49,8 @@ class TestCertify:
         code, out, _ = run_cli(capsys, "bounds", "hopf-cpg", "--config", str(cfg))
         assert code == 0
         bound = json.loads(out)["bound"]
-        assert (bound["regime"], bound["pipeline"]) == ("hybrid-expanding-critical", None)
+        assert (bound["per_difference"]["regime"], bound["pipeline"]) \
+            == ("hybrid-expanding-critical", None)
 
     def test_print_config(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "linear-map", "--print-config")
@@ -268,6 +269,42 @@ class TestCPGCommand:
         assert aligned[0] == "time,side,a1x,a1y,a2x,a2y,a3x,a3y"
         assert len(trace) == len(aligned)
 
+    def test_lost_runs_still_print_the_summary_and_exit_4(self, capsys, tmp_path):
+        # every run of both rings leaves the floats within the first dwell,
+        # and so does the replay of run 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma_c": 1e150}))
+        out_dir = tmp_path / "ring"
+        code, out, err = run_cli(capsys, "cpg", "--ensemble", "4", "--horizon", "0.3",
+                                 "--config", str(cfg), "--out", str(out_dir))
+        assert code == 4
+        assert err == "every run of one configuration left the finite floats\n"
+        payload = json.loads(out)
+        assert json.loads((out_dir / "summary.json").read_text()) == payload
+        assert payload["files"]["trace_strong"] is None
+        assert payload["files"]["aligned_strong"] is None
+        assert not (out_dir / "trace_strong.csv").exists()
+        assert not (out_dir / "aligned_strong.csv").exists()
+        for ring in ("weak", "strong"):
+            assert (payload[ring]["failures"], payload[ring]["run_count"]) == (4, 4)
+            assert payload[ring]["steady_mean"] is None
+            rows = [line.split(",") for line in
+                    (out_dir / f"delta_{ring}.csv").read_text().splitlines()[1:]]
+            assert [row[4] for row in rows[:2]] == ["4", "4"]
+            assert all(row[4] == "0" for row in rows[2:]) and len(rows) > 2
+
+    def test_delta_csvs_take_the_simulate_header(self, capsys, tmp_path):
+        out_dir, csv = tmp_path / "ring", tmp_path / "pairs.csv"
+        code, _, _ = run_cli(capsys, "cpg", "--ensemble", "2", "--horizon", "0.2",
+                             "--out", str(out_dir))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "simulate", "hopf-cpg", *SMALL_RUN, "--out", str(csv))
+        assert code == 0
+        header = csv.read_text().splitlines()[0]
+        assert header == "time,side,mean_sq_dist,stderr,n_alive"
+        for ring in ("weak", "strong"):
+            assert (out_dir / f"delta_{ring}.csv").read_text().splitlines()[0] == header
+
     def test_print_config(self, capsys):
         code, out, _ = run_cli(capsys, "cpg", "--print-config")
         assert code == 0
@@ -469,7 +506,8 @@ class TestExitCodes:
         assert report["regime"] == "hybrid-expanding-unbounded"
         assert report["asymptotic_bound"] is None and report["inputs"]["r2"] is None
         if system == "hopf-cpg":
-            assert bound["r2"] is None and bound["pipeline"] is None
+            assert sorted(bound) == ["per_difference", "pipeline"]
+            assert bound["per_difference"]["inputs"]["r2"] is None and bound["pipeline"] is None
 
     def test_overflowing_expansion_without_reset_gain_is_3(self, capsys, tmp_path):
         # with beta = 0, r2 = 0 * exp(1000) is unknown: the overflow stays an error

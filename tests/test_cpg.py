@@ -11,12 +11,14 @@ import pytest
 
 from concert import (
     CPGParams,
+    EnsembleStats,
     GLOBAL_FLOW_RATE,
     NonFiniteState,
     ROTATION_THIRD,
     STRONG_COUPLING,
     WEAK_COUPLING,
     build_cpg_system,
+    check_bound_respect,
     coupling_contraction_factor,
     coupling_matrix,
     derive_stream,
@@ -261,7 +263,7 @@ class TestReducedConstants:
     def test_lock_is_the_bound_regime(self, offset, regime):
         params = CPGParams(gamma=self.CRITICAL_GAMMA + offset)
         holds, beta, threshold = locking_condition(params)
-        assert theoretical_delta_bound(params).regime == regime
+        assert theoretical_delta_bound(params).per_difference_report.regime == regime
         assert holds == (regime == "hybrid-expanding-bounded")
         assert (beta, threshold) == (coupling_contraction_factor(params.gamma),
                                      math.exp(-2.0 * params.tau))
@@ -270,7 +272,7 @@ class TestReducedConstants:
 class TestTheoreticalDeltaBound:
     def test_strong_coupling_frozen_oracles(self):
         summary = theoretical_delta_bound(STRONG_COUPLING)
-        assert summary.regime == "hybrid-expanding-bounded"
+        assert summary.per_difference_report.regime == "hybrid-expanding-bounded"
         assert summary.pipeline == pytest.approx(STRONG_PIPELINE, rel=1e-12)
         assert summary.per_difference_report.noise_free
         assert summary.pipeline == pytest.approx(
@@ -286,22 +288,23 @@ class TestTheoreticalDeltaBound:
                               2.0 * params.sigma_c**2 / 2.0, params.tau, 0.0)
         summary = theoretical_delta_bound(params)
         assert summary.per_difference_report == replace(direct, noise_free=True)
-        assert (summary.beta, summary.regime) == (beta, direct.regime)
-        assert summary.r2 == direct.inputs["r2"]
+        report = summary.per_difference_report
+        assert (report.inputs["beta"], report.regime) == (beta, direct.regime)
+        assert report.inputs["r2"] == direct.inputs["r2"]
         assert summary.pipeline == 3.0 * direct.asymptotic_bound
 
     def test_weak_coupling_unbounded(self):
         summary = theoretical_delta_bound(WEAK_COUPLING)
-        assert summary.regime == "hybrid-expanding-unbounded"
+        assert summary.per_difference_report.regime == "hybrid-expanding-unbounded"
         assert math.isinf(summary.pipeline)
-        assert summary.r2 > 1.0
+        assert summary.per_difference_report.inputs["r2"] > 1.0
 
     def test_json_round_trip(self):
         for params in (STRONG_COUPLING, WEAK_COUPLING):
             d = theoretical_delta_bound(params).to_json_dict()
             text = json.dumps(d, sort_keys=True)
             parsed = json.loads(text)
-            assert set(parsed) == {"beta", "r2", "regime", "pipeline", "per_difference"}
+            assert set(parsed) == {"pipeline", "per_difference"}
 
 
 class TestCPGParamsValidation:
@@ -343,14 +346,14 @@ class TestRunCPGExperiment:
                                     master_seed=7)
         again = run_cpg_experiment(STRONG_COUPLING, run_count=16, horizon=2.0,
                                    master_seed=7)
-        assert np.array_equal(result.delta_mean, again.delta_mean)
-        assert np.array_equal(result.delta_stderr, again.delta_stderr)
+        assert np.array_equal(result.mean_sq, again.mean_sq)
+        assert np.array_equal(result.stderr, again.stderr)
         assert result.failures == 0
-        assert result.run_count == 16
+        assert result.n_pairs == 16
         assert result.times[0] == 0.0
         assert result.sides[0] == "pre"
         assert result.window_start_time == pytest.approx(1.6)
-        assert np.all(result.delta_mean >= 0.0)
+        assert np.all(result.mean_sq >= 0.0)
         assert math.isfinite(result.steady_mean)
         assert result.steady_stderr > 0.0
 
@@ -359,7 +362,7 @@ class TestRunCPGExperiment:
                                master_seed=0)
         b = run_cpg_experiment(STRONG_COUPLING, run_count=8, horizon=1.0,
                                master_seed=1)
-        assert not np.array_equal(a.delta_mean, b.delta_mean)
+        assert not np.array_equal(a.mean_sq, b.mean_sq)
 
     def test_zero_noise_locked_start_stays_locked(self):
         # without noise the locked set is invariant: from the origin, which
@@ -384,7 +387,7 @@ class TestRunCPGExperiment:
                                     master_seed=seed, step_size=h)
         assert result.times.size == 62
         replayed = [traced[key] for key in zip(result.times.tolist(), result.sides)]
-        assert np.array_equal(replayed, result.delta_mean)
+        assert np.array_equal(replayed, result.mean_sq)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_sample_path_draws_a_box_start_first(self, seed):
@@ -463,8 +466,22 @@ class TestRunCPGExperiment:
         buffer = io.StringIO()
         result.to_csv(buffer)
         lines = buffer.getvalue().splitlines()
-        assert lines[0] == "time,side,delta_mean,delta_stderr"
+        assert lines[0] == "time,side,mean_sq_dist,stderr,n_alive"
         assert len(lines) == result.times.size + 1
+
+    def test_check_bound_respect_judges_the_ring_result_at_every_point(self):
+        result = run_cpg_experiment(STRONG_COUPLING, run_count=16, horizon=2.0, master_seed=7)
+        assert isinstance(result, EnsembleStats)
+        report = result.bounds.per_difference_report
+        check = check_bound_respect(result, lambda t, side: 3.0 * report(t, side))
+        want = [3.0 * report(float(t), side) for t, side in zip(result.times, result.sides)]
+        assert check.n_checked == check.n_finite == result.times.size
+        assert check.bounds.tolist() == want
+        assert check.passed.tolist() == (result.mean_sq <= check.bounds
+                                         + 3.0 * result.stderr).tolist()
+        # started from the locked set (E0 = 0), the report does not bound the
+        # ring's first samples, whose delta starts near 4
+        assert not check.passed[0] and result.mean_sq[0] > 3.0
 
     def test_json_dict_serializable(self):
         result = run_cpg_experiment(STRONG_COUPLING, run_count=2, horizon=0.5,

@@ -1638,7 +1638,7 @@ class TestLazyStreams:
                          axis=1)[:runs]
         _, mean, stderr, _ = scalar_moments(delta)
         assert got.times.tobytes() == times.tobytes()
-        assert (got.delta_mean.tolist(), got.delta_stderr.tolist()) == (mean, stderr)
+        assert (got.mean_sq.tolist(), got.stderr.tolist()) == (mean, stderr)
         # the window means are one more sample, reduced by the same fold
         window = window_means(delta, times >= 0.8 * 1.5)
         _, (steady_mean,), (steady_stderr,), _ = scalar_moments(np.array(window)[:, None])
