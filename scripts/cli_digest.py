@@ -47,9 +47,9 @@ EXPANDING_FLOW = {"a": -0.5}
 BAD_DWELL = {"tau": -1.0}
 
 # bounds off the builtins' defaults, each chained from its certificate: a
-# neutral and an expanding flow, a point pair whose squared separation is not
-# exact (the distance bound takes |a - b|, and simulate's t = 0 check sees the
-# mean of equal squares drift by rounding), and an asymmetric hybrid start box
+# neutral and an expanding flow, a point pair whose squared separation
+# (a - b)^2 rounds (simulate's t = 0 check sees the mean of equal squares
+# drift by rounding), and an asymmetric hybrid start box
 CHAIN_CONFIGS = {
     "bounds-ou1d-neutral-both": (["bounds", "ou1d", "--both"], {"a": 0.0}),
     "bounds-ou1d-expanding-both": (["bounds", "ou1d", "--both"], EXPANDING_FLOW),

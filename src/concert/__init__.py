@@ -12,8 +12,8 @@ from .certify import (ContractionCertificate, SamplingRegion, SupEstimate,
                       noise_bound_discrete)
 from .bounds import (BetaOutOfRange, BoundReport, CRITICAL_REL_TOL,
                      NEAR_CRITICAL_REL_TOL, ParameterRange, certified_bound,
-                     classify_regime, continuous_bound_at, discrete_distance_bound,
-                     discrete_ms_bound, hybrid_bound)
+                     classify_regime, continuous_bound_at, discrete_ms_bound,
+                     hybrid_bound)
 from .simulate import (BoundCheck, EnsembleConfig, EnsembleStats, InitialBox,
                        InitialPointPair, NonFiniteState, SamplePath, check_bound_respect,
                        derive_stream, run_pair_ensemble, sample_path)
@@ -41,7 +41,7 @@ __all__ = [
     "certified_bound", "certify_continuous", "certify_discrete",
     "check_bound_respect", "classify_regime", "continuous_bound_at",
     "coupling_contraction_factor", "coupling_matrix", "derive_stream",
-    "discrete_distance_bound", "discrete_ms_bound", "estimate_continuous_rate",
+    "discrete_ms_bound", "estimate_continuous_rate",
     "estimate_discrete_rate", "factor_metric", "get_recipe",
     "hybrid_bound", "locking_condition", "noise_bound_continuous",
     "noise_bound_discrete", "numerical_jacobian", "phase_aligned_components",

@@ -1,11 +1,13 @@
-"""Closed-form mean-square and mean-distance noise bounds.
+"""Closed-form mean-square noise bounds.
 
 Discrete case: a map with one-step squared gain beta < 1 in the chosen metric
 and per-step injected noise energy C admits, for two independently driven
 copies,
 
-    E d_k       <= 2 sqrt(C) / (1 - sqrt(beta)) + sqrt(beta)^k E d_0
-    E d_k^2     <= 2 C / (1 - beta)             + beta^k      E d_0^2
+    E d_k^2     <= 2 C / (1 - beta) + beta^k E d_0^2
+
+By Jensen its root bounds the mean distance E d_k, and is tighter than the
+paper's 2 sqrt(C) / (1 - sqrt(beta)) + sqrt(beta)^k E d_0.
 
 Hybrid case (diffusion on dwell intervals of length tau, noisy reset at the
 boundaries, reset applied at t = 0 first): with continuous rate lambda
@@ -21,8 +23,8 @@ depend on the regime:
                        / (|lam| (1-beta)(1-r2));
                   r2 = 1 gives linear growth per dwell, r2 > 1 no finite bound.
 
-`classify_regime` picks the regime and `hybrid_bound` evaluates it; the two
-discrete constructors cover maps.  `certified_bound` chains contraction
+`classify_regime` picks the regime and `hybrid_bound` evaluates it;
+`discrete_ms_bound` covers maps.  `certified_bound` chains contraction
 certificates into the checkable report of a pair ensemble; comparing a noisy
 copy against a noise-free one halves every injected energy there.
 report(t, side) reads a BoundReport at a sample of the simulation grid.
@@ -42,7 +44,7 @@ import numpy as np
 
 from .simulate import InitialPointPair, initial_ms
 
-DISCRETE_REGIMES = ("discrete-distance", "discrete-ms")
+DISCRETE_REGIMES = ("discrete-ms",)
 HYBRID_REGIMES = ("hybrid-contracting", "hybrid-neutral", "hybrid-expanding-bounded",
                   "hybrid-expanding-critical", "hybrid-expanding-unbounded")
 FLOW_REGIMES = ("flow-contracting", "flow-neutral", "flow-expanding")
@@ -103,13 +105,13 @@ class BoundReport:
 
     def __call__(self, t: float, side: str = "post") -> float:
         """Bound at the grid sample (t, side); discrete grids count steps."""
-        if self.regime in DISCRETE_REGIMES:
+        if self.regime == "discrete-ms":
             return self.bound_at_step(int(round(t)))
         return self.bound_at_time(t, side)
 
     def bound_at_step(self, k: int) -> float:
         """Bound value after k steps (discrete regimes only)."""
-        if self.regime not in DISCRETE_REGIMES:
+        if self.regime != "discrete-ms":
             raise ValueError(f"bound_at_step applies to discrete regimes, not {self.regime}")
         if k < 0:
             raise ValueError(f"step index must be >= 0, got {k}")
@@ -191,27 +193,6 @@ def _flow_map(lam: float, c_c: float, ms: float, s: float) -> float:
     if exponent > _LOG_MAX:
         return math.inf
     return math.exp(exponent) * ms - (c_c / lam) * math.expm1(exponent)
-
-
-def discrete_distance_bound(beta: float, noise_energy: float, initial_distance: float,
-                            point_mass: bool = False) -> BoundReport:
-    """Mean-distance bound for a discrete noisy pair.
-
-    Asymptote 2 sqrt(C) / (1 - sqrt(beta)), transient factor sqrt(beta) per
-    step applied to the initial mean distance.  With point_mass=True (both
-    copies start at known points) the transient uses the truncated excess
-    max(0, E0 - asymptote), which is the sharper always-valid form there.
-    """
-    beta = _check_beta(beta)
-    c = _check_nonneg(noise_energy, "noise energy")
-    e0 = _check_nonneg(initial_distance, "initial distance")
-    root_beta = math.sqrt(beta)
-    asym = 2.0 * math.sqrt(c) / (1.0 - root_beta)
-    eff = max(0.0, e0 - asym) if point_mass else e0
-    inputs = {"beta": beta, "C": c, "initial": e0, "point_mass": point_mass,
-              "initial_effective": eff}
-    return BoundReport(regime="discrete-distance", asymptotic_bound=asym,
-                       transient_rate_per_step=root_beta, inputs=inputs)
 
 
 def discrete_ms_bound(beta: float, noise_energy: float, initial_ms: float,
@@ -338,11 +319,15 @@ def certified_bound(cert, start, reset=None, tau=None,
     `discrete_ms_bound` (point mass from an InitialPointPair), a continuous
     one a flow-contracting, -neutral or -expanding report read as
     `continuous_bound_at`, and a continuous one with the `reset` certificate
-    of a hybrid and its dwell time `tau`, `hybrid_bound`.  With noise_free
-    only one copy injects noise, so every noise energy is halved."""
+    of a hybrid, in the same metric, and its dwell time `tau`, `hybrid_bound`.
+    With noise_free only one copy injects noise, so every noise energy is
+    halved."""
     if reset is not None and (cert.kind, reset.kind) != ("continuous", "discrete"):
         raise ValueError("a hybrid takes flow and reset certificates, "
                          f"got {cert.kind} and {reset.kind}")
+    if reset is not None and not np.array_equal(cert.metric.value(), reset.metric.value()):
+        raise ValueError("a hybrid's flow and reset certificates must share one metric, got "
+                         f"{cert.metric.value().tolist()} and {reset.metric.value().tolist()}")
     if (reset is None) != (tau is None):
         missing = "tau" if tau is None else "reset"
         raise ValueError(f"a hybrid takes both a reset certificate and tau; {missing} is missing")

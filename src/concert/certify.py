@@ -14,10 +14,10 @@ A region's samples are evaluated in one batch: a vectorized system's
 callables are called once on the (m, n) sample array, and a matrix-valued one
 that returns one shared matrix stands for every sample; other systems are
 called row by row.  The factored products, eigvalsh and traces run over the
-stack, and the sup is the first sample of largest value, NaN values skipped,
-as a loop over the samples would find it, bit for bit, except where a
-vectorized matrix map is differentiated numerically: NumPy multiplies the
-batch by gemm where a single state took gemv.
+stack, and the sup is the first sample of largest value, NaN values skipped
+(a region with no value above -inf raises), as a loop over the samples would
+find it, bit for bit, except where a vectorized matrix map is differentiated
+numerically: NumPy multiplies the batch by gemm where a single state took gemv.
 """
 from __future__ import annotations
 
@@ -219,13 +219,15 @@ def _sup(region: SamplingRegion,
          values_at: Callable[[np.ndarray], np.ndarray]) -> SupEstimate:
     """Largest value over the region's samples, at the first sample attaining
     it; NaN values are skipped.  values_at takes the (m, n) samples and returns
-    one value per sample, or one value shared by every sample."""
+    one value per sample, or one value shared by every sample.  Raises
+    ValueError when no sample has a value above -inf: no data bounds nothing."""
     samples = region.samples()
     values = np.broadcast_to(values_at(samples), (len(samples),))
     ranked = np.where(values > -np.inf, values, -np.inf)  # NaN ranks with -inf
     best = int(np.argmax(ranked))  # the first of equal values
-    if not ranked[best] > -np.inf:  # no sample beats -inf
-        return SupEstimate(value=-math.inf, argmax=np.asarray(None, dtype=float))
+    if not ranked[best] > -np.inf:
+        raise ValueError(f"no sample of the {region.kind} region has a value above -inf "
+                         f"(all {len(samples)} are NaN or -inf)")
     return SupEstimate(value=float(values[best]), argmax=samples[best])
 
 

@@ -222,13 +222,18 @@ def _cmd_cpg(args) -> int:
              "trace_strong": "trace_strong.csv", "aligned_strong": "aligned_strong.csv",
              "summary": "summary.json"}
     # short sample path of the strong ring: run 0 of the ensemble, replayed;
-    # a replay that leaves the finite floats writes neither trace
+    # a replay that leaves the finite floats writes neither trace, and removes
+    # any that an earlier run left in --out
     trace_horizon = min(args.horizon, 20.0 * settings["tau"])
     try:
         path = sample_path(build_cpg_system(strong), RING_START, trace_horizon, step,
                            derive_stream(args.seed, 0, 0))
     except NonFiniteState:
-        files["trace_strong"] = files["aligned_strong"] = None
+        for key in ("trace_strong", "aligned_strong"):
+            stale = os.path.join(args.out, files[key])
+            if os.path.exists(stale):
+                os.remove(stale)
+            files[key] = None
     else:
         for name, prefix, states in (("trace_strong.csv", "x", path.states),
                                      ("aligned_strong.csv", "a",

@@ -9,12 +9,12 @@ so a name on the command line and a name in a test mean the same system.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundReport, certified_bound, classify_regime, discrete_distance_bound
+from .bounds import BoundReport, certified_bound, classify_regime
 from .certify import ContractionCertificate, SamplingRegion, estimate_continuous_rate
 from .cpg import (GLOBAL_FLOW_RATE, RING_START, STRONG_COUPLING, CPGParams, build_cpg_system,
                   coupling_contraction_factor, locking_condition, theoretical_delta_bound)
@@ -41,10 +41,9 @@ class SystemRecipe:
     and `bound_json` give what `certify` and `bounds` print.  `bound_report`
     returns the checkable mean-square BoundReport for a pair ensemble, chained
     from the certificate by `certified_bound`, or None when no pair bound
-    applies; `bound_json` is its `to_json_dict()` (a map adds its
-    mean-distance bound, the ring gives its delta summary).  `sim_defaults`
-    seeds the simulate subcommand (step_size None means STEPS_PER_DWELL steps
-    per dwell for hybrid systems).
+    applies; `bound_json` is its `to_json_dict()` (the ring gives its delta
+    summary).  `sim_defaults` seeds the simulate subcommand (step_size None
+    means STEPS_PER_DWELL steps per dwell for hybrid systems).
     """
 
     name: str
@@ -91,15 +90,6 @@ def _linear_map_bound(p: dict, noise_free: bool) -> BoundReport:
     return certified_bound(_linear_map_cert(p), _point_pair(p), noise_free=noise_free)
 
 
-def _linear_map_bounds(p: dict, noise_free: bool) -> dict:
-    """The mean-square report and the mean-distance bound from its inputs."""
-    ms = _linear_map_bound(p, noise_free)
-    dist = discrete_distance_bound(ms.inputs["beta"], ms.inputs["C"],
-                                   abs(p["init_a"] - p["init_b"]), point_mass=True)
-    return {"mean_square": ms.to_json_dict(),
-            "mean_distance": replace(dist, noise_free=noise_free).to_json_dict()}
-
-
 _LINEAR_MAP = SystemRecipe(
     name="linear-map",
     kind="discrete",
@@ -109,7 +99,7 @@ _LINEAR_MAP = SystemRecipe(
     build=_linear_map_build,
     initial=_point_pair,
     certificate_json=lambda p: _linear_map_cert(p).to_json_dict(),
-    bound_json=_linear_map_bounds,
+    bound_json=lambda p, nf: _linear_map_bound(p, nf).to_json_dict(),
     bound_report=_linear_map_bound)
 
 

@@ -19,6 +19,8 @@ from concert import (
     CRITICAL_REL_TOL,
     ContinuousSDESystem,
     ContractionCertificate,
+    DiscreteMapSystem,
+    GaussianNoiseSpec,
     InitialBox,
     InitialPointPair,
     MetricSpec,
@@ -27,10 +29,12 @@ from concert import (
     SamplingRegion,
     certified_bound,
     certify_continuous,
+    certify_discrete,
     classify_regime,
     continuous_bound_at,
-    discrete_distance_bound,
     discrete_ms_bound,
+    estimate_continuous_rate,
+    estimate_discrete_rate,
     hybrid_bound,
 )
 
@@ -57,10 +61,12 @@ EXPANDING_RATE = 0.6795704571147613       # r2 = beta exp(2|lam|tau)
 
 class TestDiscreteBounds:
     def test_distance_asymptote(self):
-        report = discrete_distance_bound(0.25, 1.0, 0.0)
-        assert report.regime == "discrete-distance"
-        assert report.asymptotic_bound == pytest.approx(4.0, rel=1e-12)
-        assert report.transient_rate_per_step == pytest.approx(0.5, rel=1e-12)
+        # the root of the mean-square asymptote bounds the mean distance, below
+        # the paper's 2 sqrt(C) / (1 - sqrt(beta)) = 4
+        report = discrete_ms_bound(0.25, 1.0, 0.0)
+        assert math.sqrt(report.asymptotic_bound) == pytest.approx(math.sqrt(8.0 / 3.0),
+                                                                   rel=1e-12)
+        assert math.sqrt(report.asymptotic_bound) < 4.0
 
     def test_ms_asymptote(self):
         report = discrete_ms_bound(0.25, 1.0, 0.0)
@@ -103,26 +109,51 @@ class TestDiscreteBounds:
         with pytest.raises(ValueError):
             discrete_ms_bound(0.25, 1.0, 1.0).bound_at_time(1.0)
 
-    def test_mean_distance_bounds_the_exact_scalar_pair(self):
-        # `bounds linear-map --both`: x <- rho x + sigma w with the pair started
-        # at points a and b.  The difference after k steps is Gaussian with mean
+    def test_root_of_the_ms_report_bounds_the_exact_scalar_pair(self):
+        # `bounds linear-map`: x <- rho x + sigma w with the pair started at
+        # points a and b.  The difference after k steps is Gaussian with mean
         # rho^k (a - b) and variance 2 sigma^2 (1 - rho^2k) / (1 - rho^2), so its
-        # mean absolute value is that of a folded normal.  The two agree at
-        # k = 0 and as the noise vanishes, hence the rounding allowance.
+        # mean absolute value is that of a folded normal, which the root of the
+        # mean-square report bounds by Jensen.  The two agree at k = 0 and as
+        # the noise vanishes, hence the rounding allowance.
         rng = np.random.default_rng(17)
         checked = 0
         for _ in range(3000):
             rho = rng.uniform(-0.99, 0.99)
             sigma = 10.0 ** rng.uniform(-6.0, 0.5)
             a, b = rng.uniform(-5.0, 5.0, 2)
-            report = discrete_distance_bound(rho**2, sigma**2, abs(a - b), point_mass=True)
+            report = discrete_ms_bound(rho**2, sigma**2, (a - b) ** 2, point_mass=True)
             for k in range(80):
                 mu = rho**k * (a - b)
                 sd = math.sqrt(2.0 * sigma**2 * (1.0 - rho ** (2 * k)) / (1.0 - rho**2))
                 exact = abs(mu) if sd == 0.0 else (
                     sd * math.sqrt(2.0 / math.pi) * math.exp(-mu**2 / (2.0 * sd**2))
                     + mu * math.erf(mu / (sd * math.sqrt(2.0))))
-                assert report.bound_at_step(k) >= exact * (1.0 - 1e-12), (rho, sigma, a, b, k)
+                assert math.sqrt(report.bound_at_step(k)) >= exact * (1.0 - 1e-12), \
+                    (rho, sigma, a, b, k)
+                checked += 1
+        assert checked == 240_000
+
+    def test_root_of_the_ms_report_is_within_the_papers_distance_bound(self):
+        # the paper's mean-distance bound of a pair started at two points
+        # d0 apart, kept here as the reference the package no longer reports
+        rng = np.random.default_rng(26)
+        checked = 0
+        for i in range(4000):
+            if i % 50 == 0:
+                beta = 0.0
+            elif i % 2:  # near 1, where both asymptotes blow up
+                beta = 1.0 - 10.0 ** rng.uniform(-6.0, 0.0)
+            else:
+                beta = rng.uniform(0.0, 1.0)
+            c = 10.0 ** rng.uniform(-8.0, 4.0)
+            d0 = 0.0 if i % 10 == 0 else 10.0 ** rng.uniform(-4.0, 4.0)
+            report = discrete_ms_bound(beta, c, d0**2, point_mass=True)
+            asym = 2.0 * math.sqrt(c) / (1.0 - math.sqrt(beta))
+            for k in range(60):
+                paper = asym + math.sqrt(beta) ** k * max(0.0, d0 - asym)
+                assert math.sqrt(report.bound_at_step(k)) <= paper * (1.0 + 1e-12), \
+                    (beta, c, d0, k)
                 checked += 1
         assert checked == 240_000
 
@@ -426,15 +457,44 @@ class TestCertifiedBound:
                 certified_bound(first, InitialPointPair(0.0, 0.0), reset, tau)
 
     def test_a_flow_whose_jacobian_is_nan_everywhere_is_rejected(self):
-        # no sample has a value, so the sampled rate is +inf
+        # no sample has a value, so there is no rate to certify
         system = ContinuousSDESystem(dimension=1, drift=lambda x, t: -x,
                                      diffusion=lambda x, t: np.eye(1), noise_dim=1,
                                      jacobian=lambda x, t: np.full((1, 1), np.nan))
         region = SamplingRegion.box(lows=-np.ones(1), highs=np.ones(1), sample_count=8, seed=0)
-        flow = certify_continuous(system, region)
-        assert flow.rate == math.inf
-        with pytest.raises(ParameterRange, match=r"^continuous rate must be finite, got inf$"):
-            certified_bound(flow, InitialPointPair(1.0, 0.0))
+        with pytest.raises(ValueError, match=r"^no sample of the box region has a value"):
+            certify_continuous(system, region)
+        with pytest.raises(ValueError, match=r"^no sample of the box region has a value"):
+            estimate_continuous_rate(system, None, region)
+
+    def test_a_map_whose_jacobian_is_nan_everywhere_is_rejected(self):
+        system = DiscreteMapSystem(dimension=1, map=lambda x, k: 0.5 * x,
+                                   noise_gain=lambda x, k: np.eye(1), noise=GaussianNoiseSpec(1),
+                                   jacobian=lambda x, k: np.full((1, 1), np.nan))
+        region = SamplingRegion.box(lows=-np.ones(1), highs=np.ones(1), sample_count=8, seed=0)
+        with pytest.raises(ValueError, match=r"^no sample of the box region has a value"):
+            certify_discrete(system, region)
+        with pytest.raises(ValueError, match=r"^no sample of the box region has a value"):
+            estimate_discrete_rate(system, None, region)
+
+    def test_a_hybrid_takes_its_two_certificates_in_one_metric(self):
+        # dx = -x dt + 0.1 dW between resets x <- 0.5 x + w, tau 0.5: the
+        # flow certified in M = 4 and the reset in I chained to a false bound
+        flow = ContinuousSDESystem(dimension=1, drift=lambda x, t: -x,
+                                   diffusion=lambda x, t: np.array([[0.1]]), noise_dim=1,
+                                   jacobian=lambda x, t: np.array([[-1.0]]))
+        reset = DiscreteMapSystem(dimension=1, map=lambda x, k: 0.5 * x,
+                                  noise_gain=lambda x, k: np.eye(1), noise=GaussianNoiseSpec(1),
+                                  jacobian=lambda x, k: np.array([[0.5]]))
+        region = SamplingRegion.points([[0.0]])
+        four = MetricSpec.constant(np.array([[4.0]]))
+        start = InitialPointPair(np.zeros(1), np.zeros(1))
+        flow_cert = certify_continuous(flow, region, four)
+        with pytest.raises(ValueError, match=r"one metric, got \[\[4\.0\]\] and \[\[1\.0\]\]$"):
+            certified_bound(flow_cert, start, certify_discrete(reset, region), 0.5)
+        report = certified_bound(flow_cert, start, certify_discrete(reset, region, four), 0.5)
+        assert report.regime == "hybrid-contracting"
+        assert report.asymptotic_bound == pytest.approx(11.798053174435527, rel=1e-12)
 
     def test_a_nan_flow_rate_is_rejected(self):
         with pytest.raises(ParameterRange, match=r"^continuous rate must be finite, got nan$"):

@@ -480,13 +480,14 @@ class TestBatchedSups:
         assert rate.value == ref and np.array_equal(rate.argmax, ref_at)
         assert rate.argmax.tolist() == [0.5]
 
-    def test_no_finite_value_gives_minus_infinity_without_argmax(self):
+    def test_no_finite_value_raises(self):
         system = DiscreteMapSystem(dimension=1, map=lambda x, k: x,
                                    noise_gain=lambda x, k: np.full((1, 1), np.nan),
                                    noise=GaussianNoiseSpec(1))
         region = SamplingRegion.points([[0.0], [1.0]])
-        energy = noise_bound_discrete(system, None, region)
-        assert energy.value == -math.inf and np.isnan(energy.argmax)
+        with pytest.raises(ValueError, match=r"^no sample of the points region has a value "
+                                             r"above -inf \(all 2 are NaN or -inf\)$"):
+            noise_bound_discrete(system, None, region)
 
     def test_one_batched_call_per_callable(self):
         calls = []

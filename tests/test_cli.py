@@ -73,16 +73,14 @@ class TestBounds:
         code, out, _ = run_cli(capsys, "bounds", "linear-map")
         assert code == 0
         bound = json.loads(out)["bound"]
-        assert bound["mean_square"]["regime"] == "discrete-ms"
-        assert bound["mean_square"]["asymptotic_bound"] == pytest.approx(8.0 / 3.0)
-        assert bound["mean_distance"]["regime"] == "discrete-distance"
-        assert bound["mean_distance"]["asymptotic_bound"] == pytest.approx(4.0)
+        assert bound["regime"] == "discrete-ms"
+        assert bound["asymptotic_bound"] == pytest.approx(8.0 / 3.0)
 
     def test_noise_free_halves_ms_asymptote(self, capsys):
         _, std_out, _ = run_cli(capsys, "bounds", "linear-map")
         _, nf_out, _ = run_cli(capsys, "bounds", "linear-map", "--noise-free")
-        std = json.loads(std_out)["bound"]["mean_square"]
-        nf = json.loads(nf_out)["bound"]["mean_square"]
+        std = json.loads(std_out)["bound"]
+        nf = json.loads(nf_out)["bound"]
         assert nf["noise_free"] is True
         assert nf["asymptotic_bound"] == pytest.approx(std["asymptotic_bound"] / 2.0)
 
@@ -240,10 +238,6 @@ class TestOneBoundSchema:
             return
         assert code == 0
         printed = json.loads(out)["bound"]
-        if system == "linear-map":
-            assert sorted(printed) == ["mean_distance", "mean_square"]
-            assert sorted(printed["mean_distance"]) == REPORT_KEYS
-            printed = printed["mean_square"]
         assert sorted(checked) == sorted(printed) == REPORT_KEYS
         assert checked == printed and checked["noise_free"] is noise_free
 
@@ -271,10 +265,16 @@ class TestCPGCommand:
 
     def test_lost_runs_still_print_the_summary_and_exit_4(self, capsys, tmp_path):
         # every run of both rings leaves the floats within the first dwell,
-        # and so does the replay of run 0
+        # and so does the replay of run 0, which removes the traces that an
+        # earlier run wrote into the same directory
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sigma_c": 1e150}))
         out_dir = tmp_path / "ring"
+        code, _, _ = run_cli(capsys, "cpg", "--ensemble", "2", "--horizon", "0.3",
+                             "--out", str(out_dir))
+        assert code == 0
+        assert (out_dir / "trace_strong.csv").exists()
+        assert (out_dir / "aligned_strong.csv").exists()
         code, out, err = run_cli(capsys, "cpg", "--ensemble", "4", "--horizon", "0.3",
                                  "--config", str(cfg), "--out", str(out_dir))
         assert code == 4

@@ -1,5 +1,5 @@
 """README's Python quick-start runs as written, the package exports resolve, and
-the library tour names only what its modules hold."""
+the library tour names every export, and only what its modules hold."""
 from __future__ import annotations
 
 import importlib
@@ -39,7 +39,10 @@ def test_library_tour_names_resolve_on_their_modules():
     tour = text[text.index("## Library tour"):]
     rows = re.findall(r"^\| `(concert\.\w+)` \| (.*) \|$", tour, re.M)
     assert len(rows) == 7
-    unresolved = [(module, name) for module, contents in rows
-                  for name in re.findall(r"`([^`]+)`", contents)
+    named = [(module, name) for module, contents in rows
+             for name in re.findall(r"`([^`]+)`", contents)]
+    unresolved = [(module, name) for module, name in named
                   if not hasattr(importlib.import_module(module), name)]
     assert unresolved == []
+    # and every exported name has its row
+    assert sorted(set(concert.__all__) - {name for _, name in named}) == []
