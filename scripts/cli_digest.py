@@ -59,6 +59,15 @@ CHAIN_CONFIGS = {
                                       {"init_low": -0.3, "init_high": 0.7}),
 }
 
+# certificates off the builtins' defaults, each stated once by its recipe: a
+# neutral and an expanding flow, and a map with another gain and noise
+# (hybrid-linear's are digested at HYBRID_CONFIGS)
+CERTIFY_CONFIGS = {
+    "certify-ou1d-neutral": (["certify", "ou1d"], {"a": 0.0}),
+    "certify-ou1d-expanding": (["certify", "ou1d"], EXPANDING_FLOW),
+    "certify-linear-map-off-default": (["certify", "linear-map"], {"rho": 0.8, "sigma": 0.3}),
+}
+
 # a ring coupling whose per-dwell product r2 = 0.999999999999997 lies in the
 # critical band of 1: `certify` must not report a lock that `bounds` does not
 # bound
@@ -163,7 +172,8 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                     config, ("run.csv",)))
     out.append(("simulate-ou1d-expanding", ["simulate", "ou1d", "--out", "run.csv"],
                 EXPANDING_FLOW, ("run.csv",)))
-    out += [(name, argv, config, ()) for name, (argv, config) in CHAIN_CONFIGS.items()]
+    out += [(name, argv, config, ())
+            for name, (argv, config) in {**CHAIN_CONFIGS, **CERTIFY_CONFIGS}.items()]
     out.append(("simulate-linear-map-inexact-start",
                 ["simulate", "linear-map", "--out", "run.csv"],
                 CHAIN_CONFIGS["bounds-linear-map-inexact-start-both"][1], ("run.csv",)))

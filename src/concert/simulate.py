@@ -804,9 +804,9 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     `bound` is any callable (time, side) -> float evaluated at every grid
     sample, such as a BoundReport, which reads itself on the grid.  Infinite
     bound values pass trivially, and only measured points with a finite bound
-    count in n_finite.  A point where no pair is alive measures nothing and
-    counts as a violation whatever the bound, as does a non-finite mean;
-    neither enters worst_slack.
+    count in n_finite; with none, nothing was checked and ok is False.  A
+    point where no pair is alive measures nothing and counts as a violation
+    whatever the bound, as does a non-finite mean; neither enters worst_slack.
     """
     values = np.asarray([bound(float(t), side) for t, side in zip(stats.times, stats.sides)])
     margin = values + slack * stats.stderr - stats.mean_sq
@@ -816,8 +816,8 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     n_violations = int((~passed).sum())
     finite = np.isfinite(margin) & measured
     worst = float(margin[finite].min()) if finite.any() else math.inf
-    return BoundCheck(ok=n_violations == 0, n_checked=int(values.size),
-                      n_finite=int(np.count_nonzero(np.isfinite(values) & measured)),
-                      n_violations=n_violations, worst_slack=worst,
+    n_finite = int(np.count_nonzero(np.isfinite(values) & measured))
+    return BoundCheck(ok=n_violations == 0 and n_finite > 0, n_checked=int(values.size),
+                      n_finite=n_finite, n_violations=n_violations, worst_slack=worst,
                       bounds=values, passed=passed)
 

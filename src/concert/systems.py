@@ -1,10 +1,11 @@
 """Named ready-to-run systems: builders, certificates, bounds, sim defaults.
 
 Every entry resolves a parameter dict against declared defaults, builds the
-system object, states its analytic certificate (these examples are simple
-enough that rates and noise energies are exact), and chains it into its
-closed-form bound.  The CLI and the test suite both go through this registry,
-so a name on the command line and a name in a test mean the same system.
+system object, and states its analytic certificates once (these examples are
+simple enough that rates and noise energies are exact); `_chained` derives
+the printed certificate, the printed bound and the checked bound from them.
+The CLI and the test suite both go through this registry, so a name on the
+command line and a name in a test mean the same system.
 """
 from __future__ import annotations
 
@@ -63,6 +64,34 @@ def _identity_cert(kind: str, rate: float, noise: float) -> ContractionCertifica
                                   is_global_claim=True)
 
 
+def _chained(name: str, kind: str, defaults: dict, sim_defaults: dict,
+             build: Callable[[dict], object],
+             initial: Callable[[dict], InitialPointPair | InitialBox],
+             certificates: Callable[[dict], tuple]) -> SystemRecipe:
+    """A recipe whose printed certificate, printed bound and checked bound all
+    derive from one statement of its certificates: certificates(p) is (cert,),
+    or (flow, reset) for a hybrid with dwell time p["tau"]."""
+    def chain(p: dict) -> tuple:
+        cert, *reset = certificates(p)
+        return (cert, reset[0], p["tau"]) if reset else (cert, None, None)
+
+    def certificate_json(p: dict) -> dict:
+        cert, reset, tau = chain(p)
+        if reset is None:
+            return cert.to_json_dict()
+        return {"flow": cert.to_json_dict(), "reset": reset.to_json_dict(),
+                "regime": classify_regime(reset.rate, cert.rate, tau)}
+
+    def bound_report(p: dict, noise_free: bool) -> BoundReport:
+        cert, reset, tau = chain(p)
+        return certified_bound(cert, initial(p), reset, tau, noise_free=noise_free)
+
+    return SystemRecipe(name=name, kind=kind, defaults=defaults, sim_defaults=sim_defaults,
+                        build=build, initial=initial, certificate_json=certificate_json,
+                        bound_json=lambda p, nf: bound_report(p, nf).to_json_dict(),
+                        bound_report=bound_report)
+
+
 def _point_pair(p: dict) -> InitialPointPair:
     return InitialPointPair(a=np.array([p["init_a"]]), b=np.array([p["init_b"]]))
 
@@ -82,25 +111,14 @@ def _linear_map_build(p: dict) -> DiscreteMapSystem:
         name="linear-map")
 
 
-def _linear_map_cert(p: dict) -> ContractionCertificate:
-    return _identity_cert("discrete", p["rho"] ** 2, p["sigma"] ** 2)
-
-
-def _linear_map_bound(p: dict, noise_free: bool) -> BoundReport:
-    return certified_bound(_linear_map_cert(p), _point_pair(p), noise_free=noise_free)
-
-
-_LINEAR_MAP = SystemRecipe(
-    name="linear-map",
-    kind="discrete",
+_LINEAR_MAP = _chained(
+    "linear-map", "discrete",
     defaults={"rho": 0.5, "sigma": 1.0, "init_a": 1.0, "init_b": -1.0},
     sim_defaults={"horizon": 60.0, "step_size": None, "pair_count": 2000,
                   "record_every": 1},
     build=_linear_map_build,
     initial=_point_pair,
-    certificate_json=lambda p: _linear_map_cert(p).to_json_dict(),
-    bound_json=lambda p, nf: _linear_map_bound(p, nf).to_json_dict(),
-    bound_report=_linear_map_bound)
+    certificates=lambda p: (_identity_cert("discrete", p["rho"] ** 2, p["sigma"] ** 2),))
 
 
 # --- scalar linear SDE (mean-reverting for a > 0) and Brownian motion --------
@@ -118,34 +136,23 @@ def _ou_build(p: dict) -> ContinuousSDESystem:
         name="ou1d")
 
 
-def _flow_recipe(name: str, ou_params: Callable[[dict], dict], defaults: dict,
-                 sim_defaults: dict) -> SystemRecipe:
-    """A scalar linear SDE of the parameters ou_params(p) = {"a", "sigma"}."""
-    def cert(p: dict) -> ContractionCertificate:
-        ou = ou_params(p)
-        return _identity_cert("continuous", ou["a"], ou["sigma"] ** 2)
-
-    def report(p: dict, noise_free: bool) -> BoundReport:
-        return certified_bound(cert(p), _point_pair(p), noise_free=noise_free)
-
-    return SystemRecipe(name=name, kind="continuous", defaults=defaults,
-                        sim_defaults=sim_defaults, build=lambda p: _ou_build(ou_params(p)),
-                        initial=_point_pair, certificate_json=lambda p: cert(p).to_json_dict(),
-                        bound_json=lambda p, nf: report(p, nf).to_json_dict(),
-                        bound_report=report)
-
-
-_OU1D = _flow_recipe(
-    "ou1d", lambda p: p,
+_OU1D = _chained(
+    "ou1d", "continuous",
     defaults={"a": 1.0, "sigma": 1.0, "init_a": 1.0, "init_b": -1.0},
     sim_defaults={"horizon": 10.0, "step_size": 0.01, "pair_count": 1000,
-                  "record_every": 10})
+                  "record_every": 10},
+    build=_ou_build,
+    initial=_point_pair,
+    certificates=lambda p: (_identity_cert("continuous", p["a"], p["sigma"] ** 2),))
 
-_BROWNIAN = _flow_recipe(
-    "brownian", lambda p: {"a": 0.0, "sigma": p["sigma"]},
+_BROWNIAN = _chained(
+    "brownian", "continuous",
     defaults={"sigma": 1.0, "init_a": 0.0, "init_b": 0.0},
     sim_defaults={"horizon": 2.0, "step_size": 0.01, "pair_count": 2000,
-                  "record_every": 10})
+                  "record_every": 10},
+    build=lambda p: _ou_build({"a": 0.0, "sigma": p["sigma"]}),
+    initial=_point_pair,
+    certificates=lambda p: (_identity_cert("continuous", 0.0, p["sigma"] ** 2),))
 
 
 # --- scalar linear hybrid -----------------------------------------------------
@@ -160,36 +167,16 @@ def _hybrid_linear_start(p: dict) -> InitialBox:
     return InitialBox(lows=np.array([p["init_low"]]), highs=np.array([p["init_high"]]))
 
 
-def _hybrid_linear_certs(p: dict) -> tuple[ContractionCertificate, ContractionCertificate]:
-    """(flow, reset): the flow contracts at rate -a, the reset with gain rho^2."""
-    return (_identity_cert("continuous", -p["a"], p["sigma_c"] ** 2),
-            _linear_map_cert({"rho": p["rho"], "sigma": p["sigma_d"]}))
-
-
-def _hybrid_linear_cert_json(p: dict) -> dict:
-    flow, reset = _hybrid_linear_certs(p)
-    return {"flow": flow.to_json_dict(), "reset": reset.to_json_dict(),
-            "regime": classify_regime(reset.rate, flow.rate, p["tau"])}
-
-
-def _hybrid_linear_bound(p: dict, noise_free: bool) -> BoundReport:
-    flow, reset = _hybrid_linear_certs(p)
-    return certified_bound(flow, _hybrid_linear_start(p), reset, p["tau"],
-                           noise_free=noise_free)
-
-
-_HYBRID_LINEAR = SystemRecipe(
-    name="hybrid-linear",
-    kind="hybrid",
+_HYBRID_LINEAR = _chained(
+    "hybrid-linear", "hybrid",
     defaults={"a": -1.0, "rho": 0.5, "sigma_c": 1.0, "sigma_d": 1.0, "tau": 0.5,
               "init_low": -1.0, "init_high": 1.0},
     sim_defaults={"horizon": 10.0, "step_size": None, "pair_count": 1000,
                   "record_every": 1},
     build=_hybrid_linear_build,
     initial=_hybrid_linear_start,
-    certificate_json=_hybrid_linear_cert_json,
-    bound_json=lambda p, nf: _hybrid_linear_bound(p, nf).to_json_dict(),
-    bound_report=_hybrid_linear_bound)
+    certificates=lambda p: (_identity_cert("continuous", -p["a"], p["sigma_c"] ** 2),
+                            _identity_cert("discrete", p["rho"] ** 2, p["sigma_d"] ** 2)))
 
 
 # --- oscillator ring ----------------------------------------------------------

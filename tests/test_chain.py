@@ -2,9 +2,10 @@
 
 Every builtin's checkable report is `certified_bound` of its analytic
 certificates; these tests pin it, field for field, to the direct constructor
-call on the recipe's parameters, in both pairings.  A 2-D map and a 2-D flow
-that contract only in a weighted metric then run the whole chain in that
-metric.
+call on the recipe's parameters, in both pairings, and pin each stated
+certificate to `certify_*` of the system the recipe builds.  A 2-D map and a
+2-D flow that contract only in a weighted metric then run the whole chain in
+that metric.
 """
 from __future__ import annotations
 
@@ -96,6 +97,39 @@ def test_hybrid_linear(tag, noise_free):
                           energy(p["sigma_c"] ** 2, noise_free), p["tau"],
                           (p["init_high"] - p["init_low"]) ** 2 / 6)
     assert report == replace(direct, noise_free=noise_free)
+
+
+# the builtins' parameters swept by the certificate check below
+SWEEP = {"rho": (0.0, 1.0), "a": (-3.0, 3.0), "sigma": (0.01, 3.0), "sigma_c": (0.01, 3.0),
+         "sigma_d": (0.01, 3.0)}
+
+
+@pytest.mark.parametrize("seed, name", enumerate(["linear-map", "ou1d", "brownian",
+                                                  "hybrid-linear"]))
+def test_stated_certificates_are_those_of_the_built_system(seed, name):
+    """Each builtin states its certificates by hand; `certify_*` of the system
+    its recipe builds (for a hybrid, of its flow and its reset) gives the same
+    rate and noise energy within one ulp.  The Jacobians and noise gains are
+    constant, so one sample is exact."""
+    recipe = get_recipe(name)
+    region = SamplingRegion.points([[0.5]])
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        p = resolve_params(recipe, {key: float(rng.uniform(*SWEEP[key]))
+                                    for key in recipe.defaults if key in SWEEP})
+        system, stated = recipe.build(p), recipe.certificate_json(p)
+        if recipe.kind == "hybrid":
+            checks = [(certify_continuous(system.continuous, region), stated["flow"]),
+                      (certify_discrete(system.reset, region), stated["reset"])]
+        else:
+            certify = certify_discrete if recipe.kind == "discrete" else certify_continuous
+            checks = [(certify(system, region), stated)]
+        for computed, printed in checks:
+            assert computed.kind == printed["kind"]
+            assert computed.metric.value().tolist() == printed["metric"]["value"]
+            for field in ("rate", "noise_bound"):
+                x, y = getattr(computed, field), printed[field]
+                assert abs(x - y) <= np.spacing(abs(y)), (p, field, x, y)
 
 
 class TestWeightedMetric:

@@ -371,6 +371,7 @@ class TestStrictJson:
         check = strict_json(out)["bound_check"]
         assert check["worst_slack"] is None
         assert (check["n_checked"], check["n_finite"]) == (122, 0)
+        assert check["ok"] is False
 
     def test_stderr_of_a_lone_ring_run_is_null(self, capsys, tmp_path):
         out_dir = tmp_path / "ring"
