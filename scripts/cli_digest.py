@@ -60,12 +60,17 @@ CHAIN_CONFIGS = {
 }
 
 # certificates off the builtins' defaults, each stated once by its recipe: a
-# neutral and an expanding flow, and a map with another gain and noise
-# (hybrid-linear's are digested at HYBRID_CONFIGS)
+# neutral and an expanding flow, a map with another gain and noise, and the
+# ring's reduced certificates at a weak coupling that does not lock and at
+# other noise scales and dwell time (hybrid-linear's are digested at
+# HYBRID_CONFIGS)
 CERTIFY_CONFIGS = {
     "certify-ou1d-neutral": (["certify", "ou1d"], {"a": 0.0}),
     "certify-ou1d-expanding": (["certify", "ou1d"], EXPANDING_FLOW),
     "certify-linear-map-off-default": (["certify", "linear-map"], {"rho": 0.8, "sigma": 0.3}),
+    "certify-hopf-cpg-weak": (["certify", "hopf-cpg"], {"gamma": 0.01}),
+    "certify-hopf-cpg-noisy": (["certify", "hopf-cpg"],
+                               {"sigma_c": 0.3, "sigma_d": 0.2, "tau": 0.05}),
 }
 
 # a ring coupling whose per-dwell product r2 = 0.999999999999997 lies in the

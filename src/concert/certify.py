@@ -58,72 +58,6 @@ def _scrambled_halton(d: int, n: int, seed) -> np.ndarray:
     return out.T
 
 
-# Cephes ndtri (S. L. Moshier), the code scipy.special.ndtri runs: rational
-# approximations in y - 1/2 where exp(-2) < y <= 1 - exp(-2), and in
-# 1 / sqrt(-2 log q) in each tail, q the smaller of y and 1 - y
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_S2PI = 2.50662827463100050242  # sqrt(2 pi)
-_MID_P = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-          1.39312609387279679503E1, -1.23916583867381258016E0)
-_MID_Q = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-          -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-          1.59056225126211695515E1, -1.18331621121330003142E0)
-# the tail for q above exp(-32), where the root is below 8
-_NEAR_P = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-           4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-           -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-           -8.57456785154685413611E-4)
-_NEAR_Q = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-           1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-           -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-# the tail beyond
-_FAR_P = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-          1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-          3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_FAR_Q = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-          2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-          2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _horner(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
-    """Cephes polevl (coefficients from the highest power down), or p1evl
-    with monic: a leading coefficient 1 that `coef` leaves out."""
-    ans = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _logs(x: np.ndarray) -> np.ndarray:
-    # one value at a time through the C library's log, as Cephes calls it;
-    # NumPy's vectorized log may differ in the last bit
-    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
-
-
-def _ndtri(y) -> np.ndarray:
-    """Inverse of the standard normal CDF, bit for bit scipy.special.ndtri:
-    -inf at 0, inf at 1 and NaN outside [0, 1]."""
-    y = np.asarray(y, dtype=float)
-    out = np.full(y.shape, np.nan)
-    out[y == 0.0] = -np.inf
-    out[y == 1.0] = np.inf
-    upper = y > 1.0 - _EXP_M2
-    q = np.where(upper, 1.0 - y, y)
-    mid = q > _EXP_M2
-    u = y[mid] - 0.5
-    u2 = u * u
-    out[mid] = (u + u * (u2 * _horner(u2, _MID_P) / _horner(u2, _MID_Q, True))) * _S2PI
-    tail = ~mid & (y > 0.0) & (y < 1.0)
-    x = np.sqrt(-2.0 * _logs(q[tail]))
-    x0 = x - _logs(x) / x
-    z = 1.0 / x
-    x1 = np.where(x < 8.0, z * _horner(z, _NEAR_P) / _horner(z, _NEAR_Q, True),
-                  z * _horner(z, _FAR_P) / _horner(z, _FAR_Q, True))
-    x = x0 - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
-
-
 @dataclass(frozen=True)
 class SamplingRegion:
     """Deterministic sample source over a box, a ball, or an explicit point list.
@@ -189,7 +123,9 @@ class SamplingRegion:
         n = self.dimension
         unit = _scrambled_halton(n + 1, self.sample_count - 1, self.seed)
         unit = np.clip(unit, 1e-12, 1.0 - 1e-12)
-        z = _ndtri(unit[:, :n])
+        from statistics import NormalDist  # Wichura's AS241, loaded only for a ball
+        z = np.fromiter(map(NormalDist().inv_cdf, unit[:, :n].ravel().tolist()),
+                        dtype=float).reshape(-1, n)
         norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), np.finfo(float).tiny)
         radii = self.radius * unit[:, n] ** (1.0 / n)
         return np.vstack([self.center, self.center + (z / norms) * radii[:, None]])

@@ -381,20 +381,33 @@ def _box_start(box: InitialBox, dimension: int) -> Callable[[np.random.Generator
     return lambda g: g.uniform(lows, highs)
 
 
+def _squared_distance(metric, dimension: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(a, b) -> |Theta (a - b)|^2 per row of two (m, dimension) arrays, in the
+    constant metric M = Theta^T Theta (a matrix, a MetricSpec, or None for the
+    identity); a product by the identity factor changes no distance, so it is
+    skipped."""
+    factor_t = _as_metric(metric, dimension).factor().T
+    if np.array_equal(factor_t, np.eye(dimension)):
+        return lambda a, b: ((a - b) ** 2).sum(axis=1)
+    return lambda a, b: (((a - b) @ factor_t) ** 2).sum(axis=1)
+
+
 def initial_ms(init: InitialPointPair | InitialBox, metric: MetricSpec) -> float:
     """Exact mean squared separation E|Theta (a - b)|^2 of a pair's two start
-    states in a constant metric M = Theta^T Theta: |Theta (a - b)|^2 for a
-    point pair, and sum M_kk (high_k - low_k)^2 / 6 for independent uniform
-    draws from a box.  In the identity metric it squares by Python's
-    float ** 2, as the closed forms of the bounds do."""
+    states in a constant metric M = Theta^T Theta: for a point pair, the
+    engine's t = 0 sample bit for bit (taken over two identical rows, as the
+    engine never multiplies a single row), and sum M_kk (high_k - low_k)^2 / 6
+    for independent uniform draws from a box."""
     a, b = _corners(init, metric.dimension)
-    point = isinstance(init, InitialPointPair)
-    if np.array_equal(metric.value(), np.eye(metric.dimension)):
-        ms = sum((x - y) ** 2 for x, y in zip(a.tolist(), b.tolist()))
-    else:  # a box's independent coordinates leave no cross terms
-        ms = float(np.sum(((a - b) @ metric.factor().T) ** 2) if point
-                   else np.diag(metric.value()) @ (a - b) ** 2)
-    return ms if point else ms / 6
+    try:
+        with np.errstate(over="raise"):  # an OverflowError, as Python's float ** raises
+            if isinstance(init, InitialPointPair):
+                return float(_squared_distance(metric, metric.dimension)(
+                    np.stack([a, a]), np.stack([b, b]))[0])
+            # a box's independent coordinates leave no cross terms
+            return float(np.diag(metric.value()) @ (a - b) ** 2) / 6
+    except FloatingPointError as err:
+        raise OverflowError(err) from None
 
 
 def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int | None) -> list[int]:
@@ -764,18 +777,9 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
     the finite floats stop contributing from the first bad sample on and are
     counted in `failures`, never silently dropped.
     """
-    dimension = _dimension(system)
-    factor_t = _as_metric(metric, dimension).factor().T
-    # a product by the identity factor changes no distance
-    plain = np.array_equal(factor_t, np.eye(dimension))
-
-    def record(states):
-        diff = states[0] - states[1]
-        if not plain:
-            diff = diff @ factor_t
-        return (diff ** 2).sum(axis=1)
-
-    return _ensemble(system, config, (True, config.pairing_mode == "two-noisy"), record)[0]
+    distance = _squared_distance(metric, _dimension(system))
+    return _ensemble(system, config, (True, config.pairing_mode == "two-noisy"),
+                     lambda states: distance(states[0], states[1]))[0]
 
 
 # --- comparison against bound trajectories ----------------------------------

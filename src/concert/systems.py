@@ -17,8 +17,8 @@ import numpy as np
 
 from .bounds import BoundReport, certified_bound, classify_regime
 from .certify import ContractionCertificate, SamplingRegion, estimate_continuous_rate
-from .cpg import (GLOBAL_FLOW_RATE, RING_START, STRONG_COUPLING, CPGParams, build_cpg_system,
-                  coupling_contraction_factor, locking_condition, theoretical_delta_bound)
+from .cpg import (RING_START, STRONG_COUPLING, CPGParams, build_cpg_system, locking_condition,
+                  reduced_constants, theoretical_delta_bound)
 from .simulate import STEPS_PER_DWELL, InitialBox, InitialPointPair
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
                          HybridSystem, MetricSpec)
@@ -64,6 +64,16 @@ def _identity_cert(kind: str, rate: float, noise: float) -> ContractionCertifica
                                   is_global_claim=True)
 
 
+def _chain_json(cert: ContractionCertificate, reset: ContractionCertificate | None = None,
+                tau: float | None = None) -> dict:
+    """What `certify` prints of a chain: the certificate alone, or a hybrid's
+    flow and reset certificates with the regime of dwell time tau."""
+    if reset is None:
+        return cert.to_json_dict()
+    return {"flow": cert.to_json_dict(), "reset": reset.to_json_dict(),
+            "regime": classify_regime(reset.rate, cert.rate, tau)}
+
+
 def _chained(name: str, kind: str, defaults: dict, sim_defaults: dict,
              build: Callable[[dict], object],
              initial: Callable[[dict], InitialPointPair | InitialBox],
@@ -75,19 +85,13 @@ def _chained(name: str, kind: str, defaults: dict, sim_defaults: dict,
         cert, *reset = certificates(p)
         return (cert, reset[0], p["tau"]) if reset else (cert, None, None)
 
-    def certificate_json(p: dict) -> dict:
-        cert, reset, tau = chain(p)
-        if reset is None:
-            return cert.to_json_dict()
-        return {"flow": cert.to_json_dict(), "reset": reset.to_json_dict(),
-                "regime": classify_regime(reset.rate, cert.rate, tau)}
-
     def bound_report(p: dict, noise_free: bool) -> BoundReport:
         cert, reset, tau = chain(p)
         return certified_bound(cert, initial(p), reset, tau, noise_free=noise_free)
 
     return SystemRecipe(name=name, kind=kind, defaults=defaults, sim_defaults=sim_defaults,
-                        build=build, initial=initial, certificate_json=certificate_json,
+                        build=build, initial=initial,
+                        certificate_json=lambda p: _chain_json(*chain(p)),
                         bound_json=lambda p, nf: bound_report(p, nf).to_json_dict(),
                         bound_report=bound_report)
 
@@ -182,21 +186,16 @@ _HYBRID_LINEAR = _chained(
 # --- oscillator ring ----------------------------------------------------------
 
 def _cpg_cert(p: dict) -> dict:
+    """The reduced certificates that the delta bound chains, with the full
+    ring flow's rate sampled on a ball around the origin, where it peaks."""
     params = CPGParams(**p)
-    system = build_cpg_system(params)
+    out = _chain_json(*reduced_constants(params), params.tau)
     region = SamplingRegion.ball(np.zeros(6), radius=1.5, sample_count=64, seed=0)
-    sampled = estimate_continuous_rate(system.continuous, None, region)
+    out["flow"]["sampled_rate"] = estimate_continuous_rate(
+        build_cpg_system(params).continuous, None, region).value
     holds, beta, threshold = locking_condition(params)
-    flow = ContractionCertificate(kind="continuous", rate=GLOBAL_FLOW_RATE,
-                                  noise_bound=6.0 * params.sigma_c ** 2,
-                                  metric=MetricSpec.identity(6), region=region,
-                                  is_global_claim=True).to_json_dict()
-    flow["sampled_rate"] = sampled.value
-    return {"flow": flow,
-            "transverse_reset_factor": coupling_contraction_factor(params.gamma),
-            "full_reset_factor": 1.0,
-            "locking_condition": {"holds": holds, "beta": beta,
-                                  "threshold": threshold}}
+    out["locking_condition"] = {"holds": holds, "beta": beta, "threshold": threshold}
+    return out
 
 
 def _cpg_bounds(p: dict, noise_free: bool) -> dict:

@@ -18,6 +18,7 @@ import pytest
 from concert import (
     BetaOutOfRange,
     BoundReport,
+    CPGParams,
     ContinuousSDESystem,
     DiscreteMapSystem,
     EnsembleConfig,
@@ -32,6 +33,7 @@ from concert import (
     discrete_ms_bound,
     get_recipe,
     hybrid_bound,
+    reduced_constants,
     resolve_params,
     run_pair_ensemble,
 )
@@ -130,6 +132,40 @@ def test_stated_certificates_are_those_of_the_built_system(seed, name):
             for field in ("rate", "noise_bound"):
                 x, y = getattr(computed, field), printed[field]
                 assert abs(x - y) <= np.spacing(abs(y)), (p, field, x, y)
+
+
+# a ring coupling whose per-dwell product lies in the critical band of 1, as
+# scripts/cli_digest.py runs it
+CRITICAL_RING_GAMMA = 0.06459568480243587
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ring_prints_the_certificates_its_bound_chains(seed):
+    """`certify hopf-cpg` prints the reduced certificates of the planar ring
+    difference, which `bounds hopf-cpg` chains noise-free (half of each
+    energy), and reports a lock exactly in the bound's locked regime."""
+    recipe = get_recipe("hopf-cpg")
+    rng = np.random.default_rng(seed)
+    overrides = [{"gamma": CRITICAL_RING_GAMMA}] + [
+        {"gamma": float(rng.uniform(0.01, 0.99)), "sigma_d": float(rng.uniform(0.0, 1.0)),
+         "sigma_c": float(rng.uniform(0.0, 1.0)), "tau": float(rng.uniform(0.01, 1.0))}
+        for _ in range(20)]
+    regimes = set()
+    for override in overrides:
+        p = resolve_params(recipe, override)
+        printed, bound = recipe.certificate_json(p), recipe.bound_json(p, False)
+        flow, reset = reduced_constants(CPGParams(**p))
+        assert printed["flow"].pop("sampled_rate") == -1.0
+        assert (printed["flow"], printed["reset"]) == (flow.to_json_dict(),
+                                                       reset.to_json_dict())
+        inputs = bound["per_difference"]["inputs"]
+        assert (inputs["C_c"], inputs["C_d"]) == (flow.noise_bound / 2, reset.noise_bound / 2)
+        regime = bound["per_difference"]["regime"]
+        assert printed["regime"] == regime
+        assert printed["locking_condition"]["holds"] is (regime == "hybrid-expanding-bounded")
+        regimes.add(regime)
+    assert "hybrid-expanding-critical" in regimes
+    assert "hybrid-expanding-bounded" in regimes and "hybrid-expanding-unbounded" in regimes
 
 
 class TestWeightedMetric:

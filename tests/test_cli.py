@@ -33,11 +33,16 @@ class TestCertify:
         assert code == 0
         payload = json.loads(out)
         cert = payload["certificate"]
+        # the planar certificates that the delta bound chains
         assert cert["flow"]["rate"] == -1.0
         assert cert["flow"]["sampled_rate"] == -1.0
-        assert cert["flow"]["is_global_claim"] is True
-        assert cert["transverse_reset_factor"] == pytest.approx(0.52)
-        assert cert["full_reset_factor"] == pytest.approx(1.0)
+        assert cert["flow"]["noise_bound"] == pytest.approx(0.02)
+        assert cert["reset"]["rate"] == pytest.approx(0.52)
+        assert cert["reset"]["noise_bound"] == pytest.approx(2e-4)
+        for part in ("flow", "reset"):
+            assert cert[part]["is_global_claim"] is True
+            assert cert[part]["metric"]["value"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert cert["regime"] == "hybrid-expanding-bounded"
         assert cert["locking_condition"]["holds"] is True
 
     def test_hopf_cpg_lock_agrees_with_bounds_in_the_critical_band(self, capsys, tmp_path):

@@ -496,18 +496,40 @@ class TestEnsembleConfigValidation:
 
 class TestInitialMeanSquare:
     # differences whose x ** 2 (libm pow) and x * x differ in the last bit on
-    # a glibc host, then a seeded sweep
+    # a glibc host, then a seeded sweep: E0 squares by x * x, as the engine does
     EDGES = [(-0.8406999297115503, -0.3805132771308859),
              (3.550129466143078, 1.9508999115946697),
              (1.7225184859824019, 4.360180888190753)]
 
-    def test_equals_the_closed_forms_squared_in_python(self):
+    def test_equals_the_closed_forms_squared_as_products(self):
         rng = np.random.default_rng(31)
         for low, high in self.EDGES + rng.uniform(-5, 5, (2000, 2)).tolist():
             pair = InitialPointPair(np.array([high]), np.array([low]))
             box = InitialBox(np.array([low]), np.array([high]))
-            assert simulate.initial_ms(pair, MetricSpec.identity(1)) == (high - low) ** 2
-            assert simulate.initial_ms(box, MetricSpec.identity(1)) == (high - low) ** 2 / 6.0
+            d = high - low
+            assert simulate.initial_ms(pair, MetricSpec.identity(1)) == d * d
+            assert simulate.initial_ms(box, MetricSpec.identity(1)) == d * d / 6.0
+
+    def test_a_point_pair_is_the_engines_first_sample_in_every_metric(self):
+        # two pairs: the mean of two equal t = 0 samples is exact, so this
+        # compares E0 with the engine's sample, bit for bit
+        rng = np.random.default_rng(59)
+        system = linear_map(0.5, dim=2)
+        starts = [(np.array([high, 0.0]), np.array([low, 0.0])) for low, high in self.EDGES]
+        starts += list(rng.uniform(-5, 5, (400, 2, 2)))
+        for i, (a, b) in enumerate(starts):
+            root = rng.normal(size=(2, 2))
+            metric = (MetricSpec.identity(2) if i % 4 == 0
+                      else MetricSpec.constant(root.T @ root + 0.1 * np.eye(2)))
+            start = InitialPointPair(a, b)
+            config = EnsembleConfig(pair_count=2, horizon=1, master_seed=i, initial=start)
+            first = run_pair_ensemble(system, config, metric).mean_sq[0]
+            assert first == simulate.initial_ms(start, metric), (i, a, b)
+
+    def test_overflow_raises_as_python_float_power_does(self):
+        for start in (InitialPointPair(1e200, -1e200), InitialBox(-1e200, 1e200)):
+            with pytest.raises(OverflowError):
+                simulate.initial_ms(start, MetricSpec.identity(2))
 
     def test_broadcasts_to_the_dimension(self):
         assert simulate.initial_ms(InitialBox(-1.0, 1.0), MetricSpec.identity(6)) == 4.0
