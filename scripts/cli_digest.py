@@ -46,6 +46,12 @@ EXPANDING_FLOW = {"a": -0.5}
 
 BAD_DWELL = {"tau": -1.0}
 
+# start boxes whose high lies below the low, -0.0 over 0.0 too, which NumPy's
+# uniform rejects: the bound's initial mean square and the engine reject them
+# alike, naming the coordinate and both bounds
+INVERTED_BOXES = {"inverted-box": {"init_low": 1.0, "init_high": -1.0},
+                  "inverted-zero-box": {"init_low": 0.0, "init_high": -0.0}}
+
 # bounds off the builtins' defaults, each chained from its certificate: a
 # neutral and an expanding flow, a point pair whose squared separation
 # (a - b)^2 rounds (simulate's t = 0 check sees the mean of equal squares
@@ -223,6 +229,9 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                 argv += ["--dt", "0.01"]
             out.append((f"{verb}-{system}-bad-dwell", argv, BAD_DWELL, ()))
     out.append(("cpg-bad-dwell", ["cpg", *CPG_SMALL, "--out", "cpg-out"], BAD_DWELL, ()))
+    for tag, config in INVERTED_BOXES.items():
+        for verb in ("bounds", "simulate"):
+            out.append((f"{verb}-hybrid-linear-{tag}", [verb, "hybrid-linear"], config, ()))
     out += [(name, argv, None, ()) for name, argv in NONFINITE.items()]
     out += [(name, argv, config, ())
             for name, (argv, config)

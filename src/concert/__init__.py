@@ -8,8 +8,7 @@ from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSyst
 from .geometry import SingularFactor, numerical_jacobian
 from .certify import (ContractionCertificate, SamplingRegion, SupEstimate,
                       certify_continuous, certify_discrete, estimate_continuous_rate,
-                      estimate_discrete_rate, noise_bound_continuous,
-                      noise_bound_discrete)
+                      estimate_discrete_rate, noise_bound)
 from .bounds import (BetaOutOfRange, BoundReport, CRITICAL_REL_TOL,
                      NEAR_CRITICAL_REL_TOL, ParameterRange, certified_bound,
                      classify_regime, continuous_bound_at, discrete_ms_bound,
@@ -43,9 +42,9 @@ __all__ = [
     "coupling_contraction_factor", "coupling_matrix", "derive_stream",
     "discrete_ms_bound", "estimate_continuous_rate",
     "estimate_discrete_rate", "factor_metric", "get_recipe",
-    "hybrid_bound", "locking_condition", "noise_bound_continuous",
-    "noise_bound_discrete", "numerical_jacobian", "phase_aligned_components",
-    "phase_locking_delta", "reduced_constants", "resolve_params", "ring_drift",
+    "hybrid_bound", "locking_condition", "noise_bound", "numerical_jacobian",
+    "phase_aligned_components", "phase_locking_delta", "reduced_constants",
+    "resolve_params", "ring_drift",
     "ring_jacobian", "run_cpg_experiment", "run_locking_comparison",
     "run_pair_ensemble", "sample_path", "theoretical_delta_bound",
 ]

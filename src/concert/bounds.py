@@ -44,7 +44,6 @@ import numpy as np
 
 from .simulate import InitialPointPair, initial_ms
 
-DISCRETE_REGIMES = ("discrete-ms",)
 HYBRID_REGIMES = ("hybrid-contracting", "hybrid-neutral", "hybrid-expanding-bounded",
                   "hybrid-expanding-critical", "hybrid-expanding-unbounded")
 FLOW_REGIMES = ("flow-contracting", "flow-neutral", "flow-expanding")

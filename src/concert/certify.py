@@ -5,10 +5,11 @@ are suprema of local quantities of the generalized Jacobian
 F = Theta J Theta^{-1}: the discrete one-step squared gain lambda_max(F.T F),
 and for flows the largest eigenvalue of the symmetric part of F (reported
 negated, so positive values mean contraction).  Noise energies are suprema of
-the injected trace tr(sigma^T M sigma Q) (discrete; Q is the draw covariance)
-and tr(sigma^T M sigma) (per unit time, continuous).  Suprema over a region are
-estimated on a deterministic low-discrepancy sample, so a certificate built
-from a region is evidence, not proof: its is_global_claim is false.
+the injected trace tr(sigma^T M sigma) of a map's noise gain (per step) or a
+flow's diffusion (per unit time).  Callables are sampled at k = 0 or t = 0.0,
+as for an autonomous system.  Suprema over a region are estimated on a
+deterministic low-discrepancy sample, so a certificate built from a region is
+evidence, not proof: its is_global_claim is false.
 
 A region's samples are evaluated in one batch: a vectorized system's
 callables are called once on the (m, n) sample array, and a matrix-valued one
@@ -172,7 +173,7 @@ def _stacked(system, fn: Callable, samples: np.ndarray, arg) -> np.ndarray:
     stack (m, rows, cols); a vectorized callable that returns one shared
     matrix gives a stack of one."""
     out = _batched_map(fn, system.vectorized)(samples, arg)
-    return out[None] if out.ndim == 2 else out
+    return out[None] if out.ndim == 2 and system.vectorized else out
 
 
 def _jacobians(system, samples: np.ndarray, arg) -> np.ndarray:
@@ -183,18 +184,18 @@ def _jacobians(system, samples: np.ndarray, arg) -> np.ndarray:
     return numerical_jacobian(lambda y: batched(y, arg), samples)
 
 
-def estimate_discrete_rate(system: DiscreteMapSystem, metric, region: SamplingRegion,
-                           k: int = 0) -> SupEstimate:
+def estimate_discrete_rate(system: DiscreteMapSystem, metric,
+                           region: SamplingRegion) -> SupEstimate:
     """Sampled sup of the one-step squared gain lambda_max(F.T F) of a discrete
-    map at step k in `metric`, with the attaining sample."""
+    map at step 0 in `metric`, with the attaining sample."""
     theta = _as_metric(metric, system.dimension).factor()
     theta_inv = _checked_inverse(theta)
     return _sup(region, lambda xs: _squared_gain(
-        _factored(_jacobians(system, xs, k), theta, theta_inv)))
+        _factored(_jacobians(system, xs, 0), theta, theta_inv)))
 
 
-def estimate_continuous_rate(system: ContinuousSDESystem, metric, region: SamplingRegion,
-                             t: float = 0.0) -> SupEstimate:
+def estimate_continuous_rate(system: ContinuousSDESystem, metric,
+                             region: SamplingRegion) -> SupEstimate:
     """Sampled contraction rate of a flow: minus the sup over the region of
     lambda_max((Theta J Theta^{-1})_sym); positive values mean the flow
     contracts the metric at rate at least the returned value."""
@@ -202,34 +203,30 @@ def estimate_continuous_rate(system: ContinuousSDESystem, metric, region: Sampli
     theta_inv = _checked_inverse(theta)
 
     def tops(xs: np.ndarray) -> np.ndarray:
-        gen = _factored(_jacobians(system, xs, t), theta, theta_inv)
+        gen = _factored(_jacobians(system, xs, 0.0), theta, theta_inv)
         return np.linalg.eigvalsh((gen + gen.swapaxes(-1, -2)) / 2.0).max(axis=-1)
 
     worst = _sup(region, tops)
     return SupEstimate(value=-worst.value, argmax=worst.argmax)
 
 
-def noise_bound_discrete(system: DiscreteMapSystem, metric, region: SamplingRegion,
-                         k: int = 0) -> SupEstimate:
-    """Sampled sup of the injected reset-noise energy tr(sigma^T M sigma Q)."""
+def noise_bound(system: DiscreteMapSystem | ContinuousSDESystem, metric,
+                region: SamplingRegion) -> SupEstimate:
+    """Sampled sup of the injected energy tr(sigma^T M sigma) of a map's
+    noise_gain (per step) or a flow's diffusion (per unit time); a gain of
+    another shape than (dimension, noise dimension) raises DimensionMismatch."""
     m = _as_metric(metric, system.dimension).value()
-    q = system.noise.covariance
+    if isinstance(system, DiscreteMapSystem):
+        what, fn, width, arg = "noise_gain", system.noise_gain, system.noise.dimension, 0
+    else:
+        what, fn, width, arg = "diffusion", system.diffusion, system.noise_dim, 0.0
 
     def energies(xs: np.ndarray) -> np.ndarray:
-        gain = _stacked(system, system.noise_gain, xs, k)
-        return np.trace(gain.swapaxes(-1, -2) @ m @ gain @ q, axis1=-2, axis2=-1)
-
-    return _sup(region, energies)
-
-
-def noise_bound_continuous(system: ContinuousSDESystem, metric, region: SamplingRegion,
-                           t: float = 0.0) -> SupEstimate:
-    """Sampled sup of the per-unit-time injected energy tr(sigma^T M sigma)."""
-    m = _as_metric(metric, system.dimension).value()
-
-    def energies(xs: np.ndarray) -> np.ndarray:
-        sig = _stacked(system, system.diffusion, xs, t)
-        return np.trace(sig.swapaxes(-1, -2) @ m @ sig, axis1=-2, axis2=-1)
+        gain = _stacked(system, fn, xs, arg)
+        if gain.shape[1:] != (system.dimension, width):
+            raise DimensionMismatch(f"{what} of {system.name!r} returned shape {gain.shape[1:]}, "
+                                    f"expected {(system.dimension, width)}")
+        return np.trace(gain.swapaxes(-1, -2) @ m @ gain, axis1=-2, axis2=-1)
 
     return _sup(region, energies)
 
@@ -263,26 +260,22 @@ class ContractionCertificate:
         }
 
 
-def _certificate(kind: str, est: SupEstimate, noise: SupEstimate, metric: MetricSpec,
-                 region: SamplingRegion) -> ContractionCertificate:
-    return ContractionCertificate(kind=kind, rate=est.value, noise_bound=noise.value,
-                                  metric=metric, region=region, is_global_claim=False)
+def _certify(kind: str, rate: Callable, system, region: SamplingRegion,
+             metric) -> ContractionCertificate:
+    """The sampled rate by `rate`, then the noise energy, both in `metric`."""
+    spec = _as_metric(metric, system.dimension)
+    return ContractionCertificate(kind=kind, rate=rate(system, spec, region).value,
+                                  noise_bound=noise_bound(system, spec, region).value,
+                                  metric=spec, region=region, is_global_claim=False)
 
 
 def certify_discrete(system: DiscreteMapSystem, region: SamplingRegion,
-                     metric=None, k: int = 0) -> ContractionCertificate:
-    """Assemble a discrete certificate: sampled rate plus noise energy, both
-    in `metric`."""
-    metric_spec = _as_metric(metric, system.dimension)
-    est = estimate_discrete_rate(system, metric_spec, region, k=k)
-    noise = noise_bound_discrete(system, metric_spec, region, k=k)
-    return _certificate("discrete", est, noise, metric_spec, region)
+                     metric=None) -> ContractionCertificate:
+    """Assemble a discrete certificate: sampled rate plus noise energy."""
+    return _certify("discrete", estimate_discrete_rate, system, region, metric)
 
 
 def certify_continuous(system: ContinuousSDESystem, region: SamplingRegion,
-                       metric=None, t: float = 0.0) -> ContractionCertificate:
+                       metric=None) -> ContractionCertificate:
     """Assemble a continuous certificate: sampled rate plus noise energy."""
-    metric_spec = _as_metric(metric, system.dimension)
-    est = estimate_continuous_rate(system, metric_spec, region, t=t)
-    noise = noise_bound_continuous(system, metric_spec, region, t=t)
-    return _certificate("continuous", est, noise, metric_spec, region)
+    return _certify("continuous", estimate_continuous_rate, system, region, metric)

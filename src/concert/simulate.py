@@ -32,21 +32,19 @@ reduction does not depend on the blocking.  A member draws a long
 segment's noise in slices of about _DRAW_VALUES values for the whole block, in
 stream order, so its memory does not grow with the horizon and its bits are
 those of one draw per segment; a hybrid run draws the reset opening a dwell in
-the same call as the dwell's flow noise.  Noise is shaped by one rule: one
-2-D product by the noise transform over a member's rows and steps, so its bits
-do not depend on the horizon; a flow's transform is the (1, 1) sqrt(h).
-Products that change no bits are skipped: a distance in the constant identity
-metric squares the member difference directly, and a (1, 1) gain or noise
-transform multiplies the draws elementwise, which the matmul also rounds once
-(only the sign of an exactly zero term may differ), or not at all when it is
-exactly 1.  A box start whose coordinates share one low and one high takes
-NumPy's scalar uniform, bit for bit the array call.  One rule keeps NumPy's
-one-row kernel out of every product: a block of a single run, whatever its
-member count, steps each member as two identical rows (its start and draws
-copied, not drawn twice), so no product ever sees a single row.  For hopf-cpg,
-blocks of 4, 3 and 2 runs give the same bits; a BLAS that picks its kernels by
-row count at larger sizes could still make a run's last bits depend on the
-size of its block.
+the same call as the dwell's flow noise.  A map's noise is its standard
+normal draws and a flow's is its draws times sqrt(h), each shaped only by its
+gain.  Products that change no bits are skipped: a distance in the constant
+identity metric squares the member difference directly, and a (1, 1) gain
+multiplies the draws elementwise, which the matmul also rounds once (only the
+sign of an exactly zero term may differ).  A box start whose coordinates
+share one low and one high takes NumPy's scalar uniform, bit for bit the
+array call.  One rule keeps NumPy's one-row kernel out of every product: a
+block of a single run, whatever its member count, steps each member as two
+identical rows (its start and draws copied, not drawn twice), so no product
+ever sees a single row.  For hopf-cpg, blocks of 4, 3 and 2 runs give the same
+bits; a BLAS that picks its kernels by row count at larger sizes could still
+make a run's last bits depend on the size of its block.
 """
 from __future__ import annotations
 
@@ -359,13 +357,23 @@ def _dimension(system) -> int:
 
 def _corners(init: InitialPointPair | InitialBox, dimension: int) -> list[np.ndarray]:
     """The two points of a point pair, or a box's lows and highs, as (dimension,);
-    a scalar point broadcasts."""
+    a scalar point broadcasts.  A box coordinate whose high - low is negative,
+    -0.0 over 0.0 too, raises ValueError, as NumPy's uniform would."""
     pair = [np.asarray(p, dtype=float) for p in
             ((init.a, init.b) if isinstance(init, InitialPointPair) else (init.lows, init.highs))]
     if any(p.shape not in ((), (dimension,)) for p in pair):
         raise DimensionMismatch(f"initial points of shapes {pair[0].shape} and {pair[1].shape}, "
                                 f"expected scalars or {(dimension,)}")
-    return [np.broadcast_to(p, (dimension,)) for p in pair]
+    lows, highs = (np.broadcast_to(p, (dimension,)) for p in pair)
+    if isinstance(init, InitialBox):
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = highs - lows
+        inverted = np.flatnonzero(np.signbit(span) & ~np.isnan(span))
+        if inverted.size:
+            k = int(inverted[0])
+            raise ValueError(f"initial box coordinate {k} has high {float(highs[k])!r} "
+                             f"below its low {float(lows[k])!r}")
+    return [lows, highs]
 
 
 def _box_start(box: InitialBox, dimension: int) -> Callable[[np.random.Generator], np.ndarray]:
@@ -500,16 +508,14 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int | Non
     return np.asarray(times), tuple(sides), segments
 
 
-def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
-    """(advance, shape) of one subsystem: shape(z) turns a member's standard
-    normals z, (rows, steps, width), into its noise in place, and
-    advance(x, at, w) is one map application at index `at` or one
-    Euler-Maruyama step from time `at` of the stacked state x, at least two
-    rows per member; with lone, each member is a lone run's two identical rows,
-    and a callable that is not vectorized is called once per member and step.
-    A vectorized drift and diffusion are called directly, with no wrapper.  A
-    value of another shape than x (a gain: x by width) or one row of it raises
-    DimensionMismatch instead of broadcasting."""
+def _stepper(part, h: float, lone: bool) -> Callable:
+    """advance(x, at, w) of one subsystem: one map application at index `at`
+    or one Euler-Maruyama step from time `at` of the stacked state x, at least
+    two rows per member, with noise w; with lone, each member is a lone run's
+    two identical rows, and a callable that is not vectorized is called once
+    per member and step.  A vectorized drift and diffusion are called directly,
+    with no wrapper.  A value of another shape than x (a gain: x by width) or
+    one row of it raises DimensionMismatch instead of broadcasting."""
     width = part.noise.dimension if isinstance(part, DiscreteMapSystem) else part.noise_dim
 
     def shaped(value, what, full):
@@ -521,38 +527,26 @@ def _stepper(part, h: float, lone: bool) -> tuple[Callable, Callable]:
     if isinstance(part, DiscreteMapSystem):
         fmap = _batched_map(part.map, part.vectorized, lone)
         fgain = _batched_map(part.noise_gain, part.vectorized, lone)
-        transform_t = part.noise._transform.T
 
         def advance(x, k, w):
             return shaped(fmap(x, k), "map", x.shape) \
                 + _apply_gain(shaped(fgain(x, k), "noise_gain", (*x.shape, width)), w)
-    else:
-        drift, diffusion = part.drift, part.diffusion
-        if not part.vectorized:
-            drift, diffusion = (_batched_map(fn, False, lone) for fn in (drift, diffusion))
+        return advance
 
-        def euler(x, t, w):
-            # x + f h + g w in one new array; never writes into what a callable returned
-            f = shaped(np.asarray(drift(x, t), dtype=float), "drift", x.shape)
-            out = np.multiply(f, h, out=np.empty_like(x))
-            out += x
-            g = shaped(np.asarray(diffusion(x, t), dtype=float), "diffusion", (*x.shape, width))
-            out += _apply_gain(g, w)
-            return out
+    drift, diffusion = part.drift, part.diffusion
+    if not part.vectorized:
+        drift, diffusion = (_batched_map(fn, False, lone) for fn in (drift, diffusion))
 
-        advance, transform_t = euler, np.array([[math.sqrt(h)]])  # the scalar case
-    scale = float(transform_t[0, 0]) if transform_t.shape == (1, 1) else None
+    def euler(x, t, w):
+        # x + f h + g w in one new array; never writes into what a callable returned
+        f = shaped(np.asarray(drift(x, t), dtype=float), "drift", x.shape)
+        out = np.multiply(f, h, out=np.empty_like(x))
+        out += x
+        g = shaped(np.asarray(diffusion(x, t), dtype=float), "diffusion", (*x.shape, width))
+        out += _apply_gain(g, w)
+        return out
 
-    def shape(z):
-        if scale is None:
-            # one 2-D product (rows * steps, width), whatever the steps
-            z[...] = (z.reshape(-1, z.shape[-1]) @ transform_t).reshape(z.shape)
-        elif scale != 1.0:
-            # one product per value, which the matmul rounds once too; a
-            # product by exactly 1 changes nothing
-            np.multiply(z, scale, out=z)
-
-    return advance, shape
+    return euler
 
 
 def _slices(steps: int, per_step: int) -> list[tuple[int, int]]:
@@ -610,7 +604,7 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
         for span, point in zip(spans, _corners(start, dimension)):
             x[span] = point
     groups = list(_draws(segments, rows))
-    steppers = {}  # (advance, shape) of each part and stride, built once per block
+    steppers = {}  # advance of each part and stride, built once per block
     for seg in segments:
         key = (id(seg.part), seg.stride)
         if key not in steppers:
@@ -643,14 +637,13 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
             samples.append(record(x.reshape(members, rows, -1), 0))
         at_col = 0
         for seg, lo, hi in pieces:
-            advance, shape = steppers[id(seg.part), seg.stride]
+            advance = steppers[id(seg.part), seg.stride]
             t0, stride, marks = seg.start, seg.stride, seg.marks
             n = (hi - lo) * seg.width
             noise = buf[:, at_col:at_col + n].reshape(len(x), hi - lo, seg.width)
             at_col += n
-            for span, on in zip(spans, noisy):
-                if on:
-                    shape(noise[span])
+            if isinstance(seg.part, ContinuousSDESystem):  # noise-free zeros stay zeros
+                np.multiply(noise, math.sqrt(stride), out=noise)
             for j, w in enumerate(noise.swapaxes(0, 1), lo):
                 x = advance(x, t0 + j * stride, w)
                 if j + 1 in marks:

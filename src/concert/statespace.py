@@ -2,41 +2,28 @@
 
 A system is one of three records: a noisy discrete map, an Ito diffusion, or a
 hybrid combination that integrates the diffusion on dwell intervals of fixed
-length and applies the noisy map at the interval boundaries.  A metric is one
-constant symmetric positive definite matrix M, used everywhere through its
-upper-triangular factor Theta with Theta.T @ Theta = M, so squared metric
-distances are plain Euclidean norms of Theta-transformed differences.
+length and applies the noisy map at the interval boundaries.  All noise is
+standard normal draws shaped only by a gain: a map's noise_gain, a flow's
+diffusion.  A metric is one constant symmetric positive definite matrix M,
+used everywhere through its upper-triangular factor Theta with
+Theta.T @ Theta = M, so squared metric distances are plain Euclidean norms of
+Theta-transformed differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 
 class NotPositiveDefinite(ValueError):
-    """Raised when a matrix required to be (semi)definite fails a pivot test
-    or has an entry that is not finite."""
+    """Raised when a matrix required to be positive definite fails a pivot
+    test or has an entry that is not finite."""
 
 
 class DimensionMismatch(ValueError):
     """Raised when array shapes are inconsistent with a declared dimension."""
-
-
-def _as_square(matrix: np.ndarray, what: str) -> np.ndarray:
-    out = np.asarray(matrix, dtype=float)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise DimensionMismatch(f"{what} must be square, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise NotPositiveDefinite(f"{what} has an entry that is not finite")
-    return out
-
-
-def _check_symmetric(matrix: np.ndarray, what: str, tol: float = 1e-10) -> None:
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if float(np.abs(matrix - matrix.T).max()) > tol * scale:
-        raise ValueError(f"{what} is not symmetric")
 
 
 def factor_metric(metric: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -46,8 +33,14 @@ def factor_metric(metric: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     diagonal.  A pivot at or below tol (relative to the largest diagonal entry
     of the metric) raises NotPositiveDefinite, as does any indefinite input.
     """
-    m = _as_square(metric, "metric")
-    _check_symmetric(m, "metric")
+    m = np.asarray(metric, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"metric must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotPositiveDefinite("metric has an entry that is not finite")
+    scale = max(1.0, float(np.abs(m).max()))
+    if float(np.abs(m - m.T).max()) > 1e-10 * scale:
+        raise ValueError("metric is not symmetric")
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as err:
@@ -70,8 +63,8 @@ class MetricSpec:
 
     @classmethod
     def constant(cls, matrix: np.ndarray) -> "MetricSpec":
-        m = _as_square(matrix, "metric")
-        theta = factor_metric(m)  # also validates SPD
+        theta = factor_metric(matrix)  # validates SPD
+        m = np.asarray(matrix, dtype=float)
         if float(np.linalg.eigvalsh(m).min()) <= 0:
             raise NotPositiveDefinite("metric has a non-positive eigenvalue")
         return cls(dimension=m.shape[0], _matrix=m, _factor=theta)
@@ -102,31 +95,14 @@ def _as_metric(metric, dimension: int) -> MetricSpec:
 
 @dataclass(frozen=True)
 class GaussianNoiseSpec:
-    """Zero-mean Gaussian noise source with covariance Q (PSD allowed).
-
-    Draws are produced as S @ z for standard-normal z, where S comes from the
-    eigendecomposition of Q with eigenvalues clamped at zero, so rank-deficient
-    covariances are accepted deterministically.
-    """
+    """`dimension` independent standard normal draws per step; any shaping
+    belongs in the noise gain, as a flow's belongs in its diffusion."""
 
     dimension: int
-    covariance: np.ndarray = None  # type: ignore[assignment]
-    _transform: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        q = np.eye(self.dimension) if self.covariance is None else \
-            _as_square(self.covariance, "covariance")
-        if q.shape[0] != self.dimension:
-            raise DimensionMismatch(
-                f"covariance has shape {q.shape}, expected {(self.dimension,) * 2}")
-        _check_symmetric(q, "covariance")
-        eigvals, eigvecs = np.linalg.eigh(q)
-        scale = max(1.0, float(eigvals.max(initial=0.0)))
-        if eigvals.min(initial=0.0) < -1e-10 * scale:
-            raise NotPositiveDefinite(f"covariance has negative eigenvalue {eigvals.min():.3e}")
-        transform = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        object.__setattr__(self, "covariance", q)
-        object.__setattr__(self, "_transform", transform)
+        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
+            raise ValueError(f"noise dimension must be an integer >= 1, got {self.dimension!r}")
 
 
 def _batched_map(fn: Callable, vectorized: bool, lone: bool = False) -> Callable:
@@ -146,7 +122,8 @@ def _batched_map(fn: Callable, vectorized: bool, lone: bool = False) -> Callable
 
 @dataclass(frozen=True)
 class DiscreteMapSystem:
-    """State update x_{k+1} = map(x_k, k) + noise_gain(x_k, k) @ w_k, w ~ N(0, Q).
+    """State update x_{k+1} = map(x_k, k) + noise_gain(x_k, k) @ w_k, with
+    w_k standard normal of `noise.dimension` components.
 
     `vectorized` declares that map/noise_gain/jacobian also accept stacked
     states of shape (batch, dimension) and return correspondingly stacked
@@ -168,8 +145,8 @@ class DiscreteMapSystem:
 class ContinuousSDESystem:
     """Ito diffusion dx = drift(x, t) dt + diffusion(x, t) dW_t.
 
-    The driving Brownian increments are standard (identity covariance per unit
-    time, `noise_dim` components); any shaping belongs in `diffusion`.
+    The driving Brownian increments are standard, `noise_dim` independent
+    components of variance dt; any shaping belongs in `diffusion`.
     """
 
     dimension: int

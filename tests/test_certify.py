@@ -24,8 +24,7 @@ from concert import (
     certify_discrete,
     estimate_continuous_rate,
     estimate_discrete_rate,
-    noise_bound_continuous,
-    noise_bound_discrete,
+    noise_bound,
 )
 from concert.certify import _scrambled_halton
 from concert.geometry import numerical_jacobian
@@ -237,25 +236,26 @@ class TestNoiseBounds:
                 [[1.0 + float(np.asarray(x).ravel()[0]) ** 2]]),
             noise=GaussianNoiseSpec(1))
         region = SamplingRegion.points([[0.0], [2.0], [-1.0]])
-        nb = noise_bound_discrete(system, None, region)
+        nb = noise_bound(system, None, region)
         assert nb.value == pytest.approx(25.0, rel=1e-12)
         assert nb.argmax[0] == pytest.approx(2.0)
 
-    def test_discrete_noise_covariance_enters_trace(self):
+    def test_discrete_gain_enters_trace(self):
+        # the draws are standard normal: tr(sigma^T sigma) = 4 + 9
         system = DiscreteMapSystem(
             dimension=2,
             map=lambda x, k: 0.5 * np.asarray(x, dtype=float),
-            noise_gain=lambda x, k: np.eye(2),
-            noise=GaussianNoiseSpec(2, covariance=np.diag([4.0, 9.0])))
+            noise_gain=lambda x, k: np.diag([2.0, 3.0]),
+            noise=GaussianNoiseSpec(2))
         region = SamplingRegion.points([[0.0, 0.0]])
-        nb = noise_bound_discrete(system, None, region)
+        nb = noise_bound(system, None, region)
         assert nb.value == pytest.approx(13.0, rel=1e-12)
 
     def test_continuous_trace_with_metric(self):
         system = ou_system(a=1.0, sigma=2.0, dim=2)
         metric = MetricSpec.constant(np.diag([3.0, 1.0]))
         region = SamplingRegion.points([[0.0, 0.0]])
-        nb = noise_bound_continuous(system, metric, region)
+        nb = noise_bound(system, metric, region)
         # tr(sigma^T M sigma) = 4 * (3 + 1)
         assert nb.value == pytest.approx(16.0, rel=1e-12)
 
@@ -263,7 +263,41 @@ class TestNoiseBounds:
         # diag(1, -1) would cancel the two noise channels to an energy of 0
         region = SamplingRegion.points([[0.0, 0.0]])
         with pytest.raises(NotPositiveDefinite):
-            noise_bound_continuous(ou_system(dim=2), np.diag([1.0, -1.0]), region)
+            noise_bound(ou_system(dim=2), np.diag([1.0, -1.0]), region)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_a_map_gain_of_another_shape_raises(self, vectorized):
+        # a (2, 3) gain over 2 noise components: no product catches it
+        wide = DiscreteMapSystem(dimension=2, map=lambda x, k: 0.5 * np.asarray(x),
+                                 noise_gain=lambda x, k: np.ones((2, 3)),
+                                 noise=GaussianNoiseSpec(2), vectorized=vectorized, name="wide")
+        region = SamplingRegion.points([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(DimensionMismatch, match=r"^noise_gain of 'wide' returned shape "
+                                                    r"\(2, 3\), expected \(2, 2\)$"):
+            noise_bound(wide, None, region)
+        with pytest.raises(DimensionMismatch):
+            certify_discrete(wide, region)
+
+    def test_a_rowwise_vector_gain_is_not_one_shared_matrix(self):
+        # stacked over two samples, the (2,) values make a (2, 2) array: only a
+        # vectorized callable returns one matrix for every sample
+        rowwise = DiscreteMapSystem(dimension=2, map=lambda x, k: 0.5 * np.asarray(x),
+                                    noise_gain=lambda x, k: np.asarray(x) + 1.0,
+                                    noise=GaussianNoiseSpec(2), name="rowwise")
+        region = SamplingRegion.points([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(DimensionMismatch, match=r"^noise_gain of 'rowwise' returned shape "
+                                                    r"\(2,\), expected \(2, 2\)$"):
+            noise_bound(rowwise, None, region)
+
+    def test_a_flow_diffusion_of_another_shape_raises(self):
+        # a (1, 3) diffusion over 2 noise components, as run_pair_ensemble rejects it
+        wide = ContinuousSDESystem(dimension=1, drift=lambda x, t: -x,
+                                   diffusion=lambda x, t: np.ones((1, 3)), noise_dim=2,
+                                   name="wide-flow")
+        region = SamplingRegion.points([[0.0]])
+        with pytest.raises(DimensionMismatch, match=r"^diffusion of 'wide-flow' returned shape "
+                                                    r"\(1, 3\), expected \(1, 2\)$"):
+            certify_continuous(wide, region)
 
 
 class TestCertificates:
@@ -344,21 +378,16 @@ def loop_sups(system, metric, region):
             return np.asarray(system.jacobian(x, arg), dtype=float)
         return loop_jacobian(lambda y: f(y, arg), x)
 
-    def gain(x):
+    def energy(x):
         fn = system.noise_gain if discrete else system.diffusion
-        return np.asarray(fn(x, arg), dtype=float)
+        g = np.asarray(fn(x, arg), dtype=float)
+        return float(np.trace(g.T @ m @ g))
 
     samples = region.samples()
     if discrete:
-        q = system.noise.covariance
-
         def rate(x):
             gen = theta @ jac(x) @ theta_inv
             return float(np.linalg.eigvalsh(gen.T @ gen).max())
-
-        def energy(x):
-            g = gain(x)
-            return float(np.trace(g.T @ m @ g @ q))
 
         return loop_sup(samples, rate), loop_sup(samples, energy)
 
@@ -366,21 +395,14 @@ def loop_sups(system, metric, region):
         gen = theta @ jac(x) @ theta_inv
         return float(np.linalg.eigvalsh((gen + gen.T) / 2.0).max())
 
-    def energy(x):
-        sig = gain(x)
-        return float(np.trace(sig.T @ m @ sig))
-
     worst = loop_sup(samples, top)
     return (-worst[0], worst[1]), loop_sup(samples, energy)
 
 
 def batched_sups(system, metric, region):
-    if isinstance(system, DiscreteMapSystem):
-        rate = estimate_discrete_rate(system, metric, region)
-        noise = noise_bound_discrete(system, metric, region)
-    else:
-        rate = estimate_continuous_rate(system, metric, region)
-        noise = noise_bound_continuous(system, metric, region)
+    estimate = estimate_discrete_rate if isinstance(system, DiscreteMapSystem) \
+        else estimate_continuous_rate
+    rate, noise = estimate(system, metric, region), noise_bound(system, metric, region)
     return (rate.value, rate.argmax), (noise.value, noise.argmax)
 
 
@@ -391,6 +413,8 @@ def sweep_system(kind, n, rng, vectorized, analytic, shared, matrix_map):
     a = rng.uniform(-1.2, 1.2, (n, n))
     scale = rng.uniform(0.3, 1.5, n)
     g0 = rng.standard_normal((n, n + 1))
+    if kind == "discrete":  # correlated draws: the factor of I + 0.2 folded into the gain
+        g0 = g0 @ np.linalg.cholesky(np.eye(n + 1) + 0.2)
 
     if matrix_map:
         def f(x, arg):
@@ -418,9 +442,8 @@ def sweep_system(kind, n, rng, vectorized, analytic, shared, matrix_map):
 
     jacobian = df if analytic else None
     if kind == "discrete":
-        cov = np.eye(n + 1) + 0.2
         return DiscreteMapSystem(dimension=n, map=f, noise_gain=gain,
-                                 noise=GaussianNoiseSpec(n + 1, covariance=cov),
+                                 noise=GaussianNoiseSpec(n + 1),
                                  jacobian=jacobian, vectorized=vectorized)
     return ContinuousSDESystem(dimension=n, drift=f, diffusion=gain, noise_dim=n + 1,
                                jacobian=jacobian, vectorized=vectorized)
@@ -473,7 +496,7 @@ class TestBatchedSups:
         system = DiscreteMapSystem(dimension=1, map=f, noise_gain=gain,
                                    noise=GaussianNoiseSpec(1), vectorized=vectorized)
         region = SamplingRegion.points([[0.5], [np.nan], [-2.0], [2.0], [1.0]])
-        energy = noise_bound_discrete(system, None, region)
+        energy = noise_bound(system, None, region)
         assert (energy.value, energy.argmax.tolist()) == (4.0, [-2.0])
         # the derivative 1 / (2 sqrt|x|) squared peaks at the smallest |x|
         rate = estimate_discrete_rate(system, None, region)
@@ -488,7 +511,7 @@ class TestBatchedSups:
         region = SamplingRegion.points([[0.0], [1.0]])
         with pytest.raises(ValueError, match=r"^no sample of the points region has a value "
                                              r"above -inf \(all 2 are NaN or -inf\)$"):
-            noise_bound_discrete(system, None, region)
+            noise_bound(system, None, region)
 
     def test_one_batched_call_per_callable(self):
         calls = []

@@ -434,6 +434,18 @@ class TestExitCodes:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("low, high", [(1.0, -1.0), (0.0, -0.0)])
+    def test_inverted_start_box_is_2_in_bounds_and_simulate(self, capsys, tmp_path, low,
+                                                            high):
+        # a box that cannot be sampled has no initial mean square either
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"init_low": low, "init_high": high}))
+        for verb in ("bounds", "simulate"):
+            code, out, err = run_cli(capsys, verb, "hybrid-linear", "--config", str(cfg))
+            assert (code, out) == (2, "")
+            assert err == f"error: initial box coordinate 0 has high {high!r} below its " \
+                          f"low {low!r}\n"
+
     @pytest.mark.parametrize("verb, system", [
         (verb, system) for verb in ("certify", "bounds", "simulate")
         for system in ("hybrid-linear", "hopf-cpg")] + [("cpg", None)])

@@ -135,8 +135,6 @@ def reference_member(system, gens, x, noisy, horizon, h=None, interior=None, rec
         z = np.concatenate([z, z])[:len(x)]
         if flow:
             z = math.sqrt(h) * z
-        elif noisy:
-            z = (z.reshape(-1, shape[2]) @ part.noise._transform.T).reshape(shape)
         fn, gain = (part.drift, part.diffusion) if flow else (part.map, part.noise_gain)
         out = []
         for j in range(steps):
@@ -505,7 +503,8 @@ class TestInitialMeanSquare:
         rng = np.random.default_rng(31)
         for low, high in self.EDGES + rng.uniform(-5, 5, (2000, 2)).tolist():
             pair = InitialPointPair(np.array([high]), np.array([low]))
-            box = InitialBox(np.array([low]), np.array([high]))
+            # a box is given low below high; its square is the same
+            box = InitialBox(np.array([min(low, high)]), np.array([max(low, high)]))
             d = high - low
             assert simulate.initial_ms(pair, MetricSpec.identity(1)) == d * d
             assert simulate.initial_ms(box, MetricSpec.identity(1)) == d * d / 6.0
@@ -548,7 +547,7 @@ class TestInitialMeanSquare:
             d = a - b
             assert simulate.initial_ms(InitialPointPair(a, b), metric) \
                 == pytest.approx(d @ m @ d, rel=1e-12, abs=1e-12)
-            assert simulate.initial_ms(InitialBox(b, a), metric) \
+            assert simulate.initial_ms(InitialBox(np.minimum(a, b), np.maximum(a, b)), metric) \
                 == pytest.approx(np.sum(np.diag(m) * d**2) / 6, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("initial, shapes", [
@@ -969,14 +968,14 @@ class TestSlicedDraws:
     segment whole, bit for bit."""
 
     A = np.array([[0.3, -0.2, 0.1], [0.25, 0.1, -0.3], [-0.1, 0.2, 0.4]])
-    GAIN = np.array([[1.0, 0.5, 0.0], [-0.3, 0.8, 0.2], [0.4, 0.0, 1.2]])
-    COV = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
+    # a gain times the Cholesky factor of a covariance correlates the draws
+    GAIN = np.array([[1.0, 0.5, 0.0], [-0.3, 0.8, 0.2], [0.4, 0.0, 1.2]]) @ np.linalg.cholesky(
+        np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]]))
 
     def correlated_map(self):
         return DiscreteMapSystem(dimension=3, map=lambda x, k: x @ self.A.T,
                                  noise_gain=lambda x, k: self.GAIN,
-                                 noise=GaussianNoiseSpec(3, covariance=self.COV),
-                                 vectorized=True)
+                                 noise=GaussianNoiseSpec(3), vectorized=True)
 
     def test_map_with_correlated_noise(self, monkeypatch):
         pairs, steps = 5, 13
@@ -988,16 +987,15 @@ class TestSlicedDraws:
         assert_equals_reference(self.correlated_map(), config)
 
     def test_map_noise_does_not_depend_on_the_horizon(self):
-        # a map's noise is shaped by one 2-D product over every row and step,
-        # so a one-step run is not shaped by NumPy's one-row kernel: its first
-        # step equals the first step of a longer run, bit for bit
+        # a map's noise is its draws, multiplied by the gain one step at a
+        # time over at least two rows: a one-step run's first step equals the
+        # first step of a longer run, bit for bit
         rng = np.random.default_rng(12)
         for seed in range(40):
             a, gain, root = (rng.normal(size=(4, 4)) for _ in range(3))
             system = DiscreteMapSystem(dimension=4, map=lambda x, k, a=a: 0.3 * x @ a.T,
-                                       noise_gain=lambda x, k, gain=gain: gain,
-                                       noise=GaussianNoiseSpec(4, covariance=root @ root.T),
-                                       vectorized=True)
+                                       noise_gain=lambda x, k, gain=gain @ root: gain,
+                                       noise=GaussianNoiseSpec(4), vectorized=True)
             first = [run_pair_ensemble(system, EnsembleConfig(
                 pair_count=pairs, horizon=horizon, master_seed=seed,
                 initial=InitialBox(-np.ones(4), np.ones(4)))).mean_sq[1]
@@ -1136,8 +1134,9 @@ class TestStackedMembers:
     A = np.array([[-1.0, 0.5], [-0.2, -0.6]])
     RHO = np.array([[0.5, 0.2], [-0.1, 0.4]])
     SIGMA = np.array([[0.7, 0.2], [-0.4, 0.5]])
-    GAIN = np.array([[1.0, 0.4], [-0.3, 0.8]])
-    COV = np.array([[1.5, 0.6], [0.6, 0.7]])
+    # a gain times the Cholesky factor of a covariance correlates the draws
+    GAIN = np.array([[1.0, 0.4], [-0.3, 0.8]]) @ np.linalg.cholesky(
+        np.array([[1.5, 0.6], [0.6, 0.7]]))
 
     def system(self, vectorized=True, state_gains=False):
         def scale(x):  # a state-dependent gain is (rows, n, d) for (rows, d) states
@@ -1149,8 +1148,7 @@ class TestStackedMembers:
             vectorized=vectorized)
         reset = DiscreteMapSystem(dimension=2, map=lambda x, k: x @ self.RHO.T + 0.1 * k,
                                   noise_gain=lambda x, k: scale(x) * self.GAIN,
-                                  noise=GaussianNoiseSpec(2, covariance=self.COV),
-                                  vectorized=vectorized)
+                                  noise=GaussianNoiseSpec(2), vectorized=vectorized)
         return HybridSystem(continuous=continuous, reset=reset, dwell_time=0.5)
 
     @staticmethod
@@ -1477,9 +1475,9 @@ class TestFitGeometricDecay:
 
 
 class TestNoOpProducts:
-    """An identity metric distance and a (1, 1) gain or noise transform skip
-    their matrix products, and every other metric and gain keeps them; the
-    reference keeps every product."""
+    """An identity metric distance and a (1, 1) gain skip their matrix
+    products, and every other metric and gain keeps them; the reference keeps
+    every product."""
 
     @pytest.mark.parametrize("name", ["linear-map", "ou1d", "brownian", "hybrid-linear",
                                       "hopf-cpg"])
@@ -1518,8 +1516,8 @@ class TestNoOpProducts:
     @pytest.mark.parametrize("pairs", [1, 40])
     @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
     def test_scalar_noise_shaping_equals_the_product(self, name, pairs, pairing):
-        # a one-dimensional noise has the (1, 1) transform [[1.0]]: its map and
-        # reset noise is not multiplied
+        # a one-dimensional map and reset noise is its draws times the (1, 1)
+        # gain, elementwise
         recipe = get_recipe(name)
         params = resolve_params(recipe)
         system = recipe.build(params)
@@ -1528,21 +1526,6 @@ class TestNoOpProducts:
             pair_count=pairs, horizon=recipe.sim_defaults["horizon"], master_seed=6,
             initial=recipe.initial(params), step_size=dwell_step_default(recipe, params),
             pairing_mode=pairing, record_every=recipe.sim_defaults["record_every"]))
-
-    @pytest.mark.parametrize("variance", [2.25, 0.3, 1.0 + 2**-50])
-    def test_scaled_scalar_noise_is_elementwise(self, variance):
-        noise = GaussianNoiseSpec(1, covariance=np.array([[variance]]))
-        assert noise._transform[0, 0] != 1.0
-        system = DiscreteMapSystem(dimension=1, map=lambda x, k: 0.7 * np.asarray(x),
-                                   noise_gain=lambda x, k: np.array([[1.3]]), noise=noise,
-                                   vectorized=True)
-        hybrid = HybridSystem(continuous=linear_flow(0.5), reset=system, dwell_time=0.2)
-        for count in (1, 3, 30):
-            assert_equals_reference(system, EnsembleConfig(
-                pair_count=count, horizon=20, master_seed=3, initial=InitialBox(-1.0, 1.0)))
-            assert_equals_reference(hybrid, EnsembleConfig(
-                pair_count=count, horizon=1.0, master_seed=3, initial=InitialBox(-1.0, 1.0),
-                step_size=0.05))
 
     def test_scalar_gain_is_elementwise(self):
         draws = np.random.default_rng(4).standard_normal((7, 1))
@@ -1570,12 +1553,21 @@ class TestBoxStarts:
 
     @pytest.mark.parametrize("low, high", [(0.0, -0.0), (1.0, 0.5)])
     def test_a_high_below_the_low_fails_alike(self, low, high):
-        box = InitialBox(np.full(3, low), np.full(3, high))
-        with pytest.raises(ValueError) as shared:
-            simulate._box_start(box, 3)(np.random.default_rng(0))
-        with pytest.raises(ValueError) as array:
+        # NumPy's uniform rejects the box; the engine and initial_ms reject
+        # it first, naming the coordinate and both bounds
+        with pytest.raises(ValueError, match=r"^high - low < 0$"):
             np.random.default_rng(0).uniform(np.full(3, low), np.full(3, high))
-        assert str(shared.value) == str(array.value)
+        message = f"^initial box coordinate 0 has high {high!r} below its low {low!r}$"
+        box = InitialBox(np.full(3, low), np.full(3, high))
+        with pytest.raises(ValueError, match=message):
+            simulate._box_start(box, 3)
+        with pytest.raises(ValueError, match=message):
+            simulate.initial_ms(box, MetricSpec.identity(3))
+        lows, highs = np.zeros(3), np.ones(3)
+        lows[2], highs[2] = low, high
+        with pytest.raises(ValueError, match=message.replace("coordinate 0", "coordinate 2")):
+            run_pair_ensemble(linear_map(dim=3), EnsembleConfig(
+                pair_count=2, horizon=3, master_seed=0, initial=InitialBox(lows, highs)))
 
     def test_per_coordinate_bounds_keep_the_array_draw(self):
         for lows, highs in (([0.0, -0.0], [1.0, 1.0]), ([-1.0, 0.0], [1.0, 2.0]),
@@ -1605,9 +1597,8 @@ class TestLazyStreams:
         fields = dict(pair_count=pairs, master_seed=11, pairing_mode=pairing)
         mapping = DiscreteMapSystem(
             dimension=2, map=lambda x, k: np.asarray(x) @ np.array([[0.5, 0.2], [-0.1, 0.4]]),
-            noise_gain=lambda x, k: np.eye(2),
-            noise=GaussianNoiseSpec(2, covariance=np.array([[1.5, 0.6], [0.6, 0.7]])),
-            vectorized=True)
+            noise_gain=lambda x, k: np.linalg.cholesky(np.array([[1.5, 0.6], [0.6, 0.7]])),
+            noise=GaussianNoiseSpec(2), vectorized=True)
         starts = {"discrete-points": InitialPointPair(np.array([1.0, 2.0]), np.zeros(2)),
                   "discrete-box": box,
                   "discrete-per-coordinate-box": InitialBox(np.array([-1.0, 0.0]),

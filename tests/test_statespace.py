@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,14 +27,12 @@ def random_spd(n, seed):
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("build, what", [
-    (factor_metric, "metric"), (MetricSpec.constant, "metric"),
-    (lambda m: GaussianNoiseSpec(2, covariance=m), "covariance")],
-    ids=["factor_metric", "MetricSpec.constant", "GaussianNoiseSpec"])
-def test_non_finite_entries_raise_the_named_error(build, what, value):
+@pytest.mark.parametrize("build", [factor_metric, MetricSpec.constant],
+                         ids=["factor_metric", "MetricSpec.constant"])
+def test_non_finite_entries_raise_the_named_error(build, value):
     # the suite turns warnings into errors: no arithmetic may run on the entry
     for matrix in (np.array([[value, 0.0], [0.0, 1.0]]), np.array([[1.0, value], [value, 1.0]])):
-        with pytest.raises(NotPositiveDefinite, match=f"{what} has an entry that is not finite"):
+        with pytest.raises(NotPositiveDefinite, match="metric has an entry that is not finite"):
             build(matrix)
 
 
@@ -95,47 +94,26 @@ class TestMetricSpec:
 
 
 class TestGaussianNoiseSpec:
-    def test_default_is_standard_normal(self):
-        spec = GaussianNoiseSpec(3)
-        assert np.allclose(spec.covariance, np.eye(3))
+    def test_dimension_is_the_one_field(self):
+        assert [f.name for f in fields(GaussianNoiseSpec)] == ["dimension"]
+        assert GaussianNoiseSpec(np.int64(3)).dimension == 3
 
-    def test_covariance_is_respected(self):
-        # the engine's draws, through x <- 0 + I w: every state after the
-        # start is one draw of the noise
-        cov = np.array([[4.0, 0.0], [0.0, 1.0]])
-        path = sample_path(noise_only(cov), np.zeros(2), 200_000, None,
-                           np.random.default_rng(1))
+    @pytest.mark.parametrize("dimension", [0, -1, 2.5, 2.0, "2", None])
+    def test_rejects_a_dimension_that_is_not_a_positive_integer(self, dimension):
+        with pytest.raises(ValueError, match="noise dimension must be an integer >= 1"):
+            GaussianNoiseSpec(dimension)
+
+    def test_draws_are_shaped_by_the_gain(self):
+        # the engine's draws, through x <- 0 + L w with L the Cholesky factor
+        # of cov: every state after the start is one draw of the noise
+        cov = np.array([[4.0, 1.2], [1.2, 1.0]])
+        gain = np.linalg.cholesky(cov)
+        noise_only = DiscreteMapSystem(
+            dimension=2, map=lambda x, k: np.zeros_like(x), noise_gain=lambda x, k: gain,
+            noise=GaussianNoiseSpec(2), vectorized=True)
+        path = sample_path(noise_only, np.zeros(2), 200_000, None, np.random.default_rng(1))
         z = path.states[1:]
-        emp = z.T @ z / len(z)
-        assert np.allclose(emp, cov, atol=0.05)
-
-    def test_rank_deficient_covariance_accepted(self):
-        cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-        path = sample_path(noise_only(cov), np.zeros(2), 100, None,
-                           np.random.default_rng(2))
-        z = path.states[1:]
-        # all mass on the diagonal direction
-        assert np.ptp(z[:, 0]) > 1.0
-        assert np.allclose(z[:, 0], z[:, 1], atol=1e-12)
-
-    def test_rejects_mismatched_covariance(self):
-        with pytest.raises(DimensionMismatch):
-            GaussianNoiseSpec(3, covariance=np.eye(2))
-
-    def test_rejects_indefinite_covariance(self):
-        with pytest.raises(NotPositiveDefinite):
-            GaussianNoiseSpec(2, covariance=np.diag([1.0, -1.0]))
-
-
-def noise_only(cov: np.ndarray) -> DiscreteMapSystem:
-    """The zero map with gain I and noise covariance cov."""
-    n = cov.shape[0]
-    return DiscreteMapSystem(
-        dimension=n,
-        map=lambda x, k: np.zeros_like(x),
-        noise_gain=lambda x, k: np.eye(n),
-        noise=GaussianNoiseSpec(n, covariance=cov),
-        vectorized=True)
+        assert np.allclose(z.T @ z / len(z), cov, atol=0.05)
 
 
 def make_discrete(dim=2, rho=0.5):
