@@ -12,8 +12,9 @@ deterministic low-discrepancy sample, so a certificate built from a region is
 evidence, not proof: its is_global_claim is false.
 
 A region's samples are evaluated in one batch: a vectorized system's
-callables are called once on the (m, n) sample array, and a matrix-valued one
-that returns one shared matrix stands for every sample; other systems are
+callables are called once on the (m, n) sample array, and one that returns
+one shared value stands for every sample, read by the engine's shape rule (a
+shared map or drift value differences to a Jacobian of 0); other systems are
 called row by row.  The factored products, eigvalsh and traces run over the
 stack, and the sup is the first sample of largest value, NaN values skipped
 (a region with no value above -inf raises), as a loop over the samples would
@@ -29,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
-                         MetricSpec, _as_metric, _batched_map)
-from .geometry import _checked_inverse, _factored, _squared_gain, numerical_jacobian
+                         MetricSpec, _as_metric, _batched_map, _reader)
+from .geometry import _checked_inverse, _squared_gain, numerical_jacobian
 
 
 def _scrambled_halton(d: int, n: int, seed) -> np.ndarray:
@@ -168,20 +169,25 @@ def _sup(region: SamplingRegion,
     return SupEstimate(value=float(values[best]), argmax=samples[best])
 
 
-def _stacked(system, fn: Callable, samples: np.ndarray, arg) -> np.ndarray:
-    """The matrix-valued callable fn(x, arg) of `system` at every sample, as a
-    stack (m, rows, cols); a vectorized callable that returns one shared
-    matrix gives a stack of one."""
-    out = _batched_map(fn, system.vectorized)(samples, arg)
-    return out[None] if out.ndim == 2 and system.vectorized else out
+def _values(system, what: str, shape: tuple[int, ...], samples: np.ndarray, arg) -> np.ndarray:
+    """The callable field `what` of `system` at every sample, read by the one
+    shape rule of the engine: (m, *shape), or one value of shape shared by
+    every sample from a vectorized system."""
+    fn = getattr(system, what)
+    values = (fn if system.vectorized else _batched_map(fn))(samples, arg)
+    return _reader(system, what, shape)(values, len(samples))
 
 
 def _jacobians(system, samples: np.ndarray, arg) -> np.ndarray:
+    """The system's Jacobian at every sample, or central differences of its map
+    or drift, whose shared value is broadcast to the shifted states (a
+    Jacobian of 0), as the engine adds it to every row."""
+    n = system.dimension
     if system.jacobian is not None:
-        return _stacked(system, system.jacobian, samples, arg)
-    f = system.map if isinstance(system, DiscreteMapSystem) else system.drift
-    batched = _batched_map(f, system.vectorized)
-    return numerical_jacobian(lambda y: batched(y, arg), samples)
+        return _values(system, "jacobian", (n, n), samples, arg)
+    what = "map" if isinstance(system, DiscreteMapSystem) else "drift"
+    return numerical_jacobian(
+        lambda ys: np.broadcast_to(_values(system, what, (n,), ys, arg), ys.shape), samples)
 
 
 def estimate_discrete_rate(system: DiscreteMapSystem, metric,
@@ -190,8 +196,7 @@ def estimate_discrete_rate(system: DiscreteMapSystem, metric,
     map at step 0 in `metric`, with the attaining sample."""
     theta = _as_metric(metric, system.dimension).factor()
     theta_inv = _checked_inverse(theta)
-    return _sup(region, lambda xs: _squared_gain(
-        _factored(_jacobians(system, xs, 0), theta, theta_inv)))
+    return _sup(region, lambda xs: _squared_gain(theta @ _jacobians(system, xs, 0) @ theta_inv))
 
 
 def estimate_continuous_rate(system: ContinuousSDESystem, metric,
@@ -203,7 +208,7 @@ def estimate_continuous_rate(system: ContinuousSDESystem, metric,
     theta_inv = _checked_inverse(theta)
 
     def tops(xs: np.ndarray) -> np.ndarray:
-        gen = _factored(_jacobians(system, xs, 0.0), theta, theta_inv)
+        gen = theta @ _jacobians(system, xs, 0.0) @ theta_inv
         return np.linalg.eigvalsh((gen + gen.swapaxes(-1, -2)) / 2.0).max(axis=-1)
 
     worst = _sup(region, tops)
@@ -217,15 +222,12 @@ def noise_bound(system: DiscreteMapSystem | ContinuousSDESystem, metric,
     another shape than (dimension, noise dimension) raises DimensionMismatch."""
     m = _as_metric(metric, system.dimension).value()
     if isinstance(system, DiscreteMapSystem):
-        what, fn, width, arg = "noise_gain", system.noise_gain, system.noise.dimension, 0
+        what, width, arg = "noise_gain", system.noise.dimension, 0
     else:
-        what, fn, width, arg = "diffusion", system.diffusion, system.noise_dim, 0.0
+        what, width, arg = "diffusion", system.noise_dim, 0.0
 
     def energies(xs: np.ndarray) -> np.ndarray:
-        gain = _stacked(system, fn, xs, arg)
-        if gain.shape[1:] != (system.dimension, width):
-            raise DimensionMismatch(f"{what} of {system.name!r} returned shape {gain.shape[1:]}, "
-                                    f"expected {(system.dimension, width)}")
+        gain = _values(system, what, (system.dimension, width), xs, arg)
         return np.trace(gain.swapaxes(-1, -2) @ m @ gain, axis1=-2, axis2=-1)
 
     return _sup(region, energies)

@@ -5,8 +5,8 @@ distance between states is ||Theta (x - y)||_2.  A differentiable map or flow
 f is measured through its generalized Jacobian F = Theta @ Df(x) @ Theta^{-1};
 for a map the squared gain lambda_max(F.T F) is the one-step contraction
 factor at x.  The certificates in `concert.certify` form F and its squared
-gain with the private helpers here, over a whole sample at once, with Theta
-checked and inverted once per certificate; `numerical_jacobian` supplies Df
+gain over a whole sample at once, with Theta checked and inverted once per
+certificate by the private helpers here; `numerical_jacobian` supplies Df
 when a system declares no Jacobian.
 """
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-from .statespace import DimensionMismatch
 
 # Condition-number ceiling above which an input factor is treated as singular.
 _COND_LIMIT = 1e12
@@ -60,14 +58,6 @@ def _checked_inverse(theta: np.ndarray) -> np.ndarray:
     if np.linalg.cond(theta) > _COND_LIMIT:
         raise SingularFactor("metric factor is singular to working precision")
     return np.linalg.inv(theta)
-
-
-def _factored(jac: np.ndarray, theta: np.ndarray, theta_inv: np.ndarray) -> np.ndarray:
-    """F = Theta @ J @ Theta^{-1}, given the inverted factor."""
-    if jac.shape[-1] != theta_inv.shape[0]:
-        raise DimensionMismatch(
-            f"Jacobian shape {jac.shape} does not match metric factor {theta_inv.shape}")
-    return theta @ jac @ theta_inv
 
 
 def _squared_gain(gen: np.ndarray) -> np.ndarray:

@@ -21,9 +21,10 @@ with standard-normal z.  One engine steps every run: a plan splits the run into
 segments of map applications and flow steps, and a block of runs moves through
 them in lockstep.  The two members of every pair in a block are stepped as one
 state, member after member, so each system callable is called once per update
-for the whole block.  A block builds each subsystem's stepper once, and a flow
-step calls a vectorized drift and diffusion directly, with no wrapper in
-between.  The per-sample moments are reduced in fixed chunks of
+for the whole block.  A block builds each subsystem's stepper once; every step
+calls vectorized callables directly, with no wrapper in between, and reads
+their values by statespace's one shape rule.  The per-sample moments are
+reduced in fixed chunks of
 _FOLD = 1,024 consecutive runs, whatever the block size: two passes over a
 chunk, each summing its runs in run order, give the chunk's mean and sum of
 squared deviations, and the chunks are merged in run-index order by Chan,
@@ -57,7 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
-                         HybridSystem, MetricSpec, _as_metric, _batched_map)
+                         HybridSystem, MetricSpec, _as_metric, _batched_map, _reader)
 
 _BLOCK = 1024  # runs simulated in lockstep per block; fixed
 _FOLD = 1024  # consecutive runs reduced together, whatever _BLOCK is; fixed
@@ -513,37 +514,28 @@ def _stepper(part, h: float, lone: bool) -> Callable:
     or one Euler-Maruyama step from time `at` of the stacked state x, at least
     two rows per member, with noise w; with lone, each member is a lone run's
     two identical rows, and a callable that is not vectorized is called once
-    per member and step.  A vectorized drift and diffusion are called directly,
-    with no wrapper.  A value of another shape than x (a gain: x by width) or
-    one row of it raises DimensionMismatch instead of broadcasting."""
-    width = part.noise.dimension if isinstance(part, DiscreteMapSystem) else part.noise_dim
-
-    def shaped(value, what, full):
-        if value.shape != full and value.shape != full[1:]:
-            raise DimensionMismatch(f"{what} of {part.name!r} returned shape {value.shape}, "
-                                    f"expected {full[1:]} or {full}")
-        return value
+    per member and step.  Vectorized callables are called directly, with no
+    wrapper, and every value is read by statespace's one shape rule, so a
+    value of another shape raises DimensionMismatch instead of broadcasting."""
+    if isinstance(part, DiscreteMapSystem):
+        names, f, g, width = ("map", "noise_gain"), part.map, part.noise_gain, part.noise.dimension
+    else:
+        names, f, g, width = ("drift", "diffusion"), part.drift, part.diffusion, part.noise_dim
+    if not part.vectorized:
+        f, g = _batched_map(f, lone), _batched_map(g, lone)
+    read_f = _reader(part, names[0], (part.dimension,))
+    read_g = _reader(part, names[1], (part.dimension, width))
 
     if isinstance(part, DiscreteMapSystem):
-        fmap = _batched_map(part.map, part.vectorized, lone)
-        fgain = _batched_map(part.noise_gain, part.vectorized, lone)
-
         def advance(x, k, w):
-            return shaped(fmap(x, k), "map", x.shape) \
-                + _apply_gain(shaped(fgain(x, k), "noise_gain", (*x.shape, width)), w)
+            return read_f(f(x, k), len(x)) + _apply_gain(read_g(g(x, k), len(x)), w)
         return advance
-
-    drift, diffusion = part.drift, part.diffusion
-    if not part.vectorized:
-        drift, diffusion = (_batched_map(fn, False, lone) for fn in (drift, diffusion))
 
     def euler(x, t, w):
         # x + f h + g w in one new array; never writes into what a callable returned
-        f = shaped(np.asarray(drift(x, t), dtype=float), "drift", x.shape)
-        out = np.multiply(f, h, out=np.empty_like(x))
+        out = np.multiply(read_f(f(x, t), len(x)), h, out=np.empty_like(x))
         out += x
-        g = shaped(np.asarray(diffusion(x, t), dtype=float), "diffusion", (*x.shape, width))
-        out += _apply_gain(g, w)
+        out += _apply_gain(read_g(g(x, t), len(x)), w)
         return out
 
     return euler

@@ -105,19 +105,33 @@ class GaussianNoiseSpec:
             raise ValueError(f"noise dimension must be an integer >= 1, got {self.dimension!r}")
 
 
-def _batched_map(fn: Callable, vectorized: bool, lone: bool = False) -> Callable:
-    """fn(x, arg) over stacked states (rows, dimension): one call when the
-    system declares itself vectorized, and otherwise one call per row, stacked.
-    With lone, rows 2i and 2i + 1 hold one state, and fn is called once for both."""
-    if vectorized:
-        return lambda states, arg: np.asarray(fn(states, arg), dtype=float)
-
+def _batched_map(fn: Callable, lone: bool = False) -> Callable:
+    """fn(x, arg) of a callable that is not vectorized, over stacked states
+    (rows, dimension): one call per row, stacked.  With lone, rows 2i and
+    2i + 1 hold one state, and fn is called once for both."""
     def rowwise(states: np.ndarray, arg) -> np.ndarray:
         return np.stack([np.asarray(fn(x, arg), dtype=float) for x in states])
 
     if lone:
         return lambda states, arg: np.repeat(rowwise(states[::2], arg), 2, axis=0)
     return rowwise
+
+
+def _reader(system, what: str, shape: tuple[int, ...]) -> Callable:
+    """read(value, rows): the value of the callable `what` of `system` over
+    `rows` stacked states, as an array of shape (rows, *shape), or of shape
+    itself, one value shared by every row, when the system is vectorized.
+    Any other shape raises DimensionMismatch, naming a vectorized callable's
+    value whole and a row-wise one's per row, as the callable returned it."""
+    def read(value, rows: int) -> np.ndarray:
+        value = np.asarray(value, dtype=float)
+        if value.shape == (rows, *shape) or (system.vectorized and value.shape == shape):
+            return value
+        got, want = (value.shape, f"{shape} or {(rows, *shape)}") if system.vectorized \
+            else (value.shape[1:], shape)
+        raise DimensionMismatch(f"{what} of {system.name!r} returned shape {got}, "
+                                f"expected {want}")
+    return read
 
 
 @dataclass(frozen=True)
@@ -127,7 +141,7 @@ class DiscreteMapSystem:
 
     `vectorized` declares that map/noise_gain/jacobian also accept stacked
     states of shape (batch, dimension) and return correspondingly stacked
-    output, or, for noise_gain and jacobian, one shared matrix; the
+    output, or any of them one value shared by every state; the
     simulators and certificates batch everything and wrap scalar-only
     callables.
     """
@@ -147,6 +161,8 @@ class ContinuousSDESystem:
 
     The driving Brownian increments are standard, `noise_dim` independent
     components of variance dt; any shaping belongs in `diffusion`.
+    `vectorized` declares of drift/diffusion/jacobian what it declares of a
+    DiscreteMapSystem's callables.
     """
 
     dimension: int

@@ -272,8 +272,10 @@ class TestNoiseBounds:
                                  noise_gain=lambda x, k: np.ones((2, 3)),
                                  noise=GaussianNoiseSpec(2), vectorized=vectorized, name="wide")
         region = SamplingRegion.points([[0.0, 0.0], [1.0, 1.0]])
+        # a vectorized value is named whole, a row-wise one per row
+        expected = r"\(2, 2\) or \(2, 2, 2\)" if vectorized else r"\(2, 2\)"
         with pytest.raises(DimensionMismatch, match=r"^noise_gain of 'wide' returned shape "
-                                                    r"\(2, 3\), expected \(2, 2\)$"):
+                                                    rf"\(2, 3\), expected {expected}$"):
             noise_bound(wide, None, region)
         with pytest.raises(DimensionMismatch):
             certify_discrete(wide, region)
@@ -298,6 +300,70 @@ class TestNoiseBounds:
         with pytest.raises(DimensionMismatch, match=r"^diffusion of 'wide-flow' returned shape "
                                                     r"\(1, 3\), expected \(1, 2\)$"):
             certify_continuous(wide, region)
+
+
+def odd_system(kind: str, vectorized: bool, f, jacobian=None):
+    """A 2-D map or flow named 'odd' with map or drift f and unit noise."""
+    if kind == "discrete":
+        return DiscreteMapSystem(dimension=2, map=f, noise_gain=lambda x, k: np.eye(2),
+                                 noise=GaussianNoiseSpec(2), jacobian=jacobian,
+                                 vectorized=vectorized, name="odd")
+    return ContinuousSDESystem(dimension=2, drift=f, diffusion=lambda x, t: np.eye(2),
+                               noise_dim=2, jacobian=jacobian, vectorized=vectorized,
+                               name="odd")
+
+
+def certify_kind(kind: str, system, region: SamplingRegion):
+    return (certify_discrete if kind == "discrete" else certify_continuous)(system, region)
+
+
+KINDS = pytest.mark.parametrize("kind", ["discrete", "continuous"])
+
+
+class TestJacobianShapes:
+    """A certificate reads a Jacobian, and the map or drift it differences, by
+    the engine's one shape rule: a vectorized value is named whole, a
+    row-wise one per row."""
+
+    REGION = SamplingRegion.points([[0.0, 0.0], [1.0, 1.0]])
+
+    @KINDS
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_a_jacobian_of_another_shape_raises(self, kind, vectorized):
+        system = odd_system(kind, vectorized, lambda x, a: 0.5 * np.asarray(x),
+                            jacobian=lambda x, a: np.ones((1, 2)))
+        expected = r"\(2, 2\) or \(2, 2, 2\)" if vectorized else r"\(2, 2\)"
+        with pytest.raises(DimensionMismatch, match=r"^jacobian of 'odd' returned shape "
+                                                    rf"\(1, 2\), expected {expected}$"):
+            certify_kind(kind, system, self.REGION)
+
+    @KINDS
+    def test_a_rowwise_vector_jacobian_is_not_one_shared_matrix(self, kind):
+        # stacked over two samples, the (2,) values make a (2, 2) array
+        system = odd_system(kind, False, lambda x, a: 0.5 * np.asarray(x),
+                            jacobian=lambda x, a: np.asarray(x, dtype=float))
+        with pytest.raises(DimensionMismatch, match=r"^jacobian of 'odd' returned shape "
+                                                    r"\(2,\), expected \(2, 2\)$"):
+            certify_kind(kind, system, self.REGION)
+
+    @KINDS
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_a_differenced_value_of_another_shape_raises(self, kind, vectorized):
+        # central differences call f on the 2 n m = 8 shifted states
+        what = "map" if kind == "discrete" else "drift"
+        system = odd_system(kind, vectorized, lambda x, a: np.asarray(x)[..., :1])
+        expected = r"\(8, 1\), expected \(2,\) or \(8, 2\)" if vectorized \
+            else r"\(1,\), expected \(2,\)"
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^{what} of 'odd' returned shape {expected}$"):
+            certify_kind(kind, system, self.REGION)
+
+    @KINDS
+    def test_a_shared_value_is_differenced_as_constant(self, kind):
+        # one stored vector for every row, as the engine adds it: Jacobian 0
+        stored = np.array([0.25, -0.5])
+        cert = certify_kind(kind, odd_system(kind, True, lambda x, a: stored), self.REGION)
+        assert cert.rate == 0.0 and cert.noise_bound == 2.0
 
 
 class TestCertificates:

@@ -20,7 +20,7 @@ from concert import (
     numerical_jacobian,
     run_pair_ensemble,
 )
-from concert.geometry import _checked_inverse, _factored
+from concert.geometry import _checked_inverse
 
 
 def still(n: int) -> DiscreteMapSystem:
@@ -100,9 +100,8 @@ def at_origin(n: int) -> SamplingRegion:
 
 class TestGeneralizedJacobian:
     def test_identity_factors_pass_through(self):
+        # the identity-metric rate of a non-normal map is its squared norm
         a = np.array([[0.5, 0.1], [0.0, 0.5]])
-        assert np.array_equal(_factored(a, np.eye(2), np.eye(2)), a)
-        # so the identity-metric rate of a non-normal map is its squared norm
         cert = certify_discrete(linear_map(a, analytic=False), at_origin(2))
         assert cert.rate == pytest.approx(np.linalg.norm(a, 2) ** 2, abs=1e-8)
 
@@ -114,10 +113,6 @@ class TestGeneralizedJacobian:
             dimension=2, map=system.map, noise_gain=system.noise_gain, noise=system.noise,
             jacobian=lambda x, k: 0.3 * np.eye(2), vectorized=True)
         assert certify_discrete(declared, at_origin(2)).rate == pytest.approx(0.09, abs=1e-15)
-
-    def test_jacobian_and_factor_dimensions_must_agree(self):
-        with pytest.raises(DimensionMismatch):
-            _factored(np.eye(3), np.eye(2), np.eye(2))
 
     def test_scalar_linear_map(self):
         rho = 0.5

@@ -909,8 +909,8 @@ class TestEulerStepLeavesCallerArraysAlone:
 
 
 class TestSteppers:
-    """A block builds each part's stepper once, and a flow step calls a
-    vectorized drift and diffusion itself, with no wrapper between."""
+    """A block builds each part's stepper once, and every step calls
+    vectorized callables itself, with no wrapper between."""
 
     PAIRS = EnsembleConfig(pair_count=4, horizon=3, master_seed=0,
                            initial=InitialPointPair(np.ones(2), -np.ones(2)))
@@ -930,10 +930,22 @@ class TestSteppers:
                                    diffusion=lambda x, t: np.eye(2)[:, :1], noise_dim=2,
                                    name="thin")
         config = replace(self.PAIRS, horizon=1.0, step_size=0.1)
-        message = (r"^diffusion of 'thin' returned shape \(8, 2, 1\), "
-                   r"expected \(2, 2\) or \(8, 2, 2\)$")
+        message = r"^diffusion of 'thin' returned shape \(2, 1\), expected \(2, 2\)$"
         with pytest.raises(DimensionMismatch, match=message):
             run_pair_ensemble(thin, config)
+
+    def test_a_rowwise_vector_gain_raises_on_every_path(self):
+        # over a single path's two rows the (2,) values stack to (2, 2): only a
+        # vectorized callable returns one matrix for every row
+        rowwise = DiscreteMapSystem(dimension=2, map=lambda x, k: 0.5 * x,
+                                    noise_gain=lambda x, k: x + 1.0,
+                                    noise=GaussianNoiseSpec(2), name="rowwise")
+        message = r"^noise_gain of 'rowwise' returned shape \(2,\), expected \(2, 2\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            sample_path(rowwise, np.array([0.3, -0.2]), 3, None, derive_stream(0, 0, 0))
+        for pairs in (1, 3):
+            with pytest.raises(DimensionMismatch, match=message):
+                run_pair_ensemble(rowwise, replace(self.PAIRS, pair_count=pairs))
 
     def test_built_once_per_part_and_block(self, monkeypatch):
         built = []
@@ -960,6 +972,13 @@ class TestSteppers:
             pair_count=3, horizon=0.5, master_seed=0, step_size=0.1,
             initial=InitialPointPair(np.ones(2), -np.ones(2))))
         assert callers == ["euler"] * 10
+        callers.clear()
+        system = DiscreteMapSystem(
+            dimension=2, map=lambda x, k: caller() or 0.5 * x,
+            noise_gain=lambda x, k: caller() or np.eye(2), noise=GaussianNoiseSpec(2),
+            vectorized=True)
+        run_pair_ensemble(system, self.PAIRS)
+        assert callers == ["advance"] * 6  # a map and a gain per step
 
 
 class TestSlicedDraws:
