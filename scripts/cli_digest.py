@@ -127,6 +127,10 @@ ALL_PAIRS_LOST = {
 # run 0 (exit 4): the summary is printed all the same, with null trace files,
 # and the delta CSVs count the live runs in n_alive
 RING_RUNS_LOST = {"sigma_c": 1e150}
+# a ring noise under which each ring of three runs ends with one run alive:
+# the delta CSVs hold a NaN stderr where one run is alive next to a finite
+# one where two are, and the steady stderr prints as null
+RING_ONE_RUN_ALIVE = {"sigma_c": 300.0}
 # segments whose noise takes more than one member's draw buffer
 # (simulate._DRAW_VALUES standard normals) and is drawn in slices: map steps,
 # flow steps and the flow steps of the ring's dwells
@@ -221,6 +225,9 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
     out.append(("cpg-runs-lost", ["cpg", "--ensemble", "4", "--horizon", "0.3",
                                   "--out", "cpg-out"],
                 RING_RUNS_LOST, tuple(f"cpg-out/{name}" for name in CPG_FILES)))
+    out.append(("cpg-one-run-alive", ["cpg", "--ensemble", "3", "--horizon", "0.3",
+                                      "--out", "cpg-out"],
+                RING_ONE_RUN_ALIVE, tuple(f"cpg-out/{name}" for name in CPG_FILES)))
     # a non-positive dwell time is a bound precondition in every subcommand
     for system in ("hybrid-linear", "hopf-cpg"):
         for verb in ("certify", "bounds", "simulate"):

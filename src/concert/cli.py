@@ -173,8 +173,6 @@ def _cmd_simulate(args) -> int:
     if args.out:
         stats.to_csv(args.out, extra_columns=None if check is None else
                      {"bound": check.bounds, "within_bound": check.passed})
-    # a mean over no alive pair measures nothing and prints as null (steady: NaN)
-    final_alive = bool(stats.n_alive[-1] > 0)
     summary = dict(resolved)
     del summary["command"]
     summary.update({
@@ -182,8 +180,8 @@ def _cmd_simulate(args) -> int:
         "initial_ms": initial_ms(config.initial, MetricSpec.identity(_dimension(system))),
         "failures": stats.failures,
         "final_time": float(stats.times[-1]),
-        "final_mean": float(stats.mean_sq[-1]) if final_alive else None,
-        "final_stderr": float(stats.stderr[-1]) if final_alive else None,
+        "final_mean": float(stats.mean_sq[-1]),
+        "final_stderr": float(stats.stderr[-1]),
         "steady_mean": stats.steady_mean,
         "steady_stderr": stats.steady_stderr,
         "bound": None if bound_obj is None else bound_obj.to_json_dict(),

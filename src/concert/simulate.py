@@ -313,7 +313,7 @@ class EnsembleStats:
     anywhere on the grid.
     steady_mean and steady_stderr fold each pair's mean over the steady
     window, every sample at t >= (1 - STEADY_FRAC) * horizon, over the pairs
-    finite on the whole grid: NaN mean with none, NaN stderr with fewer than two.
+    finite on the whole grid.  Any mean over no pair is NaN, any stderr over fewer than two.
     """
 
     times: np.ndarray
@@ -693,7 +693,7 @@ def _moments(run_count: int, size: int, block_of):
     smaller than a chunk are joined by a copy, so the moments do not depend on
     the blocking.  A run stops contributing from its first non-finite sample
     on, so count[-1] counts the runs finite on every sample.  Returns
-    (count, mean, stderr).
+    (count, mean, stderr): NaN mean over no run, NaN stderr over fewer than two.
     """
     count = np.zeros(size, dtype=np.int64)
     mean = np.zeros(size)
@@ -712,7 +712,8 @@ def _moments(run_count: int, size: int, block_of):
                                 count, mean, msq)
                     pieces = []
             del block  # not held while the next block is simulated
-    stderr = np.zeros(size)
+    mean[count == 0] = math.nan
+    stderr = np.full(size, math.nan)
     settled = count > 1
     stderr[settled] = np.sqrt(msq[settled] / (count[settled] - 1) / count[settled])
     return count, mean, stderr
@@ -742,12 +743,10 @@ def _ensemble(system, config: EnsembleConfig, noisy: tuple[bool, ...],
         return np.column_stack([block, total / np.count_nonzero(window)])
 
     count, mean, stderr = _moments(config.pair_count, times.size + 1, block_of)
-    steady = int(count[-1])  # the runs finite on the whole grid, with a finite window mean
     return EnsembleStats(times=times, sides=sides, mean_sq=mean[:-1], stderr=stderr[:-1],
                          n_pairs=config.pair_count, n_alive=count[:-1],
                          failures=config.pair_count - int(count[-2]),
-                         steady_mean=float(mean[-1]) if steady else math.nan,
-                         steady_stderr=float(stderr[-1]) if steady > 1 else math.nan
+                         steady_mean=float(mean[-1]), steady_stderr=float(stderr[-1])
                          ), window_start
 
 
@@ -793,14 +792,14 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     `bound` is any callable (time, side) -> float evaluated at every grid
     sample, such as a BoundReport, which reads itself on the grid.  Infinite
     bound values pass trivially, and only measured points with a finite bound
-    count in n_finite; with none, nothing was checked and ok is False.  A
-    point where no pair is alive measures nothing and counts as a violation
-    whatever the bound, as does a non-finite mean; neither enters worst_slack.
+    count in n_finite; with none, nothing was checked and ok is False.  A point
+    whose mean or stderr is not finite (NaN over too few pairs, or overflowed)
+    measures nothing: a violation whatever the bound, outside worst_slack.
     """
     values = np.asarray([bound(float(t), side) for t, side in zip(stats.times, stats.sides)])
-    margin = values + slack * stats.stderr - stats.mean_sq
-    measured = np.isfinite(stats.mean_sq) & (stats.n_alive > 0)
-    with np.errstate(invalid="ignore"):
+    measured = np.isfinite(stats.mean_sq) & np.isfinite(stats.stderr)
+    with np.errstate(invalid="ignore"):  # inf - inf where a mean overflowed
+        margin = values + slack * stats.stderr - stats.mean_sq
         passed = ~(margin < 0) & measured  # an infinite bound passes a measured point
     n_violations = int((~passed).sum())
     finite = np.isfinite(margin) & measured

@@ -26,12 +26,15 @@ class DimensionMismatch(ValueError):
     """Raised when array shapes are inconsistent with a declared dimension."""
 
 
-def factor_metric(metric: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+_PIVOT_TOL = 1e-12  # factor_metric's pivot floor, relative to the largest diagonal entry
+
+
+def factor_metric(metric: np.ndarray) -> np.ndarray:
     """Upper-triangular factor Theta of an SPD matrix, Theta.T @ Theta = metric.
 
     The factor is the transposed Cholesky factor, so it is unique with positive
-    diagonal.  A pivot at or below tol (relative to the largest diagonal entry
-    of the metric) raises NotPositiveDefinite, as does any indefinite input.
+    diagonal.  A pivot at or below _PIVOT_TOL times the largest diagonal entry
+    raises NotPositiveDefinite, as does any indefinite input.
     """
     m = np.asarray(metric, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -46,7 +49,7 @@ def factor_metric(metric: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefinite(f"metric is not positive definite: {err}") from None
     pivots = np.diag(lower) ** 2
-    pivot_floor = tol * max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
+    pivot_floor = _PIVOT_TOL * max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
     if np.any(pivots <= pivot_floor):
         raise NotPositiveDefinite(
             f"metric pivot {pivots.min():.3e} at or below tolerance {pivot_floor:.3e}")
@@ -93,6 +96,13 @@ def _as_metric(metric, dimension: int) -> MetricSpec:
     return metric
 
 
+def _check_noise_dimension(dimension) -> None:
+    """Raise ValueError unless the count of standard normal draws per step,
+    a map's noise dimension or a flow's noise_dim, is an integer >= 1."""
+    if not isinstance(dimension, (int, np.integer)) or dimension < 1:
+        raise ValueError(f"noise dimension must be an integer >= 1, got {dimension!r}")
+
+
 @dataclass(frozen=True)
 class GaussianNoiseSpec:
     """`dimension` independent standard normal draws per step; any shaping
@@ -101,8 +111,7 @@ class GaussianNoiseSpec:
     dimension: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
-            raise ValueError(f"noise dimension must be an integer >= 1, got {self.dimension!r}")
+        _check_noise_dimension(self.dimension)
 
 
 def _batched_map(fn: Callable, lone: bool = False) -> Callable:
@@ -172,6 +181,9 @@ class ContinuousSDESystem:
     jacobian: Callable | None = None
     vectorized: bool = False
     name: str = "continuous"
+
+    def __post_init__(self) -> None:
+        _check_noise_dimension(self.noise_dim)
 
 
 @dataclass(frozen=True)

@@ -378,6 +378,18 @@ class TestStrictJson:
         assert (check["n_checked"], check["n_finite"]) == (122, 0)
         assert check["ok"] is False
 
+    def test_stderr_of_a_lone_pair_is_null(self, capsys):
+        # one pair measures a mean but no stderr, so no point is judged
+        code, out, _ = run_cli(capsys, "simulate", "linear-map", "--ensemble", "1")
+        assert code == 0
+        summary = strict_json(out)
+        assert isinstance(summary["final_mean"], float)
+        assert isinstance(summary["steady_mean"], float)
+        assert summary["final_stderr"] is None and summary["steady_stderr"] is None
+        check = summary["bound_check"]
+        assert (check["ok"], check["n_finite"], check["n_violations"]) == (False, 0, 61)
+        assert check["worst_slack"] is None
+
     def test_stderr_of_a_lone_ring_run_is_null(self, capsys, tmp_path):
         out_dir = tmp_path / "ring"
         code, out, _ = run_cli(capsys, "cpg", "--ensemble", "1", "--horizon", "1",

@@ -31,6 +31,9 @@ from concert import (
     InitialPointPair,
     MetricSpec,
     NonFiniteState,
+    SamplingRegion,
+    certified_bound,
+    certify_discrete,
     check_bound_respect,
     derive_stream,
     discrete_ms_bound,
@@ -62,7 +65,8 @@ def scalar_moments(rows):
     that fail: each row counts up to its first non-finite value.  The rows are
     taken in chunks of 1,024; per sample, a chunk's mean and sum of squared
     deviations are sums over its rows in row order, merged into the running
-    moments in chunk order by Chan, Golub & LeVeque's update."""
+    moments in chunk order by Chan, Golub & LeVeque's update.  The mean over
+    no row is NaN, and so is the stderr over fewer than two."""
     rows = np.asarray(rows, dtype=float).tolist()
     size = len(rows[0])
     count, mean, msq, failures = [0] * size, [0.0] * size, [0.0] * size, 0
@@ -89,7 +93,8 @@ def scalar_moments(rows):
             mean[j] += delta * weight
             msq[j] = msq[j] + m2 + (delta * delta * count[j] * weight if count[j] else 0.0)
             count[j] = n
-    stderr = [math.sqrt(m / (c - 1) / c) if c > 1 else 0.0 for m, c in zip(msq, count)]
+    mean = [m if c else math.nan for m, c in zip(mean, count)]
+    stderr = [math.sqrt(m / (c - 1) / c) if c > 1 else math.nan for m, c in zip(msq, count)]
     return count, mean, stderr, failures
 
 
@@ -203,8 +208,7 @@ def reference_ensemble(system, config, metric=None):
     return simulate.EnsembleStats(times=times, sides=sides, mean_sq=np.array(mean[:-1]),
                                   stderr=np.array(stderr[:-1]), n_pairs=pairs,
                                   n_alive=np.array(count[:-1]), failures=failures,
-                                  steady_mean=mean[-1] if count[-1] else math.nan,
-                                  steady_stderr=stderr[-1] if count[-1] > 1 else math.nan)
+                                  steady_mean=mean[-1], steady_stderr=stderr[-1])
 
 
 def assert_bit_equal(got, want):
@@ -697,8 +701,8 @@ class TestMoments:
         count, mean, stderr, failures = self.moments(rows)
         expected = scalar_moments(rows)
         assert count.tolist() == expected[0]
-        assert mean.tolist() == expected[1]
-        assert stderr.tolist() == expected[2]
+        assert mean.tobytes() == np.array(expected[1]).tobytes()
+        assert stderr.tobytes() == np.array(expected[2]).tobytes()
         assert failures == expected[3]
         return failures
 
@@ -1360,6 +1364,50 @@ class TestEnsembleStatsOutput:
             assert math.isnan(stats.steady_stderr)
 
 
+class TestTooFewRuns:
+    """One rule for a moment over too few runs, per time and for the steady
+    values alike: a NaN mean where no run is alive, a NaN stderr where fewer
+    than two are, each NumPy's positive NaN."""
+
+    @staticmethod
+    def assert_nan_where_too_few(stats):
+        assert np.isnan(stats.mean_sq).tolist() == (stats.n_alive == 0).tolist()
+        assert np.isnan(stats.stderr).tolist() == (stats.n_alive < 2).tolist()
+        steady = stats.n_pairs - stats.failures  # every window mean here is finite
+        assert math.isnan(stats.steady_mean) == (steady == 0)
+        assert math.isnan(stats.steady_stderr) == (steady < 2)
+        values = np.concatenate([stats.mean_sq, stats.stderr,
+                                 [stats.steady_mean, stats.steady_stderr]])
+        assert not np.signbit(values[np.isnan(values)]).any()
+
+    @pytest.mark.parametrize("seed, last_alive", [(0, 0), (4, 1), (1, 2)])
+    def test_pairs_lost_along_the_grid(self, seed, last_alive):
+        # a pair fails once a member leaves (-2, 2): 4 pairs end with 0, 1 or
+        # 2 alive, the first passing through 1 alive on its way to 0
+        def cubic(x, k):
+            return np.where(np.abs(x) < 2.0, 0.5 * x + x ** 3, np.inf)
+
+        system = DiscreteMapSystem(dimension=1, map=cubic,
+                                   noise_gain=lambda x, k: 0.3 * np.eye(1),
+                                   noise=GaussianNoiseSpec(1), vectorized=True)
+        stats = run_pair_ensemble(system, EnsembleConfig(
+            pair_count=4, horizon=12, master_seed=seed,
+            initial=InitialBox(np.array([-1.0]), np.array([1.0]))))
+        assert stats.n_alive[0] == 4 and stats.n_alive[-1] == last_alive
+        assert (1 in stats.n_alive) == (last_alive < 2)
+        self.assert_nan_where_too_few(stats)
+
+    @pytest.mark.parametrize("runs, horizon, sigma_c", [(1, 1.0, None), (3, 0.3, 300.0)])
+    def test_ring_runs(self, runs, horizon, sigma_c):
+        # a lone run, and three runs of a ring so noisy that one is left
+        params = cpg.STRONG_COUPLING if sigma_c is None else \
+            replace(cpg.STRONG_COUPLING, sigma_c=sigma_c)
+        result = cpg.run_cpg_experiment(params, run_count=runs, horizon=horizon,
+                                        master_seed=0)
+        assert result.n_alive[-1] == 1 and set(result.n_alive.tolist()) <= {1, 2, 3}
+        self.assert_nan_where_too_few(result)
+
+
 class TestCheckBoundRespect:
     def make_stats(self, mean, stderr):
         mean = np.asarray(mean, dtype=float)
@@ -1402,6 +1450,35 @@ class TestCheckBoundRespect:
         stats = self.make_stats([math.nan], [0.0])
         result = check_bound_respect(stats, lambda t, side: math.inf)
         assert not result.ok
+
+    def test_a_point_whose_stderr_is_not_finite_is_never_passed(self):
+        # a NaN stderr (fewer than two pairs) or one that overflowed, also
+        # with a mean that overflowed, measures nothing whatever the bound
+        stats = self.make_stats([1.0, 1.0, 1.0, math.inf], [0.1, math.nan, math.inf, math.inf])
+        for value, finite, worst in ((2.0, 1, 1.3), (math.inf, 0, math.inf)):
+            result = check_bound_respect(stats, lambda t, side: value)
+            assert result.passed.tolist() == [True, False, False, False]
+            assert not result.ok and result.n_violations == 3
+            assert result.n_finite == finite
+            assert result.worst_slack == pytest.approx(worst)
+
+    def test_a_diverging_ensemble_fails(self):
+        # x <- 0.5 x + 0.3 x^3 + 0.35 w is certified on [-0.5, 0.5] only;
+        # about half of 4,000 pairs leave the floats, and the survivors' stderr
+        # overflows, so from step 9 on no point is passed
+        system = DiscreteMapSystem(dimension=1, map=lambda x, k: 0.5 * x + 0.3 * x ** 3,
+                                   noise_gain=lambda x, k: 0.35 * np.eye(1),
+                                   noise=GaussianNoiseSpec(1),
+                                   jacobian=lambda x, k: (0.5 + 0.9 * x ** 2)[..., None],
+                                   vectorized=True)
+        cert = certify_discrete(system, SamplingRegion.box([-0.5], [0.5], 256))
+        start = InitialPointPair(np.array([0.2]), np.array([-0.2]))
+        stats = run_pair_ensemble(system, EnsembleConfig(pair_count=4000, horizon=60,
+                                                         master_seed=0, initial=start))
+        result = check_bound_respect(stats, certified_bound(cert, start))
+        assert 1000 < stats.failures < 4000 and np.isinf(stats.stderr).any()
+        assert not result.ok
+        assert result.passed.tolist() == [True] * 9 + [False] * 52
 
     def test_points_where_no_pair_is_alive_are_violations(self):
         # x * x * 1e100 overflows by step 3, so no pair is left to measure
@@ -1671,13 +1748,13 @@ class TestLazyStreams:
                          axis=1)[:runs]
         _, mean, stderr, _ = scalar_moments(delta)
         assert got.times.tobytes() == times.tobytes()
-        assert (got.mean_sq.tolist(), got.stderr.tolist()) == (mean, stderr)
+        assert got.mean_sq.tobytes() == np.array(mean).tobytes()
+        assert got.stderr.tobytes() == np.array(stderr).tobytes()
         # the window means are one more sample, reduced by the same fold
         window = window_means(delta, times >= 0.8 * 1.5)
         _, (steady_mean,), (steady_stderr,), _ = scalar_moments(np.array(window)[:, None])
-        assert got.steady_mean == steady_mean
-        assert np.array_equal(got.steady_stderr, steady_stderr if runs > 1 else math.nan,
-                              equal_nan=True)
+        assert np.array([got.steady_mean, got.steady_stderr]).tobytes() == \
+            np.array([steady_mean, steady_stderr]).tobytes()
         path = sample_path(system, x[0], 0.3, 0.001, derive_stream(3, 1, 0))
         want = reference_member(system, [derive_stream(3, 1, 0)], x[:1], True, 0.3, 0.001)
         assert path.states.tobytes() == want[2][0].tobytes()

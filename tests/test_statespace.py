@@ -116,6 +116,16 @@ class TestGaussianNoiseSpec:
         assert np.allclose(z.T @ z / len(z), cov, atol=0.05)
 
 
+class TestContinuousNoiseDim:
+    @pytest.mark.parametrize("noise_dim", [0, 2.5, -1])
+    def test_rejects_a_noise_dim_that_is_not_a_positive_integer(self, noise_dim):
+        # checked at construction as a map's noise dimension is, not by the
+        # engine's first draw
+        with pytest.raises(ValueError, match="noise dimension must be an integer >= 1"):
+            ContinuousSDESystem(dimension=1, drift=lambda x, t: -x,
+                                diffusion=lambda x, t: np.eye(1), noise_dim=noise_dim)
+
+
 def make_discrete(dim=2, rho=0.5):
     return DiscreteMapSystem(
         dimension=dim,
