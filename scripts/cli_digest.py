@@ -131,9 +131,9 @@ RING_RUNS_LOST = {"sigma_c": 1e150}
 # the delta CSVs hold a NaN stderr where one run is alive next to a finite
 # one where two are, and the steady stderr prints as null
 RING_ONE_RUN_ALIVE = {"sigma_c": 300.0}
-# segments whose noise takes more than one member's draw buffer
-# (simulate._DRAW_VALUES standard normals) and is drawn in slices: map steps,
-# flow steps and the flow steps of the ring's dwells
+# runs whose noise takes more than one member's draw buffer
+# (simulate._DRAW_VALUES standard normals) and is drawn in several calls: map
+# steps, flow steps, and the ring's resets and dwells
 SLICED_DRAWS = {
     "simulate-linear-map-sliced": ["simulate", "linear-map", "--horizon", "600",
                                    "--ensemble", "1100"],

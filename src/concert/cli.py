@@ -271,9 +271,6 @@ def main(argv=None) -> int:
         print(f"error: a parameter is out of range: a closed form overflows the floats "
               f"({err})", file=sys.stderr)
         return 3
-    except NonFiniteState as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
     except (SystemNotFound, UnknownParameter) as err:
         # KeyError reprs its message; print the bare text
         print(f"error: {err.args[0] if err.args else err}", file=sys.stderr)

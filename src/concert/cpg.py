@@ -36,7 +36,7 @@ from .certify import ContractionCertificate
 from .simulate import (STEPS_PER_DWELL, EnsembleConfig, EnsembleStats, InitialBox,
                        InitialPointPair, _ensemble)
 from .statespace import (ContinuousSDESystem, DiscreteMapSystem, GaussianNoiseSpec,
-                         HybridSystem, MetricSpec)
+                         HybridSystem, MetricSpec, _check_count)
 
 
 # One third of a turn; three applications are the identity.
@@ -278,8 +278,7 @@ def run_cpg_experiment(params: CPGParams, run_count: int = 200, horizon: float =
     EnsembleStats of delta, so check_bound_respect takes it as it takes a
     pair ensemble's, and its steady values follow the same rule.
     """
-    if run_count < 1:
-        raise ValueError(f"run_count must be >= 1, got {run_count}")
+    _check_count("run_count", run_count)
     h = params.tau / STEPS_PER_DWELL if step_size is None else step_size
     config = EnsembleConfig(pair_count=run_count, horizon=horizon, master_seed=master_seed,
                             initial=RING_START, step_size=h, interior_per_dwell=1)

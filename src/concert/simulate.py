@@ -11,7 +11,7 @@ computed for 1,024 consecutive pairs at once, which changes no bits.  The
 engine derives a member's generator at its first draw (a box start, then its
 first noise) and keeps it only while a later draw call needs it: a run drawn
 in one call drops it at once, so a block does not hold its generators
-together; a run drawn in several calls (hybrids, long flows) keeps its noisy
+together; a run drawn in several calls (long flows and hybrids) keeps its noisy
 members' generators until the block's last call.  Hybrid
 runs apply the boundary reset at the initial instant first and record both
 one-sided samples at every reset time.
@@ -29,11 +29,11 @@ _FOLD = 1,024 consecutive runs, whatever the block size: two passes over a
 chunk, each summing its runs in run order, give the chunk's mean and sum of
 squared deviations, and the chunks are merged in run-index order by Chan,
 Golub & LeVeque's update (1979).  Blocks only join or cut into chunks, so the
-reduction does not depend on the blocking.  A member draws a long
-segment's noise in slices of about _DRAW_VALUES values for the whole block, in
-stream order, so its memory does not grow with the horizon and its bits are
-those of one draw per segment; a hybrid run draws the reset opening a dwell in
-the same call as the dwell's flow noise.  A map's noise is its standard
+reduction does not depend on the blocking.  A member draws its normals in
+stream order, in calls that take the run's next updates, across segment
+boundaries, while they fit _DRAW_VALUES values for the whole block (and at
+least one update), so its memory does not grow with the horizon and its bits
+are those of one draw per run.  A map's noise is its standard
 normal draws and a flow's is its draws times sqrt(h), each shaped only by its
 gain.  Products that change no bits are skipped: a distance in the constant
 identity metric squares the member difference directly, and a (1, 1) gain
@@ -58,11 +58,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
-                         HybridSystem, MetricSpec, _as_metric, _batched_map, _reader)
+                         HybridSystem, MetricSpec, _as_metric, _batched_map, _check_count,
+                         _reader)
 
 _BLOCK = 1024  # runs simulated in lockstep per block; fixed
 _FOLD = 1024  # consecutive runs reduced together, whatever _BLOCK is; fixed
-_DRAW_VALUES = 2**18  # most standard normals in one member's noise buffer (2 MiB)
+_DRAW_VALUES = 2**17  # most standard normals in one member's noise buffer (1 MiB)
 STEPS_PER_DWELL = 100  # default flow steps per dwell of a hybrid system
 _INTERIOR_PER_DWELL = 4  # default interior samples per dwell of a hybrid pair ensemble
 STEADY_FRAC = 0.2  # trailing fraction of a run's time that steady values average over
@@ -292,14 +293,12 @@ class EnsembleConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.pair_count < 1:
-            raise ValueError(f"pair_count must be >= 1, got {self.pair_count}")
+        _check_count("pair_count", self.pair_count)
         if self.pairing_mode not in ("two-noisy", "noisy-vs-noisefree"):
             raise ValueError(f"unknown pairing_mode {self.pairing_mode!r}")
-        if self.interior_per_dwell is not None and self.interior_per_dwell < 0:
-            raise ValueError("interior_per_dwell must be >= 0")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if self.interior_per_dwell is not None:
+            _check_count("interior_per_dwell", self.interior_per_dwell, 0)
+        _check_count("record_every", self.record_every)
 
 
 @dataclass(frozen=True)
@@ -424,8 +423,8 @@ def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int | None) -> l
         return list(range(1, steps_per_dwell))
     if interior_per_dwell == 0 or steps_per_dwell < 2:
         return []
-    raw = [round(j * steps_per_dwell / (interior_per_dwell + 1))
-           for j in range(1, interior_per_dwell + 1)]
+    n = min(interior_per_dwell, steps_per_dwell - 1)  # n = steps - 1 is every flow step
+    raw = [round(j * steps_per_dwell / (n + 1)) for j in range(1, n + 1)]
     return sorted({j for j in raw if 1 <= j <= steps_per_dwell - 1})
 
 
@@ -436,10 +435,8 @@ class _Segment:
     """`steps` updates of a run by one subsystem: map applications at indices
     start, start + 1, ... (stride 1) or Euler-Maruyama steps from times start,
     start + h, ... (stride h).  Each member draws `width` standard normals per
-    update, in stream order, in one call for the whole segment or per _slices
-    range of a long one; a segment that `joins_next` (the reset opening a
-    dwell) is drawn in the same call as the first range of the next segment.
-    A sample is taken after every update whose 1-based count is in `marks`."""
+    update, in stream order, in the _draws calls that hold the update.  A
+    sample is taken after every update whose 1-based count is in `marks`."""
 
     part: DiscreteMapSystem | ContinuousSDESystem
     start: float
@@ -447,7 +444,6 @@ class _Segment:
     steps: int
     width: int
     marks: frozenset[int]
-    joins_next: bool = False
 
 
 def _plan(system, horizon: float, h: float | None, interior_per_dwell: int | None,
@@ -498,12 +494,11 @@ def _plan(system, horizon: float, h: float | None, interior_per_dwell: int | Non
     steps = _check_step_count(tau, h, "dwell time")
     offsets = _interior_offsets(steps, interior_per_dwell)
     flow_marks = frozenset([*offsets, steps])
-    segments = [_Segment(reset, 0, 1, 1, reset.noise.dimension, frozenset({1}), True)]
+    segments = [_Segment(reset, 0, 1, 1, reset.noise.dimension, frozenset({1}))]
     times, sides = [0.0, 0.0], ["pre", "post"]
     for k in range(n_dwell):
         segments += [_Segment(cont, k * tau, h, steps, cont.noise_dim, flow_marks),
-                     _Segment(reset, k + 1, 1, 1, reset.noise.dimension, frozenset({1}),
-                              k + 1 < n_dwell)]
+                     _Segment(reset, k + 1, 1, 1, reset.noise.dimension, frozenset({1}))]
         times += [k * tau + j * h for j in offsets] + [(k + 1) * tau] * 2
         sides += ["interior"] * len(offsets) + ["pre", "post"]
     return np.asarray(times), tuple(sides), segments
@@ -541,26 +536,24 @@ def _stepper(part, h: float, lone: bool) -> Callable:
     return euler
 
 
-def _slices(steps: int, per_step: int) -> list[tuple[int, int]]:
-    """Consecutive step ranges [lo, hi) covering `steps` steps, each drawing
-    at most _DRAW_VALUES values at per_step values a step (and at least one
-    step)."""
-    edges = [*range(0, steps, max(1, _DRAW_VALUES // per_step)), steps]
-    return list(zip(edges, edges[1:]))
-
-
 def _draws(segments, rows: int):
     """The pieces (segment, lo, hi) of `segments` grouped by the one
-    standard-normal call per member run that draws them, in stream order: each
-    segment is cut into _slices ranges for `rows` rows per member, and a
-    segment that joins_next is drawn with the first range of the next."""
-    held = []
+    standard-normal call per member run that draws them, in stream order: a
+    call takes the next updates, across segment boundaries, while they fit
+    _DRAW_VALUES // rows values per row, and at least one update."""
+    budget, held, used = _DRAW_VALUES // rows, [], 0
     for seg in segments:
-        for lo, hi in _slices(seg.steps, rows * seg.width):
-            held.append((seg, lo, hi))
-            if not seg.joins_next:
+        lo = 0
+        while lo < seg.steps:
+            fit = (budget - used) // seg.width if seg.width else seg.steps
+            if fit < 1 and held:
                 yield held
-                held = []
+                held, used = [], 0
+                continue
+            hi = min(seg.steps, lo + max(fit, 1))
+            held.append((seg, lo, hi))
+            used, lo = used + (hi - lo) * seg.width, hi
+    yield held
 
 
 def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarray:

@@ -96,11 +96,11 @@ def _as_metric(metric, dimension: int) -> MetricSpec:
     return metric
 
 
-def _check_noise_dimension(dimension) -> None:
-    """Raise ValueError unless the count of standard normal draws per step,
-    a map's noise dimension or a flow's noise_dim, is an integer >= 1."""
-    if not isinstance(dimension, (int, np.integer)) or dimension < 1:
-        raise ValueError(f"noise dimension must be an integer >= 1, got {dimension!r}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError, naming the count, unless value is a Python or NumPy
+    integer >= least: a noise dimension, a pair or run count, a thinning."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class GaussianNoiseSpec:
     dimension: int
 
     def __post_init__(self) -> None:
-        _check_noise_dimension(self.dimension)
+        _check_count("noise dimension", self.dimension)
 
 
 def _batched_map(fn: Callable, lone: bool = False) -> Callable:
@@ -183,7 +183,7 @@ class ContinuousSDESystem:
     name: str = "continuous"
 
     def __post_init__(self) -> None:
-        _check_noise_dimension(self.noise_dim)
+        _check_count("noise dimension", self.noise_dim)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,32 @@ class TestSamplingRegion:
         assert np.array_equal(region.samples(), np.asarray(pts))
         assert region.sample_count == 2
 
+    def test_points_given_as_a_flat_list_are_one_column(self):
+        region = SamplingRegion.points([0.5, -1.0, 2.0])
+        assert region.dimension == 1 and region.sample_count == 3
+        assert np.array_equal(region.samples(), np.array([[0.5], [-1.0], [2.0]]))
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: SamplingRegion.box([0.0, 0.0], [1.0], 8), DimensionMismatch,
+         r"^bounds must share shape \(n,\), got \(2,\), \(1,\)$"),
+        (lambda: SamplingRegion.box([[0.0]], [[1.0]], 8), DimensionMismatch, "^bounds must"),
+        (lambda: SamplingRegion.box([0.0, 1.0], [1.0, 1.0], 8), ValueError,
+         "^every low bound must be strictly below its high bound$"),
+        (lambda: SamplingRegion.box([0.0], [1.0], 0), ValueError,
+         "^sample_count must be >= 1, got 0$"),
+        (lambda: SamplingRegion.ball([0.0], 0.0, 8), ValueError,
+         "^radius must be positive, got 0.0$"),
+        (lambda: SamplingRegion.ball([0.0], float("nan"), 8), ValueError, "^radius must"),
+        (lambda: SamplingRegion.ball([0.0], 1.0, 0), ValueError,
+         "^sample_count must be >= 1, got 0$"),
+        (lambda: SamplingRegion.points(np.zeros((2, 2, 2))), DimensionMismatch,
+         r"^point list must have shape \(m, n\), got \(2, 2, 2\)$"),
+        (lambda: SamplingRegion.points(np.zeros((0, 2))), DimensionMismatch, "^point list"),
+    ])
+    def test_bad_region_raises(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
     def test_json_round_trip(self):
         for region in (
             SamplingRegion.box([0.0], [1.0], sample_count=8, seed=2),

@@ -97,6 +97,14 @@ class TestBounds:
         assert bound["noise_free"]["asymptotic_bound"] == pytest.approx(
             bound["standard"]["asymptotic_bound"] / 2.0)
 
+    def test_print_config(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "hybrid-linear", "--print-config", "--both")
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "bounds", "system": "hybrid-linear", "noise_free": False, "both": True,
+            "params": {"a": -1.0, "init_high": 1.0, "init_low": -1.0, "rho": 0.5,
+                       "sigma_c": 1.0, "sigma_d": 1.0, "tau": 0.5}}
+
     def test_infinite_bound_serialized_as_null(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"a": 1.0, "rho": 0.999, "tau": 5.0}))
@@ -568,14 +576,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "finite" in err and value in err
 
+    @pytest.mark.parametrize("seed", ["-1", "abc", "2.5"])
     @pytest.mark.parametrize("argv", [["simulate", "linear-map"], ["cpg"]])
-    def test_negative_seed_names_the_flag_and_is_2(self, capsys, argv):
+    def test_bad_seed_names_the_flag_and_is_2(self, capsys, argv, seed):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--seed", "-1"])
+            main([*argv, "--seed", seed])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --seed: expected a non-negative integer, got '-1'" in captured.err
+        assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
 
     def test_dt_on_discrete_is_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "linear-map", "--dt", "0.1")

@@ -357,6 +357,11 @@ class TestRunCPGExperiment:
         assert math.isfinite(result.steady_mean)
         assert result.steady_stderr > 0.0
 
+    @pytest.mark.parametrize("run_count", [0, -3, 2.5, "4"])
+    def test_run_count_must_be_a_positive_integer(self, run_count):
+        with pytest.raises(ValueError, match="^run_count must be an integer >= 1, got "):
+            run_cpg_experiment(STRONG_COUPLING, run_count=run_count, horizon=1.0)
+
     def test_seed_changes_output(self):
         a = run_cpg_experiment(STRONG_COUPLING, run_count=8, horizon=1.0,
                                master_seed=0)

@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -248,6 +249,15 @@ class TestDeriveStream:
         expected = np.random.default_rng(key).bit_generator.state
         assert derive_stream(*key).bit_generator.state == expected
 
+    def test_seed_words_answer_other_requests_as_the_seed_sequence(self):
+        # a request other than PCG64's (4, uint64) is asked of SeedSequence(key)
+        seq = derive_stream(7, 3, 1).bit_generator.seed_seq
+        assert np.array_equal(seq.generate_state(8),
+                              np.random.SeedSequence((7, 3, 1)).generate_state(8))
+        assert np.array_equal(seq.entropy, (7, 3, 1))
+        with pytest.raises(AttributeError, match="^_private$"):
+            seq._private
+
     @pytest.mark.parametrize("pair", [1023, 1024, 2047, 2**32 - 1])
     def test_streams_at_chunk_edges_are_those_of_default_rng(self, pair):
         for key in [(seed, pair, member) for seed in (0, 9) for member in (0, 1)]:
@@ -464,11 +474,52 @@ class TestSamplePathHybrid:
 class TestEnsembleConfigValidation:
     def test_rejects_bad_fields(self):
         init = InitialPointPair(np.array([0.0]), np.array([1.0]))
-        for fields in ({"pair_count": 0}, {"pairing_mode": "both-noisy"},
-                       {"record_every": 0}, {"interior_per_dwell": -1}):
-            with pytest.raises(ValueError):
+        # a count that is not a Python or NumPy integer is rejected by name too
+        for fields in ({"pair_count": 0}, {"pair_count": 2.5}, {"pair_count": "3"},
+                       {"pairing_mode": "both-noisy"}, {"record_every": 0},
+                       {"record_every": 2.5}, {"interior_per_dwell": -1},
+                       {"interior_per_dwell": 1.5}):
+            with pytest.raises(ValueError, match=f"^(unknown )?{next(iter(fields))} "):
                 EnsembleConfig(**{"pair_count": 1, "horizon": 5, "master_seed": 0,
                                   "initial": init, **fields})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        system = hybrid_linear(tau=0.5)
+        fields = dict(horizon=1.0, master_seed=2, step_size=0.05,
+                      initial=InitialBox(np.array([-1.0]), np.array([1.0])))
+        plain = run_pair_ensemble(system, EnsembleConfig(pair_count=3, interior_per_dwell=2,
+                                                         **fields))
+        numpy = run_pair_ensemble(system, EnsembleConfig(
+            pair_count=np.int64(3), interior_per_dwell=np.uint8(2), **fields))
+        assert_bit_equal(plain, numpy)
+
+    def test_huge_interior_count_samples_every_flow_step_at_once(self):
+        # more interior samples than a dwell has flow steps gives every flow
+        # step; the count is clamped before any list is built, so 10**12 costs
+        # what 9 do.  The alarm stops a loop over the count within a second
+        def too_slow(signum, frame):
+            raise TimeoutError("interior offsets take time in proportion to the count")
+
+        system = hybrid_linear(tau=0.5)
+        fields = dict(pair_count=3, horizon=1.0, master_seed=2, step_size=0.05,
+                      initial=InitialBox(np.array([-1.0]), np.array([1.0])))
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            assert simulate._interior_offsets(10, 10**12) == list(range(1, 10))
+            huge = run_pair_ensemble(system, EnsembleConfig(**fields, interior_per_dwell=10**12))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        every = run_pair_ensemble(system, EnsembleConfig(**fields, interior_per_dwell=9))
+        assert huge.sides[2:13] == ("interior",) * 9 + ("pre", "post")
+        assert_bit_equal(huge, every)
+
+    def test_hybrid_run_needs_a_step_size(self):
+        config = EnsembleConfig(pair_count=1, horizon=1.0, master_seed=0,
+                                initial=InitialPointPair(np.zeros(1), np.ones(1)))
+        with pytest.raises(ValueError, match="^step_size is required for hybrid systems$"):
+            run_pair_ensemble(hybrid_linear(tau=0.5), config)
 
     @pytest.mark.parametrize("system, horizon, fields", [
         (linear_map(), 14, {"record_every": 7}),
@@ -1004,9 +1055,11 @@ class TestSlicedDraws:
         pairs, steps = 5, 13
         config = EnsembleConfig(pair_count=pairs, horizon=steps, master_seed=8,
                                 initial=InitialBox(-np.ones(3), np.ones(3)))
-        # slices of 3 steps, and the lone 13th step in a slice of its own
+        # calls of 3 steps, and the lone 13th step in a call of its own
         monkeypatch.setattr(simulate, "_DRAW_VALUES", pairs * 3 * 3)
-        assert simulate._slices(steps, pairs * 3) == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 13)]
+        segments = simulate._plan(self.correlated_map(), steps, None, None, 1)[2]
+        assert [[(lo, hi) for _, lo, hi in group] for group in simulate._draws(segments, pairs)] \
+            == [[(0, 3)], [(3, 6)], [(6, 9)], [(9, 12)], [(12, 13)]]
         assert_equals_reference(self.correlated_map(), config)
 
     def test_map_noise_does_not_depend_on_the_horizon(self):
@@ -1151,8 +1204,9 @@ class TestRunPairEnsembleHybrid:
 
 class TestStackedMembers:
     """The members of a block are stepped as one state, and a hybrid run draws
-    each dwell's reset and flow noise in one call; the reference steps each
-    member on its own and draws every segment in a call of its own."""
+    its resets' and flows' noise in calls across segment boundaries; the
+    reference steps each member on its own and draws every segment in a call
+    of its own."""
 
     A = np.array([[-1.0, 0.5], [-0.2, -0.6]])
     RHO = np.array([[0.5, 0.2], [-0.1, 0.4]])
@@ -1191,13 +1245,27 @@ class TestStackedMembers:
         assert_equals_reference(self.system(state_gains=True), self.config(4))
 
     def test_dwell_sliced_by_the_draw_budget(self, monkeypatch):
-        # each dwell's flow is drawn in ranges of 3, 3, 3 and 1 steps; the reset
-        # opening it is drawn with the first
+        # calls of 3 updates, across segment boundaries: the first holds the
+        # opening reset and two flow steps, the fourth the first dwell's last
+        # two steps and the reset closing it
         monkeypatch.setattr(simulate, "_DRAW_VALUES", 4 * 2 * 3)
+        segments = simulate._plan(self.system(), 1.5, 0.05, 9, 1)[2]
+        groups = [[(seg.steps, lo, hi) for seg, lo, hi in group]
+                  for group in simulate._draws(segments, 4)]
+        assert groups[0] == [(1, 0, 1), (10, 0, 2)] and groups[3] == [(10, 8, 10), (1, 0, 1)]
+        # 34 updates: 11 calls of 3, and the closing reset alone
+        assert [sum(hi - lo for _, lo, hi in group) for group in groups] == [3] * 11 + [1]
         assert_equals_reference(self.system(), self.config(4))
 
-    def test_one_callable_call_per_update_and_one_draw_per_dwell(self, monkeypatch):
+    @pytest.mark.parametrize("budget, calls_per_run", [(None, 1), (6 * 22, 2)])
+    def test_one_callable_call_per_update_and_per_draw_call(self, monkeypatch, budget,
+                                                            calls_per_run):
+        # a run draws 68 values: the opening reset's 2, then 20 a dwell's flow
+        # and 2 its closing reset.  6 * 22 values leave 44 a row in the block
+        # of 3 pairs and 66 in the block of 2, so both draw in two calls
         calls, draws = Counter(), Counter()
+        if budget is not None:
+            monkeypatch.setattr(simulate, "_DRAW_VALUES", budget)
 
         class CountingGenerator:
             def __init__(self, key):
@@ -1218,8 +1286,8 @@ class TestStackedMembers:
         assert stats.failures == 0
         blocks, dwells, steps = 2, 3, 10
         assert calls == {"drift": blocks * dwells * steps, "map": blocks * (dwells + 1)}
-        # the initial box, one call per dwell, and the closing reset
-        assert draws == {(4, i, m): 1 + dwells + 1 for i in range(5) for m in (0, 1)}
+        # the initial box, then the run's noise calls
+        assert draws == {(4, i, m): 1 + calls_per_run for i in range(5) for m in (0, 1)}
 
     def test_lone_pair_metric_product_does_not_depend_on_blocking(self, monkeypatch):
         # pair 2 of 3 runs alone in its block; its distance under a
@@ -1704,23 +1772,25 @@ class TestLazyStreams:
         if name in ("continuous", "continuous-sliced"):  # one group, or sliced
             return linear_flow(0.8, dim=2), EnsembleConfig(horizon=2.0, step_size=0.1,
                                                            initial=box, **fields)
-        if name == "hybrid":  # one group per dwell, and the closing reset
+        if name in ("hybrid", "hybrid-sliced"):  # one group, or several
             return hybrid_linear(dim=2), EnsembleConfig(horizon=1.0, step_size=0.1,
                                                         initial=box, **fields)
-        recipe = get_recipe("hopf-cpg")  # one group per dwell, and the closing reset
+        recipe = get_recipe("hopf-cpg")  # one group at these sizes
         params = resolve_params(recipe)
         return recipe.build(params), EnsembleConfig(
             horizon=0.5, initial=recipe.initial(params),
             step_size=dwell_step_default(recipe, params), **fields)
 
     CASES = ["discrete-points", "discrete-box", "discrete-per-coordinate-box", "continuous",
-             "continuous-sliced", "hybrid", "hopf-cpg"]
+             "continuous-sliced", "hybrid", "hybrid-sliced", "hopf-cpg"]
 
     @staticmethod
     def prepare(monkeypatch, name, block):
         monkeypatch.setattr(simulate, "_BLOCK", block)
-        if name == "continuous-sliced":  # 3 steps a slice at 7 rows of 2 normals
+        if name == "continuous-sliced":  # 3 steps a call at 7 rows of 2 normals
             monkeypatch.setattr(simulate, "_DRAW_VALUES", 7 * 2 * 3)
+        if name == "hybrid-sliced":  # 4 updates a call at 5 rows of 2 normals
+            monkeypatch.setattr(simulate, "_DRAW_VALUES", 5 * 2 * 4)
 
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
@@ -1790,7 +1860,7 @@ class TestLazyStreams:
 
     @pytest.mark.parametrize("name, groups", [("discrete-points", 1), ("discrete-box", 1),
                                               ("continuous", 1), ("continuous-sliced", 5),
-                                              ("hybrid", 3)])
+                                              ("hybrid", 1), ("hybrid-sliced", 4)])
     @pytest.mark.parametrize("pairing", ["two-noisy", "noisy-vs-noisefree"])
     def test_generators_alive(self, monkeypatch, name, groups, pairing):
         # a generator's SeedWords lives exactly as long as the generator

@@ -81,6 +81,19 @@ class TestMetricSpec:
         with pytest.raises(NotPositiveDefinite):
             MetricSpec.constant(np.diag([1.0, -2.0]))
 
+    def test_constant_rejects_a_metric_whose_pivots_pass_but_eigenvalue_does_not(self):
+        # L L^T with L unit lower triangular, -1 below the diagonal: every
+        # pivot of the factorization is 1, and its smallest eigenvalue, about
+        # 8e-18, lies far below eigvalsh's rounding, which on OpenBLAS's
+        # LAPACK reads -1.08e-14
+        lower = np.eye(30) + np.tril(-np.ones((30, 30)), -1)
+        matrix = lower @ lower.T
+        factor_metric(matrix)
+        if np.linalg.eigvalsh(matrix).min() > 0:
+            pytest.skip("this LAPACK reads the smallest eigenvalue as positive")
+        with pytest.raises(NotPositiveDefinite, match="^metric has a non-positive eigenvalue$"):
+            MetricSpec.constant(matrix)
+
     @pytest.mark.parametrize("matrix, error", [
         (np.diag([1.0, 0.0]), NotPositiveDefinite),
         (np.diag([1.0, 1e-13]), NotPositiveDefinite),
