@@ -15,13 +15,12 @@ boundaries, reset applied at t = 0 first): with continuous rate lambda
 C_d (reset) and C_c (diffusion), the asymptote and per-dwell transient factor
 depend on the regime:
 
-    contracting:  C1 = (2 lam C_d + (1-beta)(1+beta-r1) C_c) / (lam (1-beta)(1-r1)),
-                  r1 = beta exp(-2 lam tau)
+    contracting (lam > 0: C1, r1) and expanding (lam < 0: C3, r2; bounded iff
+    r2 < 1, linear growth per dwell at r2 = 1, no finite bound above it):
+                  C = (2 a C_d + (1-beta)(1+beta-r) g C_c) / (a (1-beta)(1-r)),
+                  a = |lam|, r = beta exp(-2 lam tau), g = max(1, exp(-2 lam tau)),
+                  g the most a dwell's flow scales a pair's mean square by
     neutral:      C2 = (2 C_d + 2 beta (1-beta) C_c tau) / (1-beta)^2
-    expanding:    r2 = beta exp(2 |lam| tau); bounded iff r2 < 1 with
-                  C3 = (2 |lam| C_d + (1-beta)(1+beta-r2) exp(2|lam|tau) C_c)
-                       / (|lam| (1-beta)(1-r2));
-                  r2 = 1 gives linear growth per dwell, r2 > 1 no finite bound.
 
 `classify_regime` picks the regime and `hybrid_bound` evaluates it;
 `discrete_ms_bound` covers maps.  `certified_bound` chains contraction
@@ -232,11 +231,12 @@ def classify_regime(beta: float, lam: float, tau: float) -> str:
 
 
 def _per_dwell_product(beta: float, lam: float, tau: float) -> float:
-    """r2 = beta exp(2|lam|tau) of an expanding hybrid, or inf where the
-    exponential overflows the floats and beta is a normal float: there
-    r2 > beta * max_float >= 4.  Where beta is 0 or subnormal, the overflow
-    raises OverflowError, as r2 is then unknown."""
-    exponent = 2.0 * abs(lam) * tau
+    """r = beta exp(-2 lam tau), a hybrid's per-dwell transient factor for every
+    sign of lam (r1 contracting, r2 expanding); inf where the exponential
+    overflows the floats and beta is a normal float: there
+    r > beta * max_float >= 4.  Where beta is 0 or subnormal, the overflow
+    raises OverflowError, as r is then unknown."""
+    exponent = -2.0 * lam * tau
     if exponent > _LOG_MAX and beta >= sys.float_info.min:
         return math.inf
     return beta * math.exp(exponent)
@@ -254,6 +254,8 @@ def hybrid_bound(beta: float, lam: float, noise_energy_reset: float,
     - expanding, r2 > 1: no finite bound, also where exp(2|lam|tau)
       overflows the floats (r2 is then echoed as inf, printed as null).
 
+    C1 and C3 are one expression in |lam|, r = r1 or r2 and the flow factor
+    g = max(1, exp(-2 lam tau)), which also gives the critical growth.
     Expanding inputs within 1e-9 of the equality branch, but off it, carry a
     proximity warning.  `inputs` echoes r1 (contracting) or r2 (expanding).
     """
@@ -264,36 +266,28 @@ def hybrid_bound(beta: float, lam: float, noise_energy_reset: float,
     e0 = _check_nonneg(initial_ms, "initial mean square")
     inputs = {"beta": beta, "lam": lam, "C_d": c_d, "C_c": c_c, "tau": tau,
               "initial_ms": e0}
-    warnings: tuple[str, ...] = ()
-    if regime == "hybrid-contracting":
-        r1 = beta * math.exp(-2.0 * lam * tau)
-        inputs["r1"] = r1
-        asym = (2.0 * lam * c_d + (1.0 - beta) * (1.0 + beta - r1) * c_c) \
-            / (lam * (1.0 - beta) * (1.0 - r1))
-        rate = r1
-    elif regime == "hybrid-neutral":
+    if regime == "hybrid-neutral":
         inputs["lam"] = 0.0
         asym = (2.0 * c_d + 2.0 * beta * (1.0 - beta) * c_c * tau) / (1.0 - beta) ** 2
-        rate = beta
-    else:
-        alam = abs(lam)
-        r2 = _per_dwell_product(beta, lam, tau)
-        inputs["r2"] = r2
-        if regime != "hybrid-expanding-critical" and abs(r2 - 1.0) <= NEAR_CRITICAL_REL_TOL:
-            warnings = (f"per-dwell product beta*exp(2|lam|tau) = {r2!r} is within 1e-9 "
-                        "of the equality branch; the classification is numerically fragile",)
-        asym, rate = math.inf, 1.0
-        if regime != "hybrid-expanding-unbounded":  # r2 is at most about 1
-            blowup = math.exp(2.0 * alam * tau)
-        if regime == "hybrid-expanding-bounded":
-            asym = (2.0 * alam * c_d + (1.0 - beta) * (1.0 + beta - r2) * blowup * c_c) \
-                / (alam * (1.0 - beta) * (1.0 - r2))
-            rate = r2
-        elif regime == "hybrid-expanding-critical":
-            # Per-dwell increment of the post-reset sequence when the per-dwell
-            # product is exactly one.
-            inputs["growth_per_dwell"] = 2.0 * c_d / (1.0 - beta) \
-                + beta * (c_c / alam) * (blowup - 1.0)
+        return BoundReport(regime=regime, asymptotic_bound=asym, transient_rate_per_step=beta,
+                           inputs=inputs)
+    alam, r = abs(lam), _per_dwell_product(beta, lam, tau)  # one r for either sign
+    inputs["r1" if lam > 0.0 else "r2"] = r
+    asym, rate, warnings = math.inf, 1.0, ()
+    if lam < 0.0 and regime != "hybrid-expanding-critical" \
+            and abs(r - 1.0) <= NEAR_CRITICAL_REL_TOL:
+        warnings = (f"per-dwell product beta*exp(2|lam|tau) = {r!r} is within 1e-9 "
+                    "of the equality branch; the classification is numerically fragile",)
+    if regime != "hybrid-expanding-unbounded":  # r is at most about 1
+        g = max(1.0, math.exp(-2.0 * lam * tau))  # the most a dwell's flow scales a mean square by
+    if regime in ("hybrid-contracting", "hybrid-expanding-bounded"):
+        asym = (2.0 * alam * c_d + (1.0 - beta) * (1.0 + beta - r) * g * c_c) \
+            / (alam * (1.0 - beta) * (1.0 - r))
+        rate = r
+    elif regime == "hybrid-expanding-critical":
+        # the post-reset sequence's increment per dwell when r2 is exactly 1
+        inputs["growth_per_dwell"] = 2.0 * c_d / (1.0 - beta) \
+            + beta * (c_c / alam) * (g - 1.0)
     return BoundReport(regime=regime, asymptotic_bound=asym, transient_rate_per_step=rate,
                        inputs=inputs, warnings=warnings)
 

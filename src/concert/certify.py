@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
-                         MetricSpec, _as_metric, _batched_map, _reader)
+                         MetricSpec, _as_metric, _batched_map, _check_count, _reader)
 from .geometry import _checked_inverse, _squared_gain, numerical_jacobian
 
 
@@ -67,7 +67,8 @@ class SamplingRegion:
     The same region always yields the same samples (scrambled Halton sequence
     keyed by `seed`); a ball's first sample is its own center, so suprema that
     peak there are found exactly, and the rest are the sequence's first
-    sample_count - 1 points.
+    sample_count - 1 points.  A region checks its numbers where it is built:
+    integer sample count (>= 1) and seed (>= 0), finite bounds, center, radius.
     """
 
     kind: str  # "box" | "ball" | "points"
@@ -80,6 +81,14 @@ class SamplingRegion:
     radius: float | None = None
     point_list: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        _check_count("sample_count", self.sample_count)
+        _check_count("seed", self.seed, 0)
+        for name in ("lows", "highs", "center", "radius"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
+
     @classmethod
     def box(cls, lows, highs, sample_count: int, seed: int = 0) -> "SamplingRegion":
         lows = np.atleast_1d(np.asarray(lows, dtype=float))
@@ -88,8 +97,6 @@ class SamplingRegion:
             raise DimensionMismatch(f"bounds must share shape (n,), got {lows.shape}, {highs.shape}")
         if np.any(lows >= highs):
             raise ValueError("every low bound must be strictly below its high bound")
-        if sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {sample_count}")
         return cls(kind="box", dimension=lows.size, sample_count=sample_count,
                    seed=seed, lows=lows, highs=highs)
 
@@ -98,8 +105,6 @@ class SamplingRegion:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if not (radius > 0):
             raise ValueError(f"radius must be positive, got {radius}")
-        if sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {sample_count}")
         return cls(kind="ball", dimension=center.size, sample_count=sample_count,
                    seed=seed, center=center, radius=float(radius))
 

@@ -23,9 +23,9 @@ from .bounds import BetaOutOfRange, ParameterRange, _finite_or_none
 from .cpg import (RING_START, STRONG_COUPLING, WEAK_COUPLING, build_cpg_system,
                   phase_aligned_components, run_locking_comparison)
 from .geometry import SingularFactor
-from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _dimension,
-                       _write_csv, check_bound_respect, derive_stream, initial_ms,
-                       run_pair_ensemble, sample_path)
+from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _write_csv,
+                       check_bound_respect, derive_stream, initial_ms, run_pair_ensemble,
+                       sample_path)
 from .statespace import MetricSpec, NotPositiveDefinite
 from .systems import (SystemNotFound, UnknownParameter, _merge_params, dwell_step_default,
                       get_recipe, resolve_params)
@@ -177,7 +177,7 @@ def _cmd_simulate(args) -> int:
     del summary["command"]
     summary.update({
         "kind": recipe.kind,
-        "initial_ms": initial_ms(config.initial, MetricSpec.identity(_dimension(system))),
+        "initial_ms": initial_ms(config.initial, MetricSpec.identity(system.dimension)),
         "failures": stats.failures,
         "final_time": float(stats.times[-1]),
         "final_mean": float(stats.mean_sq[-1]),

@@ -60,7 +60,8 @@ RING_START = InitialBox(-1.0, 1.0)
 @dataclass(frozen=True)
 class CPGParams:
     """Ring configuration: coupling strength gamma in (0, 1), reset and flow
-    noise scales, dwell time between coupling resets, angular frequency."""
+    noise scales, dwell time between coupling resets, angular frequency; each
+    finite, and a value out of range raises ParameterRange here."""
 
     gamma: float
     sigma_d: float = 0.05
@@ -75,6 +76,9 @@ class CPGParams:
             raise ParameterRange("noise scales must be >= 0")
         if not (self.tau > 0):
             raise ParameterRange(f"tau must be positive, got {self.tau}")
+        for name in ("sigma_d", "sigma_c", "tau", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterRange(f"{name} must be finite, got {getattr(self, name)}")
 
 
 WEAK_COUPLING = CPGParams(gamma=0.01)

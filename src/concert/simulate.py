@@ -237,7 +237,7 @@ def sample_path(system, x0: np.ndarray | InitialBox, horizon: float, h: float | 
     times, sides, segments = _plan(system, horizon, h, None, 1)
     if not isinstance(x0, InitialBox):
         x0 = InitialPointPair(x0, x0)  # shape-checked by _corners, as ensemble starts are
-        if not np.all(np.isfinite(_corners(x0, _dimension(system))[0])):
+        if not np.all(np.isfinite(_corners(x0, system.dimension)[0])):
             raise NonFiniteState(0)  # before anything is drawn from rng
 
     def record(states, g):
@@ -278,7 +278,7 @@ class EnsembleConfig:
     integer multiples of it.  record_every thins the samples of continuous
     runs and must stay 1 for the other kinds; interior_per_dwell is the number
     of samples inside each dwell of a hybrid run (None: 4) and must stay None
-    for the other kinds.
+    for the other kinds.  master_seed is an integer >= 0, as the counts are.
     pairing_mode "noisy-vs-noisefree" silences member b's noise (it still
     draws its initial condition).
     """
@@ -294,6 +294,7 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         _check_count("pair_count", self.pair_count)
+        _check_count("master_seed", self.master_seed, 0)
         if self.pairing_mode not in ("two-noisy", "noisy-vs-noisefree"):
             raise ValueError(f"unknown pairing_mode {self.pairing_mode!r}")
         if self.interior_per_dwell is not None:
@@ -348,11 +349,6 @@ def _apply_gain(gain: np.ndarray, draws: np.ndarray) -> np.ndarray:
     if gain.ndim == 2:
         return draws @ np.ascontiguousarray(gain.T)
     return np.einsum("bnd,bd->bn", gain, draws)
-
-
-def _dimension(system) -> int:
-    return system.continuous.dimension if isinstance(system, HybridSystem) \
-        else system.dimension
 
 
 def _corners(init: InitialPointPair | InitialBox, dimension: int) -> list[np.ndarray]:
@@ -418,14 +414,12 @@ def initial_ms(init: InitialPointPair | InitialBox, metric: MetricSpec) -> float
         raise OverflowError(err) from None
 
 
-def _interior_offsets(steps_per_dwell: int, interior_per_dwell: int | None) -> list[int]:
-    if interior_per_dwell is None:  # every flow step
-        return list(range(1, steps_per_dwell))
-    if interior_per_dwell == 0 or steps_per_dwell < 2:
-        return []
-    n = min(interior_per_dwell, steps_per_dwell - 1)  # n = steps - 1 is every flow step
-    raw = [round(j * steps_per_dwell / (n + 1)) for j in range(1, n + 1)]
-    return sorted({j for j in raw if 1 <= j <= steps_per_dwell - 1})
+def _interior_offsets(steps: int, interior_per_dwell: int | None) -> list[int]:
+    """The n = min(interior_per_dwell, steps - 1) flow steps (None: all steps - 1)
+    after which a dwell of `steps` is sampled inside, round(j steps / (n + 1))
+    for j = 1 .. n: spaced by at least 1, so distinct and in 1 .. steps - 1."""
+    n = steps - 1 if interior_per_dwell is None else min(interior_per_dwell, steps - 1)
+    return [round(j * steps / (n + 1)) for j in range(1, n + 1)]
 
 
 # --- the trajectory engine --------------------------------------------------
@@ -640,8 +634,8 @@ def _run_block(segments, runs: range, stream, start, noisy, record) -> np.ndarra
 def _fold_chunk(chunk: np.ndarray, count: np.ndarray, mean: np.ndarray,
                 msq: np.ndarray) -> None:
     """Fold a chunk of runs into the per-sample moments (count, mean, msq) in
-    place; the chunk's array is overwritten.  A run never comes back once
-    non-finite, so it counts up to its first non-finite sample.
+    place, overwriting the chunk.  A run counts up to its first non-finite
+    sample; a mask drops the rest, and changes no bit where every run is finite.
 
     Two passes give the chunk's own mean and sum of squared deviations, each a
     sum over the runs in run order (NumPy reduces axis 0 of a C-ordered array
@@ -653,16 +647,14 @@ def _fold_chunk(chunk: np.ndarray, count: np.ndarray, mean: np.ndarray,
     """
     alive = np.logical_and.accumulate(np.isfinite(chunk), axis=1)
     n = alive.sum(axis=0)  # never grows along the samples
-    failures = len(chunk) - int(n[-1])  # runs that left the floats in the chunk
     reached = int(np.count_nonzero(n))  # samples that some run of the chunk reaches
     # the passes take at least two samples, as a single column would be summed
     # pairwise; a sample that no run reaches holds zeros and is merged nowhere
     width = max(reached, 2)
     x, alive = chunk[:, :width], alive[:, :width]
-    if failures:
-        np.copyto(x, 0.0, where=~alive)
+    np.copyto(x, 0.0, where=~alive)
     chunk_mean = np.add.reduce(x, axis=0) / n[:width]
-    np.subtract(x, chunk_mean, out=x, where=alive if failures else True)
+    np.subtract(x, chunk_mean, out=x, where=alive)
     np.multiply(x, x, out=x)
     old, n = count[:reached], n[:reached]
     total = old + n
@@ -754,7 +746,7 @@ def run_pair_ensemble(system, config: EnsembleConfig, metric=None) -> EnsembleSt
     the finite floats stop contributing from the first bad sample on and are
     counted in `failures`, never silently dropped.
     """
-    distance = _squared_distance(metric, _dimension(system))
+    distance = _squared_distance(metric, system.dimension)
     return _ensemble(system, config, (True, config.pairing_mode == "two-noisy"),
                      lambda states: distance(states[0], states[1]))[0]
 

@@ -98,8 +98,8 @@ def _as_metric(metric, dimension: int) -> MetricSpec:
 
 def _check_count(name: str, value, least: int = 1) -> None:
     """Raise ValueError, naming the count, unless value is a Python or NumPy
-    integer >= least: a noise dimension, a pair or run count, a thinning."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    integer (not a bool) >= least: a noise dimension, a count, a thinning, a seed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -207,3 +207,7 @@ class HybridSystem:
             raise DimensionMismatch(
                 f"continuous dimension {self.continuous.dimension} does not match "
                 f"reset dimension {self.reset.dimension}")
+
+    @property
+    def dimension(self) -> int:  # its flow's, which __post_init__ matched to its reset's
+        return self.continuous.dimension

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -315,6 +317,94 @@ class TestHybridExpanding:
         assert CRITICAL_REL_TOL == 1e-12
         assert NEAR_CRITICAL_REL_TOL == 1e-9
         assert CRITICAL_REL_TOL < NEAR_CRITICAL_REL_TOL
+
+
+def two_branch_hybrid(beta, lam, c_d, c_c, tau, e0):
+    """(regime, asymptote, rate, inputs, warnings) of the hybrid bound with its
+    contracting and expanding asymptotes written apart: C1 in
+    r1 = beta exp(-2 lam tau), C3 in r2 = beta exp(2 |lam| tau) and the
+    blow-up exp(2 |lam| tau), which is never taken where r2 is unbounded."""
+    regime = classify_regime(beta, lam, tau)
+    inputs = {"beta": beta, "lam": lam, "C_d": c_d, "C_c": c_c, "tau": tau, "initial_ms": e0}
+    warnings = ()
+    if regime == "hybrid-contracting":
+        r1 = beta * math.exp(-2.0 * lam * tau)
+        inputs["r1"] = r1
+        asym = (2.0 * lam * c_d + (1.0 - beta) * (1.0 + beta - r1) * c_c) \
+            / (lam * (1.0 - beta) * (1.0 - r1))
+        rate = r1
+    elif regime == "hybrid-neutral":
+        inputs["lam"] = 0.0
+        asym = (2.0 * c_d + 2.0 * beta * (1.0 - beta) * c_c * tau) / (1.0 - beta) ** 2
+        rate = beta
+    else:
+        alam = abs(lam)
+        exponent = 2.0 * alam * tau
+        r2 = math.inf if exponent > math.log(sys.float_info.max) \
+            and beta >= sys.float_info.min else beta * math.exp(exponent)
+        inputs["r2"] = r2
+        if regime != "hybrid-expanding-critical" and abs(r2 - 1.0) <= NEAR_CRITICAL_REL_TOL:
+            warnings = (f"per-dwell product beta*exp(2|lam|tau) = {r2!r} is within 1e-9 "
+                        "of the equality branch; the classification is numerically fragile",)
+        asym, rate = math.inf, 1.0
+        if regime != "hybrid-expanding-unbounded":
+            blowup = math.exp(2.0 * alam * tau)
+        if regime == "hybrid-expanding-bounded":
+            asym = (2.0 * alam * c_d + (1.0 - beta) * (1.0 + beta - r2) * blowup * c_c) \
+                / (alam * (1.0 - beta) * (1.0 - r2))
+            rate = r2
+        elif regime == "hybrid-expanding-critical":
+            inputs["growth_per_dwell"] = 2.0 * c_d / (1.0 - beta) \
+                + beta * (c_c / alam) * (blowup - 1.0)
+    return regime, asym, rate, inputs, warnings
+
+
+def hybrid_cases(count, seed):
+    """Seeded hybrid inputs: lam near 0 of both signs, beta 0 and subnormal,
+    dwell times at the critical tau = -ln(beta) / (2 |lam|) and 1e-13, 5e-10
+    and 1e-6 relative off it, and exponents 2 |lam| tau past the floats."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        beta = rng.choice([0.0, 5e-324, 1e-310, rng.random(), 1.0 - 10.0 ** rng.uniform(-15, -1)])
+        lam = rng.choice([-1.0, 1.0]) * rng.choice(
+            [0.0, 10.0 ** rng.uniform(-320, -4), 10.0 ** rng.uniform(-4, 3)])
+        pick = rng.randrange(3)
+        if pick == 0 and beta > 0.0 and lam != 0.0:
+            off = rng.choice([0.0, 1e-13, 5e-10, 1e-6]) * rng.choice([-1.0, 1.0])
+            tau = -math.log(beta) / (2.0 * abs(lam)) * (1.0 + off)
+        else:
+            tau = 10.0 ** (rng.uniform(1, 300) if pick == 1 else rng.uniform(-3, 1))
+        c_d, c_c, e0 = (rng.choice([0.0, rng.random(), 10.0 ** rng.uniform(-5, 5)])
+                        for _ in range(3))
+        yield beta, lam, c_d, c_c, tau, e0
+
+
+class TestOneHybridAsymptote:
+    def test_equals_the_two_branch_expressions_by_repr(self):
+        # regime, asymptote, rate, every echo in its order, and every warning,
+        # or the same error: an unknown r2, a dwell time past the floats, or a
+        # denominator that underflows to 0
+        def outcome(evaluate, case):
+            try:
+                return repr(evaluate(*case))
+            except (ArithmeticError, ValueError) as err:
+                return repr(err)
+
+        def one_expression(*case):
+            report = hybrid_bound(*case)
+            return (report.regime, report.asymptotic_bound, report.transient_rate_per_step,
+                    report.inputs, report.warnings)
+
+        seen = Counter()
+        for case in hybrid_cases(20_000, seed=33):
+            want = outcome(two_branch_hybrid, case)
+            assert outcome(one_expression, case) == want, case
+            seen[want.split("'")[1]] += 1
+            seen["warned"] += "numerically fragile" in want
+        # every regime, and the errors and warnings, are reached
+        assert set(seen) >= {"hybrid-contracting", "hybrid-neutral", "hybrid-expanding-bounded",
+                             "hybrid-expanding-critical", "hybrid-expanding-unbounded", "warned"}
+        assert seen["warned"] > 0 and min(seen.values()) >= 20, seen
 
 
 class TestHybridInputs:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -86,19 +87,47 @@ class TestSamplingRegion:
         (lambda: SamplingRegion.box([0.0, 1.0], [1.0, 1.0], 8), ValueError,
          "^every low bound must be strictly below its high bound$"),
         (lambda: SamplingRegion.box([0.0], [1.0], 0), ValueError,
-         "^sample_count must be >= 1, got 0$"),
+         "^sample_count must be an integer >= 1, got 0$"),
         (lambda: SamplingRegion.ball([0.0], 0.0, 8), ValueError,
          "^radius must be positive, got 0.0$"),
         (lambda: SamplingRegion.ball([0.0], float("nan"), 8), ValueError, "^radius must"),
         (lambda: SamplingRegion.ball([0.0], 1.0, 0), ValueError,
-         "^sample_count must be >= 1, got 0$"),
+         "^sample_count must be an integer >= 1, got 0$"),
         (lambda: SamplingRegion.points(np.zeros((2, 2, 2))), DimensionMismatch,
          r"^point list must have shape \(m, n\), got \(2, 2, 2\)$"),
         (lambda: SamplingRegion.points(np.zeros((0, 2))), DimensionMismatch, "^point list"),
+        # each checked where the region is built: these once built and failed
+        # only when sampled, or sampled a region that is not one (an infinite
+        # ball's only finite sample is its center)
+        (lambda: SamplingRegion.box([0.0], [1.0], 2.5), ValueError,
+         "^sample_count must be an integer >= 1, got 2.5$"),
+        (lambda: SamplingRegion.ball([0.0], 1.0, 2.5), ValueError,
+         "^sample_count must be an integer >= 1, got 2.5$"),
+        (lambda: SamplingRegion.box([0.0], [1.0], True), ValueError,
+         "^sample_count must be an integer >= 1, got True$"),
+        (lambda: SamplingRegion.box([0.0], [1.0], 8, seed=1.5), ValueError,
+         "^seed must be an integer >= 0, got 1.5$"),
+        (lambda: SamplingRegion.ball([0.0], 1.0, 8, seed=-1), ValueError,
+         "^seed must be an integer >= 0, got -1$"),
+        (lambda: SamplingRegion.box([-math.inf], [1.0], 8), ValueError,
+         r"^lows must be finite, got \[-inf\]$"),
+        (lambda: SamplingRegion.box([0.0, math.nan], [1.0, 1.0], 8), ValueError,
+         r"^lows must be finite, got \[0.0, nan\]$"),
+        (lambda: SamplingRegion.box([0.0], [math.inf], 8), ValueError,
+         r"^highs must be finite, got \[inf\]$"),
+        (lambda: SamplingRegion.ball([math.nan], 1.0, 8), ValueError,
+         r"^center must be finite, got \[nan\]$"),
+        (lambda: SamplingRegion.ball([0.0], math.inf, 8), ValueError,
+         "^radius must be finite, got inf$"),
     ])
     def test_bad_region_raises(self, make, error, message):
         with pytest.raises(error, match=message):
             make()
+
+    def test_numpy_integer_count_and_seed_are_accepted(self):
+        plain = SamplingRegion.box([0.0, -1.0], [1.0, 1.0], 16, seed=3)
+        numpy = SamplingRegion.box([0.0, -1.0], [1.0, 1.0], np.int64(16), seed=np.uint32(3))
+        assert np.array_equal(plain.samples(), numpy.samples())
 
     def test_json_round_trip(self):
         for region in (

@@ -14,6 +14,7 @@ from concert import (
     EnsembleStats,
     GLOBAL_FLOW_RATE,
     NonFiniteState,
+    ParameterRange,
     ROTATION_THIRD,
     STRONG_COUPLING,
     WEAK_COUPLING,
@@ -317,6 +318,14 @@ class TestCPGParamsValidation:
             CPGParams(gamma=0.2, sigma_d=-1.0)
         with pytest.raises(ValueError):
             CPGParams(gamma=0.2, tau=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["sigma_d", "sigma_c", "tau", "omega"])
+    def test_rejects_a_value_that_is_not_finite(self, field, value):
+        # at construction: a NaN sigma_c ran a whole ensemble before its bound
+        # was refused, and a NaN omega lost every run yet printed a bound
+        with pytest.raises(ParameterRange, match=f"^{field} must be (finite|positive), got "):
+            CPGParams(gamma=0.2, **{field: value})
 
 
 class TestBuildCPGSystem:

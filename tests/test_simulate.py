@@ -45,6 +45,18 @@ from concert.systems import dwell_step_default, get_recipe, resolve_params
 from helpers import fit_geometric_decay
 
 
+def branched_interior_offsets(steps_per_dwell, interior_per_dwell):
+    """The interior offsets by the earlier rule, a branch per special case: None,
+    a zero count, a one-step dwell, and a filter of the rounded offsets."""
+    if interior_per_dwell is None:  # every flow step
+        return list(range(1, steps_per_dwell))
+    if interior_per_dwell == 0 or steps_per_dwell < 2:
+        return []
+    n = min(interior_per_dwell, steps_per_dwell - 1)
+    raw = [round(j * steps_per_dwell / (n + 1)) for j in range(1, n + 1)]
+    return sorted({j for j in raw if 1 <= j <= steps_per_dwell - 1})
+
+
 def linear_map(rho=0.5, dim=1, sigma=1.0):
     return DiscreteMapSystem(
         dimension=dim,
@@ -347,10 +359,10 @@ print("numpy.random" in sys.modules)
             derive_stream(7, 1500, 1).bit_generator.state
 
     def test_non_integer_master_seed_raises_in_an_ensemble(self):
-        config = EnsembleConfig(pair_count=2, horizon=3, master_seed=2.9,
-                                initial=InitialPointPair(np.array([1.0]), np.array([0.0])))
-        with pytest.raises(TypeError):
-            run_pair_ensemble(linear_map(), config)
+        # at construction, naming the field, not at the first draw
+        with pytest.raises(ValueError, match="^master_seed must be an integer >= 0, got 2.9$"):
+            EnsembleConfig(pair_count=2, horizon=3, master_seed=2.9,
+                           initial=InitialPointPair(np.array([1.0]), np.array([0.0])))
 
 
 class TestSamplePathMap:
@@ -478,10 +490,18 @@ class TestEnsembleConfigValidation:
         for fields in ({"pair_count": 0}, {"pair_count": 2.5}, {"pair_count": "3"},
                        {"pairing_mode": "both-noisy"}, {"record_every": 0},
                        {"record_every": 2.5}, {"interior_per_dwell": -1},
-                       {"interior_per_dwell": 1.5}):
+                       {"interior_per_dwell": 1.5}, {"pair_count": True},
+                       {"master_seed": -1}, {"master_seed": 1.5}, {"master_seed": True}):
             with pytest.raises(ValueError, match=f"^(unknown )?{next(iter(fields))} "):
                 EnsembleConfig(**{"pair_count": 1, "horizon": 5, "master_seed": 0,
                                   "initial": init, **fields})
+
+    @pytest.mark.parametrize("seed", [2**32, 2**40, np.uint64(2**63)])
+    def test_master_seeds_beyond_one_word_stay_valid(self, seed):
+        config = EnsembleConfig(pair_count=3, horizon=4, master_seed=seed,
+                                initial=InitialPointPair(np.array([1.0]), np.array([0.0])))
+        stats = run_pair_ensemble(linear_map(), config)
+        assert stats.failures == 0 and np.all(np.isfinite(stats.mean_sq))
 
     def test_numpy_integer_counts_are_accepted(self):
         system = hybrid_linear(tau=0.5)
@@ -492,6 +512,17 @@ class TestEnsembleConfigValidation:
         numpy = run_pair_ensemble(system, EnsembleConfig(
             pair_count=np.int64(3), interior_per_dwell=np.uint8(2), **fields))
         assert_bit_equal(plain, numpy)
+
+    def test_one_formula_gives_the_offsets_of_the_branched_rule(self):
+        # every dwell of 1-300 steps at every count up to 3 steps + 2, None and
+        # huge counts; the reference clamps its count too, so it is evaluated
+        # once per clamped count
+        for steps in range(1, 301):
+            want = [branched_interior_offsets(steps, count) for count in range(steps)]
+            assert simulate._interior_offsets(steps, None) \
+                == branched_interior_offsets(steps, None) == want[-1]
+            for count in [*range(3 * steps + 3), 10**6, 10**12]:
+                assert simulate._interior_offsets(steps, count) == want[min(count, steps - 1)]
 
     def test_huge_interior_count_samples_every_flow_step_at_once(self):
         # more interior samples than a dwell has flow steps gives every flow
@@ -1685,7 +1716,7 @@ class TestNoOpProducts:
         recipe = get_recipe(name)
         params = resolve_params(recipe)
         system = recipe.build(params)
-        assert simulate._dimension(system) == 1
+        assert system.dimension == 1
         assert_equals_reference(system, EnsembleConfig(
             pair_count=pairs, horizon=recipe.sim_defaults["horizon"], master_seed=6,
             initial=recipe.initial(params), step_size=dwell_step_default(recipe, params),

@@ -111,7 +111,8 @@ class TestGaussianNoiseSpec:
         assert [f.name for f in fields(GaussianNoiseSpec)] == ["dimension"]
         assert GaussianNoiseSpec(np.int64(3)).dimension == 3
 
-    @pytest.mark.parametrize("dimension", [0, -1, 2.5, 2.0, "2", None])
+    # a bool too, though Python takes True as the integer 1
+    @pytest.mark.parametrize("dimension", [0, -1, 2.5, 2.0, "2", None, True, np.bool_(True)])
     def test_rejects_a_dimension_that_is_not_a_positive_integer(self, dimension):
         with pytest.raises(ValueError, match="noise dimension must be an integer >= 1"):
             GaussianNoiseSpec(dimension)
@@ -209,6 +210,14 @@ class TestHybridSystem:
                            match="continuous dimension 1 .* reset dimension 2"):
             HybridSystem(continuous=make_continuous(dim=1), reset=make_discrete(dim=2),
                          dwell_time=0.5)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_dimension_is_its_flows_and_its_resets(self, dim):
+        system = HybridSystem(continuous=make_continuous(dim=dim), reset=make_discrete(dim=dim),
+                              dwell_time=0.5)
+        assert system.dimension == system.continuous.dimension == system.reset.dimension == dim
+        with pytest.raises(AttributeError):  # read-only: the flow's, never set apart
+            system.dimension = dim + 1
 
     def test_nonpositive_dwell_rejected_at_construction(self):
         for tau in (0.0, -0.5, math.nan):
