@@ -108,14 +108,16 @@ class BoundReport:
         return self.bound_at_time(t, side)
 
     def bound_at_step(self, k: int) -> float:
-        """Bound value after k steps (discrete regimes only)."""
+        """Bound value after k steps (discrete regimes only); never below the
+        initial mean square E0 at k = 0, where a point-mass start's
+        asymptote + (E0 - asymptote) can round below E0."""
         if self.regime != "discrete-ms":
             raise ValueError(f"bound_at_step applies to discrete regimes, not {self.regime}")
         if k < 0:
             raise ValueError(f"step index must be >= 0, got {k}")
         rate = self.transient_rate_per_step
-        initial = self.inputs["initial_effective"]
-        return self.asymptotic_bound + rate**k * initial
+        value = self.asymptotic_bound + rate**k * self.inputs["initial_effective"]
+        return max(value, self.inputs["initial"]) if k == 0 else value
 
     def bound_at_time(self, t: float, side: str = "post") -> float:
         """Bound value at time t (hybrid and flow regimes only).

@@ -47,6 +47,7 @@ _SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
 # the transpose of the per-oscillator spin.
 _PAIR_SUM = np.kron(np.eye(3), np.ones((2, 2)))
 _RING_SPIN_T = np.kron(np.eye(3), _SPIN.T)
+_NEXT = np.roll(np.eye(3), 1, axis=1)  # N: row i picks oscillator i + 1 (cyclic)
 
 # Transverse expansion of the planar limit-cycle drift never exceeds rate 1
 # (attained at the origin), so -1 is a global flow rate in the sense used by
@@ -127,13 +128,9 @@ def ring_jacobian(state: np.ndarray, t: float = 0.0, omega: float = 1.0) -> np.n
 
 
 def coupling_matrix(gamma: float) -> np.ndarray:
-    """Reset matrix L: x_i <- (1 - gamma) x_i + gamma R x_{i+1} (cyclic)."""
-    out = np.zeros((6, 6))
-    for i in range(3):
-        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = (1.0 - gamma) * np.eye(2)
-        j = (i + 1) % 3
-        out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = gamma * ROTATION_THIRD
-    return out
+    """Reset matrix L: x_i <- (1 - gamma) x_i + gamma R x_{i+1} (cyclic), as
+    (1 - gamma) I_6 + gamma kron(N, R), each entry one exact product."""
+    return (1.0 - gamma) * np.eye(6) + gamma * np.kron(_NEXT, ROTATION_THIRD)
 
 
 def coupling_contraction_factor(gamma: float) -> float:

@@ -39,7 +39,13 @@ def numerical_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> 
     m, n = x.shape
     # each row's norm by the dot product that np.linalg.norm takes, and
     # Python's max, which keeps 1e-6 against a NaN
-    scaled = 1e-6 * np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    # where x . x overflowed for a finite x: max|x_i| times the norm of x / max|x_i|
+    big = ~np.isfinite(norm) & np.isfinite(x).all(axis=1)
+    top = np.abs(x[big]).max(axis=1, keepdims=True)
+    norm[big] = top[:, 0] * np.sqrt(((x[big] / top) ** 2).sum(axis=1))
+    scaled = 1e-6 * norm
     h = np.where(scaled > 1e-6, scaled, 1e-6)
     step = np.zeros((n, m, n))
     step[np.arange(n), :, np.arange(n)] = h  # step[i, :, i] shifts coordinate i

@@ -28,8 +28,9 @@ reduced in fixed chunks of
 _FOLD = 1,024 consecutive runs, whatever the block size: two passes over a
 chunk, each summing its runs in run order, give the chunk's mean and sum of
 squared deviations, and the chunks are merged in run-index order by Chan,
-Golub & LeVeque's update (1979).  Blocks only join or cut into chunks, so the
-reduction does not depend on the blocking.  A member draws its normals in
+Golub & LeVeque's update (1979).  The blocks tile each chunk, so the
+reduction does not depend on the blocking; a 1,024-run block is one chunk,
+folded in place with no copy.  A member draws its normals in
 stream order, in calls that take the run's next updates, across segment
 boundaries, while they fit _DRAW_VALUES values for the whole block (and at
 least one update), so its memory does not grow with the horizon and its bits
@@ -673,30 +674,23 @@ def _moments(run_count: int, size: int, block_of):
 
     block_of(runs) returns the (len(runs), size) samples of a block of at most
     _BLOCK runs, as an array the fold may overwrite.  The runs are reduced in
-    chunks of _FOLD consecutive runs (the last may be shorter), whatever
-    _BLOCK is: a block that holds whole chunks is cut into views, and blocks
-    smaller than a chunk are joined by a copy, so the moments do not depend on
-    the blocking.  A run stops contributing from its first non-finite sample
+    chunks of _FOLD consecutive runs (the last may be shorter), and the blocks
+    tile each chunk, so the moments do not depend on the blocking: a 1,024-run
+    block is one chunk, folded in place with no copy, and smaller blocks are
+    joined by one.  A run stops contributing from its first non-finite sample
     on, so count[-1] counts the runs finite on every sample.  Returns
     (count, mean, stderr): NaN mean over no run, NaN stderr over fewer than two.
     """
     count = np.zeros(size, dtype=np.int64)
     mean = np.zeros(size)
     msq = np.zeros(size)
-    pieces = []  # the chunk gathered so far
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, run_count, _BLOCK):
-            block = block_of(range(lo, min(lo + _BLOCK, run_count)))
-            at = 0
-            while at < len(block):
-                end = min(len(block), at + _FOLD - (lo + at) % _FOLD)
-                pieces.append(block[at:end])
-                at = end
-                if (lo + at) % _FOLD == 0 or lo + at == run_count:
-                    _fold_chunk(pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
-                                count, mean, msq)
-                    pieces = []
-            del block  # not held while the next block is simulated
+        for lo in range(0, run_count, _FOLD):
+            hi = min(lo + _FOLD, run_count)
+            blocks = [block_of(range(at, min(at + _BLOCK, hi))) for at in range(lo, hi, _BLOCK)]
+            _fold_chunk(blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
+                        count, mean, msq)
+            del blocks  # not held while the next chunk is simulated
     mean[count == 0] = math.nan
     stderr = np.full(size, math.nan)
     settled = count > 1
@@ -780,7 +774,10 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     count in n_finite; with none, nothing was checked and ok is False.  A point
     whose mean or stderr is not finite (NaN over too few pairs, or overflowed)
     measures nothing: a violation whatever the bound, outside worst_slack.
+    A slack that is NaN, infinite or negative raises ValueError.
     """
+    if not 0.0 <= slack < math.inf:  # NaN too
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
     values = np.asarray([bound(float(t), side) for t, side in zip(stats.times, stats.sides)])
     measured = np.isfinite(stats.mean_sq) & np.isfinite(stats.stderr)
     with np.errstate(invalid="ignore"):  # inf - inf where a mean overflowed

@@ -94,6 +94,19 @@ class TestDiscreteBounds:
         assert above.inputs["initial_effective"] == pytest.approx(5.0)
         assert above.bound_at_step(0) == pytest.approx(asym + 5.0)
 
+    def test_step_zero_is_never_below_the_initial_mean_square(self):
+        # a point-mass start's asym + (E0 - asym) rounds one ulp below E0 in
+        # about 1.6% of these cases; the bound at k = 0 takes E0 there
+        rng = np.random.default_rng(0)
+        cases = rng.uniform((0.0, 0.0, 0.0), (0.99, 5.0, 100.0), size=(100_000, 3))
+        below = 0
+        for beta, c, e0 in cases.tolist():
+            report = discrete_ms_bound(beta, c, e0, point_mass=True)
+            value = report.bound_at_step(0)
+            below += value < e0
+            assert value in (e0, report.asymptotic_bound + report.inputs["initial_effective"])
+        assert below == 0
+
     def test_without_point_mass_initial_is_untruncated(self):
         report = discrete_ms_bound(0.25, 1.0, 1.0)
         assert report.inputs["initial_effective"] == 1.0

@@ -66,6 +66,18 @@ class TestCouplingMatrix:
             nxt = slice(2 * ((i + 1) % 3), 2 * ((i + 1) % 3) + 2)
             assert np.allclose(l[rows, nxt], gamma * r)
 
+    def test_each_entry_is_one_exact_product(self):
+        # byte-equal to the loop that writes (1 - gamma) I_2 and gamma R into
+        # the blocks of a zero matrix, at seeded and extreme gammas
+        rng = np.random.default_rng(0)
+        for gamma in [*rng.uniform(0.0, 1.0, 500).tolist(), 1e-300, 0.999999, 0.2]:
+            expected = np.zeros((6, 6))
+            for i in range(3):
+                j = (i + 1) % 3
+                expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = (1.0 - gamma) * np.eye(2)
+                expected[2 * i:2 * i + 2, 2 * j:2 * j + 2] = gamma * ROTATION_THIRD
+            assert coupling_matrix(gamma).tobytes() == expected.tobytes()
+
     def test_locked_set_invariant(self):
         locked, _ = build_projections()
         l = coupling_matrix(0.25)

@@ -80,6 +80,29 @@ class TestNumericalJacobian:
         ])
         assert np.allclose(numerical_jacobian(f, x), expected, atol=1e-6)
 
+    def test_step_of_a_state_whose_dot_product_overflows(self):
+        # x . x passes the floats above about 1.3e154; the step is 1e-6 ||x||
+        # by a rescaled norm there, not NaN
+        assert numerical_jacobian(lambda x: 0.5 * x, np.array([1e200]))[0, 0] == \
+            pytest.approx(0.5, rel=1e-9)
+        jac = numerical_jacobian(lambda x: 0.5 * x, np.array([[1e308, -1e308], [1.0, 2.0]]))
+        assert np.allclose(jac, 0.5 * np.eye(2), rtol=0.0, atol=1e-9)
+
+    def test_ordinary_states_keep_the_dot_product_step(self):
+        # seeded states from 1e-300 to 1e150 in size: the step is
+        # max(1e-6, 1e-6 sqrt(x . x)) by the batched dot product, bit for bit
+        def f(x):
+            return np.tanh(x) * x[:, ::-1] + np.sin(x)
+
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 6):
+            x = rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-300, 150, (400, 1))
+            scaled = 1e-6 * np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+            h = np.where(scaled > 1e-6, scaled, 1e-6)[:, None]
+            expected = np.stack([(f(x + h * e) - f(x - h * e)) / (2.0 * h)
+                                 for e in np.eye(n)], axis=-1)
+            assert numerical_jacobian(f, x).tobytes() == expected.tobytes()
+
 
 def linear_map(a: np.ndarray, analytic: bool) -> DiscreteMapSystem:
     """x -> a x with unit noise; the Jacobian is a itself when analytic, and
@@ -96,6 +119,14 @@ def linear_map(a: np.ndarray, analytic: bool) -> DiscreteMapSystem:
 
 def at_origin(n: int) -> SamplingRegion:
     return SamplingRegion.points([np.zeros(n)])
+
+
+def test_certificate_at_a_state_whose_dot_product_overflows():
+    # central differences at 1e308 give the squared gain 0.25 of x -> 0.5 x,
+    # not a NaN sample that leaves the region with no value
+    cert = certify_discrete(linear_map(np.array([[0.5]]), analytic=False),
+                            SamplingRegion.points([[1e308]]))
+    assert cert.rate == pytest.approx(0.25, rel=1e-9)
 
 
 class TestGeneralizedJacobian:

@@ -833,6 +833,23 @@ class TestMoments:
         monkeypatch.setattr(simulate, "_BLOCK", block)
         assert self.assert_equals_scalar_reference(self.failing_rows(2500, 9, 5)) > 250
 
+    def test_blocks_tile_the_chunks(self, monkeypatch):
+        # blocks of 300 over 2,500 runs: no block crosses a multiple of 1,024,
+        # so chunk 0 is blocks [0, 300) ... [900, 1024) and chunk 1 starts anew
+        monkeypatch.setattr(simulate, "_BLOCK", 300)
+        rows = self.failing_rows(2500, 9, 5)
+        asked = []
+
+        def block_of(runs):
+            asked.append(runs)
+            return rows[list(runs)]
+
+        simulate._moments(2500, 9, block_of)
+        assert [i for runs in asked for i in runs] == list(range(2500))
+        assert all(len(runs) <= 300 and runs.start // 1024 == (runs.stop - 1) // 1024
+                   for runs in asked)
+        assert [runs.start for runs in asked][:6] == [0, 300, 600, 900, 1024, 1324]
+
     def test_chunk_whose_runs_all_fail_at_the_second_sample(self):
         # one sample reached: still summed in run order, not pairwise
         rng = np.random.default_rng(1)
@@ -1594,6 +1611,23 @@ class TestCheckBoundRespect:
             assert result.n_finite == finite
             assert result.passed.tolist() == [True] * 3 + [False] * 4
             assert result.worst_slack == value  # taken over the measured points only
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_slack_that_is_not_finite_and_nonnegative_is_rejected(self, slack):
+        # x <- 3 x + w leaves the bound from step 1; a slack of NaN or inf
+        # would pass every measured point
+        system = DiscreteMapSystem(dimension=1, map=lambda x, k: 3.0 * x,
+                                   noise_gain=lambda x, k: np.eye(1),
+                                   noise=GaussianNoiseSpec(1), vectorized=True)
+        stats = run_pair_ensemble(system, EnsembleConfig(
+            pair_count=200, horizon=10, master_seed=0,
+            initial=InitialPointPair(np.ones(1), -np.ones(1))))
+        report = discrete_ms_bound(0.25, 1.0, 4.0, point_mass=True)
+        result = check_bound_respect(stats, report, slack=3.0)
+        assert not result.ok and result.n_violations == 10
+        assert check_bound_respect(stats, report, slack=0.0).n_violations == 10
+        with pytest.raises(ValueError, match="slack"):
+            check_bound_respect(stats, report, slack=slack)
 
     def test_bound_report_indexed_by_step(self):
         system = linear_map(0.5, sigma=0.0)
