@@ -43,6 +43,10 @@ HYBRID_CONFIGS = {
 
 # an expanding flow without resets: its bound is finite at every sample
 EXPANDING_FLOW = {"a": -0.5}
+# a flow rate so small that C_c / lam overflows: the bound is inf after
+# t = 0 and the initial mean square at t = 0, where the closed form reads
+# inf * 0 = NaN, a bound that would fail its point
+TINY_RATE = {"a": 1e-320}
 
 BAD_DWELL = {"tau": -1.0}
 
@@ -187,6 +191,8 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                     config, ("run.csv",)))
     out.append(("simulate-ou1d-expanding", ["simulate", "ou1d", "--out", "run.csv"],
                 EXPANDING_FLOW, ("run.csv",)))
+    out.append(("simulate-ou1d-tiny-rate", ["simulate", "ou1d", "--out", "run.csv"],
+                TINY_RATE, ("run.csv",)))
     out += [(name, argv, config, ())
             for name, (argv, config) in {**CHAIN_CONFIGS, **CERTIFY_CONFIGS}.items()]
     out.append(("simulate-linear-map-inexact-start",

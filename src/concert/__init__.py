@@ -5,10 +5,9 @@ to verify the bounds empirically."""
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
                          GaussianNoiseSpec, HybridSystem, MetricSpec,
                          NotPositiveDefinite, factor_metric)
-from .geometry import SingularFactor, numerical_jacobian
-from .certify import (ContractionCertificate, SamplingRegion, SupEstimate,
+from .certify import (ContractionCertificate, SamplingRegion, SingularFactor, SupEstimate,
                       certify_continuous, certify_discrete, estimate_continuous_rate,
-                      estimate_discrete_rate, noise_bound)
+                      estimate_discrete_rate, noise_bound, numerical_jacobian)
 from .bounds import (BetaOutOfRange, BoundReport, CRITICAL_REL_TOL,
                      NEAR_CRITICAL_REL_TOL, ParameterRange, certified_bound,
                      classify_regime, continuous_bound_at, discrete_ms_bound,

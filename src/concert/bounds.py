@@ -184,10 +184,11 @@ def _since_reset(t: float, tau: float, side: str) -> tuple[int, float]:
 
 def _flow_map(lam: float, c_c: float, ms: float, s: float) -> float:
     """Phi_s(ms) = exp(-2 lam s) ms + (C_c / lam)(1 - exp(-2 lam s)), or
-    ms + 2 C_c s at lam = 0: the exact mean square after flow time s of the
-    comparison system (dE/ds = -2 lam E + 2 C_c) started at ms.  Increasing
-    in ms, it bounds wherever ms does; inf where exp(-2 lam s) overflows."""
-    if lam == 0.0:
+    ms + 2 C_c s at lam = 0 or s = 0: the exact mean square after flow time
+    s of the comparison system (dE/ds = -2 lam E + 2 C_c) started at ms.
+    Increasing in ms, it bounds wherever ms does; inf where exp(-2 lam s)
+    overflows."""
+    if lam == 0.0 or s == 0.0:
         return ms + 2.0 * c_c * s
     exponent = -2.0 * lam * s
     if exponent > _LOG_MAX:

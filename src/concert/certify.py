@@ -1,15 +1,18 @@
 """Sampled contraction-rate and noise-energy certificates over state regions.
 
-Every quantity is measured in one constant metric M = Theta^T Theta.  Rates
-are suprema of local quantities of the generalized Jacobian
-F = Theta J Theta^{-1}: the discrete one-step squared gain lambda_max(F.T F),
-and for flows the largest eigenvalue of the symmetric part of F (reported
-negated, so positive values mean contraction).  Noise energies are suprema of
-the injected trace tr(sigma^T M sigma) of a map's noise gain (per step) or a
-flow's diffusion (per unit time).  Callables are sampled at k = 0 or t = 0.0,
-as for an autonomous system.  Suprema over a region are estimated on a
-deterministic low-discrepancy sample, so a certificate built from a region is
-evidence, not proof: its is_global_claim is false.
+Every quantity is measured in one constant metric M = Theta^T Theta, in which
+the distance between states is ||Theta (x - y)||_2.  Rates are suprema of
+local quantities of the generalized Jacobian F = Theta Df(x) Theta^{-1}, with
+Theta checked and inverted once per estimate: the discrete one-step squared
+gain lambda_max(F.T F), the one-step contraction factor at x, and for flows
+the largest eigenvalue of the symmetric part of F (reported negated, so
+positive values mean contraction).  `numerical_jacobian` supplies Df when a
+system declares no Jacobian.  Noise energies are suprema of the injected
+trace tr(sigma^T M sigma) of a map's noise gain (per step) or a flow's
+diffusion (per unit time).  Callables are sampled at k = 0 or t = 0.0, as for
+an autonomous system.  Suprema over a region are estimated on a deterministic
+low-discrepancy sample, so a certificate built from a region is evidence, not
+proof: its is_global_claim is false.
 
 A region's samples are evaluated in one batch: a vectorized system's
 callables are called once on the (m, n) sample array, and one that returns
@@ -31,7 +34,6 @@ import numpy as np
 
 from .statespace import (ContinuousSDESystem, DimensionMismatch, DiscreteMapSystem,
                          MetricSpec, _as_metric, _batched_map, _check_count, _reader)
-from .geometry import _checked_inverse, _squared_gain, numerical_jacobian
 
 
 def _scrambled_halton(d: int, n: int, seed) -> np.ndarray:
@@ -174,34 +176,94 @@ def _sup(region: SamplingRegion,
     return SupEstimate(value=float(values[best]), argmax=samples[best])
 
 
-def _values(system, what: str, shape: tuple[int, ...], samples: np.ndarray, arg) -> np.ndarray:
-    """The callable field `what` of `system` at every sample, read by the one
-    shape rule of the engine: (m, *shape), or one value of shape shared by
-    every sample from a vectorized system."""
+def _values(system, what: str, shape: tuple[int, ...], samples: np.ndarray) -> np.ndarray:
+    """The callable field `what` of `system` at every sample, at step 0 of a
+    map or time 0.0 of a flow, read by the one shape rule of the engine:
+    (m, *shape), or one value of shape shared by every sample from a
+    vectorized system."""
     fn = getattr(system, what)
+    arg = 0 if isinstance(system, DiscreteMapSystem) else 0.0
     values = (fn if system.vectorized else _batched_map(fn))(samples, arg)
     return _reader(system, what, shape)(values, len(samples))
 
 
-def _jacobians(system, samples: np.ndarray, arg) -> np.ndarray:
+def numerical_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian with step max(1e-6, 1e-6 ||x||).
+
+    x is one state (n,), for an f of one state, or a batch of states (m, n)
+    with a Jacobian per row, stacked as (m, ..., n), for an f that takes
+    stacked states (rows, n) and returns one output per row.  A batch's f is
+    called once, on all 2 n m shifted states; each row's step and differences
+    are those of that state alone.  Where x +- step leaves the floats for a
+    finite state, both points move one step toward zero, so the difference
+    stays in the floats.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return numerical_jacobian(
+            lambda ys: np.stack([np.asarray(f(y), dtype=float) for y in ys]), x[None])[0]
+    m, n = x.shape
+    # each row's norm by the dot product that np.linalg.norm takes, and
+    # Python's max, which keeps 1e-6 against a NaN
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    finite = np.isfinite(x).all(axis=1, keepdims=True)
+    # where x . x overflowed for a finite x: max|x_i| times the norm of x / max|x_i|
+    big = ~np.isfinite(norm) & finite[:, 0]
+    top = np.abs(x[big]).max(axis=1, keepdims=True)
+    norm[big] = top[:, 0] * np.sqrt(((x[big] / top) ** 2).sum(axis=1))
+    scaled = 1e-6 * norm
+    h = np.where(scaled > 1e-6, scaled, 1e-6)
+    step = np.zeros((n, m, n))
+    step[np.arange(n), :, np.arange(n)] = h  # step[i, :, i] shifts coordinate i
+    with np.errstate(over="ignore"):
+        outside = ~np.isfinite(x + step) | ~np.isfinite(x - step)
+    shift = np.where(outside & finite, np.sign(x) * step, 0.0)
+    out = np.asarray(f(np.stack([x + (step - shift), x - (step + shift)]).reshape(2 * n * m, n)),
+                     dtype=float)
+    out = out.reshape(2, n, m, *out.shape[1:])
+    cols = (out[0] - out[1]) / (2.0 * h).reshape(m, *(1,) * (out.ndim - 3))
+    return np.moveaxis(cols, 0, -1)
+
+
+def _jacobians(system, samples: np.ndarray) -> np.ndarray:
     """The system's Jacobian at every sample, or central differences of its map
     or drift, whose shared value is broadcast to the shifted states (a
     Jacobian of 0), as the engine adds it to every row."""
     n = system.dimension
     if system.jacobian is not None:
-        return _values(system, "jacobian", (n, n), samples, arg)
+        return _values(system, "jacobian", (n, n), samples)
     what = "map" if isinstance(system, DiscreteMapSystem) else "drift"
     return numerical_jacobian(
-        lambda ys: np.broadcast_to(_values(system, what, (n,), ys, arg), ys.shape), samples)
+        lambda ys: np.broadcast_to(_values(system, what, (n,), ys), ys.shape), samples)
+
+
+# Condition-number ceiling above which a metric factor is treated as singular.
+_COND_LIMIT = 1e12
+
+
+class SingularFactor(ValueError):
+    """Raised when a metric factor cannot be inverted reliably."""
+
+
+def _top_eigenvalue(system, metric, region: SamplingRegion,
+                    symmetric: Callable[[np.ndarray], np.ndarray]) -> SupEstimate:
+    """Sampled sup of the largest eigenvalue of symmetric(F) over the
+    generalized Jacobians F = Theta J Theta^{-1} at the region's samples;
+    SingularFactor when Theta is singular to working precision."""
+    theta = _as_metric(metric, system.dimension).factor()
+    if np.linalg.cond(theta) > _COND_LIMIT:
+        raise SingularFactor("metric factor is singular to working precision")
+    theta_inv = np.linalg.inv(theta)
+    return _sup(region, lambda xs: np.linalg.eigvalsh(
+        symmetric(theta @ _jacobians(system, xs) @ theta_inv)).max(axis=-1))
 
 
 def estimate_discrete_rate(system: DiscreteMapSystem, metric,
                            region: SamplingRegion) -> SupEstimate:
     """Sampled sup of the one-step squared gain lambda_max(F.T F) of a discrete
     map at step 0 in `metric`, with the attaining sample."""
-    theta = _as_metric(metric, system.dimension).factor()
-    theta_inv = _checked_inverse(theta)
-    return _sup(region, lambda xs: _squared_gain(theta @ _jacobians(system, xs, 0) @ theta_inv))
+    return _top_eigenvalue(system, metric, region, lambda gen: gen.swapaxes(-1, -2) @ gen)
 
 
 def estimate_continuous_rate(system: ContinuousSDESystem, metric,
@@ -209,14 +271,8 @@ def estimate_continuous_rate(system: ContinuousSDESystem, metric,
     """Sampled contraction rate of a flow: minus the sup over the region of
     lambda_max((Theta J Theta^{-1})_sym); positive values mean the flow
     contracts the metric at rate at least the returned value."""
-    theta = _as_metric(metric, system.dimension).factor()
-    theta_inv = _checked_inverse(theta)
-
-    def tops(xs: np.ndarray) -> np.ndarray:
-        gen = theta @ _jacobians(system, xs, 0.0) @ theta_inv
-        return np.linalg.eigvalsh((gen + gen.swapaxes(-1, -2)) / 2.0).max(axis=-1)
-
-    worst = _sup(region, tops)
+    worst = _top_eigenvalue(system, metric, region,
+                            lambda gen: (gen + gen.swapaxes(-1, -2)) / 2.0)
     return SupEstimate(value=-worst.value, argmax=worst.argmax)
 
 
@@ -227,12 +283,12 @@ def noise_bound(system: DiscreteMapSystem | ContinuousSDESystem, metric,
     another shape than (dimension, noise dimension) raises DimensionMismatch."""
     m = _as_metric(metric, system.dimension).value()
     if isinstance(system, DiscreteMapSystem):
-        what, width, arg = "noise_gain", system.noise.dimension, 0
+        what, width = "noise_gain", system.noise.dimension
     else:
-        what, width, arg = "diffusion", system.noise_dim, 0.0
+        what, width = "diffusion", system.noise_dim
 
     def energies(xs: np.ndarray) -> np.ndarray:
-        gain = _values(system, what, (system.dimension, width), xs, arg)
+        gain = _values(system, what, (system.dimension, width), xs)
         return np.trace(gain.swapaxes(-1, -2) @ m @ gain, axis1=-2, axis2=-1)
 
     return _sup(region, energies)

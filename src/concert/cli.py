@@ -20,9 +20,9 @@ import sys
 from dataclasses import replace
 
 from .bounds import BetaOutOfRange, ParameterRange, _finite_or_none
+from .certify import SingularFactor
 from .cpg import (RING_START, STRONG_COUPLING, WEAK_COUPLING, build_cpg_system,
                   phase_aligned_components, run_locking_comparison)
-from .geometry import SingularFactor
 from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _write_csv,
                        check_bound_respect, derive_stream, initial_ms, run_pair_ensemble,
                        sample_path)

@@ -540,7 +540,7 @@ def _draws(segments, rows: int):
     for seg in segments:
         lo = 0
         while lo < seg.steps:
-            fit = (budget - used) // seg.width if seg.width else seg.steps
+            fit = (budget - used) // seg.width
             if fit < 1 and held:
                 yield held
                 held, used = [], 0
@@ -770,10 +770,11 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     and only an excess beyond Monte Carlo error is evidence of a violation.
     `bound` is any callable (time, side) -> float evaluated at every grid
     sample, such as a BoundReport, which reads itself on the grid.  Infinite
-    bound values pass trivially, and only measured points with a finite bound
-    count in n_finite; with none, nothing was checked and ok is False.  A point
-    whose mean or stderr is not finite (NaN over too few pairs, or overflowed)
-    measures nothing: a violation whatever the bound, outside worst_slack.
+    bound values pass trivially, a NaN bound fails its point, and only measured
+    points with a finite bound count in n_finite; with none, nothing was
+    checked and ok is False.  A point whose mean or stderr is not finite (NaN
+    over too few pairs, or overflowed) measures nothing: a violation whatever
+    the bound, outside worst_slack.
     A slack that is NaN, infinite or negative raises ValueError.
     """
     if not 0.0 <= slack < math.inf:  # NaN too
@@ -782,7 +783,7 @@ def check_bound_respect(stats: EnsembleStats, bound, slack: float = 3.0) -> Boun
     measured = np.isfinite(stats.mean_sq) & np.isfinite(stats.stderr)
     with np.errstate(invalid="ignore"):  # inf - inf where a mean overflowed
         margin = values + slack * stats.stderr - stats.mean_sq
-        passed = ~(margin < 0) & measured  # an infinite bound passes a measured point
+        passed = (margin >= 0) & measured  # an infinite bound passes, a NaN one fails
     n_violations = int((~passed).sum())
     finite = np.isfinite(margin) & measured
     worst = float(margin[finite].min()) if finite.any() else math.inf

@@ -648,6 +648,21 @@ class TestContinuousBoundAt:
             with pytest.raises(ValueError, match=r"^time must be >= 0, got "):
                 continuous_bound_at(1.0, 1.0, 0.0, t)
 
+    def test_time_zero_is_the_initial_mean_square(self):
+        # at t = 0 the flow map is E0 itself, also where C_c / lam overflows
+        # and the closed form reads inf * 0; elsewhere it is that form, bit for bit
+        def closed_form(lam, c_c, e0):
+            return math.exp(-2.0 * lam * 0.0) * e0 - (c_c / lam) * math.expm1(-2.0 * lam * 0.0)
+
+        rng = random.Random(11)
+        for _ in range(2000):
+            lam = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323, 300)
+            c_c, e0 = (rng.choice((0.0, 10.0 ** rng.uniform(-300, 300))) for _ in range(2))
+            got, old = continuous_bound_at(lam, c_c, e0, 0.0), closed_form(lam, c_c, e0)
+            assert repr(got) == repr(e0 if math.isnan(old) else old)
+        assert continuous_bound_at(1e-320, 1.0, 1.0, 0.0) == 1.0
+        assert hybrid_bound(0.5, 1e-10, 1.0, 1e300, 1.0, 1.0)(0.0, "post") == math.inf
+
 
 class TestJsonSerialization:
     def test_finite_report(self):

@@ -26,9 +26,9 @@ from concert import (
     estimate_continuous_rate,
     estimate_discrete_rate,
     noise_bound,
+    numerical_jacobian,
 )
 from concert.certify import _scrambled_halton
-from concert.geometry import numerical_jacobian
 
 
 def _src_env() -> dict:

@@ -20,7 +20,6 @@ from concert import (
     numerical_jacobian,
     run_pair_ensemble,
 )
-from concert.geometry import _checked_inverse
 
 
 def still(n: int) -> DiscreteMapSystem:
@@ -88,6 +87,15 @@ class TestNumericalJacobian:
         jac = numerical_jacobian(lambda x: 0.5 * x, np.array([[1e308, -1e308], [1.0, 2.0]]))
         assert np.allclose(jac, 0.5 * np.eye(2), rtol=0.0, atol=1e-9)
 
+    def test_stencil_stays_in_the_floats_near_the_largest_float(self):
+        # x + h passes the largest float: both points move one step toward
+        # zero, to x and x - 2h, so the difference stays finite
+        top = np.finfo(float).max
+        assert numerical_jacobian(lambda x: 0.5 * x, np.array([top]))[0, 0] == \
+            pytest.approx(0.5, rel=1e-9)
+        jac = numerical_jacobian(lambda x: 0.5 * x, np.array([[-top, 1.0], [1.0, 2.0]]))
+        assert np.allclose(jac, 0.5 * np.eye(2), rtol=0.0, atol=1e-9)
+
     def test_ordinary_states_keep_the_dot_product_step(self):
         # seeded states from 1e-300 to 1e150 in size: the step is
         # max(1e-6, 1e-6 sqrt(x . x)) by the batched dot product, bit for bit
@@ -126,6 +134,14 @@ def test_certificate_at_a_state_whose_dot_product_overflows():
     # not a NaN sample that leaves the region with no value
     cert = certify_discrete(linear_map(np.array([[0.5]]), analytic=False),
                             SamplingRegion.points([[1e308]]))
+    assert cert.rate == pytest.approx(0.25, rel=1e-9)
+
+
+def test_certificate_at_the_largest_float():
+    # the rate of x -> 0.5 x, differenced at 1 and at the largest float, is
+    # its squared gain 0.25, not inf
+    region = SamplingRegion.points([[1.0], [np.finfo(float).max]])
+    cert = certify_discrete(linear_map(np.array([[0.5]]), analytic=False), region)
     assert cert.rate == pytest.approx(0.25, rel=1e-9)
 
 
@@ -169,9 +185,8 @@ class TestGeneralizedJacobian:
 
 class TestCheckedInverse:
     def test_singular_factor_rejected(self):
+        # a MetricSpec built past factor_metric, whose factor has no inverse
+        singular = MetricSpec(dimension=2, _matrix=np.diag([1.0, 0.0]),
+                              _factor=np.diag([1.0, 0.0]))
         with pytest.raises(SingularFactor):
-            _checked_inverse(np.diag([1.0, 0.0]))
-
-    def test_nonsquare_factor_rejected(self):
-        with pytest.raises(SingularFactor):
-            _checked_inverse(np.ones((2, 3)))
+            certify_discrete(linear_map(np.eye(2), analytic=True), at_origin(2), singular)

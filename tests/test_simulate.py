@@ -1562,6 +1562,23 @@ class TestCheckBoundRespect:
         result = check_bound_respect(stats, lambda t, side: bounds[int(t)])
         assert (result.n_checked, result.n_finite, result.n_violations) == (4, 2, 1)
 
+    def test_a_nan_bound_fails_its_point(self):
+        # x <- 0.5 x + w from (1, -1): every point passes the bound 1e9 but
+        # the one whose bound is NaN, which counts in neither n_finite nor
+        # worst_slack
+        system = DiscreteMapSystem(dimension=1, map=lambda x, k: 0.5 * np.asarray(x),
+                                   noise_gain=lambda x, k: np.eye(1),
+                                   noise=GaussianNoiseSpec(1), vectorized=True)
+        config = EnsembleConfig(pair_count=200, horizon=10, master_seed=0,
+                                initial=InitialPointPair(np.array([1.0]), np.array([-1.0])))
+        stats = run_pair_ensemble(system, config)
+        result = check_bound_respect(stats, lambda t, side: math.nan if t == 3 else 1e9)
+        assert not result.ok and result.n_violations == 1
+        assert result.passed.tolist() == [t != 3 for t in range(11)]
+        assert result.n_finite == 10
+        margins = 1e9 + 3.0 * stats.stderr - stats.mean_sq
+        assert result.worst_slack == np.delete(margins, 3).min()
+
     def test_nan_mean_is_violation(self):
         stats = self.make_stats([math.nan], [0.0])
         result = check_bound_respect(stats, lambda t, side: math.inf)
