@@ -17,11 +17,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .bounds import BetaOutOfRange, ParameterRange, _finite_or_none
 from .certify import SingularFactor
-from .cpg import (RING_START, STRONG_COUPLING, WEAK_COUPLING, build_cpg_system,
+from .cpg import (RING_START, STRONG_COUPLING, WEAK_COUPLING, CPGParams, build_cpg_system,
                   phase_aligned_components, run_locking_comparison)
 from .simulate import (STEPS_PER_DWELL, EnsembleConfig, NonFiniteState, _write_csv,
                        check_bound_respect, derive_stream, initial_ms, run_pair_ensemble,
@@ -73,25 +72,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "continuous, and hybrid resetting systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    certify = sub.add_parser("certify", help="print a system's contraction certificate")
-    certify.add_argument("system", help="registry name, e.g. linear-map or hopf-cpg")
-    certify.add_argument("--config", help="JSON file with parameter overrides")
-    certify.add_argument("--print-config", action="store_true",
-                         help="print the resolved configuration and exit")
+    def command(name: str, summary: str, system: bool = True,
+                config: str = "JSON file with parameter overrides") -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=summary)
+        if system:
+            cmd.add_argument("system", help="registry name, e.g. linear-map or hopf-cpg")
+        cmd.add_argument("--config", help=config)
+        return cmd
 
-    bounds = sub.add_parser("bounds", help="print a system's closed-form noise bound")
-    bounds.add_argument("system")
-    bounds.add_argument("--config", help="JSON file with parameter overrides")
-    variant = bounds.add_mutually_exclusive_group()
+    command("certify", "print a system's contraction certificate")
+    variant = command("bounds", "print a system's closed-form noise bound"
+                      ).add_mutually_exclusive_group()
     variant.add_argument("--noise-free", action="store_true",
                          help="compare one noisy copy against a noise-free one")
     variant.add_argument("--both", action="store_true",
                          help="print the standard and noise-free variants together")
-    bounds.add_argument("--print-config", action="store_true")
 
-    simulate = sub.add_parser("simulate", help="run a pair ensemble against the bound")
-    simulate.add_argument("system")
-    simulate.add_argument("--config", help="JSON file with parameter overrides")
+    simulate = command("simulate", "run a pair ensemble against the bound")
     simulate.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     simulate.add_argument("--ensemble", type=int, default=None,
                           help="number of trajectory pairs")
@@ -102,17 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", help="write the per-time CSV here")
     simulate.add_argument("--noise-free", action="store_true",
                           help="pair each noisy trajectory with a noise-free one")
-    simulate.add_argument("--print-config", action="store_true")
 
-    cpg = sub.add_parser("cpg", help="oscillator-ring locking comparison")
-    cpg.add_argument("--config", help="JSON overrides: gamma_weak, gamma_strong, "
-                                      "sigma_d, sigma_c, tau, omega")
+    cpg = command("cpg", "oscillator-ring locking comparison", system=False,
+                  config="JSON overrides: gamma_weak, gamma_strong, sigma_d, sigma_c, tau, omega")
     cpg.add_argument("--seed", type=_seed, default=0)
     cpg.add_argument("--ensemble", type=int, default=200, help="runs per configuration")
     cpg.add_argument("--horizon", type=float, default=50.0)
     cpg.add_argument("--dt", type=float, default=None, help="integrator step (default tau/100)")
     cpg.add_argument("--out", default="cpg-out", help="output directory (default cpg-out)")
-    cpg.add_argument("--print-config", action="store_true")
+    # last in every usage line
+    for cmd in sub.choices.values():
+        cmd.add_argument("--print-config", action="store_true",
+                         help="print the resolved configuration and exit")
     return parser
 
 
@@ -134,12 +132,10 @@ def _cmd_bounds(args) -> int:
         _emit({"command": "bounds", "system": recipe.name, "params": params,
                "noise_free": bool(args.noise_free), "both": bool(args.both)})
         return 0
-    if args.both:
-        body = {"standard": recipe.bound_json(params, False),
-                "noise_free": recipe.bound_json(params, True)}
-    else:
-        body = recipe.bound_json(params, args.noise_free)
-    _emit({"system": recipe.name, "kind": recipe.kind, "bound": body})
+    _emit({"system": recipe.name, "kind": recipe.kind,
+           "bound": {"standard": recipe.bound_json(params, False),
+                     "noise_free": recipe.bound_json(params, True)} if args.both
+           else recipe.bound_json(params, args.noise_free)})
     return 0
 
 
@@ -153,13 +149,12 @@ def _cmd_simulate(args) -> int:
     pair_count = args.ensemble if args.ensemble is not None \
         else recipe.sim_defaults["pair_count"]
     pairing = "noisy-vs-noisefree" if args.noise_free else "two-noisy"
-    resolved = {"command": "simulate", "system": recipe.name, "params": params,
-                "seed": args.seed, "pair_count": pair_count, "horizon": horizon,
-                "step_size": step, "pairing": pairing,
-                "record_every": recipe.sim_defaults["record_every"],
+    resolved = {"system": recipe.name, "params": params, "seed": args.seed,
+                "pair_count": pair_count, "horizon": horizon, "step_size": step,
+                "pairing": pairing, "record_every": recipe.sim_defaults["record_every"],
                 "out": args.out}
     if args.print_config:
-        _emit(resolved)
+        _emit({"command": "simulate", **resolved})
         return 0
     # the bound's preconditions fail before any pair is run
     bound_obj = recipe.bound_report(params, args.noise_free)
@@ -173,10 +168,8 @@ def _cmd_simulate(args) -> int:
     if args.out:
         stats.to_csv(args.out, extra_columns=None if check is None else
                      {"bound": check.bounds, "within_bound": check.passed})
-    summary = dict(resolved)
-    del summary["command"]
-    summary.update({
-        "kind": recipe.kind,
+    _emit({
+        **resolved, "kind": recipe.kind,
         "initial_ms": initial_ms(config.initial, MetricSpec.identity(system.dimension)),
         "failures": stats.failures,
         "final_time": float(stats.times[-1]),
@@ -189,7 +182,6 @@ def _cmd_simulate(args) -> int:
             "ok": bool(check.ok), "n_checked": check.n_checked, "n_finite": check.n_finite,
             "n_violations": check.n_violations, "worst_slack": check.worst_slack},
     })
-    _emit(summary)
     if stats.failures >= stats.n_pairs:
         print("every trajectory pair left the finite floats", file=sys.stderr)
         return 4
@@ -199,15 +191,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_cpg(args) -> int:
     settings = _merge_params("cpg", _CPG_DEFAULTS, _load_config(args.config))
     step = args.dt if args.dt is not None else settings["tau"] / STEPS_PER_DWELL
-    resolved = {"command": "cpg", "params": settings, "seed": args.seed,
-                "run_count": args.ensemble, "horizon": args.horizon,
-                "step_size": step, "out": args.out}
+    resolved = {"params": settings, "seed": args.seed, "run_count": args.ensemble,
+                "horizon": args.horizon, "step_size": step, "out": args.out}
     if args.print_config:
-        _emit(resolved)
+        _emit({"command": "cpg", **resolved})
         return 0
     shared = {key: settings[key] for key in _CPG_SHARED}
-    weak = replace(WEAK_COUPLING, gamma=settings["gamma_weak"], **shared)
-    strong = replace(STRONG_COUPLING, gamma=settings["gamma_strong"], **shared)
+    weak, strong = (CPGParams(gamma=settings[key], **shared)
+                    for key in ("gamma_weak", "gamma_strong"))
     comparison = run_locking_comparison(weak, strong, run_count=args.ensemble,
                                         horizon=args.horizon, master_seed=args.seed,
                                         step_size=step)
@@ -240,11 +231,7 @@ def _cmd_cpg(args) -> int:
             _write_csv(os.path.join(args.out, name),
                        {"time": path.times, "side": path.sides, **dict(zip(names, states.T))})
 
-    summary = dict(resolved)
-    del summary["command"]
-    summary.update(comparison.to_json_dict())
-    summary["files"] = files
-    text = _json(summary)
+    text = _json({**resolved, **comparison.to_json_dict(), "files": files})
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     print(text)

@@ -79,19 +79,15 @@ def _chained(name: str, kind: str, defaults: dict, sim_defaults: dict,
              initial: Callable[[dict], InitialPointPair | InitialBox],
              certificates: Callable[[dict], tuple]) -> SystemRecipe:
     """A recipe whose printed certificate, printed bound and checked bound all
-    derive from one statement of its certificates: certificates(p) is (cert,),
-    or (flow, reset) for a hybrid with dwell time p["tau"]."""
-    def chain(p: dict) -> tuple:
-        cert, *reset = certificates(p)
-        return (cert, reset[0], p["tau"]) if reset else (cert, None, None)
-
+    derive from one statement of its certificates: certificates(p) is
+    (cert, None, None), or (flow, reset, tau) for a hybrid with dwell time tau."""
     def bound_report(p: dict, noise_free: bool) -> BoundReport:
-        cert, reset, tau = chain(p)
+        cert, reset, tau = certificates(p)
         return certified_bound(cert, initial(p), reset, tau, noise_free=noise_free)
 
     return SystemRecipe(name=name, kind=kind, defaults=defaults, sim_defaults=sim_defaults,
                         build=build, initial=initial,
-                        certificate_json=lambda p: _chain_json(*chain(p)),
+                        certificate_json=lambda p: _chain_json(*certificates(p)),
                         bound_json=lambda p, nf: bound_report(p, nf).to_json_dict(),
                         bound_report=bound_report)
 
@@ -122,7 +118,8 @@ _LINEAR_MAP = _chained(
                   "record_every": 1},
     build=_linear_map_build,
     initial=_point_pair,
-    certificates=lambda p: (_identity_cert("discrete", p["rho"] ** 2, p["sigma"] ** 2),))
+    certificates=lambda p: (_identity_cert("discrete", p["rho"] ** 2, p["sigma"] ** 2),
+                            None, None))
 
 
 # --- scalar linear SDE (mean-reverting for a > 0) and Brownian motion --------
@@ -147,7 +144,7 @@ _OU1D = _chained(
                   "record_every": 10},
     build=_ou_build,
     initial=_point_pair,
-    certificates=lambda p: (_identity_cert("continuous", p["a"], p["sigma"] ** 2),))
+    certificates=lambda p: (_identity_cert("continuous", p["a"], p["sigma"] ** 2), None, None))
 
 _BROWNIAN = _chained(
     "brownian", "continuous",
@@ -156,7 +153,7 @@ _BROWNIAN = _chained(
                   "record_every": 10},
     build=lambda p: _ou_build({"a": 0.0, "sigma": p["sigma"]}),
     initial=_point_pair,
-    certificates=lambda p: (_identity_cert("continuous", 0.0, p["sigma"] ** 2),))
+    certificates=lambda p: (_identity_cert("continuous", 0.0, p["sigma"] ** 2), None, None))
 
 
 # --- scalar linear hybrid -----------------------------------------------------
@@ -180,7 +177,7 @@ _HYBRID_LINEAR = _chained(
     build=_hybrid_linear_build,
     initial=_hybrid_linear_start,
     certificates=lambda p: (_identity_cert("continuous", -p["a"], p["sigma_c"] ** 2),
-                            _identity_cert("discrete", p["rho"] ** 2, p["sigma_d"] ** 2)))
+                            _identity_cert("discrete", p["rho"] ** 2, p["sigma_d"] ** 2), p["tau"]))
 
 
 # --- oscillator ring ----------------------------------------------------------
