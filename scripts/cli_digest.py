@@ -10,9 +10,10 @@ CLI byte-identical; every path a command sees is relative to the temporary
 directory, so the digests do not depend on where it ran.
 
 Exits 1 when a command ends in an uncaught exception (exit code 1, which the
-CLI never returns on purpose), or when its non-empty stdout or a `.json` file
-it writes is not strict JSON (RFC 8259 has no NaN or Infinity), naming the
-command and the output; 0 otherwise.
+CLI never returns on purpose), or when its non-empty stdout (other than the
+text of --help) or a `.json` file it writes is not strict JSON (RFC 8259 has
+no NaN or Infinity), naming the command and the output; 0 otherwise.  Help
+and usage text are wrapped at 80 columns whatever the terminal.
 """
 from __future__ import annotations
 
@@ -218,6 +219,14 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
     out.append(("simulate-hopf-cpg-print-config",
                 ["simulate", "hopf-cpg", "--print-config"], None, ()))
     out.append(("cpg-print-config", ["cpg", "--print-config"], None, ()))
+    out.append(("certify-linear-map-print-config",
+                ["certify", "linear-map", "--print-config"], None, ()))
+    out.append(("bounds-hybrid-linear-both-print-config",
+                ["bounds", "hybrid-linear", "--both", "--print-config"], None, ()))
+    # the usage and help text of the parser and of every subcommand
+    out.append(("help", ["--help"], None, ()))
+    out += [(f"{verb}-help", [verb, "--help"], None, ())
+            for verb in ("certify", "bounds", "simulate", "cpg")]
     out.append(("cpg", ["cpg", *CPG_SMALL, "--out", "cpg-out"], None,
                 tuple(f"cpg-out/{name}" for name in CPG_FILES)))
     out.append(("cpg-lone", ["cpg", "--ensemble", "1", "--horizon", "1", "--out", "cpg-out"],
@@ -276,6 +285,7 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + (os.pathsep + env["PYTHONPATH"]
                                     if env.get("PYTHONPATH") else "")
+    env["COLUMNS"] = "80"  # argparse wraps usage and help to COLUMNS
     crashed, not_json = [], []
     for name, args, config, files in commands():
         with tempfile.TemporaryDirectory() as work:
@@ -287,7 +297,8 @@ def main(argv: list[str]) -> int:
             print(f"{_sha(proc.stdout)}  {name}/stdout")
             print(f"{_sha(proc.stderr)}  {name}/stderr")
             print(f"{_sha(str(proc.returncode).encode())}  {name}/exit={proc.returncode}")
-            json_outputs = {"stdout": proc.stdout} if proc.stdout.strip() else {}
+            json_outputs = {"stdout": proc.stdout} \
+                if proc.stdout.strip() and "--help" not in args else {}
             for rel in files:
                 path = Path(work, rel)
                 data = path.read_bytes() if path.exists() else None

@@ -206,13 +206,13 @@ def numerical_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> 
     # each row's norm by the dot product that np.linalg.norm takes, and
     # Python's max, which keeps 1e-6 against a NaN
     with np.errstate(over="ignore"):
-        norm = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+        scaled = 1e-6 * np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
     finite = np.isfinite(x).all(axis=1, keepdims=True)
-    # where x . x overflowed for a finite x: max|x_i| times the norm of x / max|x_i|
-    big = ~np.isfinite(norm) & finite[:, 0]
+    # where x . x overflowed for a finite x: 1e-6 max|x_i| times the norm of
+    # x / max|x_i|, finite also where ||x|| itself passes the largest float
+    big = ~np.isfinite(scaled) & finite[:, 0]
     top = np.abs(x[big]).max(axis=1, keepdims=True)
-    norm[big] = top[:, 0] * np.sqrt(((x[big] / top) ** 2).sum(axis=1))
-    scaled = 1e-6 * norm
+    scaled[big] = (1e-6 * top[:, 0]) * np.sqrt(((x[big] / top) ** 2).sum(axis=1))
     h = np.where(scaled > 1e-6, scaled, 1e-6)
     step = np.zeros((n, m, n))
     step[np.arange(n), :, np.arange(n)] = h  # step[i, :, i] shifts coordinate i

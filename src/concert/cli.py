@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cpg.add_argument("--horizon", type=float, default=50.0)
     cpg.add_argument("--dt", type=float, default=None, help="integrator step (default tau/100)")
     cpg.add_argument("--out", default="cpg-out", help="output directory (default cpg-out)")
-    # last in every usage line
+    # added last, so that it ends every usage line
     for cmd in sub.choices.values():
         cmd.add_argument("--print-config", action="store_true",
                          help="print the resolved configuration and exit")

@@ -16,9 +16,10 @@ coupling contracts it with squared gain beta = 3 gamma^2 - 3 gamma + 1, the
 flow expands it at rate at most 1 (rotational equivariance makes the rotated
 neighbor follow the same law), and the per-member noise energies are
 2 gamma^2 sigma_d^2 (reset) and 2 sigma_c^2 (flow).  Chaining these
-certificates into the expanding-regime hybrid bound with one-sided noise and
-summing the three differences yields the steady-state delta bound, reported
-as the one number `pipeline`; locking requires beta < exp(-2 tau).
+certificates into the expanding-regime hybrid bound with two-sided noise (a
+difference takes noise from both of its oscillators) and summing the three
+differences yields the steady-state delta bound, reported as the one number
+`pipeline`; locking requires beta < exp(-2 tau).
 
 Experiments sample delta on both sides of every reset and once inside each
 dwell, and average each run over the last fifth of the horizon for the
@@ -192,7 +193,7 @@ def locking_condition(params: CPGParams) -> tuple[bool, float, float]:
 class DeltaBoundSummary:
     """Steady-state bound for the phase-locking statistic of one configuration.
 
-    `pipeline` comes from the hybrid bound machinery (one-sided noise, summed
+    `pipeline` comes from the hybrid bound machinery (two-sided noise, summed
     over the three ring differences); unbounded configurations carry an
     infinity.  beta, r2 and the regime are read from the per-difference
     report.
@@ -208,14 +209,15 @@ class DeltaBoundSummary:
 
 def theoretical_delta_bound(params: CPGParams) -> DeltaBoundSummary:
     """The steady-state delta bound: per ring difference, the hybrid bound
-    chained from its reduced certificates, noise-free because the statistic
-    compares one noisy combination against the locked set; the three
-    differences sum to `pipeline`.  It bounds post-reset samples, while the
-    steady window averages every side."""
+    chained from its reduced certificates with both energies whole, since a
+    difference R x_{i+1} - x_i takes the noise of two oscillators (together
+    3 sigma_c^2 tr P = 12 sigma_c^2 per unit time into delta, P the
+    transverse projector of rank 4); the three differences sum to
+    `pipeline`.  It bounds post-reset samples, while the steady window
+    averages every side."""
     flow, reset = reduced_constants(params)
-    halved = certified_bound(flow, InitialPointPair(0.0, 0.0), reset, params.tau,
-                             noise_free=True)
-    return DeltaBoundSummary(pipeline=3.0 * halved.asymptotic_bound, per_difference_report=halved)
+    report = certified_bound(flow, InitialPointPair(0.0, 0.0), reset, params.tau)
+    return DeltaBoundSummary(pipeline=3.0 * report.asymptotic_bound, per_difference_report=report)
 
 
 def build_cpg_system(params: CPGParams) -> HybridSystem:

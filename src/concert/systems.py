@@ -197,8 +197,8 @@ def _cpg_cert(p: dict) -> dict:
 
 def _cpg_bounds(p: dict, noise_free: bool) -> dict:
     if noise_free:
-        raise ValueError("the ring bound already uses one-sided noise accounting; "
-                         "--noise-free does not apply to hopf-cpg")
+        raise ValueError("the ring bound counts the noise of both oscillators of each "
+                         "difference; --noise-free does not apply to hopf-cpg")
     return theoretical_delta_bound(CPGParams(**p)).to_json_dict()
 
 

@@ -246,7 +246,7 @@ def test_criterion_6_ring_identities():
                       / np.abs(delta_direct).max())
 
     summary = theoretical_delta_bound(STRONG_COUPLING)
-    frozen = abs(summary.pipeline - 0.09228889269010736)
+    frozen = abs(summary.pipeline - 0.18457778538021472)
 
     ok = (r_cubed <= 1e-12 and ortho <= 1e-12 and beta_gap <= 1e-12
           and delta_gap <= 1e-12 and frozen <= 1e-15)

@@ -142,8 +142,9 @@ CRITICAL_RING_GAMMA = 0.06459568480243587
 @pytest.mark.parametrize("seed", range(3))
 def test_ring_prints_the_certificates_its_bound_chains(seed):
     """`certify hopf-cpg` prints the reduced certificates of the planar ring
-    difference, which `bounds hopf-cpg` chains noise-free (half of each
-    energy), and reports a lock exactly in the bound's locked regime."""
+    difference, which `bounds hopf-cpg` chains with each energy whole (a
+    difference takes the noise of two oscillators), and reports a lock
+    exactly in the bound's locked regime."""
     recipe = get_recipe("hopf-cpg")
     rng = np.random.default_rng(seed)
     overrides = [{"gamma": CRITICAL_RING_GAMMA}] + [
@@ -159,7 +160,7 @@ def test_ring_prints_the_certificates_its_bound_chains(seed):
         assert (printed["flow"], printed["reset"]) == (flow.to_json_dict(),
                                                        reset.to_json_dict())
         inputs = bound["per_difference"]["inputs"]
-        assert (inputs["C_c"], inputs["C_d"]) == (flow.noise_bound / 2, reset.noise_bound / 2)
+        assert (inputs["C_c"], inputs["C_d"]) == (flow.noise_bound, reset.noise_bound)
         regime = bound["per_difference"]["regime"]
         assert printed["regime"] == regime
         assert printed["locking_condition"]["holds"] is (regime == "hybrid-expanding-bounded")

@@ -410,6 +410,29 @@ class TestStrictJson:
             assert isinstance(summary["strong"]["steady_mean"], float)
 
 
+class TestHelp:
+    def read_help(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--help"])
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    def test_top_level_lists_every_subcommand(self, capsys):
+        text = self.read_help(capsys)
+        for command in ("certify", "bounds", "simulate", "cpg"):
+            assert command in text
+
+    @pytest.mark.parametrize("command", ["certify", "bounds", "simulate", "cpg"])
+    def test_every_subcommand_takes_config_and_print_config(self, capsys, command):
+        text = self.read_help(capsys, command)
+        assert text.startswith(f"usage: concert {command} ")
+        assert "--config CONFIG" in text and "--print-config" in text
+        assert "print the resolved configuration and exit" in text
+        assert ("system" in text.split("options:")[0]) is (command != "cpg")
+
+
 EXPANDING_PAST_THE_FLOATS = {("certify", "hybrid-linear", "a"): 0,
                              ("bounds", "hybrid-linear", "a"): 0,
                              ("simulate", "hybrid-linear", "a"): 4,

@@ -4,7 +4,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,9 @@ from concert import (
     check_bound_respect,
     coupling_contraction_factor,
     coupling_matrix,
+    continuous_bound_at,
     derive_stream,
+    discrete_ms_bound,
     hybrid_bound,
     locking_condition,
     numerical_jacobian,
@@ -41,7 +42,7 @@ from concert.cpg import RING_START
 from helpers import build_projections
 
 # frozen oracle values at gamma=0.2, sigma_d=0.05, sigma_c=0.1, tau=0.1
-STRONG_PIPELINE = 0.09228889269010736
+STRONG_PIPELINE = 0.18457778538021472
 
 
 class TestRotation:
@@ -287,7 +288,7 @@ class TestTheoreticalDeltaBound:
         summary = theoretical_delta_bound(STRONG_COUPLING)
         assert summary.per_difference_report.regime == "hybrid-expanding-bounded"
         assert summary.pipeline == pytest.approx(STRONG_PIPELINE, rel=1e-12)
-        assert summary.per_difference_report.noise_free
+        assert not summary.per_difference_report.noise_free
         assert summary.pipeline == pytest.approx(
             3.0 * summary.per_difference_report.asymptotic_bound, rel=1e-15)
 
@@ -295,16 +296,63 @@ class TestTheoreticalDeltaBound:
                                         CPGParams(gamma=0.06459568480243587)],
                              ids=["weak", "strong", "critical"])
     def test_chain_equals_the_direct_hybrid_bound(self, params):
-        # one-sided noise: each per-member energy halved, from the locked set
+        # two-sided noise: each per-member energy whole, from the locked set
         beta = coupling_contraction_factor(params.gamma)
-        direct = hybrid_bound(beta, -1.0, 2.0 * params.gamma**2 * params.sigma_d**2 / 2.0,
-                              2.0 * params.sigma_c**2 / 2.0, params.tau, 0.0)
+        direct = hybrid_bound(beta, -1.0, 2.0 * params.gamma**2 * params.sigma_d**2,
+                              2.0 * params.sigma_c**2, params.tau, 0.0)
         summary = theoretical_delta_bound(params)
-        assert summary.per_difference_report == replace(direct, noise_free=True)
+        assert summary.per_difference_report == direct
         report = summary.per_difference_report
         assert (report.inputs["beta"], report.regime) == (beta, direct.regime)
         assert report.inputs["r2"] == direct.inputs["r2"]
         assert summary.pipeline == 3.0 * direct.asymptotic_bound
+
+    @pytest.mark.parametrize("params", [WEAK_COUPLING, STRONG_COUPLING,
+                                        CPGParams(gamma=0.6, sigma_d=0.3, sigma_c=0.7,
+                                                  tau=0.4)],
+                             ids=["weak", "strong", "noisy"])
+    def test_chain_injects_the_noise_that_reaches_delta(self, params):
+        # delta = 3 |V^T x|^2, so a noise of gain G puts 3 tr(V^T G G^T V)
+        # into delta: 3 sigma_c^2 tr P = 12 sigma_c^2 per unit time of flow
+        # and 12 gamma^2 sigma_d^2 per reset.  The chain puts in, over its
+        # three differences, three times what its comparison system injects
+        # into one from zero: a neutral flow over unit time, and one reset
+        # that contracts fully
+        _, transverse = build_projections()
+        system = build_cpg_system(params)
+        x = np.zeros(6)
+        exact = [3.0 * np.trace(transverse.T @ gain @ gain.T @ transverse)
+                 for gain in (system.continuous.diffusion(x, 0.0), system.reset.noise_gain(x, 0))]
+        assert exact == pytest.approx([12.0 * params.sigma_c**2,
+                                       12.0 * params.gamma**2 * params.sigma_d**2], rel=1e-12)
+        inputs = theoretical_delta_bound(params).per_difference_report.inputs
+        chained = [3.0 * continuous_bound_at(0.0, inputs["C_c"], 0.0, 1.0),
+                   3.0 * discrete_ms_bound(0.0, inputs["C_d"], 0.0).asymptotic_bound]
+        assert chained == pytest.approx(exact, rel=1e-12)
+
+    def test_locked_start_spreads_within_the_two_sided_flow_bound(self):
+        # 4,000 Euler-Maruyama runs of the strong ring's flow from a locked
+        # state on the unit circle, h = tau / 100, no reset: at t = 0.05,
+        # E delta is about 0.0058, within three times the flow bound that the
+        # printed per-difference report chains from zero (0.0063) and above
+        # three times its half (0.0032), the bound of one-sided noise
+        params = STRONG_COUPLING
+        locked, _ = build_projections()
+        start = math.sqrt(3.0) * locked[:, 0]
+        assert phase_locking_delta(start[None])[0] == pytest.approx(0.0, abs=1e-24)
+        rng = np.random.default_rng(0)
+        h, steps, runs = params.tau / simulate.STEPS_PER_DWELL, 50, 4000
+        x = np.tile(start, (runs, 1))
+        for _ in range(steps):
+            x = x + h * ring_drift(x, 0.0, params.omega) \
+                + params.sigma_c * math.sqrt(h) * rng.standard_normal(x.shape)
+        delta = phase_locking_delta(x)
+        mean, stderr = float(delta.mean()), float(delta.std(ddof=1)) / math.sqrt(runs)
+        inputs = theoretical_delta_bound(params).per_difference_report.inputs
+        whole, halved = (3.0 * continuous_bound_at(inputs["lam"], energy, 0.0, steps * h)
+                         for energy in (inputs["C_c"], inputs["C_c"] / 2.0))
+        assert mean + 3.0 * stderr <= whole
+        assert mean - 3.0 * stderr > halved
 
     def test_weak_coupling_unbounded(self):
         summary = theoretical_delta_bound(WEAK_COUPLING)

@@ -86,6 +86,12 @@ class TestNumericalJacobian:
             pytest.approx(0.5, rel=1e-9)
         jac = numerical_jacobian(lambda x: 0.5 * x, np.array([[1e308, -1e308], [1.0, 2.0]]))
         assert np.allclose(jac, 0.5 * np.eye(2), rtol=0.0, atol=1e-9)
+        # ||(M, M)|| = sqrt(2) M passes the largest float M, but the step
+        # 1e-6 ||x|| does not: it is scaled before the root multiplies it, with
+        # no overflow warning (which filterwarnings = error raises) and no NaN
+        top = np.finfo(float).max
+        jac = numerical_jacobian(lambda x: 0.5 * x, np.array([top, top]))
+        assert np.allclose(jac, 0.5 * np.eye(2), rtol=0.0, atol=1e-9)
 
     def test_stencil_stays_in_the_floats_near_the_largest_float(self):
         # x + h passes the largest float: both points move one step toward
