@@ -42,7 +42,9 @@ HYBRID_CONFIGS = {
     "unbounded": ({"a": 1.0, "rho": 0.999, "tau": 5.0}, "10"),
 }
 
-# an expanding flow without resets: its bound is finite at every sample
+# a neutral and an expanding flow without resets: the bound is finite at
+# every sample
+NEUTRAL_FLOW = {"a": 0.0}
 EXPANDING_FLOW = {"a": -0.5}
 # a flow rate so small that C_c / lam overflows: the bound is inf after
 # t = 0 and the initial mean square at t = 0, where the closed form reads
@@ -62,7 +64,7 @@ INVERTED_BOXES = {"inverted-box": {"init_low": 1.0, "init_high": -1.0},
 # (a - b)^2 rounds (simulate's t = 0 check sees the mean of equal squares
 # drift by rounding), and an asymmetric hybrid start box
 CHAIN_CONFIGS = {
-    "bounds-ou1d-neutral-both": (["bounds", "ou1d", "--both"], {"a": 0.0}),
+    "bounds-ou1d-neutral-both": (["bounds", "ou1d", "--both"], NEUTRAL_FLOW),
     "bounds-ou1d-expanding-both": (["bounds", "ou1d", "--both"], EXPANDING_FLOW),
     "bounds-linear-map-inexact-start-both": (["bounds", "linear-map", "--both"],
                                              {"init_a": 2.3, "init_b": 0.1}),
@@ -76,12 +78,20 @@ CHAIN_CONFIGS = {
 # other noise scales and dwell time (hybrid-linear's are digested at
 # HYBRID_CONFIGS)
 CERTIFY_CONFIGS = {
-    "certify-ou1d-neutral": (["certify", "ou1d"], {"a": 0.0}),
+    "certify-ou1d-neutral": (["certify", "ou1d"], NEUTRAL_FLOW),
     "certify-ou1d-expanding": (["certify", "ou1d"], EXPANDING_FLOW),
     "certify-linear-map-off-default": (["certify", "linear-map"], {"rho": 0.8, "sigma": 0.3}),
     "certify-hopf-cpg-weak": (["certify", "hopf-cpg"], {"gamma": 0.01}),
     "certify-hopf-cpg-noisy": (["certify", "hopf-cpg"],
                                {"sigma_c": 0.3, "sigma_d": 0.2, "tau": 0.05}),
+}
+
+# coefficient signs the builtins carry into their systems and certificates: a
+# map gain and a reset gain below zero (the certificate squares them), and a
+# neutral flow (NEUTRAL_FLOW) whose drift coefficient is a zero
+SIGN_CONFIGS = {
+    "linear-map-negative-gain": ("linear-map", {"rho": -0.5}),
+    "hybrid-linear-negative-reset": ("hybrid-linear", {"rho": -0.5}),
 }
 
 # a ring coupling whose per-dwell product r2 = 0.999999999999997 lies in the
@@ -194,6 +204,13 @@ def commands() -> list[tuple[str, list[str], dict | None, tuple[str, ...]]]:
                 EXPANDING_FLOW, ("run.csv",)))
     out.append(("simulate-ou1d-tiny-rate", ["simulate", "ou1d", "--out", "run.csv"],
                 TINY_RATE, ("run.csv",)))
+    for tag, (system, config) in SIGN_CONFIGS.items():
+        out.append((f"certify-{tag}", ["certify", system], config, ()))
+        out.append((f"bounds-{tag}-both", ["bounds", system, "--both"], config, ()))
+        out.append((f"simulate-{tag}", ["simulate", system, "--out", "run.csv"],
+                    config, ("run.csv",)))
+    out.append(("simulate-ou1d-neutral", ["simulate", "ou1d", "--out", "run.csv"],
+                NEUTRAL_FLOW, ("run.csv",)))
     out += [(name, argv, config, ())
             for name, (argv, config) in {**CHAIN_CONFIGS, **CERTIFY_CONFIGS}.items()]
     out.append(("simulate-linear-map-inexact-start",
