@@ -1,9 +1,10 @@
 """Named ready-to-run systems: builders, certificates, bounds, sim defaults.
 
-Every entry resolves a parameter dict against declared defaults, builds the
-system object, and states its analytic certificates once (these examples are
-simple enough that rates and noise energies are exact); `_chained` derives
-the printed certificate, the printed bound and the checked bound from them.
+Every entry resolves a parameter dict against declared defaults.  A scalar
+linear builtin is one or two `_scalar` parts (a hybrid's flow and reset), each
+a system together with the certificate that its own coefficients give it
+exactly; `_chained` builds the system and derives the printed certificate,
+the printed bound and the checked bound from those parts.
 The CLI and the test suite both go through this registry, so a name on the
 command line and a name in a test mean the same system.
 """
@@ -58,12 +59,6 @@ class SystemRecipe:
     bound_report: Callable[[dict, bool], object]
 
 
-def _identity_cert(kind: str, rate: float, noise: float) -> ContractionCertificate:
-    return ContractionCertificate(kind=kind, rate=rate, noise_bound=noise,
-                                  metric=MetricSpec.identity(1), region=None,
-                                  is_global_claim=True)
-
-
 def _chain_json(cert: ContractionCertificate, reset: ContractionCertificate | None = None,
                 tau: float | None = None) -> dict:
     """What `certify` prints of a chain: the certificate alone, or a hybrid's
@@ -75,12 +70,22 @@ def _chain_json(cert: ContractionCertificate, reset: ContractionCertificate | No
 
 
 def _chained(name: str, kind: str, defaults: dict, sim_defaults: dict,
-             build: Callable[[dict], object],
              initial: Callable[[dict], InitialPointPair | InitialBox],
-             certificates: Callable[[dict], tuple]) -> SystemRecipe:
-    """A recipe whose printed certificate, printed bound and checked bound all
-    derive from one statement of its certificates: certificates(p) is
-    (cert, None, None), or (flow, reset, tau) for a hybrid with dwell time tau."""
+             parts: Callable[[dict], tuple]) -> SystemRecipe:
+    """A recipe whose system, printed certificate, printed bound and checked
+    bound all derive from one statement of its parts: parts(p) is
+    ((system, cert), None, None), or ((flow, cert), (reset, cert), tau) for a
+    hybrid with dwell time tau.  Only `build` joins a hybrid's flow and reset,
+    so `certify` and `bounds` report a bad tau through `classify_regime`."""
+    def certificates(p: dict) -> tuple:
+        (_, cert), reset, tau = parts(p)
+        return cert, None if reset is None else reset[1], tau
+
+    def build(p: dict) -> object:
+        (system, _), reset, tau = parts(p)
+        return system if reset is None else HybridSystem(continuous=system, reset=reset[0],
+                                                         dwell_time=tau, name=name)
+
     def bound_report(p: dict, noise_free: bool) -> BoundReport:
         cert, reset, tau = certificates(p)
         return certified_bound(cert, initial(p), reset, tau, noise_free=noise_free)
@@ -92,92 +97,67 @@ def _chained(name: str, kind: str, defaults: dict, sim_defaults: dict,
                         bound_report=bound_report)
 
 
+def _scalar(discrete: bool, coeff: float, sigma: float, name: str) -> tuple:
+    """(system, certificate) of the scalar map x <- c x + s w (discrete) or SDE
+    dx = c x dt + s dW, c = coeff and s = sigma, with the certificate it meets
+    exactly: identity metric, global, squared gain c**2 for the map or rate -c
+    for the flow, noise energy s**2."""
+    gain = np.array([[sigma]])
+    # both take (dimension, map or drift, its noise gain, noise width, jacobian)
+    system_type, noise = (DiscreteMapSystem, GaussianNoiseSpec(1)) if discrete \
+        else (ContinuousSDESystem, 1)
+    system = system_type(1, lambda x, at: coeff * np.asarray(x, dtype=float),
+                         lambda x, at: gain, noise, lambda x, at: np.array([[coeff]]),
+                         vectorized=True, name=name)
+    return system, ContractionCertificate(
+        kind="discrete" if discrete else "continuous", rate=coeff ** 2 if discrete else -coeff,
+        noise_bound=sigma ** 2, metric=MetricSpec.identity(1), region=None,
+        is_global_claim=True)
+
+
 def _point_pair(p: dict) -> InitialPointPair:
     return InitialPointPair(a=np.array([p["init_a"]]), b=np.array([p["init_b"]]))
 
 
-# --- scalar noisy linear map -------------------------------------------------
-
-def _linear_map_build(p: dict) -> DiscreteMapSystem:
-    rho, sigma = p["rho"], p["sigma"]
-    gain = np.array([[sigma]])
-    return DiscreteMapSystem(
-        dimension=1,
-        map=lambda x, k: rho * np.asarray(x, dtype=float),
-        noise_gain=lambda x, k: gain,
-        noise=GaussianNoiseSpec(1),
-        jacobian=lambda x, k: np.array([[rho]]),
-        vectorized=True,
-        name="linear-map")
-
+# --- the scalar linear builtins: one or two _scalar parts each ---------------
 
 _LINEAR_MAP = _chained(
     "linear-map", "discrete",
     defaults={"rho": 0.5, "sigma": 1.0, "init_a": 1.0, "init_b": -1.0},
     sim_defaults={"horizon": 60.0, "step_size": None, "pair_count": 2000,
                   "record_every": 1},
-    build=_linear_map_build,
     initial=_point_pair,
-    certificates=lambda p: (_identity_cert("discrete", p["rho"] ** 2, p["sigma"] ** 2),
-                            None, None))
+    parts=lambda p: (_scalar(True, p["rho"], p["sigma"], "linear-map"), None, None))
 
-
-# --- scalar linear SDE (mean-reverting for a > 0) and Brownian motion --------
-
-def _ou_build(p: dict) -> ContinuousSDESystem:
-    a, sigma = p["a"], p["sigma"]
-    diff = np.array([[sigma]])
-    return ContinuousSDESystem(
-        dimension=1,
-        drift=lambda x, t: -a * np.asarray(x, dtype=float),
-        diffusion=lambda x, t: diff,
-        noise_dim=1,
-        jacobian=lambda x, t: np.array([[-a]]),
-        vectorized=True,
-        name="ou1d")
-
-
+# mean-reverting for a > 0
 _OU1D = _chained(
     "ou1d", "continuous",
     defaults={"a": 1.0, "sigma": 1.0, "init_a": 1.0, "init_b": -1.0},
     sim_defaults={"horizon": 10.0, "step_size": 0.01, "pair_count": 1000,
                   "record_every": 10},
-    build=_ou_build,
     initial=_point_pair,
-    certificates=lambda p: (_identity_cert("continuous", p["a"], p["sigma"] ** 2), None, None))
+    parts=lambda p: (_scalar(False, -p["a"], p["sigma"], "ou1d"), None, None))
 
+# the drift coefficient -0.0 is ou1d's at a = 0
 _BROWNIAN = _chained(
     "brownian", "continuous",
     defaults={"sigma": 1.0, "init_a": 0.0, "init_b": 0.0},
     sim_defaults={"horizon": 2.0, "step_size": 0.01, "pair_count": 2000,
                   "record_every": 10},
-    build=lambda p: _ou_build({"a": 0.0, "sigma": p["sigma"]}),
     initial=_point_pair,
-    certificates=lambda p: (_identity_cert("continuous", 0.0, p["sigma"] ** 2), None, None))
+    parts=lambda p: (_scalar(False, -0.0, p["sigma"], "brownian"), None, None))
 
-
-# --- scalar linear hybrid -----------------------------------------------------
-
-def _hybrid_linear_build(p: dict) -> HybridSystem:
-    return HybridSystem(continuous=_ou_build({"a": -p["a"], "sigma": p["sigma_c"]}),
-                        reset=_linear_map_build({"rho": p["rho"], "sigma": p["sigma_d"]}),
-                        dwell_time=p["tau"], name="hybrid-linear")
-
-
-def _hybrid_linear_start(p: dict) -> InitialBox:
-    return InitialBox(lows=np.array([p["init_low"]]), highs=np.array([p["init_high"]]))
-
-
+# flow coefficient a (its rate is -a) on dwells of tau, then reset gain rho
 _HYBRID_LINEAR = _chained(
     "hybrid-linear", "hybrid",
     defaults={"a": -1.0, "rho": 0.5, "sigma_c": 1.0, "sigma_d": 1.0, "tau": 0.5,
               "init_low": -1.0, "init_high": 1.0},
     sim_defaults={"horizon": 10.0, "step_size": None, "pair_count": 1000,
                   "record_every": 1},
-    build=_hybrid_linear_build,
-    initial=_hybrid_linear_start,
-    certificates=lambda p: (_identity_cert("continuous", -p["a"], p["sigma_c"] ** 2),
-                            _identity_cert("discrete", p["rho"] ** 2, p["sigma_d"] ** 2), p["tau"]))
+    initial=lambda p: InitialBox(lows=np.array([p["init_low"]]),
+                                 highs=np.array([p["init_high"]])),
+    parts=lambda p: (_scalar(False, p["a"], p["sigma_c"], "hybrid-linear-flow"),
+                     _scalar(True, p["rho"], p["sigma_d"], "hybrid-linear-reset"), p["tau"]))
 
 
 # --- oscillator ring ----------------------------------------------------------
