@@ -354,8 +354,9 @@ def _apply_gain(gain: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 def _corners(init: InitialPointPair | InitialBox, dimension: int) -> list[np.ndarray]:
     """The two points of a point pair, or a box's lows and highs, as (dimension,);
-    a scalar point broadcasts.  A box coordinate whose high - low is negative,
-    -0.0 over 0.0 too, raises ValueError, as NumPy's uniform would."""
+    a scalar point broadcasts.  A box coordinate whose low or high is not
+    finite, or whose high - low is negative, -0.0 over 0.0 too, raises
+    ValueError, as NumPy's uniform would raise for the latter."""
     pair = [np.asarray(p, dtype=float) for p in
             ((init.a, init.b) if isinstance(init, InitialPointPair) else (init.lows, init.highs))]
     if any(p.shape not in ((), (dimension,)) for p in pair):
@@ -363,9 +364,13 @@ def _corners(init: InitialPointPair | InitialBox, dimension: int) -> list[np.nda
                                 f"expected scalars or {(dimension,)}")
     lows, highs = (np.broadcast_to(p, (dimension,)) for p in pair)
     if isinstance(init, InitialBox):
-        with np.errstate(over="ignore", invalid="ignore"):
-            span = highs - lows
-        inverted = np.flatnonzero(np.signbit(span) & ~np.isnan(span))
+        unbounded = np.flatnonzero(~(np.isfinite(lows) & np.isfinite(highs)))
+        if unbounded.size:
+            k = int(unbounded[0])
+            raise ValueError(f"initial box coordinate {k} has low {float(lows[k])!r} and "
+                             f"high {float(highs[k])!r}; both must be finite")
+        with np.errstate(over="ignore"):
+            inverted = np.flatnonzero(np.signbit(highs - lows))
         if inverted.size:
             k = int(inverted[0])
             raise ValueError(f"initial box coordinate {k} has high {float(highs[k])!r} "

@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -1814,6 +1815,28 @@ class TestBoxStarts:
         with pytest.raises(ValueError, match=message.replace("coordinate 0", "coordinate 2")):
             run_pair_ensemble(linear_map(dim=3), EnsembleConfig(
                 pair_count=2, horizon=3, master_seed=0, initial=InitialBox(lows, highs)))
+
+    @pytest.mark.parametrize("low, high", [(math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)])
+    def test_a_bound_that_is_not_finite_fails_before_any_draw(self, low, high):
+        # NumPy's uniform would end in an OverflowError, and the box's exact
+        # mean square would read nan or inf; all three entry points name the
+        # coordinate and both bounds instead
+        lows, highs = np.zeros(3), np.ones(3)
+        lows[1], highs[1] = low, high
+        box = InitialBox(lows, highs)
+        message = "^" + re.escape(f"initial box coordinate 1 has low {low!r} and high "
+                                  f"{high!r}; both must be finite") + "$"
+        with pytest.raises(ValueError, match=message):
+            simulate.initial_ms(box, MetricSpec.identity(3))
+        with pytest.raises(ValueError, match=message):
+            run_pair_ensemble(linear_map(dim=3), EnsembleConfig(
+                pair_count=2, horizon=3, master_seed=0, initial=box))
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match=message):
+            sample_path(linear_map(dim=3), box, 3, None, rng)
+        # nothing was drawn from the path's generator
+        untouched = np.random.default_rng(7).standard_normal(4)
+        assert rng.standard_normal(4).tobytes() == untouched.tobytes()
 
     def test_per_coordinate_bounds_keep_the_array_draw(self):
         for lows, highs in (([0.0, -0.0], [1.0, 1.0]), ([-1.0, 0.0], [1.0, 2.0]),
