@@ -26,7 +26,8 @@ depend on the regime:
 `discrete_ms_bound` covers maps.  `certified_bound` chains contraction
 certificates into the checkable report of a pair ensemble; comparing a noisy
 copy against a noise-free one halves every injected energy there.
-report(t, side) reads a BoundReport at a sample of the simulation grid.
+report(t, side) reads a BoundReport at a sample of the simulation grid: a
+whole step count for a discrete report, a finite time for the others.
 
 The hybrid asymptotes bound the post-reset sequence.  Every other sample
 takes the flow map of `continuous_bound_at` from the last reset, so pre-reset
@@ -36,6 +37,7 @@ and fall below it in the contracting one.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -102,15 +104,19 @@ class BoundReport:
     warnings: tuple[str, ...] = ()
 
     def __call__(self, t: float, side: str = "post") -> float:
-        """Bound at the grid sample (t, side); discrete grids count steps."""
+        """Bound at the grid sample (t, side); discrete grids count steps, so a
+        discrete report is read at whole, finite step counts t only."""
         if self.regime == "discrete-ms":
-            return self.bound_at_step(int(round(t)))
+            if not float(t).is_integer():  # inf and NaN too
+                raise ValueError(f"a discrete bound is read at whole steps, got time {t}")
+            return self.bound_at_step(int(t))
         return self.bound_at_time(t, side)
 
     def bound_at_step(self, k: int) -> float:
-        """Bound value after k steps (discrete regimes only); never below the
-        initial mean square E0 at k = 0, where a point-mass start's
+        """Bound value after k steps, an integer (discrete regimes only); never
+        below the initial mean square E0 at k = 0, where a point-mass start's
         asymptote + (E0 - asymptote) can round below E0."""
+        k = operator.index(k)  # TypeError for a float, whole or not
         if self.regime != "discrete-ms":
             raise ValueError(f"bound_at_step applies to discrete regimes, not {self.regime}")
         if k < 0:
@@ -134,6 +140,8 @@ class BoundReport:
             raise ValueError(f"side must be 'pre', 'post' or 'interior', got {side!r}")
         if not t >= 0:  # NaN too
             raise ValueError(f"time must be >= 0, got {t}")
+        if t == math.inf:  # a grid sample has a finite time
+            raise ValueError(f"time must be finite, got {t}")
         if self.regime in FLOW_REGIMES:
             return continuous_bound_at(self.inputs["lam"], self.inputs["C_c"],
                                        self.inputs["initial_ms"], t)

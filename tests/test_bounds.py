@@ -22,6 +22,7 @@ from concert import (
     ContinuousSDESystem,
     ContractionCertificate,
     DiscreteMapSystem,
+    EnsembleConfig,
     GaussianNoiseSpec,
     InitialBox,
     InitialPointPair,
@@ -32,13 +33,17 @@ from concert import (
     certified_bound,
     certify_continuous,
     certify_discrete,
+    check_bound_respect,
     classify_regime,
     continuous_bound_at,
     discrete_ms_bound,
     estimate_continuous_rate,
     estimate_discrete_rate,
     hybrid_bound,
+    run_pair_ensemble,
 )
+from concert.systems import get_recipe, resolve_params
+
 
 def cert(kind, rate, noise, dimension=1):
     """An exact certificate in the identity metric."""
@@ -483,6 +488,54 @@ class TestErrorPaths:
     def test_negative_initial_rejected(self):
         with pytest.raises(ParameterRange):
             discrete_ms_bound(0.5, 1.0, -1.0)
+
+
+class TestGridReads:
+    """A report is read only at samples of a grid it fits: a whole, finite step
+    count for a discrete report, a finite time for a flow or a hybrid one."""
+
+    REPORTS = {
+        "discrete": discrete_ms_bound(0.25, 1.0, 4.0, point_mass=True),
+        "hybrid": hybrid_bound(0.25, 1.0, 1.0, 1.0, 0.5, 1.0),
+        "hybrid-unbounded": hybrid_bound(0.999, -1.0, 1.0, 1.0, 5.0, 1.0),
+        "flow": certified_bound(cert("continuous", 1.0, 1.0), InitialPointPair(1.0, -1.0)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REPORTS))
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_a_time_that_is_not_finite_is_a_value_error(self, kind, t):
+        # an infinite time once ended in Python's int(round(inf)) OverflowError
+        # or read a flow's limit
+        for side in ("pre", "post", "interior"):
+            with pytest.raises(ValueError):
+                self.REPORTS[kind](t, side)
+
+    @pytest.mark.parametrize("t", [0.5, 2.5, 1e-9, 3.0000000001])
+    def test_a_discrete_report_is_read_at_whole_steps(self, t):
+        with pytest.raises(ValueError, match=r"^a discrete bound is read at whole steps, got "):
+            self.REPORTS["discrete"](t)
+
+    def test_whole_steps_read_the_step_bound(self):
+        report = self.REPORTS["discrete"]
+        for k in range(5):
+            assert report(float(k)) == report(k) == report.bound_at_step(np.int64(k))
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(1.0)])
+    def test_bound_at_step_takes_an_integer(self, k):
+        with pytest.raises(TypeError):
+            self.REPORTS["discrete"].bound_at_step(k)
+
+    def test_a_flow_ensemble_is_no_grid_for_a_discrete_report(self):
+        # ou1d samples at t = 0.1, 0.2, ...; read as steps they once all
+        # rounded to step 0, and the check read ok
+        flow, linear_map = (get_recipe(name) for name in ("ou1d", "linear-map"))
+        params = resolve_params(flow)
+        stats = run_pair_ensemble(flow.build(params), EnsembleConfig(
+            pair_count=4, horizon=1.0, master_seed=0, initial=flow.initial(params),
+            step_size=0.01, record_every=10))
+        report = linear_map.bound_report(resolve_params(linear_map), False)
+        with pytest.raises(ValueError, match=r"got time 0\.1$"):
+            check_bound_respect(stats, report)
 
 
 class TestNoiseFreeChain:
