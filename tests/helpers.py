@@ -1,13 +1,16 @@
 """Analysis helpers that only the tests use: a geometric-decay fit of a
-transient (acceptance criterion 2) and the ring's locked and transverse bases
-(acceptance criterion 6)."""
+transient (acceptance criterion 2), the ring's locked and transverse bases
+(acceptance criterion 6), and the exact mean-square law of a linear system's
+pair ensemble, an oracle for ensembles and bounds."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from concert import ROTATION_THIRD
+import concert.simulate as simulate
+from concert import ROTATION_THIRD, DiscreteMapSystem, HybridSystem, InitialPointPair
+from concert.statespace import _as_metric
 
 
 def fit_geometric_decay(values: np.ndarray, asymptote: float,
@@ -53,3 +56,50 @@ def build_projections() -> tuple[np.ndarray, np.ndarray]:
         if lead < 0:
             transverse[:, j] = -transverse[:, j]
     return locked, transverse
+
+
+def exact_ms(system, config, metric=None) -> np.ndarray:
+    """Exact mean squared separation E|Theta (a - b)|^2, M = Theta^T Theta (a
+    matrix, a MetricSpec, or None for the identity), of the pair ensemble of
+    `config` over a linear `system`, at every sample of the engine's grid.
+
+    It is the law of the updates the engine takes (map applications and
+    Euler-Maruyama steps x + h f + sqrt(h) G z), not of the SDE.  The grid is
+    simulate._plan's, with _INTERIOR_PER_DWELL interior samples per dwell of a
+    hybrid when config.interior_per_dwell is None, as ensembles take it.  The
+    separation's second moment S starts at d d^T for a point pair d apart and
+    at diag((high - low)^2 / 6) for a box, and each update applies
+    S <- A S A^T + Q: A is the map's Jacobian on map and reset steps and
+    I + h J on flow steps, and Q is G G^T per noisy member (2 for
+    "two-noisy", 1 for "noisy-vs-noisefree"), times h on flow steps.  The
+    Jacobian J and gain G are read at the origin, so only a linear system
+    with additive noise is exact.
+    """
+    interior = config.interior_per_dwell
+    if interior is None and isinstance(system, HybridSystem):
+        interior = simulate._INTERIOR_PER_DWELL
+    _, _, segments = simulate._plan(system, config.horizon, config.step_size, interior,
+                                    config.record_every)
+    dim = system.dimension
+    first, second = simulate._corners(config.initial, dim)
+    if isinstance(config.initial, InitialPointPair):
+        cov = np.outer(first - second, first - second)
+    else:
+        cov = np.diag((second - first) ** 2 / 6.0)
+    m = _as_metric(metric, dim).value()
+    members = 2.0 if config.pairing_mode == "two-noisy" else 1.0
+    origin, out = np.zeros(dim), [np.trace(m @ cov)]
+    for seg in segments:
+        part = seg.part
+        for j in range(seg.steps):
+            at = seg.start + j * seg.stride
+            jac = np.reshape(part.jacobian(origin, at), (dim, dim))
+            if isinstance(part, DiscreteMapSystem):
+                a, h, g = jac, 1.0, part.noise_gain(origin, at)
+            else:
+                a, h, g = np.eye(dim) + seg.stride * jac, seg.stride, part.diffusion(origin, at)
+            g = np.reshape(g, (dim, seg.width))
+            cov = a @ cov @ a.T + members * h * (g @ g.T)
+            if j + 1 in seg.marks:
+                out.append(np.trace(m @ cov))
+    return np.asarray(out)
